@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"adnet/internal/baseline"
-	"adnet/internal/core"
 	"adnet/internal/expt"
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -61,22 +59,25 @@ const (
 	Flooding
 )
 
+// algorithms gives each Algorithm its display name and its entry in
+// the expt registry, which owns what an algorithm runs: machine
+// factory, default round cap, machine recycling.
+var algorithms = [...]struct{ name, registry string }{
+	GraphToStar:       {"GraphToStar", expt.AlgoStar},
+	GraphToWreath:     {"GraphToWreath", expt.AlgoWreath},
+	GraphToThinWreath: {"GraphToThinWreath", expt.AlgoThinWreath},
+	CliqueFormation:   {"CliqueFormation", expt.AlgoClique},
+	Flooding:          {"Flooding", expt.AlgoFlood},
+}
+
+func (a Algorithm) known() bool { return a >= GraphToStar && int(a) < len(algorithms) }
+
 // String implements fmt.Stringer.
 func (a Algorithm) String() string {
-	switch a {
-	case GraphToStar:
-		return "GraphToStar"
-	case GraphToWreath:
-		return "GraphToWreath"
-	case GraphToThinWreath:
-		return "GraphToThinWreath"
-	case CliqueFormation:
-		return "CliqueFormation"
-	case Flooding:
-		return "Flooding"
-	default:
+	if !a.known() {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
+	return algorithms[a].name
 }
 
 // Result is the outcome of Run.
@@ -121,26 +122,18 @@ func WithConnectivityCheck() Option { return sim.WithConnectivityCheck() }
 // Run executes the algorithm on the initial network gs, which must be
 // connected. The initial graph is not modified.
 func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
-	var factory sim.Factory
-	n := gs.NumNodes()
-	var extra []Option
-	switch algo {
-	case GraphToStar:
-		factory = core.NewGraphToStarFactory()
-	case GraphToWreath:
-		factory = core.NewGraphToWreathFactory()
-		extra = append(extra, sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, false))))
-	case GraphToThinWreath:
-		factory = core.NewGraphToThinWreathFactory()
-		extra = append(extra, sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, true))))
-	case CliqueFormation:
-		factory = baseline.NewCliqueFactory()
-	case Flooding:
-		factory = baseline.NewFloodFactory()
-	default:
-		return nil, fmt.Errorf("adnet: unknown algorithm %v", algo)
+	if !algo.known() {
+		var valid []Algorithm
+		for a := GraphToStar; a.known(); a++ {
+			valid = append(valid, a)
+		}
+		return nil, fmt.Errorf("adnet: unknown algorithm %v (want one of %v)", algo, valid)
 	}
-	res, err := sim.Run(gs, factory, append(extra, opts...)...)
+	factory, defaults, err := expt.Simulation(algorithms[algo].registry, gs.NumNodes())
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(gs, factory, append(defaults, opts...)...)
 	if err != nil {
 		return nil, err
 	}

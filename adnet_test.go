@@ -1,9 +1,21 @@
 package adnet
 
 import (
+	"encoding/json"
+	"errors"
 	"math/bits"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"adnet/internal/expt"
+	"adnet/internal/service"
+	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
 
 func TestRunGraphToStarPublicAPI(t *testing.T) {
@@ -82,8 +94,107 @@ func TestBaselinesPublicAPI(t *testing.T) {
 
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(Algorithm(99), Line(4)); err == nil {
+	_, err := Run(Algorithm(99), Line(4))
+	if err == nil {
 		t.Fatal("unknown algorithm accepted")
+	}
+	for _, want := range []string{"Algorithm(99)", "want one of", "GraphToStar", "Flooding"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// downForever is an environment that takes node 0 down after round 1
+// and never restarts it: the run can only end at its round cap, which
+// the engine's error then names.
+type downForever struct{}
+
+func (downForever) Begin(int) {}
+func (downForever) Perturb(round int, _ *temporal.History, edits *sim.EnvEdits) {
+	if round == 1 {
+		edits.Crash = append(edits.Crash, 0)
+	}
+}
+
+// TestAlgorithmRegistry walks the expt registry through every door
+// that reads it: expt.Execute, Cell.Validate, GET /v1/algorithms and
+// adnet.Run must all see the same entries with the same defaults.
+func TestAlgorithmRegistry(t *testing.T) {
+	t.Parallel()
+	mgr := service.NewManager(service.Config{Workers: 1})
+	srv := httptest.NewServer(service.NewHandler(mgr))
+	defer func() {
+		srv.Close()
+		mgr.Close()
+	}()
+	resp, err := http.Get(srv.URL + "/v1/algorithms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []string
+	err = json.NewDecoder(resp.Body).Decode(&served)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(served, expt.Algorithms()) {
+		t.Fatalf("GET /v1/algorithms = %v, want the registry order %v", served, expt.Algorithms())
+	}
+
+	// The public enum must reach every simulated entry, and only those.
+	public := map[string]Algorithm{}
+	for a := GraphToStar; a.known(); a++ {
+		public[algorithms[a].registry] = a
+	}
+	roundCap := regexp.MustCompile(`\(limit (\d+)\)`)
+	const n = 16
+	for _, name := range expt.Algorithms() {
+		t.Run(name, func(t *testing.T) {
+			cell := expt.Cell{Algorithm: name, Workload: "line", N: n, Seed: 1}
+			if err := cell.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
+			}
+			out, err := expt.Execute(cell.Request())
+			if err != nil {
+				t.Fatalf("Execute: %v", err)
+			}
+			if !out.LeaderOK || out.N != n {
+				t.Fatalf("Execute outcome %+v: wrong leader", out)
+			}
+			algo, reachable := public[name]
+			if reachable != expt.Simulated(name) {
+				t.Fatalf("reachable from adnet.Run: %v, simulated: %v", reachable, expt.Simulated(name))
+			}
+			if !reachable {
+				return
+			}
+			res, err := Run(algo, Line(n))
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.LeaderElected || res.Leader != n-1 || res.Rounds != out.Rounds {
+				t.Fatalf("Run: leader %d (%v) in %d rounds, Execute took %d", res.Leader, res.LeaderElected, res.Rounds, out.Rounds)
+			}
+
+			// Same default round cap from both entry points: stall the
+			// run and read the cap off the engine's error.
+			_, runErr := Run(algo, Line(n), sim.WithEnvironment(downForever{}))
+			req := cell.Request()
+			req.SimOpts = append(req.SimOpts, sim.WithEnvironment(downForever{}))
+			_, execErr := expt.Execute(req)
+			if !errors.Is(runErr, sim.ErrRoundLimit) || !errors.Is(execErr, sim.ErrRoundLimit) {
+				t.Fatalf("stalled runs ended with %v / %v, want the round limit", runErr, execErr)
+			}
+			fromRun, fromExec := roundCap.FindStringSubmatch(runErr.Error()), roundCap.FindStringSubmatch(execErr.Error())
+			if fromRun == nil || fromExec == nil || fromRun[1] != fromExec[1] {
+				t.Fatalf("round caps differ: adnet.Run %q, expt.Execute %q", runErr, execErr)
+			}
+			engineDefault := strconv.Itoa(64*n + 64)
+			if wreath := name == expt.AlgoWreath || name == expt.AlgoThinWreath; wreath == (fromRun[1] == engineDefault) {
+				t.Fatalf("round cap %s (engine default %s): only the wreath entries set their own", fromRun[1], engineDefault)
+			}
+		})
 	}
 }
 

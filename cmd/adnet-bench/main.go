@@ -10,13 +10,13 @@
 //	adnet-bench -tradeoff 512   # the headline comparison at one size
 //
 // With -json the command switches to the machine-readable performance
-// mode used to track the perf trajectory across PRs (BENCH_*.json).
+// mode used to track the perf trajectory across PRs (BENCH_LATEST.json).
 // The grid is enumerated through the same sweep path the service uses
 // (expt.SweepSpec) and executed on one reusable engine:
 //
 //	adnet-bench -json                          # default perf suite
 //	adnet-bench -json -algos graph-to-star \
-//	            -workloads line,ring -sizes 1024,4096 > BENCH_PR3.json
+//	            -workloads line,ring -sizes 1024,4096 > BENCH_LATEST.json
 //
 // With -compare the command re-measures the grid recorded in a
 // committed BENCH_*.json and diffs the two, failing when

@@ -143,7 +143,7 @@ func runRobustness(algoList, workload string, n int, seedList, dynList string, a
 	algos := splitList(algoList)
 	if len(algos) == 0 {
 		for _, a := range expt.Algorithms() {
-			if a != expt.AlgoCentralized {
+			if expt.Simulated(a) {
 				algos = append(algos, a)
 			}
 		}
@@ -153,11 +153,13 @@ func runRobustness(algoList, workload string, n int, seedList, dynList string, a
 		dyns = append(dyns, dynamics.Spec{Class: class})
 	}
 	rows, err := expt.RobustnessMatrix(expt.RobustnessSpec{
-		Algorithms: algos,
-		Workloads:  []string{workload},
-		Sizes:      []int{n},
-		Seeds:      seeds,
-		Dynamics:   dyns,
+		Grid: expt.SweepSpec{
+			Algorithms: algos,
+			Workloads:  []string{workload},
+			Sizes:      []int{n},
+			Seeds:      seeds,
+		},
+		Dynamics: dyns,
 	})
 	if err != nil {
 		return err

@@ -38,7 +38,7 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 			}
 			var base Outcome
 			for i, w := range workerCounts {
-				out, err := RunAlgorithmOpts(tc.algo, g, sim.WithParallelism(w))
+				out, err := RunAlgorithm(tc.algo, g, sim.WithParallelism(w))
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"adnet/internal/baseline"
-	"adnet/internal/core"
 	"adnet/internal/dynamics"
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -41,21 +41,6 @@ type Outcome struct {
 	Restarts           int `json:"Restarts,omitempty"`         // node restarts injected
 }
 
-// Algorithm names for RunAlgorithm.
-const (
-	AlgoStar        = "graph-to-star"
-	AlgoWreath      = "graph-to-wreath"
-	AlgoThinWreath  = "graph-to-thinwreath"
-	AlgoClique      = "clique"
-	AlgoFlood       = "flood"
-	AlgoCentralized = "centralized-euler"
-)
-
-// Algorithms lists every runnable algorithm name.
-func Algorithms() []string {
-	return []string{AlgoStar, AlgoWreath, AlgoThinWreath, AlgoClique, AlgoFlood, AlgoCentralized}
-}
-
 // Request names one deterministic run: an algorithm, a workload
 // family, a size and a seed. It is the spec-driven entry point shared
 // by the CLIs and the service layer (internal/service).
@@ -76,92 +61,39 @@ type Request struct {
 	SimOpts []sim.Option
 }
 
-// Execute builds the workload and runs the algorithm on it.
+// Execute builds the workload and runs the algorithm on it, on a
+// throwaway Runner; hold a Runner instead when executing many runs.
 func Execute(req Request) (Outcome, error) {
-	env, err := applyDynamics(&req)
+	r := NewRunner()
+	defer r.Close()
+	return r.Execute(req)
+}
+
+// RunAlgorithm executes the named algorithm on a copy of gs, with
+// extra simulation options appended after the algorithm's defaults,
+// and returns the unified outcome. It runs on a throwaway Runner; hold
+// one instead when executing many runs.
+func RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
+	r := NewRunner()
+	defer r.Close()
+	return r.RunAlgorithm(name, gs, extra...)
+}
+
+// RunAlgorithm executes the named algorithm on gs through the
+// Runner's engine, with extra simulation options appended after the
+// algorithm's defaults. It is the one execution path behind Execute,
+// RunAlgorithm and ExecuteSweep.
+func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
+	algo, err := lookup(name)
 	if err != nil {
 		return Outcome{}, err
-	}
-	g, err := Workload(req.Workload, req.N, req.Seed)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out, err := RunAlgorithmOpts(req.Algorithm, g, req.SimOpts...)
-	if err == nil && env != nil {
-		out.Crashes, out.Restarts = env.Counts()
-	}
-	return out, err
-}
-
-// applyDynamics builds the environment a request's dynamics block
-// names and appends it to the request's sim options. The returned Env
-// is nil when the request carries no dynamics.
-func applyDynamics(req *Request) (*dynamics.Env, error) {
-	if req.Dynamics == nil {
-		return nil, nil
-	}
-	if req.Algorithm == AlgoCentralized {
-		return nil, fmt.Errorf("expt: dynamics do not apply to %s (no simulation to perturb)", AlgoCentralized)
-	}
-	env, err := dynamics.New(*req.Dynamics, req.Seed)
-	if err != nil {
-		return nil, err
-	}
-	req.SimOpts = append(req.SimOpts, sim.WithEnvironment(env))
-	return env, nil
-}
-
-// Shared machine factories. The factories are stateless (all per-run
-// state lives in the machines they build), so one instance serves
-// every engine; caching them keeps runAlgorithm's steady state free of
-// per-call closure allocations. starRecycleOpt likewise: graph-to-star
-// machines implement sim.Recycler, so repeated star runs on one engine
-// restore machines in place instead of rebuilding n of them.
-var (
-	starFactory       = core.NewGraphToStarFactory()
-	wreathFactory     = core.NewGraphToWreathFactory()
-	thinWreathFactory = core.NewGraphToThinWreathFactory()
-	cliqueFactory     = baseline.NewCliqueFactory()
-	floodFactory      = baseline.NewFloodFactory()
-	starRecycleOpt    = sim.WithMachineRecycling(AlgoStar)
-)
-
-// RunAlgorithm executes the named algorithm on a copy of gs and
-// returns the unified outcome.
-func RunAlgorithm(name string, gs *graph.Graph) (Outcome, error) {
-	return RunAlgorithmOpts(name, gs)
-}
-
-// RunAlgorithmOpts is RunAlgorithm with extra simulation options
-// appended after the algorithm's defaults. It runs on a throwaway
-// engine; hold a Runner instead when executing many runs.
-func RunAlgorithmOpts(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
-	eng := sim.NewEngine()
-	defer eng.Close()
-	var sc graph.BFSScratch
-	return runAlgorithm(eng, &sc, name, gs, extra...)
-}
-
-// runAlgorithm is the shared engine-backed execution path behind
-// RunAlgorithmOpts, Runner.RunAlgorithm and ExecuteSweep. sc is the
-// caller's BFS scratch for the post-run diameter/depth analysis.
-func runAlgorithm(eng *sim.Engine, sc *graph.BFSScratch, name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
-	known := false
-	for _, a := range Algorithms() {
-		if a == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return Outcome{}, fmt.Errorf("expt: unknown algorithm %q (want one of %v)", name, Algorithms())
 	}
 	if gs == nil || gs.NumNodes() == 0 {
 		return Outcome{}, fmt.Errorf("expt: empty initial graph")
 	}
 	n := gs.NumNodes()
 	umax := gs.MaxID()
-	if name == AlgoCentralized {
+	if algo.factory == nil {
 		res, err := baseline.EulerTourStrategy(gs)
 		if err != nil {
 			return Outcome{}, err
@@ -174,40 +106,21 @@ func runAlgorithm(eng *sim.Engine, sc *graph.BFSScratch, name string, gs *graph.
 			TotalActivations:   res.Metrics.TotalActivations,
 			MaxActivatedEdges:  res.Metrics.MaxActivatedEdges,
 			MaxActivatedDegree: res.Metrics.MaxActivatedDegree,
-			FinalDiameter:      sc.ApproxDiameter(final),
+			FinalDiameter:      r.bfs.ApproxDiameter(final),
 			FinalDepth:         res.Depth,
 			LeaderOK:           true, // the centralized controller knows u_max
 		}, nil
 	}
 
-	var factory sim.Factory
 	// optBuf keeps the option list off the heap: sim options are
 	// consumed inside Reset and never retained, so the backing array
 	// can live on this frame.
 	var optBuf [8]sim.Option
-	opts := optBuf[:0]
-	switch name {
-	case AlgoStar:
-		factory = starFactory
-		opts = append(opts, starRecycleOpt)
-	case AlgoWreath:
-		factory = wreathFactory
-		opts = append(opts, sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, false))))
-	case AlgoThinWreath:
-		factory = thinWreathFactory
-		opts = append(opts, sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, true))))
-	case AlgoClique:
-		factory = cliqueFactory
-	case AlgoFlood:
-		factory = floodFactory
-	default:
-		return Outcome{}, fmt.Errorf("expt: unknown algorithm %q (want one of %v)", name, Algorithms())
-	}
-	opts = append(opts, extra...)
-	if err := eng.Reset(gs, factory, opts...); err != nil {
+	opts := append(algo.appendDefaults(optBuf[:0], n), extra...)
+	if err := r.eng.Reset(gs, algo.factory, opts...); err != nil {
 		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, n, err)
 	}
-	res, err := eng.Run()
+	res, err := r.eng.Run()
 	if err != nil {
 		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, n, err)
 	}
@@ -223,13 +136,13 @@ func runAlgorithm(eng *sim.Engine, sc *graph.BFSScratch, name string, gs *graph.
 		MaxActivatedEdges:  res.Metrics.MaxActivatedEdges,
 		MaxActivatedDegree: res.Metrics.MaxActivatedDegree,
 		TotalMessages:      res.TotalMessages,
-		FinalDiameter:      sc.ApproxDiameter(final),
+		FinalDiameter:      r.bfs.ApproxDiameter(final),
 		LeaderOK:           tasks.VerifyLeaderElection(res, umax) == nil,
 		EnvActivations:     res.Metrics.EnvActivations,
 		EnvDeactivations:   res.Metrics.EnvDeactivations,
 	}
 	if final.HasNode(umax) {
-		out.FinalDepth = sc.Eccentricity(final, umax)
+		out.FinalDepth = r.bfs.Eccentricity(final, umax)
 	}
 	return out, nil
 }
@@ -254,7 +167,7 @@ func Workload(name string, n int, seed int64) (*graph.Graph, error) {
 // generation only on growth; the generated graph is identical to
 // Workload's for equal parameters.
 func WorkloadInto(dst, scratch *graph.Graph, name string, n int, seed int64) (*graph.Graph, error) {
-	if !knownName(Workloads(), name) {
+	if !slices.Contains(Workloads(), name) {
 		return nil, fmt.Errorf("expt: unknown workload %q (want one of %v)", name, Workloads())
 	}
 	// Every family needs at least two nodes; validating here, before

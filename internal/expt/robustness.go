@@ -20,24 +20,23 @@ const BaselineDynamicsKey = "none"
 // measuring how gracefully each algorithm degrades under each class of
 // adversarial perturbation.
 type RobustnessSpec struct {
-	Algorithms []string
-	Workloads  []string
-	Sizes      []int
-	Seeds      []int64
+	// Grid is the sweep every column of the matrix runs. Its Dynamics
+	// field is the matrix's to set: nil for the baseline, one entry of
+	// Dynamics below per environment. Its MaxRounds, when positive,
+	// overrides every run's round limit; the engine's default cap
+	// (64·n + 64) already bounds runs an environment keeps from
+	// halting.
+	Grid SweepSpec
 	// Dynamics lists the environments to measure against the baseline.
 	// Duplicate specs (equal keys after normalization) are ignored
 	// after the first.
 	Dynamics []dynamics.Spec
-	// MaxRounds, when positive, overrides every run's round limit; the
-	// engine's default cap (64·n + 64) already bounds runs an
-	// environment keeps from halting.
-	MaxRounds int
 	// Workers sizes each sweep's engine fleet (default GOMAXPROCS).
 	// Matrix rows are byte-identical for every worker count.
 	Workers int
 }
 
-// Validate checks the grid and every dynamics spec.
+// Validate checks the grid once and every dynamics spec once.
 func (s RobustnessSpec) Validate() error {
 	if err := s.sweep(nil).Validate(); err != nil {
 		return err
@@ -46,26 +45,19 @@ func (s RobustnessSpec) Validate() error {
 		return fmt.Errorf("expt: robustness matrix needs at least one dynamics spec")
 	}
 	for _, d := range s.Dynamics {
-		if err := (SweepSpec{
-			Algorithms: s.Algorithms, Workloads: s.Workloads,
-			Sizes: s.Sizes, Seeds: s.Seeds, MaxRounds: s.MaxRounds,
-			Dynamics: &d,
-		}).Validate(); err != nil {
+		if err := d.Validate(); err != nil {
 			return err
 		}
 	}
-	return nil
+	return requireSimulated(s.Grid.Algorithms...)
 }
 
+// sweep is the matrix column under dyn: the grid with that environment
+// attached (nil for the baseline).
 func (s RobustnessSpec) sweep(dyn *dynamics.Spec) SweepSpec {
-	return SweepSpec{
-		Algorithms: s.Algorithms,
-		Workloads:  s.Workloads,
-		Sizes:      s.Sizes,
-		Seeds:      s.Seeds,
-		MaxRounds:  s.MaxRounds,
-		Dynamics:   dyn,
-	}
+	grid := s.Grid
+	grid.Dynamics = dyn
+	return grid
 }
 
 // RobustnessRow is one (algorithm, workload, n, dynamics) summary over

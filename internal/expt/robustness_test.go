@@ -11,18 +11,20 @@ import (
 
 func robustnessTestSpec(workers int) RobustnessSpec {
 	return RobustnessSpec{
-		Algorithms: []string{AlgoStar, AlgoWreath, AlgoThinWreath, AlgoClique, AlgoFlood},
-		Workloads:  []string{"line"},
-		Sizes:      []int{12},
-		Seeds:      []int64{1, 2},
+		Grid: SweepSpec{
+			Algorithms: []string{AlgoStar, AlgoWreath, AlgoThinWreath, AlgoClique, AlgoFlood},
+			Workloads:  []string{"line"},
+			Sizes:      []int{12},
+			Seeds:      []int64{1, 2},
+			MaxRounds:  300,
+		},
 		Dynamics: []dynamics.Spec{
 			{Class: dynamics.ClassEdgeChurn, Rate: 1},
 			{Class: dynamics.ClassTargetedCut, Rate: 1},
 			{Class: dynamics.ClassBurst, Quiet: 2, Storm: 2},
 			{Class: dynamics.ClassCrash, Down: 2},
 		},
-		MaxRounds: 300,
-		Workers:   workers,
+		Workers: workers,
 	}
 }
 
@@ -162,7 +164,7 @@ func TestRobustnessSpecValidate(t *testing.T) {
 		t.Fatalf("bad dynamics class accepted: %v", err)
 	}
 	spec = robustnessTestSpec(0)
-	spec.Algorithms = []string{AlgoCentralized}
+	spec.Grid.Algorithms = []string{AlgoCentralized}
 	if err := spec.Validate(); err == nil {
 		t.Fatalf("centralized + dynamics accepted")
 	}

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"adnet/internal/dynamics"
 	"adnet/internal/graph"
+	"adnet/internal/runkey"
 	"adnet/internal/sim"
 	"adnet/internal/temporal"
 )
@@ -42,13 +44,21 @@ func NewRunner() *Runner {
 // Close releases the underlying engine.
 func (r *Runner) Close() { r.eng.Close() }
 
-// Execute builds the workload and runs the algorithm on it, like the
-// package-level Execute but reusing the Runner's engine and workload
-// arena.
+// Execute builds the workload and runs the algorithm on it, reusing
+// the Runner's engine and workload arena. A dynamics block becomes the
+// run's environment (internal/dynamics) and the outcome's
+// Crashes/Restarts report the faults it injected.
 func (r *Runner) Execute(req Request) (Outcome, error) {
-	env, err := applyDynamics(&req)
-	if err != nil {
-		return Outcome{}, err
+	var env *dynamics.Env
+	if req.Dynamics != nil {
+		if err := requireSimulated(req.Algorithm); err != nil {
+			return Outcome{}, err
+		}
+		var err error
+		if env, err = dynamics.New(*req.Dynamics, req.Seed); err != nil {
+			return Outcome{}, err
+		}
+		req.SimOpts = append(req.SimOpts, sim.WithEnvironment(env))
 	}
 	g, err := WorkloadInto(r.wg, r.wscratch, req.Workload, req.N, req.Seed)
 	if err != nil {
@@ -61,25 +71,61 @@ func (r *Runner) Execute(req Request) (Outcome, error) {
 	return out, err
 }
 
-// RunAlgorithm executes the named algorithm on gs through the
-// Runner's engine, with extra simulation options appended after the
-// algorithm's defaults.
-func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
-	return runAlgorithm(r.eng, &r.bfs, name, gs, extra...)
+// Cell is the canonical description of one deterministic run — the
+// body of POST /v1/runs and one point of a sweep grid. Two cells with
+// equal Key() produce identical Outcomes: every workload generator is
+// seeded and the engine is deterministic regardless of parallelism,
+// which is what makes result caching sound.
+type Cell struct {
+	Algorithm string `json:"algorithm"`
+	Workload  string `json:"workload"`
+	N         int    `json:"n"`
+	Seed      int64  `json:"seed"`
+	// MaxRounds overrides the algorithm's default round limit when
+	// positive. It is part of the key: a tighter limit can turn a
+	// completing run into a round-limit failure.
+	MaxRounds int `json:"max_rounds,omitempty"`
+	// Dynamics, when present, attaches an adversarial environment
+	// (internal/dynamics) to the run. Its canonical key joins the run
+	// key, so perturbed runs never collide with clean ones. Within a
+	// sweep the pointer is shared across the grid's cells and never
+	// mutated.
+	Dynamics *dynamics.Spec `json:"dynamics,omitempty"`
 }
 
-// Cell is one point of a sweep grid: a deterministic run request. The
-// dynamics pointer, when set, is shared across a sweep's cells and
-// never mutated; it stays absent from the wire shape for sweeps
-// without dynamics.
-type Cell struct {
-	Algorithm string         `json:"algorithm"`
-	Workload  string         `json:"workload"`
-	N         int            `json:"n"`
-	Seed      int64          `json:"seed"`
-	MaxRounds int            `json:"max_rounds,omitempty"`
-	Dynamics  *dynamics.Spec `json:"dynamics,omitempty"`
+// Key is the run's canonical identity: the runkey rendering of every
+// field that influences the simulation outcome. A grid cell and an
+// individually submitted run are the same type, so equal parameters
+// share a result-cache entry by construction.
+func (c Cell) Key() string {
+	return keyWithDynamics(runkey.Key(c.Algorithm, c.Workload, c.N, c.Seed, c.MaxRounds), c.Dynamics)
 }
+
+// keyWithDynamics extends a run or sweep key with the dynamics block's
+// canonical key. A nil block leaves the key unchanged, which is what
+// keeps every dynamics-free key byte-identical to its pre-dynamics
+// form.
+func keyWithDynamics(key string, d *dynamics.Spec) string {
+	if d == nil {
+		return key
+	}
+	return runkey.WithDynamics(key, d.Key())
+}
+
+// Grid returns the one-cell sweep grid that enumerates exactly this
+// run: what holds for grids (validation, limits) holds for runs through
+// it.
+func (c Cell) Grid() SweepSpec {
+	return SweepSpec{
+		Algorithms: []string{c.Algorithm}, Workloads: []string{c.Workload},
+		Sizes: []int{c.N}, Seeds: []int64{c.Seed},
+		MaxRounds: c.MaxRounds, Dynamics: c.Dynamics,
+	}
+}
+
+// Validate checks the cell against the registered algorithm and
+// workload names and the model's minimum size.
+func (c Cell) Validate() error { return c.Grid().Validate() }
 
 // Request converts the cell to the spec-driven Request form.
 func (c Cell) Request() Request {
@@ -99,25 +145,32 @@ func (c Cell) Request() Request {
 // cells: NumCells, Cells and Validate all see the deduplicated
 // dimensions.
 type SweepSpec struct {
-	Algorithms []string
-	Workloads  []string
-	Sizes      []int
-	Seeds      []int64
-	MaxRounds  int
-	Dynamics   *dynamics.Spec
+	Algorithms []string       `json:"algorithms"`
+	Workloads  []string       `json:"workloads"`
+	Sizes      []int          `json:"sizes"`
+	Seeds      []int64        `json:"seeds"`
+	MaxRounds  int            `json:"max_rounds,omitempty"`
+	Dynamics   *dynamics.Spec `json:"dynamics,omitempty"`
 }
+
+// Key is the canonical runkey rendering of the grid: the dimension
+// lists as submitted plus the shared round limit and dynamics. Sweep
+// job IDs, journal file names and shard keys all derive from it.
+func (s SweepSpec) Key() string {
+	return keyWithDynamics(runkey.SweepKey(s.Algorithms, s.Workloads, s.Sizes, s.Seeds, s.MaxRounds), s.Dynamics)
+}
+
+// Expt returns the spec unchanged. It is what remains of the
+// conversion from the service's once-separate SweepSpec struct (now an
+// alias of this type); the frozen benchmark/ still calls it.
+func (s SweepSpec) Expt() SweepSpec { return s }
 
 // normalized returns the spec with duplicate dimension values
 // removed, preserving first-occurrence order.
 func (s SweepSpec) normalized() SweepSpec {
-	return SweepSpec{
-		Algorithms: dedup(s.Algorithms),
-		Workloads:  dedup(s.Workloads),
-		Sizes:      dedup(s.Sizes),
-		Seeds:      dedup(s.Seeds),
-		MaxRounds:  s.MaxRounds,
-		Dynamics:   s.Dynamics,
-	}
+	s.Algorithms, s.Workloads = dedup(s.Algorithms), dedup(s.Workloads)
+	s.Sizes, s.Seeds = dedup(s.Sizes), dedup(s.Seeds)
+	return s
 }
 
 // NumCells returns the grid size (after dimension deduplication).
@@ -168,32 +221,30 @@ func (s SweepSpec) Validate() error {
 		return errors.New("expt: empty sweep grid (every dimension needs at least one value)")
 	}
 	for _, a := range s.Algorithms {
-		if !knownName(Algorithms(), a) {
-			return fmt.Errorf("expt: unknown algorithm %q (want one of %v)", a, Algorithms())
+		if _, err := lookup(a); err != nil {
+			return err
 		}
 	}
 	for _, w := range s.Workloads {
-		if !knownName(Workloads(), w) {
+		if !slices.Contains(Workloads(), w) {
 			return fmt.Errorf("expt: unknown workload %q (want one of %v)", w, Workloads())
 		}
 	}
 	for _, n := range s.Sizes {
 		if n < 2 {
-			return fmt.Errorf("expt: sweep size %d below minimum 2", n)
+			return fmt.Errorf("expt: n must be at least 2, got %d", n)
 		}
 	}
 	if s.MaxRounds < 0 {
-		return fmt.Errorf("expt: max rounds must be non-negative, got %d", s.MaxRounds)
+		return fmt.Errorf("expt: max_rounds must be non-negative, got %d", s.MaxRounds)
 	}
-	if s.Dynamics != nil {
-		if err := s.Dynamics.Validate(); err != nil {
-			return err
-		}
-		if knownName(s.Algorithms, AlgoCentralized) {
-			return fmt.Errorf("expt: dynamics do not apply to %s (no simulation to perturb)", AlgoCentralized)
-		}
+	if s.Dynamics == nil {
+		return nil
 	}
-	return nil
+	if err := s.Dynamics.Validate(); err != nil {
+		return err
+	}
+	return requireSimulated(s.Algorithms...)
 }
 
 // CellResult is the measured product of one grid cell.
@@ -213,12 +264,47 @@ type CellResult struct {
 	Duration time.Duration
 }
 
-// WireCellResult reconstructs the CellResult a streamed wire cell (a
-// sweep's NDJSON cell line) denotes, for re-folding streamed cells
-// through Aggregate. The service's aggregate endpoint and the fleet
-// coordinator's local fallback fold both go through this one
-// conversion — which is what keeps their aggregates byte-identical to
-// each other and to the worker that streamed the cells.
+// WireCell is the flat wire form of a CellResult: one NDJSON line of
+// a sweep's cell stream, the cell payload of a journal record, and
+// what a fleet coordinator reads back from its workers. The dynamics
+// block is deliberately absent — it belongs to the grid, so whatever
+// needs a wire cell's run key takes the grid's own cell at Index.
+type WireCell struct {
+	Index     int      `json:"index"`
+	Algorithm string   `json:"algorithm"`
+	Workload  string   `json:"workload"`
+	N         int      `json:"n"`
+	Seed      int64    `json:"seed"`
+	MaxRounds int      `json:"max_rounds,omitempty"`
+	FromCache bool     `json:"from_cache"`
+	Outcome   *Outcome `json:"outcome,omitempty"`
+	Error     string   `json:"error,omitempty"`
+}
+
+// Wire renders the result in its wire form: an error cell carries the
+// error text and no outcome, any other cell its outcome.
+func (cr CellResult) Wire() WireCell {
+	w := WireCell{
+		Index:     cr.Index,
+		Algorithm: cr.Cell.Algorithm,
+		Workload:  cr.Cell.Workload,
+		N:         cr.Cell.N,
+		Seed:      cr.Cell.Seed,
+		MaxRounds: cr.Cell.MaxRounds,
+		FromCache: cr.FromCache,
+	}
+	if cr.Err != nil {
+		w.Error = cr.Err.Error()
+	} else {
+		out := cr.Outcome
+		w.Outcome = &out
+	}
+	return w
+}
+
+// WireCellResult reconstructs the CellResult a wire cell denotes, the
+// inverse of Wire. It takes the line's fields rather than a WireCell so
+// clients that decode lines into their own struct can call it.
 func WireCellResult(index int, cell Cell, fromCache bool, outcome *Outcome, errText string) CellResult {
 	cr := CellResult{Index: index, Cell: cell, FromCache: fromCache}
 	if errText != "" {
@@ -227,6 +313,36 @@ func WireCellResult(index int, cell Cell, fromCache bool, outcome *Outcome, errT
 		cr.Outcome = *outcome
 	}
 	return cr
+}
+
+// AggregateWire folds streamed wire cells, in canonical order, exactly
+// like Aggregate folds the results they were rendered from. The
+// service's aggregate endpoint and the fleet coordinator's local
+// fallback both fold through it, which keeps their aggregates
+// byte-identical to each other and to the worker that streamed the
+// cells.
+func AggregateWire(cells []WireCell) []AggregateGroup {
+	results := make([]CellResult, len(cells))
+	for i, c := range cells {
+		results[i] = WireCellResult(c.Index, Cell{
+			Algorithm: c.Algorithm, Workload: c.Workload,
+			N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds,
+		}, c.FromCache, c.Outcome, c.Error)
+	}
+	return Aggregate(results)
+}
+
+// WireSummary trails a sweep's cell stream with sweep-level totals.
+// Replayed counts cells answered from the sweep's journal done-set
+// (they count as cache hits too); omitempty keeps the wire shape of
+// an uninterrupted run byte-identical to pre-durability servers.
+type WireSummary struct {
+	Done      bool `json:"done"`
+	Cells     int  `json:"cells"`
+	CacheHits int  `json:"cache_hits"`
+	Executed  int  `json:"executed"`
+	Errors    int  `json:"errors"`
+	Replayed  int  `json:"replayed,omitempty"`
 }
 
 // SweepOptions configures ExecuteSweep.
@@ -433,13 +549,4 @@ func mergeCancel(cancel <-chan struct{}, limit time.Duration) (done <-chan struc
 	}()
 	var once sync.Once
 	return d, timedOut, func() { once.Do(func() { close(finished) }) }
-}
-
-func knownName(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

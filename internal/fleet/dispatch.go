@@ -12,45 +12,9 @@ import (
 	"strings"
 	"time"
 
-	"adnet/internal/dynamics"
 	"adnet/internal/expt"
 	"adnet/internal/obs"
 )
-
-// Cell mirrors one line of a worker's NDJSON cell stream (the
-// service's SweepCell wire shape). The coordinator rewrites Index from
-// shard-local to global before merging.
-type Cell struct {
-	Index     int           `json:"index"`
-	Algorithm string        `json:"algorithm"`
-	Workload  string        `json:"workload"`
-	N         int           `json:"n"`
-	Seed      int64         `json:"seed"`
-	MaxRounds int           `json:"max_rounds,omitempty"`
-	FromCache bool          `json:"from_cache"`
-	Outcome   *expt.Outcome `json:"outcome,omitempty"`
-	Error     string        `json:"error,omitempty"`
-}
-
-// shardSummary is the worker's trailing sweep-summary line.
-type shardSummary struct {
-	Done      bool `json:"done"`
-	Cells     int  `json:"cells"`
-	CacheHits int  `json:"cache_hits"`
-	Executed  int  `json:"executed"`
-	Errors    int  `json:"errors"`
-}
-
-// sweepSpecWire is the POST /v1/sweeps request body (the service's
-// SweepSpec wire shape, written from the client side).
-type sweepSpecWire struct {
-	Algorithms []string       `json:"algorithms"`
-	Workloads  []string       `json:"workloads"`
-	Sizes      []int          `json:"sizes"`
-	Seeds      []int64        `json:"seeds"`
-	MaxRounds  int            `json:"max_rounds,omitempty"`
-	Dynamics   *dynamics.Spec `json:"dynamics,omitempty"`
-}
 
 // errWorkerBusy marks a dispatch rejected by the worker's sweep gate
 // (HTTP 503): the worker is saturated with its own client sweeps, not
@@ -80,12 +44,12 @@ type shardProgress struct {
 	// attempts counts failed dispatches; at cfg.ShardAttempts the
 	// sweep fails.
 	attempts int
-	// summary, groups and cells are recorded by the dispatch that
-	// completed the shard (cells in shard-local order — what
-	// GridHooks.Persist journals).
-	summary *shardSummary
-	groups  []expt.AggregateGroup
-	cells   []Cell
+	// executed (simulations the worker actually ran), groups and cells
+	// are recorded by the dispatch that completed the shard (cells in
+	// shard-local order — what GridHooks.Persist journals).
+	executed int
+	groups   []expt.AggregateGroup
+	cells    []expt.WireCell
 }
 
 // runShard executes one shard on one worker: submit the sub-grid
@@ -99,7 +63,7 @@ type shardProgress struct {
 // cursor to reconcile. A dispatch that fails for any reason cancels
 // its worker-side sweep best-effort so an abandoned shard does not
 // keep burning worker time.
-func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress, deliver func(Cell)) (err error) {
+func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress, deliver func(expt.WireCell)) (err error) {
 	id, err := c.postSweep(ctx, w, sh.Spec)
 	if err != nil {
 		return err
@@ -111,9 +75,9 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 	}()
 
 	n := sh.NumCells()
-	collected := make([]Cell, n)
+	collected := make([]expt.WireCell, n)
 	have := make([]bool, n)
-	var sum *shardSummary
+	var sum *expt.WireSummary
 	// cursor carries across resume attempts: each pass asks the worker
 	// to replay only the frames this dispatch has not consumed yet.
 	cursor := 0
@@ -153,7 +117,7 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 			return fmt.Errorf("fleet: shard %d: worker %s never streamed cell %d", sh.Index, w.url, i)
 		}
 	}
-	sp.summary = sum
+	sp.executed = sum.Executed
 	sp.cells = collected
 	for i, cell := range collected {
 		cell.Index = sh.Offset + i
@@ -163,10 +127,11 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 	// Prefer the worker's own aggregate of the shard — the sweep is
 	// terminal, so the endpoint serves it — and fall back to folding
 	// the collected cells locally (byte-identical: same cells, same
-	// canonical order, same arithmetic) if the worker died in between.
+	// canonical order, same fold — expt.AggregateWire is what the
+	// endpoint runs) if the worker died in between.
 	groups, err := c.fetchAggregate(ctx, w, id)
 	if err != nil {
-		groups = localAggregate(collected)
+		groups = expt.AggregateWire(collected)
 	}
 	sp.groups = groups
 	return nil
@@ -178,7 +143,7 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 // per cell. Returns nil when the stream ended cleanly (the caller
 // checks whether the summary arrived).
 func (c *Coordinator) tailCells(ctx context.Context, w *worker, id string,
-	collected []Cell, have []bool, sum **shardSummary, cursor *int) error {
+	collected []expt.WireCell, have []bool, sum **expt.WireSummary, cursor *int) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/v1/sweeps/%s/cells?cursor=%d", w.url, id, *cursor), nil)
 	if err != nil {
@@ -210,14 +175,14 @@ func (c *Coordinator) tailCells(ctx context.Context, w *worker, id string,
 			return fmt.Errorf("bad NDJSON line: %w", err)
 		}
 		if probe.Done != nil {
-			s := &shardSummary{}
+			s := &expt.WireSummary{}
 			if err := json.Unmarshal(line, s); err != nil {
 				return fmt.Errorf("bad summary line: %w", err)
 			}
 			*sum = s
 			continue
 		}
-		var cell Cell
+		var cell expt.WireCell
 		if err := json.Unmarshal(line, &cell); err != nil {
 			return fmt.Errorf("bad cell line: %w", err)
 		}
@@ -237,14 +202,7 @@ func (c *Coordinator) tailCells(ctx context.Context, w *worker, id string,
 // the worker is saturated with its own client sweeps — surfaces as
 // errWorkerBusy; the dispatcher paces the retries.
 func (c *Coordinator) postSweep(ctx context.Context, w *worker, spec expt.SweepSpec) (string, error) {
-	body, err := json.Marshal(sweepSpecWire{
-		Algorithms: spec.Algorithms,
-		Workloads:  spec.Workloads,
-		Sizes:      spec.Sizes,
-		Seeds:      spec.Seeds,
-		MaxRounds:  spec.MaxRounds,
-		Dynamics:   spec.Dynamics,
-	})
+	body, err := json.Marshal(spec)
 	if err != nil {
 		return "", err
 	}
@@ -339,21 +297,6 @@ func (c *Coordinator) cancelSweep(ctx context.Context, w *worker, id string) {
 	if resp, err := c.cfg.Client.Do(req); err == nil {
 		drainClose(resp)
 	}
-}
-
-// localAggregate folds a shard's collected cells exactly like the
-// worker's aggregate endpoint does: same cells, same canonical order,
-// same conversion (expt.WireCellResult), same arithmetic — the
-// fallback is byte-identical to the fetch.
-func localAggregate(cells []Cell) []expt.AggregateGroup {
-	results := make([]expt.CellResult, len(cells))
-	for i, c := range cells {
-		results[i] = expt.WireCellResult(i, expt.Cell{
-			Algorithm: c.Algorithm, Workload: c.Workload,
-			N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds,
-		}, c.FromCache, c.Outcome, c.Error)
-	}
-	return expt.Aggregate(results)
 }
 
 // drainClose consumes what remains of a response body (bounded) so

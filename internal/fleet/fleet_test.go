@@ -89,7 +89,7 @@ func singleProcessAggregate(t *testing.T, spec expt.SweepSpec) []byte {
 
 // checkMergedCells asserts the merged stream kept the wire contract:
 // one cell per grid position, in canonical order, with global indices.
-func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []fleet.Cell) {
+func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []expt.WireCell) {
 	t.Helper()
 	cells := spec.Cells()
 	if len(got) != len(cells) {
@@ -161,8 +161,8 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	register(t, c, startWorker(t))
 	register(t, c, startWorker(t))
 
-	var merged []fleet.Cell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -267,8 +267,8 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	register(t, c, flaky.URL)
 	register(t, c, startWorker(t))
 
-	var merged []fleet.Cell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -431,8 +431,8 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 	c := fleet.New(testConfig())
 	register(t, c, srv.URL)
 
-	var merged []fleet.Cell
-	_, groups, err := c.RunGrid(context.Background(), testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	_, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -470,8 +470,8 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	c := fleet.New(testConfig())
 	register(t, c, busy.URL)
 
-	var merged []fleet.Cell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -495,8 +495,8 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 	t.Parallel()
 	c := fleet.New(testConfig())
-	var merged []fleet.Cell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if !errors.Is(err, fleet.ErrNoWorkers) {
@@ -526,8 +526,8 @@ func TestRunGridCancelMidSweep(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var merged []fleet.Cell
-	_, groups, err := c.RunGrid(ctx, testSpec, func(cell fleet.Cell) {
+	var merged []expt.WireCell
+	_, groups, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 		cancel()
 	}, fleet.GridHooks{})

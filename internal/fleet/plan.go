@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"adnet/internal/dynamics"
 	"adnet/internal/expt"
 	"adnet/internal/runkey"
 )
@@ -37,20 +36,9 @@ func (s Shard) NumCells() int { return s.Spec.NumCells() }
 // row, in runkey order. The plan is a pure function of the spec —
 // every coordinator (and every retry) produces the same shards with
 // the same keys.
-// dynKey renders a dynamics spec's canonical key, "" when absent, so
-// dynamics-free shard keys stay byte-identical to their pre-dynamics
-// form.
-func dynKey(d *dynamics.Spec) string {
-	if d == nil {
-		return ""
-	}
-	return d.Key()
-}
-
 func PlanShards(spec expt.SweepSpec) []Shard {
 	cells := spec.Cells()
-	sweepKey := runkey.WithDynamics(
-		runkey.SweepKey(spec.Algorithms, spec.Workloads, spec.Sizes, spec.Seeds, spec.MaxRounds), dynKey(spec.Dynamics))
+	sweepKey := spec.Key()
 	var shards []Shard
 	for start := 0; start < len(cells); {
 		c := cells[start]
@@ -64,18 +52,13 @@ func PlanShards(spec expt.SweepSpec) []Shard {
 			seeds = append(seeds, n.Seed)
 			end++
 		}
+		sub := c.Grid() // the row's first cell, widened to every seed
+		sub.Seeds = seeds
 		shards = append(shards, Shard{
 			Index:  len(shards),
 			Key:    runkey.ShardKey(sweepKey, len(shards), start, end-start),
 			Offset: start,
-			Spec: expt.SweepSpec{
-				Algorithms: []string{c.Algorithm},
-				Workloads:  []string{c.Workload},
-				Sizes:      []int{c.N},
-				Seeds:      seeds,
-				MaxRounds:  spec.MaxRounds,
-				Dynamics:   spec.Dynamics,
-			},
+			Spec:   sub,
 		})
 		start = end
 	}

@@ -13,32 +13,30 @@ import (
 	"adnet/internal/sim"
 )
 
-// Summary totals a distributed sweep. CacheHits and Errors are counted
-// over the merged cell stream (synthesized skip-cells included);
-// Executed sums the completing workers' own summaries, so it keeps the
-// worker-side "a simulation actually ran" semantics. Replayed counts
-// cells served from journaled shards (GridHooks.Completed) without
-// re-dispatching.
+// Summary totals a distributed sweep: the wire summary the sweep's
+// cell stream trails with, plus the fleet's own counters. CacheHits and
+// Errors are counted over the merged cell stream (synthesized
+// skip-cells included); Executed sums the completing workers' own
+// summaries, so it keeps the worker-side "a simulation actually ran"
+// semantics. Replayed counts cells served from journaled shards
+// (GridHooks.Completed) without re-dispatching. Done is set when the
+// whole grid merged.
 type Summary struct {
-	Cells        int
-	CacheHits    int
-	Executed     int
-	Errors       int
+	expt.WireSummary
 	Shards       int
 	Redispatches int
-	Replayed     int
 }
 
-// ShardResult is one completed shard's durable payload: the cells in
-// shard-local canonical order plus the worker's shard aggregate —
-// exactly what the merge needs to fold the shard without ever
-// re-dispatching it.
+// ShardResult is one completed shard's durable payload, and the shard
+// record of a coordinator's sweep journal: the cells in shard-local
+// canonical order plus the worker's shard aggregate — exactly what the
+// merge needs to fold the shard without ever re-dispatching it.
 type ShardResult struct {
-	Key    string
-	Index  int
-	Offset int
-	Cells  []Cell
-	Groups []expt.AggregateGroup
+	Key    string                `json:"key"`
+	Index  int                   `json:"index"`
+	Offset int                   `json:"offset"`
+	Cells  []expt.WireCell       `json:"cells"`
+	Groups []expt.AggregateGroup `json:"groups"`
 }
 
 // GridHooks wires RunGrid to a durability layer. Completed is asked
@@ -68,13 +66,13 @@ type GridHooks struct {
 // recognizes are merged from their recorded cells without dispatching
 // (a grid whose shards all replay needs no workers at all), and every
 // freshly completed shard is handed to hooks.Persist.
-func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit func(Cell), hooks GridHooks) (Summary, []expt.AggregateGroup, error) {
+func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit func(expt.WireCell), hooks GridHooks) (Summary, []expt.AggregateGroup, error) {
 	if err := spec.Validate(); err != nil {
 		return Summary{}, nil, err
 	}
 	shards := PlanShards(spec)
 	cells := spec.Cells()
-	sum := Summary{Cells: len(cells), Shards: len(shards)}
+	sum := Summary{WireSummary: expt.WireSummary{Cells: len(cells)}, Shards: len(shards)}
 
 	replayed := make(map[int]ShardResult)
 	if hooks.Completed != nil {
@@ -105,9 +103,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	// keep their Executed counts in the summary, like the incremental
 	// single-process summary would.
 	for i := range progress {
-		if s := progress[i].summary; s != nil {
-			sum.Executed += s.Executed
-		}
+		sum.Executed += progress[i].executed
 	}
 	if runErr != nil {
 		return sum, nil, runErr
@@ -121,6 +117,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	if err != nil {
 		return sum, nil, err
 	}
+	sum.Done = true
 	return sum, groups, nil
 }
 
@@ -130,17 +127,16 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 // recorded cells are injected into the delivery stream by a local
 // replayer goroutine and their progress is pre-seeded as complete.
 func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers []*worker,
-	sum *Summary, cells []expt.Cell, emit func(Cell),
+	sum *Summary, cells []expt.Cell, emit func(expt.WireCell),
 	replayed map[int]ShardResult, persist func(ShardResult)) ([]shardProgress, error) {
 	progress := make([]shardProgress, len(shards))
 	for idx, res := range replayed {
-		// Executed stays 0: the replayed work ran in a previous process
+		// executed stays 0: the replayed work ran in a previous process
 		// life, not this one.
-		progress[idx].summary = &shardSummary{Done: true, Cells: len(res.Cells)}
 		progress[idx].groups = res.Groups
 	}
 
-	emitCount := func(cell Cell) {
+	emitCount := func(cell expt.WireCell) {
 		if cell.Error != "" {
 			sum.Errors++
 		} else if cell.FromCache {
@@ -151,20 +147,16 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 		}
 	}
 
-	fail := func(next int, buffered map[int]Cell, cause error) ([]shardProgress, error) {
+	fail := func(next int, buffered map[int]expt.WireCell, cause error) ([]shardProgress, error) {
 		// Keep the wire contract: one line per cell. Merged and
 		// buffered cells stand; the gaps become skip cells.
-		skip := fmt.Sprintf("fleet: cell skipped: %v", cause)
+		skipped := fmt.Errorf("fleet: cell skipped: %w", cause)
 		for ; next < len(cells); next++ {
-			if cell, ok := buffered[next]; ok {
-				emitCount(cell)
-				continue
+			cell, ok := buffered[next]
+			if !ok {
+				cell = expt.CellResult{Index: next, Cell: cells[next], Err: skipped}.Wire()
 			}
-			cc := cells[next]
-			emitCount(Cell{
-				Index: next, Algorithm: cc.Algorithm, Workload: cc.Workload,
-				N: cc.N, Seed: cc.Seed, MaxRounds: cc.MaxRounds, Error: skip,
-			})
+			emitCount(cell)
 		}
 		return progress, cause
 	}
@@ -194,7 +186,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 	var closeOnce sync.Once
 	closeQueue := func() { closeOnce.Do(func() { close(queue) }) }
 
-	deliveries := make(chan Cell, 64)
+	deliveries := make(chan expt.WireCell, 64)
 
 	var (
 		done         atomic.Int32
@@ -236,7 +228,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 				sp := &progress[idx]
 				c.metrics.shardsDispatched.Inc()
 				dispatchStart := time.Now()
-				err := c.runShard(runCtx, w, shards[idx], sp, func(cell Cell) {
+				err := c.runShard(runCtx, w, shards[idx], sp, func(cell expt.WireCell) {
 					select {
 					case deliveries <- cell:
 					case <-runCtx.Done():
@@ -345,7 +337,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 	// Merge: deliveries arrive shard-ordered per shard but interleaved
 	// across shards; re-emit in global canonical order.
 	next := 0
-	buffered := make(map[int]Cell)
+	buffered := make(map[int]expt.WireCell)
 	for d := range deliveries {
 		buffered[d.Index] = d
 		for {

@@ -1,9 +1,9 @@
 // Package runkey defines the single canonical cache/identity key for
-// a deterministic simulation run. Every layer that names a run — the
-// service's RunSpec, the sweep grid's cells, job IDs — renders its key
-// through this package, so a sweep cell and an individually submitted
-// run with the same parameters hit the same result-cache entry
-// instead of re-simulating.
+// a deterministic simulation run. Every layer that names a run gets
+// its key from expt.Cell.Key / expt.SweepSpec.Key — the only callers
+// of Key, SweepKey and WithDynamics — so a sweep cell and an
+// individually submitted run with the same parameters hit the same
+// result-cache entry instead of re-simulating.
 package runkey
 
 import (

@@ -152,10 +152,7 @@ func NewHandler(m *Manager) http.Handler {
 	}
 	handle("POST /v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var spec RunSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeAPIError(w, r, codeInvalidRequest, err)
+		if !decodeBody(w, r, &spec) {
 			return
 		}
 		job, cached, err := m.Submit(spec)
@@ -169,51 +166,15 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		writeJSON(w, code, submitResponse{Job: job.Status(), Cached: cached})
 	})
-	handle("GET /v1/runs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Jobs())
-	})
-	handle("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
-			return
-		}
-		writeJSON(w, http.StatusOK, job.Status())
-	})
-	handle("DELETE /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		err := m.Cancel(r.PathValue("id"))
-		switch {
-		case err == nil:
-			w.WriteHeader(http.StatusNoContent)
-		case errors.Is(err, ErrNotFound):
-			writeAPIError(w, r, codeNotFound, err)
-		default:
-			// Terminal jobs: nothing left to cancel.
-			writeAPIError(w, r, codeAlreadyDone, err)
-		}
-	})
+	handleJobs(handle, "/v1/runs", m.runs)
 	handle("GET /v1/runs/{id}/rounds", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.Get(r.PathValue("id"))
-		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
-			return
+		if job, cursor, ok := streamTarget(w, r, m.runs); ok {
+			streamNDJSON(w, r, &job.Stream().stream, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
 		}
-		cursor, err := parseCursor(r)
-		if err != nil {
-			writeAPIError(w, r, codeInvalidCursor, err)
-			return
-		}
-		streamNDJSON(w, r, &job.Stream().stream, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
 	})
 	handle("GET /v1/runs/{id}/topology", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.Get(r.PathValue("id"))
+		job, cursor, ok := streamTarget(w, r, m.runs)
 		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
-			return
-		}
-		cursor, err := parseCursor(r)
-		if err != nil {
-			writeAPIError(w, r, codeInvalidCursor, err)
 			return
 		}
 		switch r.URL.Query().Get("format") {
@@ -228,10 +189,7 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	handle("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		var spec SweepSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeAPIError(w, r, codeInvalidRequest, err)
+		if !decodeBody(w, r, &spec) {
 			return
 		}
 		job, err := m.SubmitSweep(r.Context(), spec)
@@ -241,39 +199,10 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusAccepted, sweepSubmitResponse{Sweep: job.Status()})
 	})
-	handle("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, m.Sweeps())
-	})
-	handle("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.GetSweep(r.PathValue("id"))
-		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
-			return
-		}
-		writeJSON(w, http.StatusOK, job.Status())
-	})
-	handle("DELETE /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
-		err := m.CancelSweep(r.PathValue("id"))
-		switch {
-		case err == nil:
-			w.WriteHeader(http.StatusNoContent)
-		case errors.Is(err, ErrNotFound):
-			writeAPIError(w, r, codeNotFound, err)
-		default:
-			// The sweep already reached a terminal state: an explicit
-			// already_done, distinguishable from a live cancel's 204.
-			writeAPIError(w, r, codeAlreadyDone, err)
-		}
-	})
+	handleJobs(handle, "/v1/sweeps", m.sweeps)
 	handle("GET /v1/sweeps/{id}/cells", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.GetSweep(r.PathValue("id"))
+		job, cursor, ok := streamTarget(w, r, m.sweeps)
 		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
-			return
-		}
-		cursor, err := parseCursor(r)
-		if err != nil {
-			writeAPIError(w, r, codeInvalidCursor, err)
 			return
 		}
 		// A subscriber disconnect ends only this stream — the sweep
@@ -288,9 +217,8 @@ func NewHandler(m *Manager) http.Handler {
 		}
 	})
 	handle("GET /v1/sweeps/{id}/aggregate", func(w http.ResponseWriter, r *http.Request) {
-		job, ok := m.GetSweep(r.PathValue("id"))
+		job, ok := lookupJob(w, r, m.sweeps)
 		if !ok {
-			writeAPIError(w, r, codeNotFound, ErrNotFound)
 			return
 		}
 		groups, err := job.Aggregate()
@@ -314,10 +242,7 @@ func NewHandler(m *Manager) http.Handler {
 	if fl := m.Fleet(); fl != nil {
 		handle("POST /v1/fleet/workers", func(w http.ResponseWriter, r *http.Request) {
 			var req workerRegistration
-			dec := json.NewDecoder(r.Body)
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&req); err != nil {
-				writeAPIError(w, r, codeInvalidRequest, err)
+			if !decodeBody(w, r, &req) {
 				return
 			}
 			st, err := fl.Register(r.Context(), req.URL)
@@ -356,6 +281,70 @@ func NewHandler(m *Manager) http.Handler {
 			fmt.Errorf("service: no route for %s %s", r.Method, r.URL.Path))
 	})))
 	return mux
+}
+
+// decodeBody reads the request's JSON body into v, rejecting unknown
+// fields; it answers invalid_request itself when the body is bad.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeAPIError(w, r, codeInvalidRequest, err)
+		return false
+	}
+	return true
+}
+
+// handleJobs mounts the three routes every job kind has — list,
+// status, cancel — over the kind's table.
+func handleJobs[J job[S], S any](handle func(string, http.HandlerFunc), base string, t *jobTable[J, S]) {
+	handle("GET "+base, func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, t.statuses())
+	})
+	handle("GET "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if j, ok := lookupJob(w, r, t); ok {
+			writeJSON(w, http.StatusOK, j.Status())
+		}
+	})
+	handle("DELETE "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		err := t.cancel(r.PathValue("id"))
+		switch {
+		case err == nil:
+			w.WriteHeader(http.StatusNoContent)
+		case errors.Is(err, ErrNotFound):
+			writeAPIError(w, r, codeNotFound, err)
+		default:
+			// The job already reached a terminal state: an explicit
+			// already_done, distinguishable from a live cancel's 204.
+			writeAPIError(w, r, codeAlreadyDone, err)
+		}
+	})
+}
+
+// lookupJob resolves the request's {id} in t, answering not_found
+// itself when there is no such job.
+func lookupJob[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jobTable[J, S]) (J, bool) {
+	j, ok := t.get(r.PathValue("id"))
+	if !ok {
+		writeAPIError(w, r, codeNotFound, ErrNotFound)
+	}
+	return j, ok
+}
+
+// streamTarget resolves what an NDJSON stream request names — the job
+// by {id}, the replay offset by ?cursor= — answering the error itself
+// when either is bad.
+func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jobTable[J, S]) (J, int, bool) {
+	j, ok := lookupJob(w, r, t)
+	if !ok {
+		return j, 0, false
+	}
+	cursor, err := parseCursor(r)
+	if err != nil {
+		writeAPIError(w, r, codeInvalidCursor, err)
+		return j, 0, false
+	}
+	return j, cursor, true
 }
 
 // streamNDJSON replays s to the client as NDJSON — history from the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -308,12 +309,12 @@ func TestAPIIntrospectionAndHealth(t *testing.T) {
 
 	var algos []string
 	mustGetJSON(t, srv, "/v1/algorithms", &algos)
-	if len(algos) == 0 || !contains(algos, "graph-to-star") {
+	if len(algos) == 0 || !slices.Contains(algos, "graph-to-star") {
 		t.Errorf("algorithms = %v", algos)
 	}
 	var loads []string
 	mustGetJSON(t, srv, "/v1/workloads", &loads)
-	if len(loads) == 0 || !contains(loads, "line") {
+	if len(loads) == 0 || !slices.Contains(loads, "line") {
 		t.Errorf("workloads = %v", loads)
 	}
 

@@ -235,7 +235,7 @@ func TestStreamCursorResumesAndTrailer(t *testing.T) {
 	spec := sweepSpec()
 	job, _ := postSweepJob(t, srv, spec)
 	awaitSweepState(t, srv, job.ID, StateDone)
-	cells := spec.Expt().NumCells()
+	cells := spec.NumCells()
 	half := cells / 2
 	lines, trailer := streamLines(t, srv.URL+"/v1/sweeps/"+job.ID+"/cells?cursor="+strconv.Itoa(half))
 	if trailer != strconv.Itoa(cells) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"adnet/internal/dynamics"
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/journal"
@@ -54,7 +55,7 @@ func TestCoordinatorSweepMatchesSingleProcessByteForByte(t *testing.T) {
 	awaitSweepState(t, coordSrv, job.ID, StateDone)
 
 	cells, sum := readCells(t, coordSrv, job.ID)
-	grid := spec.Expt().Cells()
+	grid := spec.Cells()
 	if len(cells) != len(grid) {
 		t.Fatalf("merged stream has %d cells, grid %d", len(cells), len(grid))
 	}
@@ -113,7 +114,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		Sizes:      []int{1024, 4096},
 		Seeds:      []int64{1, 2, 3, 4},
 	}
-	total := spec.Expt().NumCells()
+	total := spec.NumCells()
 	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
 
 	var workerURLs []string
@@ -214,13 +215,73 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := json.Marshal(groups)
-	ref, err := expt.AggregateSweep(spec.Expt())
+	ref, err := expt.AggregateSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := json.Marshal(ref)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("takeover aggregate diverged from uninterrupted reference:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRecoverCachesShardCellsUnderGridKeys: a coordinator's journal
+// stores shard cells in their wire form, which carries no dynamics
+// block. Recovery must key each one by the grid's own cell — header
+// spec, dynamics included — or the outcomes of a perturbed sweep land
+// in the result cache under the clean run key and poison it.
+func TestRecoverCachesShardCellsUnderGridKeys(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	dyn := &dynamics.Spec{Class: dynamics.ClassEdgeChurn}
+	spec := SweepSpec{
+		Algorithms: []string{"flood"},
+		Workloads:  []string{"line"},
+		Sizes:      []int{32},
+		Seeds:      []int64{1, 2},
+		Dynamics:   dyn,
+	}
+
+	worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+	coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+	if _, err := coord.Register(t.Context(), worker.URL); err != nil {
+		t.Fatal(err)
+	}
+	m1 := NewManager(Config{Workers: 1, Fleet: coord, DataDir: dir})
+	j, err := m1.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for j.State() != StateDone {
+		if j.State().terminal() || time.Now().After(deadline) {
+			t.Fatalf("perturbed sweep in state %s: %s", j.State(), j.Status().Error)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	m1.Close()
+
+	m2 := NewManager(Config{Workers: 1, DataDir: dir})
+	defer m2.Close()
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	clean := RunSpec{Algorithm: "flood", Workload: "line", N: 32, Seed: 1}
+	job, cached, err := m2.Submit(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatalf("clean run answered from the cache after recovering a perturbed sweep: %+v", job.Status().Outcome)
+	}
+	waitState(t, job, StateDone)
+	if out := job.Status().Outcome; out == nil || out.EnvActivations != 0 || out.EnvDeactivations != 0 {
+		t.Fatalf("clean run reports environment edits: %+v", out)
+	}
+	perturbed := clean
+	perturbed.Dynamics = dyn
+	if _, cached, err := m2.Submit(perturbed); err != nil || !cached {
+		t.Fatalf("perturbed run after recovery: cached=%v err=%v, want the journaled outcome", cached, err)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 const (
 	recHeader byte = 1 // sweepHeader: written once at submission
 	recCell   byte = 2 // cellRecord: one finished ok cell (local mode)
-	recShard  byte = 3 // shardRecord: one completed shard (coordinator mode)
+	recShard  byte = 3 // fleet.ShardResult: one completed shard (coordinator mode)
 	recDone   byte = 4 // doneRecord: the sweep reached a terminal state
 )
 
@@ -57,18 +57,6 @@ type sweepHeader struct {
 type cellRecord struct {
 	RunKey string    `json:"run_key"`
 	Cell   SweepCell `json:"cell"`
-}
-
-// shardRecord persists one completed shard of a coordinator-mode grid:
-// the cells in shard-local canonical order plus the worker's shard
-// aggregate, exactly what the merge needs to fold the shard without
-// re-dispatching it.
-type shardRecord struct {
-	Key    string                `json:"key"`
-	Index  int                   `json:"index"`
-	Offset int                   `json:"offset"`
-	Cells  []fleet.Cell          `json:"cells"`
-	Groups []expt.AggregateGroup `json:"groups"`
 }
 
 // doneRecord closes a journal: the sweep reached a terminal state and
@@ -125,15 +113,15 @@ func (sj *sweepJournal) close() {
 // and the terminal record if the sweep finished.
 type journalState struct {
 	header *sweepHeader
-	cells  map[string]SweepCell   // run key → finished cell
-	shards map[string]shardRecord // shard key → completed shard
+	cells  map[string]expt.Outcome      // run key → finished cell's outcome
+	shards map[string]fleet.ShardResult // shard key → completed shard
 	done   *doneRecord
 }
 
 func parseJournal(path string, recs []journal.Record) (journalState, error) {
 	st := journalState{
-		cells:  make(map[string]SweepCell),
-		shards: make(map[string]shardRecord),
+		cells:  make(map[string]expt.Outcome),
+		shards: make(map[string]fleet.ShardResult),
 	}
 	for _, r := range recs {
 		var err error
@@ -145,11 +133,11 @@ func parseJournal(path string, recs []journal.Record) (journalState, error) {
 			}
 		case recCell:
 			var c cellRecord
-			if err = json.Unmarshal(r.Data, &c); err == nil {
-				st.cells[c.RunKey] = c.Cell
+			if err = json.Unmarshal(r.Data, &c); err == nil && c.Cell.Outcome != nil && c.Cell.Error == "" {
+				st.cells[c.RunKey] = *c.Cell.Outcome
 			}
 		case recShard:
-			var s shardRecord
+			var s fleet.ShardResult
 			if err = json.Unmarshal(r.Data, &s); err == nil {
 				st.shards[s.Key] = s
 			}
@@ -233,7 +221,7 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 			}
 			sj := &sweepJournal{log: lg, mt: m.metrics, logger: m.logger, release: release}
 			if st.header == nil {
-				sj.append(recHeader, sweepHeader{Key: key, Spec: j.Spec, Cells: j.grid.NumCells()})
+				sj.append(recHeader, sweepHeader{Key: key, Spec: j.Spec, Cells: j.Spec.NumCells()})
 				sj.sync()
 			}
 			j.mu.Lock()
@@ -299,20 +287,18 @@ func (m *Manager) Recover() error {
 		if st.header == nil {
 			continue // empty file (e.g. torn before the header landed)
 		}
-		cached := 0
-		for key, cell := range st.cells {
-			if cell.Outcome != nil && cell.Error == "" {
-				m.cache.Add(key, cacheEntry{Outcome: *cell.Outcome})
-				cached++
-			}
+		for key, out := range st.cells {
+			m.cache.Add(key, cacheEntry{Outcome: out})
 		}
+		cached := len(st.cells)
+		// Shard cells are keyed by the grid's own cell at their global
+		// index: the header's spec knows the dynamics block a wire line
+		// does not carry.
+		grid := st.header.Spec.Cells()
 		for _, sr := range st.shards {
-			for _, c := range sr.Cells {
-				if c.Outcome != nil && c.Error == "" {
-					m.cache.Add(cellKey(expt.Cell{
-						Algorithm: c.Algorithm, Workload: c.Workload,
-						N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds,
-					}), cacheEntry{Outcome: *c.Outcome})
+			for i, c := range sr.Cells {
+				if at := sr.Offset + i; at < len(grid) && c.Outcome != nil && c.Error == "" {
+					m.cache.Add(grid[at].Key(), cacheEntry{Outcome: *c.Outcome})
 					cached++
 				}
 			}

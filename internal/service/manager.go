@@ -13,20 +13,8 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/obs"
+	"adnet/internal/runkey"
 	"adnet/internal/sim"
-)
-
-// JobState is a job's lifecycle phase.
-type JobState string
-
-// Job lifecycle: queued → running → one of the three terminal states.
-// Cache hits are born StateDone.
-const (
-	StateQueued   JobState = "queued"
-	StateRunning  JobState = "running"
-	StateDone     JobState = "done"
-	StateFailed   JobState = "failed"
-	StateCanceled JobState = "canceled"
 )
 
 // Submission errors surfaced to the API layer.
@@ -179,30 +167,20 @@ type Job struct {
 
 	stream *RoundStream
 	topo   *TopologyStream
-	cancel chan struct{}
 
-	mu         sync.Mutex
-	cancelOnce sync.Once
-	state      JobState
-	outcome    *expt.Outcome
-	err        error
-	enqueued   time.Time
-	started    time.Time
-	finished   time.Time
+	lifecycle
+	outcome *expt.Outcome
 }
 
 // JobStatus is the JSON-facing snapshot of a Job.
 type JobStatus struct {
-	ID         string        `json:"id"`
-	Spec       RunSpec       `json:"spec"`
-	State      JobState      `json:"state"`
-	FromCache  bool          `json:"from_cache"`
-	Outcome    *expt.Outcome `json:"outcome,omitempty"`
-	Error      string        `json:"error,omitempty"`
-	EnqueuedAt time.Time     `json:"enqueued_at"`
-	StartedAt  *time.Time    `json:"started_at,omitempty"`
-	FinishedAt *time.Time    `json:"finished_at,omitempty"`
-	Rounds     int           `json:"rounds_streamed"`
+	ID        string        `json:"id"`
+	Spec      RunSpec       `json:"spec"`
+	State     JobState      `json:"state"`
+	FromCache bool          `json:"from_cache"`
+	Outcome   *expt.Outcome `json:"outcome,omitempty"`
+	jobTimes
+	Rounds int `json:"rounds_streamed"`
 }
 
 // Status snapshots the job.
@@ -210,27 +188,16 @@ func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
-		ID:         j.ID,
-		Spec:       j.Spec,
-		State:      j.state,
-		FromCache:  j.FromCache,
-		EnqueuedAt: j.enqueued,
-		Rounds:     j.stream.Len(),
+		ID:        j.ID,
+		Spec:      j.Spec,
+		State:     j.state,
+		FromCache: j.FromCache,
+		jobTimes:  j.times,
+		Rounds:    j.stream.Len(),
 	}
 	if j.outcome != nil {
 		o := *j.outcome
 		st.Outcome = &o
-	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
 	}
 	return st
 }
@@ -240,25 +207,6 @@ func (j *Job) Stream() *RoundStream { return j.stream }
 
 // Topology exposes the job's topology delta stream for subscribers.
 func (j *Job) Topology() *TopologyStream { return j.topo }
-
-func (j *Job) setState(s JobState) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = s
-	switch s {
-	case StateRunning:
-		j.started = time.Now()
-	case StateDone, StateFailed, StateCanceled:
-		j.finished = time.Now()
-	}
-}
-
-// State returns the current lifecycle phase.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
 
 // Manager owns the worker pool, the job table, the sweep-job table,
 // the in-flight dedup index, the result cache, and the sweep gate.
@@ -270,12 +218,14 @@ type Manager struct {
 	sweepWG   sync.WaitGroup
 	sweepGate chan struct{}
 
-	mu            sync.Mutex
-	jobs          map[string]*Job
-	inWork        map[string]*Job // spec key → live (queued/running) job
-	retired       []string        // finished job IDs, oldest first
-	sweeps        map[string]*SweepJob
-	retiredSweeps []string // finished sweep IDs, oldest first
+	// runs and sweeps keep both job kinds queryable by ID, finished
+	// ones up to RetainJobs / RetainSweeps. A retained sweep keeps its
+	// full cell stream in memory, hence the separate, tighter bound.
+	runs   *jobTable[*Job, JobStatus]
+	sweeps *jobTable[*SweepJob, SweepStatus]
+
+	mu     sync.Mutex
+	inWork map[string]*Job // spec key → live (queued/running) job
 	// openJournals tracks which sweep spec keys currently own their
 	// on-disk journal; a second concurrent sweep over the same grid
 	// runs unjournaled instead of interleaving writers in one file.
@@ -297,9 +247,9 @@ func NewManager(cfg Config) *Manager {
 		cfg:          cfg,
 		cache:        newResultCache(cfg.CacheSize),
 		queue:        make(chan *Job, cfg.QueueDepth),
-		jobs:         make(map[string]*Job),
+		runs:         newJobTable[*Job, JobStatus](cfg.RetainJobs),
+		sweeps:       newJobTable[*SweepJob, SweepStatus](cfg.RetainSweeps),
 		inWork:       make(map[string]*Job),
-		sweeps:       make(map[string]*SweepJob),
 		openJournals: make(map[string]struct{}),
 		sweepGate:    make(chan struct{}, cfg.MaxConcurrentSweeps),
 		logger:       cfg.Logger,
@@ -334,13 +284,9 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	sweeps := make([]*SweepJob, 0, len(m.sweeps))
-	for _, j := range m.sweeps {
-		sweeps = append(sweeps, j)
-	}
 	m.mu.Unlock()
-	for _, j := range sweeps {
-		j.cancelOnce.Do(func() { close(j.cancel) })
+	for _, j := range m.sweeps.all() {
+		_ = j.requestCancel() // already-finished sweeps need none
 	}
 	close(m.queue)
 	m.wg.Wait()
@@ -361,21 +307,19 @@ func (m *Manager) isClosed() bool {
 // identical spec is in flight, or a freshly enqueued one. It fails
 // fast with ErrQueueFull when the queue is at capacity.
 func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
-	if err := spec.Validate(m.cfg.MaxN); err != nil {
+	if err := validateSweep(spec.Grid(), m.cfg.MaxN, 0); err != nil {
 		return nil, false, fmt.Errorf("service: invalid spec: %w", err)
 	}
 	key := spec.Key()
 	if entry, ok := m.cache.Get(key); ok {
 		j := m.newJob(spec, true)
-		out := entry.Outcome
-		j.outcome = &out
-		j.state = StateDone
-		j.finished = time.Now()
+		j.outcome = &entry.Outcome
+		j.finishLocked(StateDone, nil) // not shared yet: no lock needed
 		j.stream = newClosedStream(entry.Rounds, m.frameBudget(), m.metrics.roundsObs)
 		j.topo = newClosedTopologyStream(entry.Topo, m.frameBudget(),
 			m.metrics.topoObs, m.metrics.topoPackedObs)
-		m.register(j)
-		m.retire(j)
+		m.runs.add(j.ID, j)
+		m.runs.retire(j.ID)
 		m.metrics.runSubmissions.With("cached").Inc()
 		return j, true, nil
 	}
@@ -390,15 +334,12 @@ func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
 	// cancellation) or has already reached a terminal state (a finished
 	// job can linger in inWork until its worker's deferred cleanup
 	// runs; joining it would skip a requested re-execution).
-	if live, ok := m.inWork[key]; ok && !wasCanceled(live.cancel) {
-		if st := live.State(); st == StateQueued || st == StateRunning {
-			m.mu.Unlock()
-			m.metrics.runSubmissions.With("joined").Inc()
-			return live, false, nil
-		}
+	if live, ok := m.inWork[key]; ok && !live.canceled() && !live.State().terminal() {
+		m.mu.Unlock()
+		m.metrics.runSubmissions.With("joined").Inc()
+		return live, false, nil
 	}
 	j := m.newJob(spec, false)
-	j.state = StateQueued
 	select {
 	case m.queue <- j:
 	default:
@@ -406,7 +347,7 @@ func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
 		m.metrics.runSubmissions.With("rejected").Inc()
 		return nil, false, ErrQueueFull
 	}
-	m.jobs[j.ID] = j
+	m.runs.add(j.ID, j)
 	m.inWork[key] = j
 	m.mu.Unlock()
 	m.metrics.runSubmissions.With("new").Inc()
@@ -419,56 +360,22 @@ func (m *Manager) liveJob(key string) *Job {
 	m.mu.Lock()
 	j, ok := m.inWork[key]
 	m.mu.Unlock()
-	if !ok || wasCanceled(j.cancel) {
-		return nil
-	}
-	if st := j.State(); st != StateQueued && st != StateRunning {
+	if !ok || j.canceled() || j.State().terminal() {
 		return nil
 	}
 	return j
 }
 
 // Get looks a job up by ID.
-func (m *Manager) Get(id string) (*Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
-}
+func (m *Manager) Get(id string) (*Job, bool) { return m.runs.get(id) }
 
-// Jobs snapshots every known job's status, newest first not
-// guaranteed — callers sort as needed.
-func (m *Manager) Jobs() []JobStatus {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	out := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Status()
-	}
-	return out
-}
+// Jobs snapshots every known job's status, in no particular order —
+// callers sort as needed.
+func (m *Manager) Jobs() []JobStatus { return m.runs.statuses() }
 
 // Cancel aborts a queued or running job. Terminal jobs return
 // ErrNotRunning.
-func (m *Manager) Cancel(id string) error {
-	j, ok := m.Get(id)
-	if !ok {
-		return ErrNotFound
-	}
-	j.mu.Lock()
-	switch j.state {
-	case StateDone, StateFailed, StateCanceled:
-		j.mu.Unlock()
-		return ErrNotRunning
-	}
-	j.mu.Unlock()
-	j.cancelOnce.Do(func() { close(j.cancel) })
-	return nil
-}
+func (m *Manager) Cancel(id string) error { return m.runs.cancel(id) }
 
 // Stats is the healthz payload. The fleet fields are always present —
 // a coordinator with zero healthy workers must scrape as 0, not as a
@@ -502,23 +409,20 @@ type Stats struct {
 // Stats reports live counters.
 func (m *Manager) Stats() Stats {
 	size, hits, misses := m.cache.Stats()
-	m.mu.Lock()
-	jobs := len(m.jobs)
-	sweeps := len(m.sweeps)
+	runs, sweeps := m.runs.all(), m.sweeps.all()
 	var streamBytes int64
-	for _, j := range m.jobs {
+	for _, j := range runs {
 		streamBytes += j.stream.FrameBytes() + j.topo.FrameBytes()
 	}
-	for _, j := range m.sweeps {
+	for _, j := range sweeps {
 		streamBytes += j.cells.FrameBytes()
 	}
-	m.mu.Unlock()
 	st := Stats{
 		Workers:       m.cfg.Workers,
 		QueueDepth:    m.cfg.QueueDepth,
 		Queued:        len(m.queue),
-		Jobs:          jobs,
-		Sweeps:        sweeps,
+		Jobs:          len(runs),
+		Sweeps:        len(sweeps),
 		RunsExecuted:  m.runsExecuted.Load(),
 		CacheSize:     size,
 		CacheHits:     hits,
@@ -552,34 +456,13 @@ func (m *Manager) frameBudget() int64 {
 }
 
 func (m *Manager) newJob(spec RunSpec, fromCache bool) *Job {
-	seq := m.seq.Add(1)
 	return &Job{
-		ID:        fmt.Sprintf("run-%06d-%s", seq, spec.keyHash()),
+		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
 		Spec:      spec,
 		FromCache: fromCache,
 		stream:    newRoundStream(m.frameBudget(), m.metrics.roundsObs),
 		topo:      newTopologyStream(m.frameBudget(), m.metrics.topoObs, m.metrics.topoPackedObs),
-		cancel:    make(chan struct{}),
-		enqueued:  time.Now(),
-	}
-}
-
-func (m *Manager) register(j *Job) {
-	m.mu.Lock()
-	m.jobs[j.ID] = j
-	m.mu.Unlock()
-}
-
-// retire records a finished job and evicts the oldest finished jobs
-// beyond the retention bound, keeping the table's memory bounded on
-// an always-on server.
-func (m *Manager) retire(j *Job) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retired = append(m.retired, j.ID)
-	for len(m.retired) > m.cfg.RetainJobs {
-		delete(m.jobs, m.retired[0])
-		m.retired = m.retired[1:]
+		lifecycle: queued(),
 	}
 }
 
@@ -600,30 +483,20 @@ func (m *Manager) execute(j *Job) {
 		m.mu.Unlock()
 		j.stream.close()
 		j.topo.close()
-		m.retire(j)
+		m.runs.retire(j.ID)
 	}()
 
-	select {
-	case <-j.cancel:
-		j.setState(StateCanceled)
+	if j.canceled() {
 		j.mu.Lock()
-		j.err = context.Canceled
+		j.finishLocked(StateCanceled, context.Canceled)
 		j.mu.Unlock()
 		m.metrics.runJobs.With(string(StateCanceled)).Inc()
 		return
-	default:
 	}
 	j.setState(StateRunning)
 
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.RunTimeLimit)
+	ctx, cancel := j.runContext(context.Background(), m.cfg.RunTimeLimit)
 	defer cancel()
-	go func() {
-		select {
-		case <-j.cancel:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 
 	opts := []sim.Option{
 		sim.WithRoundHook(func(ev sim.RoundEvent) { j.stream.publish(ev.Stats) }),
@@ -632,25 +505,19 @@ func (m *Manager) execute(j *Job) {
 		sim.WithCancel(ctx.Done()),
 		sim.WithRunObserver(m.metrics.observeRun),
 	}
-	if j.Spec.MaxRounds > 0 {
-		opts = append(opts, sim.WithMaxRounds(j.Spec.MaxRounds))
-	}
 	m.runsExecuted.Add(1)
-	out, err := expt.Execute(expt.Request{
-		Algorithm: j.Spec.Algorithm,
-		Workload:  j.Spec.Workload,
-		N:         j.Spec.N,
-		Seed:      j.Spec.Seed,
-		Dynamics:  j.Spec.Dynamics,
-		SimOpts:   opts,
-	})
+	req := j.Spec.Request()
+	req.SimOpts = append(opts, req.SimOpts...)
+	out, err := expt.Execute(req)
 	if err == nil && j.Spec.Dynamics != nil {
 		m.metrics.observeDynamics(out)
 	}
 
-	j.mu.Lock()
-	switch {
-	case err == nil:
+	state, jobErr := j.outcomeOf(err, "run", m.cfg.RunTimeLimit)
+	if state == StateDone {
+		// The outcome and the cache entry land before the terminal
+		// state does: whoever observes done finds both.
+		j.mu.Lock()
 		j.outcome = &out
 		j.mu.Unlock()
 		m.cache.Add(key, cacheEntry{
@@ -658,34 +525,14 @@ func (m *Manager) execute(j *Job) {
 			Rounds:  j.stream.snapshot(),
 			Topo:    j.topo.Frames(),
 		})
-		j.setState(StateDone)
-	case errors.Is(err, sim.ErrCanceled) && wasCanceled(j.cancel):
-		j.err = fmt.Errorf("canceled by request: %w", err)
-		j.mu.Unlock()
-		j.setState(StateCanceled)
-	case errors.Is(err, sim.ErrCanceled):
-		j.err = fmt.Errorf("run time limit %s exceeded: %w", m.cfg.RunTimeLimit, err)
-		j.mu.Unlock()
-		j.setState(StateFailed)
-	default:
-		j.err = err
-		j.mu.Unlock()
-		j.setState(StateFailed)
 	}
-	state := j.State()
+	j.mu.Lock()
+	j.finishLocked(state, jobErr)
+	j.mu.Unlock()
 	m.metrics.runJobs.With(string(state)).Inc()
 	if state == StateFailed {
 		m.logger.Error("run failed",
 			slog.String("job_id", j.ID),
 			slog.String("error", err.Error()))
-	}
-}
-
-func wasCanceled(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
 	}
 }

@@ -241,18 +241,10 @@ func (m *Manager) registerManagerGauges(reg *obs.Registry) {
 		func() float64 { return float64(m.cfg.Workers) })
 	reg.GaugeFunc("adnet_jobs_tracked",
 		"Run jobs in the table (live and retained).",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.jobs))
-		})
+		func() float64 { return float64(len(m.runs.all())) })
 	reg.GaugeFunc("adnet_sweeps_tracked",
 		"Sweep jobs in the table (live and retained).",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(len(m.sweeps))
-		})
+		func() float64 { return float64(len(m.sweeps.all())) })
 	reg.CounterFunc("adnet_runs_executed_total",
 		"Simulations actually executed by this server (cache hits and dedup joins excluded).",
 		func() float64 { return float64(m.runsExecuted.Load()) })

@@ -47,7 +47,7 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	spec := slowSweepSpec(1, 2, 3, 4, 5, 6, 7, 8)
-	total := spec.Expt().NumCells()
+	total := spec.NumCells()
 
 	m1 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
 	j1, err := m1.SubmitSweep(context.Background(), spec)
@@ -129,7 +129,7 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := expt.AggregateSweep(spec.Expt())
+	ref, err := expt.AggregateSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestRecoverRefusesCorruptJournal(t *testing.T) {
 	if _, err := lg.Replay(func(journal.Record) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.Expt().NumCells()})
+	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
 	payload, _ := json.Marshal(cellRecord{RunKey: "k"})
 	for _, rec := range [][2]any{{recHeader, header}, {recCell, payload}, {recCell, payload}} {
 		if err := lg.Append(rec[0].(byte), rec[1].([]byte)); err != nil {

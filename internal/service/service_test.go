@@ -37,7 +37,7 @@ func waitState(t *testing.T, j *Job, want JobState) {
 func TestSpecValidate(t *testing.T) {
 	t.Parallel()
 	valid := fastSpec(1)
-	if err := valid.Validate(0); err != nil {
+	if err := validateSweep(valid.Grid(), DefaultMaxN, 0); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := []RunSpec{
@@ -49,7 +49,7 @@ func TestSpecValidate(t *testing.T) {
 		{Algorithm: "graph-to-star", Workload: "line", N: 8, MaxRounds: -1},
 	}
 	for _, s := range bad {
-		if err := s.Validate(0); err == nil {
+		if err := validateSweep(s.Grid(), DefaultMaxN, 0); err == nil {
 			t.Errorf("spec %+v passed validation", s)
 		}
 	}

@@ -10,156 +10,42 @@ package service
 import (
 	"fmt"
 
-	"adnet/internal/dynamics"
 	"adnet/internal/expt"
-	"adnet/internal/runkey"
 )
 
 // DefaultMaxN caps spec sizes unless the manager configures its own
 // limit; it keeps a single request from monopolizing the pool.
 const DefaultMaxN = 1 << 16
 
-// RunSpec is the canonical description of one simulation run. Two
-// specs with equal Key() produce identical Outcomes: every workload
-// generator is seeded and the engine is deterministic regardless of
-// parallelism, which is what makes result caching sound.
-type RunSpec struct {
-	Algorithm string `json:"algorithm"`
-	Workload  string `json:"workload"`
-	N         int    `json:"n"`
-	Seed      int64  `json:"seed"`
-	// MaxRounds overrides the algorithm's default round limit when
-	// positive. It is part of the cache key: a tighter limit can turn
-	// a completing run into a round-limit failure.
-	MaxRounds int `json:"max_rounds,omitempty"`
-	// Dynamics, when present, attaches an adversarial environment
-	// (internal/dynamics) to the run. Its canonical key joins the
-	// cache key, so perturbed runs never collide with clean ones.
-	Dynamics *dynamics.Spec `json:"dynamics,omitempty"`
-}
+// The service's request bodies and wire lines are the expt types
+// themselves: expt owns what a run is (spec, key, validation, wire
+// form), the service adds only its own limits. The names stay because
+// clients — the benchmark among them — compile against them.
+type (
+	// RunSpec is the body of POST /v1/runs.
+	RunSpec = expt.Cell
+	// SweepSpec is the body of POST /v1/sweeps.
+	SweepSpec = expt.SweepSpec
+	// SweepCell is one line of a sweep's NDJSON cell stream.
+	SweepCell = expt.WireCell
+	// SweepSummary trails the cell stream with sweep-level totals.
+	SweepSummary = expt.WireSummary
+)
 
-// Validate checks the spec against the known algorithm and workload
-// names and the size cap (maxN; 0 means DefaultMaxN).
-func (s RunSpec) Validate(maxN int) error {
-	if !contains(expt.Algorithms(), s.Algorithm) {
-		return fmt.Errorf("unknown algorithm %q (want one of %v)", s.Algorithm, expt.Algorithms())
-	}
-	if !contains(expt.Workloads(), s.Workload) {
-		return fmt.Errorf("unknown workload %q (want one of %v)", s.Workload, expt.Workloads())
-	}
-	if maxN <= 0 {
-		maxN = DefaultMaxN
-	}
-	if s.N < 2 {
-		return fmt.Errorf("n must be at least 2, got %d", s.N)
-	}
-	if s.N > maxN {
-		return fmt.Errorf("n=%d exceeds the service limit %d", s.N, maxN)
-	}
-	if s.MaxRounds < 0 {
-		return fmt.Errorf("max_rounds must be non-negative, got %d", s.MaxRounds)
-	}
-	if s.Dynamics != nil {
-		if err := s.Dynamics.Validate(); err != nil {
-			return err
-		}
-		if s.Algorithm == expt.AlgoCentralized {
-			return fmt.Errorf("dynamics do not apply to %s (no simulation to perturb)", expt.AlgoCentralized)
-		}
-	}
-	return nil
-}
-
-// Key is the stable cache key: the canonical runkey rendering of
-// every field that influences the simulation outcome. Sweep cells
-// produce the same keys (see cellKey), so a sweep and an individual
-// run share cache entries.
-func (s RunSpec) Key() string {
-	return runkey.WithDynamics(
-		runkey.Key(s.Algorithm, s.Workload, s.N, s.Seed, s.MaxRounds), dynKey(s.Dynamics))
-}
-
-// keyHash is a short stable digest of the cache key, used in job IDs.
-func (s RunSpec) keyHash() string {
-	return runkey.ShortHash(s.Key())
-}
-
-// cellKey is the canonical key of a sweep grid cell — by construction
-// identical to the RunSpec key for the same parameters.
-func cellKey(c expt.Cell) string {
-	return runkey.WithDynamics(
-		runkey.Key(c.Algorithm, c.Workload, c.N, c.Seed, c.MaxRounds), dynKey(c.Dynamics))
-}
-
-// dynKey renders a dynamics spec's canonical key, "" when absent —
-// which is what keeps every dynamics-free key byte-identical to its
-// pre-dynamics form.
-func dynKey(d *dynamics.Spec) string {
-	if d == nil {
-		return ""
-	}
-	return d.Key()
-}
-
-// SweepSpec is the JSON-facing description of a sweep grid: the
-// cartesian product of algorithms × workloads × sizes × seeds, with an
-// optional shared round-limit override.
-type SweepSpec struct {
-	Algorithms []string `json:"algorithms"`
-	Workloads  []string `json:"workloads"`
-	Sizes      []int    `json:"sizes"`
-	Seeds      []int64  `json:"seeds"`
-	MaxRounds  int      `json:"max_rounds,omitempty"`
-	// Dynamics, when present, attaches the same adversarial
-	// environment spec to every cell of the grid.
-	Dynamics *dynamics.Spec `json:"dynamics,omitempty"`
-}
-
-// Expt converts the spec to the harness-level grid.
-func (s SweepSpec) Expt() expt.SweepSpec {
-	return expt.SweepSpec{
-		Algorithms: s.Algorithms,
-		Workloads:  s.Workloads,
-		Sizes:      s.Sizes,
-		Seeds:      s.Seeds,
-		MaxRounds:  s.MaxRounds,
-		Dynamics:   s.Dynamics,
-	}
-}
-
-// Key is the canonical runkey rendering of the grid, hashed into
-// sweep job IDs.
-func (s SweepSpec) Key() string {
-	return runkey.WithDynamics(
-		runkey.SweepKey(s.Algorithms, s.Workloads, s.Sizes, s.Seeds, s.MaxRounds), dynKey(s.Dynamics))
-}
-
-// Validate checks names, sizes against maxN (0 means DefaultMaxN) and
-// the grid volume against maxCells.
-func (s SweepSpec) Validate(maxN, maxCells int) error {
-	es := s.Expt()
-	if err := es.Validate(); err != nil {
+// validateSweep checks spec and holds it to the service's own limits:
+// sizes against maxN, the grid volume against maxCells (0 disables).
+// Runs are held to them as one-cell grids (RunSpec.Grid).
+func validateSweep(spec SweepSpec, maxN, maxCells int) error {
+	if err := spec.Validate(); err != nil {
 		return err
 	}
-	if maxN <= 0 {
-		maxN = DefaultMaxN
-	}
-	for _, n := range s.Sizes {
+	for _, n := range spec.Sizes {
 		if n > maxN {
 			return fmt.Errorf("n=%d exceeds the service limit %d", n, maxN)
 		}
 	}
-	if cells := es.NumCells(); maxCells > 0 && cells > maxCells {
+	if cells := spec.NumCells(); maxCells > 0 && cells > maxCells {
 		return fmt.Errorf("sweep has %d cells, exceeding the service limit %d", cells, maxCells)
 	}
 	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sync"
 	"time"
 
 	"adnet/internal/expt"
@@ -26,32 +25,6 @@ var (
 	ErrSweepRunning = errors.New("service: sweep still running")
 )
 
-// SweepCell is the NDJSON-facing result of one grid cell.
-type SweepCell struct {
-	Index     int           `json:"index"`
-	Algorithm string        `json:"algorithm"`
-	Workload  string        `json:"workload"`
-	N         int           `json:"n"`
-	Seed      int64         `json:"seed"`
-	MaxRounds int           `json:"max_rounds,omitempty"`
-	FromCache bool          `json:"from_cache"`
-	Outcome   *expt.Outcome `json:"outcome,omitempty"`
-	Error     string        `json:"error,omitempty"`
-}
-
-// SweepSummary trails the per-cell stream with sweep-level totals.
-// Replayed counts cells answered from the sweep's journal done-set
-// (they count as cache hits too); omitempty keeps the wire shape of
-// an uninterrupted run byte-identical to pre-durability servers.
-type SweepSummary struct {
-	Done      bool `json:"done"`
-	Cells     int  `json:"cells"`
-	CacheHits int  `json:"cache_hits"`
-	Executed  int  `json:"executed"`
-	Errors    int  `json:"errors"`
-	Replayed  int  `json:"replayed,omitempty"`
-}
-
 // SweepJob tracks one submitted SweepSpec grid through the same
 // lifecycle as a run Job: queued → running → done/failed/canceled.
 // Finished cells are retained on the job's CellStream (bounded by the
@@ -62,9 +35,7 @@ type SweepJob struct {
 	ID   string
 	Spec SweepSpec
 
-	grid   expt.SweepSpec
-	cells  *CellStream
-	cancel chan struct{}
+	cells *CellStream
 	// reqID is the request ID of the submitting HTTP request; the
 	// background execution re-attaches it to its context so sweep
 	// lifecycle logs — and coordinator→worker dispatches — stay
@@ -76,24 +47,18 @@ type SweepJob struct {
 	// of a resumed grid (read-only once execution starts); resumed
 	// marks a job whose journal carried prior work at submission.
 	journal    *sweepJournal
-	doneCells  map[string]SweepCell
-	doneShards map[string]shardRecord
+	doneCells  map[string]expt.Outcome
+	doneShards map[string]fleet.ShardResult
 	resumed    bool
 
-	mu         sync.Mutex
-	cancelOnce sync.Once
-	state      JobState
-	summary    *SweepSummary
+	lifecycle
+	summary *SweepSummary
 	// aggregate, when non-nil, is the fold-merge of per-shard worker
 	// aggregates recorded by a coordinator-mode sweep; Aggregate
 	// serves it directly instead of re-folding the cell stream. The
 	// two are byte-identical for a completed sweep — storing the
 	// merged groups keeps the endpoint on the distributed path.
 	aggregate []expt.AggregateGroup
-	err       error
-	enqueued  time.Time
-	started   time.Time
-	finished  time.Time
 }
 
 // SweepStatus is the JSON-facing snapshot of a SweepJob.
@@ -110,12 +75,9 @@ type SweepStatus struct {
 	StreamBytes int64 `json:"stream_bytes"`
 	// Resumed marks a job whose journal carried work from a previous
 	// process life: only the missing run keys execute.
-	Resumed    bool          `json:"resumed,omitempty"`
-	Summary    *SweepSummary `json:"summary,omitempty"`
-	Error      string        `json:"error,omitempty"`
-	EnqueuedAt time.Time     `json:"enqueued_at"`
-	StartedAt  *time.Time    `json:"started_at,omitempty"`
-	FinishedAt *time.Time    `json:"finished_at,omitempty"`
+	Resumed bool          `json:"resumed,omitempty"`
+	Summary *SweepSummary `json:"summary,omitempty"`
+	jobTimes
 }
 
 // Status snapshots the sweep job.
@@ -126,26 +88,15 @@ func (j *SweepJob) Status() SweepStatus {
 		ID:          j.ID,
 		Spec:        j.Spec,
 		State:       j.state,
-		Cells:       j.grid.NumCells(),
+		Cells:       j.Spec.NumCells(),
 		CellsDone:   j.cells.Len(),
 		StreamBytes: j.cells.FrameBytes(),
 		Resumed:     j.resumed,
-		EnqueuedAt:  j.enqueued,
+		jobTimes:    j.times,
 	}
 	if j.summary != nil {
 		s := *j.summary
 		st.Summary = &s
-	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.StartedAt = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.FinishedAt = &t
 	}
 	return st
 }
@@ -153,36 +104,15 @@ func (j *SweepJob) Status() SweepStatus {
 // Stream exposes the job's cell stream for subscribers.
 func (j *SweepJob) Stream() *CellStream { return j.cells }
 
-// State returns the current lifecycle phase.
-func (j *SweepJob) State() JobState {
+// finish publishes the terminal state, summary, error and (in
+// coordinator mode) merged aggregate in one critical section: a status
+// poll must never observe a summary (or error) on a still-running
+// sweep — clients treat summary presence as completion.
+func (j *SweepJob) finish(state JobState, sum SweepSummary, groups []expt.AggregateGroup, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
-}
-
-func (j *SweepJob) setState(s JobState) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = s
-	switch s {
-	case StateRunning:
-		j.started = time.Now()
-	case StateDone, StateFailed, StateCanceled:
-		j.finished = time.Now()
-	}
-}
-
-// finish publishes the terminal state, summary and error in one
-// critical section: a status poll must never observe a summary (or
-// error) on a still-running sweep — clients treat summary presence as
-// completion.
-func (j *SweepJob) finish(state JobState, sum SweepSummary, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = state
-	j.summary = &sum
-	j.err = err
-	j.finished = time.Now()
+	j.summary, j.aggregate = &sum, groups
+	j.finishLocked(state, err)
 }
 
 // Aggregate folds the sweep's finished cells into per-(algorithm,
@@ -190,9 +120,7 @@ func (j *SweepJob) finish(state JobState, sum SweepSummary, err error) {
 // (ErrSweepRunning otherwise); a canceled or failed sweep aggregates
 // the cells that did finish, with the rest counted as group errors.
 func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
-	switch j.State() {
-	case StateDone, StateFailed, StateCanceled:
-	default:
+	if !j.State().terminal() {
 		return nil, ErrSweepRunning
 	}
 	j.mu.Lock()
@@ -201,15 +129,7 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 	if stored != nil {
 		return stored, nil
 	}
-	cells := j.cells.snapshot()
-	results := make([]expt.CellResult, len(cells))
-	for i, c := range cells {
-		results[i] = expt.WireCellResult(c.Index, expt.Cell{
-			Algorithm: c.Algorithm, Workload: c.Workload,
-			N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds,
-		}, c.FromCache, c.Outcome, c.Error)
-	}
-	return expt.Aggregate(results), nil
+	return expt.AggregateWire(j.cells.snapshot()), nil
 }
 
 // SubmitSweep validates spec and registers a fire-and-forget sweep
@@ -221,7 +141,7 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 // for log correlation and coordinator→worker propagation; ctx's
 // cancellation does NOT cancel the sweep.
 func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, error) {
-	if err := spec.Validate(m.cfg.MaxN, m.cfg.MaxSweepCells); err != nil {
+	if err := validateSweep(spec, m.cfg.MaxN, m.cfg.MaxSweepCells); err != nil {
 		return nil, fmt.Errorf("service: invalid sweep: %w", err)
 	}
 	m.mu.Lock()
@@ -236,9 +156,14 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 		m.metrics.sweepRejections.Inc()
 		return nil, ErrSweepBusy
 	}
-	j := m.newSweepJob(spec)
-	j.reqID = obs.RequestIDFromContext(ctx)
-	m.sweeps[j.ID] = j
+	j := &SweepJob{
+		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
+		Spec:      spec,
+		cells:     newCellStream(m.frameBudget(), m.metrics.cellsObs),
+		reqID:     obs.RequestIDFromContext(ctx),
+		lifecycle: queued(),
+	}
+	m.sweeps.add(j.ID, j)
 	m.sweepWG.Add(1)
 	m.mu.Unlock()
 	m.metrics.sweepsActive.Inc()
@@ -250,77 +175,21 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 	}
 	m.logger.InfoContext(ctx, "sweep accepted",
 		slog.String("sweep_id", j.ID),
-		slog.Int("cells", j.grid.NumCells()))
+		slog.Int("cells", j.Spec.NumCells()))
 	go m.executeSweep(j)
 	return j, nil
 }
 
-func (m *Manager) newSweepJob(spec SweepSpec) *SweepJob {
-	seq := m.seq.Add(1)
-	return &SweepJob{
-		ID:       fmt.Sprintf("sweep-%06d-%s", seq, runkey.ShortHash(spec.Key())),
-		Spec:     spec,
-		grid:     spec.Expt(),
-		cells:    newCellStream(m.frameBudget(), m.metrics.cellsObs),
-		cancel:   make(chan struct{}),
-		state:    StateQueued,
-		enqueued: time.Now(),
-	}
-}
-
 // GetSweep looks a sweep job up by ID.
-func (m *Manager) GetSweep(id string) (*SweepJob, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.sweeps[id]
-	return j, ok
-}
+func (m *Manager) GetSweep(id string) (*SweepJob, bool) { return m.sweeps.get(id) }
 
 // Sweeps snapshots every known sweep job's status.
-func (m *Manager) Sweeps() []SweepStatus {
-	m.mu.Lock()
-	jobs := make([]*SweepJob, 0, len(m.sweeps))
-	for _, j := range m.sweeps {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
-	out := make([]SweepStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Status()
-	}
-	return out
-}
+func (m *Manager) Sweeps() []SweepStatus { return m.sweeps.statuses() }
 
 // CancelSweep aborts a queued or running sweep: cells not yet started
 // are skipped, in-flight cells are interrupted between rounds.
 // Terminal sweeps return ErrNotRunning.
-func (m *Manager) CancelSweep(id string) error {
-	j, ok := m.GetSweep(id)
-	if !ok {
-		return ErrNotFound
-	}
-	j.mu.Lock()
-	switch j.state {
-	case StateDone, StateFailed, StateCanceled:
-		j.mu.Unlock()
-		return ErrNotRunning
-	}
-	j.mu.Unlock()
-	j.cancelOnce.Do(func() { close(j.cancel) })
-	return nil
-}
-
-// retireSweep records a finished sweep and evicts the oldest finished
-// sweeps beyond the retention bound.
-func (m *Manager) retireSweep(j *SweepJob) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.retiredSweeps = append(m.retiredSweeps, j.ID)
-	for len(m.retiredSweeps) > m.cfg.RetainSweeps {
-		delete(m.sweeps, m.retiredSweeps[0])
-		m.retiredSweeps = m.retiredSweeps[1:]
-	}
-}
+func (m *Manager) CancelSweep(id string) error { return m.sweeps.cancel(id) }
 
 // executeSweep is the sweep job's background lifecycle: acquire state,
 // run the grid with cancellation and the sweep time limit attached,
@@ -341,7 +210,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			j.journal.close()
 		}
 		j.cells.close()
-		m.retireSweep(j)
+		m.sweeps.retire(j.ID)
 	}()
 	// The submission's request ID rides along on the background
 	// context: lifecycle logs and coordinator→worker dispatches all
@@ -355,60 +224,31 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			slog.String("state", string(st)))
 	}()
 
-	select {
-	case <-j.cancel:
+	if j.canceled() {
 		// Keep the wire contract uniform even when no cell ran: a
 		// pre-start-canceled sweep streams the same shape a mid-grid
 		// cancellation produces for its unreached cells — one
 		// error-marked line per cell, then a summary counting them.
-		skipErr := fmt.Sprintf("expt: cell skipped: %v", sim.ErrCanceled)
-		for i, c := range j.grid.Cells() {
-			j.cells.publish(SweepCell{
-				Index: i, Algorithm: c.Algorithm, Workload: c.Workload,
-				N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds, Error: skipErr,
-			})
+		skipped := fmt.Errorf("expt: cell skipped: %w", sim.ErrCanceled)
+		cells := j.Spec.Cells()
+		for i, c := range cells {
+			j.cells.publish(expt.CellResult{Index: i, Cell: c, Err: skipped}.Wire())
 		}
-		n := j.grid.NumCells()
-		j.finish(StateCanceled, SweepSummary{Cells: n, Errors: n}, context.Canceled)
+		j.finish(StateCanceled, SweepSummary{Cells: len(cells), Errors: len(cells)}, nil, context.Canceled)
 		return
-	default:
 	}
 	j.setState(StateRunning)
 
-	ctx, cancel := context.WithTimeout(base, m.cfg.SweepTimeLimit)
+	ctx, cancel := j.runContext(base, m.cfg.SweepTimeLimit)
 	defer cancel()
-	go func() {
-		select {
-		case <-j.cancel:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
 
-	emit := func(c SweepCell) { j.cells.publish(c) }
-	var sum SweepSummary
-	var groups []expt.AggregateGroup
-	var err error
+	run := m.runGrid
 	if m.cfg.Fleet != nil {
-		sum, groups, err = m.runGridFleet(ctx, j, emit)
-	} else {
-		sum, err = m.runGrid(ctx, j, emit)
+		run = m.runGridFleet
 	}
-	switch {
-	case err == nil:
-		if groups != nil {
-			j.mu.Lock()
-			j.aggregate = groups
-			j.mu.Unlock()
-		}
-		j.finish(StateDone, sum, nil)
-	case errors.Is(err, sim.ErrCanceled) && wasCanceled(j.cancel):
-		j.finish(StateCanceled, sum, fmt.Errorf("canceled by request: %w", err))
-	case errors.Is(err, sim.ErrCanceled):
-		j.finish(StateFailed, sum, fmt.Errorf("sweep time limit %s exceeded: %w", m.cfg.SweepTimeLimit, err))
-	default:
-		j.finish(StateFailed, sum, err)
-	}
+	sum, groups, err := run(ctx, j)
+	state, jobErr := j.outcomeOf(err, "sweep", m.cfg.SweepTimeLimit)
+	j.finish(state, sum, groups, jobErr)
 }
 
 // runGrid executes the job's grid on an engine fleet of
@@ -419,11 +259,12 @@ func (m *Manager) executeSweep(j *SweepJob) {
 // results — with per-round statistics, so later cache-hit runs can
 // still replay their round streams. Every successfully finished,
 // non-replayed cell is appended to the job's journal, so a crash
-// re-executes only the missing run keys. emit receives cells in
-// canonical grid order from the calling goroutine. Cancellation via
-// ctx aborts between rounds/cells.
-func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)) (SweepSummary, error) {
-	spec := j.grid
+// re-executes only the missing run keys. Cells are published to the
+// job's stream in canonical grid order from the calling goroutine; the
+// returned groups are nil (Aggregate folds the stream). Cancellation
+// via ctx aborts between rounds/cells.
+func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []expt.AggregateGroup, error) {
+	spec := j.Spec
 	sum := SweepSummary{Cells: spec.NumCells()}
 	workers := m.cfg.SweepWorkers
 	if n := spec.NumCells(); workers > n {
@@ -441,18 +282,14 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)
 		Cancel:        ctx.Done(),
 		CellTimeLimit: m.cfg.RunTimeLimit,
 		Done: func(c expt.Cell) (expt.Outcome, bool) {
-			if j.doneCells == nil {
-				return expt.Outcome{}, false
+			out, ok := j.doneCells[c.Key()]
+			if ok {
+				m.metrics.journalReplayedCells.Inc()
 			}
-			cell, ok := j.doneCells[cellKey(c)]
-			if !ok || cell.Outcome == nil || cell.Error != "" {
-				return expt.Outcome{}, false
-			}
-			m.metrics.journalReplayedCells.Inc()
-			return *cell.Outcome, true
+			return out, ok
 		},
 		Lookup: func(c expt.Cell) (expt.Outcome, []temporal.RoundStats, bool) {
-			key := cellKey(c)
+			key := c.Key()
 			if e, ok := m.cache.Get(key); ok {
 				return e.Outcome, e.Rounds, true
 			}
@@ -469,7 +306,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)
 			return expt.Outcome{}, nil, false
 		},
 		Store: func(cr expt.CellResult) {
-			m.cache.Add(cellKey(cr.Cell), cacheEntry{Outcome: cr.Outcome, Rounds: cr.Rounds})
+			m.cache.Add(cr.Cell.Key(), cacheEntry{Outcome: cr.Outcome, Rounds: cr.Rounds})
 		},
 		Emit: func(cr expt.CellResult) {
 			if cr.Ran {
@@ -487,38 +324,24 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)
 			if cr.Cell.Dynamics != nil && cr.Err == nil {
 				m.metrics.observeDynamics(cr.Outcome)
 			}
-			cell := SweepCell{
-				Index:     cr.Index,
-				Algorithm: cr.Cell.Algorithm,
-				Workload:  cr.Cell.Workload,
-				N:         cr.Cell.N,
-				Seed:      cr.Cell.Seed,
-				MaxRounds: cr.Cell.MaxRounds,
-				FromCache: cr.FromCache,
-			}
 			if cr.Err != nil {
-				cell.Error = cr.Err.Error()
 				sum.Errors++
-			} else {
-				out := cr.Outcome
-				cell.Outcome = &out
 			}
+			cell := cr.Wire()
 			// Journal every successful cell that is not itself a replay
 			// (replays are already on disk). Error cells stay out so a
 			// resumed sweep retries them.
 			if j.journal != nil && cr.Err == nil && !cr.Replayed {
-				j.journal.append(recCell, cellRecord{RunKey: cellKey(cr.Cell), Cell: cell})
+				j.journal.append(recCell, cellRecord{RunKey: cr.Cell.Key(), Cell: cell})
 			}
-			if emit != nil {
-				emit(cell)
-			}
+			j.cells.publish(cell)
 		},
 	})
 	if wall := time.Since(start); wall > 0 && workers > 0 {
 		m.metrics.gridUtilization.Observe(busy.Seconds() / (wall.Seconds() * float64(workers)))
 	}
 	sum.Done = err == nil
-	return sum, err
+	return sum, nil, err
 }
 
 // runGridFleet is runGrid's coordinator-mode counterpart: the grid is
@@ -527,8 +350,8 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)
 // order, and the per-shard worker aggregates fold-merge into the
 // returned groups — byte-identical to what a single-process run of
 // the same grid would aggregate. Worker failure mid-shard re-dispatches
-// the shard to a healthy worker inside fleet.RunGrid; emit still
-// receives every cell exactly once, in canonical order, from this
+// the shard to a healthy worker inside fleet.RunGrid; the job's stream
+// still receives every cell exactly once, in canonical order, from this
 // goroutine. Durability works at shard granularity: completed shards
 // are journaled via the Persist hook, and a resumed grid serves them
 // back through Completed instead of re-dispatching — a fresh
@@ -536,19 +359,15 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob, emit func(SweepCell)
 // where the journal left it. Cell results are not entered into the
 // local result cache: they already live in the worker-side caches, and
 // a coordinator exists to stay out of simulation work entirely.
-func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob, emit func(SweepCell)) (SweepSummary, []expt.AggregateGroup, error) {
+func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, []expt.AggregateGroup, error) {
 	var hooks fleet.GridHooks
 	if len(j.doneShards) > 0 {
 		hooks.Completed = func(shardKey string) (fleet.ShardResult, bool) {
 			sr, ok := j.doneShards[shardKey]
-			if !ok {
-				return fleet.ShardResult{}, false
+			if ok {
+				m.metrics.journalReplayedShards.Inc()
 			}
-			m.metrics.journalReplayedShards.Inc()
-			return fleet.ShardResult{
-				Key: sr.Key, Index: sr.Index, Offset: sr.Offset,
-				Cells: sr.Cells, Groups: sr.Groups,
-			}, true
+			return sr, ok
 		}
 	}
 	if j.journal != nil {
@@ -556,37 +375,16 @@ func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob, emit func(Sweep
 			// Called from dispatcher goroutines; journal appends are
 			// serialized by the log's own lock. A completed shard is a
 			// milestone worth an fsync.
-			j.journal.append(recShard, shardRecord{
-				Key: res.Key, Index: res.Index, Offset: res.Offset,
-				Cells: res.Cells, Groups: res.Groups,
-			})
+			j.journal.append(recShard, res)
 			j.journal.sync()
 		}
 	}
-	fsum, groups, err := m.cfg.Fleet.RunGrid(ctx, j.grid, func(c fleet.Cell) {
+	fsum, groups, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, func(c SweepCell) {
 		// The coordinator counts merged cells too (no durations — the
 		// workers own those), so cross-process cell totals can be
 		// checked against each other at scrape time.
 		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
-		emit(SweepCell{
-			Index:     c.Index,
-			Algorithm: c.Algorithm,
-			Workload:  c.Workload,
-			N:         c.N,
-			Seed:      c.Seed,
-			MaxRounds: c.MaxRounds,
-			FromCache: c.FromCache,
-			Outcome:   c.Outcome,
-			Error:     c.Error,
-		})
+		j.cells.publish(c)
 	}, hooks)
-	sum := SweepSummary{
-		Done:      err == nil,
-		Cells:     fsum.Cells,
-		CacheHits: fsum.CacheHits,
-		Executed:  fsum.Executed,
-		Errors:    fsum.Errors,
-		Replayed:  fsum.Replayed,
-	}
-	return sum, groups, err
+	return fsum.WireSummary, groups, err
 }
