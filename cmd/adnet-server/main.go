@@ -38,8 +38,8 @@
 //
 // With -coordinator the server runs no local sweeps: it shards each
 // sweep grid across the worker servers registered with -fleet-workers
-// (or POST /v1/fleet/workers) and merges their cell streams and
-// aggregates — see the fleet topology section of DESIGN.md:
+// (or POST /v1/fleet/workers) and merges their cell streams, which it
+// aggregates itself — see the fleet topology section of DESIGN.md:
 //
 //	adnet-server -addr :8080 -coordinator \
 //	    -fleet-workers http://worker1:8081,http://worker2:8082

@@ -130,43 +130,6 @@ func aggregateGroup(cells []CellResult) AggregateGroup {
 	return g
 }
 
-// MergeAggregates fold-merges per-shard aggregate group lists into the
-// whole-grid aggregate. Shards must partition the grid along group
-// boundaries and arrive in canonical grid order — the fleet planner
-// guarantees both (a shard is a whole number of (algorithm, workload,
-// n) rows) — so each group's statistics were computed over exactly the
-// seeds a single-process Aggregate of the same grid would use, and
-// merging reduces to concatenation: the result is byte-for-byte
-// identical to the single-process aggregate. A group repeated across
-// shards (a re-dispatched shard overlapping a completed one) must be
-// identical — runs are deterministic — and is deduplicated; a group
-// whose statistics differ between shards means the shards split a
-// group's seeds and cannot merge exactly, which is an error.
-func MergeAggregates(shards ...[]AggregateGroup) ([]AggregateGroup, error) {
-	type key struct {
-		algorithm, workload string
-		n                   int
-	}
-	var out []AggregateGroup
-	seen := make(map[key]int)
-	for _, shard := range shards {
-		for _, g := range shard {
-			k := key{g.Algorithm, g.Workload, g.N}
-			if i, ok := seen[k]; ok {
-				if out[i] != g {
-					return nil, fmt.Errorf(
-						"expt: group %s/%s n=%d split across shards: cannot fold-merge exactly",
-						g.Algorithm, g.Workload, g.N)
-				}
-				continue
-			}
-			seen[k] = len(out)
-			out = append(out, g)
-		}
-	}
-	return out, nil
-}
-
 // AggregateSweep executes the grid on a default engine fleet and
 // folds the results — the one-call form behind the CLIs' -aggregate
 // modes, computing exactly what the service's aggregate endpoint

@@ -141,84 +141,6 @@ func TestAggregateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMergeAggregatesByteIdentical is the fold-merge determinism
-// guarantee the fleet coordinator relies on: splitting a grid's
-// results into K group-aligned shards — including uneven ones —
-// aggregating each shard separately, and fold-merging must produce
-// bytes identical to the single-process aggregate of the whole grid.
-func TestMergeAggregatesByteIdentical(t *testing.T) {
-	t.Parallel()
-	spec := SweepSpec{
-		Algorithms: []string{AlgoStar, AlgoFlood},
-		Workloads:  []string{"line", "random-tree"},
-		Sizes:      []int{16, 24, 32},
-		Seeds:      []int64{1, 2, 3},
-	}
-	results, err := ExecuteSweep(spec, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := json.Marshal(Aggregate(results))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seeds := len(spec.Seeds)
-	rows := len(results) / seeds // 12 groups, one contiguous row each
-	// Shard cut points in rows, deliberately uneven for K ∈ {1, 2, 3}.
-	for _, cuts := range [][]int{
-		{rows},
-		{1, rows},
-		{5, 7, rows},
-	} {
-		var shards [][]AggregateGroup
-		prev := 0
-		for _, end := range cuts {
-			shards = append(shards, Aggregate(results[prev*seeds:end*seeds]))
-			prev = end
-		}
-		merged, err := MergeAggregates(shards...)
-		if err != nil {
-			t.Fatalf("K=%d: %v", len(cuts), err)
-		}
-		out, err := json.Marshal(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(single, out) {
-			t.Fatalf("K=%d shards: merged aggregate diverged from single-process:\n%s\nvs\n%s",
-				len(cuts), out, single)
-		}
-	}
-}
-
-// TestMergeAggregatesDedupsAndRejectsSplits pins the two edge rules: a
-// group repeated identically across shards (a re-dispatched shard) is
-// deduplicated, while a group whose statistics differ between shards —
-// someone split a group's seeds — is an error, because no exact merge
-// of already-folded statistics exists.
-func TestMergeAggregatesDedupsAndRejectsSplits(t *testing.T) {
-	t.Parallel()
-	cells := []CellResult{
-		synthCell("a", "line", 8, 1, 2, 5, 10),
-		synthCell("a", "line", 8, 2, 4, 5, 30),
-	}
-	whole := Aggregate(cells)
-	merged, err := MergeAggregates(whole, whole)
-	if err != nil {
-		t.Fatalf("identical duplicate rejected: %v", err)
-	}
-	if len(merged) != 1 || merged[0] != whole[0] {
-		t.Fatalf("merged = %+v, want the single deduplicated group", merged)
-	}
-	if _, err := MergeAggregates(Aggregate(cells[:1]), Aggregate(cells[1:])); err == nil {
-		t.Fatal("split group must fail to fold-merge")
-	}
-	if merged, err := MergeAggregates(); err != nil || merged != nil {
-		t.Fatalf("empty merge = %v, %v", merged, err)
-	}
-}
-
 // TestAggregateCSV pins the CSV export: a header, one row per group,
 // floats in shortest-exact form.
 func TestAggregateCSV(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"adnet/internal/graph"
 	"adnet/internal/runkey"
 	"adnet/internal/sim"
-	"adnet/internal/temporal"
 )
 
 // Runner is an engine-backed executor: it holds one sim.Engine and
@@ -252,11 +251,10 @@ type CellResult struct {
 	Index     int  // position in SweepSpec.Cells order
 	Cell      Cell //
 	Outcome   Outcome
-	Rounds    []temporal.RoundStats // per-round stats when CollectRounds (or served by Lookup)
-	FromCache bool                  // answered by Lookup or Done without running
-	Ran       bool                  // a simulation actually executed
-	Replayed  bool                  // answered by Done (a journal replay, not a live run)
-	Err       error                 // run failure or cancellation for this cell
+	FromCache bool  // answered by Lookup or Done without running
+	Ran       bool  // a simulation actually executed
+	Replayed  bool  // answered by Done (a journal replay, not a live run)
+	Err       error // run failure or cancellation for this cell
 	// Duration is the wall-clock cost of executing the cell (zero for
 	// cache hits and skipped cells). It feeds the service's
 	// cell-duration histogram and never enters the wire shape, so
@@ -316,11 +314,10 @@ func WireCellResult(index int, cell Cell, fromCache bool, outcome *Outcome, errT
 }
 
 // AggregateWire folds streamed wire cells, in canonical order, exactly
-// like Aggregate folds the results they were rendered from. The
-// service's aggregate endpoint and the fleet coordinator's local
-// fallback both fold through it, which keeps their aggregates
-// byte-identical to each other and to the worker that streamed the
-// cells.
+// like Aggregate folds the results they were rendered from. It is the
+// one fold behind the service's aggregate endpoint, on a worker and on
+// a coordinator alike: a coordinator's merged stream carries the cells
+// its workers streamed, so its aggregate is byte-identical to theirs.
 func AggregateWire(cells []WireCell) []AggregateGroup {
 	results := make([]CellResult, len(cells))
 	for i, c := range cells {
@@ -361,20 +358,15 @@ type SweepOptions struct {
 	// cell; runs over budget are aborted between rounds and recorded
 	// as that cell's error.
 	CellTimeLimit time.Duration
-	// CollectRounds records per-round statistics into each
-	// CellResult (cheap: five ints per round), so callers can cache
-	// or stream them.
-	CollectRounds bool
 	// Done, when set, is the resume done-set: it is consulted before
 	// Lookup, and a hit marks the cell Replayed (journal-recovered) as
-	// well as FromCache. Replayed cells carry no per-round stats — the
-	// journal persists outcomes, not round streams.
+	// well as FromCache.
 	Done func(Cell) (Outcome, bool)
 	// Lookup, when set, is consulted before running a cell; a hit
 	// skips the simulation. Store, when set, receives every
 	// successful fresh result. Both may be called concurrently from
 	// worker goroutines.
-	Lookup func(Cell) (Outcome, []temporal.RoundStats, bool)
+	Lookup func(Cell) (Outcome, bool)
 	Store  func(CellResult)
 	// Emit, when set, receives every CellResult in canonical cell
 	// order, from the calling goroutine, as soon as ordering allows.
@@ -483,18 +475,13 @@ func runCell(r *Runner, idx int, cell Cell, simOpts []sim.Option, opts SweepOpti
 		}
 	}
 	if opts.Lookup != nil {
-		if out, rounds, ok := opts.Lookup(cell); ok {
-			res.Outcome, res.Rounds, res.FromCache = out, rounds, true
+		if out, ok := opts.Lookup(cell); ok {
+			res.Outcome, res.FromCache = out, true
 			return res
 		}
 	}
 	req := cell.Request()
 	req.SimOpts = append(req.SimOpts, simOpts...)
-	if opts.CollectRounds {
-		req.SimOpts = append(req.SimOpts, sim.WithRoundHook(func(ev sim.RoundEvent) {
-			res.Rounds = append(res.Rounds, ev.Stats)
-		}))
-	}
 	var timedOut *atomic.Bool
 	if opts.Cancel != nil || opts.CellTimeLimit > 0 {
 		done, to, stop := mergeCancel(opts.Cancel, opts.CellTimeLimit)

@@ -2,14 +2,12 @@ package expt
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adnet/internal/sim"
-	"adnet/internal/temporal"
 )
 
 func TestSweepSpecCellsCanonicalOrder(t *testing.T) {
@@ -133,24 +131,19 @@ func TestExecuteSweepLookupAndStore(t *testing.T) {
 		Seeds:      []int64{1, 2},
 	}
 	var mu sync.Mutex
-	type entry struct {
-		out    Outcome
-		rounds []temporal.RoundStats
-	}
-	cache := map[Cell]entry{}
+	cache := map[Cell]Outcome{}
 	opts := SweepOptions{
-		Workers:       2,
-		CollectRounds: true,
-		Lookup: func(c Cell) (Outcome, []temporal.RoundStats, bool) {
+		Workers: 2,
+		Lookup: func(c Cell) (Outcome, bool) {
 			mu.Lock()
 			defer mu.Unlock()
-			e, ok := cache[c]
-			return e.out, e.rounds, ok
+			out, ok := cache[c]
+			return out, ok
 		},
 		Store: func(cr CellResult) {
 			mu.Lock()
 			defer mu.Unlock()
-			cache[cr.Cell] = entry{out: cr.Outcome, rounds: cr.Rounds}
+			cache[cr.Cell] = cr.Outcome
 		},
 	}
 	first, err := ExecuteSweep(spec, opts)
@@ -160,9 +153,6 @@ func TestExecuteSweepLookupAndStore(t *testing.T) {
 	for i, cr := range first {
 		if cr.Err != nil || !cr.Ran || cr.FromCache {
 			t.Fatalf("first pass cell %d: %+v", i, cr)
-		}
-		if len(cr.Rounds) != cr.Outcome.Rounds {
-			t.Fatalf("cell %d collected %d rounds, outcome ran %d", i, len(cr.Rounds), cr.Outcome.Rounds)
 		}
 	}
 	second, err := ExecuteSweep(spec, opts)
@@ -175,9 +165,6 @@ func TestExecuteSweepLookupAndStore(t *testing.T) {
 		}
 		if cr.Outcome != first[i].Outcome {
 			t.Fatalf("cached outcome differs for cell %d", i)
-		}
-		if !reflect.DeepEqual(cr.Rounds, first[i].Rounds) {
-			t.Fatalf("cached rounds differ for cell %d", i)
 		}
 	}
 }

@@ -44,11 +44,10 @@ type shardProgress struct {
 	// attempts counts failed dispatches; at cfg.ShardAttempts the
 	// sweep fails.
 	attempts int
-	// executed (simulations the worker actually ran), groups and cells
-	// are recorded by the dispatch that completed the shard (cells in
+	// executed (simulations the worker actually ran) and cells are
+	// recorded by the dispatch that completed the shard (cells in
 	// shard-local order — what GridHooks.Persist journals).
 	executed int
-	groups   []expt.AggregateGroup
 	cells    []expt.WireCell
 }
 
@@ -56,13 +55,12 @@ type shardProgress struct {
 // sweep, tail its cell stream, and — only once the worker's summary
 // confirms the sweep completed (done=true, so a worker-side timeout
 // or third-party cancellation never masquerades as a result) —
-// deliver every cell with its global index, in shard order, and fetch
-// the worker's aggregate for the shard. Delivering after completion
-// rather than live means a failed dispatch delivers nothing: a
-// re-dispatched shard merges exactly once, with no cross-attempt
-// cursor to reconcile. A dispatch that fails for any reason cancels
-// its worker-side sweep best-effort so an abandoned shard does not
-// keep burning worker time.
+// deliver every cell with its global index, in shard order. Delivering
+// after completion rather than live means a failed dispatch delivers
+// nothing: a re-dispatched shard merges exactly once, with no
+// cross-attempt cursor to reconcile. A dispatch that fails for any
+// reason cancels its worker-side sweep best-effort so an abandoned
+// shard does not keep burning worker time.
 func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress, deliver func(expt.WireCell)) (err error) {
 	id, err := c.postSweep(ctx, w, sh.Spec)
 	if err != nil {
@@ -123,17 +121,6 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 		cell.Index = sh.Offset + i
 		deliver(cell)
 	}
-
-	// Prefer the worker's own aggregate of the shard — the sweep is
-	// terminal, so the endpoint serves it — and fall back to folding
-	// the collected cells locally (byte-identical: same cells, same
-	// canonical order, same fold — expt.AggregateWire is what the
-	// endpoint runs) if the worker died in between.
-	groups, err := c.fetchAggregate(ctx, w, id)
-	if err != nil {
-		groups = expt.AggregateWire(collected)
-	}
-	sp.groups = groups
 	return nil
 }
 
@@ -257,30 +244,6 @@ func errorMessage(body io.Reader) string {
 		return fmt.Sprintf("%s: %s", env.Error.Code, env.Error.Message)
 	}
 	return strings.TrimSpace(string(raw))
-}
-
-// fetchAggregate reads the worker's fold of a terminal shard sweep.
-func (c *Coordinator) fetchAggregate(ctx context.Context, w *worker, id string) ([]expt.AggregateGroup, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/sweeps/"+id+"/aggregate", nil)
-	if err != nil {
-		return nil, err
-	}
-	obs.SetRequestIDHeader(req)
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("aggregate returned %d", resp.StatusCode)
-	}
-	var out struct {
-		Groups []expt.AggregateGroup `json:"groups"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Groups, nil
 }
 
 // cancelSweep aborts an abandoned worker sweep, detached from the

@@ -7,9 +7,9 @@
 // /v1/sweeps HTTP API and tails its NDJSON cell stream — broken
 // streams are resumed with ?cursor=N, replaying only the frames this
 // dispatch has not consumed yet (dispatch.go) — and re-emits one
-// merged cell stream in canonical grid order plus a fold-merged
-// aggregate that is byte-identical to a single-process run of the
-// same grid (run.go).
+// merged cell stream in canonical grid order, whose fold
+// (expt.AggregateWire) is byte-identical to the aggregate of a
+// single-process run of the same grid (run.go).
 //
 // Failure semantics: a shard delivers its cells to the merger only
 // after the worker's trailing summary confirms a completed sweep, so

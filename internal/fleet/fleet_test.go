@@ -72,8 +72,8 @@ var testSpec = expt.SweepSpec{
 	Seeds:      []int64{1, 2, 3},
 }
 
-// singleProcessAggregate is the reference the distributed fold-merge
-// must match byte-for-byte.
+// singleProcessAggregate is the reference the fold of a merged cell
+// stream (foldOf) must match byte-for-byte.
 func singleProcessAggregate(t *testing.T, spec expt.SweepSpec) []byte {
 	t.Helper()
 	groups, err := expt.AggregateSweep(spec)
@@ -81,6 +81,17 @@ func singleProcessAggregate(t *testing.T, spec expt.SweepSpec) []byte {
 		t.Fatal(err)
 	}
 	out, err := json.Marshal(groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// foldOf renders the aggregate a coordinator serves for the cells it
+// merged.
+func foldOf(t *testing.T, merged []expt.WireCell) []byte {
+	t.Helper()
+	out, err := json.Marshal(expt.AggregateWire(merged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,18 +162,42 @@ func TestRegisterAndHealth(t *testing.T) {
 	}
 }
 
+// noAggregateFront fronts a real worker and fails the test if anyone
+// asks it for an aggregate: the cells are all a coordinator needs.
+type noAggregateFront struct {
+	t    *testing.T
+	real http.Handler
+}
+
+func (f noAggregateFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/aggregate") {
+		f.t.Errorf("coordinator requested %s", r.URL.Path)
+		http.NotFound(w, r)
+		return
+	}
+	f.real.ServeHTTP(w, r)
+}
+
 // TestRunGridMergesAcrossWorkers is the happy-path acceptance test: a
-// two-worker fleet executes the grid, the merged stream is canonical
-// and complete, and the fold-merged aggregate is byte-identical to a
-// single-process run of the same grid.
+// two-worker fleet whose workers serve no aggregate route executes the
+// grid, the merged stream is canonical and complete, and its fold is
+// byte-identical to the aggregate of a single-process run of the same
+// grid.
 func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	c := fleet.New(testConfig())
-	register(t, c, startWorker(t))
-	register(t, c, startWorker(t))
+	for range 2 {
+		mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+		srv := httptest.NewServer(noAggregateFront{t: t, real: service.NewHandler(mgr)})
+		t.Cleanup(func() {
+			srv.Close()
+			mgr.Close()
+		})
+		register(t, c, srv.URL)
+	}
 
 	var merged []expt.WireCell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -175,16 +210,12 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 		}
 	}
 	cells := testSpec.NumCells()
-	if sum.Cells != cells || sum.Executed != cells || sum.Errors != 0 || sum.Shards != 4 || sum.Redispatches != 0 {
+	if !sum.Done || sum.Cells != cells || sum.Executed != cells || sum.Errors != 0 || sum.Shards != 4 || sum.Redispatches != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
 
-	out, err := json.Marshal(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
-		t.Fatalf("fold-merged aggregate diverged from single-process:\n%s\nvs\n%s", out, want)
+	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
+		t.Fatalf("fold of the merged cells diverged from single-process:\n%s\nvs\n%s", out, want)
 	}
 }
 
@@ -268,7 +299,7 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	register(t, c, startWorker(t))
 
 	var merged []expt.WireCell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -284,11 +315,7 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 		t.Fatal("worker death did not re-dispatch any shard")
 	}
 
-	out, err := json.Marshal(groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
+	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
 		t.Fatalf("aggregate after re-dispatch diverged:\n%s\nvs\n%s", out, want)
 	}
 
@@ -432,7 +459,7 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 	register(t, c, srv.URL)
 
 	var merged []expt.WireCell
-	_, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	_, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -444,11 +471,7 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 			t.Fatalf("cell %d from the sabotaged sweep leaked into the merge: %+v", i, cell)
 		}
 	}
-	out, errj := json.Marshal(groups)
-	if errj != nil {
-		t.Fatal(errj)
-	}
-	if want := singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
+	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
 		t.Fatalf("aggregate diverged after sabotaged dispatch:\n%s\nvs\n%s", out, want)
 	}
 }
@@ -471,7 +494,7 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	register(t, c, busy.URL)
 
 	var merged []expt.WireCell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if err != nil {
@@ -481,8 +504,8 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	if sum.Redispatches != 0 {
 		t.Fatalf("busy worker counted as %d re-dispatches", sum.Redispatches)
 	}
-	if groups == nil {
-		t.Fatal("no merged aggregate")
+	if !sum.Done {
+		t.Fatal("summary of a completed grid is not done")
 	}
 	ws := c.Workers(context.Background())
 	if len(ws) != 1 || !ws[0].Healthy {
@@ -496,14 +519,14 @@ func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 	t.Parallel()
 	c := fleet.New(testConfig())
 	var merged []expt.WireCell
-	sum, groups, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 	}, fleet.GridHooks{})
 	if !errors.Is(err, fleet.ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
-	if groups != nil {
-		t.Fatalf("groups = %v on a failed sweep", groups)
+	if sum.Done {
+		t.Fatal("failed sweep's summary says done")
 	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
@@ -527,15 +550,15 @@ func TestRunGridCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var merged []expt.WireCell
-	_, groups, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 		cancel()
 	}, fleet.GridHooks{})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if groups != nil {
-		t.Fatal("canceled sweep produced merged groups")
+	if sum.Done {
+		t.Fatal("canceled sweep's summary says done")
 	}
 	checkMergedCells(t, testSpec, merged)
 	if merged[0].Error != "" || merged[0].Outcome == nil {

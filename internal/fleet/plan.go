@@ -7,12 +7,12 @@ import (
 
 // Shard is one dispatchable slice of a sweep grid: a whole
 // (algorithm, workload, n) row with every seed, i.e. exactly one
-// aggregation group. Group alignment is what makes the distributed
-// aggregate exact: each worker aggregates complete groups, so the
-// coordinator's fold-merge (expt.MergeAggregates) is byte-identical to
-// a single-process aggregate of the grid. Parallelism therefore comes
-// from the grid's group dimensions — which the paper's tables make
-// wide — not from splitting seed lists.
+// aggregation group. The coordinator's aggregate is the fold of the
+// merged cell stream, so it would be exact under any contiguous
+// partition; one shard per group is the unit of dispatch, re-dispatch
+// and journaling. Parallelism therefore comes from the grid's group
+// dimensions — which the paper's tables make wide — not from splitting
+// seed lists.
 type Shard struct {
 	// Index is the shard's position in canonical grid order.
 	Index int

@@ -29,20 +29,21 @@ type Summary struct {
 
 // ShardResult is one completed shard's durable payload, and the shard
 // record of a coordinator's sweep journal: the cells in shard-local
-// canonical order plus the worker's shard aggregate — exactly what the
-// merge needs to fold the shard without ever re-dispatching it.
+// canonical order — all the merge needs to replay the shard without
+// ever re-dispatching it. (Records written before the aggregate became
+// the fold of the merged cells also carry a "groups" member; decoding
+// ignores it.)
 type ShardResult struct {
-	Key    string                `json:"key"`
-	Index  int                   `json:"index"`
-	Offset int                   `json:"offset"`
-	Cells  []expt.WireCell       `json:"cells"`
-	Groups []expt.AggregateGroup `json:"groups"`
+	Key    string          `json:"key"`
+	Index  int             `json:"index"`
+	Offset int             `json:"offset"`
+	Cells  []expt.WireCell `json:"cells"`
 }
 
 // GridHooks wires RunGrid to a durability layer. Completed is asked
 // once per planned shard (by canonical shard key) before dispatch; a
-// hit delivers the recorded cells (marked FromCache) and aggregate
-// instead of running the shard. Persist receives every shard this run
+// hit delivers the recorded cells (marked FromCache) instead of
+// running the shard. Persist receives every shard this run
 // completes, after its cells were delivered — it may be called
 // concurrently from dispatcher goroutines. Either hook may be nil.
 type GridHooks struct {
@@ -52,23 +53,24 @@ type GridHooks struct {
 
 // RunGrid executes the grid across the registry's healthy workers and
 // emits every cell — Index rewritten to the global canonical position —
-// in canonical grid order from the calling goroutine. On success the
-// returned groups are the fold-merge of the per-shard aggregates,
-// byte-identical to a single-process aggregate of the same grid.
+// in canonical grid order from the calling goroutine. The emitted cells
+// are the ones the workers streamed, so folding them
+// (expt.AggregateWire) gives the aggregate a single-process run of the
+// same grid would, byte for byte.
 //
 // On failure (cancellation, or a shard out of dispatch attempts with
 // no healthy worker left) RunGrid still emits one line per cell: the
 // cells that merged before the failure, then error-marked skip cells
 // for the rest — the same wire contract a single-process sweep keeps
-// under cancellation — and returns the failure alongside nil groups.
+// under cancellation — and returns the failure.
 //
 // hooks connects the grid to a shard journal: shards hooks.Completed
 // recognizes are merged from their recorded cells without dispatching
 // (a grid whose shards all replay needs no workers at all), and every
 // freshly completed shard is handed to hooks.Persist.
-func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit func(expt.WireCell), hooks GridHooks) (Summary, []expt.AggregateGroup, error) {
+func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit func(expt.WireCell), hooks GridHooks) (Summary, error) {
 	if err := spec.Validate(); err != nil {
-		return Summary{}, nil, err
+		return Summary{}, err
 	}
 	shards := PlanShards(spec)
 	cells := spec.Cells()
@@ -105,36 +107,20 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	for i := range progress {
 		sum.Executed += progress[i].executed
 	}
-	if runErr != nil {
-		return sum, nil, runErr
-	}
-
-	shardGroups := make([][]expt.AggregateGroup, len(shards))
-	for i := range progress {
-		shardGroups[i] = progress[i].groups
-	}
-	groups, err := expt.MergeAggregates(shardGroups...)
-	if err != nil {
-		return sum, nil, err
-	}
-	sum.Done = true
-	return sum, groups, nil
+	sum.Done = runErr == nil
+	return sum, runErr
 }
 
 // dispatchAll runs the shard queue to completion and merges
 // deliveries. It owns the merge/emit loop; dispatcher goroutines own
 // shard execution. Shards in replayed never touch the queue: their
 // recorded cells are injected into the delivery stream by a local
-// replayer goroutine and their progress is pre-seeded as complete.
+// replayer goroutine, and their executed count stays 0 — that work ran
+// in a previous process life, not this one.
 func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers []*worker,
 	sum *Summary, cells []expt.Cell, emit func(expt.WireCell),
 	replayed map[int]ShardResult, persist func(ShardResult)) ([]shardProgress, error) {
 	progress := make([]shardProgress, len(shards))
-	for idx, res := range replayed {
-		// executed stays 0: the replayed work ran in a previous process
-		// life, not this one.
-		progress[idx].groups = res.Groups
-	}
 
 	emitCount := func(cell expt.WireCell) {
 		if cell.Error != "" {
@@ -240,7 +226,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 					if persist != nil {
 						persist(ShardResult{
 							Key: shards[idx].Key, Index: idx, Offset: shards[idx].Offset,
-							Cells: sp.cells, Groups: sp.groups,
+							Cells: sp.cells,
 						})
 					}
 					if int(done.Add(1)) == len(shards) {

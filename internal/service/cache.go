@@ -5,17 +5,26 @@ import (
 	"sync"
 
 	"adnet/internal/expt"
-	"adnet/internal/temporal"
 )
 
-// cacheEntry is the replayable product of one successful run: the
-// unified outcome plus the per-round statistics and topology delta
-// frames, so cache hits can serve the NDJSON round and topology
-// streams as well as the summary.
+// replay is the two streams a run job publishes to and serves from.
+// The job that executes owns them; once it is done they are complete,
+// and every cache-hit job for the same key points at the same pair —
+// the frames the run encoded are the frames a replay writes.
+type replay struct {
+	stream *RoundStream
+	topo   *TopologyStream
+}
+
+// cacheEntry is the product of one successful run: its outcome and,
+// when a run job executed it, that job's own streams. An outcome-only
+// entry (replay nil: written by a sweep cell or by Recover, neither of
+// which has streams) answers sweep cells and nothing else — a run
+// submission that finds one executes, which by determinism yields the
+// same outcome, and upgrades the entry.
 type cacheEntry struct {
 	Outcome expt.Outcome
-	Rounds  []temporal.RoundStats
-	Topo    []TopologyFrame
+	replay  *replay
 }
 
 // resultCache is a fixed-capacity LRU over cacheEntry keyed by
@@ -44,11 +53,12 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // Get returns the cached entry and promotes it to most recently used.
-func (c *resultCache) Get(key string) (cacheEntry, bool) {
+// With needReplay an outcome-only entry is a miss.
+func (c *resultCache) Get(key string, needReplay bool) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || (needReplay && el.Value.(*lruItem).entry.replay == nil) {
 		c.misses++
 		return cacheEntry{}, false
 	}
@@ -58,7 +68,9 @@ func (c *resultCache) Get(key string) (cacheEntry, bool) {
 }
 
 // Add stores (or refreshes) an entry, evicting the least recently
-// used item when over capacity.
+// used item when over capacity. An outcome-only entry never replaces
+// one that carries a replay: a sweep cell that raced a run of the same
+// key to the cache must not strip the run's streams from it.
 func (c *resultCache) Add(key string, e cacheEntry) {
 	if c.cap <= 0 {
 		return
@@ -67,7 +79,9 @@ func (c *resultCache) Add(key string, e cacheEntry) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*lruItem).entry = e
+		if item := el.Value.(*lruItem); e.replay != nil || item.entry.replay == nil {
+			item.entry = e
+		}
 		return
 	}
 	c.items[key] = c.ll.PushFront(&lruItem{key: key, entry: e})

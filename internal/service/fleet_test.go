@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,20 +108,40 @@ func TestCoordinatorSweepMatchesSingleProcessByteForByte(t *testing.T) {
 func TestCoordinatorJournalTakeover(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	// Two rows → two shards; the small row finishes while the large
-	// one is still running, so the interruption lands between shards.
+	// Two rows → two shards. The workers let the first cell stream
+	// through and hold every later one until released, so exactly one
+	// shard completes and is journaled before the "crash" however the
+	// dispatchers are scheduled: the interruption lands between shards
+	// by construction.
 	spec := SweepSpec{
 		Algorithms: []string{"graph-to-star"},
 		Workloads:  []string{"line"},
-		Sizes:      []int{1024, 4096},
+		Sizes:      []int{32, 64},
 		Seeds:      []int64{1, 2, 3, 4},
 	}
 	total := spec.NumCells()
 	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
 
+	var streams atomic.Int32
+	release := make(chan struct{})
 	var workerURLs []string
 	for i := 0; i < 2; i++ {
-		w, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+		wm := NewManager(Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+		real := NewHandler(wm)
+		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if strings.HasSuffix(r.URL.Path, "/cells") && streams.Add(1) > 1 {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			real.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(func() {
+			w.Close()
+			wm.Close()
+		})
 		workerURLs = append(workerURLs, w.URL)
 	}
 	newCoordMgr := func() *Manager {
@@ -162,6 +184,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	m1.Close() // the "crash": no terminal record is written
+	close(release)
 
 	shardsDone, cellsDone := journaledShards()
 	if shardsDone == 0 || cellsDone >= total {
@@ -225,6 +248,70 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 	}
 }
 
+// TestCoordinatorResumesShardRecords feeds a takeover coordinator a
+// journal holding one completed shard — as today's record, and as the
+// record of binaries that stored the shard's aggregate next to its
+// cells ("groups", the golden literal kept from them). Both parse,
+// resume without re-dispatching the shard, and serve for it the very
+// aggregate the older binary had stored.
+func TestCoordinatorResumesShardRecords(t *testing.T) {
+	t.Parallel()
+	spec := SweepSpec{ // the grid the golden shard records belong to
+		Algorithms: []string{"flood", "graph-to-star"},
+		Workloads:  []string{"line"},
+		Sizes:      []int{32, 64},
+		Seeds:      []int64{1, 2},
+	}
+	header, err := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, record := range map[string]string{"cells": shardRecord, "cells and groups": shardRecordWithGroups} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			writeJournal(t, filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"),
+				journal.Record{Kind: recHeader, Data: header}, journal.Record{Kind: recShard, Data: []byte(record)})
+
+			worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+			coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+			if _, err := coord.Register(t.Context(), worker.URL); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(Config{Workers: 1, Fleet: coord, DataDir: dir})
+			defer m.Close()
+			if err := m.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			var resumed *SweepJob
+			waitFor(t, func() bool {
+				for _, st := range m.Sweeps() {
+					resumed, _ = m.GetSweep(st.ID)
+				}
+				return resumed != nil && resumed.State().terminal()
+			}, "the journaled sweep never resumed to a terminal state")
+
+			// The shard's two cells (one ok, one error) replay; the other
+			// three shards run on the worker.
+			st := resumed.Status()
+			if st.State != StateDone || !st.Resumed || st.Summary.Replayed != 2 ||
+				st.Summary.Executed != spec.NumCells()-2 || st.Summary.Errors != 1 {
+				t.Fatalf("resumed status = %+v, summary %+v", st, st.Summary)
+			}
+			groups, err := resumed.Aggregate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := json.Marshal(groups[:1]); string(got) != shardGroups {
+				t.Fatalf("replayed shard aggregates to\n%s\nthe record of an older binary stored\n%s", got, shardGroups)
+			}
+		})
+	}
+}
+
 // TestRecoverCachesShardCellsUnderGridKeys: a coordinator's journal
 // stores shard cells in their wire form, which carries no dynamics
 // block. Recovery must key each one by the grid's own cell — header
@@ -278,10 +365,22 @@ func TestRecoverCachesShardCellsUnderGridKeys(t *testing.T) {
 	if out := job.Status().Outcome; out == nil || out.EnvActivations != 0 || out.EnvDeactivations != 0 {
 		t.Fatalf("clean run reports environment edits: %+v", out)
 	}
+	// The journaled outcome sits under the perturbed key, where a sweep
+	// cell finds it (a recovered entry has no streams to answer a run).
 	perturbed := clean
 	perturbed.Dynamics = dyn
-	if _, cached, err := m2.Submit(perturbed); err != nil || !cached {
-		t.Fatalf("perturbed run after recovery: cached=%v err=%v, want the journaled outcome", cached, err)
+	sj, err := m2.SubmitSweep(context.Background(), perturbed.Grid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !sj.State().terminal() {
+		if time.Now().After(deadline) {
+			t.Fatal("one-cell perturbed sweep never finished")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if sum := sj.Status().Summary; sum.CacheHits != 1 || sum.Executed != 0 {
+		t.Fatalf("perturbed cell after recovery: %+v, want the journaled outcome from the cache", sum)
 	}
 }
 

@@ -10,6 +10,19 @@ import (
 	"adnet/internal/runkey"
 )
 
+const (
+	okLine  = `{"index":0,"algorithm":"flood","workload":"line","n":32,"seed":1,"from_cache":false,"outcome":{"N":32,"Rounds":33,"LastActivity":0,"TotalActivations":0,"MaxActivatedEdges":0,"MaxActivatedDegree":0,"TotalMessages":62,"FinalDiameter":31,"FinalDepth":31,"LeaderOK":true}}`
+	errLine = `{"index":1,"algorithm":"flood","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}`
+
+	// shardRecord is what a coordinator journals per completed shard.
+	// shardRecordWithGroups is what it journaled while the shard's
+	// aggregate was stored next to its cells; such records are still
+	// read (TestCoordinatorResumesShardRecords), never written.
+	shardRecord           = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2","index":0,"offset":0,"cells":[` + okLine + `,` + errLine + `]}`
+	shardGroups           = `[{"algorithm":"flood","workload":"line","n":32,"seeds":1,"errors":1,"leaders_ok":1,"rounds":{"mean":33,"min":33,"max":33,"stddev":0},"total_activations":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_edges":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_degree":{"mean":0,"min":0,"max":0,"stddev":0},"total_messages":{"mean":62,"min":62,"max":62,"stddev":0}}]`
+	shardRecordWithGroups = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2","index":0,"offset":0,"cells":[` + okLine + `,` + errLine + `],"groups":` + shardGroups + `}`
+)
+
 // TestKeyAndWireGoldens pins, as literal strings generated at the
 // commit before the spec/key/wire types were collapsed into expt, every
 // byte sequence another process or a later process life depends on:
@@ -55,12 +68,7 @@ func TestKeyAndWireGoldens(t *testing.T) {
 	errCell := expt.WireCell{Index: 1, Algorithm: "flood", Workload: "line", N: 32, Seed: 2,
 		Error: "expt: cell skipped: sim: run canceled"}
 	dynCell := expt.CellResult{Index: 3, Cell: sweepDyn.Cells()[1], Outcome: outDyn}.Wire()
-	groups := expt.AggregateWire([]expt.WireCell{okCell, errCell})
 
-	const (
-		okLine  = `{"index":0,"algorithm":"flood","workload":"line","n":32,"seed":1,"from_cache":false,"outcome":{"N":32,"Rounds":33,"LastActivity":0,"TotalActivations":0,"MaxActivatedEdges":0,"MaxActivatedDegree":0,"TotalMessages":62,"FinalDiameter":31,"FinalDepth":31,"LeaderOK":true}}`
-		errLine = `{"index":1,"algorithm":"flood","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}`
-	)
 	for _, tc := range []struct{ name, got, want string }{
 		// Keys. A sweep cell and a run with equal parameters share one —
 		// the property the result cache relies on.
@@ -97,7 +105,7 @@ func TestKeyAndWireGoldens(t *testing.T) {
 		{"header record", marshal(sweepHeader{Key: sweepDyn.Key(), Spec: sweepDyn, Cells: sweepDyn.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2],"max_rounds":500,"dynamics":{"class":"edge-churn"}},"cells":8}`},
 		{"header record, plain", marshal(sweepHeader{Key: sweep.Key(), Spec: sweep, Cells: sweep.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2]},"cells":8}`},
 		{"cell record", marshal(cellRecord{RunKey: grid[0].Key(), Cell: okCell}), `{"run_key":"flood|line|n=32|seed=1|maxr=0","cell":` + okLine + `}`},
-		{"shard record", marshal(fleet.ShardResult{Key: shards[0].Key, Index: 0, Offset: 0, Cells: []expt.WireCell{okCell, errCell}, Groups: groups}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2","index":0,"offset":0,"cells":[` + okLine + `,` + errLine + `],"groups":[{"algorithm":"flood","workload":"line","n":32,"seeds":1,"errors":1,"leaders_ok":1,"rounds":{"mean":33,"min":33,"max":33,"stddev":0},"total_activations":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_edges":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_degree":{"mean":0,"min":0,"max":0,"stddev":0},"total_messages":{"mean":62,"min":62,"max":62,"stddev":0}}]}`},
+		{"shard record", marshal(fleet.ShardResult{Key: shards[0].Key, Index: 0, Offset: 0, Cells: []expt.WireCell{okCell, errCell}}), shardRecord},
 		{"done record", marshal(doneRecord{State: StateDone, Summary: SweepSummary{Done: true, Cells: 8, Executed: 8}}), `{"state":"done","summary":{"done":true,"cells":8,"cache_hits":0,"executed":8,"errors":0}}`},
 	} {
 		if tc.got != tc.want {

@@ -133,22 +133,36 @@ func TestEndpointByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeOncePerItem pins the tentpole invariant: marshals per item
-// stay at one no matter how many subscribers drain the stream — live
-// and lazily-built (cache replay) alike.
+// TestEncodeOncePerItem pins the hub invariant: marshals per item stay
+// at one no matter how many subscribers drain the stream — a live
+// stream's own subscribers and those of a cache-hit job alike, since
+// the hit serves the stream of the job that executed.
 func TestEncodeOncePerItem(t *testing.T) {
 	t.Parallel()
 	const items, subs = 100, 32
-	rounds := sampleRounds(items)
 
 	live := newRoundStream(0, nil)
-	for _, st := range rounds {
+	for _, st := range sampleRounds(items) {
 		live.publish(st)
 	}
 	live.close()
-	replay := newClosedStream(rounds, 0, nil)
 
-	for name, s := range map[string]*RoundStream{"live": live, "replay": replay} {
+	m := NewManager(Config{Workers: 1})
+	defer m.Close()
+	job, _, err := m.Submit(fastSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StateDone)
+	hit, cached, err := m.Submit(fastSpec(5))
+	if err != nil || !cached {
+		t.Fatalf("resubmit = (cached=%v, err=%v), want cache hit", cached, err)
+	}
+	if hit.Stream() != job.Stream() || hit.Topology() != job.Topology() {
+		t.Fatal("cache-hit job does not share the executing job's streams")
+	}
+
+	for name, s := range map[string]*RoundStream{"live": live, "replay": hit.Stream()} {
 		var wg sync.WaitGroup
 		for i := 0; i < subs; i++ {
 			wg.Add(1)
@@ -158,9 +172,9 @@ func TestEncodeOncePerItem(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := s.Encodes(); got != items {
+		if got, want := s.Encodes(), int64(s.Len()); got != want || want == 0 {
 			t.Errorf("%s stream: %d encodes for %d items across %d subscribers, want exactly %d",
-				name, got, items, subs, items)
+				name, got, want, subs, want)
 		}
 	}
 }

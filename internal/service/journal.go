@@ -249,10 +249,11 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 }
 
 // Recover scans every sweep journal under DataDir: finished cells are
-// rebuilt into the result cache (outcomes only — journals do not
-// persist round streams), and every journal without a terminal record
-// is resubmitted as a fresh sweep job whose done-set makes it
-// re-execute only the missing run keys. A corrupt journal (mid-file
+// rebuilt into the result cache as outcome-only entries (journals do
+// not persist round streams, so they answer later sweep cells, not run
+// submissions), and every journal without a terminal record is
+// resubmitted as a fresh sweep job whose done-set makes it re-execute
+// only the missing run keys. A corrupt journal (mid-file
 // checksum failure, unparseable record) fails recovery — and with it
 // startup — naming the file and offset: silently skipping interior
 // records would serve a state that never existed. Call Recover once,

@@ -94,8 +94,8 @@ type Config struct {
 	// grids are sharded across the coordinator's registered worker
 	// servers (internal/fleet) instead of the local engine fleet, the
 	// /v1/fleet/workers endpoints are mounted, and the aggregate
-	// endpoint serves the fold-merge of the per-shard worker
-	// aggregates. Run jobs still execute locally.
+	// endpoint folds the merged cell stream like any other sweep's. Run
+	// jobs still execute locally.
 	Fleet *fleet.Coordinator
 	// Metrics receives the manager's instruments and is served at
 	// GET /metrics (default: a fresh private registry). A server
@@ -162,12 +162,10 @@ type Job struct {
 	ID   string
 	Spec RunSpec
 	// FromCache marks jobs answered by the result cache without
-	// executing a simulation.
+	// executing a simulation: their streams are the executing job's.
 	FromCache bool
 
-	stream *RoundStream
-	topo   *TopologyStream
-
+	*replay
 	lifecycle
 	outcome *expt.Outcome
 }
@@ -311,13 +309,10 @@ func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
 		return nil, false, fmt.Errorf("service: invalid spec: %w", err)
 	}
 	key := spec.Key()
-	if entry, ok := m.cache.Get(key); ok {
-		j := m.newJob(spec, true)
+	if entry, ok := m.cache.Get(key, true); ok {
+		j := m.newJob(spec, entry.replay)
 		j.outcome = &entry.Outcome
 		j.finishLocked(StateDone, nil) // not shared yet: no lock needed
-		j.stream = newClosedStream(entry.Rounds, m.frameBudget(), m.metrics.roundsObs)
-		j.topo = newClosedTopologyStream(entry.Topo, m.frameBudget(),
-			m.metrics.topoObs, m.metrics.topoPackedObs)
 		m.runs.add(j.ID, j)
 		m.runs.retire(j.ID)
 		m.metrics.runSubmissions.With("cached").Inc()
@@ -339,7 +334,7 @@ func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
 		m.metrics.runSubmissions.With("joined").Inc()
 		return live, false, nil
 	}
-	j := m.newJob(spec, false)
+	j := m.newJob(spec, nil)
 	select {
 	case m.queue <- j:
 	default:
@@ -396,7 +391,8 @@ type Stats struct {
 	FleetWorkers int   `json:"fleet_workers"`
 	FleetHealthy int   `json:"fleet_healthy"`
 	// StreamBytes is the encoded NDJSON frame bytes currently retained
-	// by the broadcast hubs of every tracked job and sweep — the
+	// by the broadcast hubs of every tracked job and sweep (streams that
+	// cache-hit jobs share with the job that executed count once) — the
 	// server's streaming memory footprint under the RetainFrameBytes
 	// bound.
 	StreamBytes int64 `json:"stream_bytes"`
@@ -411,8 +407,12 @@ func (m *Manager) Stats() Stats {
 	size, hits, misses := m.cache.Stats()
 	runs, sweeps := m.runs.all(), m.sweeps.all()
 	var streamBytes int64
+	counted := make(map[*replay]struct{}, len(runs))
 	for _, j := range runs {
-		streamBytes += j.stream.FrameBytes() + j.topo.FrameBytes()
+		if _, dup := counted[j.replay]; !dup {
+			counted[j.replay] = struct{}{}
+			streamBytes += j.stream.FrameBytes() + j.topo.FrameBytes()
+		}
 	}
 	for _, j := range sweeps {
 		streamBytes += j.cells.FrameBytes()
@@ -455,13 +455,21 @@ func (m *Manager) frameBudget() int64 {
 	return m.cfg.RetainFrameBytes
 }
 
-func (m *Manager) newJob(spec RunSpec, fromCache bool) *Job {
+// newJob builds a queued job over cached, a finished run's streams, or
+// — when cached is nil — over fresh ones for it to publish to.
+func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
+	rp := cached
+	if rp == nil {
+		rp = &replay{
+			stream: newRoundStream(m.frameBudget(), m.metrics.roundsObs),
+			topo:   newTopologyStream(m.frameBudget(), m.metrics.topoObs, m.metrics.topoPackedObs),
+		}
+	}
 	return &Job{
 		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
 		Spec:      spec,
-		FromCache: fromCache,
-		stream:    newRoundStream(m.frameBudget(), m.metrics.roundsObs),
-		topo:      newTopologyStream(m.frameBudget(), m.metrics.topoObs, m.metrics.topoPackedObs),
+		FromCache: cached != nil,
+		replay:    rp,
 		lifecycle: queued(),
 	}
 }
@@ -498,13 +506,19 @@ func (m *Manager) execute(j *Job) {
 	ctx, cancel := j.runContext(context.Background(), m.cfg.RunTimeLimit)
 	defer cancel()
 
-	opts := []sim.Option{
+	var opts []sim.Option
+	if m.cfg.Workers > 1 {
+		// The job pool already fills the CPUs (Config.Workers), as a
+		// sweep's engine fleet does for its cells.
+		opts = append(opts, sim.WithParallelism(1))
+	}
+	opts = append(opts,
 		sim.WithRoundHook(func(ev sim.RoundEvent) { j.stream.publish(ev.Stats) }),
 		sim.WithStartHook(func(ev sim.StartEvent) { j.topo.publishHeader(ev.N, ev.Edges) }),
 		sim.WithDeltaHook(j.topo.publishDelta),
 		sim.WithCancel(ctx.Done()),
 		sim.WithRunObserver(m.metrics.observeRun),
-	}
+	)
 	m.runsExecuted.Add(1)
 	req := j.Spec.Request()
 	req.SimOpts = append(opts, req.SimOpts...)
@@ -520,11 +534,7 @@ func (m *Manager) execute(j *Job) {
 		j.mu.Lock()
 		j.outcome = &out
 		j.mu.Unlock()
-		m.cache.Add(key, cacheEntry{
-			Outcome: out,
-			Rounds:  j.stream.snapshot(),
-			Topo:    j.topo.Frames(),
-		})
+		m.cache.Add(key, cacheEntry{Outcome: out, replay: j.replay})
 	}
 	j.mu.Lock()
 	j.finishLocked(state, jobErr)

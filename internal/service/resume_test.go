@@ -37,6 +37,26 @@ func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	return len(st.cells)
 }
 
+// writeJournal writes a fresh journal file holding recs, in order.
+func writeJournal(t *testing.T, path string, recs ...journal.Record) {
+	t.Helper()
+	lg, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lg.Replay(func(journal.Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := lg.Append(rec.Kind, rec.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSweepJournalResumeAfterInterruption is the in-process version of
 // the e2e crash test: a journaled sweep interrupted mid-grid (Close
 // cancels it without a terminal record, exactly like a kill would) is
@@ -167,6 +187,38 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	}
 }
 
+// TestRunAfterRecoveredSweepExecutes is the recovery twin of the
+// post-sweep block in TestSweepJobPerCellCacheHits: Recover rebuilds a
+// finished sweep's journaled cells into the result cache as outcomes
+// without streams, so a run of one of them on the restarted server
+// executes in full instead of being answered done with nothing to
+// stream.
+func TestRunAfterRecoveredSweepExecutes(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	spec := sweepSpec()
+
+	srv1, m1 := newTestServer(t, Config{Workers: 1, SweepWorkers: 2, DataDir: dir})
+	job, _ := postSweepJob(t, srv1, spec)
+	awaitSweepState(t, srv1, job.ID, StateDone)
+	cells, _ := readCells(t, srv1, job.ID)
+	m1.Close()
+
+	srv2, m2 := newTestServer(t, Config{Workers: 1, DataDir: dir})
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if size := m2.Stats().CacheSize; size != len(cells) {
+		t.Fatalf("recovery cached %d outcomes, want the sweep's %d cells", size, len(cells))
+	}
+	cell := cells[3] // graph-to-star/line/24/seed 2
+	checkRunAfterOutcomeOnlyEntry(t, srv2,
+		RunSpec{Algorithm: cell.Algorithm, Workload: cell.Workload, N: cell.N, Seed: cell.Seed}, *cell.Outcome)
+	if got := m2.RunsExecuted(); got != 1 {
+		t.Fatalf("RunsExecuted = %d on the restarted server, want 1", got)
+	}
+}
+
 // TestRecoverRefusesCorruptJournal pins the strictness split: a
 // mid-file checksum mismatch (not a torn tail) must fail Recover — and
 // with it startup — naming the file and offset, never silently serve a
@@ -180,23 +232,10 @@ func TestRecoverRefusesCorruptJournal(t *testing.T) {
 	}
 	spec := sweepSpec()
 	path := filepath.Join(sweepDir, runkey.Hash(spec.Key())+".wal")
-	lg, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lg.Replay(func(journal.Record) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
 	payload, _ := json.Marshal(cellRecord{RunKey: "k"})
-	for _, rec := range [][2]any{{recHeader, header}, {recCell, payload}, {recCell, payload}} {
-		if err := lg.Append(rec[0].(byte), rec[1].([]byte)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, path, journal.Record{Kind: recHeader, Data: header},
+		journal.Record{Kind: recCell, Data: payload}, journal.Record{Kind: recCell, Data: payload})
 
 	// Flip one payload byte of the MIDDLE record: an interior checksum
 	// failure, not a torn tail.

@@ -50,11 +50,6 @@ type stream[T any] struct {
 	maxFrameBytes int64
 	encodes       int64
 
-	// lazyFrames marks a pre-closed replay stream (cache hits): frames
-	// are built on the first subscriber, once, instead of at
-	// construction — a cache-hit job nobody ever tails encodes nothing.
-	lazyFrames bool
-
 	// enc overrides the frame encoding (default jsonFrame): how the
 	// packed topology format shares the hub machinery with a different
 	// wire rendering of the same items.
@@ -159,8 +154,8 @@ func (s *stream[T]) Encodes() int64 {
 
 // snapshot returns the items published so far as a capped three-index
 // subslice — items are append-only and never mutated in place, so
-// sharing the backing array is safe and the O(n) copy under the lock
-// (previously taken on every status poll and cache store) is gone.
+// sharing the backing array is safe and needs no O(n) copy under the
+// lock.
 func (s *stream[T]) snapshot() []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,9 +212,6 @@ func (s *stream[T]) WaitFrames(ctx context.Context, cursor int) ([][]byte, bool)
 	s.mu.Lock()
 	for {
 		if cursor < len(s.items) {
-			if s.lazyFrames && s.frames == nil {
-				s.buildLazyFramesLocked()
-			}
 			if cursor >= s.frameBase {
 				n := len(s.frames)
 				out := s.frames[cursor-s.frameBase : n : n]
@@ -249,35 +241,6 @@ func (s *stream[T]) WaitFrames(ctx context.Context, cursor int) ([][]byte, bool)
 	}
 }
 
-// buildLazyFramesLocked encodes every item of a pre-closed replay
-// stream, once, on first subscription. Only closed streams are built
-// lazily, so no publisher can race the build.
-func (s *stream[T]) buildLazyFramesLocked() {
-	s.frames = make([][]byte, len(s.items))
-	for i, item := range s.items {
-		start := time.Now()
-		s.frames[i] = s.encodeFrame(item)
-		s.frameBytes += int64(len(s.frames[i]))
-		s.encodes++
-		// A lazy replay build is still one encode per item — fold it
-		// into the same producer-side series publish uses, so the
-		// encoded counter tracks Encodes() for cache-hit jobs too.
-		if s.obs != nil && s.obs.encoded != nil {
-			s.obs.encoded(time.Since(start), len(s.frames[i]))
-		}
-	}
-	s.lazyFrames = false
-	// The replay may exceed the byte bound; trim to it like publish
-	// does, leaving the evicted prefix to the re-encode path.
-	if s.maxFrameBytes > 0 {
-		for s.frameBytes > s.maxFrameBytes && len(s.frames) > 1 {
-			s.frameBytes -= int64(len(s.frames[0]))
-			s.frames = s.frames[1:]
-			s.frameBase++
-		}
-	}
-}
-
 // RoundStream is the per-job publication channel for round statistics.
 // The worker publishes one temporal.RoundStats per completed round.
 // Memory is bounded by the job's round limit — RoundStats is five ints.
@@ -290,17 +253,6 @@ func newRoundStream(maxFrameBytes int64, obs *streamObs) *RoundStream {
 	s.init()
 	s.maxFrameBytes = maxFrameBytes
 	s.obs = obs
-	return s
-}
-
-// newClosedStream builds an already-finished stream holding rounds —
-// the replay source for cache-hit jobs. Frames are built lazily on
-// the first subscriber (still exactly once per item).
-func newClosedStream(rounds []temporal.RoundStats, maxFrameBytes int64, obs *streamObs) *RoundStream {
-	s := newRoundStream(maxFrameBytes, obs)
-	s.items = rounds
-	s.done = true
-	s.lazyFrames = true
 	return s
 }
 

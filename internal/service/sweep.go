@@ -13,7 +13,6 @@ import (
 	"adnet/internal/obs"
 	"adnet/internal/runkey"
 	"adnet/internal/sim"
-	"adnet/internal/temporal"
 )
 
 // Sweep submission/aggregation errors surfaced to the API layer.
@@ -53,12 +52,6 @@ type SweepJob struct {
 
 	lifecycle
 	summary *SweepSummary
-	// aggregate, when non-nil, is the fold-merge of per-shard worker
-	// aggregates recorded by a coordinator-mode sweep; Aggregate
-	// serves it directly instead of re-folding the cell stream. The
-	// two are byte-identical for a completed sweep — storing the
-	// merged groups keeps the endpoint on the distributed path.
-	aggregate []expt.AggregateGroup
 }
 
 // SweepStatus is the JSON-facing snapshot of a SweepJob.
@@ -104,30 +97,26 @@ func (j *SweepJob) Status() SweepStatus {
 // Stream exposes the job's cell stream for subscribers.
 func (j *SweepJob) Stream() *CellStream { return j.cells }
 
-// finish publishes the terminal state, summary, error and (in
-// coordinator mode) merged aggregate in one critical section: a status
-// poll must never observe a summary (or error) on a still-running
-// sweep — clients treat summary presence as completion.
-func (j *SweepJob) finish(state JobState, sum SweepSummary, groups []expt.AggregateGroup, err error) {
+// finish publishes the terminal state, summary and error in one
+// critical section: a status poll must never observe a summary (or
+// error) on a still-running sweep — clients treat summary presence as
+// completion.
+func (j *SweepJob) finish(state JobState, sum SweepSummary, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.summary, j.aggregate = &sum, groups
+	j.summary = &sum
 	j.finishLocked(state, err)
 }
 
 // Aggregate folds the sweep's finished cells into per-(algorithm,
-// workload, n) statistics over seeds. Only terminal sweeps aggregate
-// (ErrSweepRunning otherwise); a canceled or failed sweep aggregates
-// the cells that did finish, with the rest counted as group errors.
+// workload, n) statistics over seeds — the cells it executed, or in
+// coordinator mode the cells its workers streamed, which fold to the
+// same bytes. Only terminal sweeps aggregate (ErrSweepRunning
+// otherwise); a canceled or failed sweep aggregates the cells that did
+// finish, with the rest counted as group errors.
 func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 	if !j.State().terminal() {
 		return nil, ErrSweepRunning
-	}
-	j.mu.Lock()
-	stored := j.aggregate
-	j.mu.Unlock()
-	if stored != nil {
-		return stored, nil
 	}
 	return expt.AggregateWire(j.cells.snapshot()), nil
 }
@@ -234,7 +223,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 		for i, c := range cells {
 			j.cells.publish(expt.CellResult{Index: i, Cell: c, Err: skipped}.Wire())
 		}
-		j.finish(StateCanceled, SweepSummary{Cells: len(cells), Errors: len(cells)}, nil, context.Canceled)
+		j.finish(StateCanceled, SweepSummary{Cells: len(cells), Errors: len(cells)}, context.Canceled)
 		return
 	}
 	j.setState(StateRunning)
@@ -246,24 +235,24 @@ func (m *Manager) executeSweep(j *SweepJob) {
 	if m.cfg.Fleet != nil {
 		run = m.runGridFleet
 	}
-	sum, groups, err := run(ctx, j)
+	sum, err := run(ctx, j)
 	state, jobErr := j.outcomeOf(err, "sweep", m.cfg.SweepTimeLimit)
-	j.finish(state, sum, groups, jobErr)
+	j.finish(state, sum, jobErr)
 }
 
 // runGrid executes the job's grid on an engine fleet of
 // cfg.SweepWorkers runners, consulting the job's journal done-set
 // first (replayed cells re-execute nothing), then the manager's
-// result cache per cell (the keys are canonical, so cells repeat runs
-// submitted via POST /v1/runs and vice versa), and storing fresh
-// results — with per-round statistics, so later cache-hit runs can
-// still replay their round streams. Every successfully finished,
-// non-replayed cell is appended to the job's journal, so a crash
-// re-executes only the missing run keys. Cells are published to the
-// job's stream in canonical grid order from the calling goroutine; the
-// returned groups are nil (Aggregate folds the stream). Cancellation
-// via ctx aborts between rounds/cells.
-func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []expt.AggregateGroup, error) {
+// result cache per cell (the keys are canonical, so a cell repeats a
+// run submitted via POST /v1/runs, and an earlier sweep's cell), and
+// storing fresh results as outcome-only entries — a cell has no
+// streams, so a later run of the same key executes rather than replay
+// from it. Every successfully finished, non-replayed cell is appended
+// to the job's journal, so a crash re-executes only the missing run
+// keys. Cells are published to the job's stream in canonical grid order
+// from the calling goroutine. Cancellation via ctx aborts between
+// rounds/cells.
+func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	spec := j.Spec
 	sum := SweepSummary{Cells: spec.NumCells()}
 	workers := m.cfg.SweepWorkers
@@ -278,7 +267,6 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []exp
 	_, err := expt.ExecuteSweep(spec, expt.SweepOptions{
 		Workers:       m.cfg.SweepWorkers,
 		SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
-		CollectRounds: true,
 		Cancel:        ctx.Done(),
 		CellTimeLimit: m.cfg.RunTimeLimit,
 		Done: func(c expt.Cell) (expt.Outcome, bool) {
@@ -288,10 +276,10 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []exp
 			}
 			return out, ok
 		},
-		Lookup: func(c expt.Cell) (expt.Outcome, []temporal.RoundStats, bool) {
+		Lookup: func(c expt.Cell) (expt.Outcome, bool) {
 			key := c.Key()
-			if e, ok := m.cache.Get(key); ok {
-				return e.Outcome, e.Rounds, true
+			if e, ok := m.cache.Get(key, false); ok {
+				return e.Outcome, true
 			}
 			// Coalesce with an identical spec already in flight as a
 			// /v1/runs job (same dedup Submit does via inWork): wait
@@ -299,14 +287,14 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []exp
 			// twice. Its completion populates the cache.
 			if j := m.liveJob(key); j != nil {
 				j.stream.Wait(ctx, math.MaxInt)
-				if e, ok := m.cache.Get(key); ok {
-					return e.Outcome, e.Rounds, true
+				if e, ok := m.cache.Get(key, false); ok {
+					return e.Outcome, true
 				}
 			}
-			return expt.Outcome{}, nil, false
+			return expt.Outcome{}, false
 		},
 		Store: func(cr expt.CellResult) {
-			m.cache.Add(cr.Cell.Key(), cacheEntry{Outcome: cr.Outcome, Rounds: cr.Rounds})
+			m.cache.Add(cr.Cell.Key(), cacheEntry{Outcome: cr.Outcome})
 		},
 		Emit: func(cr expt.CellResult) {
 			if cr.Ran {
@@ -341,25 +329,23 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, []exp
 		m.metrics.gridUtilization.Observe(busy.Seconds() / (wall.Seconds() * float64(workers)))
 	}
 	sum.Done = err == nil
-	return sum, nil, err
+	return sum, err
 }
 
 // runGridFleet is runGrid's coordinator-mode counterpart: the grid is
-// sharded across the fleet's registered workers (fleet.RunGrid), each
-// worker's cell stream is tailed and merged back into canonical grid
-// order, and the per-shard worker aggregates fold-merge into the
-// returned groups — byte-identical to what a single-process run of
-// the same grid would aggregate. Worker failure mid-shard re-dispatches
-// the shard to a healthy worker inside fleet.RunGrid; the job's stream
-// still receives every cell exactly once, in canonical order, from this
-// goroutine. Durability works at shard granularity: completed shards
-// are journaled via the Persist hook, and a resumed grid serves them
-// back through Completed instead of re-dispatching — a fresh
-// coordinator on a dead one's data dir picks the grid up exactly
-// where the journal left it. Cell results are not entered into the
-// local result cache: they already live in the worker-side caches, and
-// a coordinator exists to stay out of simulation work entirely.
-func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, []expt.AggregateGroup, error) {
+// sharded across the fleet's registered workers (fleet.RunGrid) and
+// each worker's cell stream is tailed and merged back into canonical
+// grid order. Worker failure mid-shard re-dispatches the shard to a
+// healthy worker inside fleet.RunGrid; the job's stream still receives
+// every cell exactly once, in canonical order, from this goroutine.
+// Durability works at shard granularity: completed shards are journaled
+// via the Persist hook, and a resumed grid serves them back through
+// Completed instead of re-dispatching — a fresh coordinator on a dead
+// one's data dir picks the grid up exactly where the journal left it.
+// Cell results are not entered into the local result cache: they
+// already live in the worker-side caches, and a coordinator exists to
+// stay out of simulation work entirely.
+func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	var hooks fleet.GridHooks
 	if len(j.doneShards) > 0 {
 		hooks.Completed = func(shardKey string) (fleet.ShardResult, bool) {
@@ -379,12 +365,12 @@ func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, 
 			j.journal.sync()
 		}
 	}
-	fsum, groups, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, func(c SweepCell) {
+	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, func(c SweepCell) {
 		// The coordinator counts merged cells too (no durations — the
 		// workers own those), so cross-process cell totals can be
 		// checked against each other at scrape time.
 		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
 		j.cells.publish(c)
 	}, hooks)
-	return fsum.WireSummary, groups, err
+	return fsum.WireSummary, err
 }

@@ -9,9 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"adnet/internal/expt"
 )
 
 // postSweepJob submits a sweep spec and returns the parsed job status.
@@ -272,14 +275,66 @@ func TestSweepJobPerCellCacheHits(t *testing.T) {
 		t.Fatalf("RunsExecuted grew to %d on a fully cached sweep", got)
 	}
 
-	// And the reverse direction: a run submitted after the sweep hits
-	// the sweep-populated cache, including round replay.
-	hit, code := postRun(t, srv, RunSpec{Algorithm: "graph-to-star", Workload: "line", N: 24, Seed: 2})
-	if code != http.StatusOK || !hit.Cached {
-		t.Fatalf("post-sweep run not served from cache: code=%d cached=%v", code, hit.Cached)
+	// And the reverse direction: a sweep cell leaves an outcome but no
+	// streams, so a run submitted after the sweep executes — to the same
+	// outcome, with all of its streams — and only then serves replays.
+	cell := cells[3] // graph-to-star/line/24/seed 2
+	checkRunAfterOutcomeOnlyEntry(t, srv,
+		RunSpec{Algorithm: cell.Algorithm, Workload: cell.Workload, N: cell.N, Seed: cell.Seed}, *cell.Outcome)
+	if got := m.RunsExecuted(); got != int64(wantCells)+1 {
+		t.Fatalf("RunsExecuted = %d, want %d (the post-sweep run, once)", got, wantCells+1)
 	}
-	if rounds := readRounds(t, srv, hit.Job.ID); len(rounds) != hit.Job.Outcome.Rounds {
-		t.Fatalf("sweep-cached run replayed %d rounds, want %d", len(rounds), hit.Job.Outcome.Rounds)
+}
+
+// checkRunAfterOutcomeOnlyEntry pins what a run submission gets when
+// the result cache knows spec's outcome but holds no streams for it (a
+// sweep cell or a journal recovery put it there): the run executes, to
+// the same outcome, and streams every round and every topology frame;
+// a second submission is a cache hit whose streams are the first's,
+// byte for byte, at no further encode.
+func checkRunAfterOutcomeOnlyEntry(t *testing.T, srv *httptest.Server, spec RunSpec, want expt.Outcome) {
+	t.Helper()
+	paths := []string{"/rounds", "/topology", "/topology?format=packed"}
+	drain := func(id string) [3][]string {
+		t.Helper()
+		var out [3][]string
+		for i, path := range paths {
+			out[i], _ = streamLines(t, srv.URL+"/v1/runs/"+id+path)
+		}
+		return out
+	}
+
+	sub, code := postRun(t, srv, spec)
+	if code != http.StatusAccepted || sub.Cached {
+		t.Fatalf("run over an outcome-only entry: code=%d cached=%v, want it to execute", code, sub.Cached)
+	}
+	st := awaitDone(t, srv, sub.Job.ID)
+	if st.Outcome == nil || *st.Outcome != want {
+		t.Fatalf("run outcome %+v, want the stored %+v", st.Outcome, want)
+	}
+	first := drain(sub.Job.ID)
+	for i, wantFrames := range []int{want.Rounds, want.Rounds + 1, want.Rounds + 1} {
+		if len(first[i]) != wantFrames {
+			t.Errorf("%s streamed %d frames, want %d", paths[i], len(first[i]), wantFrames)
+		}
+	}
+	if st.Rounds != want.Rounds {
+		t.Errorf("rounds_streamed = %d, want %d", st.Rounds, want.Rounds)
+	}
+
+	encoded, _ := scrape(t, srv).Sum("adnet_stream_frames_encoded_total", nil)
+	hit, code := postRun(t, srv, spec)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("second run: code=%d cached=%v, want a cache hit", code, hit.Cached)
+	}
+	if hit.Job.Outcome == nil || *hit.Job.Outcome != want || hit.Job.Rounds != want.Rounds {
+		t.Errorf("cache-hit status = %+v, want outcome %+v and %d rounds streamed", hit.Job, want, want.Rounds)
+	}
+	if replay := drain(hit.Job.ID); !reflect.DeepEqual(replay, first) {
+		t.Error("cache-hit replay is not byte-equal to the streams of the run that executed")
+	}
+	if after, _ := scrape(t, srv).Sum("adnet_stream_frames_encoded_total", nil); after != encoded {
+		t.Errorf("replaying a cache hit encoded %v frames, want 0", after-encoded)
 	}
 }
 

@@ -123,8 +123,8 @@ func unpackPairs(buf []byte) ([]int32, []byte, error) {
 // delta frames. It is two encode-once hubs over the same frames — one
 // per wire format (plain JSON and format=packed) — so a round costs
 // exactly one marshal per format regardless of subscriber count, and
-// a closed lazy replay (cache hit) encodes a format only when its
-// first subscriber arrives.
+// a cache-hit job, which serves the executing job's TopologyStream,
+// costs none.
 type TopologyStream struct {
 	json   stream[TopologyFrame]
 	packed stream[TopologyFrame]
@@ -139,20 +139,6 @@ func newTopologyStream(maxFrameBytes int64, jsonObs, packedObs *streamObs) *Topo
 	ts.packed.maxFrameBytes = maxFrameBytes
 	ts.packed.enc = packedFrame
 	ts.packed.obs = packedObs
-	return ts
-}
-
-// newClosedTopologyStream builds the replay source for cache-hit jobs:
-// both sides are pre-closed over the shared frame slice, with encoded
-// frames built lazily on the first subscriber of each format.
-func newClosedTopologyStream(frames []TopologyFrame, maxFrameBytes int64, jsonObs, packedObs *streamObs) *TopologyStream {
-	ts := newTopologyStream(maxFrameBytes, jsonObs, packedObs)
-	ts.json.items = frames
-	ts.json.done = true
-	ts.json.lazyFrames = true
-	ts.packed.items = frames
-	ts.packed.done = true
-	ts.packed.lazyFrames = true
 	return ts
 }
 
@@ -195,9 +181,6 @@ func (ts *TopologyStream) close() {
 	ts.json.close()
 	ts.packed.close()
 }
-
-// Frames snapshots the typed frames for cache storage.
-func (ts *TopologyStream) Frames() []TopologyFrame { return ts.json.snapshot() }
 
 // FrameBytes is the stream's retained encoded bytes across both
 // formats.

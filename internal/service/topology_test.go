@@ -249,7 +249,7 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				ts.close()
 
 				want := finalSlotPairs(res.History.CurrentView())
-				frames := ts.Frames()
+				frames := ts.json.snapshot()
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
@@ -319,7 +319,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Fatalf("run returned no result (err=%v)", runErr)
 				}
 
-				frames := ts.Frames()
+				frames := ts.json.snapshot()
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
@@ -385,7 +385,7 @@ func TestAPITopologyEndpoint(t *testing.T) {
 
 	body := get("/v1/runs/" + sub.Job.ID + "/topology")
 	var want bytes.Buffer
-	frames := job.Topology().Frames()
+	frames := job.Topology().json.snapshot()
 	if len(frames) == 0 {
 		t.Fatal("job published no topology frames")
 	}
