@@ -77,7 +77,6 @@ func main() {
 	sweeps := flag.Int("sweeps", 2, "concurrent sweeps before 503")
 	sweepTimeLimit := flag.Duration("sweep-time-limit", 10*time.Minute, "wall-clock budget per sweep job")
 	retainSweeps := flag.Int("retain-sweeps", 64, "finished sweep jobs kept queryable")
-	retainFrameBytes := flag.Int64("retain-frame-bytes", 4<<20, "encoded NDJSON frame bytes retained per stream (negative = unbounded)")
 	streamWriteTimeout := flag.Duration("stream-write-timeout", 30*time.Second, "per-batch write deadline on streaming endpoints; stalled subscribers are dropped (negative = none)")
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead sweep journal; on restart, intact journals resume interrupted sweeps re-executing only the missing cells (empty = no durability)")
 	coordinator := flag.Bool("coordinator", false, "coordinator mode: shard sweep grids across registered worker servers instead of the local engine fleet")
@@ -131,7 +130,6 @@ func main() {
 		MaxConcurrentSweeps: *sweeps,
 		SweepTimeLimit:      *sweepTimeLimit,
 		RetainSweeps:        *retainSweeps,
-		RetainFrameBytes:    *retainFrameBytes,
 		StreamWriteTimeout:  *streamWriteTimeout,
 		Metrics:             reg,
 		Logger:              logger,

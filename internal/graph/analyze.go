@@ -150,33 +150,11 @@ func (g *Graph) Dist(u, v ID) int {
 
 // IsConnected reports whether g is connected. The empty graph counts as
 // connected.
-func (g *Graph) IsConnected() bool {
-	if len(g.ids) == 0 {
-		return true
-	}
-	_, reached := g.bfsSlots(0)
-	return reached == len(g.ids)
-}
+func (g *Graph) IsConnected() bool { return new(BFSScratch).IsConnected(g) }
 
 // Eccentricity returns the greatest distance from u to any node, or -1
 // if some node is unreachable.
-func (g *Graph) Eccentricity(u ID) int {
-	s, ok := g.index[u]
-	if !ok {
-		return -1
-	}
-	dist, reached := g.bfsSlots(s)
-	if reached != len(g.ids) {
-		return -1
-	}
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
+func (g *Graph) Eccentricity(u ID) int { return new(BFSScratch).Eccentricity(g, u) }
 
 // Diameter returns the exact diameter of g (the maximum eccentricity),
 // or -1 if g is disconnected. It runs a BFS from every node, so it is
@@ -199,23 +177,7 @@ func (g *Graph) Diameter() int {
 // via double BFS (eccentricity of the farthest node from an arbitrary
 // start). It returns -1 if g is disconnected. The true diameter lies in
 // [result, 2·result].
-func (g *Graph) ApproxDiameter() int {
-	if len(g.ids) == 0 {
-		return 0
-	}
-	dist, reached := g.bfsSlots(0)
-	if reached != len(g.ids) {
-		return -1
-	}
-	far, farD := g.ids[0], 0
-	for slot, d := range dist {
-		v := g.ids[slot]
-		if d > farD || (d == farD && v < far) {
-			far, farD = v, d
-		}
-	}
-	return g.Eccentricity(far)
-}
+func (g *Graph) ApproxDiameter() int { return new(BFSScratch).ApproxDiameter(g) }
 
 // SpanningTree returns a BFS spanning tree of g rooted at root, as a
 // parent map (the root maps to itself). It returns false if g is

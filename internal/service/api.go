@@ -169,7 +169,7 @@ func NewHandler(m *Manager) http.Handler {
 	handleJobs(handle, "/v1/runs", m.runs)
 	handle("GET /v1/runs/{id}/rounds", func(w http.ResponseWriter, r *http.Request) {
 		if job, cursor, ok := streamTarget(w, r, m.runs); ok {
-			streamNDJSON(w, r, &job.Stream().stream, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
+			streamNDJSON(w, r, job.rounds, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
 		}
 	})
 	handle("GET /v1/runs/{id}/topology", func(w http.ResponseWriter, r *http.Request) {
@@ -179,9 +179,9 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			streamNDJSON(w, r, &job.Topology().json, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
+			streamNDJSON(w, r, job.topo, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
 		case "packed":
-			streamNDJSON(w, r, &job.Topology().packed, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoPackedSub)
+			streamNDJSON(w, r, job.topoPacked, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoPackedSub)
 		default:
 			writeAPIError(w, r, codeInvalidRequest,
 				errors.New("service: unknown topology format (want json or packed)"))
@@ -208,7 +208,7 @@ func NewHandler(m *Manager) http.Handler {
 		// A subscriber disconnect ends only this stream — the sweep
 		// keeps running for other subscribers. The summary line trails
 		// the cells once the sweep is terminal.
-		done := streamNDJSON(w, r, &job.Stream().stream, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
+		done := streamNDJSON(w, r, job.cells, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
 		if !done {
 			return
 		}
@@ -283,10 +283,17 @@ func NewHandler(m *Manager) http.Handler {
 	return mux
 }
 
+// maxBodyBytes caps a POST body. Dimensions are deduplicated only
+// after decoding, so without it a body of one repeated value is read
+// whole into memory; a default-limit grid (at most 1,024 cells) is a
+// few kilobytes.
+const maxBodyBytes = 1 << 20
+
 // decodeBody reads the request's JSON body into v, rejecting unknown
-// fields; it answers invalid_request itself when the body is bad.
+// fields and bodies over maxBodyBytes; it answers invalid_request
+// itself when the body is bad.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeAPIError(w, r, codeInvalidRequest, err)
@@ -349,10 +356,10 @@ func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jo
 
 // streamNDJSON replays s to the client as NDJSON — history from the
 // request's cursor (frame index, default 0), then a live tail until
-// the stream closes. The wire bytes come from the stream's encode-once
-// frame log: each published item was marshaled exactly once, and every
-// subscriber writes the same immutable frames, so fan-out to N
-// connections costs N writes but one encode per item. It returns
+// the log closes. The wire bytes are the log's own frames: each
+// published item was marshaled exactly once, and every subscriber
+// writes the same immutable frames, so fan-out to N connections costs
+// N writes but one encode per item. It returns
 // done=true when the stream was fully drained, done=false when the
 // subscriber was dropped mid-stream; callers append trailing lines
 // (e.g. a sweep summary) only when done. The frame index one past the
@@ -364,7 +371,7 @@ func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jo
 // time fails its write and is dropped — the producer, publishing into
 // the shared frame log, is never blocked by a stalled reader, and
 // other subscribers keep tailing unaffected.
-func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, s *stream[T], cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
+func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Declared before the status line so the client knows to expect
 	// it; the value lands when the handler returns.

@@ -7,13 +7,24 @@ import (
 	"adnet/internal/expt"
 )
 
-// replay is the two streams a run job publishes to and serves from.
-// The job that executes owns them; once it is done they are complete,
-// and every cache-hit job for the same key points at the same pair —
-// the frames the run encoded are the frames a replay writes.
+// replay is the three frame logs a run job publishes to and serves
+// from: /rounds, /topology and /topology?format=packed. The job that
+// executes owns them; once it is done they are complete, and every
+// cache-hit job for the same key points at the same three — the
+// frames the run encoded are the frames a replay writes.
 type replay struct {
-	stream *RoundStream
-	topo   *TopologyStream
+	rounds, topo, topoPacked *frameLog
+}
+
+func (rp *replay) close() {
+	rp.rounds.close()
+	rp.topo.close()
+	rp.topoPacked.close()
+}
+
+// FrameBytes is the encoded bytes the three logs hold.
+func (rp *replay) FrameBytes() int64 {
+	return rp.rounds.FrameBytes() + rp.topo.FrameBytes() + rp.topoPacked.FrameBytes()
 }
 
 // cacheEntry is the product of one successful run: its outcome and,

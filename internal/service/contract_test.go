@@ -152,6 +152,26 @@ func TestDeleteFinishedJobsAlreadyDone(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected pins the POST body limit: dimensions are
+// deduplicated after decoding, so a multi-megabyte seeds array of one
+// repeated value would otherwise be read whole and accepted as a
+// one-cell sweep.
+func TestOversizedBodyRejected(t *testing.T) {
+	t.Parallel()
+	srv, m := newTestServer(t, Config{Workers: 1})
+
+	body := `{"algorithms":["flood"],"workloads":["line"],"sizes":[8],"seeds":[1` +
+		strings.Repeat(",1", maxBodyBytes/2) + `]}`
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/sweeps", strings.NewReader(body))
+	status, eb := getEnvelope(t, req)
+	if status != http.StatusBadRequest || eb.Code != "invalid_request" {
+		t.Fatalf("POST of a %d-byte sweep body = %d %q, want 400 invalid_request", len(body), status, eb.Code)
+	}
+	if n := len(m.Sweeps()); n != 0 {
+		t.Errorf("oversized body created %d sweep jobs", n)
+	}
+}
+
 // streamLines drains one NDJSON stream response and returns its lines
 // plus the X-Adnet-Next-Cursor trailer (readable only after EOF).
 func streamLines(t *testing.T, url string) ([]string, string) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"adnet/internal/temporal"
 )
@@ -24,7 +25,8 @@ type FanoutBenchResult struct {
 // of adnet-bench -fanout; the caller wraps it in wall-clock and
 // allocation accounting, exactly like the engine perf records.
 func RunFanoutBench(rounds, subscribers int) FanoutBenchResult {
-	s := newRoundStream(0, nil)
+	var encodes int64 // written by the publishing goroutine only
+	s := newFrameLog(func(time.Duration) { encodes++ })
 	ctx := context.Background()
 	var fanned atomic.Int64
 	var wg sync.WaitGroup
@@ -58,5 +60,5 @@ func RunFanoutBench(rounds, subscribers int) FanoutBenchResult {
 	}
 	s.close()
 	wg.Wait()
-	return FanoutBenchResult{Encodes: s.Encodes(), FannedBytes: fanned.Load()}
+	return FanoutBenchResult{Encodes: encodes, FannedBytes: fanned.Load()}
 }

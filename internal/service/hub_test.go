@@ -16,13 +16,20 @@ import (
 
 	"adnet/internal/expt"
 	"adnet/internal/obs"
+	"adnet/internal/sim"
 	"adnet/internal/temporal"
 )
+
+// bareReplay is a run's three frame logs without instruments, for
+// tests that drive the topology hooks outside a Manager.
+func bareReplay() *replay {
+	return &replay{rounds: newFrameLog(nil), topo: newFrameLog(nil), topoPacked: newFrameLog(nil)}
+}
 
 // collectFrames drains every frame of s from cursor 0 and returns the
 // concatenated wire bytes. The stream must be closed (or get closed
 // concurrently) or the call blocks.
-func collectFrames[T any](t *testing.T, s *stream[T]) []byte {
+func collectFrames(t *testing.T, s *frameLog) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	cursor := 0
@@ -56,7 +63,7 @@ func sampleRounds(n int) []temporal.RoundStats {
 func TestFrameLogByteIdentity(t *testing.T) {
 	t.Parallel()
 
-	rs := newRoundStream(0, nil)
+	rs := newFrameLog(nil)
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	for _, st := range sampleRounds(50) {
@@ -66,11 +73,11 @@ func TestFrameLogByteIdentity(t *testing.T) {
 		}
 	}
 	rs.close()
-	if got := collectFrames(t, &rs.stream); !bytes.Equal(got, want.Bytes()) {
+	if got := collectFrames(t, rs); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("rounds frame bytes differ from json.Encoder output:\ngot  %q\nwant %q", got, want.Bytes())
 	}
 
-	cs := newCellStream(0, nil)
+	cs := newFrameLog(nil)
 	want.Reset()
 	out := expt.Outcome{N: 64, Rounds: 12, LeaderOK: true, FinalDiameter: 2}
 	cells := []SweepCell{
@@ -87,7 +94,7 @@ func TestFrameLogByteIdentity(t *testing.T) {
 		}
 	}
 	cs.close()
-	if got := collectFrames(t, &cs.stream); !bytes.Equal(got, want.Bytes()) {
+	if got := collectFrames(t, cs); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("cells frame bytes differ from json.Encoder output:\ngot  %q\nwant %q", got, want.Bytes())
 	}
 }
@@ -118,12 +125,19 @@ func TestEndpointByteIdentity(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("rounds endpoint: status=%d err=%v", resp.StatusCode, err)
 	}
+	// The reference history comes from running the same spec in
+	// process: runs are deterministic, and the server keeps no typed
+	// rounds to compare against.
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
-	for _, st := range job.Stream().snapshot() {
-		if err := enc.Encode(st); err != nil {
-			t.Fatal(err)
+	req := fastSpec(3).Request()
+	req.SimOpts = append(req.SimOpts, sim.WithRoundHook(func(ev sim.RoundEvent) {
+		if err := enc.Encode(ev.Stats); err != nil {
+			t.Error(err)
 		}
+	}))
+	if _, err := expt.Execute(req); err != nil {
+		t.Fatal(err)
 	}
 	if want.Len() == 0 {
 		t.Fatal("job streamed no rounds")
@@ -141,7 +155,8 @@ func TestEncodeOncePerItem(t *testing.T) {
 	t.Parallel()
 	const items, subs = 100, 32
 
-	live := newRoundStream(0, nil)
+	var liveEncodes int64
+	live := newFrameLog(func(time.Duration) { liveEncodes++ })
 	for _, st := range sampleRounds(items) {
 		live.publish(st)
 	}
@@ -158,67 +173,92 @@ func TestEncodeOncePerItem(t *testing.T) {
 	if err != nil || !cached {
 		t.Fatalf("resubmit = (cached=%v, err=%v), want cache hit", cached, err)
 	}
-	if hit.Stream() != job.Stream() || hit.Topology() != job.Topology() {
+	if hit.replay != job.replay {
 		t.Fatal("cache-hit job does not share the executing job's streams")
 	}
 
-	for name, s := range map[string]*RoundStream{"live": live, "replay": hit.Stream()} {
+	// Marshals are counted where they are instrumented: by the bare
+	// log's hook, and for the manager's logs on /metrics — one job ran,
+	// so the rounds series is that job's /rounds log.
+	type hub struct {
+		log     *frameLog
+		encodes func() int64
+	}
+	for name, h := range map[string]hub{
+		"live":   {live, func() int64 { return liveEncodes }},
+		"replay": {hit.rounds, m.metrics.streamEncoded.With(streamRounds).Value},
+	} {
+		s := h.log
 		var wg sync.WaitGroup
 		for i := 0; i < subs; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				collectFrames(t, &s.stream)
+				collectFrames(t, s)
 			}()
 		}
 		wg.Wait()
-		if got, want := s.Encodes(), int64(s.Len()); got != want || want == 0 {
+		if got, want := h.encodes(), int64(s.Len()); got != want || want == 0 {
 			t.Errorf("%s stream: %d encodes for %d items across %d subscribers, want exactly %d",
 				name, got, want, subs, want)
 		}
 	}
 }
 
-// TestFrameLogEvictionAndReencode bounds the shared log and checks a
-// late subscriber still replays the full, byte-identical history via
-// per-subscriber re-encoding of the evicted prefix.
-func TestFrameLogEvictionAndReencode(t *testing.T) {
+// TestStreamBytesIsWhatIsServed pins what /healthz stream_bytes
+// counts: the frame logs are the only store of what was published, so
+// for one finished run and one finished sweep it equals the bytes a
+// client drains from the four streaming endpoints (the cells summary
+// line is not a frame), and a cache-hit resubmission — which serves
+// the same logs — adds nothing.
+func TestStreamBytesIsWhatIsServed(t *testing.T) {
 	t.Parallel()
-	var reencoded, evicted int
-	hooks := &streamObs{
-		reencoded:  func(frames int) { reencoded += frames },
-		frameEvict: func(frames, bytes int) { evicted += frames },
-	}
-	s := newRoundStream(256, hooks) // a handful of ~70-byte frames
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	for _, st := range sampleRounds(80) {
-		s.publish(st)
-		if err := enc.Encode(st); err != nil {
+	srv, _ := newTestServer(t, Config{Workers: 1})
+
+	sub, _ := postRun(t, srv, fastSpec(91))
+	awaitDone(t, srv, sub.Job.ID)
+	sweep, _ := postSweepJob(t, srv, sweepSpec())
+	awaitSweepState(t, srv, sweep.ID, StateDone)
+
+	drain := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return body
 	}
-	s.close()
-	if evicted == 0 {
-		t.Fatal("byte bound never evicted a frame")
+	var served int64
+	for _, path := range []string{"/rounds", "/topology", "/topology?format=packed"} {
+		served += int64(len(drain("/v1/runs/" + sub.Job.ID + path)))
 	}
-	if fb := s.FrameBytes(); fb > 256 {
-		t.Errorf("retained frame bytes %d exceed the 256-byte bound", fb)
+	cells := drain("/v1/sweeps/" + sweep.ID + "/cells")
+	summaryAt := bytes.LastIndexByte(cells[:len(cells)-1], '\n') + 1
+	if !bytes.Contains(cells[summaryAt:], []byte(`"done"`)) {
+		t.Fatalf("cells stream does not end in a summary line: %q", cells[summaryAt:])
 	}
-	if got := collectFrames(t, &s.stream); !bytes.Equal(got, want.Bytes()) {
-		t.Error("cold replay across the eviction horizon is not byte-identical")
+	served += int64(summaryAt)
+
+	var health healthResponse
+	mustGetJSON(t, srv, "/healthz", &health)
+	if health.Stats.StreamBytes != served || served == 0 {
+		t.Errorf("stream_bytes = %d, clients drained %d", health.Stats.StreamBytes, served)
 	}
-	if reencoded == 0 {
-		t.Error("cold replay should have been counted as re-encodes")
+	if st := getSweepStatus(t, srv, sweep.ID); st.StreamBytes != int64(summaryAt) {
+		t.Errorf("sweep stream_bytes = %d, /cells served %d", st.StreamBytes, summaryAt)
 	}
-	// The hot tail is still served from the shared log: a subscriber
-	// starting past the eviction horizon triggers no re-encode.
-	before := reencoded
-	if _, ok := s.WaitFrames(context.Background(), 79); !ok {
-		t.Fatal("tail read failed")
+
+	if hit, code := postRun(t, srv, fastSpec(91)); code != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmit = (%d, cached=%v), want cache hit", code, hit.Cached)
 	}
-	if reencoded != before {
-		t.Error("hot-tail read re-encoded frames")
+	mustGetJSON(t, srv, "/healthz", &health)
+	if health.Stats.StreamBytes != served {
+		t.Errorf("stream_bytes after a cache hit = %d, want %d unchanged", health.Stats.StreamBytes, served)
 	}
 }
 
@@ -245,15 +285,15 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			name: "topology",
 			kind: streamTopo,
 			serve: func(mt *metrics, timeout time.Duration) (http.HandlerFunc, func(i int), func(), *int64) {
-				ts := newTopologyStream(0, nil, nil)
+				ts := bareReplay()
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, &ts.json, 0, timeout, mt.topoSub)
+					streamNDJSON(w, r, ts.topo, 0, timeout, mt.topoSub)
 				}
 				publish := func(i int) {
 					f := TopologyFrame{Round: i + 1, Activate: bigDelta}
 					total += int64(len(jsonFrame(f)))
-					ts.publish(f)
+					ts.publishTopology(f)
 				}
 				return handler, publish, ts.close, &total
 			},
@@ -262,10 +302,10 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			name: "rounds",
 			kind: streamRounds,
 			serve: func(mt *metrics, timeout time.Duration) (http.HandlerFunc, func(i int), func(), *int64) {
-				rs := newRoundStream(0, nil)
+				rs := newFrameLog(nil)
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, &rs.stream, 0, timeout, mt.roundsSub)
+					streamNDJSON(w, r, rs, 0, timeout, mt.roundsSub)
 				}
 				publish := func(i int) {
 					st := temporal.RoundStats{Round: i + 1, Activated: i, ActiveEdges: 1 << 20}
@@ -361,7 +401,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 // package with -race).
 func TestStreamFanoutRace(t *testing.T) {
 	t.Parallel()
-	s := newRoundStream(512, nil)
+	s := newFrameLog(nil)
 	const items, subs = 400, 8
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -398,7 +438,6 @@ func TestStreamFanoutRace(t *testing.T) {
 		for j := 0; j < 200; j++ {
 			_ = s.Len()
 			_ = s.FrameBytes()
-			_ = s.snapshot()
 		}
 	}()
 	wg.Wait()
@@ -440,7 +479,8 @@ func BenchmarkFanout(b *testing.B) {
 			b.ReportAllocs()
 			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				s := newRoundStream(0, nil)
+				var encodes int64
+				s := newFrameLog(func(time.Duration) { encodes++ })
 				for j := range rounds {
 					s.publish(rounds[j])
 				}
@@ -465,7 +505,7 @@ func BenchmarkFanout(b *testing.B) {
 					}()
 				}
 				wg.Wait()
-				if got := s.Encodes(); got != items {
+				if got := encodes; got != items {
 					b.Fatalf("hub performed %d encodes, want %d", got, items)
 				}
 			}

@@ -67,13 +67,6 @@ type Config struct {
 	// (default 64). A retained sweep keeps its full cell stream in
 	// memory, so the bound is deliberately tighter than RetainJobs.
 	RetainSweeps int
-	// RetainFrameBytes bounds the encoded-frame log of each stream
-	// (default 4 MiB per stream; negative disables the bound). Beyond
-	// it the oldest encoded frames are evicted — the typed items stay,
-	// and a subscriber replaying the evicted range gets per-subscriber
-	// re-encoded frames, so no data is lost, only the shared-log
-	// memory is capped.
-	RetainFrameBytes int64
 	// StreamWriteTimeout is the per-write-batch deadline on the NDJSON
 	// streaming endpoints (default 30s; negative disables). A
 	// subscriber that cannot drain a batch within it is dropped — the
@@ -142,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.RetainSweeps <= 0 {
 		c.RetainSweeps = 64
 	}
-	if c.RetainFrameBytes == 0 {
-		c.RetainFrameBytes = 4 << 20
-	}
 	if c.StreamWriteTimeout == 0 {
 		c.StreamWriteTimeout = 30 * time.Second
 	}
@@ -191,7 +181,7 @@ func (j *Job) Status() JobStatus {
 		State:     j.state,
 		FromCache: j.FromCache,
 		jobTimes:  j.times,
-		Rounds:    j.stream.Len(),
+		Rounds:    j.rounds.Len(),
 	}
 	if j.outcome != nil {
 		o := *j.outcome
@@ -199,12 +189,6 @@ func (j *Job) Status() JobStatus {
 	}
 	return st
 }
-
-// Stream exposes the job's round stream for subscribers.
-func (j *Job) Stream() *RoundStream { return j.stream }
-
-// Topology exposes the job's topology delta stream for subscribers.
-func (j *Job) Topology() *TopologyStream { return j.topo }
 
 // Manager owns the worker pool, the job table, the sweep-job table,
 // the in-flight dedup index, the result cache, and the sweep gate.
@@ -390,11 +374,11 @@ type Stats struct {
 	Coordinator  bool  `json:"coordinator"`
 	FleetWorkers int   `json:"fleet_workers"`
 	FleetHealthy int   `json:"fleet_healthy"`
-	// StreamBytes is the encoded NDJSON frame bytes currently retained
-	// by the broadcast hubs of every tracked job and sweep (streams that
-	// cache-hit jobs share with the job that executed count once) — the
-	// server's streaming memory footprint under the RetainFrameBytes
-	// bound.
+	// StreamBytes is the encoded NDJSON frame bytes held by the frame
+	// logs of every tracked job and sweep (logs that cache-hit jobs
+	// share with the job that executed count once) — the server's whole
+	// streaming memory footprint, and exactly the bytes the streaming
+	// endpoints of those jobs serve.
 	StreamBytes int64 `json:"stream_bytes"`
 	// UptimeSeconds and GoVersion let probes distinguish a restarted
 	// server from a live one and audit the deployed toolchain.
@@ -411,7 +395,7 @@ func (m *Manager) Stats() Stats {
 	for _, j := range runs {
 		if _, dup := counted[j.replay]; !dup {
 			counted[j.replay] = struct{}{}
-			streamBytes += j.stream.FrameBytes() + j.topo.FrameBytes()
+			streamBytes += j.replay.FrameBytes()
 		}
 	}
 	for _, j := range sweeps {
@@ -446,23 +430,15 @@ func (m *Manager) Fleet() *fleet.Coordinator { return m.cfg.Fleet }
 // dedup joins excluded) — the observable for "no re-simulation".
 func (m *Manager) RunsExecuted() int64 { return m.runsExecuted.Load() }
 
-// frameBudget maps the config's RetainFrameBytes to the stream bound
-// (negative config means unbounded, which the streams spell as 0).
-func (m *Manager) frameBudget() int64 {
-	if m.cfg.RetainFrameBytes < 0 {
-		return 0
-	}
-	return m.cfg.RetainFrameBytes
-}
-
-// newJob builds a queued job over cached, a finished run's streams, or
-// — when cached is nil — over fresh ones for it to publish to.
+// newJob builds a queued job over cached, a finished run's frame logs,
+// or — when cached is nil — over fresh ones for it to publish to.
 func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 	rp := cached
 	if rp == nil {
 		rp = &replay{
-			stream: newRoundStream(m.frameBudget(), m.metrics.roundsObs),
-			topo:   newTopologyStream(m.frameBudget(), m.metrics.topoObs, m.metrics.topoPackedObs),
+			rounds:     newFrameLog(m.metrics.roundsObs),
+			topo:       newFrameLog(m.metrics.topoObs),
+			topoPacked: newFrameLog(m.metrics.topoPackedObs),
 		}
 	}
 	return &Job{
@@ -489,8 +465,7 @@ func (m *Manager) execute(j *Job) {
 			delete(m.inWork, key)
 		}
 		m.mu.Unlock()
-		j.stream.close()
-		j.topo.close()
+		j.replay.close()
 		m.runs.retire(j.ID)
 	}()
 
@@ -513,9 +488,9 @@ func (m *Manager) execute(j *Job) {
 		opts = append(opts, sim.WithParallelism(1))
 	}
 	opts = append(opts,
-		sim.WithRoundHook(func(ev sim.RoundEvent) { j.stream.publish(ev.Stats) }),
-		sim.WithStartHook(func(ev sim.StartEvent) { j.topo.publishHeader(ev.N, ev.Edges) }),
-		sim.WithDeltaHook(j.topo.publishDelta),
+		sim.WithRoundHook(func(ev sim.RoundEvent) { j.rounds.publish(ev.Stats) }),
+		sim.WithStartHook(func(ev sim.StartEvent) { j.publishHeader(ev.N, ev.Edges) }),
+		sim.WithDeltaHook(j.publishDelta),
 		sim.WithCancel(ctx.Done()),
 		sim.WithRunObserver(m.metrics.observeRun),
 	)

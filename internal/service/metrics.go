@@ -52,15 +52,12 @@ type metrics struct {
 	engineEfficiency *obs.Histogram
 
 	// Broadcast hub. Producer side: one encode per published frame
-	// (latency histogram + counter by stream kind), re-encodes for
-	// subscribers replaying evicted ranges, frames evicted by the
-	// retention bound. Subscriber side: live subscriber gauge, frames
-	// and bytes fanned out, subscribers dropped by the backpressure
-	// policy (write deadline exceeded or connection gone mid-batch).
+	// (latency histogram + counter by stream kind). Subscriber side:
+	// live subscriber gauge, frames and bytes fanned out, subscribers
+	// dropped by the backpressure policy (write deadline exceeded or
+	// connection gone mid-batch).
 	streamEncoded     *obs.CounterVec
 	streamEncodeSecs  *obs.Histogram
-	streamReencoded   *obs.CounterVec
-	streamEvicted     *obs.CounterVec
 	streamSubscribers *obs.GaugeVec
 	streamFramesSent  *obs.CounterVec
 	streamBytesSent   *obs.CounterVec
@@ -78,8 +75,8 @@ type metrics struct {
 	journalResumedSweeps  *obs.Counter
 	journalTorn           *obs.Counter
 
-	// Per-kind producer hooks handed to the streams at construction.
-	roundsObs, cellsObs, topoObs, topoPackedObs *streamObs
+	// Per-kind encode hooks handed to the frame logs at construction.
+	roundsObs, cellsObs, topoObs, topoPackedObs func(time.Duration)
 	// Per-kind fan-out-side series, resolved once for the handlers.
 	roundsSub, cellsSub, topoSub, topoPackedSub subscriberObs
 }
@@ -144,12 +141,6 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 		streamEncodeSecs: reg.Histogram("adnet_stream_encode_duration_seconds",
 			"Per-frame encode latency in the broadcast hub (all stream kinds).",
 			obs.ExpBuckets(1e-7, 4, 12)),
-		streamReencoded: reg.CounterVec("adnet_stream_frames_reencoded_total",
-			"Frames re-encoded per subscriber replaying a range the retention bound already evicted, by stream kind.",
-			"stream"),
-		streamEvicted: reg.CounterVec("adnet_stream_frames_evicted_total",
-			"Frames evicted from the shared frame log by the retention byte bound, by stream kind.",
-			"stream"),
 		streamSubscribers: reg.GaugeVec("adnet_stream_subscribers",
 			"NDJSON subscribers currently attached, by stream kind.",
 			"stream"),
@@ -176,10 +167,10 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 		journalTorn: reg.Counter("adnet_journal_torn_records_total",
 			"Torn final journal records truncated and tolerated during replay."),
 	}
-	m.roundsObs = m.streamObsFor(streamRounds)
-	m.cellsObs = m.streamObsFor(streamCells)
-	m.topoObs = m.streamObsFor(streamTopo)
-	m.topoPackedObs = m.streamObsFor(streamTopoPacked)
+	m.roundsObs = m.encodeObsFor(streamRounds)
+	m.cellsObs = m.encodeObsFor(streamCells)
+	m.topoObs = m.encodeObsFor(streamTopo)
+	m.topoPackedObs = m.encodeObsFor(streamTopoPacked)
 	m.roundsSub = m.subscriberObsFor(streamRounds)
 	m.cellsSub = m.subscriberObsFor(streamCells)
 	m.topoSub = m.subscriberObsFor(streamTopo)
@@ -187,24 +178,14 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 	return m
 }
 
-// streamObsFor resolves one kind's series once so the per-frame path
+// encodeObsFor resolves one kind's series once so the per-frame path
 // is a pure Add/Observe.
-func (mt *metrics) streamObsFor(kind string) *streamObs {
+func (mt *metrics) encodeObsFor(kind string) func(time.Duration) {
 	encoded := mt.streamEncoded.With(kind)
-	reencoded := mt.streamReencoded.With(kind)
-	evictFrames := mt.streamEvicted.With(kind)
 	encodeSecs := mt.streamEncodeSecs
-	return &streamObs{
-		encoded: func(d time.Duration, frameBytes int) {
-			encoded.Inc()
-			encodeSecs.Observe(d.Seconds())
-		},
-		reencoded: func(frames int) {
-			reencoded.Add(int64(frames))
-		},
-		frameEvict: func(frames, bytes int) {
-			evictFrames.Add(int64(frames))
-		},
+	return func(d time.Duration) {
+		encoded.Inc()
+		encodeSecs.Observe(d.Seconds())
 	}
 }
 

@@ -246,7 +246,7 @@ func TestMetricsCoverBroadcastHub(t *testing.T) {
 	sub, _ := postRun(t, srv, fastSpec(77))
 	awaitDone(t, srv, sub.Job.ID)
 	job, _ := m.Get(sub.Job.ID)
-	rounds := float64(job.Stream().Len())
+	rounds := float64(job.rounds.Len())
 
 	// Two subscribers per stream kind: encodes must not double.
 	for i := 0; i < 2; i++ {

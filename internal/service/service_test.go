@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -344,22 +345,26 @@ func TestManagerCloseRejectsSubmit(t *testing.T) {
 
 func TestRoundStreamReplayAndLiveTail(t *testing.T) {
 	t.Parallel()
-	s := newRoundStream(0, nil)
+	s := newFrameLog(nil)
 	for i := 1; i <= 3; i++ {
 		s.publish(temporal.RoundStats{Round: i})
 	}
 	ctx := context.Background()
 
 	// Replay: a late subscriber sees all published rounds at once.
-	batch, ok := s.Wait(ctx, 0)
+	batch, ok := s.WaitFrames(ctx, 0)
 	if !ok || len(batch) != 3 {
 		t.Fatalf("replay batch = (%d, %v), want 3 rounds", len(batch), ok)
 	}
+	// Replay from a cursor starts at that frame.
+	if batch, ok := s.WaitFrames(ctx, 2); !ok || len(batch) != 1 || !bytes.Equal(batch[0], jsonFrame(temporal.RoundStats{Round: 3})) {
+		t.Fatalf("cursor=2 batch = (%q, %v), want round 3's frame", batch, ok)
+	}
 
-	// Live tail: a blocked Wait is released by the next publish.
+	// Live tail: a blocked WaitFrames is released by the next publish.
 	got := make(chan int, 1)
 	go func() {
-		b, _ := s.Wait(ctx, 3)
+		b, _ := s.WaitFrames(ctx, 3)
 		got <- len(b)
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -370,26 +375,26 @@ func TestRoundStreamReplayAndLiveTail(t *testing.T) {
 			t.Fatalf("tail batch = %d rounds, want 1", n)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Wait never woke on publish")
+		t.Fatal("WaitFrames never woke on publish")
 	}
 
 	// Close drains: consumed streams return ok=false.
 	s.close()
-	if _, ok := s.Wait(ctx, 4); ok {
-		t.Fatal("Wait on a closed, fully-consumed stream must return false")
+	if _, ok := s.WaitFrames(ctx, 4); ok {
+		t.Fatal("WaitFrames on a closed, fully-consumed stream must return false")
 	}
-	if batch, ok := s.Wait(ctx, 0); !ok || len(batch) != 4 {
+	if batch, ok := s.WaitFrames(ctx, 0); !ok || len(batch) != 4 {
 		t.Fatal("closed stream must still replay history")
 	}
 }
 
 func TestRoundStreamWaitHonorsContext(t *testing.T) {
 	t.Parallel()
-	s := newRoundStream(0, nil)
+	s := newFrameLog(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := s.Wait(ctx, 0)
+		_, ok := s.WaitFrames(ctx, 0)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -397,10 +402,10 @@ func TestRoundStreamWaitHonorsContext(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("canceled Wait must return ok=false")
+			t.Fatal("canceled WaitFrames must return ok=false")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Wait ignored context cancellation")
+		t.Fatal("WaitFrames ignored context cancellation")
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -26,15 +27,17 @@ var (
 
 // SweepJob tracks one submitted SweepSpec grid through the same
 // lifecycle as a run Job: queued → running → done/failed/canceled.
-// Finished cells are retained on the job's CellStream (bounded by the
-// sweep-cell limit) so any number of late subscribers can replay them;
-// individual cell results additionally land in the manager's LRU
-// result cache under their canonical run keys.
+// Finished cells are retained as the frames of the job's cell log
+// (bounded by the sweep-cell limit) so any number of late subscribers
+// can replay them; individual cell results additionally land in the
+// manager's LRU result cache under their canonical run keys.
 type SweepJob struct {
 	ID   string
 	Spec SweepSpec
 
-	cells *CellStream
+	// cells is the frame log behind /cells, in canonical cell order —
+	// the only form the job keeps of its finished cells.
+	cells *frameLog
 	// reqID is the request ID of the submitting HTTP request; the
 	// background execution re-attaches it to its context so sweep
 	// lifecycle logs — and coordinator→worker dispatches — stay
@@ -63,8 +66,8 @@ type SweepStatus struct {
 	// finished and streamed.
 	Cells     int `json:"cells"`
 	CellsDone int `json:"cells_done"`
-	// StreamBytes is the encoded NDJSON bytes currently retained in
-	// the sweep's cell-stream frame log (bounded by RetainFrameBytes).
+	// StreamBytes is the encoded NDJSON bytes the sweep's cell log
+	// holds: what /cells serves, summary line excluded.
 	StreamBytes int64 `json:"stream_bytes"`
 	// Resumed marks a job whose journal carried work from a previous
 	// process life: only the missing run keys execute.
@@ -94,9 +97,6 @@ func (j *SweepJob) Status() SweepStatus {
 	return st
 }
 
-// Stream exposes the job's cell stream for subscribers.
-func (j *SweepJob) Stream() *CellStream { return j.cells }
-
 // finish publishes the terminal state, summary and error in one
 // critical section: a status poll must never observe a summary (or
 // error) on a still-running sweep — clients treat summary presence as
@@ -118,7 +118,16 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 	if !j.State().terminal() {
 		return nil, ErrSweepRunning
 	}
-	return expt.AggregateWire(j.cells.snapshot()), nil
+	// A terminal sweep has published every cell it will (the log closes
+	// right after), so one read from cursor 0 is the whole log.
+	frames, _ := j.cells.WaitFrames(context.Background(), 0)
+	cells := make([]SweepCell, len(frames))
+	for i, frame := range frames {
+		if err := json.Unmarshal(frame, &cells[i]); err != nil {
+			return nil, fmt.Errorf("service: cell frame %d: %w", i, err)
+		}
+	}
+	return expt.AggregateWire(cells), nil
 }
 
 // SubmitSweep validates spec and registers a fire-and-forget sweep
@@ -148,7 +157,7 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 	j := &SweepJob{
 		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
 		Spec:      spec,
-		cells:     newCellStream(m.frameBudget(), m.metrics.cellsObs),
+		cells:     newFrameLog(m.metrics.cellsObs),
 		reqID:     obs.RequestIDFromContext(ctx),
 		lifecycle: queued(),
 	}
@@ -286,7 +295,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			// for it instead of simulating the same deterministic run
 			// twice. Its completion populates the cache.
 			if j := m.liveJob(key); j != nil {
-				j.stream.Wait(ctx, math.MaxInt)
+				j.rounds.WaitFrames(ctx, math.MaxInt)
 				if e, ok := m.cache.Get(key, false); ok {
 					return e.Outcome, true
 				}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"adnet/internal/dynamics"
 	"adnet/internal/expt"
 )
 
@@ -681,6 +682,54 @@ func TestSweepAggregateEndpoint(t *testing.T) {
 		t.Fatalf("aggregate of %s sweep = %d", st.State, code)
 	}
 	awaitSweepState(t, srv, running.ID, StateDone)
+}
+
+// TestAggregateFromFrames pins the aggregate a sweep serves — decoded
+// from its cell log's frames on request — to the bytes of the same
+// grid executed and folded in process, typed all the way: healthy
+// cells, cells that fail (they fold as group errors), and cells run
+// under a dynamics environment.
+func TestAggregateFromFrames(t *testing.T) {
+	t.Parallel()
+	srv, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 2, MaxConcurrentSweeps: 3})
+
+	healthy := sweepSpec()
+	failing := sweepSpec()
+	failing.MaxRounds = 1
+	perturbed := sweepSpec()
+	perturbed.Dynamics = &dynamics.Spec{Class: dynamics.ClassEdgeChurn, Rate: 2}
+	for name, spec := range map[string]SweepSpec{"healthy": healthy, "failing": failing, "dynamics": perturbed} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			job, code := postSweepJob(t, srv, spec)
+			if code != http.StatusAccepted {
+				t.Fatalf("POST = %d", code)
+			}
+			awaitSweepState(t, srv, job.ID, StateDone)
+
+			resp, err := http.Get(srv.URL + "/v1/sweeps/" + job.ID + "/aggregate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET aggregate = %d, %v", resp.StatusCode, err)
+			}
+
+			groups, err := expt.AggregateSweep(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "failing" && groups[0].Errors != len(spec.Seeds) {
+				t.Fatalf("max_rounds=1 star group = %+v, want every seed an error", groups[0])
+			}
+			want := jsonFrame(sweepAggregateResponse{ID: job.ID, State: StateDone, Groups: groups})
+			if !bytes.Equal(got, want) {
+				t.Errorf("aggregate differs from the in-process fold:\ngot  %s\nwant %s", got, want)
+			}
+		})
+	}
 }
 
 // TestSweepAggregateNonTerminalReturns409 is the regression test for

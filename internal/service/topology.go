@@ -47,14 +47,14 @@ type packedTopologyFrame struct {
 	P     string `json:"p"`
 }
 
-// packedFrame is the frame encoder of the packed topology stream. The
-// header packs its initial edge list; delta frames pack activations
+// packedFrame renders f in the packed topology format. The header
+// packs its initial edge list; delta frames pack activations
 // then deactivations (each length-prefixed), and — only when a
 // dynamics environment edited anything this round — the environment's
 // activations and deactivations as a third and fourth list. Decoders
 // detect the extension by the remaining bytes, and dynamics-free
 // streams stay byte-identical to the two-list format.
-func packedFrame(f TopologyFrame) []byte {
+func packedFrame(f TopologyFrame) packedTopologyFrame {
 	var buf []byte
 	if f.Round == 0 {
 		buf = packPairs(nil, f.Edges)
@@ -66,11 +66,11 @@ func packedFrame(f TopologyFrame) []byte {
 			buf = packPairs(buf, f.EnvDeactivate)
 		}
 	}
-	return jsonFrame(packedTopologyFrame{
+	return packedTopologyFrame{
 		Round: f.Round,
 		N:     f.N,
 		P:     base64.StdEncoding.EncodeToString(buf),
-	})
+	}
 }
 
 // packPairs appends one length-prefixed, delta-varint packed edge
@@ -119,71 +119,32 @@ func unpackPairs(buf []byte) ([]int32, []byte, error) {
 	return pairs, buf, nil
 }
 
-// TopologyStream is the per-job publication channel for topology
-// delta frames. It is two encode-once hubs over the same frames — one
-// per wire format (plain JSON and format=packed) — so a round costs
-// exactly one marshal per format regardless of subscriber count, and
-// a cache-hit job, which serves the executing job's TopologyStream,
-// costs none.
-type TopologyStream struct {
-	json   stream[TopologyFrame]
-	packed stream[TopologyFrame]
+// publishTopology appends one frame to both topology logs — plain
+// JSON and format=packed — so a round costs exactly one marshal per
+// format regardless of subscriber count, and a cache-hit job, which
+// serves the executing job's logs, costs none. Both marshals finish
+// before it returns: f's slices may be engine scratch.
+func (rp *replay) publishTopology(f TopologyFrame) {
+	rp.topo.publish(f)
+	rp.topoPacked.publish(packedFrame(f))
 }
 
-func newTopologyStream(maxFrameBytes int64, jsonObs, packedObs *streamObs) *TopologyStream {
-	ts := &TopologyStream{}
-	ts.json.init()
-	ts.json.maxFrameBytes = maxFrameBytes
-	ts.json.obs = jsonObs
-	ts.packed.init()
-	ts.packed.maxFrameBytes = maxFrameBytes
-	ts.packed.enc = packedFrame
-	ts.packed.obs = packedObs
-	return ts
+// publishHeader emits the round-0 header straight from a
+// sim.StartEvent's scratch edge slice.
+func (rp *replay) publishHeader(n int, edges []int32) {
+	rp.publishTopology(TopologyFrame{Round: 0, N: n, Edges: edges})
 }
 
-// publish appends one frame to both formats.
-func (ts *TopologyStream) publish(f TopologyFrame) {
-	ts.json.publish(f)
-	ts.packed.publish(f)
-}
-
-// publishHeader emits the round-0 header from a sim.StartEvent's
-// scratch edge slice (copied — the engine reuses it).
-func (ts *TopologyStream) publishHeader(n int, edges []int32) {
-	ts.publish(TopologyFrame{
-		Round: 0,
-		N:     n,
-		Edges: append([]int32(nil), edges...),
+// publishDelta emits one round's delta straight from the History's
+// scratch. Rounds with no reconfiguration still emit a frame: the
+// stream is the round clock, and an empty delta is two bytes of
+// payload.
+func (rp *replay) publishDelta(d temporal.RoundDelta) {
+	rp.publishTopology(TopologyFrame{
+		Round:         d.Round,
+		Activate:      d.Activate,
+		Deactivate:    d.Deactivate,
+		EnvActivate:   d.EnvActivate,
+		EnvDeactivate: d.EnvDeactivate,
 	})
-}
-
-// publishDelta emits one round's delta from the History's scratch
-// (copied — the engine reuses it next round). Rounds with no
-// reconfiguration still emit a frame: the stream is the round clock,
-// and an empty delta is two bytes of payload.
-func (ts *TopologyStream) publishDelta(d temporal.RoundDelta) {
-	f := TopologyFrame{
-		Round:      d.Round,
-		Activate:   append([]int32(nil), d.Activate...),
-		Deactivate: append([]int32(nil), d.Deactivate...),
-	}
-	if len(d.EnvActivate) > 0 {
-		f.EnvActivate = append([]int32(nil), d.EnvActivate...)
-	}
-	if len(d.EnvDeactivate) > 0 {
-		f.EnvDeactivate = append([]int32(nil), d.EnvDeactivate...)
-	}
-	ts.publish(f)
-}
-
-func (ts *TopologyStream) close() {
-	ts.json.close()
-	ts.packed.close()
-}
-
-// FrameBytes is the stream's retained encoded bytes across both
-// formats.
-func (ts *TopologyStream) FrameBytes() int64 {
-	return ts.json.FrameBytes() + ts.packed.FrameBytes()
 }

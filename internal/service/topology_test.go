@@ -113,9 +113,25 @@ func finalSlotPairs(g *graph.Graph) [][2]int32 {
 	return out
 }
 
+// decodeTopology decodes the frames a closed json-format topology log
+// serves.
+func decodeTopology(t *testing.T, s *frameLog) []TopologyFrame {
+	t.Helper()
+	var frames []TopologyFrame
+	dec := json.NewDecoder(bytes.NewReader(collectFrames(t, s)))
+	for dec.More() {
+		var f TopologyFrame
+		if err := dec.Decode(&f); err != nil {
+			t.Fatalf("bad frame: %v", err)
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
 // replayTopologyJSON drains a closed json-format topology stream and
 // replays header + deltas into the reconstructed edge set.
-func replayTopologyJSON(t *testing.T, s *stream[TopologyFrame], wantN int) edgeSet {
+func replayTopologyJSON(t *testing.T, s *frameLog, wantN int) edgeSet {
 	t.Helper()
 	es := make(edgeSet)
 	cursor, next := 0, 0
@@ -148,7 +164,7 @@ func replayTopologyJSON(t *testing.T, s *stream[TopologyFrame], wantN int) edgeS
 }
 
 // replayTopologyPacked does the same through the format=packed wire.
-func replayTopologyPacked(t *testing.T, s *stream[TopologyFrame], wantN int) edgeSet {
+func replayTopologyPacked(t *testing.T, s *frameLog, wantN int) edgeSet {
 	t.Helper()
 	es := make(edgeSet)
 	cursor, next := 0, 0
@@ -237,7 +253,7 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts := newTopologyStream(0, nil, nil)
+				ts := bareReplay()
 				opts := append([]sim.Option{
 					sim.WithStartHook(func(ev sim.StartEvent) { ts.publishHeader(ev.N, ev.Edges) }),
 					sim.WithDeltaHook(ts.publishDelta),
@@ -249,7 +265,7 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				ts.close()
 
 				want := finalSlotPairs(res.History.CurrentView())
-				frames := ts.json.snapshot()
+				frames := decodeTopology(t, ts.topo)
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
@@ -258,8 +274,8 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				}
 
 				for name, got := range map[string][][2]int32{
-					"json":   replayTopologyJSON(t, &ts.json, n).sorted(),
-					"packed": replayTopologyPacked(t, &ts.packed, n).sorted(),
+					"json":   replayTopologyJSON(t, ts.topo, n).sorted(),
+					"packed": replayTopologyPacked(t, ts.topoPacked, n).sorted(),
 				} {
 					if len(got) != len(want) {
 						t.Fatalf("%s replay: %d edges, want %d", name, len(got), len(want))
@@ -308,7 +324,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts := newTopologyStream(0, nil, nil)
+				ts := bareReplay()
 				res, runErr := sim.Run(g, factory,
 					sim.WithStartHook(func(ev sim.StartEvent) { ts.publishHeader(ev.N, ev.Edges) }),
 					sim.WithDeltaHook(ts.publishDelta),
@@ -319,7 +335,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Fatalf("run returned no result (err=%v)", runErr)
 				}
 
-				frames := ts.json.snapshot()
+				frames := decodeTopology(t, ts.topo)
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
@@ -333,8 +349,8 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 
 				want := finalSlotPairs(res.History.CurrentView())
 				for kind, got := range map[string][][2]int32{
-					"json":   replayTopologyJSON(t, &ts.json, n).sorted(),
-					"packed": replayTopologyPacked(t, &ts.packed, n).sorted(),
+					"json":   replayTopologyJSON(t, ts.topo, n).sorted(),
+					"packed": replayTopologyPacked(t, ts.topoPacked, n).sorted(),
 				} {
 					if len(got) != len(want) {
 						t.Fatalf("%s replay: %d edges, want %d (run err=%v)", kind, len(got), len(want), runErr)
@@ -385,7 +401,7 @@ func TestAPITopologyEndpoint(t *testing.T) {
 
 	body := get("/v1/runs/" + sub.Job.ID + "/topology")
 	var want bytes.Buffer
-	frames := job.Topology().json.snapshot()
+	frames := decodeTopology(t, job.topo)
 	if len(frames) == 0 {
 		t.Fatal("job published no topology frames")
 	}
@@ -410,8 +426,8 @@ func TestAPITopologyEndpoint(t *testing.T) {
 	if len(packedBody) >= len(body) {
 		t.Errorf("packed body (%d bytes) not smaller than json body (%d bytes)", len(packedBody), len(body))
 	}
-	jsonSet := replayTopologyJSON(t, &job.Topology().json, header.N).sorted()
-	packedSet := replayTopologyPacked(t, &job.Topology().packed, header.N).sorted()
+	jsonSet := replayTopologyJSON(t, job.topo, header.N).sorted()
+	packedSet := replayTopologyPacked(t, job.topoPacked, header.N).sorted()
 	if len(jsonSet) != len(packedSet) {
 		t.Fatalf("json and packed reconstructions disagree: %d vs %d edges", len(jsonSet), len(packedSet))
 	}
