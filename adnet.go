@@ -129,6 +129,9 @@ func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 		}
 		return nil, fmt.Errorf("adnet: unknown algorithm %v (want one of %v)", algo, valid)
 	}
+	if gs == nil {
+		return nil, fmt.Errorf("adnet: nil initial graph")
+	}
 	factory, defaults, err := expt.Simulation(algorithms[algo].registry, gs.NumNodes())
 	if err != nil {
 		return nil, err

@@ -105,6 +105,19 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNilGraph: a nil initial graph is an input error at both
+// doors, not a nil dereference.
+func TestRunRejectsNilGraph(t *testing.T) {
+	t.Parallel()
+	if _, err := Run(GraphToStar, nil); err == nil {
+		t.Error("adnet.Run accepted a nil graph")
+	}
+	_, err := sim.Run(nil, func(ID, sim.Env) sim.Machine { return nil })
+	if err == nil || !strings.Contains(err.Error(), "empty initial graph") {
+		t.Errorf("sim.Run(nil) = %v, want the empty-graph error", err)
+	}
+}
+
 // downForever is an environment that takes node 0 down after round 1
 // and never restarts it: the run can only end at its round cap, which
 // the engine's error then names.

@@ -431,7 +431,11 @@ func (f compareFilter) keep(rec perfRecord) bool {
 // runCompare re-measures the baseline's grid on the current binary and
 // prints per-record deltas. It returns an error (non-zero exit) when
 // allocs/round — a deterministic function of the code path — regresses
-// beyond allocTh, or ns/round beyond nsTh when nsTh > 0.
+// beyond allocTh, or ns/round beyond nsTh when nsTh > 0. Fan-out rows
+// are gated on encodes/round alone: the hub's allocs/round counts how
+// often a subscriber caught the log's head and had to wait (one
+// context.AfterFunc per wait), which is scheduling, not code, so it is
+// printed and not gated.
 func runCompare(f compareFilter) error {
 	data, err := os.ReadFile(f.path)
 	if err != nil {
@@ -483,7 +487,7 @@ func runCompare(f compareFilter) error {
 			base.Algorithm, base.Workload, base.N,
 			base.NsPerRound, cur.NsPerRound, 100*dNs,
 			base.AllocsPerRound, cur.AllocsPerRound, 100*dAllocs)
-		if dAllocs > f.allocTh {
+		if !f.fanout && dAllocs > f.allocTh {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: allocs/round %+.1f%% (threshold %.0f%%)", id, 100*dAllocs, 100*f.allocTh))
 		}
@@ -497,6 +501,11 @@ func runCompare(f compareFilter) error {
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("perf regressions vs %s:\n  %s", f.path, strings.Join(regressions, "\n  "))
+	}
+	if f.fanout {
+		fmt.Printf("OK: %d records keep encodes/round ≤ baseline (allocs informational%s)\n",
+			kept, nsNote(f.nsTh))
+		return nil
 	}
 	fmt.Printf("OK: %d records within thresholds (allocs ≤ +%.0f%%%s)\n",
 		kept, 100*f.allocTh, nsNote(f.nsTh))

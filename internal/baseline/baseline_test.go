@@ -55,7 +55,8 @@ func TestFloodLinearTimeZeroActivations(t *testing.T) {
 	// Token dissemination completed at every node.
 	all := graph.Line(n).Nodes()
 	per := make(map[graph.ID]map[graph.ID]bool, n)
-	for id, m := range res.Machines {
+	for nd := range res.Nodes {
+		id, m := nd.ID, nd.Machine
 		per[id] = m.(*FloodMachine).Known()
 	}
 	if err := tasks.VerifyTokenDissemination(all, per); err != nil {

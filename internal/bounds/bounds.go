@@ -80,53 +80,38 @@ func (k *KnowledgeTracker) Holders(u graph.ID) []graph.ID {
 // snapshot: the minimum distance from any node that knows UID u to
 // node v. It returns -1 if no holder can reach v.
 func Potential(h *temporal.History, k *KnowledgeTracker, u, v graph.ID) int {
-	cur := h.CurrentClone()
-	dist := cur.BFS(v)
-	best := -1
-	for _, w := range k.Holders(u) {
-		if d, ok := dist[w]; ok && (best < 0 || d < best) {
-			best = d
-		}
-	}
-	return best
+	return potentialOn(h.CurrentView(), k, u, v)
 }
 
 // PotentialSeries runs the machine on gs while recording PO_{u,v}
 // after every round; it returns the series (index 0 = initial
-// potential) together with the run result. The series is reconstructed
-// post-run from the traced edge lists and the buffered message flow.
+// potential) together with the run result. Each round the engine
+// calls the round hook (the message flow advances the tracker) and
+// then the delta hook (the round's committed edits, replayed onto a
+// private copy of D(i) in field order), which closes the round's entry.
 func PotentialSeries(gs *graph.Graph, factory sim.Factory, u, v graph.ID,
 	opts ...sim.Option) ([]int, *sim.Result, error) {
-	var perRound [][]sim.Message
+	ids := gs.Nodes() // ascending, so index = the delta's slot
+	tracker := NewKnowledgeTracker(ids)
+	cur := gs.Clone()
+	series := []int{potentialOn(cur, tracker, u, v)}
 	opts = append(opts,
-		sim.WithTrace(),
-		sim.WithRoundHook(func(ev sim.RoundEvent) {
-			msgs := make([]sim.Message, len(ev.Messages))
-			copy(msgs, ev.Messages)
-			perRound = append(perRound, msgs)
+		sim.WithRoundHook(tracker.Hook()),
+		sim.WithDeltaHook(func(d temporal.RoundDelta) {
+			for f, pairs := range [][]int32{d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate} {
+				for i := 0; i+1 < len(pairs); i += 2 {
+					if a, b := ids[pairs[i]], ids[pairs[i+1]]; f%2 == 0 {
+						cur.MustAddEdge(a, b)
+					} else {
+						cur.RemoveEdge(a, b)
+					}
+				}
+			}
+			series = append(series, potentialOn(cur, tracker, u, v))
 		}))
 	res, err := sim.Run(gs, factory, opts...)
 	if err != nil {
 		return nil, res, err
-	}
-
-	tracker := NewKnowledgeTracker(gs.Nodes())
-	cur := gs.Clone()
-	series := []int{potentialOn(cur, tracker, u, v)}
-	for r := 1; r <= res.Rounds; r++ {
-		if r-1 < len(perRound) {
-			tracker.Hook()(sim.RoundEvent{Messages: perRound[r-1]})
-		}
-		act, deact, ok := res.History.TraceRound(r)
-		if ok {
-			for _, e := range act {
-				cur.MustAddEdge(e.A, e.B)
-			}
-			for _, e := range deact {
-				cur.RemoveEdge(e.A, e.B)
-			}
-		}
-		series = append(series, potentialOn(cur, tracker, u, v))
 	}
 	return series, res, nil
 }

@@ -143,7 +143,8 @@ func TestGraphToStarCommitteeInvariants(t *testing.T) {
 	g := graph.Grid(6, 6)
 	res := runGTS(t, g)
 	umax := g.MaxID()
-	for id, mach := range res.Machines {
+	for nd := range res.Nodes {
+		id, mach := nd.ID, nd.Machine
 		gts := mach.(*GraphToStar)
 		if gts.Leader() != umax {
 			t.Errorf("node %d believes leader is %d, want %d", id, gts.Leader(), umax)

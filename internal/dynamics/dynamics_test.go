@@ -10,6 +10,7 @@ import (
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -119,7 +120,8 @@ func (m *expandMachine) Receive(ctx *sim.Context, inbox []sim.Message) {
 
 // envFingerprint runs the machine under a fresh Env for spec and
 // returns a deterministic rendering of the full execution: final
-// metrics plus every round's algorithm and environment trace.
+// metrics plus every round's delta — the algorithm's and the
+// environment's committed edits, all four lists.
 func envFingerprint(t *testing.T, spec Spec, workers int) string {
 	t.Helper()
 	env, err := New(spec, 7)
@@ -127,9 +129,13 @@ func envFingerprint(t *testing.T, spec Spec, workers int) string {
 		t.Fatalf("New(%+v): %v", spec, err)
 	}
 	factory := func(id graph.ID, _ sim.Env) sim.Machine { return &expandMachine{rounds: 24} }
+	var rounds strings.Builder
 	res, err := sim.Run(graph.Grid(4, 6), factory,
 		sim.WithEnvironment(env),
-		sim.WithTrace(),
+		sim.WithDeltaHook(func(d temporal.RoundDelta) {
+			fmt.Fprintf(&rounds, "r%d alg %v %v env %v %v\n",
+				d.Round, d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate)
+		}),
 		sim.WithMaxRounds(200),
 		sim.WithParallelism(workers))
 	if err != nil {
@@ -139,17 +145,7 @@ func envFingerprint(t *testing.T, spec Spec, workers int) string {
 	fmt.Fprintf(&b, "metrics=%+v\n", res.Metrics)
 	crashes, restarts := env.Counts()
 	fmt.Fprintf(&b, "faults=%d/%d\n", crashes, restarts)
-	for r := 1; ; r++ {
-		act, deact, ok := res.History.TraceRound(r)
-		if !ok {
-			break
-		}
-		fmt.Fprintf(&b, "r%d alg %v %v", r, act, deact)
-		if ea, ed, ok := res.History.TraceEnvRound(r); ok {
-			fmt.Fprintf(&b, " env %v %v", ea, ed)
-		}
-		b.WriteByte('\n')
-	}
+	b.WriteString(rounds.String())
 	return b.String()
 }
 

@@ -7,8 +7,26 @@ import (
 
 	"adnet/internal/baseline"
 	"adnet/internal/core"
+	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
+
+// recordDeltas appends a copy of every round's RoundDelta — the
+// per-round record, all four lists — to log. The engine reuses the
+// lists the next round, hence the copies; empty lists are stored as
+// nil so logs compare with reflect.DeepEqual.
+func recordDeltas(log *[]temporal.RoundDelta) sim.Option {
+	return sim.WithDeltaHook(func(d temporal.RoundDelta) {
+		*log = append(*log, temporal.RoundDelta{
+			Round:         d.Round,
+			Activate:      append([]int32(nil), d.Activate...),
+			Deactivate:    append([]int32(nil), d.Deactivate...),
+			EnvActivate:   append([]int32(nil), d.EnvActivate...),
+			EnvDeactivate: append([]int32(nil), d.EnvDeactivate...),
+		})
+	})
+}
 
 // TestOutcomeDeterministicAcrossParallelism runs every distributed
 // algorithm on a randomized workload with 1, 2 and GOMAXPROCS workers
@@ -56,11 +74,11 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestTraceDeterministicAcrossParallelism pins the stronger property
-// for every distributed algorithm: the full per-round activation/
-// deactivation trace — not just the aggregate outcome — plus the final
+// for every distributed algorithm: the full per-round record — every
+// round's RoundDelta, not just the aggregate outcome — plus the final
 // metrics and statuses are identical across worker counts. This is the
-// PR 2 byte-identical-trace invariant carried through the parallel
-// intent-collection and batch-apply path.
+// PR 2 byte-identical-trace invariant carried through the per-worker
+// intent batches and the batch-apply path.
 func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	const n = 96
@@ -85,31 +103,38 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(workers int) *sim.Result {
-				opts := append([]sim.Option{sim.WithParallelism(workers), sim.WithTrace()}, tc.opts...)
+			run := func(workers int) (*sim.Result, []temporal.RoundDelta, map[graph.ID]sim.Status) {
+				var log []temporal.RoundDelta
+				opts := append([]sim.Option{sim.WithParallelism(workers), recordDeltas(&log)}, tc.opts...)
 				res, err := sim.Run(g, tc.factory, opts...)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				return res
+				statuses := make(map[graph.ID]sim.Status)
+				for nd := range res.Nodes {
+					statuses[nd.ID] = nd.Status
+				}
+				return res, log, statuses
 			}
-			base := run(1)
+			base, baseLog, baseStatuses := run(1)
+			if len(baseLog) != base.Rounds {
+				t.Fatalf("%d deltas recorded for %d rounds", len(baseLog), base.Rounds)
+			}
 			for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-				res := run(w)
+				res, log, statuses := run(w)
 				if res.Rounds != base.Rounds {
 					t.Fatalf("workers=%d: rounds %d vs %d", w, res.Rounds, base.Rounds)
 				}
 				if res.Metrics != base.Metrics {
 					t.Fatalf("workers=%d: metrics diverged:\n%+v\nvs\n%+v", w, res.Metrics, base.Metrics)
 				}
-				if !reflect.DeepEqual(res.Statuses, base.Statuses) {
+				if !reflect.DeepEqual(statuses, baseStatuses) {
 					t.Fatalf("workers=%d: statuses diverged", w)
 				}
-				for i := 1; i <= base.Rounds; i++ {
-					wantA, wantD, _ := base.History.TraceRound(i)
-					gotA, gotD, ok := res.History.TraceRound(i)
-					if !ok || !reflect.DeepEqual(wantA, gotA) || !reflect.DeepEqual(wantD, gotD) {
-						t.Fatalf("workers=%d: trace diverged at round %d", w, i)
+				for i := range baseLog {
+					if !reflect.DeepEqual(baseLog[i], log[i]) {
+						t.Fatalf("workers=%d: delta diverged at round %d:\nwant %+v\ngot  %+v",
+							w, i+1, baseLog[i], log[i])
 					}
 				}
 			}

@@ -13,19 +13,19 @@ import (
 // E(i) frozen at the start of the round, so they are safe to call from
 // concurrently stepped machines.
 //
-// Contexts are owned and recycled by the Engine: the struct carries
-// the node's dense slot, and outgoing messages record their
-// destination slot at Send time so delivery is pure slice indexing.
+// Contexts are owned and recycled by the Engine, one per slot, and
+// outgoing messages record their destination slot at Send time so
+// delivery is pure slice indexing. Edge intents are not held here:
+// batch is the intent batch of the worker stepping this slot, the very
+// slice History.ApplyBatches reads, so an intent is written once.
 type Context struct {
-	id   graph.ID
-	slot int
-	hist *temporal.History
-	env  Env
+	id    graph.ID
+	hist  *temporal.History
+	env   Env
+	batch *temporal.IntentBatch
 
 	round  int
 	outbox []outMsg
-	acts   []graph.Edge
-	deacts []graph.Edge
 	halted bool
 	status Status
 	err    error
@@ -39,12 +39,13 @@ type outMsg struct {
 	slot int32
 }
 
-// reset rebinds the context to a node slot for a new run, recycling
+// reset rebinds the context to a node for a new run, recycling
 // its buffers. Stale outbox entries — the full capacity, not just the
 // last round's length — are zeroed so payloads from the previous run
-// cannot leak through reused backing arrays.
-func (c *Context) reset(id graph.ID, slot int, hist *temporal.History, env Env) {
-	c.id, c.slot, c.hist, c.env = id, slot, hist, env
+// cannot leak through reused backing arrays. The batch binding is the
+// engine's (Reset pins it per worker range) and survives a reboot.
+func (c *Context) reset(id graph.ID, hist *temporal.History, env Env) {
+	c.id, c.hist, c.env = id, hist, env
 	c.round = 0
 	c.scrub()
 	c.halted = false
@@ -52,23 +53,19 @@ func (c *Context) reset(id graph.ID, slot int, hist *temporal.History, env Env) 
 	c.err = nil
 }
 
-// scrub empties the context's buffers and drops every payload
-// reference they held, keeping the backing arrays for reuse.
+// scrub empties the outbox and drops every payload reference it held,
+// keeping the backing array for reuse.
 func (c *Context) scrub() {
 	outbox := c.outbox[:cap(c.outbox)]
 	for i := range outbox {
 		outbox[i] = outMsg{}
 	}
 	c.outbox = c.outbox[:0]
-	c.acts = c.acts[:0]
-	c.deacts = c.deacts[:0]
 }
 
 func (c *Context) beginRound(r int) {
 	c.round = r
 	c.outbox = c.outbox[:0]
-	c.acts = c.acts[:0]
-	c.deacts = c.deacts[:0]
 }
 
 // ID returns this node's UID.
@@ -143,13 +140,15 @@ func (c *Context) Broadcast(payload any) {
 }
 
 // Activate requests activation of edge {self, v} this round. The model
-// validates the distance-2 rule when the round is applied.
+// validates the distance-2 rule when the round is applied. Intents
+// issued in Send or Receive commit with that round; one issued in Init
+// is dropped (the engine empties the batches before every Send phase).
 func (c *Context) Activate(v graph.ID) {
 	if v == c.id {
 		c.fail(fmt.Errorf("sim: node %d activated a self-loop", c.id))
 		return
 	}
-	c.acts = append(c.acts, graph.NewEdge(c.id, v))
+	c.batch.Activate = append(c.batch.Activate, graph.NewEdge(c.id, v))
 }
 
 // Deactivate requests deactivation of edge {self, v} this round.
@@ -158,7 +157,7 @@ func (c *Context) Deactivate(v graph.ID) {
 		c.fail(fmt.Errorf("sim: node %d deactivated a self-loop", c.id))
 		return
 	}
-	c.deacts = append(c.deacts, graph.NewEdge(c.id, v))
+	c.batch.Deactivate = append(c.batch.Deactivate, graph.NewEdge(c.id, v))
 }
 
 // SetStatus records the node's leader-election outcome.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"adnet/internal/graph"
@@ -107,16 +108,84 @@ func (m *countingMachine) Receive(ctx *Context, inbox []Message) {
 	ctx.Halt()
 }
 
+// presetStatus halts in round 1 with the status its factory chose.
+type presetStatus struct{ status Status }
+
+func (presetStatus) Init(*Context) {}
+func (presetStatus) Send(*Context) {}
+func (m presetStatus) Receive(ctx *Context, _ []Message) {
+	ctx.SetStatus(m.status)
+	ctx.Halt()
+}
+
 func TestResultLeaderHelper(t *testing.T) {
 	t.Parallel()
-	res := &Result{Statuses: map[graph.ID]Status{
-		1: StatusFollower, 2: StatusLeader, 3: StatusFollower,
-	}}
-	if l, ok := res.Leader(); !ok || l != 2 {
+	run := func(leaders ...graph.ID) *Result {
+		res, err := Run(graph.Line(5), func(id graph.ID, _ Env) Machine {
+			for _, l := range leaders {
+				if l == id {
+					return presetStatus{StatusLeader}
+				}
+			}
+			return presetStatus{StatusFollower}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if l, ok := run(2).Leader(); !ok || l != 2 {
 		t.Errorf("Leader() = %d, %v", l, ok)
 	}
-	res.Statuses[3] = StatusLeader
-	if _, ok := res.Leader(); ok {
-		t.Error("two leaders should not be ok")
+	if l, ok := run(1, 3).Leader(); ok || l != -1 {
+		t.Errorf("two leaders: Leader() = %d, %v; want -1, false", l, ok)
+	}
+	if l, ok := run().Leader(); ok || l != -1 {
+		t.Errorf("no leader: Leader() = %d, %v; want -1, false", l, ok)
+	}
+}
+
+// TestResultIsViewOfEngine pins what a Result can be asked and for how
+// long: a Result from Run — whose engine is already closed — still
+// answers per node, and after a shrinking Reset nothing past the new
+// size is reachable through the next Result.
+func TestResultIsViewOfEngine(t *testing.T) {
+	t.Parallel()
+	res, err := Run(graph.Line(6), newFloodFactory(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := res.Status(5); !ok || s != StatusLeader {
+		t.Errorf("Status(5) = %v, %v", s, ok)
+	}
+	if s, ok := res.Status(0); !ok || s != StatusFollower {
+		t.Errorf("Status(0) = %v, %v", s, ok)
+	}
+	if m, ok := res.Machine(3); !ok || m.(*floodMachine).best != 5 {
+		t.Errorf("Machine(3) = %v, %v", m, ok)
+	}
+	if l, ok := res.Leader(); !ok || l != 5 {
+		t.Errorf("Leader() = %d, %v", l, ok)
+	}
+	if _, ok := res.Status(6); ok {
+		t.Error("Status of a non-node reported ok")
+	}
+
+	e := NewEngine()
+	defer e.Close()
+	runEngine(t, e, graph.Star(64), newFloodFactory(2))
+	small := runEngine(t, e, graph.Line(4), newFloodFactory(3))
+	var ids []graph.ID
+	for nd := range small.Nodes {
+		ids = append(ids, nd.ID)
+	}
+	if !reflect.DeepEqual(ids, []graph.ID{0, 1, 2, 3}) {
+		t.Errorf("Nodes after shrinking Reset = %v", ids)
+	}
+	if s, ok := small.Status(10); ok || s != StatusNone {
+		t.Errorf("Status(10) after shrinking Reset = %v, %v", s, ok)
+	}
+	if m, ok := small.Machine(10); ok || m != nil {
+		t.Errorf("Machine(10) after shrinking Reset = %v, %v", m, ok)
 	}
 }

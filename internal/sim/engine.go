@@ -26,10 +26,10 @@ import (
 // freely between runs. Run consumes the Reset: calling Run twice
 // without a Reset in between is an error.
 //
-// Ownership: the *Result returned by Run shares the engine's History
-// (and, across runs, the engine reuses the Result struct itself); it
-// is valid until the next Reset, so callers that keep results across
-// runs must extract what they need (clones, Metrics, PerRound) before
+// Ownership: the *Result returned by Run is a view of the engine (its
+// History, its slot arrays); it survives Close and is valid until the
+// next Reset, so callers that keep results across runs must extract
+// what they need (clones, Metrics, PerRound, statuses) before
 // resetting. Engines are not safe for concurrent use; run one engine
 // per goroutine (see expt.ExecuteSweep for the fleet pattern).
 //
@@ -41,11 +41,11 @@ import (
 // persistent and pinned: each worker owns a fixed slot range
 // [lo, hi) for the whole run and parks on its channel between phases
 // and between runs instead of being respawned. Parallelism is
-// intra-round end to end: workers step their slot ranges, collect
-// their slots' edge intents into worker-local buffers (merged without
-// locks — worker ranges are ascending and ordered, so batch
-// concatenation is exactly the sequential slot order), and validate
-// the resulting batches concurrently inside History.ApplyBatches.
+// intra-round end to end: workers step their slot ranges, their
+// slots' contexts append edge intents straight into the worker's own
+// batch (no locks, no copy — worker ranges are ascending and ordered,
+// so batch concatenation is exactly the sequential slot order), and
+// the batches are validated concurrently inside History.ApplyBatches.
 type Engine struct {
 	cfg     config
 	workers int
@@ -53,30 +53,26 @@ type Engine struct {
 	pool    *workerPool
 
 	hist      *temporal.History
-	ids       []graph.ID // slot → ID, ascending
-	ctxs      []*Context
+	ctxs      []Context
 	machines  []Machine
 	inboxes   [][]Message
 	delivered []Message
 
-	// Per-worker intent buffers: worker w appends the intents of its
-	// slot range into wacts[w]/wdeacts[w] during the Receive step, and
-	// batches[w] hands them to History.ApplyBatches. Index 0 doubles
-	// as the sequential path's single buffer.
-	wacts   [][]graph.Edge
-	wdeacts [][]graph.Edge
+	// batches[w] is worker w's intent batch: the contexts of its slot
+	// range append into it (Context.batch) and History.ApplyBatches
+	// reads it. Index 0 doubles as the sequential path's single batch.
 	batches []temporal.IntentBatch
 
 	// Phase closures, bound once per engine so the round loop does not
 	// allocate a closure per phase. They read curRound instead of
 	// capturing the loop variable.
-	sendFn   func(w, i int)
-	recvFn   func(w, i int)
+	sendFn   func(i int)
+	recvFn   func(i int)
 	applyPar func(k int, fn func(int))
 	curRound int
 
 	bfs graph.BFSScratch // connectivity checks without per-call allocation
-	res *Result          // reused across runs; see Ownership above
+	res Result           // what Run returns a pointer to; see Ownership above
 
 	// delta and initSlots are the scratch behind WithDeltaHook /
 	// WithStartHook: filled only when hooks are registered, reused
@@ -108,8 +104,8 @@ type Engine struct {
 // worker pool.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.sendFn = func(_, i int) {
-		ctx := e.ctxs[i]
+	e.sendFn = func(i int) {
+		ctx := &e.ctxs[i]
 		ctx.beginRound(e.curRound)
 		if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
 			return
@@ -120,21 +116,16 @@ func NewEngine() *Engine {
 		}
 		e.machines[i].Send(ctx)
 	}
-	e.recvFn = func(w, i int) {
-		ctx := e.ctxs[i]
-		if !ctx.halted && !(e.downCount > 0 && e.crashed[i]) {
-			if e.cfg.env != nil {
-				e.protect(ctx, i, func() { e.machines[i].Receive(ctx, e.inboxes[i]) })
-			} else {
-				e.machines[i].Receive(ctx, e.inboxes[i])
-			}
+	e.recvFn = func(i int) {
+		ctx := &e.ctxs[i]
+		if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
+			return
 		}
-		if len(ctx.acts) > 0 {
-			e.wacts[w] = append(e.wacts[w], ctx.acts...)
+		if e.cfg.env != nil {
+			e.protect(ctx, i, func() { e.machines[i].Receive(ctx, e.inboxes[i]) })
+			return
 		}
-		if len(ctx.deacts) > 0 {
-			e.wdeacts[w] = append(e.wdeacts[w], ctx.deacts...)
-		}
+		e.machines[i].Receive(ctx, e.inboxes[i])
 	}
 	e.applyPar = func(k int, fn func(int)) {
 		e.pool.runSelf(fn)
@@ -162,10 +153,10 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	e.ready = false
 	prevRecycle, prevN := e.lastRecycle, e.lastN
 	e.lastRecycle = "" // a failed Reset must not leave stale machines recyclable
-	n := gs.NumNodes()
-	if n == 0 {
+	if gs == nil || gs.NumNodes() == 0 {
 		return errors.New("sim: empty initial graph")
 	}
+	n := gs.NumNodes()
 	if !e.bfs.IsConnected(gs) {
 		return errors.New("sim: initial graph must be connected")
 	}
@@ -194,10 +185,15 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	} else {
 		e.hist.Reset(gs)
 	}
-	if cfg.trace {
-		e.hist.EnableTrace()
+
+	// One intent batch per worker (one total when sequential); chunk is
+	// the width of a worker's slot range, which binds slot i to batch i/chunk.
+	k := 1
+	if e.usePool {
+		k = workers
 	}
-	e.ids = e.hist.AppendNodeIDs(e.ids)
+	e.batches = grow(e.batches, k)
+	chunk := (n + k - 1) / k
 
 	// Contexts and machines, slot-indexed. Context structs are reused.
 	// Machines are algorithm state: rebuilt per run, except that when
@@ -205,7 +201,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	// is the same algorithm as last run and the previous machines can
 	// restore themselves, they are Recycled in place — the difference
 	// between a handful of allocations per run and none.
-	e.ctxs = growPtrs(e.ctxs, n)
+	e.ctxs = grow(e.ctxs, n)
 	e.machines = grow(e.machines, n)
 	env := Env{N: n}
 	recycle := cfg.recycle != "" && cfg.recycle == prevRecycle
@@ -218,24 +214,25 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		e.ctxs[i].reset(e.ids[i], i, e.hist, env)
+		id := e.hist.IDAtSlot(i)
+		e.ctxs[i].reset(id, e.hist, env)
+		e.ctxs[i].batch = &e.batches[i/chunk]
 		if recycle && i < prevN {
-			e.machines[i].(Recycler).Recycle(e.ids[i], env)
+			e.machines[i].(Recycler).Recycle(id, env)
 			continue
 		}
-		m := factory(e.ids[i], env)
+		m := factory(id, env)
 		if m == nil {
-			return fmt.Errorf("sim: factory returned nil machine for node %d", e.ids[i])
+			return fmt.Errorf("sim: factory returned nil machine for node %d", id)
 		}
 		e.machines[i] = m
 	}
 	// When the run shrank, scrub the tails beyond n too: slots past
 	// the new size would otherwise pin the previous run's machines
 	// and payloads through the slices' backing arrays.
-	for _, c := range e.ctxs[n:cap(e.ctxs)] {
-		if c != nil {
-			c.scrub()
-		}
+	ctxTail := e.ctxs[n:cap(e.ctxs)]
+	for i := range ctxTail {
+		ctxTail[i].scrub()
 	}
 	machineTail := e.machines[n:cap(e.machines)]
 	for i := range machineTail {
@@ -253,15 +250,6 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	clearMessages(e.delivered[:cap(e.delivered)])
 	e.delivered = e.delivered[:0]
 
-	// One intent buffer per worker (one total when sequential).
-	k := 1
-	if e.usePool {
-		k = workers
-	}
-	e.wacts = growSlices(e.wacts, k)
-	e.wdeacts = growSlices(e.wdeacts, k)
-	e.batches = grow(e.batches[:0], k)
-
 	if e.usePool {
 		if e.pool == nil || e.pool.size != workers {
 			if e.pool != nil {
@@ -269,7 +257,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 			}
 			e.pool = newWorkerPool(workers)
 		}
-		e.pool.setRanges(n)
+		e.pool.setRanges(n, chunk)
 	}
 	e.factory = factory
 	e.downCount = 0
@@ -314,12 +302,12 @@ func (e *Engine) Run() (*Result, error) {
 	ctxs := e.ctxs[:n]
 	machines := e.machines[:n]
 	inboxes := e.inboxes[:n]
-	k := len(e.batches)
+	batches := e.batches
 
 	// Init phase.
 	for i := range machines {
 		ctxs[i].round = 0
-		machines[i].Init(ctxs[i])
+		machines[i].Init(&ctxs[i])
 	}
 	if len(cfg.startHooks) > 0 {
 		e.initSlots = hist.AppendInitialEdges(e.initSlots)
@@ -339,10 +327,27 @@ func (e *Engine) Run() (*Result, error) {
 			}
 		}
 		// --- Send ---
+		// Emptied first: that drops what an Init (run's or reboot's) issued.
+		for w := range batches {
+			batches[w].Activate = batches[w].Activate[:0]
+			batches[w].Deactivate = batches[w].Deactivate[:0]
+		}
 		e.curRound = round
 		e.step(e.sendFn)
 		if err := e.ctxErr(); err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
+		}
+		// Intents belong in Receive, but one issued in Send commits with
+		// this round too, and a sequential scan meets all of those first.
+		// Moving the other workers' (rare) Send-phase intents to the front
+		// batch keeps the concatenation in that order, so the violation a
+		// bad round reports does not depend on the worker count.
+		for w := 1; w < len(batches); w++ {
+			if b := &batches[w]; len(b.Activate)+len(b.Deactivate) > 0 {
+				batches[0].Activate = append(batches[0].Activate, b.Activate...)
+				batches[0].Deactivate = append(batches[0].Deactivate, b.Deactivate...)
+				b.Activate, b.Deactivate = b.Activate[:0], b.Deactivate[:0]
+			}
 		}
 		// --- Deliver: pure slot indexing; destination slots were
 		// resolved at Send time. ---
@@ -380,11 +385,7 @@ func (e *Engine) Run() (*Result, error) {
 			}
 		}
 
-		// --- Receive + intents, collected per worker ---
-		for w := 0; w < k; w++ {
-			e.wacts[w] = e.wacts[w][:0]
-			e.wdeacts[w] = e.wdeacts[w][:0]
-		}
+		// --- Receive + intents, written into the workers' batches ---
 		e.step(e.recvFn)
 		if err := e.ctxErr(); err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
@@ -395,14 +396,11 @@ func (e *Engine) Run() (*Result, error) {
 		// batches in worker order reproduce exactly the intent order a
 		// sequential slot scan would have produced; ApplyBatches then
 		// guarantees an outcome byte-identical to sequential Apply.
-		for w := 0; w < k; w++ {
-			e.batches[w] = temporal.IntentBatch{Activate: e.wacts[w], Deactivate: e.wdeacts[w]}
-		}
 		var par func(int, func(int))
 		if e.usePool {
 			par = e.applyPar
 		}
-		stats, err := hist.ApplyBatches(e.batches, par)
+		stats, err := hist.ApplyBatches(batches, par)
 		if err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
 		}
@@ -469,12 +467,12 @@ func (e *Engine) applyFaults(round int) error {
 		e.crashed[i] = false
 		e.downCount--
 		if e.envEdits.Reboot {
-			ctx := e.ctxs[i]
+			ctx := &e.ctxs[i]
 			env := Env{N: n}
-			ctx.reset(e.ids[i], i, e.hist, env)
-			m := e.factory(e.ids[i], env)
+			ctx.reset(ctx.id, e.hist, env)
+			m := e.factory(ctx.id, env)
 			if m == nil {
-				return fmt.Errorf("sim: round %d: factory returned nil machine rebooting node %d", round, e.ids[i])
+				return fmt.Errorf("sim: round %d: factory returned nil machine rebooting node %d", round, ctx.id)
 			}
 			e.machines[i] = m
 			e.protect(ctx, i, func() { m.Init(ctx) })
@@ -516,21 +514,19 @@ func (e *Engine) protect(ctx *Context, i int, step func()) {
 
 // ctxErr returns the first per-context error recorded this phase.
 func (e *Engine) ctxErr() error {
-	for _, c := range e.ctxs[:e.n] {
-		if c.err != nil {
-			return c.err
+	for i := range e.ctxs[:e.n] {
+		if err := e.ctxs[i].err; err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // step runs fn for every slot, sequentially or on the pinned pool.
-// The first argument of fn is the executing worker index (0 when
-// sequential), which is what routes intents to worker-local buffers.
-func (e *Engine) step(fn func(w, i int)) {
+func (e *Engine) step(fn func(i int)) {
 	if !e.usePool {
 		for i := 0; i < e.n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -554,26 +550,15 @@ func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 			BusyTime:      busy,
 		})
 	}
-	if e.res == nil {
-		e.res = &Result{
-			Statuses: make(map[graph.ID]Status, e.n),
-			Machines: make(map[graph.ID]Machine, e.n),
-		}
-	} else {
-		clear(e.res.Statuses)
-		clear(e.res.Machines)
+	e.res = Result{
+		History:             e.hist,
+		Metrics:             e.hist.Metrics(),
+		Rounds:              rounds,
+		TotalMessages:       totalMsgs,
+		MaxMessagesPerRound: maxMsgs,
+		eng:                 e,
 	}
-	res := e.res
-	res.History = e.hist
-	res.Metrics = e.hist.Metrics()
-	res.Rounds = rounds
-	res.TotalMessages = totalMsgs
-	res.MaxMessagesPerRound = maxMsgs
-	for i := 0; i < e.n; i++ {
-		res.Statuses[e.ids[i]] = e.ctxs[i].status
-		res.Machines[e.ids[i]] = e.machines[i]
-	}
-	return res
+	return &e.res
 }
 
 // poolTask is one unit of work for the pool: either a range task
@@ -581,7 +566,7 @@ func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 // (self applied once to the worker's own index — how ApplyBatches
 // validation shards land on their workers). Exactly one field is set.
 type poolTask struct {
-	fn   func(w, i int)
+	fn   func(i int)
 	self func(w int)
 }
 
@@ -621,7 +606,7 @@ func newWorkerPool(size int) *workerPool {
 					t.self(w)
 				} else {
 					for i := p.lo[w]; i < p.hi[w]; i++ {
-						t.fn(w, i)
+						t.fn(i)
 					}
 				}
 				p.busy[w] += time.Since(t0)
@@ -632,9 +617,9 @@ func newWorkerPool(size int) *workerPool {
 	return p
 }
 
-// setRanges pins contiguous, near-equal slot ranges for n slots.
-func (p *workerPool) setRanges(n int) {
-	chunk := (n + p.size - 1) / p.size
+// setRanges pins contiguous slot ranges of width chunk = ⌈n/size⌉ (the
+// last ones shorter or empty) for n slots.
+func (p *workerPool) setRanges(n, chunk int) {
 	for w := 0; w < p.size; w++ {
 		lo, hi := w*chunk, (w+1)*chunk
 		if lo > n {
@@ -651,7 +636,7 @@ func (p *workerPool) setRanges(n int) {
 // all workers are awaited before returning. Errors are recorded
 // per-Context by fn and surfaced by the caller, keeping execution
 // deterministic regardless of scheduling.
-func (p *workerPool) run(fn func(w, i int)) {
+func (p *workerPool) run(fn func(i int)) {
 	t := poolTask{fn: fn}
 	for w := 0; w < p.size; w++ {
 		p.start[w] <- t
@@ -703,28 +688,6 @@ func grow[T any](s []T, n int) []T {
 	out := make([]T, n)
 	copy(out, s[:cap(s)])
 	return out
-}
-
-// growSlices is grow for the per-worker intent buffers, keeping each
-// buffer's backing array and resetting lengths to zero.
-func growSlices(s [][]graph.Edge, n int) [][]graph.Edge {
-	s = grow(s, n)
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-// growPtrs is grow for the context slice, allocating structs for new
-// slots.
-func growPtrs(s []*Context, n int) []*Context {
-	s = grow(s, n)
-	for i := range s {
-		if s[i] == nil {
-			s[i] = &Context{}
-		}
-	}
-	return s
 }
 
 // clearMessages zeroes a message slice so payload references from a

@@ -71,9 +71,9 @@ func TestEngineMachineRecycling(t *testing.T) {
 	defer e.Close()
 
 	first := runEngine(t, e, g, f, WithMachineRecycling("flood"))
-	firstMachines := make(map[graph.ID]Machine, len(first.Machines))
-	for id, m := range first.Machines {
-		firstMachines[id] = m
+	firstMachines := make(map[graph.ID]Machine)
+	for nd := range first.Nodes {
+		firstMachines[nd.ID] = nd.Machine
 	}
 	want := summarize(first)
 
@@ -81,7 +81,8 @@ func TestEngineMachineRecycling(t *testing.T) {
 	if !reflect.DeepEqual(want, summarize(second)) {
 		t.Fatalf("recycled run diverged:\nfirst  %+v\nsecond %+v", want, summarize(second))
 	}
-	for id, m := range second.Machines {
+	for nd := range second.Nodes {
+		id, m := nd.ID, nd.Machine
 		if m != firstMachines[id] {
 			t.Fatalf("node %d: machine rebuilt despite matching recycle key", id)
 		}
@@ -92,14 +93,16 @@ func TestEngineMachineRecycling(t *testing.T) {
 
 	// A different key must rebuild.
 	third := runEngine(t, e, g, f, WithMachineRecycling("flood-v2"))
-	for id, m := range third.Machines {
+	for nd := range third.Nodes {
+		id, m := nd.ID, nd.Machine
 		if m == firstMachines[id] {
 			t.Fatalf("node %d: machine recycled across a key change", id)
 		}
 	}
 	// No key must rebuild too (and must not poison the next keyed run).
 	fourth := runEngine(t, e, g, f)
-	for id, m := range fourth.Machines {
+	for nd := range fourth.Nodes {
+		id, m := nd.ID, nd.Machine
 		if m.(*recycleFlood).recycles != 0 {
 			t.Fatalf("node %d: unkeyed run reused a machine", id)
 		}

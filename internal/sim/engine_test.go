@@ -6,7 +6,25 @@ import (
 	"testing"
 
 	"adnet/internal/graph"
+	"adnet/internal/temporal"
 )
+
+// deltaLog records a run's per-round record: every RoundDelta, all
+// four lists copied (the engine reuses them the next round). Empty
+// lists are stored as nil so logs compare with reflect.DeepEqual.
+type deltaLog []temporal.RoundDelta
+
+func (l *deltaLog) record() Option {
+	return WithDeltaHook(func(d temporal.RoundDelta) {
+		*l = append(*l, temporal.RoundDelta{
+			Round:         d.Round,
+			Activate:      append([]int32(nil), d.Activate...),
+			Deactivate:    append([]int32(nil), d.Deactivate...),
+			EnvActivate:   append([]int32(nil), d.EnvActivate...),
+			EnvDeactivate: append([]int32(nil), d.EnvDeactivate...),
+		})
+	})
+}
 
 // runEngine drives one Reset+Run cycle on e and fails the test on any
 // error.
@@ -34,10 +52,14 @@ type resultSummary struct {
 }
 
 func summarize(r *Result) resultSummary {
+	statuses := make(map[graph.ID]Status)
+	for nd := range r.Nodes {
+		statuses[nd.ID] = nd.Status
+	}
 	return resultSummary{
 		Rounds:              r.Rounds,
 		Metrics:             r.Metrics,
-		Statuses:            r.Statuses,
+		Statuses:            statuses,
 		TotalMessages:       r.TotalMessages,
 		MaxMessagesPerRound: r.MaxMessagesPerRound,
 	}
@@ -112,31 +134,33 @@ func TestEngineRunRequiresReset(t *testing.T) {
 
 // TestEnginePoolDeterminism runs the same workload across worker
 // counts on reused engines and requires identical results, including
-// the recorded trace.
+// the recorded deltas of every round.
 func TestEnginePoolDeterminism(t *testing.T) {
 	t.Parallel()
 	g := graph.Ring(128)
 	f := func(graph.ID, Env) Machine { return cliqueMachine{} }
-	var base *Result
+	var base resultSummary
+	var baseLog deltaLog
 	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
 		e := NewEngine()
-		res := runEngine(t, e, g, f, WithParallelism(workers), WithTrace())
 		// A second run on the same engine must also agree.
-		res2 := runEngine(t, e, g, f, WithParallelism(workers), WithTrace())
-		if base == nil {
-			base = res2
-			e.Close() // base retains the engine's history; close the pool only
-			continue
-		}
-		for _, r := range []*Result{res, res2} {
-			if !reflect.DeepEqual(summarize(base), summarize(r)) {
-				t.Fatalf("workers=%d diverged: %+v vs %+v", workers, summarize(base), summarize(r))
+		for run := 0; run < 2; run++ {
+			var log deltaLog
+			got := summarize(runEngine(t, e, g, f, WithParallelism(workers), log.record()))
+			if baseLog == nil {
+				base, baseLog = got, log
+				continue
 			}
-			for i := 1; i <= base.Rounds; i++ {
-				wa, wd, _ := base.History.TraceRound(i)
-				ga, gd, ok := r.History.TraceRound(i)
-				if !ok || !reflect.DeepEqual(wa, ga) || !reflect.DeepEqual(wd, gd) {
-					t.Fatalf("workers=%d: trace of round %d diverged", workers, i)
+			if !reflect.DeepEqual(base, got) {
+				t.Fatalf("workers=%d diverged: %+v vs %+v", workers, base, got)
+			}
+			if len(log) != got.Rounds {
+				t.Fatalf("workers=%d: %d deltas for %d rounds", workers, len(log), got.Rounds)
+			}
+			for i := range baseLog {
+				if !reflect.DeepEqual(baseLog[i], log[i]) {
+					t.Fatalf("workers=%d: delta of round %d diverged:\nwant %+v\ngot  %+v",
+						workers, i+1, baseLog[i], log[i])
 				}
 			}
 		}
@@ -161,9 +185,6 @@ func TestEngineResetScrubsShrunkState(t *testing.T) {
 		}
 	}
 	for _, c := range e.ctxs[4:cap(e.ctxs)] {
-		if c == nil {
-			continue
-		}
 		for _, om := range c.outbox[:cap(c.outbox)] {
 			if om.m.Payload != nil {
 				t.Fatal("outbox payload beyond the current size survived Reset")

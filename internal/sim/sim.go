@@ -173,7 +173,6 @@ type config struct {
 	hooks        []func(RoundEvent)
 	startHooks   []func(StartEvent)
 	deltaHooks   []func(temporal.RoundDelta)
-	trace        bool
 	done         <-chan struct{}
 	observer     func(RunSummary)
 	recycle      string
@@ -240,9 +239,6 @@ func WithEnvironment(env Environment) Option {
 	return func(c *config) { c.env = env }
 }
 
-// WithTrace records full per-round edge lists in the History.
-func WithTrace() Option { return func(c *config) { c.trace = true } }
-
 // WithCancel aborts the execution before the next round once done is
 // closed, returning the partial Result alongside ErrCanceled. This is
 // how callers impose deadlines or user-initiated cancellation on a
@@ -308,33 +304,77 @@ func WithMachineRecycling(key string) Option {
 	return func(c *config) { c.recycle = key }
 }
 
-// Result is the outcome of an execution.
+// Result is the outcome of an execution. Beyond the totals it is a
+// view, not a copy: History is the engine's, and the per-node answers
+// (Status, Machine, Leader, Nodes) read the engine's slot arrays. It is
+// valid until the engine's next Reset — closing the engine does not
+// invalidate it, so a Result from Run stays readable.
 type Result struct {
-	History  *temporal.History
-	Metrics  temporal.Metrics
-	Rounds   int
-	Statuses map[graph.ID]Status
-	Machines map[graph.ID]Machine
+	History *temporal.History
+	Metrics temporal.Metrics
+	Rounds  int
 	// TotalMessages counts every delivered point-to-point message; the
 	// paper does not bound communication (unlike the overlay-network
 	// models of §1.4), but the measure makes the comparison concrete.
 	TotalMessages int
 	// MaxMessagesPerRound is the peak per-round message volume.
 	MaxMessagesPerRound int
+
+	eng *Engine
+}
+
+// Node is one node's final state as Result.Nodes yields it.
+type Node struct {
+	ID      graph.ID
+	Status  Status
+	Machine Machine
+}
+
+// Nodes yields every node in ascending ID (= slot) order; it is a
+// range-over-func iterator: for nd := range res.Nodes { … }.
+func (r *Result) Nodes(yield func(Node) bool) {
+	e := r.eng
+	for i := 0; i < e.n; i++ {
+		if !yield(Node{ID: e.ctxs[i].id, Status: e.ctxs[i].status, Machine: e.machines[i]}) {
+			return
+		}
+	}
+}
+
+// Status returns node id's self-declared status; ok is false when id
+// is not a node of the execution.
+func (r *Result) Status(id graph.ID) (s Status, ok bool) {
+	slot, ok := r.History.SlotOf(id)
+	if !ok {
+		return StatusNone, false
+	}
+	return r.eng.ctxs[slot].status, true
+}
+
+// Machine returns node id's machine in its final state; ok is false
+// when id is not a node of the execution.
+func (r *Result) Machine(id graph.ID) (m Machine, ok bool) {
+	slot, ok := r.History.SlotOf(id)
+	if !ok {
+		return nil, false
+	}
+	return r.eng.machines[slot], true
 }
 
 // Leader returns the unique node with StatusLeader, or (-1, false) if
 // there is not exactly one.
 func (r *Result) Leader() (graph.ID, bool) {
-	leader := graph.ID(-1)
-	count := 0
-	for id, s := range r.Statuses {
-		if s == StatusLeader {
-			leader = id
+	leader, count := graph.ID(-1), 0
+	for nd := range r.Nodes {
+		if nd.Status == StatusLeader {
+			leader = nd.ID
 			count++
 		}
 	}
-	return leader, count == 1
+	if count != 1 {
+		return -1, false
+	}
+	return leader, true
 }
 
 // Run executes the distributed algorithm produced by factory on the

@@ -102,8 +102,8 @@ func TestFloodTooFewRoundsIncompleteDissemination(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	aware := 0
-	for _, m := range res.Machines {
-		if m.(*floodMachine).best == 9 {
+	for nd := range res.Nodes {
+		if nd.Machine.(*floodMachine).best == 9 {
 			aware++
 		}
 	}
@@ -298,7 +298,7 @@ func TestHaltedNodesStaySilent(t *testing.T) {
 	if res.Rounds != 4 {
 		t.Fatalf("rounds = %d, want 4", res.Rounds)
 	}
-	if res.Statuses[0] != StatusNone {
+	if s, ok := res.Status(0); !ok || s != StatusNone {
 		t.Fatalf("halted node changed status")
 	}
 }

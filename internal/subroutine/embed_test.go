@@ -52,7 +52,8 @@ func TestEmbeddedLineToTree(t *testing.T) {
 		t.Fatalf("embedded rebuild broken: %v", err)
 	}
 	// The getters expose a consistent tree.
-	for id, mach := range res.Machines {
+	for nd := range res.Nodes {
+		id, mach := nd.ID, nd.Machine
 		inner := mach.(*embedHost).inner
 		parent, isRoot := inner.FinalParent()
 		if isRoot != (id == graph.ID(m-1)) {
@@ -108,7 +109,8 @@ func TestEmbeddedKeepEdge(t *testing.T) {
 	// And the logical tree on top is still complete: check via the
 	// pointer getters rather than raw edges (the line edges overlay).
 	tree := graph.New()
-	for id, mach := range res.Machines {
+	for nd := range res.Nodes {
+		id, mach := nd.ID, nd.Machine
 		tree.AddNode(id)
 		inner := mach.(*embedHost).inner
 		if p, isRoot := inner.FinalParent(); !isRoot {

@@ -36,11 +36,11 @@ func SameEdges(a, b *graph.Graph) bool {
 func VerifyLeaderElection(res *sim.Result, wantLeader graph.ID) error {
 	leaders, followers, undecided := 0, 0, 0
 	var got graph.ID = -1
-	for id, s := range res.Statuses {
-		switch s {
+	for nd := range res.Nodes {
+		switch nd.Status {
 		case sim.StatusLeader:
 			leaders++
-			got = id
+			got = nd.ID
 		case sim.StatusFollower:
 			followers++
 		default:

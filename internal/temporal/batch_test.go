@@ -55,8 +55,8 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 // and two ApplyBatches histories (k batches validated on real
 // goroutines, and the k=1 fast path) through identical randomized
 // rounds — including rounds with duplicate intents, disagreements and
-// model violations — asserting identical stats, errors, metrics and
-// byte-identical traces.
+// model violations — asserting identical stats, errors, metrics and,
+// round by round, byte-identical deltas (all four lists).
 func TestApplyBatchesMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 25; seed++ {
@@ -66,9 +66,6 @@ func TestApplyBatchesMatchesSequential(t *testing.T) {
 		seq := NewHistory(gs)
 		par := NewHistory(gs)
 		one := NewHistory(gs)
-		seq.EnableTrace()
-		par.EnableTrace()
-		one.EnableTrace()
 		k := rng.Intn(6) + 2
 		for round := 0; round < 40; round++ {
 			act, deact := randomRoundIntents(rng, seq)
@@ -90,23 +87,19 @@ func TestApplyBatchesMatchesSequential(t *testing.T) {
 				t.Fatalf("seed %d round %d: stats mismatch: seq=%+v par=%+v one=%+v",
 					seed, round, wantStats, gotStats, oneStats)
 			}
+			sd, pd, od := lastDelta(seq), lastDelta(par), lastDelta(one)
+			if len(sd.Activate) != 2*wantStats.Activated || len(sd.Deactivate) != 2*wantStats.Deactivated {
+				t.Fatalf("seed %d round %d: delta %+v does not match stats %+v", seed, round, sd, wantStats)
+			}
+			if !reflect.DeepEqual(sd, pd) {
+				t.Fatalf("seed %d round %d: delta diverges (parallel): %+v vs %+v", seed, round, sd, pd)
+			}
+			if !reflect.DeepEqual(sd, od) {
+				t.Fatalf("seed %d round %d: delta diverges (k=1): %+v vs %+v", seed, round, sd, od)
+			}
 		}
 		if sm, pm, om := seq.Metrics(), par.Metrics(), one.Metrics(); sm != pm || sm != om {
 			t.Fatalf("seed %d: metrics diverge: seq=%+v par=%+v one=%+v", seed, sm, pm, om)
-		}
-		for i := 1; i < seq.Round(); i++ {
-			sa, sd, ok := seq.TraceRound(i)
-			if !ok {
-				continue
-			}
-			pa, pd, _ := par.TraceRound(i)
-			oa, od, _ := one.TraceRound(i)
-			if !reflect.DeepEqual(sa, pa) || !reflect.DeepEqual(sd, pd) {
-				t.Fatalf("seed %d round %d: trace diverges (parallel): %v/%v vs %v/%v", seed, i, sa, sd, pa, pd)
-			}
-			if !reflect.DeepEqual(sa, oa) || !reflect.DeepEqual(sd, od) {
-				t.Fatalf("seed %d round %d: trace diverges (k=1): %v/%v vs %v/%v", seed, i, sa, sd, oa, od)
-			}
 		}
 	}
 }
@@ -116,8 +109,7 @@ func TestApplyBatchesMatchesSequential(t *testing.T) {
 // with duplicates and occasional disagreements, plus (in ~1/8 of
 // rounds) a deliberate violation to exercise error parity.
 func randomRoundIntents(rng *rand.Rand, h *History) (act, deact []graph.Edge) {
-	var ids []graph.ID
-	ids = h.AppendNodeIDs(ids)
+	ids := h.CurrentView().Nodes()
 	for i, tries := 0, rng.Intn(8); i < tries; i++ {
 		u := ids[rng.Intn(len(ids))]
 		cands := h.PotentialNeighbors(u)

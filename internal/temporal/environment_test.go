@@ -142,35 +142,6 @@ func TestAppendLastDeltaEnvLists(t *testing.T) {
 	}
 }
 
-func TestTraceEnvRound(t *testing.T) {
-	t.Parallel()
-	h := NewHistory(graph.Line(4))
-	h.EnableTrace()
-	if _, err := h.Apply(nil, nil); err != nil {
-		t.Fatalf("round 1: %v", err)
-	}
-	if _, err := h.ApplyEnvironment(nil, []graph.Edge{edge(1, 2)}); err != nil {
-		t.Fatalf("env 1: %v", err)
-	}
-	if _, err := h.Apply(nil, nil); err != nil {
-		t.Fatalf("round 2: %v", err)
-	}
-	if _, err := h.ApplyEnvironment([]graph.Edge{edge(1, 2)}, nil); err != nil {
-		t.Fatalf("env 2: %v", err)
-	}
-	act, deact, ok := h.TraceEnvRound(1)
-	if !ok || len(act) != 0 || len(deact) != 1 || deact[0] != edge(1, 2) {
-		t.Fatalf("TraceEnvRound(1) = %v %v %v", act, deact, ok)
-	}
-	act, deact, ok = h.TraceEnvRound(2)
-	if !ok || len(act) != 1 || act[0] != edge(1, 2) || len(deact) != 0 {
-		t.Fatalf("TraceEnvRound(2) = %v %v %v", act, deact, ok)
-	}
-	if _, _, ok := h.TraceEnvRound(3); ok {
-		t.Fatalf("TraceEnvRound(3) should report !ok")
-	}
-}
-
 func TestLenientActivationRelaxesDistance2(t *testing.T) {
 	t.Parallel()
 	// Strict mode: distance-3 activation is a violation (covered

@@ -60,16 +60,12 @@ func TestHistoryResetMatchesFresh(t *testing.T) {
 func TestResetClearsTraceAndPerRound(t *testing.T) {
 	t.Parallel()
 	h := NewHistory(graph.Ring(5))
-	h.EnableTrace()
 	if _, err := h.Apply([]graph.Edge{graph.NewEdge(0, 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := h.TraceRound(1); !ok {
-		t.Fatal("trace not recorded")
-	}
 	h.Reset(graph.Ring(5))
-	if _, _, ok := h.TraceRound(1); ok {
-		t.Fatal("trace survived Reset")
+	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{}) {
+		t.Fatalf("last delta survived Reset: %+v", d)
 	}
 	if len(h.PerRound()) != 0 {
 		t.Fatal("per-round log survived Reset")
@@ -87,10 +83,7 @@ func TestSlotQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gs := graph.PermuteIDs(graph.RandomConnected(30, 20, rng), rng)
 	h := NewHistory(gs)
-	ids := h.AppendNodeIDs(nil)
-	if !reflect.DeepEqual(ids, gs.Nodes()) {
-		t.Fatalf("AppendNodeIDs = %v, want ascending %v", ids, gs.Nodes())
-	}
+	ids := gs.Nodes()
 	for i, u := range ids {
 		s, ok := h.SlotOf(u)
 		if !ok || s != i {

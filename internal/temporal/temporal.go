@@ -74,20 +74,13 @@ type History struct {
 	current *graph.Graph
 	round   int // index of the next round to apply, starting at 1
 
-	totalActivations   int
-	totalDeactivations int
-	activatedAlive     map[graph.Edge]struct{} // E(i) \ E(1)
-	activatedDeg       []int                   // slot-indexed degree in D(i) \ D(1)
-	maxActivatedEdges  int
-	maxActivatedDeg    int
-	maxActiveEdges     int
+	// m accumulates the running cost measures; Metrics() completes it
+	// with the three fields derived from round and the snapshots.
+	m              Metrics
+	activatedAlive map[graph.Edge]struct{} // E(i) \ E(1)
+	activatedDeg   []int                   // slot-indexed degree in D(i) \ D(1)
 
-	perRound     []RoundStats
-	lastActivity int
-
-	trace      bool
-	traceAct   [][]graph.Edge
-	traceDeact [][]graph.Edge
+	perRound []RoundStats
 
 	// Environment (adversary) edit state: a second delta source beside
 	// the algorithm's intents, applied at round boundaries through
@@ -97,13 +90,9 @@ type History struct {
 	// violation): under an adversarial underlay the precondition a node
 	// observed can vanish before its intent commits, and that is the
 	// environment's doing, not the algorithm's.
-	lenient          bool
-	envActivations   int
-	envDeactivations int
-	lastEnvActs      []graph.Edge
-	lastEnvDeacts    []graph.Edge
-	traceEnvAct      [][]graph.Edge
-	traceEnvDeact    [][]graph.Edge
+	lenient       bool
+	lastEnvActs   []graph.Edge
+	lastEnvDeacts []graph.Edge
 
 	// Scratch buffers reused across Apply calls so the round loop does
 	// not allocate. Apply is called from exactly one goroutine (the
@@ -136,7 +125,7 @@ type History struct {
 // [a0,b0,a1,b1,...] in ascending canonical edge order. Slots are
 // ascending-ID ranks (see SlotOf), so a client holding the initial
 // slot-pair edge list can replay deltas round by round and reconstruct
-// D(i) exactly — trace order is canonical and Apply is deterministic,
+// D(i) exactly — commit order is canonical and Apply is deterministic,
 // which is what makes the per-round diff a sufficient wire format.
 //
 // EnvActivate/EnvDeactivate carry the environment's edits of the same
@@ -181,8 +170,7 @@ func NewHistory(gs *graph.Graph) *History {
 // Reset rewinds the History to round 1 of a fresh execution starting
 // from gs, reusing every internal buffer (graph snapshots, scratch
 // slices, the per-round log) so that engine reuse across runs performs
-// no steady-state allocation. Tracing is switched off; callers that
-// want it re-enable it after Reset.
+// no steady-state allocation.
 func (h *History) Reset(gs *graph.Graph) {
 	if h.initial == nil {
 		h.initial = graph.New()
@@ -191,8 +179,7 @@ func (h *History) Reset(gs *graph.Graph) {
 	h.initial.CopyCanonicalFrom(gs)
 	h.current.CopyCanonicalFrom(gs)
 	h.round = 1
-	h.totalActivations = 0
-	h.totalDeactivations = 0
+	h.m = Metrics{MaxActiveEdges: gs.NumEdges()}
 	if h.activatedAlive == nil {
 		h.activatedAlive = make(map[graph.Edge]struct{})
 	} else {
@@ -205,23 +192,12 @@ func (h *History) Reset(gs *graph.Graph) {
 		h.activatedDeg = h.activatedDeg[:n]
 		clear(h.activatedDeg)
 	}
-	h.maxActivatedEdges = 0
-	h.maxActivatedDeg = 0
-	h.maxActiveEdges = gs.NumEdges()
 	h.perRound = h.perRound[:0]
-	h.lastActivity = 0
-	h.trace = false
-	h.traceAct = h.traceAct[:0]
-	h.traceDeact = h.traceDeact[:0]
 	h.lastActs = nil
 	h.lastDeacts = nil
 	h.lenient = false
-	h.envActivations = 0
-	h.envDeactivations = 0
 	h.lastEnvActs = nil
 	h.lastEnvDeacts = nil
-	h.traceEnvAct = h.traceEnvAct[:0]
-	h.traceEnvDeact = h.traceEnvDeact[:0]
 }
 
 // SetLenientActivation relaxes the distance-2 rule for algorithm
@@ -230,11 +206,6 @@ func (h *History) Reset(gs *graph.Graph) {
 // this exactly when an environment is attached (see the field comment
 // on lenient); self-loop activations remain violations either way.
 func (h *History) SetLenientActivation(on bool) { h.lenient = on }
-
-// EnableTrace records the full per-round activation/deactivation edge
-// lists (needed by figure-style experiments). Off by default to keep
-// large sweeps cheap.
-func (h *History) EnableTrace() { h.trace = true }
 
 // Round returns the index of the round about to be applied (1-based).
 func (h *History) Round() int { return h.round }
@@ -262,11 +233,6 @@ func (h *History) IDAtSlot(slot int) graph.ID { return h.current.IDAt(slot) }
 // and sv is active — the map-free counterpart of Active for
 // slot-addressed callers (the engine's delivery loop).
 func (h *History) ActiveSlots(su, sv int) bool { return h.current.HasEdgeSlots(su, sv) }
-
-// AppendNodeIDs appends every node ID in ascending order to dst[:0]
-// and returns it, reusing dst's backing array when possible. Index i
-// of the result is the node at slot i.
-func (h *History) AppendNodeIDs(dst []graph.ID) []graph.ID { return h.current.AppendNodes(dst) }
 
 // NeighborsOf returns the active neighbors N1(u) in ascending order.
 func (h *History) NeighborsOf(u graph.ID) []graph.ID { return h.current.Neighbors(u) }
@@ -373,10 +339,10 @@ func (h *History) ActivatedSubgraph() *graph.Graph {
 //
 // Intents are validated in caller order (so the first violating edge in
 // the activate slice is the one reported), then applied in ascending
-// canonical edge order: the application — and therefore TraceRound —
-// is deterministic regardless of how callers ordered their intents.
-// All scratch state is reused across rounds; Apply performs no
-// steady-state allocation when tracing is disabled.
+// canonical edge order: the application — and therefore the round's
+// delta (AppendLastDelta) — is deterministic regardless of how callers
+// ordered their intents. All scratch state is reused across rounds;
+// Apply performs no steady-state allocation.
 func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	h.ensureShards(1)
 	h.shards[0].batch = IntentBatch{Activate: activate, Deactivate: deactivate}
@@ -387,7 +353,7 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 // one batch per engine worker. It is observationally identical to
 // calling Apply on the concatenation of the batches in slice order:
 // the same RoundStats, the same committed edges in the same canonical
-// order (so traces stay byte-identical across worker counts), and the
+// order (so deltas stay byte-identical across worker counts), and the
 // same first violation.
 //
 // When parallel is non-nil it is invoked as parallel(k, fn) and must
@@ -529,7 +495,7 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 	// Apply, in ascending canonical edge order.
 	for _, e := range acts {
 		h.current.MustAddEdge(e.A, e.B)
-		h.totalActivations++
+		h.m.TotalActivations++
 		if !h.initial.HasEdge(e.A, e.B) {
 			h.activatedAlive[e] = struct{}{}
 			h.bumpActivatedDeg(e.A, +1)
@@ -538,7 +504,7 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 	}
 	for _, e := range deacts {
 		h.current.RemoveEdge(e.A, e.B)
-		h.totalDeactivations++
+		h.m.TotalDeactivations++
 		if _, ok := h.activatedAlive[e]; ok {
 			delete(h.activatedAlive, e)
 			h.bumpActivatedDeg(e.A, -1)
@@ -546,15 +512,15 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 		}
 	}
 
-	if n := len(h.activatedAlive); n > h.maxActivatedEdges {
-		h.maxActivatedEdges = n
+	if n := len(h.activatedAlive); n > h.m.MaxActivatedEdges {
+		h.m.MaxActivatedEdges = n
 	}
-	if m := h.current.NumEdges(); m > h.maxActiveEdges {
-		h.maxActiveEdges = m
+	if m := h.current.NumEdges(); m > h.m.MaxActiveEdges {
+		h.m.MaxActiveEdges = m
 	}
 
 	if len(acts)+len(deacts) > 0 {
-		h.lastActivity = h.round
+		h.m.LastActivityRound = h.round
 	}
 	stats := RoundStats{
 		Round:          h.round,
@@ -564,10 +530,6 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 		ActivatedAlive: len(h.activatedAlive),
 	}
 	h.perRound = append(h.perRound, stats)
-	if h.trace {
-		h.traceAct = append(h.traceAct, append([]graph.Edge(nil), acts...))
-		h.traceDeact = append(h.traceDeact, append([]graph.Edge(nil), deacts...))
-	}
 	h.round++
 
 	// Hand the (possibly regrown) backing array back for the next
@@ -600,7 +562,7 @@ func (h *History) AppendLastDelta(d *RoundDelta) {
 // deduplicated and filtered against the current snapshot (activating
 // an active edge or deactivating an inactive one is a no-op), so the
 // committed lists are in ascending canonical order like the
-// algorithm's — which keeps environment-tagged traces and deltas
+// algorithm's — which keeps the environment-tagged delta lists
 // deterministic. Self-loops and unknown endpoints are errors: the
 // environment edits the underlay, it cannot grow the node set.
 //
@@ -614,8 +576,7 @@ func (h *History) AppendLastDelta(d *RoundDelta) {
 //
 // Callers attaching an environment invoke ApplyEnvironment once per
 // round, after Apply/ApplyBatches, with possibly empty lists: the
-// last-delta export (AppendLastDelta) and the per-round environment
-// trace stay round-aligned that way.
+// last-delta export (AppendLastDelta) stays round-aligned that way.
 func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStats, error) {
 	if len(h.perRound) == 0 {
 		return RoundStats{}, fmt.Errorf("temporal: ApplyEnvironment before any applied round")
@@ -654,32 +615,24 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 	// no edge survives in both: the commits below cannot conflict.
 	for _, e := range acts {
 		h.current.MustAddEdge(e.A, e.B)
-		h.envActivations++
+		h.m.EnvActivations++
 	}
 	for _, e := range deacts {
 		h.current.RemoveEdge(e.A, e.B)
-		h.envDeactivations++
+		h.m.EnvDeactivations++
 		if _, ok := h.activatedAlive[e]; ok {
 			delete(h.activatedAlive, e)
 			h.bumpActivatedDeg(e.A, -1)
 			h.bumpActivatedDeg(e.B, -1)
 		}
 	}
-	if m := h.current.NumEdges(); m > h.maxActiveEdges {
-		h.maxActiveEdges = m
+	if m := h.current.NumEdges(); m > h.m.MaxActiveEdges {
+		h.m.MaxActiveEdges = m
 	}
 	h.lastEnvActs, h.lastEnvDeacts = acts, deacts
 	st := &h.perRound[len(h.perRound)-1]
 	st.ActiveEdges = h.current.NumEdges()
 	st.ActivatedAlive = len(h.activatedAlive)
-	if h.trace {
-		for len(h.traceEnvAct) < round-1 {
-			h.traceEnvAct = append(h.traceEnvAct, nil)
-			h.traceEnvDeact = append(h.traceEnvDeact, nil)
-		}
-		h.traceEnvAct = append(h.traceEnvAct, append([]graph.Edge(nil), acts...))
-		h.traceEnvDeact = append(h.traceEnvDeact, append([]graph.Edge(nil), deacts...))
-	}
 	return *st, nil
 }
 
@@ -781,8 +734,8 @@ func (h *History) bumpActivatedDeg(u graph.ID, delta int) {
 	s, _ := h.current.Slot(u)
 	d := h.activatedDeg[s] + delta
 	h.activatedDeg[s] = d
-	if d > h.maxActivatedDeg {
-		h.maxActivatedDeg = d
+	if d > h.m.MaxActivatedDegree {
+		h.m.MaxActivatedDegree = d
 	}
 }
 
@@ -820,19 +773,11 @@ func containsEdge(es []graph.Edge, e graph.Edge) bool {
 
 // Metrics returns the aggregated cost measures so far.
 func (h *History) Metrics() Metrics {
-	return Metrics{
-		Rounds:              h.round - 1,
-		LastActivityRound:   h.lastActivity,
-		TotalActivations:    h.totalActivations,
-		TotalDeactivations:  h.totalDeactivations,
-		MaxActivatedEdges:   h.maxActivatedEdges,
-		MaxActivatedDegree:  h.maxActivatedDeg,
-		MaxActiveEdges:      h.maxActiveEdges,
-		FinalActiveEdges:    h.current.NumEdges(),
-		FinalActivatedAlive: len(h.activatedAlive),
-		EnvActivations:      h.envActivations,
-		EnvDeactivations:    h.envDeactivations,
-	}
+	m := h.m
+	m.Rounds = h.round - 1
+	m.FinalActiveEdges = h.current.NumEdges()
+	m.FinalActivatedAlive = len(h.activatedAlive)
+	return m
 }
 
 // PerRound returns the per-round statistics (copy).
@@ -840,31 +785,6 @@ func (h *History) PerRound() []RoundStats {
 	out := make([]RoundStats, len(h.perRound))
 	copy(out, h.perRound)
 	return out
-}
-
-// TraceRound returns the recorded activation and deactivation lists for
-// round i (1-based). EnableTrace must have been called before the round
-// ran; otherwise ok is false.
-func (h *History) TraceRound(i int) (act, deact []graph.Edge, ok bool) {
-	if !h.trace || i < 1 || i > len(h.traceAct) {
-		return nil, nil, false
-	}
-	return h.traceAct[i-1], h.traceDeact[i-1], true
-}
-
-// TraceEnvRound returns the recorded environment activation and
-// deactivation lists for round i (1-based), tagged apart from the
-// algorithm's TraceRound lists. Rounds before the first environment
-// edit (or executions without an environment) report empty lists; ok
-// is false only when tracing was off or i is out of range.
-func (h *History) TraceEnvRound(i int) (act, deact []graph.Edge, ok bool) {
-	if !h.trace || i < 1 || i > len(h.traceAct) {
-		return nil, nil, false
-	}
-	if i > len(h.traceEnvAct) {
-		return nil, nil, true
-	}
-	return h.traceEnvAct[i-1], h.traceEnvDeact[i-1], true
 }
 
 func sortIDs(ids []graph.ID) {

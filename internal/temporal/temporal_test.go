@@ -195,22 +195,6 @@ func TestPotentialNeighbors(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	t.Parallel()
-	h := NewHistory(graph.Line(3))
-	h.EnableTrace()
-	if _, err := h.Apply([]graph.Edge{edge(0, 2)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	act, deact, ok := h.TraceRound(1)
-	if !ok || len(act) != 1 || len(deact) != 0 || act[0] != edge(0, 2) {
-		t.Fatalf("trace round 1: %v %v %v", act, deact, ok)
-	}
-	if _, _, ok := h.TraceRound(2); ok {
-		t.Fatalf("trace of unplayed round should fail")
-	}
-}
-
 func TestPerRoundStats(t *testing.T) {
 	t.Parallel()
 	h := NewHistory(graph.Line(4))

@@ -8,11 +8,24 @@ import (
 	"adnet/internal/graph"
 )
 
-// edgesSorted reports whether es is in ascending canonical order.
-func edgesSorted(es []graph.Edge) bool {
-	for i := 1; i < len(es); i++ {
-		p, q := es[i-1], es[i]
-		if p.A > q.A || (p.A == q.A && p.B >= q.B) {
+// lastDelta returns the round h applied last as a fresh RoundDelta:
+// the per-round record, all four lists copied out of the History's
+// scratch (an empty list comes back nil, so deltas compare with
+// reflect.DeepEqual).
+func lastDelta(h *History) RoundDelta {
+	var d RoundDelta
+	h.AppendLastDelta(&d)
+	return d
+}
+
+// pairsSorted reports whether the flat slot pairs are canonical edges
+// (a < b) in strictly ascending order.
+func pairsSorted(ps []int32) bool {
+	for i := 0; i+1 < len(ps); i += 2 {
+		if ps[i] >= ps[i+1] {
+			return false
+		}
+		if i > 0 && (ps[i-2] > ps[i] || (ps[i-2] == ps[i] && ps[i-1] >= ps[i+1])) {
 			return false
 		}
 	}
@@ -21,9 +34,10 @@ func edgesSorted(es []graph.Edge) bool {
 
 // TestTraceRoundDeterministicOrder is the regression test for the
 // nondeterministic trace order bug: Apply used to range over intent
-// maps, so TraceRound returned edges in a random order across runs.
-// The trace must now come back in ascending canonical edge order, and
-// be identical no matter how callers permute their intent slices.
+// maps, so a round's committed edges came back in a random order
+// across runs. The round's delta must be in ascending canonical edge
+// order, and identical no matter how callers permute their intent
+// slices.
 func TestTraceRoundDeterministicOrder(t *testing.T) {
 	t.Parallel()
 	n := 64
@@ -36,56 +50,54 @@ func TestTraceRoundDeterministicOrder(t *testing.T) {
 		return acts
 	}
 
-	var want []graph.Edge
+	var want []int32
 	for trial := 0; trial < 10; trial++ {
 		h := NewHistory(graph.Ring(n))
-		h.EnableTrace()
 		acts := baseActs()
 		rng := rand.New(rand.NewSource(int64(trial)))
 		rng.Shuffle(len(acts), func(i, j int) { acts[i], acts[j] = acts[j], acts[i] })
 		if _, err := h.Apply(acts, nil); err != nil {
 			t.Fatalf("trial %d: Apply: %v", trial, err)
 		}
+		d1 := lastDelta(h)
 		// Deactivate a shuffled half of them in round 2.
 		deacts := acts[:len(acts)/2]
 		if _, err := h.Apply(nil, deacts); err != nil {
 			t.Fatalf("trial %d: Apply deacts: %v", trial, err)
 		}
 
-		act1, deact1, ok := h.TraceRound(1)
-		if !ok {
-			t.Fatalf("trial %d: no trace for round 1", trial)
+		d2 := lastDelta(h)
+		if d1.Round != 1 || d2.Round != 2 {
+			t.Fatalf("trial %d: delta rounds = %d, %d", trial, d1.Round, d2.Round)
 		}
-		if len(deact1) != 0 {
-			t.Fatalf("trial %d: unexpected deactivations in round 1: %v", trial, deact1)
+		if len(d1.Activate) != 2*n || len(d1.Deactivate) != 0 {
+			t.Fatalf("trial %d: round 1 delta = %+v, want %d activations only", trial, d1, n)
 		}
-		if !edgesSorted(act1) {
-			t.Fatalf("trial %d: round-1 trace not in canonical order: %v", trial, act1)
+		if !pairsSorted(d1.Activate) {
+			t.Fatalf("trial %d: round-1 delta not in canonical order: %v", trial, d1.Activate)
 		}
-		_, deact2, ok := h.TraceRound(2)
-		if !ok {
-			t.Fatalf("trial %d: no trace for round 2", trial)
+		if len(d2.Deactivate) != n || len(d2.Activate) != 0 {
+			t.Fatalf("trial %d: round 2 delta = %+v, want %d deactivations only", trial, d2, n/2)
 		}
-		if !edgesSorted(deact2) {
-			t.Fatalf("trial %d: round-2 deactivation trace not sorted: %v", trial, deact2)
+		if !pairsSorted(d2.Deactivate) {
+			t.Fatalf("trial %d: round-2 deactivation delta not sorted: %v", trial, d2.Deactivate)
 		}
 		if trial == 0 {
-			want = act1
+			want = d1.Activate
 			continue
 		}
-		if !reflect.DeepEqual(act1, want) {
-			t.Fatalf("trial %d: trace differs across permutations:\n got %v\nwant %v", trial, act1, want)
+		if !reflect.DeepEqual(d1.Activate, want) {
+			t.Fatalf("trial %d: delta differs across permutations:\n got %v\nwant %v", trial, d1.Activate, want)
 		}
 	}
 }
 
 // TestApplyScratchReuseIsolation checks that the reusable scratch
-// buffers never leak state between rounds: a round's stats and trace
+// buffers never leak state between rounds: a round's stats and delta
 // must be unaffected by what previous rounds requested.
 func TestApplyScratchReuseIsolation(t *testing.T) {
 	t.Parallel()
 	h := NewHistory(graph.Line(8))
-	h.EnableTrace()
 	// Round 1: activate {0,2} and {1,3}, with duplicates.
 	acts := []graph.Edge{graph.NewEdge(0, 2), graph.NewEdge(1, 3), graph.NewEdge(2, 0)}
 	st, err := h.Apply(acts, nil)
@@ -95,6 +107,9 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	if st.Activated != 2 {
 		t.Fatalf("round 1 activated = %d, want 2", st.Activated)
 	}
+	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 1, Activate: []int32{0, 2, 1, 3}}) {
+		t.Fatalf("round 1 delta = %+v", d)
+	}
 	// Round 2: no intents at all — nothing from round 1 may bleed in.
 	st, err = h.Apply(nil, nil)
 	if err != nil {
@@ -103,9 +118,8 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	if st.Activated != 0 || st.Deactivated != 0 {
 		t.Fatalf("round 2 stats = %+v, want no activity", st)
 	}
-	act, deact, ok := h.TraceRound(2)
-	if !ok || len(act) != 0 || len(deact) != 0 {
-		t.Fatalf("round 2 trace = (%v, %v, %v), want empty", act, deact, ok)
+	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 2}) {
+		t.Fatalf("round 2 delta = %+v, want empty", d)
 	}
 	// Round 3: disagreement — {0,2} requested both ways stays active.
 	st, err = h.Apply([]graph.Edge{graph.NewEdge(0, 2)}, []graph.Edge{graph.NewEdge(0, 2)})
@@ -114,6 +128,9 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	}
 	if st.Activated != 0 || st.Deactivated != 0 {
 		t.Fatalf("disagreement round stats = %+v, want no activity", st)
+	}
+	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 3}) {
+		t.Fatalf("disagreement round delta = %+v, want empty", d)
 	}
 	if !h.Active(0, 2) {
 		t.Fatal("edge {0,2} should have survived the disagreement round")
