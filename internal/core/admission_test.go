@@ -18,14 +18,11 @@ func newTestWreath(self graph.ID, admitCap int) *GraphToWreath {
 		cw:       self,
 		ccw:      self,
 		parent:   self,
-		foreign:  make(map[graph.ID]graph.ID),
-		heardPar: make(map[graph.ID]wParent),
-		origSet:  map[graph.ID]bool{},
 	}
 }
 
 func rev(from graph.ID, tail graph.ID, hosting bool) sim.Message {
-	return sim.Message{From: from, Payload: wTailRev{Tail: tail, Hosting: hosting}}
+	return sim.Message{From: from, Payload: &wTailRev{Tail: tail, Hosting: hosting}}
 }
 
 func TestAdmissionSortsByUIDDescending(t *testing.T) {

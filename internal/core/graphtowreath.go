@@ -11,7 +11,9 @@ import (
 
 // GraphToWreath message payloads (§4, Appendix B). The phase is a fixed
 // global schedule of windows (see wreathSched); each payload belongs to
-// one window.
+// one window. Every payload with a field travels as a pointer to the
+// sender's scratch (the *Out fields of GraphToWreath) under the
+// payload-scratch contract of DESIGN.md; the empty ones box for free.
 type (
 	// wReport is the convergecast aggregate flowing up the committee
 	// tree: the best foreign committee seen plus the border pair that
@@ -166,6 +168,7 @@ func WreathMaxRounds(n, branching int) int {
 // maximum activated degree (Theorem 4.2); the thin variant keeps
 // polylog degree with a shallower gadget (Theorem 5.1).
 type GraphToWreath struct {
+	opts     WreathOptions
 	selfID   graph.ID
 	n        int
 	branch   int
@@ -179,11 +182,43 @@ type GraphToWreath struct {
 	parent   graph.ID
 	children []graph.ID
 
-	origSet map[graph.ID]bool // static original neighborhood
+	// orig is the static original neighborhood, ascending: the engine's
+	// frozen view, bound in Init and searched, never copied.
+	orig []graph.ID
 
-	// --- phase scratch ---
-	foreign  map[graph.ID]graph.ID // orig nbr -> its committee UID
-	up       wReport               // aggregate so far
+	wreathPhase
+	hostingReqs []wAttachEnv // finalizeAdmissions scratch
+
+	// inner is the embedded rebuild, held by value and re-initialised in
+	// place every phase (rebuilding marks it live); keepEdge is its
+	// KeepEdge, the method value m.keepPtr built once per machine.
+	inner    subroutine.LineToTree
+	keepEdge func(graph.ID) bool
+
+	terminating bool
+	halted      bool
+
+	// Outgoing payload scratch, written in Send only (see the payload
+	// types above). up, decision, flagUp and engaged change in Receive,
+	// so Send snapshots them here instead of sending them by address.
+	annOut    Announce
+	upOut     wReport
+	decOut    wDecision
+	attachOut wAttach
+	tailOut   wTailRev
+	chainOut  []wChain // one per admitted border
+	expectOut wExpect
+	spliceOut wSplice
+	flagOut   wFlagUp
+	engOut    wEngaged
+	parentOut wParent
+	infoOut   wInfo
+}
+
+// wreathPhase is the per-phase scratch, started afresh at every
+// announce step.
+type wreathPhase struct {
+	up       wReport // aggregate so far
 	decision wDecision
 	decided  bool
 
@@ -209,19 +244,21 @@ type GraphToWreath struct {
 	engagedMark  bool
 	amRoot       bool
 	noLineChild  bool
-	inner        *subroutine.LineToTree
+	rebuilding   bool // the embedded rebuild is live
 
 	// Closure-window scratch: the line tail hops up the new tree.
 	closing   bool
 	anchor    graph.ID
-	heardPar  map[graph.ID]wParent
 	closeDone bool
 	closeSent bool
 
-	infoLeader  graph.ID
-	infoSeen    bool
-	terminating bool
-	halted      bool
+	infoLeader graph.ID
+	infoSeen   bool
+}
+
+// fresh returns the scratch a phase starts with, keeping p's buffers.
+func (p *wreathPhase) fresh() wreathPhase {
+	return wreathPhase{rawReqs: p.rawReqs[:0], attachers: p.attachers[:0], rejectedReqs: p.rejectedReqs[:0]}
 }
 
 type wAttachEnv struct {
@@ -236,22 +273,14 @@ var _ sim.Machine = (*GraphToWreath)(nil)
 // NewGraphToWreathFactory returns the §4 machine factory (binary-tree
 // wreath gadget, unlimited admission).
 func NewGraphToWreathFactory() sim.Factory {
-	return newWreathFactory(false)
+	return NewWreathFactoryOpts(WreathOptions{})
 }
 
 // NewGraphToThinWreathFactory returns the §5 machine factory
 // (⌈log n⌉-ary gadget, per-contact admission cap — the matchmaker of
 // Appendix C reduced to bounded admission, see DESIGN.md §3.3).
 func NewGraphToThinWreathFactory() sim.Factory {
-	return newWreathFactory(true)
-}
-
-func newWreathFactory(thin bool) sim.Factory {
-	admit := 0
-	if thin {
-		admit = 2
-	}
-	return NewWreathFactoryOpts(WreathOptions{Thin: thin, AdmitCap: admit})
+	return NewWreathFactoryOpts(WreathOptions{Thin: true, AdmitCap: 2})
 }
 
 // WreathOptions tunes the wreath family for ablation studies.
@@ -269,23 +298,43 @@ type WreathOptions struct {
 // knobs; the ablation benchmarks sweep AdmitCap and Branching.
 func NewWreathFactoryOpts(o WreathOptions) sim.Factory {
 	return func(id graph.ID, env sim.Env) sim.Machine {
-		b := o.Branching
-		if b == 0 {
-			b = WreathBranching(env.N, o.Thin)
-		}
-		return &GraphToWreath{
-			selfID:   id,
-			n:        env.N,
-			branch:   b,
-			admitCap: o.AdmitCap,
-			sched:    newWreathSched(env.N, b),
-			leader:   id,
-			cw:       id,
-			ccw:      id,
-			parent:   id,
-			foreign:  make(map[graph.ID]graph.ID),
-			heardPar: make(map[graph.ID]wParent),
-		}
+		m := &GraphToWreath{opts: o}
+		m.keepEdge = m.keepPtr
+		m.Recycle(id, env)
+		return m
+	}
+}
+
+var _ sim.Recycler = (*GraphToWreath)(nil)
+
+// Recycle implements sim.Recycler: it restores the machine to its
+// factory-fresh state for (id, env) — the schedule follows env.N —
+// keeping its options (one recycling key names one factory), its
+// buffers and the embedded rebuild's, so a recycling engine re-runs
+// wreath cells without building a machine.
+func (m *GraphToWreath) Recycle(id graph.ID, env sim.Env) {
+	b := m.opts.Branching
+	if b == 0 {
+		b = WreathBranching(env.N, m.opts.Thin)
+	}
+	*m = GraphToWreath{
+		opts:     m.opts,
+		selfID:   id,
+		n:        env.N,
+		branch:   b,
+		admitCap: m.opts.AdmitCap,
+		sched:    newWreathSched(env.N, b),
+		leader:   id,
+		cw:       id,
+		ccw:      id,
+		parent:   id,
+
+		children:    m.children[:0],
+		wreathPhase: m.fresh(),
+		hostingReqs: m.hostingReqs[:0],
+		chainOut:    m.chainOut[:0],
+		inner:       m.inner,
+		keepEdge:    m.keepEdge,
 	}
 }
 
@@ -305,10 +354,7 @@ func (m *GraphToWreath) in(step, o, width int) bool { return step >= o && step <
 
 // Init implements sim.Machine.
 func (m *GraphToWreath) Init(ctx *sim.Context) {
-	m.origSet = make(map[graph.ID]bool)
-	for _, v := range ctx.OrigNeighbors() {
-		m.origSet[v] = true
-	}
+	m.orig = ctx.OrigNeighbors()
 }
 
 // Send implements sim.Machine.
@@ -320,40 +366,46 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 	sc := &m.sched
 	switch {
 	case st == sc.oAnnounce:
-		ann := Announce{Leader: m.leader, Mode: ModeSelection}
-		for _, v := range ctx.OrigNeighbors() {
-			ctx.Send(v, ann)
+		m.annOut = Announce{Leader: m.leader, Mode: ModeSelection}
+		for _, v := range m.orig {
+			ctx.Send(v, &m.annOut)
 		}
 	case m.in(st, sc.oUp, sc.d):
 		if m.parent != m.selfID {
-			ctx.Send(m.parent, m.up)
+			m.upOut = m.up
+			ctx.Send(m.parent, &m.upOut)
 		}
 	case m.in(st, sc.oDown, sc.d):
 		if m.isLeader() && !m.decided {
 			m.decide()
 		}
 		if m.decided {
+			m.decOut = m.decision
 			for _, c := range m.children {
-				ctx.Send(c, m.decision)
+				ctx.Send(c, &m.decOut)
 			}
 		}
 	case st == sc.oAttach:
 		if m.decided && m.decision.Selected && m.decision.BorderX == m.selfID {
-			ctx.Send(m.decision.ContactY, wAttach{CommitteeUID: m.leader})
+			m.attachOut = wAttach{CommitteeUID: m.leader}
+			ctx.Send(m.decision.ContactY, &m.attachOut)
 		}
 	case st == sc.oTail:
 		if m.decided && m.decision.Selected && m.decision.BorderX == m.selfID {
-			ctx.Send(m.decision.ContactY, wTailRev{Tail: m.earTail(), Hosting: len(m.rawReqs) > 0})
+			m.tailOut = wTailRev{Tail: m.earTail(), Hosting: len(m.rawReqs) > 0}
+			ctx.Send(m.decision.ContactY, &m.tailOut)
 		}
 	case st == sc.oChain:
 		m.sendChainAssignments(ctx)
 	case st == sc.oSplice0:
 		if m.chainOK && !m.tailNone && m.ccw != m.selfID {
-			ctx.Send(m.ccw, wSplice{Target: m.tailTarget})
+			m.spliceOut = wSplice{Target: m.tailTarget}
+			ctx.Send(m.ccw, &m.spliceOut)
 		}
 	case m.in(st, sc.oFlagUp, sc.d):
 		if m.parent != m.selfID {
-			ctx.Send(m.parent, m.flagUp)
+			m.flagOut = m.flagUp
+			ctx.Send(m.parent, &m.flagOut)
 		}
 	case m.in(st, sc.oEngDown, sc.d):
 		if m.isLeader() && !m.engagedMark {
@@ -363,11 +415,12 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 			m.engagedMark = true
 		}
 		if m.engagedMark {
+			m.engOut = wEngaged{Engaged: m.engaged}
 			for _, c := range m.children {
 				if wreathDebugHook != nil {
 					wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("engsend->%d %v", c, m.engaged))
 				}
-				ctx.Send(c, wEngaged{Engaged: m.engaged})
+				ctx.Send(c, &m.engOut)
 			}
 		}
 	case st == sc.oCut:
@@ -375,12 +428,13 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 			ctx.Send(m.ccw, wCut{})
 		}
 	case m.in(st, sc.oRebuild, sc.rebuild):
-		if m.inner != nil {
+		if m.rebuilding {
 			m.inner.Send(ctx)
 		}
 	case m.in(st, sc.oClose, sc.d+2):
 		if m.engaged {
-			ctx.Broadcast(wParent{Parent: m.parent, IsRoot: m.parent == m.selfID})
+			m.parentOut = wParent{Parent: m.parent, IsRoot: m.parent == m.selfID}
+			ctx.Broadcast(&m.parentOut)
 			if m.closeDone && !m.closeSent {
 				ctx.Send(m.anchor, wRingClose{})
 				m.closeSent = true
@@ -388,8 +442,9 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 		}
 	case m.in(st, sc.oInfo, sc.d+1):
 		if m.infoSeen {
+			m.infoOut = wInfo{Leader: m.infoLeader}
 			for _, c := range m.children {
-				ctx.Send(c, wInfo{Leader: m.infoLeader})
+				ctx.Send(c, &m.infoOut)
 			}
 		}
 	}
@@ -405,16 +460,11 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 	switch {
 	case st == sc.oAnnounce:
 		m.checkInvariants(ctx)
-		m.resetPhase()
-		for _, msg := range inbox {
-			if ann, ok := msg.Payload.(Announce); ok && ann.Leader != m.leader {
-				m.foreign[msg.From] = ann.Leader
-			}
-		}
-		m.seedAggregate()
+		m.wreathPhase = m.fresh()
+		m.seedAggregate(inbox)
 	case m.in(st, sc.oUp, sc.d):
 		for _, msg := range inbox {
-			if rep, ok := msg.Payload.(wReport); ok {
+			if rep, ok := msg.Payload.(*wReport); ok {
 				m.mergeReport(rep)
 			}
 		}
@@ -424,8 +474,8 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 			return
 		}
 		for _, msg := range inbox {
-			if dec, ok := msg.Payload.(wDecision); ok && msg.From == m.parent {
-				m.decision = dec
+			if dec, ok := msg.Payload.(*wDecision); ok && msg.From == m.parent {
+				m.decision = *dec
 				m.decided = true
 				if dec.Terminate {
 					m.terminating = true
@@ -434,7 +484,7 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 		}
 	case st == sc.oAttach:
 		for _, msg := range inbox {
-			if req, ok := msg.Payload.(wAttach); ok {
+			if req, ok := msg.Payload.(*wAttach); ok {
 				m.rawReqs = append(m.rawReqs, wAttachEnv{From: msg.From, UID: req.CommitteeUID})
 			}
 		}
@@ -443,21 +493,21 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 	case st == sc.oChain:
 		for _, msg := range inbox {
 			switch pl := msg.Payload.(type) {
-			case wChain:
+			case *wChain:
 				m.chainOK = true
 				m.chainCCW = pl.NewCCW
 				m.tailTarget = pl.TailTarget
 				m.tailNone = pl.TailNone
 			case wReject:
 				m.rejected = true
-			case wExpect:
+			case *wExpect:
 				m.ccw = pl.NewCCW // safe: t-rule keeps borders out of this slot
 			}
 		}
 		m.flagUp = wFlagUp{Attached: m.attachedFlag, Rejected: m.rejected}
 	case st == sc.oSplice0:
 		for _, msg := range inbox {
-			if sp, ok := msg.Payload.(wSplice); ok {
+			if sp, ok := msg.Payload.(*wSplice); ok {
 				m.spliceT = sp.Target
 				m.spliceSet = true
 			}
@@ -468,14 +518,14 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 		m.spliceRound2(ctx)
 	case m.in(st, sc.oFlagUp, sc.d):
 		for _, msg := range inbox {
-			if f, ok := msg.Payload.(wFlagUp); ok {
+			if f, ok := msg.Payload.(*wFlagUp); ok {
 				m.flagUp.Attached = m.flagUp.Attached || f.Attached
 				m.flagUp.Rejected = m.flagUp.Rejected || f.Rejected
 			}
 		}
 	case m.in(st, sc.oEngDown, sc.d):
 		for _, msg := range inbox {
-			if e, ok := msg.Payload.(wEngaged); ok && msg.From == m.parent {
+			if e, ok := msg.Payload.(*wEngaged); ok && msg.From == m.parent {
 				if wreathDebugHook != nil {
 					wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("engrecv<-%d %v", msg.From, e.Engaged))
 				}
@@ -491,7 +541,7 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 		}
 		m.prepareRebuild(ctx)
 	case m.in(st, sc.oRebuild, sc.rebuild):
-		if m.inner != nil {
+		if m.rebuilding {
 			m.inner.Receive(ctx, inbox)
 			if st == sc.oRebuild+sc.rebuild-1 {
 				m.adoptRebuiltTree(ctx)
@@ -501,7 +551,7 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 		m.closeRing(ctx, inbox)
 	case m.in(st, sc.oInfo, sc.d+1):
 		for _, msg := range inbox {
-			if info, ok := msg.Payload.(wInfo); ok && msg.From == m.parent {
+			if info, ok := msg.Payload.(*wInfo); ok && msg.From == m.parent {
 				m.infoLeader = info.Leader
 				m.infoSeen = true
 				m.leader = info.Leader

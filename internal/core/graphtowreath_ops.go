@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -15,25 +16,37 @@ func (m *GraphToWreath) isLeader() bool { return m.leader == m.selfID }
 // pointer, a tree pointer (the old tree carries this phase's flag and
 // engagement windows until teardown), or an original edge.
 func (m *GraphToWreath) mustKeep(p graph.ID) bool {
-	if p == m.cw || p == m.ccw || m.origSet[p] {
+	if m.keepPtr(p) {
 		return true
 	}
 	if m.parent != m.selfID && p == m.parent {
 		return true
 	}
-	for _, c := range m.children {
-		if c == p {
-			return true
-		}
+	return slices.Contains(m.children, p)
+}
+
+// keepPtr reports whether the edge to p outlives a tree teardown: a
+// ring/path pointer or an original edge. It is also the embedded
+// rebuild's KeepEdge.
+func (m *GraphToWreath) keepPtr(p graph.ID) bool {
+	if p == m.cw || p == m.ccw {
+		return true
 	}
-	return false
+	_, orig := slices.BinarySearch(m.orig, p)
+	return orig
 }
 
 // seedAggregate initializes this phase's convergecast aggregate from
-// the node's own original-edge neighborhood.
-func (m *GraphToWreath) seedAggregate() {
+// the announcements of the node's own original-edge neighborhood: every
+// neighbor announcing a foreign committee is a contact into it.
+func (m *GraphToWreath) seedAggregate(inbox []sim.Message) {
 	m.up = wReport{}
-	for via, uid := range m.foreign {
+	for _, msg := range inbox {
+		ann, ok := msg.Payload.(*Announce)
+		if !ok || ann.Leader == m.leader {
+			continue
+		}
+		via, uid := msg.From, ann.Leader
 		m.up.AnyForeign = true
 		if !m.up.HasBest || uid > m.up.Best ||
 			(uid == m.up.Best && via < m.up.ContactY) {
@@ -47,7 +60,7 @@ func (m *GraphToWreath) seedAggregate() {
 
 // mergeReport folds a child's aggregate into ours (max by committee
 // UID, deterministic tie-breaks).
-func (m *GraphToWreath) mergeReport(rep wReport) {
+func (m *GraphToWreath) mergeReport(rep *wReport) {
 	m.up.AnyForeign = m.up.AnyForeign || rep.AnyForeign
 	if !rep.HasBest {
 		return
@@ -110,12 +123,6 @@ func (m *GraphToWreath) finalizeAdmissions(inbox []sim.Message) {
 	if len(m.rawReqs) == 0 {
 		return
 	}
-	rev := make(map[graph.ID]wTailRev, len(inbox))
-	for _, msg := range inbox {
-		if r, ok := msg.Payload.(wTailRev); ok {
-			rev[msg.From] = r
-		}
-	}
 	reject := func(a wAttachEnv) { m.rejectedReqs = append(m.rejectedReqs, a) }
 	if m.decided && m.decision.Selected && m.cw == m.decision.BorderX && m.cw != m.selfID {
 		for _, a := range m.rawReqs {
@@ -123,10 +130,10 @@ func (m *GraphToWreath) finalizeAdmissions(inbox []sim.Message) {
 		}
 		return
 	}
-	var settled, hosting []wAttachEnv
+	settled, hosting := m.attachers[:0], m.hostingReqs[:0]
 	for _, a := range m.rawReqs {
-		r, ok := rev[a.From]
-		if !ok {
+		r := tailRevFrom(inbox, a.From)
+		if r == nil {
 			reject(a) // no revision: treat as unreliable
 			continue
 		}
@@ -144,11 +151,10 @@ func (m *GraphToWreath) finalizeAdmissions(inbox []sim.Message) {
 			settled = append(settled, a)
 		}
 	}
-	byUID := func(s []wAttachEnv) {
-		sort.Slice(s, func(i, j int) bool { return s[i].UID > s[j].UID })
-	}
-	byUID(settled)
-	byUID(hosting)
+	m.hostingReqs = hosting // keep the grown buffer
+	byUID := func(a, b wAttachEnv) int { return cmp.Compare(b.UID, a.UID) }
+	slices.SortFunc(settled, byUID)
+	slices.SortFunc(hosting, byUID)
 
 	admitted := settled
 	pathEnd := m.cw == m.selfID
@@ -183,6 +189,18 @@ func (m *GraphToWreath) finalizeAdmissions(inbox []sim.Message) {
 	m.danglerLast = dangler != nil
 }
 
+// tailRevFrom returns the tail revision from sent this round, or nil.
+func tailRevFrom(inbox []sim.Message, from graph.ID) *wTailRev {
+	for i := range inbox {
+		if inbox[i].From == from {
+			if r, ok := inbox[i].Payload.(*wTailRev); ok {
+				return r
+			}
+		}
+	}
+	return nil
+}
+
 // sendChainAssignments is the host side of the splice: hand every
 // admitted border its new ccw neighbor and its tail's connection
 // target, chained in UID order; tell our old cw neighbor its new ccw;
@@ -197,8 +215,11 @@ func (m *GraphToWreath) sendChainAssignments(ctx *sim.Context) {
 	m.hostActive = true
 	m.oldCW = m.cw
 	last := len(m.attachers) - 1
+	// Sized before any element's address is sent: one per border.
+	m.chainOut = slices.Grow(m.chainOut[:0], len(m.attachers))[:len(m.attachers)]
 	for i, a := range m.attachers {
-		ch := wChain{}
+		ch := &m.chainOut[i]
+		*ch = wChain{}
 		if i == 0 {
 			ch.NewCCW = m.selfID
 		} else {
@@ -224,7 +245,8 @@ func (m *GraphToWreath) sendChainAssignments(ctx *sim.Context) {
 		if wreathDebugHook != nil {
 			wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("expect->%d ccw=%d", m.oldCW, m.attachers[last].Tail))
 		}
-		ctx.Send(m.oldCW, wExpect{NewCCW: m.attachers[last].Tail})
+		m.expectOut = wExpect{NewCCW: m.attachers[last].Tail}
+		ctx.Send(m.oldCW, &m.expectOut)
 	}
 }
 
@@ -303,18 +325,15 @@ func (m *GraphToWreath) prepareRebuild(ctx *sim.Context) {
 	if !m.engaged {
 		return
 	}
-	keepPtr := func(p graph.ID) bool {
-		return p == m.cw || p == m.ccw || m.origSet[p]
-	}
-	if m.parent != m.selfID && !keepPtr(m.parent) {
+	if m.parent != m.selfID && !m.keepPtr(m.parent) {
 		ctx.Deactivate(m.parent)
 	}
 	for _, c := range m.children {
-		if !keepPtr(c) {
+		if !m.keepPtr(c) {
 			ctx.Deactivate(c)
 		}
 	}
-	m.children = nil
+	m.children = m.children[:0]
 	isRoot := m.isLeader() && m.amRoot
 	m.parent = m.selfID
 	cfg := subroutine.EmbeddedConfig{
@@ -323,7 +342,7 @@ func (m *GraphToWreath) prepareRebuild(ctx *sim.Context) {
 		IsRoot:     isRoot,
 		StartRound: ctx.Round() + 1,
 		SizeBound:  m.n,
-		KeepEdge:   keepPtr,
+		KeepEdge:   m.keepEdge,
 	}
 	if !isRoot {
 		cfg.Parent = m.ccw
@@ -336,7 +355,8 @@ func (m *GraphToWreath) prepareRebuild(ctx *sim.Context) {
 		cfg.Child = m.cw
 		cfg.HasChild = true
 	}
-	m.inner = subroutine.NewEmbedded(cfg)
+	m.inner.ResetEmbedded(cfg)
+	m.rebuilding = true
 }
 
 // adoptRebuiltTree installs the rebuilt tree pointers at the end of
@@ -362,7 +382,7 @@ func (m *GraphToWreath) adoptRebuiltTree(ctx *sim.Context) {
 	if wreathDebugHook != nil {
 		wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("adopt parent=%d root=%v children=%v", parent, isRoot, m.children))
 	}
-	m.inner = nil
+	m.rebuilding = false
 	// Closure bootstrap: a node whose cw side is open is the tail of a
 	// path merge and must re-close the ring by climbing the new tree.
 	if m.engaged && m.cw == m.selfID && !isRoot {
@@ -379,11 +399,13 @@ func (m *GraphToWreath) closeRing(ctx *sim.Context, inbox []sim.Message) {
 	if !m.engaged {
 		return
 	}
-	clear(m.heardPar)
+	var st *wParent // what the anchor broadcast, if it did
 	for _, msg := range inbox {
 		switch pl := msg.Payload.(type) {
-		case wParent:
-			m.heardPar[msg.From] = pl
+		case *wParent:
+			if msg.From == m.anchor {
+				st = pl
+			}
 		case wRingClose:
 			// Only the structure's root (tree root) may accept the
 			// closure edge; strays from a fragmented merge are ignored.
@@ -395,8 +417,7 @@ func (m *GraphToWreath) closeRing(ctx *sim.Context, inbox []sim.Message) {
 	if !m.closing || m.closeDone {
 		return
 	}
-	st, ok := m.heardPar[m.anchor]
-	if !ok {
+	if st == nil {
 		return
 	}
 	if st.IsRoot {
@@ -424,18 +445,14 @@ func (m *GraphToWreath) closeRing(ctx *sim.Context, inbox []sim.Message) {
 // terminate executes the Termination mode: keep only the spanning tree
 // (the paper's Gf), declare statuses, halt.
 func (m *GraphToWreath) terminate(ctx *sim.Context) {
-	keep := make(map[graph.ID]bool, len(m.children)+1)
-	if m.parent != m.selfID {
-		keep[m.parent] = true
-	}
-	for _, c := range m.children {
-		keep[c] = true
-	}
-	for _, v := range ctx.Neighbors() {
-		if !keep[v] {
+	ctx.EachNeighbor(func(v graph.ID) bool {
+		// A neighbor is never selfID, so the root's parent == selfID
+		// matches nothing.
+		if v != m.parent && !slices.Contains(m.children, v) {
 			ctx.Deactivate(v)
 		}
-	}
+		return true
+	})
 	if m.isLeader() {
 		ctx.SetStatus(sim.StatusLeader)
 	} else {
@@ -443,38 +460,4 @@ func (m *GraphToWreath) terminate(ctx *sim.Context) {
 	}
 	m.halted = true
 	ctx.Halt()
-}
-
-func (m *GraphToWreath) resetPhase() {
-	clear(m.foreign)
-	m.up = wReport{}
-	m.decision = wDecision{}
-	m.decided = false
-	m.rawReqs = nil
-	m.attachers = nil
-	m.rejectedReqs = nil
-	m.danglerLast = false
-	m.oldCW = 0
-	m.hostActive = false
-	m.chainCCW = 0
-	m.tailTarget = 0
-	m.tailNone = false
-	m.chainOK = false
-	m.rejected = false
-	m.spliceT = 0
-	m.spliceSet = false
-	m.tempBridge = false
-	m.attachedFlag = false
-	m.flagUp = wFlagUp{}
-	m.engaged = false
-	m.engagedMark = false
-	m.amRoot = false
-	m.noLineChild = false
-	m.inner = nil
-	m.closing = false
-	m.anchor = 0
-	m.closeDone = false
-	m.closeSent = false
-	m.infoLeader = 0
-	m.infoSeen = false
 }

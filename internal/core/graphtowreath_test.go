@@ -14,16 +14,16 @@ import (
 // runWreath executes GraphToWreath (or the thin variant) on g with the
 // connectivity invariant enforced and checks the Depth-log n Tree
 // post-conditions.
-func runWreath(t *testing.T, g *graph.Graph, thin bool) *sim.Result {
+func runWreath(t *testing.T, g *graph.Graph, thin bool, extra ...sim.Option) *sim.Result {
 	t.Helper()
 	n := g.NumNodes()
 	factory := NewGraphToWreathFactory()
 	if thin {
 		factory = NewGraphToThinWreathFactory()
 	}
-	res, err := sim.Run(g, factory,
+	res, err := sim.Run(g, factory, append([]sim.Option{
 		sim.WithConnectivityCheck(),
-		sim.WithMaxRounds(WreathMaxRounds(n, WreathBranching(n, thin))))
+		sim.WithMaxRounds(WreathMaxRounds(n, WreathBranching(n, thin)))}, extra...)...)
 	if err != nil {
 		t.Fatalf("wreath(thin=%v) on n=%d: %v", thin, n, err)
 	}
@@ -104,6 +104,20 @@ func TestWreathTreesAndGrids(t *testing.T) {
 	runWreath(t, graph.RandomTree(60, rng), false)
 	runWreath(t, graph.Grid(6, 8), false)
 	runWreath(t, graph.Caterpillar(15, 2), false)
+}
+
+// TestWreathOnWorkerPool steps both constructions on four workers.
+// Payloads are pointers into the sender's scratch, so a machine that
+// wrote scratch outside Send, or read a neighbour's after its own
+// Receive, is a data race — one only the race detector sees, and only
+// with the pool on.
+func TestWreathOnWorkerPool(t *testing.T) {
+	t.Parallel()
+	const n = 96
+	for _, thin := range []bool{false, true} {
+		runWreath(t, graph.Ring(n), thin, sim.WithParallelism(4))
+		runWreath(t, graph.RandomTree(n, rand.New(rand.NewSource(7))), thin, sim.WithParallelism(4))
+	}
 }
 
 func TestWreathComplexity(t *testing.T) {

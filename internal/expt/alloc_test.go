@@ -38,3 +38,35 @@ func TestStarSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWreathSteadyStateZeroAllocs is the same pin for the §4/§5
+// machines: a warm Runner re-runs a wreath cell — recycled machines,
+// the embedded rebuild re-initialised in place every phase, pointer
+// payloads — and internal/core, internal/subroutine and the engine
+// never touch the heap. What remains is pinned exactly and lies
+// outside them: the round-cap option the registry builds per run
+// (sim.WithMaxRounds' closure, appendDefaults) on every wreath cell,
+// and on random-tree the generator's rand.NewSource (WorkloadInto)
+// plus graph.RandomTreeInto's Prüfer-sequence and degree slices.
+func TestWreathSteadyStateZeroAllocs(t *testing.T) {
+	for _, algo := range []string{AlgoWreath, AlgoThinWreath} {
+		for workload, want := range map[string]float64{"line": 1, "random-tree": 4} {
+			r := NewRunner()
+			req := Request{Algorithm: algo, Workload: workload, N: 256, Seed: 1}
+			for i := 0; i < 2; i++ {
+				if _, err := r.Execute(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := r.Execute(req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			r.Close()
+			if allocs != want {
+				t.Errorf("%s on %s: steady-state allocs per run = %v, want %v", algo, workload, allocs, want)
+			}
+		}
+	}
+}

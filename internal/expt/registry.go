@@ -40,8 +40,8 @@ type algorithm struct {
 
 var registry = []algorithm{
 	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar)},
-	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false)},
-	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true)},
+	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath)},
+	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath)},
 	{name: AlgoClique, factory: baseline.NewCliqueFactory()},
 	{name: AlgoFlood, factory: baseline.NewFloodFactory()},
 	{name: AlgoCentralized},

@@ -56,41 +56,54 @@ func adoptK(b int) int {
 // via FinalParent/FinalChildren afterwards. The embedded node never
 // halts the hosting machine.
 func NewEmbedded(cfg EmbeddedConfig) *LineToTree {
+	lt := new(LineToTree)
+	lt.ResetEmbedded(cfg)
+	return lt
+}
+
+// ResetEmbedded re-initialises m in place to the node NewEmbedded(cfg)
+// builds, keeping the capacity of its buffers: a host that rebuilds
+// every phase holds one LineToTree by value and resets it per window
+// instead of allocating a new one.
+func (m *LineToTree) ResetEmbedded(cfg EmbeddedConfig) {
 	base := cfg.StartRound - 1
 	stage1 := 4*(bits.Len(uint(cfg.SizeBound))+3) + 8
-	lt := &LineToTree{
+	k := adoptK(cfg.Branching)
+	*m = LineToTree{
 		b:         cfg.Branching,
 		wake:      base,
-		budget:    base + stage1 + 2*adoptK(cfg.Branching) + 4,
+		budget:    base + stage1 + 2*k + 4,
 		stage1End: base + stage1,
-		adoptK:    adoptK(cfg.Branching),
+		adoptK:    k,
 		selfID:    cfg.Self,
 		isRoot:    cfg.IsRoot,
 		parent:    cfg.Parent,
-		childEA:   make(map[graph.ID]int),
-		heard:     make(map[graph.ID]treeMsg),
-		inflight:  make(map[graph.ID]map[graph.ID]bool),
 		embedded:  true,
 		keep:      cfg.KeepEdge,
+		children:  m.children[:0],
+		childEA:   m.childEA[:0],
+		inflight:  m.inflight[:0],
+		out:       treeMsg{Children: m.out.Children[:0]},
+
+		parentCC:    -1,
+		oldParentCC: -1,
 	}
 	if cfg.IsRoot {
-		lt.parent = cfg.Self
+		m.parent = cfg.Self
 	}
 	if cfg.HasChild {
-		lt.children = append(lt.children, cfg.Child)
-		lt.childEA[cfg.Child] = 0
+		m.children = append(m.children, cfg.Child)
+		m.childEA = append(m.childEA, 0)
 	}
-	return lt
 }
 
 // FinalParent returns the node's current tree parent and whether it is
 // the root. Meaningful once the rebuild window has ended.
 func (m *LineToTree) FinalParent() (graph.ID, bool) { return m.parent, m.isRoot }
 
-// FinalChildren returns the node's current children in attach order.
-func (m *LineToTree) FinalChildren() []graph.ID {
-	return append([]graph.ID(nil), m.children...)
-}
+// FinalChildren returns the node's current children in attach order: a
+// read-only view, valid until the node's next Receive or ResetEmbedded.
+func (m *LineToTree) FinalChildren() []graph.ID { return m.children }
 
 // Done reports whether the window budget has passed at the given
 // absolute round.

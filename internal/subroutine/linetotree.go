@@ -3,6 +3,7 @@ package subroutine
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -13,6 +14,11 @@ import (
 // Parent*/Old* fields forward the sender's latest knowledge about its
 // own (old) parent, which is what lets a node reason about its
 // grandparent without being adjacent to it.
+//
+// It travels as a pointer to the sender's scratch (LineToTree.out),
+// under the payload-scratch contract of DESIGN.md: written in Send
+// only, so a receiver may read it — Children included — for the whole
+// of its Receive and must copy what it needs afterwards.
 type treeMsg struct {
 	EA, DEA   int
 	HasParent bool
@@ -83,15 +89,26 @@ type LineToTree struct {
 	ea, dea   int
 
 	children []graph.ID // attach order
-	childEA  map[graph.ID]int
-	heard    map[graph.ID]treeMsg
+	childEA  []int      // parallel to children: each child's last broadcast EA
 
-	// inflight records departed children by the parent they claimed,
+	// inflight records departed children with the parent they claimed,
 	// until that parent's broadcast child list includes them. It makes
 	// the forwarded child counts immune to the one-round lag between
 	// an arrival's hop and the target learning of it.
-	inflight map[graph.ID]map[graph.ID]bool
+	inflight []departure
+
+	// What the last Receive heard from the parent and the old parent as
+	// they stood when it returned, folded into the words the next Send
+	// forwards. The senders rewrite their scratch in that same Send
+	// phase, so nothing of theirs may be read by then.
+	parentAwake, amFirstChild, oldParentWake bool
+	parentCC, oldParentCC                    int // -1 unknown
+
+	out treeMsg // outgoing scratch, written in Send only
 }
+
+// departure is one inflight entry: child left us claiming target.
+type departure struct{ target, child graph.ID }
 
 var _ sim.Machine = (*LineToTree)(nil)
 
@@ -163,13 +180,13 @@ func NewLineToTreeFactory(opts LineToTreeOptions) (sim.Factory, error) {
 			adoptK:    k,
 			isRoot:    opts.Parents[id] == id,
 			parent:    opts.Parents[id],
-			childEA:   make(map[graph.ID]int),
-			heard:     make(map[graph.ID]treeMsg),
-			inflight:  make(map[graph.ID]map[graph.ID]bool),
+
+			parentCC:    -1,
+			oldParentCC: -1,
 		}
 		if c, ok := childOf[id]; ok {
 			lt.children = append(lt.children, c)
-			lt.childEA[c] = 0
+			lt.childEA = append(lt.childEA, 0)
 		}
 		return lt
 	}, nil
@@ -190,61 +207,70 @@ func (m *LineToTree) Send(ctx *sim.Context) {
 	if ctx.Round() <= m.wake {
 		return // still asleep
 	}
-	msg := treeMsg{
+	m.out = treeMsg{
 		EA:        m.ea,
 		DEA:       m.dea,
 		HasParent: !m.isRoot,
 		Parent:    m.parent,
-		Children:  append([]graph.ID(nil), m.children...),
-		ParentCC:  -1, OldParentCC: -1,
-		HasOld:    m.hasOld,
-		OldParent: m.oldParent,
+		Children:  append(m.out.Children[:0], m.children...),
+
+		ParentCC:     m.parentCC,
+		AmFirstChild: m.amFirstChild,
+		ParentAwake:  m.parentAwake,
+
+		HasOld:        m.hasOld,
+		OldParent:     m.oldParent,
+		OldParentCC:   m.oldParentCC,
+		OldParentWake: m.oldParentWake,
+		LadderPending: m.hasOld && m.childBehind(),
 	}
-	if m.hasOld {
-		for _, c := range m.children {
-			ea, known := m.childEA[c]
-			if !known || ea <= m.dea {
-				msg.LadderPending = true
-				break
+	ctx.Broadcast(&m.out)
+}
+
+// childBehind reports whether some child has not yet climbed past our
+// old parent edge (EA_x <= DEA_u): it may still need that edge as the
+// ladder for its next hop, whose target IS our old parent.
+func (m *LineToTree) childBehind() bool {
+	for _, ea := range m.childEA {
+		if ea <= m.dea {
+			return true
+		}
+	}
+	return false
+}
+
+// heardFrom returns the state id broadcast this round, or nil if id
+// was silent. The engine delivers the inbox sender-sorted with one
+// broadcast per sender, so the inbox is the round's "heard" table.
+func heardFrom(inbox []sim.Message, id graph.ID) *treeMsg {
+	for i := range inbox {
+		if inbox[i].From == id {
+			if st, ok := inbox[i].Payload.(*treeMsg); ok {
+				return st
 			}
 		}
 	}
-	if !m.isRoot {
-		if st, ok := m.heard[m.parent]; ok {
-			msg.ParentAwake = true
-			msg.ParentCC = m.correctedCC(m.parent, st.Children)
-			msg.AmFirstChild = len(st.Children) > 0 && st.Children[0] == m.selfID
-		}
-	}
-	if m.hasOld {
-		if st, ok := m.heard[m.oldParent]; ok {
-			msg.OldParentWake = true
-			msg.OldParentCC = m.correctedCC(m.oldParent, st.Children)
-		}
-	}
-	ctx.Broadcast(msg)
+	return nil
 }
 
 // correctedCC returns the child count of node t given its broadcast
 // child list, adding departures of our own children toward t that t
 // has not yet registered.
 func (m *LineToTree) correctedCC(t graph.ID, listed []graph.ID) int {
-	pending := m.inflight[t]
-	if len(pending) == 0 {
-		return len(listed)
-	}
-	inList := make(map[graph.ID]bool, len(listed))
-	for _, c := range listed {
-		inList[c] = true
-	}
 	cc := len(listed)
-	for c := range pending {
-		if inList[c] {
-			delete(pending, c) // registered: stop correcting
-		} else {
+	pending := m.inflight[:0]
+	for _, d := range m.inflight {
+		switch {
+		case d.target != t:
+			pending = append(pending, d)
+		case slices.Contains(listed, d.child):
+			// registered: stop correcting
+		default:
+			pending = append(pending, d)
 			cc++
 		}
 	}
+	m.inflight = pending
 	return cc
 }
 
@@ -261,41 +287,54 @@ func (m *LineToTree) Receive(ctx *sim.Context, inbox []sim.Message) {
 		return // asleep: ignore everything, touch nothing
 	}
 
-	clear(m.heard)
-	for _, msg := range inbox {
-		if st, ok := msg.Payload.(treeMsg); ok {
-			m.heard[msg.From] = st
-		}
-	}
-	m.refreshChildren()
-
-	if round > m.stage1End {
+	m.refreshChildren(inbox)
+	switch {
+	case round > m.stage1End:
 		// Stage 2 (b > 2): compression. Every node with a grandparent
 		// hops to it — one TreeToStar-style step per adoption slot —
 		// which halves the depth and squares the branching.
 		t := round - m.stage1End
 		if t%2 == 0 && t/2 <= m.adoptK {
-			m.adoptHop(ctx)
+			m.adoptHop(ctx, inbox)
 		}
-		return
+	case round%2 == 1:
+		m.maybeActivate(ctx, inbox)
+	default:
+		m.maybeDeactivate(ctx, inbox)
 	}
+	m.noteParents(inbox)
+}
 
-	if round%2 == 1 {
-		m.maybeActivate(ctx)
-	} else {
-		m.maybeDeactivate(ctx)
+// noteParents folds what this round's inbox says about the parent and
+// the old parent — as they stand now, after any hop — into the words
+// the next Send forwards.
+func (m *LineToTree) noteParents(inbox []sim.Message) {
+	m.parentAwake, m.parentCC, m.amFirstChild = false, -1, false
+	if !m.isRoot {
+		if st := heardFrom(inbox, m.parent); st != nil {
+			m.parentAwake = true
+			m.parentCC = m.correctedCC(m.parent, st.Children)
+			m.amFirstChild = len(st.Children) > 0 && st.Children[0] == m.selfID
+		}
+	}
+	m.oldParentWake, m.oldParentCC = false, -1
+	if m.hasOld {
+		if st := heardFrom(inbox, m.oldParent); st != nil {
+			m.oldParentWake = true
+			m.oldParentCC = m.correctedCC(m.oldParent, st.Children)
+		}
 	}
 }
 
 // adoptHop performs one depth-halving step: climb to the grandparent
 // and release the parent edge, exactly like TreeToStar but bounded to
 // adoptK repetitions.
-func (m *LineToTree) adoptHop(ctx *sim.Context) {
+func (m *LineToTree) adoptHop(ctx *sim.Context, inbox []sim.Message) {
 	if m.isRoot {
 		return
 	}
-	v, ok := m.heard[m.parent]
-	if !ok || !v.HasParent || v.Parent == m.selfID {
+	v := heardFrom(inbox, m.parent)
+	if v == nil || !v.HasParent || v.Parent == m.selfID {
 		return // parent is the root: already at depth 1
 	}
 	ctx.Activate(v.Parent)
@@ -308,43 +347,42 @@ func (m *LineToTree) adoptHop(ctx *sim.Context) {
 // refreshChildren integrates this round's parent claims: a node is our
 // child exactly while it declares us as its parent. Asleep children
 // (no broadcast yet) stay listed — silence is not departure.
-func (m *LineToTree) refreshChildren() {
-	kept := m.children[:0]
-	for _, c := range m.children {
-		st, ok := m.heard[c]
-		if ok && (!st.HasParent || st.Parent != m.selfID) {
-			delete(m.childEA, c)
-			// Track the departure for child-count correction.
-			if st.HasParent {
-				if m.inflight[st.Parent] == nil {
-					m.inflight[st.Parent] = make(map[graph.ID]bool)
+func (m *LineToTree) refreshChildren(inbox []sim.Message) {
+	kept := 0
+	for i, c := range m.children {
+		ea := m.childEA[i]
+		if st := heardFrom(inbox, c); st != nil {
+			if !st.HasParent || st.Parent != m.selfID {
+				// Track the departure for child-count correction.
+				if st.HasParent {
+					if d := (departure{st.Parent, c}); !slices.Contains(m.inflight, d) {
+						m.inflight = append(m.inflight, d)
+					}
 				}
-				m.inflight[st.Parent][c] = true
+				continue
 			}
-			continue
+			ea = st.EA
 		}
-		if ok {
-			m.childEA[c] = st.EA
-		}
-		kept = append(kept, c)
+		m.children[kept], m.childEA[kept] = c, ea
+		kept++
 	}
-	m.children = kept
+	m.children, m.childEA = m.children[:kept], m.childEA[:kept]
 	// Append new claimants in deterministic (ascending sender) order.
-	for _, from := range sortedKeys(m.heard) {
-		st := m.heard[from]
-		if st.HasParent && st.Parent == m.selfID && !m.hasChild(from) {
-			m.children = append(m.children, from)
-			m.childEA[from] = st.EA
+	for i := range inbox {
+		st, ok := inbox[i].Payload.(*treeMsg)
+		if ok && st.HasParent && st.Parent == m.selfID && !slices.Contains(m.children, inbox[i].From) {
+			m.children = append(m.children, inbox[i].From)
+			m.childEA = append(m.childEA, st.EA)
 		}
 	}
 }
 
-func (m *LineToTree) maybeActivate(ctx *sim.Context) {
+func (m *LineToTree) maybeActivate(ctx *sim.Context, inbox []sim.Message) {
 	if m.isRoot || m.dea != m.ea {
 		return // dirty ladder: the old parent edge must go first
 	}
-	v, ok := m.heard[m.parent] // parent must be awake this round
-	if !ok {
+	v := heardFrom(inbox, m.parent) // parent must be awake this round
+	if v == nil {
 		return
 	}
 	if len(v.Children) == 0 || v.Children[0] != m.selfID {
@@ -384,77 +422,41 @@ func (m *LineToTree) maybeActivate(ctx *sim.Context) {
 	m.ea++
 }
 
-var debugNode graph.ID = -1
-
-func (m *LineToTree) maybeDeactivate(ctx *sim.Context) {
-	dbg := m.selfID == debugNode
+func (m *LineToTree) maybeDeactivate(ctx *sim.Context, inbox []sim.Message) {
 	if !m.hasOld || m.ea != m.dea+1 {
-		if dbg {
-			println("r", ctx.Round(), "no-old-or-misaligned", m.hasOld, m.ea, m.dea)
-		}
 		return
 	}
-	// Children at EA == DEA_u may still need the old edge as the
-	// ladder for their next hop (their climb target IS our old
-	// parent); cut only once every child has climbed past it
+	// Cut only once every child has climbed past the old edge
 	// (EA_x >= DEA_u + 1, the paper's EA_x = DEA_u + 1 condition
-	// generalized to several children). Unknown (asleep) children
-	// block conservatively.
-	for _, c := range m.children {
-		ea, ok := m.childEA[c]
-		if !ok || ea <= m.dea {
-			if dbg {
-				println("r", ctx.Round(), "child-block", int(c), ea, ok)
-			}
-			return
-		}
+	// generalized to several children).
+	if m.childBehind() {
+		return
 	}
 	// A neighbor that still holds its own pending ladder INTO us can
 	// deliver a late-arriving child (a lagging descendant climbs
 	// through that retained edge and lands here needing our ladder
 	// next) — and a silent neighbor might be exactly that, still
 	// asleep. Both block the cut; this is the message-passing
-	// realization of the paper's "u, v, x are awake" guard.
-	for _, nb := range ctx.Neighbors() {
-		st, heardNb := m.heard[nb]
-		if !heardNb {
-			if dbg {
-				println("r", ctx.Round(), "silent-block", int(nb))
-			}
-			return
+	// realization of the paper's "u, v, x are awake" guard. Every
+	// sender is a distinct neighbor, so all were heard exactly when
+	// the states heard number the degree.
+	heard := 0
+	for i := range inbox {
+		st, ok := inbox[i].Payload.(*treeMsg)
+		if !ok {
+			continue
 		}
 		if st.HasOld && st.OldParent == m.selfID && st.LadderPending {
-			if dbg {
-				println("r", ctx.Round(), "inladder-block", int(nb))
-			}
 			return
 		}
+		heard++
+	}
+	if heard != ctx.Degree() {
+		return
 	}
 	if m.keep == nil || !m.keep(m.oldParent) {
 		ctx.Deactivate(m.oldParent)
 	}
 	m.hasOld = false
 	m.dea++
-}
-
-func (m *LineToTree) hasChild(id graph.ID) bool {
-	for _, c := range m.children {
-		if c == id {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedKeys(ms map[graph.ID]treeMsg) []graph.ID {
-	out := make([]graph.ID, 0, len(ms))
-	for k := range ms {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
