@@ -122,7 +122,7 @@ func (m *expandMachine) Receive(ctx *sim.Context, inbox []sim.Message) {
 // returns a deterministic rendering of the full execution: final
 // metrics plus every round's delta — the algorithm's and the
 // environment's committed edits, all four lists.
-func envFingerprint(t *testing.T, spec Spec, workers int) string {
+func envFingerprint(t *testing.T, g *graph.Graph, spec Spec, workers int) string {
 	t.Helper()
 	env, err := New(spec, 7)
 	if err != nil {
@@ -130,7 +130,7 @@ func envFingerprint(t *testing.T, spec Spec, workers int) string {
 	}
 	factory := func(id graph.ID, _ sim.Env) sim.Machine { return &expandMachine{rounds: 24} }
 	var rounds strings.Builder
-	res, err := sim.Run(graph.Grid(4, 6), factory,
+	res, err := sim.Run(g, factory,
 		sim.WithEnvironment(env),
 		sim.WithDeltaHook(func(d temporal.RoundDelta) {
 			fmt.Fprintf(&rounds, "r%d alg %v %v env %v %v\n",
@@ -164,10 +164,27 @@ func TestSchedulesDeterministicAcrossParallelism(t *testing.T) {
 		spec := spec
 		t.Run(spec.Key(), func(t *testing.T) {
 			t.Parallel()
-			want := envFingerprint(t, spec, workers[0])
+			want := envFingerprint(t, graph.Grid(4, 6), spec, workers[0])
 			for _, w := range workers[1:] {
-				if got := envFingerprint(t, spec, w); got != want {
+				if got := envFingerprint(t, graph.Grid(4, 6), spec, w); got != want {
 					t.Fatalf("workers=%d diverged from workers=%d:\n%s\nvs\n%s", w, workers[0], got, want)
+				}
+			}
+		})
+		// Node IDs that are not 0..n-1: the schedules pick nodes by
+		// rank, and the deltas carry ranks, so a line relabelled
+		// u -> 3u+7 must run — churn used to propose edits to IDs that
+		// are not nodes — and read exactly like the line itself.
+		t.Run("sparse-ids/"+spec.Key(), func(t *testing.T) {
+			t.Parallel()
+			sparse := graph.New()
+			for u := graph.ID(0); u < 23; u++ {
+				sparse.MustAddEdge(3*u+7, 3*(u+1)+7)
+			}
+			want := envFingerprint(t, graph.Line(24), spec, 1)
+			for _, w := range workers {
+				if got := envFingerprint(t, sparse, spec, w); got != want {
+					t.Fatalf("workers=%d on sparse IDs diverged from the dense line:\n%s\nvs\n%s", w, got, want)
 				}
 			}
 		})

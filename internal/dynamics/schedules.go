@@ -43,8 +43,8 @@ func (c *churnSchedule) Perturb(round int, hist *temporal.History, edits *sim.En
 		c.work.CopyCanonicalFrom(view)
 	}
 	for f := 0; f < c.k; f++ {
-		u := graph.ID(c.rng.Intn(c.n))
-		v := graph.ID(c.rng.Intn(c.n))
+		u := hist.IDAtSlot(c.rng.Intn(c.n))
+		v := hist.IDAtSlot(c.rng.Intn(c.n))
 		if u == v {
 			continue
 		}

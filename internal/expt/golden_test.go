@@ -98,6 +98,36 @@ func freshTraceDigest(g *graph.Graph, factory sim.Factory, opts ...sim.Option) s
 // Workloads() (increasing-ring is ring, star is a one-phase corner).
 var goldenFamilies = []string{"line", "ring", "random-tree", "bounded-degree", "random", "power-law", "small-world"}
 
+// checkTraceGolden compares a folded trace hash with its literal.
+func checkTraceGolden(t *testing.T, goldens map[string]string, key string, fold hash.Hash) {
+	t.Helper()
+	got := hex.EncodeToString(fold.Sum(nil))
+	if want := goldens[key]; got != want {
+		t.Errorf("trace changed:\n\t%q: %q,\nwant %q", key, got, want)
+	}
+}
+
+// foldCellTraces folds the trace digests of seeds 1–3 of one
+// (algorithm, family, n), logging each under key.
+func foldCellTraces(t *testing.T, key, algo, family string, n int) hash.Hash {
+	t.Helper()
+	factory, opts, err := Simulation(algo, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := sha256.New()
+	for seed := int64(1); seed <= 3; seed++ {
+		g, err := Workload(family, n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := freshTraceDigest(g, factory, opts...)
+		t.Logf("%s seed %d: %s", key, seed, d)
+		fmt.Fprintln(fold, d)
+	}
+	return fold
+}
+
 // TestWreathTraceGoldens pins the §4/§5 machines' observable behaviour
 // across commits: the determinism tests compare worker counts within
 // one binary, this compares the binary with the one that generated the
@@ -111,33 +141,13 @@ var goldenFamilies = []string{"line", "ring", "random-tree", "bounded-degree", "
 // (branching, wake schedule). Run with -v for the per-run digests.
 func TestWreathTraceGoldens(t *testing.T) {
 	t.Parallel()
-	check := func(t *testing.T, key string, fold hash.Hash) {
-		got := hex.EncodeToString(fold.Sum(nil))
-		if want := wreathTraceGoldens[key]; got != want {
-			t.Errorf("trace changed:\n\t%q: %q,\nwant %q", key, got, want)
-		}
-	}
 	for _, algo := range []string{AlgoWreath, AlgoThinWreath} {
 		for _, family := range goldenFamilies {
 			for _, n := range []int{17, 64, 128, 256} {
 				key := fmt.Sprintf("%s/%s/%d", algo, family, n)
 				t.Run(key, func(t *testing.T) {
 					t.Parallel()
-					factory, opts, err := Simulation(algo, n)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fold := sha256.New()
-					for seed := int64(1); seed <= 3; seed++ {
-						g, err := Workload(family, n, seed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := freshTraceDigest(g, factory, opts...)
-						t.Logf("%s seed %d: %s", key, seed, d)
-						fmt.Fprintln(fold, d)
-					}
-					check(t, key, fold)
+					checkTraceGolden(t, wreathTraceGoldens, key, foldCellTraces(t, key, algo, family, n))
 				})
 			}
 		}
@@ -173,7 +183,7 @@ func TestWreathTraceGoldens(t *testing.T) {
 					t.Logf("%s n %d: %s", key, n, d)
 					fmt.Fprintln(fold, d)
 				}
-				check(t, key, fold)
+				checkTraceGolden(t, wreathTraceGoldens, key, fold)
 			})
 		}
 	}
@@ -286,4 +296,120 @@ var wreathTraceGoldens = map[string]string{
 	"line-to-tree/polylog=false/staggered=true":  "0d1e5d95b70420bf21e1f4a72a1c9abf0545232c09f3b06fbc8091ca4bf3335e",
 	"line-to-tree/polylog=true/staggered=false":  "fd3cf5555db8ea2c7c837f7d94987878cf9a052693a03fd33fc544d4d27b7592",
 	"line-to-tree/polylog=true/staggered=true":   "d551766801a44f8c16b05915af9ce3e633b3ae198c48092be4224e2b83e95cd2",
+}
+
+// sparseRelabel returns g with every node u renamed 3u+7: IDs with
+// gaps, none of them 0, so a trace that shows ranks 0..n−1 on the wire
+// shows that slots are ranks and not IDs.
+func sparseRelabel(g *graph.Graph) *graph.Graph {
+	out := graph.New()
+	for _, u := range g.Nodes() {
+		out.AddNode(3*u + 7)
+	}
+	for _, e := range g.Edges() {
+		out.MustAddEdge(3*e.A+7, 3*e.B+7)
+	}
+	return out
+}
+
+// TestStarAndBaselineTraceGoldens is TestWreathTraceGoldens for §3 and
+// the two distributed baselines, which until PR 19 were pinned across
+// commits by outcome digests only. Each literal folds seeds 1–3 of one
+// (algorithm, family, n); the */sparse literals run random-tree/24
+// seed 1 relabelled u ↦ 3u+7.
+func TestStarAndBaselineTraceGoldens(t *testing.T) {
+	t.Parallel()
+	for _, algo := range []string{AlgoStar, AlgoFlood, AlgoClique} {
+		for _, family := range goldenFamilies {
+			for _, n := range []int{17, 64, 256} {
+				if algo == AlgoClique && n > 64 {
+					continue
+				}
+				key := fmt.Sprintf("%s/%s/%d", algo, family, n)
+				t.Run(key, func(t *testing.T) {
+					t.Parallel()
+					checkTraceGolden(t, starAndBaselineTraceGoldens, key, foldCellTraces(t, key, algo, family, n))
+				})
+			}
+		}
+		key := algo + "/sparse"
+		t.Run(key, func(t *testing.T) {
+			t.Parallel()
+			factory, opts, err := Simulation(algo, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := Workload("random-tree", 24, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold := sha256.New()
+			fmt.Fprintln(fold, freshTraceDigest(sparseRelabel(g), factory, opts...))
+			checkTraceGolden(t, starAndBaselineTraceGoldens, key, fold)
+		})
+	}
+}
+
+// starAndBaselineTraceGoldens were generated at commit 3c60373 (PR 19's
+// parent, before graph storage became ID-indexed).
+var starAndBaselineTraceGoldens = map[string]string{
+	"graph-to-star/line/17":            "011959982d794297a51302045075c2b24f5ca03ea77758c34820c80f86f521ad",
+	"graph-to-star/line/64":            "ad449357c33e3bc0a748fb175c0ac927f53c96201d25440ba4405be2acb3ede2",
+	"graph-to-star/line/256":           "3c5a6d82f6759266551e6717ffc5e0964964b109619ccedfb94d769f6bb18a70",
+	"graph-to-star/ring/17":            "6f27e811eeccd565deb4fb2ede9fb54f2874ba2fe94c9e583fca8d78118a6aa2",
+	"graph-to-star/ring/64":            "237643631eeb59918e4900dec6a8061c48cec530a9a1e1fd58225c778b09f08b",
+	"graph-to-star/ring/256":           "71384f8f9f7840f0e2971c42461447478224d3ad5ab2c83441ae6b523e77cd4f",
+	"graph-to-star/random-tree/17":     "23b552e9e396ab4cf9238f9e1399773c21ab773d6ca48b44972903a3addb4cd7",
+	"graph-to-star/random-tree/64":     "ae580dc3af1d58d24090225f37509bc2d9b2ba1c77c70389edb8b9d4b2ae20b0",
+	"graph-to-star/random-tree/256":    "fb893b2d180c2f4c2aa74b5dcb7e0b6e95291d7d12c71c1b03f3d74d4bfeb887",
+	"graph-to-star/bounded-degree/17":  "92dd9966116485d1d9194d072f7eecfde5869efd103c9c804de57523c8ba8aa2",
+	"graph-to-star/bounded-degree/64":  "65fe17aaa398b1fb36e993ac6f9f85ccf45a94c187a6ec74c4906e6946803fa6",
+	"graph-to-star/bounded-degree/256": "87211f51efedaa6b5228f70ed7b41997601d3f226f01e9119f20efd2b64372ea",
+	"graph-to-star/random/17":          "2a9cdb4d38ee1d827e3f507994c1f29a9a24bfbda35f0be4f3c0b56ba44587a5",
+	"graph-to-star/random/64":          "c126cf180fe768209b322506c4119e8f75f077d98250ab91185b202e01ac6a3c",
+	"graph-to-star/random/256":         "dce6c0a0fc62be9fd2615683aaa49ed59fd33c90593730e38f1fe73383e94b9a",
+	"graph-to-star/power-law/17":       "c031f135e950c7548d148ea57036069a4bf2a1a4f2a76a9fbb0fa5d11cc96076",
+	"graph-to-star/power-law/64":       "ba2840bc9210d6320d0ab58eb4a2f2dcce84c4c9a3ff2b2fdbbc59c7c927fa4e",
+	"graph-to-star/power-law/256":      "9f7cb681cc5a5beeb6b5c88216f4221389ba89a4ca696cb2d72e060d643e3a01",
+	"graph-to-star/small-world/17":     "2cdb5d97a6e9ec46d3957dc51d0566926a81c131769993699a46de6f6161cbb5",
+	"graph-to-star/small-world/64":     "911290fcf65bdd11e7c933936fc40699ecfba174e54a0e1e37b4cc4898b2112e",
+	"graph-to-star/small-world/256":    "2415834622555463a26d6137164ace821b5fbb0736bdc52295745753408a2fac",
+	"graph-to-star/sparse":             "0c3c8fd62504fbd232ac66e91dfa465bab522f7026389b0dedb1b6ff61e5b97d",
+	"flood/line/17":                    "6b63a07e10b41a2407755891225fa868a92d2f0d97a86c02cbd897a2f6e682de",
+	"flood/line/64":                    "c945197c3fb3485200a0556bf4bc50003de5cfd7fc5043f7dc606b74a9ceb55c",
+	"flood/line/256":                   "6e47334b0d4fd9d5a55dd2f7b0da395d7311036dd6a8e31f5ca59d41432d3820",
+	"flood/ring/17":                    "51ffab3afcc1308187f984b137c34ce9fa822a95f14b86d13a89bc3421492cde",
+	"flood/ring/64":                    "5591543f571b7f43b211261182a374271b8ca4d3b77048f5dc0c34addb548596",
+	"flood/ring/256":                   "82e87b2ef5409c253ad313df2f003f0477f243772e4d2409d25dc6389c341641",
+	"flood/random-tree/17":             "93b8c33495f057493a13a83eed153c60f106ea055559ecda0e8b79489d25cb65",
+	"flood/random-tree/64":             "0e5e81e4f724176f785f291f0bb473dd299b15eee53e5e4fc92ca9f6648cd0bc",
+	"flood/random-tree/256":            "36ebc1c19968b805901adb5cca8d6ba83adce34e2cb680d370e9492e51cd2fda",
+	"flood/bounded-degree/17":          "36920de8eda0f914c7e3997e8f8b5042133aa1c4613c0a8e4834a0de3bcdd450",
+	"flood/bounded-degree/64":          "fe899557af09d938dfec16621e6b2e9f6075c543d13c1be424404587764bf859",
+	"flood/bounded-degree/256":         "993072f8ac93bc51d1255a6c703fe5561e11467135cca61d5952781f1d7fd53d",
+	"flood/random/17":                  "1140972645d2a33b2a5101718acccfafb3863657a7df4d3958b5bae7adbdd057",
+	"flood/random/64":                  "18357bbc3370fd6a2259ffa006d196de7241821036c74dd76c3ce30be88bf2d4",
+	"flood/random/256":                 "b307a47e9805c7daabd57e6855e5d819410ca48d57af32c9be1ac059bceb0cd6",
+	"flood/power-law/17":               "57536cb66cd53e28032f029d6ec60da90b3cc1cbb2b67c4beb64570294a7a2eb",
+	"flood/power-law/64":               "e381446561411b113ac4da22b446b595589a2a6d08cd22220e8183b21f8bb448",
+	"flood/power-law/256":              "769581b89285bc6df0bcb4ea21741ffee110009cdb8bd3cf4a3a89cd6615ff7a",
+	"flood/small-world/17":             "06b871cf3dfeb2175392ce123924249ac276e4b1d5ee880d0f95551936cc2832",
+	"flood/small-world/64":             "59592071e268aa92d3709a6499f270523b264b2a65a73f6d5c002e73c5715573",
+	"flood/small-world/256":            "c78c5d55b2951fa57a4313d7b9edf97d3d3dcdb9a22820eddb58b435688d5a4d",
+	"flood/sparse":                     "9fea06fd6f4e14c912ac408147820428599334524ee70427d3c6600ef6bbac1c",
+	"clique/line/17":                   "fa497ad19c6ed73716492f2d873e4451ec2556622c93615cd3a11ad569605a59",
+	"clique/line/64":                   "2f4a823218f3cbeed9a2d46005eb4f51d04776486dfde2db82dafe7a81c90db2",
+	"clique/ring/17":                   "73abeeac37cfc5c31305dd06200faee260f67a52829097a9172339d0748a5659",
+	"clique/ring/64":                   "284efc832b60b3f77e3341ff8bf0065f2e7866a3c0eef0ed03515a7ed1fe422c",
+	"clique/random-tree/17":            "a5e5ae93a5e4702d0fd9675eb4be06d60e57037666d9f9dd0c204f6be93fafdd",
+	"clique/random-tree/64":            "5b6f34e2bbc99d972208958e83b4666211e3899e6a3760d8d94cc78218a13c0f",
+	"clique/bounded-degree/17":         "a6348a99b91b55e7a45f78c2de48f7a35e99073d113c2888f3b5578ca2c174cd",
+	"clique/bounded-degree/64":         "3e4c09e021ed4abfd8102fa812730ecfcc013a7d914ecbd46a840ba8cad5d173",
+	"clique/random/17":                 "7784c627b910e018d17102f42becd0b7f89dbf9ced0432be9a178157471ec790",
+	"clique/random/64":                 "eda73e6e8b538c0f004261ec3fa5fb78a193b29875812497008b17f10dd92058",
+	"clique/power-law/17":              "75e7131b6303edaaea130ee80425e49a190b0f5b6a371254119b477c2218011e",
+	"clique/power-law/64":              "358b289a3f018614559807d96ed938cac877ec2980efbd5ecb5be665556cab1f",
+	"clique/small-world/17":            "ec3883a35f3f541d85714a8acb564b98a0494941f72d87c2cef956a5c8a7a8a0",
+	"clique/small-world/64":            "534b17850200c6869db184e188071d2f0040f561edefceb4fdc72f7f12bdcca6",
+	"clique/sparse":                    "d1b7074b12492d76eba4c0cf37f5e1cfa73814f0903e646477b79737cf890d9e",
 }

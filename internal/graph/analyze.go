@@ -10,15 +10,15 @@ import "slices"
 // goroutine; concurrent analyses need one scratch each.
 type BFSScratch struct {
 	dist  []int
-	queue []int
+	queue []ID
 }
 
-// bfsSlots runs a breadth-first search from the slot src and returns
-// per-slot distances (-1 for unreachable) plus the number of reached
-// slots. The returned slice aliases sc.dist and is valid until the
-// next call on sc.
-func (sc *BFSScratch) bfsSlots(g *Graph, src int) (dist []int, reached int) {
-	n := len(g.ids)
+// bfs runs a breadth-first search from the node src and returns
+// distances indexed by ID (-1 for unreachable nodes and for gaps in
+// the ID range) plus the number of reached nodes. The returned slice
+// aliases sc.dist and is valid until the next call on sc.
+func (sc *BFSScratch) bfs(g *Graph, src ID) (dist []int, reached int) {
+	n := len(g.bdeg)
 	if cap(sc.dist) < n {
 		sc.dist = make([]int, n)
 	}
@@ -26,13 +26,11 @@ func (sc *BFSScratch) bfsSlots(g *Graph, src int) (dist []int, reached int) {
 	for i := range dist {
 		dist[i] = -1
 	}
-	if cap(sc.queue) < n {
-		sc.queue = make([]int, 0, n)
+	if cap(sc.queue) < g.nodes {
+		sc.queue = make([]ID, 0, g.nodes)
 	}
-	queue := sc.queue[:0]
+	queue := append(sc.queue[:0], src)
 	dist[src] = 0
-	queue = append(queue, src)
-	reached = 1
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
@@ -42,94 +40,82 @@ func (sc *BFSScratch) bfsSlots(g *Graph, src int) (dist []int, reached int) {
 				for word != 0 {
 					v := base + ID(trailingZeros64(word))
 					word &= word - 1
-					sv := g.index[v]
-					if dist[sv] < 0 {
-						dist[sv] = du + 1
-						queue = append(queue, sv)
-						reached++
+					if dist[v] < 0 {
+						dist[v] = du + 1
+						queue = append(queue, v)
 					}
 				}
 			}
 			continue
 		}
 		for _, v := range g.adj[u] {
-			sv := g.index[v]
-			if dist[sv] < 0 {
-				dist[sv] = du + 1
-				queue = append(queue, sv)
-				reached++
+			if dist[v] < 0 {
+				dist[v] = du + 1
+				queue = append(queue, v)
 			}
 		}
 	}
 	sc.queue = queue
-	return dist, reached
+	return dist, len(queue)
+}
+
+// firstNode returns the smallest node ID; g must not be empty.
+func (g *Graph) firstNode() ID {
+	return ID(slices.IndexFunc(g.bdeg, func(d int) bool { return d != absent }))
 }
 
 // IsConnected is Graph.IsConnected using sc's buffers.
 func (sc *BFSScratch) IsConnected(g *Graph) bool {
-	if len(g.ids) == 0 {
+	if g.nodes == 0 {
 		return true
 	}
-	_, reached := sc.bfsSlots(g, 0)
-	return reached == len(g.ids)
+	_, reached := sc.bfs(g, g.firstNode())
+	return reached == g.nodes
 }
 
 // Eccentricity is Graph.Eccentricity using sc's buffers.
 func (sc *BFSScratch) Eccentricity(g *Graph, u ID) int {
-	s, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) {
 		return -1
 	}
-	dist, reached := sc.bfsSlots(g, s)
-	if reached != len(g.ids) {
+	dist, reached := sc.bfs(g, u)
+	if reached != g.nodes {
 		return -1
 	}
-	ecc := 0
-	for _, d := range dist {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
+	return slices.Max(dist)
 }
 
 // ApproxDiameter is Graph.ApproxDiameter using sc's buffers.
 func (sc *BFSScratch) ApproxDiameter(g *Graph) int {
-	if len(g.ids) == 0 {
+	if g.nodes == 0 {
 		return 0
 	}
-	dist, reached := sc.bfsSlots(g, 0)
-	if reached != len(g.ids) {
+	first := g.firstNode()
+	dist, reached := sc.bfs(g, first)
+	if reached != g.nodes {
 		return -1
 	}
-	far, farD := g.ids[0], 0
-	for slot, d := range dist {
-		v := g.ids[slot]
-		if d > farD || (d == farD && v < far) {
-			far, farD = v, d
+	// The farthest node from the smallest ID, smallest ID on ties.
+	far := first
+	for v, d := range dist {
+		if d > dist[far] {
+			far = ID(v)
 		}
 	}
 	return sc.Eccentricity(g, far)
 }
 
-// bfsSlots without a caller-provided scratch allocates a throwaway one.
-func (g *Graph) bfsSlots(src int) (dist []int, reached int) {
-	var sc BFSScratch
-	return sc.bfsSlots(g, src)
-}
-
 // BFS runs a breadth-first search from src and returns the distance of
 // every reachable node. Unreachable nodes are absent from the map.
 func (g *Graph) BFS(src ID) map[ID]int {
-	out := make(map[ID]int, len(g.ids))
-	s, ok := g.index[src]
-	if !ok {
+	out := make(map[ID]int, g.nodes)
+	if !g.HasNode(src) {
 		return out
 	}
-	dist, _ := g.bfsSlots(s)
-	for slot, d := range dist {
+	dist, _ := new(BFSScratch).bfs(g, src)
+	for v, d := range dist {
 		if d >= 0 {
-			out[g.ids[slot]] = d
+			out[ID(v)] = d
 		}
 	}
 	return out
@@ -160,15 +146,14 @@ func (g *Graph) Eccentricity(u ID) int { return new(BFSScratch).Eccentricity(g, 
 // or -1 if g is disconnected. It runs a BFS from every node, so it is
 // O(n·m); use ApproxDiameter for large instances.
 func (g *Graph) Diameter() int {
+	var sc BFSScratch
 	diam := 0
-	for _, u := range g.ids {
-		ecc := g.Eccentricity(u)
+	for _, u := range g.Nodes() {
+		ecc := sc.Eccentricity(g, u)
 		if ecc < 0 {
 			return -1
 		}
-		if ecc > diam {
-			diam = ecc
-		}
+		diam = max(diam, ecc)
 	}
 	return diam
 }

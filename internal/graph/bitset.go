@@ -2,7 +2,7 @@ package graph
 
 import "math/bits"
 
-// bitsetMinDeg is the minimum degree before a slot's adjacency is
+// bitsetMinDeg is the minimum degree before a node's adjacency is
 // promoted from a sorted []ID slice to an ID-indexed bitset. Promotion
 // additionally requires deg >= bitsetWords(maxID), which bounds the
 // bitset's memory by the memory of the slice it replaces (one word per

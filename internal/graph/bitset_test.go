@@ -16,8 +16,8 @@ func newBitsetProneGraph() *Graph {
 }
 
 func (g *Graph) anyEngaged() bool {
-	for s := range g.bdeg {
-		if g.engaged(s) {
+	for _, d := range g.bdeg {
+		if d >= 0 {
 			return true
 		}
 	}
@@ -39,18 +39,20 @@ func TestBitsetDifferential(t *testing.T) {
 	engagedSequences := 0
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
-		idSpace := ID(rng.Intn(48) + 8)
+		idSpace, pool := gappyIDs(rng)
 		g := newBitsetProneGraph()
 		ref := newMapGraph()
 		sawEngaged := false
 		for step := 0; step < steps; step++ {
-			u := ID(rng.Intn(int(idSpace)))
-			v := ID(rng.Intn(int(idSpace)))
+			u := ID(rng.Intn(idSpace))
+			v := ID(rng.Intn(idSpace))
 			switch rng.Intn(10) {
 			case 0:
+				u = pool[rng.Intn(len(pool))]
 				g.AddNode(u)
 				ref.addNode(u)
 			case 1, 2, 3, 4, 5:
+				u, v = pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 				err := g.AddEdge(u, v)
 				ok := ref.addEdge(u, v)
 				if (err == nil) != ok {
@@ -80,6 +82,7 @@ func TestBitsetDifferential(t *testing.T) {
 			checkGraphMatchesModel(t, g, ref, seed, step)
 		}
 		checkGraphMatchesModel(t, g, ref, seed, steps)
+		checkNonNodes(t, g, ref, idSpace, seed)
 		if sawEngaged {
 			engagedSequences++
 		}
@@ -133,12 +136,9 @@ func checkGraphMatchesModel(t *testing.T, g *Graph, ref *mapGraph, seed int64, s
 		if got, want := g.Degree(u), len(ref.adj[u]); got != want {
 			t.Fatalf("seed %d step %d: Degree(%d) = %d, want %d", seed, step, u, got, want)
 		}
-		// Slot-addressed probes agree with the ID-addressed ones.
-		su, _ := g.Slot(u)
 		for _, v := range ref.nodes() {
-			sv, _ := g.Slot(v)
-			if got, want := g.HasEdgeSlots(su, sv), ref.hasEdge(u, v); got != want {
-				t.Fatalf("seed %d step %d: HasEdgeSlots(%d,%d) = %v, want %v", seed, step, u, v, got, want)
+			if got, want := g.HasEdge(u, v), ref.hasEdge(u, v); got != want {
+				t.Fatalf("seed %d step %d: HasEdge(%d,%d) = %v, want %v", seed, step, u, v, got, want)
 			}
 		}
 	}
@@ -191,8 +191,7 @@ func TestBitsetThresholdCrossing(t *testing.T) {
 	for i := ID(1); i < n; i++ {
 		g.MustAddEdge(hub, i)
 	}
-	slot, _ := g.Slot(hub)
-	if !g.engaged(slot) {
+	if !g.engaged(hub) {
 		t.Fatalf("hub with degree %d not promoted (threshold %d)", g.Degree(hub), g.promoteThreshold())
 	}
 	if got := g.Degree(hub); got != n-1 {
@@ -230,7 +229,7 @@ func TestBitsetThresholdCrossing(t *testing.T) {
 			}
 		}
 	}
-	if g.engaged(slot) {
+	if g.engaged(hub) {
 		t.Fatal("empty hub still bitset-backed: demotion never happened")
 	}
 	if g.NumEdges() != 0 {
@@ -240,7 +239,7 @@ func TestBitsetThresholdCrossing(t *testing.T) {
 	for i := ID(1); i < n; i++ {
 		g.MustAddEdge(hub, i)
 	}
-	if !g.engaged(slot) {
+	if !g.engaged(hub) {
 		t.Fatal("hub not re-promoted")
 	}
 	if got := g.Degree(hub); got != n-1 {
@@ -277,12 +276,6 @@ func TestBitsetCanonicalCopySliceBacked(t *testing.T) {
 	for i := ID(0); i < n; i++ {
 		if !reflect.DeepEqual(dst.Neighbors(i), src.Neighbors(i)) {
 			t.Fatalf("Neighbors(%d) differ between copy and source", i)
-		}
-	}
-	// Slots of the canonical copy are ascending-ID ranks.
-	for i := 0; i < dst.NumNodes(); i++ {
-		if dst.IDAt(i) != ID(i) {
-			t.Fatalf("canonical slot %d holds ID %d", i, dst.IDAt(i))
 		}
 	}
 }

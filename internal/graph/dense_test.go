@@ -94,6 +94,46 @@ func (g *mapGraph) maxDegree() int {
 	return m
 }
 
+// gappyIDs draws an ID space of 8–300 and the at most 40 IDs of it that
+// a sequence may add. A small space fills up, which forces collisions;
+// a large one leaves gaps — IDs inside the range that are never added
+// and must answer like unknown ones. Mutations draw from the pool,
+// queries from the whole space.
+func gappyIDs(rng *rand.Rand) (space int, pool []ID) {
+	space = rng.Intn(293) + 8
+	for _, u := range rng.Perm(space)[:min(space, 40)] {
+		pool = append(pool, ID(u))
+	}
+	return space, pool
+}
+
+// checkNonNodes asserts that every ID of -1..space that the model does
+// not hold — negative, a gap, or past MaxID — is no node of g, has no
+// neighbors and is on no edge.
+func checkNonNodes(t *testing.T, g *Graph, ref *mapGraph, space int, seed int64) {
+	t.Helper()
+	nodes := ref.nodes()
+	for x := ID(-1); x <= ID(space); x++ {
+		if _, ok := ref.adj[x]; ok {
+			continue
+		}
+		if g.HasNode(x) || g.Degree(x) != 0 || len(g.Neighbors(x)) != 0 ||
+			len(g.NeighborsInto(x, nil)) != 0 || g.NeighborsView(x) != nil {
+			t.Fatalf("seed %d: non-node %d: HasNode %v, Degree %d, Neighbors %v",
+				seed, x, g.HasNode(x), g.Degree(x), g.Neighbors(x))
+		}
+		g.EachNeighbor(x, func(v ID) bool {
+			t.Fatalf("seed %d: EachNeighbor(%d) visited %d", seed, x, v)
+			return false
+		})
+		for _, u := range nodes {
+			if g.HasEdge(x, u) || g.HasEdge(u, x) || g.HaveCommonNeighbor(x, u) || g.HaveCommonNeighbor(u, x) || g.RemoveEdge(u, x) {
+				t.Fatalf("seed %d: non-node %d is on an edge or a path with %d", seed, x, u)
+			}
+		}
+	}
+}
+
 // TestDenseMatchesMapModel drives the dense Graph and the map reference
 // through identical randomized add/remove/query sequences and asserts
 // identical observable behavior at every step.
@@ -101,17 +141,19 @@ func TestDenseMatchesMapModel(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		idSpace := ID(rng.Intn(40) + 8) // small space forces collisions
+		idSpace, pool := gappyIDs(rng)
 		dense := New()
 		ref := newMapGraph()
 		for step := 0; step < 600; step++ {
-			u := ID(rng.Intn(int(idSpace)))
-			v := ID(rng.Intn(int(idSpace)))
+			u := ID(rng.Intn(idSpace))
+			v := ID(rng.Intn(idSpace))
 			switch rng.Intn(10) {
 			case 0, 1:
+				u = pool[rng.Intn(len(pool))]
 				dense.AddNode(u)
 				ref.addNode(u)
 			case 2, 3, 4, 5:
+				u, v = pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
 				err := dense.AddEdge(u, v)
 				ok := ref.addEdge(u, v)
 				if (err == nil) != ok {
@@ -148,6 +190,7 @@ func TestDenseMatchesMapModel(t *testing.T) {
 		if got, want := dense.MaxDegree(), ref.maxDegree(); got != want {
 			t.Fatalf("seed %d: MaxDegree() = %d, want %d", seed, got, want)
 		}
+		checkNonNodes(t, dense, ref, idSpace, seed)
 		for _, u := range ref.nodes() {
 			got, want := dense.Neighbors(u), ref.neighbors(u)
 			if !reflect.DeepEqual(got, want) {
@@ -181,8 +224,8 @@ func TestDenseMatchesMapModel(t *testing.T) {
 			}
 		}
 		for trial := 0; trial < 50; trial++ {
-			u := ID(rng.Intn(int(idSpace)))
-			v := ID(rng.Intn(int(idSpace)))
+			u := ID(rng.Intn(idSpace))
+			v := ID(rng.Intn(idSpace))
 			want := false
 			for w := range ref.adj[u] {
 				if _, ok := ref.adj[v][w]; ok {

@@ -8,21 +8,33 @@
 // algorithms in internal/core are comparison based, so a node's ID is
 // the only thing they ever compare.
 //
-// Representation (see DESIGN.md): nodes are interned into dense slots
-// (ID → int) and adjacency is stored per slot in one of two forms. A
-// slot starts as a sorted []ID slice; once its degree crosses
-// max(bitsetMinDeg, words(maxID+1)) — the point where an ID-indexed
-// bitset is both faster and no larger than the slice — the slot is
-// promoted to a bitset, making HasEdge, AddEdge and RemoveEdge O(1)
-// and HaveCommonNeighbor a word-wise AND. This is what keeps the dense
-// star phases of internal/core subquadratic at n = 10^6: the star
-// center's adjacency would otherwise pay an O(deg) memmove per edge
-// flip. Slots demote back to slices (with hysteresis) as they thin
-// out, and both representations iterate neighbors in ascending ID
-// order, so the public semantics are identical to the original
-// map-based implementation (see TestDenseMatchesMapModel and the
-// randomized differential tests in bitset_test.go). Nodes are never
-// removed, so MaxID is incremental and NumEdges is O(1).
+// Representation (see DESIGN.md): the ID is the only address. Three
+// tables indexed by ID cover 0..MaxID — adj, bits and bdeg, whose value
+// says which of three states an ID is in: not a node (a gap in the
+// range), a node with a sorted []ID neighbor slice, or a node with an
+// ID-indexed neighbor bitset and that degree. HasNode is a bounds check
+// and a compare, Nodes an ascending scan; nothing is hashed and nothing
+// is interned. A node starts slice-backed; once its degree crosses
+// max(bitsetMinDeg, words(maxID+1)) — the point where a bitset is both
+// faster and no larger than the slice — it is promoted, making HasEdge,
+// AddEdge and RemoveEdge O(1) and HaveCommonNeighbor a word-wise AND.
+// This is what keeps the dense star phases of internal/core
+// subquadratic at n = 10^6: the star center's adjacency would otherwise
+// pay an O(deg) memmove per edge flip. Nodes demote back to slices
+// (with hysteresis) as they thin out, and both representations iterate
+// neighbors in ascending ID order, so the public semantics are those of
+// the original map-based implementation (see TestDenseMatchesMapModel
+// and the randomized differential tests in bitset_test.go). Nodes are
+// never removed, so MaxID is the top of the tables and NumEdges is O(1).
+//
+// The contract that buys this: storage is O(MaxID), 56 bytes per ID in
+// range, not O(n) — the one the ID-indexed bitsets always had. Every
+// generator here and every workload above produces IDs 0..n-1
+// (PermuteIDs places them), and because the algorithms only compare
+// UIDs, an instance with sparse UIDs behaves exactly like its rank
+// relabelling; sparse IDs work, they just cost their range. The dense
+// 0..n-1 rank of a node ("slot") that engine arrays and the wire format
+// need is not known here: temporal.History builds it once per run.
 package graph
 
 import (
@@ -31,7 +43,7 @@ import (
 )
 
 // ID identifies a node and serves as its UID. IDs must be non-negative
-// and unique within a graph.
+// and unique within a graph, and should be dense: storage is O(MaxID).
 type ID int
 
 // Edge is an undirected pair of node IDs, stored in canonical order
@@ -66,13 +78,11 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.A, e.B) }
 // Graph is a simple undirected graph. The zero value is not usable;
 // call New.
 type Graph struct {
-	index map[ID]int // ID → dense slot, assigned in insertion order
-	ids   []ID       // slot → ID
-	adj   [][]ID     // slot → neighbor IDs, sorted ascending (slice-backed slots)
-	bits  [][]uint64 // slot → neighbor bitset indexed by ID (bitset-backed slots)
-	bdeg  []int      // slot → degree when bitset-backed, -1 when slice-backed
+	adj   [][]ID     // ID → neighbor IDs, sorted ascending (slice-backed nodes)
+	bits  [][]uint64 // ID → neighbor bitset indexed by ID (bitset-backed nodes)
+	bdeg  []int      // ID → degree when bitset-backed, sliceBacked or absent otherwise
+	nodes int        // node count; the three tables cover IDs 0..MaxID, gaps included
 	edges int        // undirected edge count, maintained incrementally
-	maxID ID         // largest ID ever added (-1 when empty); nodes are never removed
 
 	// minDeg overrides bitsetMinDeg when positive. It exists for tests
 	// that need the bitset representation to engage on tiny graphs; it
@@ -81,115 +91,123 @@ type Graph struct {
 	minDeg int
 }
 
+// The two negative states of bdeg[u]; any value >= 0 is the degree of a
+// bitset-backed node.
+const (
+	sliceBacked = -1 // u is a node whose neighbors are in adj[u]
+	absent      = -2 // u is not a node (a gap in the ID range)
+)
+
 // New returns an empty graph.
-func New() *Graph {
-	return &Graph{index: make(map[ID]int), maxID: -1}
-}
+func New() *Graph { return &Graph{} }
 
-// engaged reports whether slot s is bitset-backed.
-func (g *Graph) engaged(s int) bool { return s < len(g.bdeg) && g.bdeg[s] >= 0 }
+// engaged reports whether node u is bitset-backed.
+func (g *Graph) engaged(u ID) bool { return g.bdeg[u] >= 0 }
 
-// AddNode inserts an isolated node. Adding an existing node is a no-op.
+// AddNode inserts an isolated node. Adding an existing node is a no-op;
+// a negative ID is a programming error and panics.
 func (g *Graph) AddNode(u ID) {
-	if _, ok := g.index[u]; ok {
+	if u < 0 {
+		panic(fmt.Sprintf("graph: negative node ID %d", u))
+	}
+	if g.HasNode(u) {
 		return
 	}
-	g.index[u] = len(g.ids)
-	g.ids = append(g.ids, u)
-	if n := len(g.adj); n < cap(g.adj) {
-		// Reclaim the adjacency array this slot held before Reset.
-		g.adj = g.adj[:n+1]
-		g.adj[n] = g.adj[n][:0]
-	} else {
-		g.adj = append(g.adj, nil)
+	if old, n := len(g.bdeg), int(u)+1; n > old {
+		g.adj, g.bits, g.bdeg = extend(g.adj, n), extend(g.bits, n), extend(g.bdeg, n)
+		// IDs old..u come into range with u. Each reclaims the arrays
+		// it held before Reset, emptied, and is absent until added.
+		for i := old; i < n; i++ {
+			g.adj[i], g.bits[i], g.bdeg[i] = g.adj[i][:0], g.bits[i][:0], absent
+		}
 	}
-	if n := len(g.bits); n < cap(g.bits) {
-		g.bits = g.bits[:n+1]
-		g.bits[n] = g.bits[n][:0]
-	} else {
-		g.bits = append(g.bits, nil)
+	g.bdeg[u] = sliceBacked
+	g.nodes++
+}
+
+// extend returns s with length n, keeping what its backing array holds
+// beyond len(s) and zero-filling any growth past its capacity.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
 	}
-	g.bdeg = append(g.bdeg, -1)
-	if u > g.maxID {
-		g.maxID = u
-	}
+	return s[:n]
 }
 
 // Reset clears g to the empty graph while retaining allocated
-// capacity: the slot index, the ID table and every per-slot adjacency
+// capacity: the three ID-indexed tables and every per-node adjacency
 // list (slice or bitset) keep their backing arrays, so the next build
 // into the same receiver allocates only on growth. Together with the
 // *Into generator variants this makes repeated workload generation
 // allocation-light in steady state. Like any mutation, Reset
 // invalidates NeighborsView results.
 func (g *Graph) Reset() {
-	clear(g.index)
-	g.ids = g.ids[:0]
 	g.adj = g.adj[:0]
 	g.bits = g.bits[:0]
 	g.bdeg = g.bdeg[:0]
-	g.edges = 0
-	g.maxID = -1
+	g.nodes, g.edges = 0, 0
 }
 
-// HasNode reports whether u is a node of g.
+// HasNode reports whether u is a node of g: in range and not a gap.
 func (g *Graph) HasNode(u ID) bool {
-	_, ok := g.index[u]
-	return ok
+	return uint(u) < uint(len(g.bdeg)) && g.bdeg[u] != absent
 }
 
 // AddEdge inserts the undirected edge {u, v}, adding the endpoints if
 // necessary. Self-loops are rejected with an error because the model
-// has no use for them; duplicate edges are a no-op.
+// has no use for them, negative endpoints because they are not IDs;
+// duplicate edges are a no-op.
 func (g *Graph) AddEdge(u, v ID) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop on node %d", u)
 	}
+	if u < 0 || v < 0 {
+		return fmt.Errorf("graph: negative node ID %d", min(u, v))
+	}
 	g.AddNode(u)
 	g.AddNode(v)
-	su, sv := g.index[u], g.index[v]
-	if g.insertNeighbor(su, v) {
-		g.insertNeighbor(sv, u)
+	if g.insertNeighbor(u, v) {
+		g.insertNeighbor(v, u)
 		g.edges++
-		g.maybePromote(su)
-		g.maybePromote(sv)
+		g.maybePromote(u)
+		g.maybePromote(v)
 	}
 	return nil
 }
 
-// insertNeighbor adds v to slot s's neighbor set, reporting whether it
+// insertNeighbor adds v to node u's neighbor set, reporting whether it
 // was not already present.
-func (g *Graph) insertNeighbor(s int, v ID) bool {
-	if g.engaged(s) {
-		if bitsetHas(g.bits[s], v) {
+func (g *Graph) insertNeighbor(u, v ID) bool {
+	if g.engaged(u) {
+		if bitsetHas(g.bits[u], v) {
 			return false
 		}
-		g.bits[s] = bitsetSet(g.bits[s], v)
-		g.bdeg[s]++
+		g.bits[u] = bitsetSet(g.bits[u], v)
+		g.bdeg[u]++
 		return true
 	}
 	var inserted bool
-	g.adj[s], inserted = insertSorted(g.adj[s], v)
+	g.adj[u], inserted = insertSorted(g.adj[u], v)
 	return inserted
 }
 
-// removeNeighbor deletes v from slot s's neighbor set, reporting
+// removeNeighbor deletes v from node u's neighbor set, reporting
 // whether it was present.
-func (g *Graph) removeNeighbor(s int, v ID) bool {
-	if g.engaged(s) {
-		if !bitsetHas(g.bits[s], v) {
+func (g *Graph) removeNeighbor(u, v ID) bool {
+	if g.engaged(u) {
+		if !bitsetHas(g.bits[u], v) {
 			return false
 		}
-		bitsetUnset(g.bits[s], v)
-		g.bdeg[s]--
+		bitsetUnset(g.bits[u], v)
+		g.bdeg[u]--
 		return true
 	}
 	var removed bool
-	g.adj[s], removed = removeSorted(g.adj[s], v)
+	g.adj[u], removed = removeSorted(g.adj[u], v)
 	return removed
 }
 
-// promoteThreshold is the degree at which a slice-backed slot switches
+// promoteThreshold is the degree at which a slice-backed node switches
 // to a bitset. The words(maxID+1) term doubles as a density gate: a
 // bitset over sparse IDs would be mostly zero words, and it also keeps
 // bitset memory at or below the memory of the slice it replaces.
@@ -198,64 +216,57 @@ func (g *Graph) promoteThreshold() int {
 	if g.minDeg > 0 {
 		t = g.minDeg
 	}
-	if g.maxID >= 0 {
-		if w := bitsetWords(g.maxID); w > t {
-			t = w
-		}
-	}
-	return t
+	return max(t, bitsetWords(g.MaxID()))
 }
 
-func (g *Graph) maybePromote(s int) {
-	if !g.engaged(s) && len(g.adj[s]) >= g.promoteThreshold() {
-		g.promote(s)
+func (g *Graph) maybePromote(u ID) {
+	if !g.engaged(u) && len(g.adj[u]) >= g.promoteThreshold() {
+		g.promote(u)
 	}
 }
 
-// promote rebuilds slot s's adjacency as a bitset. The sorted slice's
+// promote rebuilds node u's adjacency as a bitset. The sorted slice's
 // backing array is retained (truncated to zero length) so a later
 // demotion reuses it.
-func (g *Graph) promote(s int) {
-	w := bitsetWords(g.maxID)
-	b := g.bits[s]
+func (g *Graph) promote(u ID) {
+	w := bitsetWords(g.MaxID())
+	b := g.bits[u]
 	if cap(b) < w {
 		b = make([]uint64, w)
 	} else {
 		b = b[:w]
 		clear(b)
 	}
-	for _, v := range g.adj[s] {
+	for _, v := range g.adj[u] {
 		b[int(v>>6)] |= 1 << (uint(v) & 63)
 	}
-	g.bits[s] = b
-	g.bdeg[s] = len(g.adj[s])
-	g.adj[s] = g.adj[s][:0]
+	g.bits[u] = b
+	g.bdeg[u] = len(g.adj[u])
+	g.adj[u] = g.adj[u][:0]
 }
 
-// maybeDemote demotes slot s back to a sorted slice once its degree
+// maybeDemote demotes node u back to a sorted slice once its degree
 // falls below half the promotion threshold. The factor-of-two
-// hysteresis keeps a slot oscillating around the threshold from
+// hysteresis keeps a node oscillating around the threshold from
 // rebuilding its representation every round.
-func (g *Graph) maybeDemote(s int) {
-	if g.engaged(s) && g.bdeg[s]*2 < g.promoteThreshold() {
-		g.demote(s)
+func (g *Graph) maybeDemote(u ID) {
+	if g.engaged(u) && g.bdeg[u]*2 < g.promoteThreshold() {
+		g.demote(u)
 	}
 }
 
-// demote rebuilds slot s's adjacency as a sorted slice from its
+// demote rebuilds node u's adjacency as a sorted slice from its
 // bitset. Bitset iteration ascends by ID, so the slice comes out
 // sorted for free; the bitset's backing array is retained for a later
 // promotion.
-func (g *Graph) demote(s int) {
-	out := g.adj[s][:0]
-	out = appendBitset(out, g.bits[s])
-	g.adj[s] = out
-	g.bits[s] = g.bits[s][:0]
-	g.bdeg[s] = -1
+func (g *Graph) demote(u ID) {
+	g.adj[u] = appendBitset(g.adj[u][:0], g.bits[u])
+	g.bits[u] = g.bits[u][:0]
+	g.bdeg[u] = sliceBacked
 }
 
-// MustAddEdge is AddEdge for construction code where a self-loop is a
-// programming error.
+// MustAddEdge is AddEdge for construction code where a self-loop or a
+// negative endpoint is a programming error.
 func (g *Graph) MustAddEdge(u, v ID) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic(err)
@@ -265,82 +276,61 @@ func (g *Graph) MustAddEdge(u, v ID) {
 // RemoveEdge deletes the undirected edge {u, v} if present and reports
 // whether it existed.
 func (g *Graph) RemoveEdge(u, v ID) bool {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) || !g.HasNode(v) || !g.removeNeighbor(u, v) {
 		return false
 	}
-	sv, ok := g.index[v]
-	if !ok {
-		return false
-	}
-	if !g.removeNeighbor(su, v) {
-		return false
-	}
-	g.removeNeighbor(sv, u)
+	g.removeNeighbor(v, u)
 	g.edges--
-	g.maybeDemote(su)
-	g.maybeDemote(sv)
+	g.maybeDemote(u)
+	g.maybeDemote(v)
 	return true
 }
 
 // HasEdge reports whether the undirected edge {u, v} is present.
 func (g *Graph) HasEdge(u, v ID) bool {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) || !g.HasNode(v) {
 		return false
 	}
-	sv, ok := g.index[v]
-	if !ok {
-		return false
-	}
-	return g.hasEdgeSlots(su, sv, u, v)
-}
-
-// hasEdgeSlots is the shared core of HasEdge and HasEdgeSlots: su/sv
-// are the endpoint slots, u/v their IDs.
-func (g *Graph) hasEdgeSlots(su, sv int, u, v ID) bool {
 	// A bitset endpoint answers in O(1).
-	if g.engaged(su) {
-		return bitsetHas(g.bits[su], v)
+	if g.engaged(u) {
+		return bitsetHas(g.bits[u], v)
 	}
-	if g.engaged(sv) {
-		return bitsetHas(g.bits[sv], u)
+	if g.engaged(v) {
+		return bitsetHas(g.bits[v], u)
 	}
 	// Both slices: search the lower-degree endpoint.
-	if len(g.adj[su]) > len(g.adj[sv]) {
-		su, v = sv, u
+	if len(g.adj[u]) > len(g.adj[v]) {
+		u, v = v, u
 	}
-	return containsSorted(g.adj[su], v)
+	return containsSorted(g.adj[u], v)
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.ids) }
+func (g *Graph) NumNodes() int { return g.nodes }
 
 // NumEdges returns the number of undirected edges in O(1).
 func (g *Graph) NumEdges() int { return g.edges }
 
 // Nodes returns all node IDs in ascending order.
-func (g *Graph) Nodes() []ID {
-	out := make([]ID, len(g.ids))
-	copy(out, g.ids)
-	slices.Sort(out)
-	return out
+func (g *Graph) Nodes() []ID { return g.AppendNodes(make([]ID, 0, g.nodes)) }
+
+// AppendNodes appends all node IDs in ascending order to dst[:0] and
+// returns it, reusing dst's backing array when it has capacity.
+func (g *Graph) AppendNodes(dst []ID) []ID {
+	dst = dst[:0]
+	for u, d := range g.bdeg {
+		if d != absent {
+			dst = append(dst, ID(u))
+		}
+	}
+	return dst
 }
 
 // Neighbors returns the neighbors of u in ascending order. The result
 // is a fresh slice owned by the caller; use NeighborsInto or
 // EachNeighbor on hot paths.
 func (g *Graph) Neighbors(u ID) []ID {
-	su, ok := g.index[u]
-	if !ok {
-		return []ID{}
-	}
-	if g.engaged(su) {
-		return appendBitset(make([]ID, 0, g.bdeg[su]), g.bits[su])
-	}
-	out := make([]ID, len(g.adj[su]))
-	copy(out, g.adj[su])
-	return out
+	return g.NeighborsInto(u, make([]ID, 0, g.Degree(u)))
 }
 
 // NeighborsInto appends the neighbors of u, ascending, to dst[:0] and
@@ -348,31 +338,24 @@ func (g *Graph) Neighbors(u ID) []ID {
 // result aliases dst, not the graph's internal storage.
 func (g *Graph) NeighborsInto(u ID, dst []ID) []ID {
 	dst = dst[:0]
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) {
 		return dst
 	}
-	if g.engaged(su) {
-		return appendBitset(dst, g.bits[su])
+	if g.engaged(u) {
+		return appendBitset(dst, g.bits[u])
 	}
-	return append(dst, g.adj[su]...)
+	return append(dst, g.adj[u]...)
 }
 
 // EachNeighbor calls fn for every neighbor of u in ascending order,
 // stopping early if fn returns false. It performs no allocation. The
 // graph must not be mutated during the iteration.
 func (g *Graph) EachNeighbor(u ID, fn func(v ID) bool) {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) {
 		return
 	}
-	g.eachNeighborSlot(su, fn)
-}
-
-// eachNeighborSlot is EachNeighbor addressed by slot.
-func (g *Graph) eachNeighborSlot(su int, fn func(v ID) bool) {
-	if g.engaged(su) {
-		for w, word := range g.bits[su] {
+	if g.engaged(u) {
+		for w, word := range g.bits[u] {
 			base := ID(w << 6)
 			for word != 0 {
 				v := base + ID(trailingZeros64(word))
@@ -384,7 +367,7 @@ func (g *Graph) eachNeighborSlot(su int, fn func(v ID) bool) {
 		}
 		return
 	}
-	for _, v := range g.adj[su] {
+	for _, v := range g.adj[u] {
 		if !fn(v) {
 			return
 		}
@@ -397,24 +380,19 @@ func (g *Graph) eachNeighborSlot(su int, fn func(v ID) bool) {
 // bitset-backed, a membership probe of the bitset when one is, and a
 // merge walk of the two sorted lists when neither is.
 func (g *Graph) HaveCommonNeighbor(u, v ID) bool {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) || !g.HasNode(v) {
 		return false
 	}
-	sv, ok := g.index[v]
-	if !ok {
-		return false
-	}
-	eu, ev := g.engaged(su), g.engaged(sv)
+	eu, ev := g.engaged(u), g.engaged(v)
 	switch {
 	case eu && ev:
-		return bitsetIntersects(g.bits[su], g.bits[sv])
+		return bitsetIntersects(g.bits[u], g.bits[v])
 	case eu:
-		return sliceMeetsBitset(g.adj[sv], g.bits[su])
+		return sliceMeetsBitset(g.adj[v], g.bits[u])
 	case ev:
-		return sliceMeetsBitset(g.adj[su], g.bits[sv])
+		return sliceMeetsBitset(g.adj[u], g.bits[v])
 	}
-	a, b := g.adj[su], g.adj[sv]
+	a, b := g.adj[u], g.adj[v]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -440,30 +418,23 @@ func sliceMeetsBitset(s []ID, b []uint64) bool {
 	return false
 }
 
-// Degree returns the degree of u.
+// Degree returns the degree of u (0 when u is not a node).
 func (g *Graph) Degree(u ID) int {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) {
 		return 0
 	}
-	return g.degreeSlot(su)
-}
-
-func (g *Graph) degreeSlot(su int) int {
-	if g.engaged(su) {
-		return g.bdeg[su]
+	if g.engaged(u) {
+		return g.bdeg[u]
 	}
-	return len(g.adj[su])
+	return len(g.adj[u])
 }
 
 // MaxDegree returns the maximum degree over all nodes (0 for the empty
 // graph).
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
-	for s := range g.adj {
-		if d := g.degreeSlot(s); d > maxDeg {
-			maxDeg = d
-		}
+	for u := range g.bdeg {
+		maxDeg = max(maxDeg, g.Degree(ID(u)))
 	}
 	return maxDeg
 }
@@ -471,9 +442,9 @@ func (g *Graph) MaxDegree() int {
 // Edges returns all edges in canonical form, sorted lexicographically.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.edges)
-	for _, u := range g.Nodes() {
-		su := g.index[u]
-		g.eachNeighborSlot(su, func(v ID) bool {
+	for i := range g.bdeg {
+		u := ID(i)
+		g.EachNeighbor(u, func(v ID) bool {
 			if u < v {
 				out = append(out, Edge{A: u, B: v})
 			}
@@ -483,32 +454,25 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of g, including each slot's current
+// Clone returns a deep copy of g, including each node's current
 // representation.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		index:  make(map[ID]int, len(g.index)),
-		ids:    make([]ID, len(g.ids)),
 		adj:    make([][]ID, len(g.adj)),
 		bits:   make([][]uint64, len(g.bits)),
-		bdeg:   make([]int, len(g.bdeg)),
+		bdeg:   slices.Clone(g.bdeg),
+		nodes:  g.nodes,
 		edges:  g.edges,
-		maxID:  g.maxID,
 		minDeg: g.minDeg,
 	}
-	copy(c.ids, g.ids)
-	copy(c.bdeg, g.bdeg)
-	for u, s := range g.index {
-		c.index[u] = s
-	}
-	for s, nbrs := range g.adj {
+	for u, nbrs := range g.adj {
 		if len(nbrs) > 0 {
-			c.adj[s] = append([]ID(nil), nbrs...)
+			c.adj[u] = slices.Clone(nbrs)
 		}
 	}
-	for s, b := range g.bits {
-		if g.engaged(s) {
-			c.bits[s] = append([]uint64(nil), b...)
+	for u, b := range g.bits {
+		if g.bdeg[u] >= 0 {
+			c.bits[u] = slices.Clone(b)
 		}
 	}
 	return c
@@ -516,107 +480,48 @@ func (g *Graph) Clone() *Graph {
 
 // MaxID returns the largest node ID in g, or -1 for an empty graph.
 // In the paper's terms this is u_max, the eventual unique leader.
-func (g *Graph) MaxID() ID { return g.maxID }
-
-// Slot returns u's dense slot (assigned in insertion order) and
-// whether u is a node of g. Slots are stable as long as no node is
-// added: the simulation engine relies on this to address per-node
-// state by index instead of by map lookup.
-func (g *Graph) Slot(u ID) (int, bool) {
-	s, ok := g.index[u]
-	return s, ok
-}
-
-// IDAt returns the ID occupying the given slot. The slot must be in
-// [0, NumNodes()).
-func (g *Graph) IDAt(slot int) ID { return g.ids[slot] }
-
-// HasEdgeSlots reports whether the edge between the nodes at slots su
-// and sv is present. Both slots must be valid; it is the map-free
-// counterpart of HasEdge for slot-addressed callers.
-func (g *Graph) HasEdgeSlots(su, sv int) bool {
-	return g.hasEdgeSlots(su, sv, g.ids[su], g.ids[sv])
-}
+// Nodes are never removed, so it is the top of the ID-indexed tables.
+func (g *Graph) MaxID() ID { return ID(len(g.bdeg) - 1) }
 
 // NeighborsView returns u's neighbors in ascending order, zero-copy
-// when u's slot is slice-backed: callers must not modify the result,
-// and any mutation of g invalidates it. For bitset-backed slots a
-// fresh slice is materialized, so hot paths should prefer EachNeighbor
-// or NeighborsInto; the engine only calls NeighborsView on initial
+// when u is slice-backed: callers must not modify the result, and any
+// mutation of g invalidates it. For bitset-backed nodes a fresh slice
+// is materialized, so hot paths should prefer EachNeighbor or
+// NeighborsInto; the engine only calls NeighborsView on initial
 // snapshots, which CopyCanonicalFrom always leaves slice-backed.
 // Unknown nodes yield nil.
 func (g *Graph) NeighborsView(u ID) []ID {
-	su, ok := g.index[u]
-	if !ok {
+	if !g.HasNode(u) {
 		return nil
 	}
-	if g.engaged(su) {
-		return appendBitset(make([]ID, 0, g.bdeg[su]), g.bits[su])
+	if g.engaged(u) {
+		return g.Neighbors(u)
 	}
-	return g.adj[su]
+	return g.adj[u]
 }
 
-// AppendNodes appends all node IDs in slot order to dst[:0] and
-// returns it, reusing dst's backing array when it has capacity. For
-// canonical graphs (see CopyCanonicalFrom) slot order is ascending ID
-// order.
-func (g *Graph) AppendNodes(dst []ID) []ID {
-	return append(dst[:0], g.ids...)
-}
-
-// CopyCanonicalFrom makes g a canonical deep copy of src: the same
-// nodes and edges, with slots assigned in ascending ID order and every
-// slot slice-backed regardless of src's representations (mutation
-// re-promotes dense slots on the first edge flip past the threshold;
-// keeping copies slice-backed is what guarantees NeighborsView on
-// initial snapshots stays zero-copy). Existing backing arrays (ids,
-// adjacency lists, bitsets, the index map) are reused, so repeated
-// copies into the same receiver do not allocate in steady state. The
-// temporal.History layer keeps its graphs canonical this way, which is
-// what lets the engine equate slots with ascending-ID ranks.
+// CopyCanonicalFrom makes g a deep copy of src in canonical
+// representation: the same nodes and edges with every node
+// slice-backed, whatever src's representations (mutation re-promotes
+// dense nodes on the first edge flip past the threshold; keeping copies
+// slice-backed is what guarantees NeighborsView on initial snapshots
+// stays zero-copy). Existing backing arrays (the tables, adjacency
+// lists, bitsets) are reused, so repeated copies into the same
+// receiver do not allocate in steady state.
 func (g *Graph) CopyCanonicalFrom(src *Graph) {
-	n := len(src.ids)
-	g.ids = append(g.ids[:0], src.ids...)
-	slices.Sort(g.ids)
-	if g.index == nil {
-		g.index = make(map[ID]int, n)
-	} else {
-		clear(g.index)
-	}
-	for i, id := range g.ids {
-		g.index[id] = i
-	}
-	if cap(g.adj) < n {
-		adj := make([][]ID, n)
-		copy(adj, g.adj[:cap(g.adj)])
-		g.adj = adj
-	} else {
-		g.adj = g.adj[:n]
-	}
-	if cap(g.bits) < n {
-		bits := make([][]uint64, n)
-		copy(bits, g.bits[:cap(g.bits)])
-		g.bits = bits
-	} else {
-		g.bits = g.bits[:n]
-	}
-	if cap(g.bdeg) < n {
-		g.bdeg = make([]int, n)
-	} else {
-		g.bdeg = g.bdeg[:n]
-	}
-	for i, id := range g.ids {
-		g.bdeg[i] = -1
-		ss := src.index[id]
-		if src.engaged(ss) {
-			g.adj[i] = appendBitset(g.adj[i][:0], src.bits[ss])
+	n := len(src.bdeg)
+	g.adj, g.bits, g.bdeg = extend(g.adj, n), extend(g.bits, n), extend(g.bdeg, n)
+	for u, d := range src.bdeg {
+		g.bits[u] = g.bits[u][:0]
+		if d >= 0 {
+			g.adj[u] = appendBitset(g.adj[u][:0], src.bits[u])
+			d = sliceBacked
 		} else {
-			g.adj[i] = append(g.adj[i][:0], src.adj[ss]...)
+			g.adj[u] = append(g.adj[u][:0], src.adj[u]...)
 		}
+		g.bdeg[u] = d
 	}
-	g.edges = src.edges
-	g.maxID = src.maxID
-	g.minDeg = src.minDeg
+	g.nodes, g.edges, g.minDeg = src.nodes, src.edges, src.minDeg
 }
 
 // String implements fmt.Stringer with a compact summary.

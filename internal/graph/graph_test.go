@@ -478,3 +478,34 @@ func TestEulerTourProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNegativeIDRejected: a negative ID is not an ID. It used to be
+// accepted and crash the first bitset it met.
+func TestNegativeIDRejected(t *testing.T) {
+	t.Parallel()
+	g := Star(8)
+	if err := g.AddEdge(-1, 3); err == nil {
+		t.Error("AddEdge(-1, 3) succeeded")
+	}
+	if err := g.AddEdge(3, -2); err == nil {
+		t.Error("AddEdge(3, -2) succeeded")
+	}
+	if g.NumNodes() != 8 || g.NumEdges() != 7 {
+		t.Errorf("rejected edges changed the graph: %v", g)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "graph: negative node ID -1" {
+				t.Errorf("AddNode(-1) panicked with %v", r)
+			}
+		}()
+		g.AddNode(-1)
+		t.Error("AddNode(-1) returned")
+	}()
+	for _, u := range []ID{-1, -64, 8, 1 << 40} {
+		if g.HasNode(u) || g.HasEdge(u, 0) || g.HasEdge(0, u) || g.Degree(u) != 0 ||
+			len(g.Neighbors(u)) != 0 || g.HaveCommonNeighbor(u, 1) || g.RemoveEdge(0, u) {
+			t.Errorf("ID %d answers like a node", u)
+		}
+	}
+}

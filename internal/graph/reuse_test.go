@@ -96,4 +96,41 @@ func TestResetYieldsEmptyUsableGraph(t *testing.T) {
 	if nbrs := g.Neighbors(7); len(nbrs) != 1 || nbrs[0] != 9 {
 		t.Fatalf("Neighbors(7) = %v after rebuild", g.Neighbors(7))
 	}
+	// AddNode(7) brought IDs 0..6 back into range, AddNode(9) ID 8:
+	// none of them is a node, and none has the ring's neighbors.
+	for _, u := range []ID{0, 3, 6, 8, 10, 15} {
+		if g.HasNode(u) || g.Degree(u) != 0 || g.HasEdge(u, 7) {
+			t.Fatalf("ID %d of the ring survived Reset as a node", u)
+		}
+	}
+}
+
+// TestResetRebuildsDifferentNodeSet rebuilds, on one receiver, a node
+// set that overlaps the previous one only in part, after a build whose
+// hub was bitset-backed: every reclaimed array must come back empty
+// and every ID not re-added absent.
+func TestResetRebuildsDifferentNodeSet(t *testing.T) {
+	g := newBitsetProneGraph()
+	StarInto(g, 32) // hub 0 is bitset-backed, 1..31 hold {0}
+	if !g.engaged(0) {
+		t.Fatal("hub not promoted")
+	}
+	g.Reset()
+	want := New()
+	for _, e := range []Edge{{3, 0}, {3, 20}, {20, 21}, {40, 21}} {
+		g.MustAddEdge(e.A, e.B)
+		want.MustAddEdge(e.A, e.B)
+	}
+	g.AddNode(5)
+	want.AddNode(5)
+	equalGraphs(t, want, g, "rebuild")
+	if g.anyEngaged() {
+		t.Fatal("a rebuilt node came back bitset-backed")
+	}
+	for u := ID(-1); u <= 41; u++ {
+		if g.HasNode(u) != want.HasNode(u) || !equalIDs(g.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("ID %d: HasNode %v, Neighbors %v; want %v, %v",
+				u, g.HasNode(u), g.Neighbors(u), want.HasNode(u), want.Neighbors(u))
+		}
+	}
 }

@@ -6,34 +6,6 @@ import (
 	"testing"
 )
 
-func TestSlotAccessors(t *testing.T) {
-	t.Parallel()
-	g := New()
-	g.MustAddEdge(5, 2)
-	g.MustAddEdge(2, 9)
-	for _, u := range g.Nodes() {
-		s, ok := g.Slot(u)
-		if !ok {
-			t.Fatalf("Slot(%d) missing", u)
-		}
-		if got := g.IDAt(s); got != u {
-			t.Fatalf("IDAt(Slot(%d)) = %d", u, got)
-		}
-	}
-	if _, ok := g.Slot(77); ok {
-		t.Fatal("Slot(77) reported present")
-	}
-	s2, _ := g.Slot(2)
-	s5, _ := g.Slot(5)
-	s9, _ := g.Slot(9)
-	if !g.HasEdgeSlots(s2, s5) || !g.HasEdgeSlots(s9, s2) {
-		t.Fatal("HasEdgeSlots missed present edges")
-	}
-	if g.HasEdgeSlots(s5, s9) {
-		t.Fatal("HasEdgeSlots invented edge {5,9}")
-	}
-}
-
 func TestNeighborsViewSharesStorage(t *testing.T) {
 	t.Parallel()
 	g := Line(4)
@@ -56,41 +28,45 @@ func TestCopyCanonicalFrom(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(7))
 	src := PermuteIDs(RandomConnected(40, 60, rng), rng)
+	src.minDeg = 3
+	src.MustAddEdge(0, 1) // re-evaluates the threshold: some node promotes
+	for v := ID(2); v < 12; v++ {
+		src.MustAddEdge(0, v)
+	}
+	if !src.anyEngaged() {
+		t.Fatal("source graph never engaged a bitset")
+	}
 	dst := New()
 	dst.CopyCanonicalFrom(src)
-
-	if dst.NumNodes() != src.NumNodes() || dst.NumEdges() != src.NumEdges() {
-		t.Fatalf("size mismatch: %v vs %v", dst, src)
-	}
-	if dst.MaxID() != src.MaxID() {
-		t.Fatalf("MaxID = %d, want %d", dst.MaxID(), src.MaxID())
-	}
-	// Slots are ascending-ID ranks.
-	nodes := src.Nodes()
-	for i, u := range nodes {
-		s, ok := dst.Slot(u)
-		if !ok || s != i {
-			t.Fatalf("Slot(%d) = %d,%v; want %d", u, s, ok, i)
-		}
+	equalGraphs(t, src, dst, "copy")
+	for _, u := range src.Nodes() {
 		if !reflect.DeepEqual(dst.Neighbors(u), src.Neighbors(u)) {
 			t.Fatalf("neighbors of %d differ", u)
 		}
 	}
-	if !reflect.DeepEqual(dst.AppendNodes(nil), nodes) {
-		t.Fatalf("AppendNodes not ascending: %v", dst.AppendNodes(nil))
+	if !reflect.DeepEqual(dst.AppendNodes(nil), src.Nodes()) {
+		t.Fatalf("AppendNodes = %v, want %v", dst.AppendNodes(nil), src.Nodes())
 	}
 
-	// Re-copy into the same receiver from a smaller graph: semantics
-	// must be identical to a fresh canonical copy.
-	src2 := Line(5)
-	dst.CopyCanonicalFrom(src2)
-	if !reflect.DeepEqual(dst.Edges(), src2.Edges()) {
-		t.Fatalf("recopy edges = %v", dst.Edges())
-	}
-	if dst.NumNodes() != 5 {
-		t.Fatalf("recopy nodes = %d", dst.NumNodes())
-	}
-	if _, ok := dst.Slot(nodes[len(nodes)-1]); ok && !src2.HasNode(nodes[len(nodes)-1]) {
-		t.Fatal("stale node survived recopy")
+	// Large to small, then to a different node set with gaps, all into
+	// the same receiver: each copy must equal a fresh one — no node, no
+	// neighbor and no representation left over from the one before.
+	gappy := New()
+	gappy.MustAddEdge(7, 9)
+	gappy.MustAddEdge(9, 30)
+	for _, next := range []*Graph{Line(5), gappy, src, gappy} {
+		dst.CopyCanonicalFrom(next)
+		equalGraphs(t, next, dst, "recopy")
+		if dst.anyEngaged() {
+			t.Fatal("recopy left a bitset-backed node")
+		}
+		for u := ID(-1); u <= src.MaxID()+1; u++ {
+			if dst.HasNode(u) != next.HasNode(u) {
+				t.Fatalf("recopy of %v: HasNode(%d) = %v", next, u, dst.HasNode(u))
+			}
+			if !reflect.DeepEqual(dst.Neighbors(u), next.Neighbors(u)) {
+				t.Fatalf("recopy of %v: Neighbors(%d) = %v, want %v", next, u, dst.Neighbors(u), next.Neighbors(u))
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"testing"
 
@@ -99,16 +100,14 @@ func (es edgeSet) sorted() [][2]int32 {
 // finalSlotPairs renders a graph as the sorted slot-pair set the
 // topology stream's deltas should reconstruct.
 func finalSlotPairs(g *graph.Graph) [][2]int32 {
+	nodes := g.Nodes() // a slot is its node's rank among these
 	var out [][2]int32
-	n := g.NumNodes()
-	for su := 0; su < n; su++ {
-		u := g.IDAt(su)
-		g.EachNeighbor(u, func(v graph.ID) bool {
-			if sv, _ := g.Slot(v); sv > su {
+	for su, u := range nodes {
+		for _, v := range g.Neighbors(u) {
+			if sv, _ := slices.BinarySearch(nodes, v); sv > su {
 				out = append(out, [2]int32{int32(su), int32(sv)})
 			}
-			return true
-		})
+		}
 	}
 	return out
 }

@@ -33,12 +33,12 @@ import (
 // resetting. Engines are not safe for concurrent use; run one engine
 // per goroutine (see expt.ExecuteSweep for the fleet pattern).
 //
-// Internally everything is slot-addressed: node slots are ascending-ID
-// ranks 0..n-1 (the History keeps its snapshots canonical), contexts
-// and machines live in slot-indexed slices, outbox entries resolve
-// their destination to a slot at Send time, and delivery is pure slice
-// indexing — no per-run ID→index map exists. The worker pool is
-// persistent and pinned: each worker owns a fixed slot range
+// Internally the engine's own state is slot-addressed: node slots are
+// ascending-ID ranks 0..n-1 (the History holds the run's one ID↔slot
+// table), contexts and machines live in slot-indexed slices, outbox
+// entries resolve their destination to a slot at Send time, and
+// delivery is slice indexing — no ID→index hash map exists. The worker
+// pool is persistent and pinned: each worker owns a fixed slot range
 // [lo, hi) for the whole run and parks on its channel between phases
 // and between runs instead of being respawned. Parallelism is
 // intra-round end to end: workers step their slot ranges, their
@@ -349,15 +349,15 @@ func (e *Engine) Run() (*Result, error) {
 				b.Activate, b.Deactivate = b.Activate[:0], b.Deactivate[:0]
 			}
 		}
-		// --- Deliver: pure slot indexing; destination slots were
-		// resolved at Send time. ---
+		// --- Deliver: destination slots were resolved at Send time;
+		// whether the edge is active is asked of the History by ID. ---
 		for i := range inboxes {
 			inboxes[i] = inboxes[i][:0]
 		}
 		roundMsgs := 0
 		for i := range ctxs {
 			for _, om := range ctxs[i].outbox {
-				if om.slot < 0 || !hist.ActiveSlots(i, int(om.slot)) {
+				if om.slot < 0 || !hist.Active(om.m.From, om.m.To) {
 					if cfg.env != nil {
 						continue // the environment cut the edge: message lost
 					}

@@ -93,17 +93,6 @@ func TestSlotQueries(t *testing.T) {
 			t.Fatalf("IDAtSlot(%d) = %d, want %d", i, h.IDAtSlot(i), u)
 		}
 	}
-	// ActiveSlots agrees with Active for every pair.
-	for i, u := range ids {
-		for j, v := range ids {
-			if i == j {
-				continue
-			}
-			if h.ActiveSlots(i, j) != h.Active(u, v) {
-				t.Fatalf("ActiveSlots(%d,%d) disagrees with Active(%d,%d)", i, j, u, v)
-			}
-		}
-	}
 	// InitialNeighborsView matches InitialNeighborsOf.
 	for _, u := range ids {
 		if !reflect.DeepEqual(append([]graph.ID{}, h.InitialNeighborsView(u)...), h.InitialNeighborsOf(u)) {
@@ -163,5 +152,68 @@ func TestActivatedDegreeDenseMatchesMap(t *testing.T) {
 	}
 	if got := h.Metrics().MaxActivatedDegree; got != maxDeg {
 		t.Fatalf("MaxActivatedDegree = %d, model says %d", got, maxDeg)
+	}
+}
+
+// TestHistoryNodeTable pins the one ID <-> slot table of a run: slots
+// are the ranks of the node IDs in ascending order whatever the IDs
+// are, the wire renderings (initial edges, round deltas) are in ranks,
+// anything that is not a node has no slot, and a Reset onto a smaller
+// or different node set leaves no rank behind.
+func TestHistoryNodeTable(t *testing.T) {
+	t.Parallel()
+	gs := graph.New()
+	gs.MustAddEdge(5, 2)
+	gs.MustAddEdge(2, 9)
+	gs.MustAddEdge(9, 99)
+	h := NewHistory(gs)
+	for slot, u := range []graph.ID{2, 5, 9, 99} {
+		if s, ok := h.SlotOf(u); !ok || s != slot || h.IDAtSlot(slot) != u {
+			t.Fatalf("SlotOf(%d) = %d,%v and IDAtSlot(%d) = %d; want rank %d", u, s, ok, slot, h.IDAtSlot(slot), slot)
+		}
+	}
+	for _, u := range []graph.ID{77, -1, 0, 100, 1000} {
+		if s, ok := h.SlotOf(u); ok {
+			t.Fatalf("SlotOf(%d) = %d, true for a non-node", u, s)
+		}
+	}
+	if got, want := h.AppendInitialEdges(nil), []int32{0, 1, 0, 2, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendInitialEdges = %v, want %v", got, want)
+	}
+	// {5,9} has the common neighbor 2; cutting {9,99} is legal too.
+	if _, err := h.Apply([]graph.Edge{{A: 9, B: 5}}, []graph.Edge{{A: 99, B: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	var d RoundDelta
+	h.AppendLastDelta(&d)
+	if d.Round != 1 || !reflect.DeepEqual(d.Activate, []int32{1, 2}) || !reflect.DeepEqual(d.Deactivate, []int32{2, 3}) {
+		t.Fatalf("round delta = %+v, want activate [1 2], deactivate [2 3]", d)
+	}
+	if got := []int{h.ActivatedDegreeAtSlot(0), h.ActivatedDegreeAtSlot(1), h.ActivatedDegreeAtSlot(2), h.ActivatedDegreeAtSlot(3)}; !reflect.DeepEqual(got, []int{0, 1, 1, 0}) {
+		t.Fatalf("activated degrees by slot = %v", got)
+	}
+
+	// Shrink: Line(3) reuses the table; 5, 9 and 99 are gone, 2 moved.
+	h.Reset(graph.Line(3))
+	if s, ok := h.SlotOf(2); !ok || s != 2 || h.NumNodes() != 3 {
+		t.Fatalf("after shrinking Reset: SlotOf(2) = %d,%v, n = %d", s, ok, h.NumNodes())
+	}
+	for _, u := range []graph.ID{5, 9, 99} {
+		if s, ok := h.SlotOf(u); ok {
+			t.Fatalf("stale rank after shrinking Reset: SlotOf(%d) = %d", u, s)
+		}
+	}
+	// A different node set inside the old range: 0, 1, 2 are gone.
+	gs.Reset()
+	gs.MustAddEdge(7, 9)
+	h.Reset(gs)
+	if s, ok := h.SlotOf(2); ok {
+		t.Fatalf("stale rank: SlotOf(2) = %d after Reset onto {7, 9}", s)
+	}
+	if s, ok := h.SlotOf(9); !ok || s != 1 || h.IDAtSlot(0) != 7 {
+		t.Fatalf("after Reset onto {7, 9}: SlotOf(9) = %d,%v, IDAtSlot(0) = %d", s, ok, h.IDAtSlot(0))
+	}
+	if got, want := h.AppendInitialEdges(nil), []int32{0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendInitialEdges = %v, want %v", got, want)
 	}
 }

@@ -64,15 +64,18 @@ type Metrics struct {
 // History is the evolving temporal graph of one execution.
 // The zero value is not usable; call NewHistory.
 //
-// The internal graph snapshots are kept canonical (slots in ascending
-// ID order, see graph.CopyCanonicalFrom), so the slot-addressed
-// queries (SlotOf, ActiveSlots) expose ascending-ID ranks. A History
-// can be reused across executions via Reset, which reuses every
-// internal buffer.
+// The graphs are addressed by node ID. The dense index 0..n-1 that
+// engine arrays and the RoundDelta wire format need — a node's slot,
+// its rank among the IDs in ascending order — is the node table
+// ids/rank, built once per Reset and held nowhere else. A History can
+// be reused across executions via Reset, which reuses every internal
+// buffer.
 type History struct {
 	initial *graph.Graph
 	current *graph.Graph
-	round   int // index of the next round to apply, starting at 1
+	ids     []graph.ID // slot → ID, ascending
+	rank    []int32    // ID → slot for IDs 0..MaxID, -1 for a non-node
+	round   int        // index of the next round to apply, starting at 1
 
 	// m accumulates the running cost measures; Metrics() completes it
 	// with the three fields derived from round and the snapshots.
@@ -178,6 +181,15 @@ func (h *History) Reset(gs *graph.Graph) {
 	}
 	h.initial.CopyCanonicalFrom(gs)
 	h.current.CopyCanonicalFrom(gs)
+	h.ids = gs.AppendNodes(h.ids)
+	idRange := int(gs.MaxID()) + 1
+	h.rank = slices.Grow(h.rank[:0], idRange)[:idRange]
+	for u := range h.rank {
+		h.rank[u] = -1
+	}
+	for slot, u := range h.ids {
+		h.rank[u] = int32(slot)
+	}
 	h.round = 1
 	h.m = Metrics{MaxActiveEdges: gs.NumEdges()}
 	if h.activatedAlive == nil {
@@ -185,13 +197,8 @@ func (h *History) Reset(gs *graph.Graph) {
 	} else {
 		clear(h.activatedAlive)
 	}
-	n := gs.NumNodes()
-	if cap(h.activatedDeg) < n {
-		h.activatedDeg = make([]int, n)
-	} else {
-		h.activatedDeg = h.activatedDeg[:n]
-		clear(h.activatedDeg)
-	}
+	h.activatedDeg = slices.Grow(h.activatedDeg[:0], len(h.ids))[:len(h.ids)]
+	clear(h.activatedDeg)
 	h.perRound = h.perRound[:0]
 	h.lastActs = nil
 	h.lastDeacts = nil
@@ -211,7 +218,7 @@ func (h *History) SetLenientActivation(on bool) { h.lenient = on }
 func (h *History) Round() int { return h.round }
 
 // NumNodes returns |V|.
-func (h *History) NumNodes() int { return h.current.NumNodes() }
+func (h *History) NumNodes() int { return len(h.ids) }
 
 // Active reports whether edge {u,v} is active at the start of the
 // current round.
@@ -220,19 +227,19 @@ func (h *History) Active(u, v graph.ID) bool { return h.current.HasEdge(u, v) }
 // IsOriginal reports whether {u,v} ∈ E(1).
 func (h *History) IsOriginal(u, v graph.ID) bool { return h.initial.HasEdge(u, v) }
 
-// SlotOf returns u's dense slot (its ascending-ID rank: the History's
-// snapshots are canonical) and whether u is a node. The node set is
-// static for a whole execution, so slots returned here stay valid
-// until the next Reset.
-func (h *History) SlotOf(u graph.ID) (int, bool) { return h.current.Slot(u) }
+// SlotOf returns u's dense slot — its rank among the node IDs in
+// ascending order — and whether u is a node; (-1, false) for any other
+// ID. The node set is static for a whole execution, so slots returned
+// here stay valid until the next Reset.
+func (h *History) SlotOf(u graph.ID) (int, bool) {
+	if uint(u) >= uint(len(h.rank)) || h.rank[u] < 0 {
+		return -1, false
+	}
+	return int(h.rank[u]), true
+}
 
 // IDAtSlot returns the node ID occupying the given slot.
-func (h *History) IDAtSlot(slot int) graph.ID { return h.current.IDAt(slot) }
-
-// ActiveSlots reports whether the edge between the nodes at slots su
-// and sv is active — the map-free counterpart of Active for
-// slot-addressed callers (the engine's delivery loop).
-func (h *History) ActiveSlots(su, sv int) bool { return h.current.HasEdgeSlots(su, sv) }
+func (h *History) IDAtSlot(slot int) graph.ID { return h.ids[slot] }
 
 // NeighborsOf returns the active neighbors N1(u) in ascending order.
 func (h *History) NeighborsOf(u graph.ID) []graph.ID { return h.current.Neighbors(u) }
@@ -548,10 +555,10 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 // empty delta for round 0.
 func (h *History) AppendLastDelta(d *RoundDelta) {
 	d.Round = h.round - 1
-	d.Activate = appendSlotPairs(d.Activate[:0], h.current, h.lastActs)
-	d.Deactivate = appendSlotPairs(d.Deactivate[:0], h.current, h.lastDeacts)
-	d.EnvActivate = appendSlotPairs(d.EnvActivate[:0], h.current, h.lastEnvActs)
-	d.EnvDeactivate = appendSlotPairs(d.EnvDeactivate[:0], h.current, h.lastEnvDeacts)
+	d.Activate = h.appendSlotPairs(d.Activate[:0], h.lastActs)
+	d.Deactivate = h.appendSlotPairs(d.Deactivate[:0], h.lastDeacts)
+	d.EnvActivate = h.appendSlotPairs(d.EnvActivate[:0], h.lastEnvActs)
+	d.EnvDeactivate = h.appendSlotPairs(d.EnvDeactivate[:0], h.lastEnvDeacts)
 }
 
 // ApplyEnvironment commits environment (adversary) edits at the
@@ -664,27 +671,22 @@ func (h *History) ActivatedDegreeAtSlot(slot int) int {
 // once, before replaying per-round deltas.
 func (h *History) AppendInitialEdges(dst []int32) []int32 {
 	dst = dst[:0]
-	n := h.initial.NumNodes()
-	for su := 0; su < n; su++ {
-		u := h.initial.IDAt(su)
-		h.initial.EachNeighbor(u, func(v graph.ID) bool {
-			if sv, _ := h.initial.Slot(v); sv > su {
-				dst = append(dst, int32(su), int32(sv))
+	for su, u := range h.ids {
+		for _, v := range h.initial.NeighborsView(u) {
+			if v > u {
+				dst = append(dst, int32(su), h.rank[v])
 			}
-			return true
-		})
+		}
 	}
 	return dst
 }
 
-// appendSlotPairs appends each edge's endpoint slots in g to dst.
-// Edges are canonical (A < B) and slots are ascending-ID ranks, so
+// appendSlotPairs appends each edge's endpoint slots to dst. Edges
+// are canonical (A < B) and slots are ascending-ID ranks, so
 // slot(A) < slot(B) and the pair order mirrors the edge order.
-func appendSlotPairs(dst []int32, g *graph.Graph, edges []graph.Edge) []int32 {
+func (h *History) appendSlotPairs(dst []int32, edges []graph.Edge) []int32 {
 	for _, e := range edges {
-		sa, _ := g.Slot(e.A)
-		sb, _ := g.Slot(e.B)
-		dst = append(dst, int32(sa), int32(sb))
+		dst = append(dst, h.rank[e.A], h.rank[e.B])
 	}
 	return dst
 }
@@ -731,7 +733,7 @@ func (h *History) mergeShards(dst []graph.Edge, k int, sel func(*applyShard) []g
 // endpoint of a validated edge, hence a node of the static set: the
 // slot lookup cannot miss.
 func (h *History) bumpActivatedDeg(u graph.ID, delta int) {
-	s, _ := h.current.Slot(u)
+	s := h.rank[u]
 	d := h.activatedDeg[s] + delta
 	h.activatedDeg[s] = d
 	if d > h.m.MaxActivatedDegree {
