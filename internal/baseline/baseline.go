@@ -25,22 +25,47 @@ import (
 	"adnet/internal/temporal"
 )
 
+// tokens is the one message both machines send: a pointer to an ID
+// set the sender owns. The sender writes the set in its Send and
+// nowhere else, so it is stable for the whole deliver/Receive phase in
+// which neighbors — stepped concurrently — read it, and what a
+// machine's Receive mutates is a different set. Conveying the whole
+// set costs the engine nothing this way and a receiver one pass over
+// ⌈MaxID/64⌉ words per message; nothing outside a machine reads it.
+type tokens struct{ set graph.IDSet }
+
 // CliqueMachine is the §1.2 strategy: every round, every node activates
 // edges to all of its potential neighbors (distance-2 nodes). A
 // spanning clique forms in ⌈log n⌉ rounds at a Θ(n²) edge cost. After
 // the clique forms, the maximum UID declares itself leader and all
 // nodes halt — one additional round, as the paper notes.
 type CliqueMachine struct {
-	known map[graph.ID]bool
+	known graph.IDSet // self and every node ever seen as a neighbor or in a message
+	pub   tokens      // this round's message: N1 as of Send
 }
 
-var _ sim.Machine = (*CliqueMachine)(nil)
+var (
+	_ sim.Recycler = (*CliqueMachine)(nil)
+	_ sim.Recycler = (*FloodMachine)(nil)
+)
 
 // NewCliqueFactory returns the clique-formation factory.
 func NewCliqueFactory() sim.Factory {
-	return func(id graph.ID, _ sim.Env) sim.Machine {
-		return &CliqueMachine{known: map[graph.ID]bool{id: true}}
+	return func(id graph.ID, env sim.Env) sim.Machine {
+		m := new(CliqueMachine)
+		m.Recycle(id, env)
+		return m
 	}
+}
+
+// Recycle implements sim.Recycler: the node knows itself and nothing
+// else, and both sets keep their words. The factory builds its
+// machines through it, so a rebooted node and a recycled one start in
+// the same state.
+func (m *CliqueMachine) Recycle(id graph.ID, _ sim.Env) {
+	m.known.Reset()
+	m.known.Add(id)
+	m.pub.set.Reset()
 }
 
 // Init implements sim.Machine.
@@ -48,103 +73,108 @@ func (m *CliqueMachine) Init(*sim.Context) {}
 
 // Send implements sim.Machine.
 func (m *CliqueMachine) Send(ctx *sim.Context) {
-	ctx.Broadcast(ctx.Neighbors())
+	m.pub.set.Reset()
+	ctx.EachNeighbor(func(v graph.ID) bool {
+		m.pub.set.Add(v)
+		return true
+	})
+	ctx.Broadcast(&m.pub)
 }
 
-// Receive implements sim.Machine.
+// Receive implements sim.Machine. Every ID a message brings that the
+// node has not seen is a potential neighbor: it is activated, in
+// sender order and ascending within a message.
 func (m *CliqueMachine) Receive(ctx *sim.Context, inbox []sim.Message) {
-	self := ctx.ID()
-	for _, v := range ctx.Neighbors() {
-		m.known[v] = true
-	}
+	ctx.EachNeighbor(func(v graph.ID) bool {
+		m.known.Add(v)
+		return true
+	})
 	grew := false
-	for _, msg := range inbox {
-		for _, w := range msg.Payload.([]graph.ID) {
-			if w != self && !m.known[w] {
-				m.known[w] = true
-				ctx.Activate(w)
-				grew = true
-			}
+	for i := range inbox {
+		if m.known.Merge(inbox[i].Payload.(*tokens).set, ctx.Activate) > 0 {
+			grew = true
 		}
 	}
 	if !grew && ctx.Degree() == ctx.N()-1 {
 		// Clique complete: elect max UID, one extra round of logic.
-		max := self
-		for v := range m.known {
-			if v > max {
-				max = v
-			}
-		}
-		if max == self {
-			ctx.SetStatus(sim.StatusLeader)
-		} else {
-			ctx.SetStatus(sim.StatusFollower)
-		}
-		ctx.Halt()
+		elect(ctx, m.known)
 	}
+}
+
+// elect declares the node leader if it holds the largest UID it knows
+// of, follower otherwise, and halts it.
+func elect(ctx *sim.Context, known graph.IDSet) {
+	if known.Max() == ctx.ID() {
+		ctx.SetStatus(sim.StatusLeader)
+	} else {
+		ctx.SetStatus(sim.StatusFollower)
+	}
+	ctx.Halt()
 }
 
 // FloodMachine floods all known UIDs over the static network without
 // activating any edge: Θ(diameter) rounds, zero edge complexity. It
 // demonstrates the other end of the tradeoff: without reconfiguration,
 // linear time on a line.
+//
+// Every round a node offers its whole token set, not what it learned
+// last round: under an environment a message is lost with its edge, a
+// crashed neighbor drops its inbox, a new edge joins two nodes that
+// never exchanged what they already knew — re-offering everything is
+// what makes flooding heal from all three.
 type FloodMachine struct {
-	known   map[graph.ID]bool
-	lastNew int
+	known   graph.IDSet // tokens gathered so far
+	count   int         // members of known, counted as Receive merges them in
+	lastNew int         // last round a new token arrived
+	pub     tokens      // this round's message: known as of Send
 }
-
-var _ sim.Machine = (*FloodMachine)(nil)
 
 // NewFloodFactory returns the flooding factory. Nodes halt after the
 // token set has been stable for two rounds and they have seen n tokens.
 func NewFloodFactory() sim.Factory {
-	return func(id graph.ID, _ sim.Env) sim.Machine {
-		return &FloodMachine{known: map[graph.ID]bool{id: true}}
+	return func(id graph.ID, env sim.Env) sim.Machine {
+		m := new(FloodMachine)
+		m.Recycle(id, env)
+		return m
 	}
 }
 
-// Known returns the set of tokens gathered so far (read-only view for
-// verifiers).
-func (m *FloodMachine) Known() map[graph.ID]bool { return m.known }
+// Recycle implements sim.Recycler; see CliqueMachine.Recycle.
+func (m *FloodMachine) Recycle(id graph.ID, _ sim.Env) {
+	m.known.Reset()
+	m.known.Add(id)
+	m.count, m.lastNew = 1, 0
+	m.pub.set.Reset()
+}
+
+// Knows reports whether token v has reached the node.
+func (m *FloodMachine) Knows(v graph.ID) bool { return m.known.Has(v) }
+
+// NumKnown returns the number of tokens gathered so far.
+func (m *FloodMachine) NumKnown() int { return m.count }
 
 // Init implements sim.Machine.
 func (m *FloodMachine) Init(*sim.Context) {}
 
 // Send implements sim.Machine.
 func (m *FloodMachine) Send(ctx *sim.Context) {
-	tokens := make([]graph.ID, 0, len(m.known))
-	for v := range m.known {
-		tokens = append(tokens, v)
-	}
-	ctx.Broadcast(tokens)
+	m.pub.set.CopyFrom(m.known)
+	ctx.Broadcast(&m.pub)
 }
 
 // Receive implements sim.Machine.
 func (m *FloodMachine) Receive(ctx *sim.Context, inbox []sim.Message) {
-	for _, msg := range inbox {
-		for _, v := range msg.Payload.([]graph.ID) {
-			if !m.known[v] {
-				m.known[v] = true
-				m.lastNew = ctx.Round()
-			}
+	for i := range inbox {
+		if added := m.known.Merge(inbox[i].Payload.(*tokens).set, nil); added > 0 {
+			m.count += added
+			m.lastNew = ctx.Round()
 		}
 	}
 	// Halt only after the token set has been quiet for two rounds: a
 	// node that still receives new tokens is still on some other
 	// node's dissemination path and must keep relaying.
-	if len(m.known) == ctx.N() && ctx.Round() >= m.lastNew+2 {
-		max := ctx.ID()
-		for v := range m.known {
-			if v > max {
-				max = v
-			}
-		}
-		if max == ctx.ID() {
-			ctx.SetStatus(sim.StatusLeader)
-		} else {
-			ctx.SetStatus(sim.StatusFollower)
-		}
-		ctx.Halt()
+	if m.count == ctx.N() && ctx.Round() >= m.lastNew+2 {
+		elect(ctx, m.known)
 	}
 }
 

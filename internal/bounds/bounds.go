@@ -22,14 +22,23 @@ import (
 // real algorithm's knowledge, which is exactly what a lower-bound
 // argument needs.
 type KnowledgeTracker struct {
-	knows map[graph.ID]map[graph.ID]bool
+	// knows[w] is the set of UIDs node w can know, next[w] the same set
+	// with the current round's messages folded in; both are indexed by
+	// node ID (O(MaxID), like the graph's tables) and equal between
+	// rounds.
+	knows, next []graph.IDSet
 }
 
 // NewKnowledgeTracker initializes each node knowing only its own UID.
 func NewKnowledgeTracker(nodes []graph.ID) *KnowledgeTracker {
-	k := &KnowledgeTracker{knows: make(map[graph.ID]map[graph.ID]bool, len(nodes))}
+	size := 0
 	for _, u := range nodes {
-		k.knows[u] = map[graph.ID]bool{u: true}
+		size = max(size, int(u)+1)
+	}
+	k := &KnowledgeTracker{knows: make([]graph.IDSet, size), next: make([]graph.IDSet, size)}
+	for _, u := range nodes {
+		k.knows[u].Add(u)
+		k.next[u].Add(u)
 	}
 	return k
 }
@@ -39,38 +48,29 @@ func NewKnowledgeTracker(nodes []graph.ID) *KnowledgeTracker {
 func (k *KnowledgeTracker) Hook() func(sim.RoundEvent) {
 	return func(ev sim.RoundEvent) {
 		// Transfer snapshots: messages within one round carry the
-		// sender's knowledge from the round start.
-		type delta struct {
-			to   graph.ID
-			uids []graph.ID
-		}
-		var deltas []delta
+		// sender's knowledge from the round start, so the round is
+		// folded into next while knows stays what the senders had, and
+		// the receivers' knows catch up once every message is in.
 		for _, msg := range ev.Messages {
-			src := k.knows[msg.From]
-			uids := make([]graph.ID, 0, len(src))
-			for u := range src {
-				uids = append(uids, u)
-			}
-			deltas = append(deltas, delta{to: msg.To, uids: uids})
+			k.next[msg.To].Merge(k.knows[msg.From], nil)
 		}
-		for _, d := range deltas {
-			dst := k.knows[d.to]
-			for _, u := range d.uids {
-				dst[u] = true
-			}
+		for _, msg := range ev.Messages {
+			k.knows[msg.To].CopyFrom(k.next[msg.To])
 		}
 	}
 }
 
 // Knows reports whether node w can possibly know UID u.
-func (k *KnowledgeTracker) Knows(w, u graph.ID) bool { return k.knows[w][u] }
+func (k *KnowledgeTracker) Knows(w, u graph.ID) bool {
+	return int(w) < len(k.knows) && k.knows[w].Has(u)
+}
 
-// Holders returns all nodes that can know UID u.
+// Holders returns all nodes that can know UID u, ascending.
 func (k *KnowledgeTracker) Holders(u graph.ID) []graph.ID {
 	var out []graph.ID
 	for w, set := range k.knows {
-		if set[u] {
-			out = append(out, w)
+		if set.Has(u) {
+			out = append(out, graph.ID(w))
 		}
 	}
 	return out

@@ -3,6 +3,8 @@ package bounds
 import (
 	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"adnet/internal/baseline"
@@ -44,6 +46,45 @@ func TestKnowledgePropagatesOneHopPerRound(t *testing.T) {
 	for _, w := range tracker.Holders(0) {
 		if int(w) > 3 {
 			t.Fatalf("UID 0 reached node %d in 3 rounds", w)
+		}
+	}
+}
+
+// Holders answers in ascending ID order, every call: potentialOn and
+// any caller that prints or compares the list depend on it. (The
+// tracker used to range over a map here, so two calls rarely agreed.)
+func TestHoldersAscending(t *testing.T) {
+	t.Parallel()
+	g := graph.PermuteIDs(graph.Ring(40), rand.New(rand.NewSource(5)))
+	tracker := NewKnowledgeTracker(g.Nodes())
+	if _, err := sim.Run(g, baseline.NewFloodFactory(), sim.WithRoundHook(tracker.Hook())); err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 20; call++ {
+		got := tracker.Holders(7)
+		if len(got) != 40 {
+			t.Fatalf("call %d: %d holders of UID 7 after a full flood, want 40", call, len(got))
+		}
+		if !slices.IsSorted(got) {
+			t.Fatalf("call %d: holders not ascending: %v", call, got)
+		}
+	}
+}
+
+// A message carries what its sender knew when the round began, not
+// what the sender learns in the same round: on a line, one round moves
+// every UID exactly one hop, however the messages are ordered.
+func TestKnowledgeTransfersRoundStartSnapshot(t *testing.T) {
+	t.Parallel()
+	tracker := NewKnowledgeTracker([]graph.ID{0, 1, 2})
+	tracker.Hook()(sim.RoundEvent{Round: 1, Messages: []sim.Message{
+		{From: 0, To: 1}, {From: 2, To: 1}, {From: 1, To: 2}, {From: 1, To: 0},
+	}})
+	for w, want := range [][]graph.ID{{0, 1}, {0, 1, 2}, {1, 2}} {
+		for u := graph.ID(0); u < 3; u++ {
+			if got := tracker.Knows(graph.ID(w), u); got != slices.Contains(want, u) {
+				t.Errorf("after round 1: Knows(%d, %d) = %v, want knowledge %v", w, u, got, want)
+			}
 		}
 	}
 }

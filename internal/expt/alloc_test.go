@@ -8,6 +8,25 @@ import (
 	"adnet/internal/sim"
 )
 
+// steadyStateAllocs returns the heap allocations one execution of req
+// costs on a warm Runner. Two warm-up runs precede the measurement: the
+// first grows every buffer, the second verifies nothing regrows.
+func steadyStateAllocs(t *testing.T, req Request) float64 {
+	t.Helper()
+	r := NewRunner()
+	defer r.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := r.Execute(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return testing.AllocsPerRun(5, func() {
+		if _, err := r.Execute(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestStarSteadyStateZeroAllocs pins the PR's headline property: after
 // warm-up, a graph-to-star run on a reused Runner — workload
 // generation, machine recycling, the full round loop, intent
@@ -16,23 +35,9 @@ import (
 // instrumentation allocates. Workloads cover both bench families.
 func TestStarSteadyStateZeroAllocs(t *testing.T) {
 	for _, workload := range []string{"line", "ring"} {
-		r := NewRunner()
 		obs := sim.WithRunObserver(func(sim.RunSummary) {})
-		req := Request{Algorithm: AlgoStar, Workload: workload, N: 1024, Seed: 1,
-			SimOpts: []sim.Option{obs}}
-		// Two warm-up runs: the first grows every buffer, the second
-		// verifies nothing regrows before measurement starts.
-		for i := 0; i < 2; i++ {
-			if _, err := r.Execute(req); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := r.Execute(req); err != nil {
-				t.Fatal(err)
-			}
-		})
-		r.Close()
+		allocs := steadyStateAllocs(t, Request{Algorithm: AlgoStar, Workload: workload, N: 1024, Seed: 1,
+			SimOpts: []sim.Option{obs}})
 		if allocs != 0 {
 			t.Errorf("workload %s: steady-state allocs per run = %v, want 0", workload, allocs)
 		}
@@ -51,22 +56,27 @@ func TestStarSteadyStateZeroAllocs(t *testing.T) {
 func TestWreathSteadyStateZeroAllocs(t *testing.T) {
 	for _, algo := range []string{AlgoWreath, AlgoThinWreath} {
 		for workload, want := range map[string]float64{"line": 1, "random-tree": 4} {
-			r := NewRunner()
-			req := Request{Algorithm: algo, Workload: workload, N: 256, Seed: 1}
-			for i := 0; i < 2; i++ {
-				if _, err := r.Execute(req); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := r.Execute(req); err != nil {
-					t.Fatal(err)
-				}
-			})
-			r.Close()
+			allocs := steadyStateAllocs(t, Request{Algorithm: algo, Workload: workload, N: 256, Seed: 1})
 			if allocs != want {
 				t.Errorf("%s on %s: steady-state allocs per run = %v, want %v", algo, workload, allocs, want)
 			}
+		}
+	}
+}
+
+// TestBaselineSteadyStateZeroAllocs is the same pin for the two
+// distributed baselines: known sets are bitsets recycled with their
+// machines and the message is a pointer to one, so a warm Runner
+// re-runs a flood or clique cell without touching the heap. (A flood
+// message used to be a fresh []graph.ID of everything the node knew.)
+func TestBaselineSteadyStateZeroAllocs(t *testing.T) {
+	for _, req := range []Request{
+		{Algorithm: AlgoFlood, Workload: "line", N: 512, Seed: 1},
+		{Algorithm: AlgoFlood, Workload: "ring", N: 256, Seed: 1},
+		{Algorithm: AlgoClique, Workload: "line", N: 64, Seed: 1},
+	} {
+		if allocs := steadyStateAllocs(t, req); allocs != 0 {
+			t.Errorf("%s on %s/%d: steady-state allocs per run = %v, want 0", req.Algorithm, req.Workload, req.N, allocs)
 		}
 	}
 }

@@ -307,7 +307,7 @@ func E11Flooding(sizes []int) (*Table, error) {
 		Claim:   "§1.2: 0 activations but Θ(n) rounds — linear time is the price of a static network",
 		Columns: []string{"n", "rounds", "rounds/n", "totalAct"},
 	}
-	for _, n := range defSizes(sizes, []int{64, 256, 1024}) {
+	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
 		out, err := RunAlgorithm(AlgoFlood, graph.Line(n))
 		if err != nil {
 			return nil, err
@@ -330,7 +330,7 @@ func E12Compose(sizes []int) (*Table, error) {
 		Claim:   "§1.3: transform to polylog diameter, then any global function in +O(depth) rounds",
 		Columns: []string{"n", "transformRounds", "dissemRounds", "composedTotal", "floodRounds", "speedup"},
 	}
-	for _, n := range defSizes(sizes, []int{64, 256, 1024}) {
+	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
 		g := graph.Line(n)
 		star, err := sim.Run(g, core.NewGraphToStarFactory())
 		if err != nil {

@@ -42,8 +42,8 @@ var registry = []algorithm{
 	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar)},
 	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath)},
 	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath)},
-	{name: AlgoClique, factory: baseline.NewCliqueFactory()},
-	{name: AlgoFlood, factory: baseline.NewFloodFactory()},
+	{name: AlgoClique, factory: baseline.NewCliqueFactory(), recycle: sim.WithMachineRecycling(AlgoClique)},
+	{name: AlgoFlood, factory: baseline.NewFloodFactory(), recycle: sim.WithMachineRecycling(AlgoFlood)},
 	{name: AlgoCentralized},
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -276,6 +277,77 @@ func TestBitsetCanonicalCopySliceBacked(t *testing.T) {
 	for i := ID(0); i < n; i++ {
 		if !reflect.DeepEqual(dst.Neighbors(i), src.Neighbors(i)) {
 			t.Fatalf("Neighbors(%d) differ between copy and source", i)
+		}
+	}
+}
+
+// TestIDSetDifferential drives IDSet against a map over random IDs
+// that are not ranks (gaps, large values), checking every method.
+func TestIDSetDifferential(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		span := 1 + rng.Intn(700)
+		var s, other IDSet
+		ref, refOther := map[ID]bool{}, map[ID]bool{}
+		for i := rng.Intn(2 * span); i > 0; i-- {
+			v := ID(rng.Intn(span))
+			s.Add(v)
+			ref[v] = true
+		}
+		for i := rng.Intn(2 * span); i > 0; i-- {
+			v := ID(rng.Intn(span))
+			other.Add(v)
+			refOther[v] = true
+		}
+		check := func(s IDSet, ref map[ID]bool) {
+			t.Helper()
+			max := ID(-1)
+			for v := ID(0); v < ID(span+70); v++ {
+				if s.Has(v) != ref[v] {
+					t.Fatalf("trial %d: Has(%d) = %v", trial, v, s.Has(v))
+				}
+				if ref[v] {
+					max = v
+				}
+			}
+			if s.Max() != max {
+				t.Fatalf("trial %d: Max %d, want %d", trial, s.Max(), max)
+			}
+		}
+		check(s, ref)
+
+		var snapshot IDSet
+		snapshot.CopyFrom(other)
+		var fresh, wantFresh []ID
+		for v := ID(0); v < ID(span); v++ {
+			if refOther[v] && !ref[v] {
+				wantFresh = append(wantFresh, v)
+				ref[v] = true
+			}
+		}
+		added := s.Merge(other, func(v ID) {
+			if !s.Has(v) {
+				t.Fatalf("trial %d: each(%d) before the insert", trial, v)
+			}
+			fresh = append(fresh, v)
+		})
+		if added != len(wantFresh) || !slices.Equal(fresh, wantFresh) {
+			t.Fatalf("trial %d: Merge added %d %v, want %d %v", trial, added, fresh, len(wantFresh), wantFresh)
+		}
+		check(s, ref)
+		check(other, refOther) // Merge reads src only
+		check(snapshot, refOther)
+		if again := s.Merge(other, nil); again != 0 {
+			t.Fatalf("trial %d: second Merge added %d", trial, again)
+		}
+
+		s.Reset()
+		check(s, map[ID]bool{})
+		for i, word := range s[:cap(s)] {
+			if word != 0 {
+				t.Fatalf("trial %d: Reset left word %d = %#x in the backing array", trial, i, word)
+			}
 		}
 	}
 }

@@ -81,16 +81,12 @@ func VerifyDepthTree(final *graph.Graph, root graph.ID, maxDepth int) error {
 }
 
 // VerifyTokenDissemination checks that every node's collected token set
-// equals the full UID set of the graph.
-func VerifyTokenDissemination(all []graph.ID, perNode map[graph.ID]map[graph.ID]bool) error {
-	want := len(all)
+// holds the full UID set of the graph; knows reports whether token has
+// reached node.
+func VerifyTokenDissemination(all []graph.ID, knows func(node, token graph.ID) bool) error {
 	for _, u := range all {
-		got := perNode[u]
-		if len(got) != want {
-			return fmt.Errorf("tasks: node %d holds %d of %d tokens", u, len(got), want)
-		}
 		for _, v := range all {
-			if !got[v] {
+			if !knows(u, v) {
 				return fmt.Errorf("tasks: node %d is missing token %d", u, v)
 			}
 		}

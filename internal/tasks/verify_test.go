@@ -114,11 +114,12 @@ func TestVerifyTokenDissemination(t *testing.T) {
 		2: {1: true, 2: true, 3: true},
 		3: {1: true, 2: true, 3: true},
 	}
-	if err := VerifyTokenDissemination(all, full); err != nil {
+	knows := func(node, token graph.ID) bool { return full[node][token] }
+	if err := VerifyTokenDissemination(all, knows); err != nil {
 		t.Errorf("complete dissemination rejected: %v", err)
 	}
 	full[2] = map[graph.ID]bool{1: true, 2: true}
-	if err := VerifyTokenDissemination(all, full); err == nil {
+	if err := VerifyTokenDissemination(all, knows); err == nil {
 		t.Error("missing token accepted")
 	}
 }
