@@ -34,13 +34,29 @@ func steadyStateAllocs(t *testing.T, req Request) float64 {
 // heap allocations. Excluded under -race because the detector's
 // instrumentation allocates. Workloads cover both bench families.
 func TestStarSteadyStateZeroAllocs(t *testing.T) {
+	obs := []sim.Option{sim.WithRunObserver(func(sim.RunSummary) {})}
 	for _, workload := range []string{"line", "ring"} {
-		obs := sim.WithRunObserver(func(sim.RunSummary) {})
-		allocs := steadyStateAllocs(t, Request{Algorithm: AlgoStar, Workload: workload, N: 1024, Seed: 1,
-			SimOpts: []sim.Option{obs}})
+		allocs := steadyStateAllocs(t, Request{Algorithm: AlgoStar, Workload: workload, N: 1024, Seed: 1, SimOpts: obs})
 		if allocs != 0 {
 			t.Errorf("workload %s: steady-state allocs per run = %v, want 0", workload, allocs)
 		}
+	}
+	// The same property far past the caches (the benchmark's star-large
+	// cell). AllocsPerRun's own warm-up call grows the buffers; each
+	// run takes seconds, so there is one measured run.
+	if testing.Short() {
+		return
+	}
+	r := NewRunner()
+	defer r.Close()
+	req := Request{Algorithm: AlgoStar, Workload: "line", N: 65536, Seed: 1, SimOpts: obs}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := r.Execute(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("line/65536: steady-state allocs per run = %v, want 0", allocs)
 	}
 }
 
@@ -55,7 +71,7 @@ func TestStarSteadyStateZeroAllocs(t *testing.T) {
 // plus graph.RandomTreeInto's Prüfer-sequence and degree slices.
 func TestWreathSteadyStateZeroAllocs(t *testing.T) {
 	for _, algo := range []string{AlgoWreath, AlgoThinWreath} {
-		for workload, want := range map[string]float64{"line": 1, "random-tree": 4} {
+		for workload, want := range map[string]float64{"line": 1, "ring": 1, "random-tree": 4} {
 			allocs := steadyStateAllocs(t, Request{Algorithm: algo, Workload: workload, N: 256, Seed: 1})
 			if allocs != want {
 				t.Errorf("%s on %s: steady-state allocs per run = %v, want %v", algo, workload, allocs, want)

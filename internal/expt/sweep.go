@@ -349,10 +349,7 @@ type SweepOptions struct {
 	// buffers are reused across that worker's shard of the grid.
 	Workers int
 	// SimOpts are appended to every cell's run (after algorithm
-	// defaults and the cell's own MaxRounds). When the fleet has more
-	// than one worker, each run's engine parallelism defaults to 1 —
-	// the fleet, not per-run stepping, is the unit of concurrency —
-	// and a sim.WithParallelism here overrides that.
+	// defaults and the cell's own MaxRounds).
 	SimOpts []sim.Option
 	// CellTimeLimit, when positive, is the wall-clock budget per
 	// cell; runs over budget are aborted between rounds and recorded
@@ -396,14 +393,6 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 		workers = len(cells)
 	}
 
-	// With a multi-worker fleet the CPUs are already saturated by
-	// cell-level sharding: default every run to sequential stepping
-	// (a caller-supplied WithParallelism, applied later, wins).
-	simOpts := opts.SimOpts
-	if workers > 1 {
-		simOpts = append([]sim.Option{sim.WithParallelism(1)}, opts.SimOpts...)
-	}
-
 	canceled := func() bool {
 		if opts.Cancel == nil {
 			return false
@@ -426,7 +415,7 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 			r := NewRunner()
 			defer r.Close()
 			for i := range feed {
-				results[i] = runCell(r, i, cells[i], simOpts, opts, canceled)
+				results[i] = runCell(r, i, cells[i], opts, canceled)
 				done <- i
 			}
 		}()
@@ -462,7 +451,7 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 
 // runCell executes (or serves from Lookup) one cell on the worker's
 // Runner.
-func runCell(r *Runner, idx int, cell Cell, simOpts []sim.Option, opts SweepOptions, canceled func() bool) CellResult {
+func runCell(r *Runner, idx int, cell Cell, opts SweepOptions, canceled func() bool) CellResult {
 	res := CellResult{Index: idx, Cell: cell}
 	if canceled() {
 		res.Err = fmt.Errorf("expt: cell skipped: %w", sim.ErrCanceled)
@@ -481,7 +470,7 @@ func runCell(r *Runner, idx int, cell Cell, simOpts []sim.Option, opts SweepOpti
 		}
 	}
 	req := cell.Request()
-	req.SimOpts = append(req.SimOpts, simOpts...)
+	req.SimOpts = append(req.SimOpts, opts.SimOpts...)
 	var timedOut *atomic.Bool
 	if opts.Cancel != nil || opts.CellTimeLimit > 0 {
 		done, to, stop := mergeCancel(opts.Cancel, opts.CellTimeLimit)

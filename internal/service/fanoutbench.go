@@ -22,8 +22,8 @@ type FanoutBenchResult struct {
 // RunFanoutBench publishes rounds RoundStats frames through one hub
 // while subscribers concurrent readers drain it to exhaustion via the
 // same WaitFrames path the HTTP handlers use. It is the measured core
-// of adnet-bench -fanout; the caller wraps it in wall-clock and
-// allocation accounting, exactly like the engine perf records.
+// of the benchmark's service.hub_* rows; the caller wraps it in
+// wall-clock accounting.
 func RunFanoutBench(rounds, subscribers int) FanoutBenchResult {
 	var encodes int64 // written by the publishing goroutine only
 	s := newFrameLog(func(time.Duration) { encodes++ })

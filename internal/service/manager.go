@@ -481,19 +481,13 @@ func (m *Manager) execute(j *Job) {
 	ctx, cancel := j.runContext(context.Background(), m.cfg.RunTimeLimit)
 	defer cancel()
 
-	var opts []sim.Option
-	if m.cfg.Workers > 1 {
-		// The job pool already fills the CPUs (Config.Workers), as a
-		// sweep's engine fleet does for its cells.
-		opts = append(opts, sim.WithParallelism(1))
-	}
-	opts = append(opts,
+	opts := []sim.Option{
 		sim.WithRoundHook(func(ev sim.RoundEvent) { j.rounds.publish(ev.Stats) }),
 		sim.WithStartHook(func(ev sim.StartEvent) { j.publishHeader(ev.N, ev.Edges) }),
 		sim.WithDeltaHook(j.publishDelta),
 		sim.WithCancel(ctx.Done()),
 		sim.WithRunObserver(m.metrics.observeRun),
-	)
+	}
 	m.runsExecuted.Add(1)
 	req := j.Spec.Request()
 	req.SimOpts = append(opts, req.SimOpts...)

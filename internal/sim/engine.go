@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"adnet/internal/graph"
@@ -169,14 +168,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	}
 	cfg := &e.cfg
 	e.n = n
-	workers := cfg.parallelism
-	if workers <= 0 {
-		if n >= 512 {
-			workers = runtime.GOMAXPROCS(0)
-		} else {
-			workers = 1
-		}
-	}
+	workers := max(cfg.parallelism, 1)
 	e.workers = workers
 	e.usePool = workers > 1 && n >= 2*workers
 

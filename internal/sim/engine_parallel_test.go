@@ -45,6 +45,21 @@ func TestEngineSummaryWorkersAndBusy(t *testing.T) {
 	}
 }
 
+// TestDefaultParallelismIsSequential pins the default: with no
+// WithParallelism a run steps on one worker, whatever n and
+// GOMAXPROCS are.
+func TestDefaultParallelismIsSequential(t *testing.T) {
+	t.Parallel()
+	var got RunSummary
+	if _, err := Run(graph.Ring(1024), newFloodFactory(3),
+		WithRunObserver(func(s RunSummary) { got = s })); err != nil {
+		t.Fatal(err)
+	}
+	if got.Workers != 1 {
+		t.Fatalf("default run Workers = %d, want 1", got.Workers)
+	}
+}
+
 // recycleFlood is floodMachine plus the Recycler extension, counting
 // how many times it was restored in place.
 type recycleFlood struct {

@@ -185,9 +185,9 @@ type Option func(*config)
 // WithMaxRounds caps the execution length (default 64·n + 64 rounds).
 func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
 
-// WithParallelism sets the worker-pool size for node stepping.
-// 0 (default) picks sequential execution for small n and GOMAXPROCS
-// workers otherwise.
+// WithParallelism sets the worker-pool size for node stepping. The
+// default (and any p ≤ 1) is sequential execution; p > 1 engages the
+// pool when n ≥ 2p. Traces are byte-identical at any p.
 func WithParallelism(p int) Option { return func(c *config) { c.parallelism = p } }
 
 // WithConnectivityCheck asserts after every round that the active graph
