@@ -281,18 +281,23 @@ func TestTopologyStreamEndToEnd(t *testing.T) {
 		t.Errorf("format=protobuf = %d, want 400", resp.StatusCode)
 	}
 
-	// Encode-once accounting on the real /metrics page: each format
-	// encoded every frame exactly once (the run published them — no
-	// subscriber triggered extra marshals), the two drains above fanned
-	// out exactly those frames, and the backpressure policy dropped
-	// nobody.
+	// Encode-once accounting on the real /metrics page: the run encoded
+	// every frame exactly once, packed — no subscriber triggered a
+	// marshal, and the json format, rendered from those frames per
+	// subscriber, has no encode series at all — the two drains above
+	// fanned out exactly those frames, and the backpressure policy
+	// dropped nobody.
 	m := scrapeMetrics(t, srv)
 	frames := float64(rounds + 1)
+	if v, _ := m.Value("adnet_stream_frames_encoded_total",
+		map[string]string{"stream": "topology_packed"}); v != frames {
+		t.Errorf("frames encoded {stream=\"topology_packed\"} = %v, want %v", v, frames)
+	}
+	if v, ok := m.Value("adnet_stream_frames_encoded_total",
+		map[string]string{"stream": "topology"}); ok {
+		t.Errorf("frames encoded {stream=\"topology\"} = %v, want the series absent", v)
+	}
 	for _, kind := range []string{"topology", "topology_packed"} {
-		if v, _ := m.Value("adnet_stream_frames_encoded_total",
-			map[string]string{"stream": kind}); v != frames {
-			t.Errorf("frames encoded {stream=%q} = %v, want %v", kind, v, frames)
-		}
 		if v, _ := m.Value("adnet_stream_frames_sent_total",
 			map[string]string{"stream": kind}); v != frames {
 			t.Errorf("frames sent {stream=%q} = %v, want %v", kind, v, frames)

@@ -9,7 +9,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 
 	"adnet/internal/baseline"
@@ -251,13 +250,3 @@ func (t *Table) String() string {
 func logn(n int) int { return bits.Len(uint(n)) }
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-
-// SortRows orders rows numerically by the first column (n).
-func SortRows(rows [][]string) {
-	sort.Slice(rows, func(i, j int) bool {
-		var a, b int
-		fmt.Sscanf(rows[i][0], "%d", &a)
-		fmt.Sscanf(rows[j][0], "%d", &b)
-		return a < b
-	})
-}

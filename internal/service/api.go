@@ -169,7 +169,7 @@ func NewHandler(m *Manager) http.Handler {
 	handleJobs(handle, "/v1/runs", m.runs)
 	handle("GET /v1/runs/{id}/rounds", func(w http.ResponseWriter, r *http.Request) {
 		if job, cursor, ok := streamTarget(w, r, m.runs); ok {
-			streamNDJSON(w, r, job.rounds, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
+			streamNDJSON(w, r, job.rounds, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
 		}
 	})
 	handle("GET /v1/runs/{id}/topology", func(w http.ResponseWriter, r *http.Request) {
@@ -179,9 +179,9 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			streamNDJSON(w, r, job.topo, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
+			streamNDJSON(w, r, job.topo, jsonTopology, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
 		case "packed":
-			streamNDJSON(w, r, job.topoPacked, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoPackedSub)
+			streamNDJSON(w, r, job.topo, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.packedSub)
 		default:
 			writeAPIError(w, r, codeInvalidRequest,
 				errors.New("service: unknown topology format (want json or packed)"))
@@ -208,7 +208,7 @@ func NewHandler(m *Manager) http.Handler {
 		// A subscriber disconnect ends only this stream — the sweep
 		// keeps running for other subscribers. The summary line trails
 		// the cells once the sweep is terminal.
-		done := streamNDJSON(w, r, job.cells, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
+		done := streamNDJSON(w, r, job.cells, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
 		if !done {
 			return
 		}
@@ -356,22 +356,24 @@ func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jo
 
 // streamNDJSON replays s to the client as NDJSON — history from the
 // request's cursor (frame index, default 0), then a live tail until
-// the log closes. The wire bytes are the log's own frames: each
-// published item was marshaled exactly once, and every subscriber
-// writes the same immutable frames, so fan-out to N connections costs
-// N writes but one encode per item. It returns
-// done=true when the stream was fully drained, done=false when the
-// subscriber was dropped mid-stream; callers append trailing lines
-// (e.g. a sweep summary) only when done. The frame index one past the
-// last frame written — the cursor that resumes exactly after this
-// response — is echoed in the X-Adnet-Next-Cursor trailer.
+// the log closes. With render nil the wire bytes are the log's own
+// frames: each published item was marshaled exactly once, and every
+// subscriber writes the same immutable frames, so fan-out to N
+// connections costs N writes but one encode per item. A render
+// (jsonTopology) derives a second format from the same log, frame by
+// frame on this subscriber's goroutine, so a cursor names the same item
+// in both. It returns done=true when the stream was fully drained,
+// done=false when the subscriber was dropped mid-stream; callers append
+// trailing lines (e.g. a sweep summary) only when done. The frame index
+// one past the last frame written — the cursor that resumes exactly
+// after this response — is echoed in the X-Adnet-Next-Cursor trailer.
 //
-// Backpressure: each write batch runs under writeTimeout (via
-// http.ResponseController). A subscriber that cannot drain a batch in
-// time fails its write and is dropped — the producer, publishing into
-// the shared frame log, is never blocked by a stalled reader, and
-// other subscribers keep tailing unaffected.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
+// Backpressure: each write batch (behind a render, each frame) runs
+// under writeTimeout, via http.ResponseController. A subscriber that
+// cannot drain it in time fails its write and is dropped — the
+// producer, publishing into the shared frame log, is never blocked by a
+// stalled reader, and other subscribers keep tailing unaffected.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render func([]byte) []byte, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Declared before the status line so the client knows to expect
 	// it; the value lands when the handler returns.
@@ -380,45 +382,40 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, cursor in
 		w.Header().Set(nextCursorTrailer, strconv.Itoa(cursor))
 	}()
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the status line now: the first batch may be a long
-		// Wait away and clients time out on a silent start.
-		flusher.Flush()
-	}
+	// Push the status line now: the first batch may be a long Wait away
+	// and clients time out on a silent start. Flush and deadline errors
+	// are deliberately ignored: a ResponseWriter without support for
+	// them (in-process tests) streams without.
 	rc := http.NewResponseController(w)
-	if sub.subscribers != nil {
-		sub.subscribers.Inc()
-		defer sub.subscribers.Dec()
-	}
+	_ = rc.Flush()
+	sub.subscribers.Inc()
+	defer sub.subscribers.Dec()
 	for {
 		batch, more := s.WaitFrames(r.Context(), cursor)
 		if !more {
 			return r.Context().Err() == nil
 		}
-		if writeTimeout > 0 {
-			// Errors are deliberately ignored: a ResponseWriter without
-			// deadline support (in-process tests) streams without one.
-			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
 		var batchBytes int64
-		for _, frame := range batch {
+		for i, frame := range batch {
+			if render != nil {
+				frame = render(frame)
+			}
+			// Armed once per batch of stored frames but after every
+			// render: the deadline bounds writing, and a batch of large
+			// renders outlasts it while the reader keeps up.
+			if writeTimeout > 0 && (i == 0 || render != nil) {
+				_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+			}
 			if _, err := w.Write(frame); err != nil {
-				if sub.dropped != nil {
-					sub.dropped.Inc()
-				}
+				sub.dropped.Inc()
 				return false
 			}
 			batchBytes += int64(len(frame))
 		}
 		cursor += len(batch)
-		if sub.frames != nil {
-			sub.frames.Add(int64(len(batch)))
-			sub.bytes.Add(batchBytes)
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		sub.frames.Add(int64(len(batch)))
+		sub.bytes.Add(batchBytes)
+		_ = rc.Flush()
 	}
 }
 

@@ -7,24 +7,23 @@ import (
 	"adnet/internal/expt"
 )
 
-// replay is the three frame logs a run job publishes to and serves
-// from: /rounds, /topology and /topology?format=packed. The job that
-// executes owns them; once it is done they are complete, and every
-// cache-hit job for the same key points at the same three — the
+// replay is the two frame logs a run job publishes to and serves: rounds
+// for /rounds, topo — packed lines — for /topology in both formats. The
+// job that executes owns them; once it is done they are complete, and
+// every cache-hit job for the same key points at the same two — the
 // frames the run encoded are the frames a replay writes.
 type replay struct {
-	rounds, topo, topoPacked *frameLog
+	rounds, topo *frameLog
 }
 
 func (rp *replay) close() {
 	rp.rounds.close()
 	rp.topo.close()
-	rp.topoPacked.close()
 }
 
-// FrameBytes is the encoded bytes the three logs hold.
+// FrameBytes is the encoded bytes the two logs hold.
 func (rp *replay) FrameBytes() int64 {
-	return rp.rounds.FrameBytes() + rp.topo.FrameBytes() + rp.topoPacked.FrameBytes()
+	return rp.rounds.FrameBytes() + rp.topo.FrameBytes()
 }
 
 // cacheEntry is the product of one successful run: its outcome and,
@@ -101,6 +100,20 @@ func (c *resultCache) Add(key string, e cacheEntry) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruItem).key)
 	}
+}
+
+// replays is the set of replays the cache holds — those of finished
+// jobs the job table has let go of included; outcome-only entries have none.
+func (c *resultCache) replays() map[*replay]struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := make(map[*replay]struct{}, c.ll.Len())
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		if rp := el.Value.(*lruItem).entry.replay; rp != nil {
+			held[rp] = struct{}{}
+		}
+	}
+	return held
 }
 
 // Stats reports (size, hits, misses).

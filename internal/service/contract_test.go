@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -199,10 +200,12 @@ func streamLines(t *testing.T, url string) ([]string, string) {
 }
 
 // TestStreamCursorResumesAndTrailer pins the ?cursor=N replay
-// contract on the rounds and cells streams: cursor=N skips the first
-// N frames, and the next resume cursor comes back in the
-// X-Adnet-Next-Cursor trailer. The cells stream's trailing summary
-// line is not a frame and does not advance the cursor.
+// contract on the rounds, topology and cells streams: cursor=N skips
+// the first N frames, and the next resume cursor comes back in the
+// X-Adnet-Next-Cursor trailer. Both topology formats are served from
+// one log, so the same N names the same round in each. The cells
+// stream's trailing summary line is not a frame and does not advance
+// the cursor.
 func TestStreamCursorResumesAndTrailer(t *testing.T) {
 	t.Parallel()
 	srv, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 2})
@@ -248,6 +251,29 @@ func TestStreamCursorResumesAndTrailer(t *testing.T) {
 	}
 	if trailer != strconv.Itoa(total) {
 		t.Fatalf("empty-resume trailer = %q, want %d", trailer, total)
+	}
+
+	// The topology stream, in both formats: header + one line per round,
+	// so cursor=N resumes at round N.
+	for _, format := range []string{"json", "packed"} {
+		base := srv.URL + "/v1/runs/" + sub.Job.ID + "/topology?format=" + format
+		full, trailer := streamLines(t, base)
+		if len(full) != total+1 || trailer != strconv.Itoa(total+1) {
+			t.Fatalf("topology (%s) = %d lines, trailer %q, want %d", format, len(full), trailer, total+1)
+		}
+		tail, trailer := streamLines(t, base+"&cursor="+strconv.Itoa(cursor))
+		if !slices.Equal(tail, full[cursor:]) || trailer != strconv.Itoa(total+1) {
+			t.Fatalf("topology (%s) cursor=%d = %q, trailer %q, want the last %d lines of the full drain", format, cursor, tail, trailer, total+1-cursor)
+		}
+		if err := json.Unmarshal([]byte(tail[0]), &first); err != nil {
+			t.Fatal(err)
+		}
+		if first.Round != cursor {
+			t.Fatalf("topology (%s) cursor=%d resumes at round %d, want %d", format, cursor, first.Round, cursor)
+		}
+		if empty, _ := streamLines(t, base+"&cursor="+trailer); len(empty) != 0 {
+			t.Fatalf("topology (%s) resume from the trailer cursor replayed %d lines, want 0", format, len(empty))
+		}
 	}
 
 	// The cells stream: the cursor counts cell frames; the summary line

@@ -20,29 +20,28 @@ import (
 	"adnet/internal/temporal"
 )
 
-// bareReplay is a run's three frame logs without instruments, for
-// tests that drive the topology hooks outside a Manager.
+// bareReplay is a run's two frame logs without instruments, for tests
+// that drive the topology hooks outside a Manager.
 func bareReplay() *replay {
-	return &replay{rounds: newFrameLog(nil), topo: newFrameLog(nil), topoPacked: newFrameLog(nil)}
+	return &replay{rounds: newFrameLog(nil), topo: newFrameLog(nil)}
 }
 
-// collectFrames drains every frame of s from cursor 0 and returns the
-// concatenated wire bytes. The stream must be closed (or get closed
-// concurrently) or the call blocks.
+// logLines drains every frame of s from cursor 0. The stream must be
+// closed (or get closed concurrently) or the call blocks.
+func logLines(s *frameLog) (lines [][]byte) {
+	for {
+		batch, ok := s.WaitFrames(context.Background(), len(lines))
+		if !ok {
+			return lines
+		}
+		lines = append(lines, batch...)
+	}
+}
+
+// collectFrames is the concatenated wire bytes of logLines.
 func collectFrames(t *testing.T, s *frameLog) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	cursor := 0
-	for {
-		batch, ok := s.WaitFrames(context.Background(), cursor)
-		if !ok {
-			return buf.Bytes()
-		}
-		for _, f := range batch {
-			buf.Write(f)
-		}
-		cursor += len(batch)
-	}
+	return bytes.Join(logLines(s), nil)
 }
 
 func sampleRounds(n int) []temporal.RoundStats {
@@ -205,11 +204,28 @@ func TestEncodeOncePerItem(t *testing.T) {
 	}
 }
 
+// drainBody GETs one streaming endpoint to EOF.
+func drainBody(t *testing.T, srv *httptest.Server, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+	}
+	return body
+}
+
 // TestStreamBytesIsWhatIsServed pins what /healthz stream_bytes
 // counts: the frame logs are the only store of what was published, so
 // for one finished run and one finished sweep it equals the bytes a
-// client drains from the four streaming endpoints (the cells summary
-// line is not a frame), and a cache-hit resubmission — which serves
+// client drains from /rounds, /topology?format=packed and /cells (the
+// cells summary line is not a frame). The json topology format is
+// rendered from the packed log per subscriber: its drain is held
+// nowhere and counted nowhere. A cache-hit resubmission — which serves
 // the same logs — adds nothing.
 func TestStreamBytesIsWhatIsServed(t *testing.T) {
 	t.Parallel()
@@ -220,34 +236,24 @@ func TestStreamBytesIsWhatIsServed(t *testing.T) {
 	sweep, _ := postSweepJob(t, srv, sweepSpec())
 	awaitSweepState(t, srv, sweep.ID, StateDone)
 
-	drain := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
-		}
-		return body
-	}
 	var served int64
-	for _, path := range []string{"/rounds", "/topology", "/topology?format=packed"} {
-		served += int64(len(drain("/v1/runs/" + sub.Job.ID + path)))
+	for _, path := range []string{"/rounds", "/topology?format=packed"} {
+		served += int64(len(drainBody(t, srv, "/v1/runs/"+sub.Job.ID+path)))
 	}
-	cells := drain("/v1/sweeps/" + sweep.ID + "/cells")
+	cells := drainBody(t, srv, "/v1/sweeps/"+sweep.ID+"/cells")
 	summaryAt := bytes.LastIndexByte(cells[:len(cells)-1], '\n') + 1
 	if !bytes.Contains(cells[summaryAt:], []byte(`"done"`)) {
 		t.Fatalf("cells stream does not end in a summary line: %q", cells[summaryAt:])
 	}
 	served += int64(summaryAt)
+	if len(drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology")) == 0 {
+		t.Error("json topology drain is empty")
+	}
 
 	var health healthResponse
 	mustGetJSON(t, srv, "/healthz", &health)
 	if health.Stats.StreamBytes != served || served == 0 {
-		t.Errorf("stream_bytes = %d, clients drained %d", health.Stats.StreamBytes, served)
+		t.Errorf("stream_bytes = %d, clients drained %d from /rounds + /topology?format=packed + /cells", health.Stats.StreamBytes, served)
 	}
 	if st := getSweepStatus(t, srv, sweep.ID); st.StreamBytes != int64(summaryAt) {
 		t.Errorf("sweep stream_bytes = %d, /cells served %d", st.StreamBytes, summaryAt)
@@ -262,12 +268,41 @@ func TestStreamBytesIsWhatIsServed(t *testing.T) {
 	}
 }
 
+// TestStreamBytesCountsCacheHeldReplays: a finished job leaves the job
+// table after RetainJobs, but its replay lives on in the result cache —
+// a resubmission serves it — so stream_bytes must count it. With one
+// retained job and three cached runs the footprint is the three
+// replays, not the last job's alone.
+func TestStreamBytesCountsCacheHeldReplays(t *testing.T) {
+	t.Parallel()
+	m := NewManager(Config{Workers: 1, RetainJobs: 1, CacheSize: 8})
+	defer m.Close()
+
+	var held int64
+	for seed := int64(1); seed <= 3; seed++ {
+		job, _, err := m.Submit(fastSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, job, StateDone)
+		held += job.FrameBytes()
+	}
+	// The third job retires, evicting the second, just after it is done.
+	waitFor(t, func() bool { return m.Stats().Jobs == 1 }, "finished jobs were never evicted")
+	if st := m.Stats(); st.CacheSize != 3 || st.StreamBytes != held || held == 0 {
+		t.Errorf("jobs=%d cache=%d stream_bytes=%d, want 3 cached runs and the %d bytes their replays hold",
+			st.Jobs, st.CacheSize, st.StreamBytes, held)
+	}
+}
+
 // TestStalledSubscriberDropped starts a real TCP server, attaches one
 // subscriber that never reads and one that drains, and checks the
 // backpressure policy: the stalled connection is dropped by the write
 // deadline while the producer and the healthy subscriber proceed
-// unimpeded. Both the rounds-shaped and topology-shaped streams go
-// through the same streamNDJSON path the endpoints use.
+// unimpeded. Both the rounds-shaped stream (the log's own frames) and
+// the topology-shaped one (json rendered from packed lines on the
+// subscriber's goroutine) go through the same streamNDJSON path the
+// endpoints use.
 func TestStalledSubscriberDropped(t *testing.T) {
 	t.Parallel()
 	// Big frames fill the socket buffers fast; 4096 slot pairs is
@@ -288,12 +323,12 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				ts := bareReplay()
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, ts.topo, 0, timeout, mt.topoSub)
+					streamNDJSON(w, r, ts.topo, jsonTopology, 0, timeout, mt.topoSub)
 				}
 				publish := func(i int) {
-					f := TopologyFrame{Round: i + 1, Activate: bigDelta}
-					total += int64(len(jsonFrame(f)))
-					ts.publishTopology(f)
+					d := temporal.RoundDelta{Round: i + 1, Activate: bigDelta}
+					total += int64(len(jsonFrame(TopologyFrame{Round: d.Round, Activate: d.Activate})))
+					ts.publishDelta(d)
 				}
 				return handler, publish, ts.close, &total
 			},
@@ -305,7 +340,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				rs := newFrameLog(nil)
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, rs, 0, timeout, mt.roundsSub)
+					streamNDJSON(w, r, rs, nil, 0, timeout, mt.roundsSub)
 				}
 				publish := func(i int) {
 					st := temporal.RoundStats{Round: i + 1, Activated: i, ActiveEdges: 1 << 20}
@@ -319,6 +354,20 @@ func TestStalledSubscriberDropped(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			mt := newMetrics(obs.NewRegistry(), nil)
+			// Push enough bytes to overrun any socket buffering between
+			// server and stalled client.
+			produce := func(publish func(i int), total *int64) time.Duration {
+				start := time.Now()
+				for i := 0; *total < 32<<20; i++ {
+					publish(i)
+				}
+				return time.Since(start)
+			}
+			// The yardstick for the producer: the same loop into a log
+			// nobody subscribes to.
+			_, publish, _, total := tc.serve(mt, 0)
+			bareElapsed := produce(publish, total)
+
 			handler, publish, closeStream, total := tc.serve(mt, 150*time.Millisecond)
 			srv := httptest.NewServer(http.HandlerFunc(handler))
 			defer srv.Close()
@@ -350,15 +399,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				"subscribers never attached")
 
 			// Producer: publishing never blocks on the stalled reader.
-			// Push enough bytes to overrun any socket buffering between
-			// server and stalled client.
-			start := time.Now()
-			i := 0
-			for *total < 32<<20 {
-				publish(i)
-				i++
-			}
-			producerElapsed := time.Since(start)
+			producerElapsed := produce(publish, total)
 
 			// The stalled subscriber must get dropped by the write
 			// deadline well before the healthy one finishes the stream.
@@ -376,9 +417,12 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			}
 			// The producer is decoupled from subscribers by construction;
 			// this catches regressions that reintroduce producer-side
-			// blocking (e.g. bounded per-subscriber queues).
-			if producerElapsed > 10*time.Second {
-				t.Errorf("producer took %v with a stalled subscriber attached", producerElapsed)
+			// blocking (e.g. bounded per-subscriber queues). Relative, not
+			// absolute: under the race detector the loop alone takes
+			// seconds, and the healthy reader shares the cores with it.
+			t.Logf("producer: %v bare, %v with a stalled and a healthy subscriber", bareElapsed, producerElapsed)
+			if producerElapsed > 5*bareElapsed+time.Second {
+				t.Errorf("producer took %v with a stalled subscriber attached, %v with none", producerElapsed, bareElapsed)
 			}
 		})
 	}
@@ -398,17 +442,20 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 
 // TestStreamFanoutRace exercises concurrent publish, subscribe, status
 // reads and close under the race detector (the CI race job runs this
-// package with -race).
+// package with -race). The log is topology-shaped and half the
+// subscribers read it through the json renderer, as /topology's default
+// format does, while the producer is live.
 func TestStreamFanoutRace(t *testing.T) {
 	t.Parallel()
-	s := newFrameLog(nil)
+	ts := bareReplay()
+	s := ts.topo
 	const items, subs = 400, 8
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for _, st := range sampleRounds(items) {
-			s.publish(st)
+		for i := 1; i <= items; i++ {
+			ts.publishDelta(temporal.RoundDelta{Round: i, Activate: []int32{0, int32(i)}, Deactivate: []int32{1, 2}})
 		}
 		s.close()
 	}()
@@ -422,8 +469,14 @@ func TestStreamFanoutRace(t *testing.T) {
 				if !ok {
 					return
 				}
-				for _, f := range batch {
-					if len(f) == 0 || f[len(f)-1] != '\n' {
+				for k, f := range batch {
+					if i%2 == 1 {
+						want := fmt.Sprintf(`{"round":%d,"activate":[0,%d],"deactivate":[1,2]}`+"\n", cursor+k+1, cursor+k+1)
+						if got := jsonTopology(f); string(got) != want {
+							t.Errorf("frame %d rendered %q, want %q", cursor+k, got, want)
+							return
+						}
+					} else if len(f) == 0 || f[len(f)-1] != '\n' {
 						t.Error("malformed frame")
 						return
 					}

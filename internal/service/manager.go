@@ -375,10 +375,10 @@ type Stats struct {
 	FleetWorkers int   `json:"fleet_workers"`
 	FleetHealthy int   `json:"fleet_healthy"`
 	// StreamBytes is the encoded NDJSON frame bytes held by the frame
-	// logs of every tracked job and sweep (logs that cache-hit jobs
-	// share with the job that executed count once) — the server's whole
-	// streaming memory footprint, and exactly the bytes the streaming
-	// endpoints of those jobs serve.
+	// logs of every tracked job and sweep and every cached run (a shared
+	// log counts once) — the server's whole streaming memory footprint,
+	// and exactly what /rounds, /topology?format=packed and /cells serve
+	// for them; a json topology drain is rendered, and larger.
 	StreamBytes int64 `json:"stream_bytes"`
 	// UptimeSeconds and GoVersion let probes distinguish a restarted
 	// server from a live one and audit the deployed toolchain.
@@ -391,12 +391,12 @@ func (m *Manager) Stats() Stats {
 	size, hits, misses := m.cache.Stats()
 	runs, sweeps := m.runs.all(), m.sweeps.all()
 	var streamBytes int64
-	counted := make(map[*replay]struct{}, len(runs))
+	held := m.cache.replays()
 	for _, j := range runs {
-		if _, dup := counted[j.replay]; !dup {
-			counted[j.replay] = struct{}{}
-			streamBytes += j.replay.FrameBytes()
-		}
+		held[j.replay] = struct{}{}
+	}
+	for rp := range held {
+		streamBytes += rp.FrameBytes()
 	}
 	for _, j := range sweeps {
 		streamBytes += j.cells.FrameBytes()
@@ -436,9 +436,8 @@ func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 	rp := cached
 	if rp == nil {
 		rp = &replay{
-			rounds:     newFrameLog(m.metrics.roundsObs),
-			topo:       newFrameLog(m.metrics.topoObs),
-			topoPacked: newFrameLog(m.metrics.topoPackedObs),
+			rounds: newFrameLog(m.metrics.roundsObs),
+			topo:   newFrameLog(m.metrics.packedObs),
 		}
 	}
 	return &Job{

@@ -76,12 +76,13 @@ type metrics struct {
 	journalTorn           *obs.Counter
 
 	// Per-kind encode hooks handed to the frame logs at construction.
-	roundsObs, cellsObs, topoObs, topoPackedObs func(time.Duration)
+	roundsObs, cellsObs, packedObs func(time.Duration)
 	// Per-kind fan-out-side series, resolved once for the handlers.
-	roundsSub, cellsSub, topoSub, topoPackedSub subscriberObs
+	roundsSub, cellsSub, topoSub, packedSub subscriberObs
 }
 
-// Stream kind label values: one per NDJSON endpoint format.
+// Stream kind label values: one per NDJSON endpoint format. streamTopo
+// labels subscribers only: json topology is rendered, never encoded.
 const (
 	streamRounds     = "rounds"
 	streamCells      = "cells"
@@ -169,12 +170,11 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 	}
 	m.roundsObs = m.encodeObsFor(streamRounds)
 	m.cellsObs = m.encodeObsFor(streamCells)
-	m.topoObs = m.encodeObsFor(streamTopo)
-	m.topoPackedObs = m.encodeObsFor(streamTopoPacked)
+	m.packedObs = m.encodeObsFor(streamTopoPacked)
 	m.roundsSub = m.subscriberObsFor(streamRounds)
 	m.cellsSub = m.subscriberObsFor(streamCells)
 	m.topoSub = m.subscriberObsFor(streamTopo)
-	m.topoPackedSub = m.subscriberObsFor(streamTopoPacked)
+	m.packedSub = m.subscriberObsFor(streamTopoPacked)
 	return m
 }
 

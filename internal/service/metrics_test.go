@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -249,16 +248,12 @@ func TestMetricsCoverBroadcastHub(t *testing.T) {
 	rounds := float64(job.rounds.Len())
 
 	// Two subscribers per stream kind: encodes must not double.
+	var jsonBytes int64
 	for i := 0; i < 2; i++ {
 		for _, path := range []string{"/rounds", "/topology", "/topology?format=packed"} {
-			resp, err := http.Get(srv.URL + "/v1/runs/" + sub.Job.ID + path)
-			if err != nil {
-				t.Fatal(err)
+			if n := len(drainBody(t, srv, "/v1/runs/"+sub.Job.ID+path)); path == "/topology" {
+				jsonBytes += int64(n)
 			}
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
 		}
 	}
 
@@ -267,16 +262,27 @@ func TestMetricsCoverBroadcastHub(t *testing.T) {
 		map[string]string{"stream": "rounds"}); v != rounds {
 		t.Errorf("rounds encodes = %v, want %v (one per round, any subscriber count)", v, rounds)
 	}
-	// Topology encodes one header plus one delta per round, per format.
+	// Topology encodes one header plus one delta per round, once: the
+	// packed line the run holds. The json format is rendered from it per
+	// subscriber and has no encode series; the subscriber-side series
+	// label what a client asked for, and count the rendered bytes.
+	if v := metricValue(t, mx, "adnet_stream_frames_encoded_total",
+		map[string]string{"stream": "topology_packed"}); v != rounds+1 {
+		t.Errorf("topology_packed encodes = %v, want %v", v, rounds+1)
+	}
+	if v, ok := mx.Value("adnet_stream_frames_encoded_total",
+		map[string]string{"stream": "topology"}); ok {
+		t.Errorf("topology encodes = %v, want no such series (rendered, never encoded)", v)
+	}
 	for _, kind := range []string{"topology", "topology_packed"} {
-		if v := metricValue(t, mx, "adnet_stream_frames_encoded_total",
-			map[string]string{"stream": kind}); v != rounds+1 {
-			t.Errorf("%s encodes = %v, want %v", kind, v, rounds+1)
-		}
 		if v := metricValue(t, mx, "adnet_stream_frames_sent_total",
 			map[string]string{"stream": kind}); v != 2*(rounds+1) {
 			t.Errorf("%s frames sent = %v, want %v (two subscribers)", kind, v, 2*(rounds+1))
 		}
+	}
+	if v := metricValue(t, mx, "adnet_stream_bytes_sent_total",
+		map[string]string{"stream": "topology"}); v != float64(jsonBytes) {
+		t.Errorf("topology bytes sent = %v, want the %d rendered bytes the two subscribers read", v, jsonBytes)
 	}
 	if v := metricValue(t, mx, "adnet_stream_frames_sent_total",
 		map[string]string{"stream": "rounds"}); v != 2*rounds {

@@ -8,7 +8,7 @@ import (
 )
 
 // frameLog is the broadcast hub behind every NDJSON stream (/rounds,
-// /topology in both formats, /cells): an append-only log of encoded
+// /topology, /cells — one log each): an append-only log of encoded
 // frames. A producer publishes items in order, any number of
 // subscribers read with a cursor, so late subscribers replay the full
 // history before tailing live frames. close marks the end of the log;
@@ -16,11 +16,11 @@ import (
 //
 // Every published item is marshaled exactly once, synchronously inside
 // publish, into an immutable NDJSON line; that line is the only form
-// the log keeps of the item and the bytes every subscriber writes, so
-// N subscribers cost N writes but one marshal per item regardless of
-// N. Nothing is evicted: a log is bounded by what bounds its producer
-// — the round caps and MaxN for a run's logs, MaxSweepCells for a
-// sweep's — and lives as long as its job is retained.
+// the log keeps of the item and what every subscriber writes (or, for
+// /topology's json format, renders from), so N subscribers cost N writes
+// but one marshal per item. Nothing is evicted: a log is bounded by what
+// bounds its producer — the round caps and MaxN for a run's logs,
+// MaxSweepCells for a sweep's — and lives as long as its job is retained.
 type frameLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -46,9 +46,9 @@ func newFrameLog(encoded func(d time.Duration)) *frameLog {
 func jsonFrame(item any) []byte {
 	b, err := json.Marshal(item)
 	if err != nil {
-		// The stream item types (RoundStats, SweepCell, TopologyFrame)
-		// marshal unconditionally; surface the impossible case as a
-		// well-formed NDJSON error line rather than corrupting framing.
+		// The stream item types (RoundStats, SweepCell, TopologyFrame and
+		// its packed form) marshal unconditionally; surface the impossible
+		// case as a well-formed NDJSON error line, not corrupt framing.
 		b, _ = json.Marshal(errorResponse{Error: ErrorBody{
 			Code: codeInternal, Message: "encode: " + err.Error(),
 		}})

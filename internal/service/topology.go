@@ -3,15 +3,17 @@ package service
 import (
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 
 	"adnet/internal/temporal"
 )
 
-// TopologyFrame is one NDJSON line of the GET /v1/runs/{id}/topology
-// stream: the compact per-round reconfiguration delta a subscriber
-// replays to reconstruct D(i) without the server ever materializing
-// full adjacency per subscriber.
+// TopologyFrame is one NDJSON line of GET /v1/runs/{id}/topology in
+// its default json format: the compact per-round reconfiguration delta
+// a subscriber replays to reconstruct D(i) without the server ever
+// materializing full adjacency per subscriber. A run's topology is held
+// once, packed; jsonTopology renders this from a line of that log.
 //
 // The first frame is the header (Round 0): the node count and the
 // initial active edge set E(1). Every following frame carries round
@@ -37,40 +39,18 @@ type TopologyFrame struct {
 	EnvDeactivate []int32 `json:"env_deactivate,omitempty"`
 }
 
-// packedTopologyFrame is the format=packed rendering of the same
-// frame: the slot pairs are delta-varint packed (see packPairs) and
-// base64'd into a single string field, cutting frame bytes by 3-6x on
-// dense rounds while staying one JSON line per round.
+// packedTopologyFrame is a line of a run's topology log, served as it
+// is by format=packed: the slot pairs delta-varint packed (packPairs)
+// and base64'd into one string field, 3-6x smaller than the json
+// rendering on dense rounds. The header packs its initial edge list; a
+// delta packs activations then deactivations and — only when a dynamics
+// environment edited anything this round — the environment's two lists
+// as a third and fourth. Decoders detect the extension by the remaining
+// bytes; dynamics-free streams stay byte-identical to the two-list format.
 type packedTopologyFrame struct {
 	Round int    `json:"round"`
 	N     int    `json:"n,omitempty"`
 	P     string `json:"p"`
-}
-
-// packedFrame renders f in the packed topology format. The header
-// packs its initial edge list; delta frames pack activations
-// then deactivations (each length-prefixed), and — only when a
-// dynamics environment edited anything this round — the environment's
-// activations and deactivations as a third and fourth list. Decoders
-// detect the extension by the remaining bytes, and dynamics-free
-// streams stay byte-identical to the two-list format.
-func packedFrame(f TopologyFrame) packedTopologyFrame {
-	var buf []byte
-	if f.Round == 0 {
-		buf = packPairs(nil, f.Edges)
-	} else {
-		buf = packPairs(nil, f.Activate)
-		buf = packPairs(buf, f.Deactivate)
-		if len(f.EnvActivate) > 0 || len(f.EnvDeactivate) > 0 {
-			buf = packPairs(buf, f.EnvActivate)
-			buf = packPairs(buf, f.EnvDeactivate)
-		}
-	}
-	return packedTopologyFrame{
-		Round: f.Round,
-		N:     f.N,
-		P:     base64.StdEncoding.EncodeToString(buf),
-	}
 }
 
 // packPairs appends one length-prefixed, delta-varint packed edge
@@ -91,8 +71,7 @@ func packPairs(buf []byte, pairs []int32) []byte {
 }
 
 // unpackPairs reads one packed edge list from buf, returning the flat
-// slot pairs and the remaining bytes. It is the inverse of packPairs;
-// the topology differential tests replay packed streams through it.
+// slot pairs and the remaining bytes. It is the inverse of packPairs.
 func unpackPairs(buf []byte) ([]int32, []byte, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -103,15 +82,11 @@ func unpackPairs(buf []byte) ([]int32, []byte, error) {
 	prevA := int32(0)
 	for i := uint64(0); i < count; i++ {
 		da, n := binary.Uvarint(buf)
-		if n <= 0 {
+		db, m := binary.Uvarint(buf[max(n, 0):])
+		if n <= 0 || m <= 0 {
 			return nil, nil, fmt.Errorf("service: packed frame: truncated pair %d", i)
 		}
-		buf = buf[n:]
-		db, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("service: packed frame: truncated pair %d", i)
-		}
-		buf = buf[n:]
+		buf = buf[n+m:]
 		a := prevA + int32(da)
 		pairs = append(pairs, a, a+int32(db))
 		prevA = a
@@ -119,32 +94,61 @@ func unpackPairs(buf []byte) ([]int32, []byte, error) {
 	return pairs, buf, nil
 }
 
-// publishTopology appends one frame to both topology logs — plain
-// JSON and format=packed — so a round costs exactly one marshal per
-// format regardless of subscriber count, and a cache-hit job, which
-// serves the executing job's logs, costs none. Both marshals finish
-// before it returns: f's slices may be engine scratch.
-func (rp *replay) publishTopology(f TopologyFrame) {
-	rp.topo.publish(f)
-	rp.topoPacked.publish(packedFrame(f))
+// unpackTopology decodes one line of a topology log: the one packed
+// decoder in the product.
+func unpackTopology(line []byte) (f TopologyFrame, err error) {
+	var p packedTopologyFrame
+	if err := json.Unmarshal(line, &p); err != nil {
+		return f, fmt.Errorf("service: packed frame: %w", err)
+	}
+	buf, err := base64.StdEncoding.DecodeString(p.P)
+	if err != nil {
+		return f, fmt.Errorf("service: packed frame: %w", err)
+	}
+	f.Round, f.N = p.Round, p.N
+	lists := []*[]int32{&f.Edges}
+	if p.Round > 0 {
+		lists = []*[]int32{&f.Activate, &f.Deactivate, &f.EnvActivate, &f.EnvDeactivate}
+	}
+	for i, list := range lists {
+		if i == 2 && len(buf) == 0 {
+			break // no environment extension
+		}
+		if *list, buf, err = unpackPairs(buf); err != nil {
+			return f, err
+		}
+	}
+	if len(buf) != 0 {
+		return f, fmt.Errorf("service: packed frame: %d trailing bytes", len(buf))
+	}
+	return f, nil
 }
 
-// publishHeader emits the round-0 header straight from a
+// jsonTopology renders a line of a topology log in the json format,
+// byte for byte what publishing its TopologyFrame would have stored; a
+// line the publish hooks did not write is reported in place, like a
+// marshal failure in jsonFrame.
+func jsonTopology(line []byte) []byte {
+	f, err := unpackTopology(line)
+	if err != nil {
+		return jsonFrame(errorResponse{Error: ErrorBody{Code: codeInternal, Message: err.Error()}})
+	}
+	return jsonFrame(f)
+}
+
+// publishHeader emits the round-0 header, packed straight from a
 // sim.StartEvent's scratch edge slice.
 func (rp *replay) publishHeader(n int, edges []int32) {
-	rp.publishTopology(TopologyFrame{Round: 0, N: n, Edges: edges})
+	rp.topo.publish(packedTopologyFrame{N: n, P: base64.StdEncoding.EncodeToString(packPairs(nil, edges))})
 }
 
-// publishDelta emits one round's delta straight from the History's
-// scratch. Rounds with no reconfiguration still emit a frame: the
-// stream is the round clock, and an empty delta is two bytes of
-// payload.
+// publishDelta emits one round's delta, packed straight from the
+// History's scratch. Rounds with no reconfiguration still emit a frame:
+// the stream is the round clock, and an empty delta is two bytes.
 func (rp *replay) publishDelta(d temporal.RoundDelta) {
-	rp.publishTopology(TopologyFrame{
-		Round:         d.Round,
-		Activate:      d.Activate,
-		Deactivate:    d.Deactivate,
-		EnvActivate:   d.EnvActivate,
-		EnvDeactivate: d.EnvDeactivate,
-	})
+	buf := packPairs(packPairs(nil, d.Activate), d.Deactivate)
+	if len(d.EnvActivate) > 0 || len(d.EnvDeactivate) > 0 {
+		buf = packPairs(packPairs(buf, d.EnvActivate), d.EnvDeactivate)
+	}
+	rp.topo.publish(packedTopologyFrame{Round: d.Round, P: base64.StdEncoding.EncodeToString(buf)})
 }

@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"sort"
@@ -18,6 +16,7 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
 
 func TestPackPairsRoundTrip(t *testing.T) {
@@ -59,6 +58,31 @@ func TestPackPairsRoundTrip(t *testing.T) {
 	}
 	if _, _, err := unpackPairs([]byte{}); err == nil {
 		t.Error("unpack of empty buffer should fail")
+	}
+}
+
+// TestUndecodableTopologyLine: a line the publish hooks cannot have
+// written is an error to the decoder and a well-formed NDJSON error
+// line to a json subscriber, never a corrupted stream.
+func TestUndecodableTopologyLine(t *testing.T) {
+	t.Parallel()
+	two := packPairs(packPairs(nil, []int32{0, 1}), nil)
+	for name, line := range map[string]string{
+		"not json":     "round 1\n",
+		"not base64":   `{"round":1,"p":"!"}` + "\n",
+		"one list":     `{"round":1,"p":"` + base64.StdEncoding.EncodeToString(two[:len(two)-1]) + `"}` + "\n",
+		"three lists":  `{"round":1,"p":"` + base64.StdEncoding.EncodeToString(append(two, 0)) + `"}` + "\n",
+		"header tail":  `{"round":0,"n":2,"p":"` + base64.StdEncoding.EncodeToString(two) + `"}` + "\n",
+		"short header": `{"round":0,"n":2,"p":""}` + "\n",
+	} {
+		if f, err := unpackTopology([]byte(line)); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, f)
+		}
+		var env errorResponse
+		out := jsonTopology([]byte(line))
+		if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != codeInternal || out[len(out)-1] != '\n' {
+			t.Errorf("%s: rendered %q, want one internal-error line", name, out)
+		}
 	}
 }
 
@@ -112,12 +136,21 @@ func finalSlotPairs(g *graph.Graph) [][2]int32 {
 	return out
 }
 
-// decodeTopology decodes the frames a closed json-format topology log
-// serves.
-func decodeTopology(t *testing.T, s *frameLog) []TopologyFrame {
+// renderTopology is the body GET /topology (json) serves for a closed
+// topology log: every line through jsonTopology.
+func renderTopology(s *frameLog) (body []byte) {
+	for _, line := range logLines(s) {
+		body = append(body, jsonTopology(line)...)
+	}
+	return body
+}
+
+// decodeTopology is what a json subscriber parses out of a closed
+// topology log, unpackedTopology what a packed one does — through
+// unpackTopology, the product's one packed decoder.
+func decodeTopology(t *testing.T, s *frameLog) (frames []TopologyFrame) {
 	t.Helper()
-	var frames []TopologyFrame
-	dec := json.NewDecoder(bytes.NewReader(collectFrames(t, s)))
+	dec := json.NewDecoder(bytes.NewReader(renderTopology(s)))
 	for dec.More() {
 		var f TopologyFrame
 		if err := dec.Decode(&f); err != nil {
@@ -128,98 +161,79 @@ func decodeTopology(t *testing.T, s *frameLog) []TopologyFrame {
 	return frames
 }
 
-// replayTopologyJSON drains a closed json-format topology stream and
-// replays header + deltas into the reconstructed edge set.
-func replayTopologyJSON(t *testing.T, s *frameLog, wantN int) edgeSet {
+func unpackedTopology(t *testing.T, s *frameLog) (frames []TopologyFrame) {
+	t.Helper()
+	for _, line := range logLines(s) {
+		f, err := unpackTopology(line)
+		if err != nil {
+			t.Fatalf("bad packed frame %q: %v", line, err)
+		}
+		frames = append(frames, f)
+	}
+	return frames
+}
+
+// replayTopology replays header + deltas into the reconstructed edge
+// set.
+func replayTopology(t *testing.T, frames []TopologyFrame, wantN int) edgeSet {
 	t.Helper()
 	es := make(edgeSet)
-	cursor, next := 0, 0
-	for {
-		batch, ok := s.WaitFrames(context.Background(), cursor)
-		if !ok {
-			return es
+	for next, f := range frames {
+		if f.Round != next {
+			t.Fatalf("frame round %d, want %d (no gaps, no reorder)", f.Round, next)
 		}
-		for _, line := range batch {
-			var f TopologyFrame
-			if err := json.Unmarshal(line, &f); err != nil {
-				t.Fatalf("bad frame %q: %v", line, err)
+		if f.Round == 0 {
+			if f.N != wantN {
+				t.Fatalf("header n=%d, want %d", f.N, wantN)
 			}
-			if f.Round != next {
-				t.Fatalf("frame round %d, want %d (no gaps, no reorder)", f.Round, next)
-			}
-			next++
-			if f.Round == 0 {
-				if f.N != wantN {
-					t.Fatalf("header n=%d, want %d", f.N, wantN)
-				}
-				es.apply(t, 0, f.Edges, nil)
-				continue
-			}
-			es.apply(t, f.Round, f.Activate, f.Deactivate)
-			es.apply(t, f.Round, f.EnvActivate, f.EnvDeactivate)
+			es.apply(t, 0, f.Edges, nil)
+			continue
 		}
-		cursor += len(batch)
+		es.apply(t, f.Round, f.Activate, f.Deactivate)
+		es.apply(t, f.Round, f.EnvActivate, f.EnvDeactivate)
+	}
+	return es
+}
+
+// referenceHooks publishes a run's topology to ts and, next to it,
+// writes what the json format is pinned to: jsonFrame of a
+// TopologyFrame filled straight from the hook values — the lines the
+// server stored while it still kept a json log. The rendering of the
+// packed log must equal it byte for byte.
+func referenceHooks(ts *replay, ref *bytes.Buffer) []sim.Option {
+	return []sim.Option{
+		sim.WithStartHook(func(ev sim.StartEvent) {
+			ts.publishHeader(ev.N, ev.Edges)
+			ref.Write(jsonFrame(TopologyFrame{N: ev.N, Edges: ev.Edges}))
+		}),
+		sim.WithDeltaHook(func(d temporal.RoundDelta) {
+			ts.publishDelta(d)
+			ref.Write(jsonFrame(TopologyFrame{
+				Round:         d.Round,
+				Activate:      d.Activate,
+				Deactivate:    d.Deactivate,
+				EnvActivate:   d.EnvActivate,
+				EnvDeactivate: d.EnvDeactivate,
+			}))
+		}),
 	}
 }
 
-// replayTopologyPacked does the same through the format=packed wire.
-func replayTopologyPacked(t *testing.T, s *frameLog, wantN int) edgeSet {
+// checkTopology is the shared tail of the two reconstruction tests: the
+// json rendering equals the reference byte for byte, and both formats
+// replay to exactly the edge set want.
+func checkTopology(t *testing.T, ts *replay, ref []byte, n int, want [][2]int32) {
 	t.Helper()
-	es := make(edgeSet)
-	cursor, next := 0, 0
-	for {
-		batch, ok := s.WaitFrames(context.Background(), cursor)
-		if !ok {
-			return es
+	if got := renderTopology(ts.topo); !bytes.Equal(got, ref) {
+		t.Fatalf("json rendering of the packed log differs from jsonFrame(TopologyFrame) of the hook values:\ngot  %q\nwant %q", got, ref)
+	}
+	for name, got := range map[string][][2]int32{
+		"json":   replayTopology(t, decodeTopology(t, ts.topo), n).sorted(),
+		"packed": replayTopology(t, unpackedTopology(t, ts.topo), n).sorted(),
+	} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s replay: %d edges %v, want %d %v", name, len(got), got, len(want), want)
 		}
-		for _, line := range batch {
-			var f packedTopologyFrame
-			if err := json.Unmarshal(line, &f); err != nil {
-				t.Fatalf("bad packed frame %q: %v", line, err)
-			}
-			if f.Round != next {
-				t.Fatalf("packed frame round %d, want %d", f.Round, next)
-			}
-			next++
-			payload, err := base64.StdEncoding.DecodeString(f.P)
-			if err != nil {
-				t.Fatalf("round %d: bad base64: %v", f.Round, err)
-			}
-			if f.Round == 0 {
-				if f.N != wantN {
-					t.Fatalf("packed header n=%d, want %d", f.N, wantN)
-				}
-				edges, rest, err := unpackPairs(payload)
-				if err != nil || len(rest) != 0 {
-					t.Fatalf("header unpack: %v (rest=%d)", err, len(rest))
-				}
-				es.apply(t, 0, edges, nil)
-				continue
-			}
-			act, rest, err := unpackPairs(payload)
-			if err != nil {
-				t.Fatalf("round %d: activate unpack: %v", f.Round, err)
-			}
-			deact, rest, err := unpackPairs(rest)
-			if err != nil {
-				t.Fatalf("round %d: deactivate unpack: %v", f.Round, err)
-			}
-			es.apply(t, f.Round, act, deact)
-			// Bytes past the two algorithm lists are the environment
-			// extension: env activations then env deactivations.
-			if len(rest) > 0 {
-				envAct, envRest, err := unpackPairs(rest)
-				if err != nil {
-					t.Fatalf("round %d: env activate unpack: %v", f.Round, err)
-				}
-				envDeact, envRest, err := unpackPairs(envRest)
-				if err != nil || len(envRest) != 0 {
-					t.Fatalf("round %d: env deactivate unpack: %v (rest=%d)", f.Round, err, len(envRest))
-				}
-				es.apply(t, f.Round, envAct, envDeact)
-			}
-		}
-		cursor += len(batch)
 	}
 }
 
@@ -253,17 +267,13 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 					t.Fatal(err)
 				}
 				ts := bareReplay()
-				opts := append([]sim.Option{
-					sim.WithStartHook(func(ev sim.StartEvent) { ts.publishHeader(ev.N, ev.Edges) }),
-					sim.WithDeltaHook(ts.publishDelta),
-				}, algo.opts...)
-				res, err := sim.Run(g, algo.factory, opts...)
+				var ref bytes.Buffer
+				res, err := sim.Run(g, algo.factory, append(referenceHooks(ts, &ref), algo.opts...)...)
 				if err != nil {
 					t.Fatalf("%s run: %v", algo.name, err)
 				}
 				ts.close()
 
-				want := finalSlotPairs(res.History.CurrentView())
 				frames := decodeTopology(t, ts.topo)
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
@@ -271,20 +281,7 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				if got := len(frames) - 1; got != res.Rounds {
 					t.Errorf("stream carries %d delta frames, want one per round (%d)", got, res.Rounds)
 				}
-
-				for name, got := range map[string][][2]int32{
-					"json":   replayTopologyJSON(t, ts.topo, n).sorted(),
-					"packed": replayTopologyPacked(t, ts.topoPacked, n).sorted(),
-				} {
-					if len(got) != len(want) {
-						t.Fatalf("%s replay: %d edges, want %d", name, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s replay: edge[%d] = %v, want %v", name, i, got[i], want[i])
-						}
-					}
-				}
+				checkTopology(t, ts, ref.Bytes(), n, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}
@@ -324,15 +321,15 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Fatal(err)
 				}
 				ts := bareReplay()
-				res, runErr := sim.Run(g, factory,
-					sim.WithStartHook(func(ev sim.StartEvent) { ts.publishHeader(ev.N, ev.Edges) }),
-					sim.WithDeltaHook(ts.publishDelta),
+				var ref bytes.Buffer
+				res, runErr := sim.Run(g, factory, append(referenceHooks(ts, &ref),
 					sim.WithEnvironment(env),
-					sim.WithMaxRounds(200))
+					sim.WithMaxRounds(200))...)
 				ts.close()
 				if res == nil {
 					t.Fatalf("run returned no result (err=%v)", runErr)
 				}
+				t.Logf("run err=%v", runErr)
 
 				frames := decodeTopology(t, ts.topo)
 				if len(frames) == 0 || frames[0].Round != 0 {
@@ -346,27 +343,14 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Errorf("%s stream carries no environment edits", spec.Class)
 				}
 
-				want := finalSlotPairs(res.History.CurrentView())
-				for kind, got := range map[string][][2]int32{
-					"json":   replayTopologyJSON(t, ts.topo, n).sorted(),
-					"packed": replayTopologyPacked(t, ts.topoPacked, n).sorted(),
-				} {
-					if len(got) != len(want) {
-						t.Fatalf("%s replay: %d edges, want %d (run err=%v)", kind, len(got), len(want), runErr)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s replay: edge[%d] = %v, want %v", kind, i, got[i], want[i])
-						}
-					}
-				}
+				checkTopology(t, ts, ref.Bytes(), n, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}
 }
 
 // TestAPITopologyEndpoint exercises GET /v1/runs/{id}/topology over
-// HTTP: the json body must be the frame-log rendering line for line, a
+// HTTP: the json body must be the packed log's rendering line for line, a
 // cache-hit replay job must serve a byte-identical stream, the packed
 // format must reconstruct the same edge set, and an unknown format is
 // a 400.
@@ -381,34 +365,9 @@ func TestAPITopologyEndpoint(t *testing.T) {
 	awaitDone(t, srv, sub.Job.ID)
 	job, _ := m.Get(sub.Job.ID)
 
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-
-	body := get("/v1/runs/" + sub.Job.ID + "/topology")
-	var want bytes.Buffer
-	frames := decodeTopology(t, job.topo)
-	if len(frames) == 0 {
-		t.Fatal("job published no topology frames")
-	}
-	for _, f := range frames {
-		want.Write(jsonFrame(f))
-	}
-	if !bytes.Equal(body, want.Bytes()) {
-		t.Error("topology endpoint body differs from the frame-log rendering")
+	body := drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology")
+	if want := renderTopology(job.topo); len(want) == 0 || !bytes.Equal(body, want) {
+		t.Errorf("topology endpoint body (%d bytes) differs from the frame-log rendering (%d bytes)", len(body), len(want))
 	}
 
 	// The header must carry the run's n, and deltas one frame per round.
@@ -420,20 +379,19 @@ func TestAPITopologyEndpoint(t *testing.T) {
 		t.Errorf("header = %+v", header)
 	}
 
-	// Packed format reconstructs the same final edge set.
-	packedBody := get("/v1/runs/" + sub.Job.ID + "/topology?format=packed")
+	// The packed format is the log as it is held, smaller than its
+	// rendering, and reconstructs the same final edge set.
+	packedBody := drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology?format=packed")
+	if !bytes.Equal(packedBody, collectFrames(t, job.topo)) {
+		t.Error("packed body is not the topology log's own frames")
+	}
 	if len(packedBody) >= len(body) {
 		t.Errorf("packed body (%d bytes) not smaller than json body (%d bytes)", len(packedBody), len(body))
 	}
-	jsonSet := replayTopologyJSON(t, job.topo, header.N).sorted()
-	packedSet := replayTopologyPacked(t, job.topoPacked, header.N).sorted()
-	if len(jsonSet) != len(packedSet) {
-		t.Fatalf("json and packed reconstructions disagree: %d vs %d edges", len(jsonSet), len(packedSet))
-	}
-	for i := range jsonSet {
-		if jsonSet[i] != packedSet[i] {
-			t.Fatalf("edge[%d]: json %v, packed %v", i, jsonSet[i], packedSet[i])
-		}
+	jsonSet := replayTopology(t, decodeTopology(t, job.topo), header.N).sorted()
+	packedSet := replayTopology(t, unpackedTopology(t, job.topo), header.N).sorted()
+	if !slices.Equal(jsonSet, packedSet) {
+		t.Fatalf("json and packed reconstructions disagree:\njson   %v\npacked %v", jsonSet, packedSet)
 	}
 
 	// A cache hit serves a byte-identical topology replay.
@@ -441,7 +399,7 @@ func TestAPITopologyEndpoint(t *testing.T) {
 	if code != http.StatusOK || !cachedSub.Cached {
 		t.Fatalf("resubmit = (%d, cached=%v), want cache hit", code, cachedSub.Cached)
 	}
-	if cachedBody := get("/v1/runs/" + cachedSub.Job.ID + "/topology"); !bytes.Equal(cachedBody, body) {
+	if cachedBody := drainBody(t, srv, "/v1/runs/"+cachedSub.Job.ID+"/topology"); !bytes.Equal(cachedBody, body) {
 		t.Error("cache-hit topology replay is not byte-identical to the original stream")
 	}
 
