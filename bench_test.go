@@ -380,7 +380,7 @@ func benchRound(b *testing.B, sizes []int, factory func(n int) sim.Factory) {
 // BenchmarkEngineReuse measures the PR 3 headline: many runs through
 // one reused Engine versus back-to-back sim.Run. Same workload, same
 // semantics; the engine variant reuses contexts, inboxes, history
-// scratch and the pinned worker pool across runs, so allocs/op (one
+// scratch and intent buffer across runs, so allocs/op (one
 // op = one full run) drop by well over 5×.
 func BenchmarkEngineReuse(b *testing.B) {
 	const rounds = 16

@@ -121,18 +121,6 @@ func TestFleetMetricsEndToEnd(t *testing.T) {
 		}
 		s, _ := wm.Sum("adnet_fleet_shard_duration_seconds_count", nil)
 		shardObs += s
-		// Every executed run folds one parallel-efficiency observation;
-		// the ratio is bounded by 1, so the +Inf cumulative bucket and
-		// the le="1" bucket both equal the engine run count.
-		if r > 0 {
-			if v, ok := wm.Value("adnet_engine_parallel_efficiency_ratio_count", nil); !ok || v != r {
-				t.Errorf("worker %s efficiency observations = %v (ok=%v), want %v (engine runs)", w, v, ok, r)
-			}
-			if v, _ := wm.Value("adnet_engine_parallel_efficiency_ratio_bucket",
-				map[string]string{"le": "1"}); v != r {
-				t.Errorf("worker %s efficiency le=1 bucket = %v, want %v (ratio is clamped to [0,1])", w, v, r)
-			}
-		}
 	}
 	if workerCells != cells {
 		t.Errorf("workers' cell counters sum to %v, want %d", workerCells, cells)

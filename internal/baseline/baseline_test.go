@@ -294,9 +294,9 @@ type trace struct {
 	err      string
 }
 
-// runTrace executes factory on g at the given worker count, under the
-// environment dyn describes when it is non-nil, and records the trace.
-func runTrace(t *testing.T, g *graph.Graph, factory sim.Factory, maxRounds, workers int, dyn *dynamics.Spec, seed int64) trace {
+// runTrace executes factory on g, under the environment dyn describes
+// when it is non-nil, and records the trace.
+func runTrace(t *testing.T, g *graph.Graph, factory sim.Factory, maxRounds int, dyn *dynamics.Spec, seed int64) trace {
 	t.Helper()
 	var tr trace
 	var cur []byte
@@ -306,7 +306,6 @@ func runTrace(t *testing.T, g *graph.Graph, factory sim.Factory, maxRounds, work
 		}
 	}
 	opts := []sim.Option{
-		sim.WithParallelism(workers),
 		sim.WithMaxRounds(maxRounds),
 		sim.WithRoundHook(func(ev sim.RoundEvent) {
 			ints(ev.Round, len(ev.Messages))
@@ -383,7 +382,7 @@ func sparseRelabel(g *graph.Graph) *graph.Graph {
 // at five sizes and three seeds, plus one relabelling with sparse IDs,
 // the two must produce equal traces — undisturbed and under every
 // dynamics schedule of the robustness matrix, crash in both restart
-// modes — at one worker and on the worker pool. The trace goldens pin
+// modes. The trace goldens pin
 // undisturbed runs and the robustness gate success counts; only this
 // sees a machine that stops re-offering what it knows, which behaves
 // identically until an environment loses a message.
@@ -447,15 +446,13 @@ func TestMatchesReferenceMachines(t *testing.T) {
 						continue
 					}
 					limit := mc.maxRounds(in.g.NumNodes())
-					want := runTrace(t, in.g, mc.ref, limit, 1, dyn, in.seed)
+					want := runTrace(t, in.g, mc.ref, limit, dyn, in.seed)
 					if dyn == nil && want.err != "" {
 						t.Errorf("%s: undisturbed reference run failed: %s", in.name, want.err)
 					}
-					for _, workers := range []int{1, 2} {
-						got := runTrace(t, in.g, mc.got, limit, workers, dyn, in.seed)
-						if d := want.diff(got); d != "" {
-							t.Errorf("%s workers=%d: reference vs bitset machine: %s", in.name, workers, d)
-						}
+					got := runTrace(t, in.g, mc.got, limit, dyn, in.seed)
+					if d := want.diff(got); d != "" {
+						t.Errorf("%s: reference vs bitset machine: %s", in.name, d)
 					}
 				}
 			})

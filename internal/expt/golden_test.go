@@ -48,13 +48,12 @@ func (th *traceHasher) flush() {
 	th.buf = th.buf[:0]
 }
 
-// traceDigest runs factory on g through eng at one worker and returns
+// traceDigest runs factory on g through eng and returns
 // the run's trace hash and its Result (nil on a set-up error; valid
 // until eng's next Reset).
 func traceDigest(eng *sim.Engine, g *graph.Graph, factory sim.Factory, opts ...sim.Option) (string, *sim.Result) {
 	th := &traceHasher{h: sha256.New()}
 	opts = append(slices.Clone(opts),
-		sim.WithParallelism(1),
 		sim.WithRoundHook(func(ev sim.RoundEvent) {
 			th.ints(ev.Round, len(ev.Messages))
 			for _, m := range ev.Messages {
@@ -129,8 +128,8 @@ func foldCellTraces(t *testing.T, key, algo, family string, n int) hash.Hash {
 }
 
 // TestWreathTraceGoldens pins the §4/§5 machines' observable behaviour
-// across commits: the determinism tests compare worker counts within
-// one binary, this compares the binary with the one that generated the
+// across commits: the determinism tests compare fresh and reused
+// engines within one binary, this compares the binary with the one that generated the
 // literals (PR 18's parent, before the machines' data layout changed).
 // Cells that fail — the cyclic families ROADMAP item 1 lists — are
 // pinned too, failing round and error string included, so that item's

@@ -31,7 +31,7 @@ func robustnessTestSpec(workers int) RobustnessSpec {
 // TestRobustnessMatrixDeterministicAcrossWorkers is the PR's
 // acceptance bar: the full matrix — all five distributed algorithms
 // against four dynamics classes — renders byte-identically no matter
-// how many engine workers execute the sweeps.
+// how many sweep workers (one engine each) execute the sweeps.
 func TestRobustnessMatrixDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	render := func(workers int) string {

@@ -46,10 +46,9 @@ type metrics struct {
 
 	// Engine digests, folded once per run by the run observer; the
 	// round hot loop is never touched.
-	engineRuns       *obs.Counter
-	engineRounds     *obs.Histogram
-	engineRoundSecs  *obs.Histogram
-	engineEfficiency *obs.Histogram
+	engineRuns      *obs.Counter
+	engineRounds    *obs.Histogram
+	engineRoundSecs *obs.Histogram
 
 	// Broadcast hub. Producer side: one encode per published frame
 	// (latency histogram + counter by stream kind). Subscriber side:
@@ -133,9 +132,6 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 		engineRoundSecs: reg.Histogram("adnet_engine_round_duration_seconds",
 			"Mean wall-clock time per round, folded in once per run.",
 			obs.ExpBuckets(1e-7, 4, 12)),
-		engineEfficiency: reg.Histogram("adnet_engine_parallel_efficiency_ratio",
-			"Per-run intra-round parallel efficiency: worker busy time over workers times wall-clock (1.0 for sequential runs).",
-			[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}),
 		streamEncoded: reg.CounterVec("adnet_stream_frames_encoded_total",
 			"Frames encoded by the broadcast hub, by stream kind — one per published item regardless of subscriber count.",
 			"stream"),
@@ -247,9 +243,6 @@ func (mt *metrics) observeRun(s sim.RunSummary) {
 	mt.engineRounds.Observe(float64(s.Rounds))
 	if s.Rounds > 0 {
 		mt.engineRoundSecs.Observe(s.Duration.Seconds() / float64(s.Rounds))
-	}
-	if eff := s.ParallelEfficiency(); eff > 0 {
-		mt.engineEfficiency.Observe(eff)
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 // Context is a node's window onto the network for the current round.
 // One Context belongs to exactly one node and must not be retained
 // beyond the current callback. All query methods read the snapshot
-// E(i) frozen at the start of the round, so they are safe to call from
-// concurrently stepped machines.
+// E(i) frozen at the start of the round: no intent of this round shows
+// before History.Apply commits the round.
 //
 // Contexts are owned and recycled by the Engine, one per slot, and
 // outgoing messages record their destination slot at Send time so
 // delivery is pure slice indexing. Edge intents are not held here:
-// batch is the intent batch of the worker stepping this slot, the very
-// slice History.ApplyBatches reads, so an intent is written once.
+// batch is the engine's one intent batch, the very slices History.Apply
+// reads, so an intent is written once.
 type Context struct {
 	id    graph.ID
 	hist  *temporal.History
@@ -43,7 +43,7 @@ type outMsg struct {
 // its buffers. Stale outbox entries — the full capacity, not just the
 // last round's length — are zeroed so payloads from the previous run
 // cannot leak through reused backing arrays. The batch binding is the
-// engine's (Reset pins it per worker range) and survives a reboot.
+// engine's (Reset sets it) and survives a reboot.
 func (c *Context) reset(id graph.ID, hist *temporal.History, env Env) {
 	c.id, c.hist, c.env = id, hist, env
 	c.round = 0

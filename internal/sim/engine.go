@@ -11,8 +11,7 @@ import (
 
 // Engine is a reusable execution core: one engine runs many
 // simulations back to back, reusing its contexts, inboxes, intent
-// buffers, temporal.History scratch, and worker pool across runs. The
-// lifecycle is
+// buffer and temporal.History scratch across runs. The lifecycle is
 //
 //	e := NewEngine()
 //	defer e.Close()
@@ -36,20 +35,13 @@ import (
 // ascending-ID ranks 0..n-1 (the History holds the run's one ID↔slot
 // table), contexts and machines live in slot-indexed slices, outbox
 // entries resolve their destination to a slot at Send time, and
-// delivery is slice indexing — no ID→index hash map exists. The worker
-// pool is persistent and pinned: each worker owns a fixed slot range
-// [lo, hi) for the whole run and parks on its channel between phases
-// and between runs instead of being respawned. Parallelism is
-// intra-round end to end: workers step their slot ranges, their
-// slots' contexts append edge intents straight into the worker's own
-// batch (no locks, no copy — worker ranges are ascending and ordered,
-// so batch concatenation is exactly the sequential slot order), and
-// the batches are validated concurrently inside History.ApplyBatches.
+// delivery is slice indexing — no ID→index hash map exists. One
+// goroutine steps a run: slots in ascending order, every context
+// appending its edge intents straight into the engine's one batch, so
+// the batch is in exactly the order History.Apply validates. Parallelism
+// lives above the engine — one engine per core (expt.Runner).
 type Engine struct {
-	cfg     config
-	workers int
-	usePool bool // resolved per run: workers > 1 and n large enough
-	pool    *workerPool
+	cfg config
 
 	hist      *temporal.History
 	ctxs      []Context
@@ -57,18 +49,11 @@ type Engine struct {
 	inboxes   [][]Message
 	delivered []Message
 
-	// batches[w] is worker w's intent batch: the contexts of its slot
-	// range append into it (Context.batch) and History.ApplyBatches
-	// reads it. Index 0 doubles as the sequential path's single batch.
-	batches []temporal.IntentBatch
+	// batch is the round's intent buffer: every context appends into it
+	// (Context.batch) and History.Apply reads it.
+	batch temporal.IntentBatch
 
-	// Phase closures, bound once per engine so the round loop does not
-	// allocate a closure per phase. They read curRound instead of
-	// capturing the loop variable.
-	sendFn   func(i int)
-	recvFn   func(i int)
-	applyPar func(k int, fn func(int))
-	curRound int
+	curRound int // the round being stepped, for protect's error
 
 	bfs graph.BFSScratch // connectivity checks without per-call allocation
 	res Result           // what Run returns a pointer to; see Ownership above
@@ -99,46 +84,13 @@ type Engine struct {
 	runStart time.Time
 }
 
-// NewEngine returns an idle engine. Close it when done to release the
-// worker pool.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.sendFn = func(i int) {
-		ctx := &e.ctxs[i]
-		ctx.beginRound(e.curRound)
-		if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
-			return
-		}
-		if e.cfg.env != nil {
-			e.protect(ctx, i, func() { e.machines[i].Send(ctx) })
-			return
-		}
-		e.machines[i].Send(ctx)
-	}
-	e.recvFn = func(i int) {
-		ctx := &e.ctxs[i]
-		if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
-			return
-		}
-		if e.cfg.env != nil {
-			e.protect(ctx, i, func() { e.machines[i].Receive(ctx, e.inboxes[i]) })
-			return
-		}
-		e.machines[i].Receive(ctx, e.inboxes[i])
-	}
-	e.applyPar = func(k int, fn func(int)) {
-		e.pool.runSelf(fn)
-	}
-	return e
-}
+// NewEngine returns an idle engine.
+func NewEngine() *Engine { return &Engine{} }
 
-// Close releases the persistent worker pool. The engine may be reused
-// after Close (Reset recreates the pool on demand).
+// Close ends the engine's pending Reset. The engine holds no goroutine
+// or other resource to release, and may be Reset and reused after
+// Close; the method stays so callers can keep their deferred Close.
 func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.close()
-		e.pool = nil
-	}
 	e.ready = false
 }
 
@@ -168,24 +120,12 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	}
 	cfg := &e.cfg
 	e.n = n
-	workers := max(cfg.parallelism, 1)
-	e.workers = workers
-	e.usePool = workers > 1 && n >= 2*workers
 
 	if e.hist == nil {
 		e.hist = temporal.NewHistory(gs)
 	} else {
 		e.hist.Reset(gs)
 	}
-
-	// One intent batch per worker (one total when sequential); chunk is
-	// the width of a worker's slot range, which binds slot i to batch i/chunk.
-	k := 1
-	if e.usePool {
-		k = workers
-	}
-	e.batches = grow(e.batches, k)
-	chunk := (n + k - 1) / k
 
 	// Contexts and machines, slot-indexed. Context structs are reused.
 	// Machines are algorithm state: rebuilt per run, except that when
@@ -208,7 +148,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	for i := 0; i < n; i++ {
 		id := e.hist.IDAtSlot(i)
 		e.ctxs[i].reset(id, e.hist, env)
-		e.ctxs[i].batch = &e.batches[i/chunk]
+		e.ctxs[i].batch = &e.batch
 		if recycle && i < prevN {
 			e.machines[i].(Recycler).Recycle(id, env)
 			continue
@@ -242,15 +182,6 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	clearMessages(e.delivered[:cap(e.delivered)])
 	e.delivered = e.delivered[:0]
 
-	if e.usePool {
-		if e.pool == nil || e.pool.size != workers {
-			if e.pool != nil {
-				e.pool.close()
-			}
-			e.pool = newWorkerPool(workers)
-		}
-		e.pool.setRanges(n, chunk)
-	}
 	e.factory = factory
 	e.downCount = 0
 	if cfg.env != nil {
@@ -286,15 +217,12 @@ func (e *Engine) Run() (*Result, error) {
 	if cfg.observer != nil {
 		e.runStart = time.Now()
 	}
-	if e.usePool {
-		e.pool.resetBusy()
-	}
 	n := e.n
 	hist := e.hist
 	ctxs := e.ctxs[:n]
 	machines := e.machines[:n]
 	inboxes := e.inboxes[:n]
-	batches := e.batches
+	batch := &e.batch
 
 	// Init phase.
 	for i := range machines {
@@ -320,26 +248,13 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		// --- Send ---
 		// Emptied first: that drops what an Init (run's or reboot's) issued.
-		for w := range batches {
-			batches[w].Activate = batches[w].Activate[:0]
-			batches[w].Deactivate = batches[w].Deactivate[:0]
-		}
+		batch.Activate, batch.Deactivate = batch.Activate[:0], batch.Deactivate[:0]
 		e.curRound = round
-		e.step(e.sendFn)
+		for i := range ctxs {
+			e.send(i)
+		}
 		if err := e.ctxErr(); err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
-		}
-		// Intents belong in Receive, but one issued in Send commits with
-		// this round too, and a sequential scan meets all of those first.
-		// Moving the other workers' (rare) Send-phase intents to the front
-		// batch keeps the concatenation in that order, so the violation a
-		// bad round reports does not depend on the worker count.
-		for w := 1; w < len(batches); w++ {
-			if b := &batches[w]; len(b.Activate)+len(b.Deactivate) > 0 {
-				batches[0].Activate = append(batches[0].Activate, b.Activate...)
-				batches[0].Deactivate = append(batches[0].Deactivate, b.Deactivate...)
-				b.Activate, b.Deactivate = b.Activate[:0], b.Deactivate[:0]
-			}
 		}
 		// --- Deliver: destination slots were resolved at Send time;
 		// whether the edge is active is asked of the History by ID. ---
@@ -377,29 +292,23 @@ func (e *Engine) Run() (*Result, error) {
 			}
 		}
 
-		// --- Receive + intents, written into the workers' batches ---
-		e.step(e.recvFn)
+		// --- Receive + intents, appended to the round's batch after
+		// any the Send phase issued ---
+		for i := range ctxs {
+			e.receive(i)
+		}
 		if err := e.ctxErr(); err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
 		}
 
 		// --- Activate / Deactivate ---
-		// Worker ranges are contiguous ascending slot spans, so the
-		// batches in worker order reproduce exactly the intent order a
-		// sequential slot scan would have produced; ApplyBatches then
-		// guarantees an outcome byte-identical to sequential Apply.
-		var par func(int, func(int))
-		if e.usePool {
-			par = e.applyPar
-		}
-		stats, err := hist.ApplyBatches(batches, par)
+		stats, err := hist.Apply(batch.Activate, batch.Deactivate)
 		if err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
 		}
 		if cfg.env != nil {
 			// Environment boundary: perturbation runs on the round
-			// driver after the algorithm's intents committed, so it is
-			// deterministic regardless of worker count. Perturb runs
+			// driver after the algorithm's intents committed. Perturb runs
 			// every round (with possibly empty output) to keep the
 			// History's environment bookkeeping round-aligned.
 			e.envEdits.Reset()
@@ -514,32 +423,41 @@ func (e *Engine) ctxErr() error {
 	return nil
 }
 
-// step runs fn for every slot, sequentially or on the pinned pool.
-func (e *Engine) step(fn func(i int)) {
-	if !e.usePool {
-		for i := 0; i < e.n; i++ {
-			fn(i)
-		}
+// send runs slot i's Send phase.
+func (e *Engine) send(i int) {
+	ctx := &e.ctxs[i]
+	ctx.beginRound(e.curRound)
+	if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
 		return
 	}
-	e.pool.run(fn)
+	if e.cfg.env != nil {
+		e.protect(ctx, i, func() { e.machines[i].Send(ctx) })
+		return
+	}
+	e.machines[i].Send(ctx)
+}
+
+// receive runs slot i's Receive phase on its delivered inbox.
+func (e *Engine) receive(i int) {
+	ctx := &e.ctxs[i]
+	if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
+		return
+	}
+	if e.cfg.env != nil {
+		e.protect(ctx, i, func() { e.machines[i].Receive(ctx, e.inboxes[i]) })
+		return
+	}
+	e.machines[i].Receive(ctx, e.inboxes[i])
 }
 
 func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 	// The observer fires here — once per run, after the round loop —
 	// so instrumentation never executes inside the hot loop.
 	if e.cfg.observer != nil {
-		dur := time.Since(e.runStart)
-		workers, busy := 1, dur
-		if e.usePool {
-			workers, busy = e.workers, e.pool.totalBusy()
-		}
 		e.cfg.observer(RunSummary{
 			Rounds:        rounds,
-			Duration:      dur,
+			Duration:      time.Since(e.runStart),
 			TotalMessages: totalMsgs,
-			Workers:       workers,
-			BusyTime:      busy,
 		})
 	}
 	e.res = Result{
@@ -551,124 +469,6 @@ func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 		eng:                 e,
 	}
 	return &e.res
-}
-
-// poolTask is one unit of work for the pool: either a range task
-// (fn applied to every slot of the worker's range) or a self task
-// (self applied once to the worker's own index — how ApplyBatches
-// validation shards land on their workers). Exactly one field is set.
-type poolTask struct {
-	fn   func(i int)
-	self func(w int)
-}
-
-// workerPool is a persistent, pinned pool: size goroutines, each
-// owning the fixed slot range [lo[w], hi[w]). Workers park on their
-// start channel between phases and between runs; a phase is one
-// channel send per worker, one completion receive per worker. Ranges
-// are rewritten only between runs (Engine.Reset), which
-// happens-before the next start send. Each worker accumulates the
-// wall-clock time it spends executing tasks in busy[w] (written only
-// by worker w, read by the driver after the completion barrier), which
-// is what RunSummary.BusyTime — and the parallel-efficiency metric
-// built on it — reports.
-type workerPool struct {
-	size   int
-	lo, hi []int
-	busy   []time.Duration
-	start  []chan poolTask
-	done   chan struct{}
-}
-
-func newWorkerPool(size int) *workerPool {
-	p := &workerPool{
-		size:  size,
-		lo:    make([]int, size),
-		hi:    make([]int, size),
-		busy:  make([]time.Duration, size),
-		start: make([]chan poolTask, size),
-		done:  make(chan struct{}, size),
-	}
-	for w := 0; w < size; w++ {
-		p.start[w] = make(chan poolTask)
-		go func(w int) {
-			for t := range p.start[w] {
-				t0 := time.Now()
-				if t.self != nil {
-					t.self(w)
-				} else {
-					for i := p.lo[w]; i < p.hi[w]; i++ {
-						t.fn(i)
-					}
-				}
-				p.busy[w] += time.Since(t0)
-				p.done <- struct{}{}
-			}
-		}(w)
-	}
-	return p
-}
-
-// setRanges pins contiguous slot ranges of width chunk = ⌈n/size⌉ (the
-// last ones shorter or empty) for n slots.
-func (p *workerPool) setRanges(n, chunk int) {
-	for w := 0; w < p.size; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		p.lo[w], p.hi[w] = lo, hi
-	}
-}
-
-// run executes one range phase: every worker steps its own range, and
-// all workers are awaited before returning. Errors are recorded
-// per-Context by fn and surfaced by the caller, keeping execution
-// deterministic regardless of scheduling.
-func (p *workerPool) run(fn func(i int)) {
-	t := poolTask{fn: fn}
-	for w := 0; w < p.size; w++ {
-		p.start[w] <- t
-	}
-	for w := 0; w < p.size; w++ {
-		<-p.done
-	}
-}
-
-// runSelf executes fn(w) once on every worker w and awaits them all.
-func (p *workerPool) runSelf(fn func(w int)) {
-	t := poolTask{self: fn}
-	for w := 0; w < p.size; w++ {
-		p.start[w] <- t
-	}
-	for w := 0; w < p.size; w++ {
-		<-p.done
-	}
-}
-
-func (p *workerPool) resetBusy() {
-	for w := range p.busy {
-		p.busy[w] = 0
-	}
-}
-
-// totalBusy sums the per-worker busy time. Callers must have observed
-// the completion barrier of every outstanding task.
-func (p *workerPool) totalBusy() time.Duration {
-	var total time.Duration
-	for _, b := range p.busy {
-		total += b
-	}
-	return total
-}
-
-func (p *workerPool) close() {
-	for _, ch := range p.start {
-		close(ch)
-	}
 }
 
 // grow resizes s to length n, reusing capacity (and, for slice

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"adnet/internal/graph"
@@ -132,39 +131,84 @@ func TestEngineRunRequiresReset(t *testing.T) {
 	}
 }
 
-// TestEnginePoolDeterminism runs the same workload across worker
-// counts on reused engines and requires identical results, including
-// the recorded deltas of every round.
-func TestEnginePoolDeterminism(t *testing.T) {
+// TestEngineReuseDeltaDeterminism requires a reused engine — run
+// again on the same spec, or after a different run — to reproduce a
+// fresh engine's result, including the recorded delta of every round.
+func TestEngineReuseDeltaDeterminism(t *testing.T) {
 	t.Parallel()
 	g := graph.Ring(128)
 	f := func(graph.ID, Env) Machine { return cliqueMachine{} }
-	var base resultSummary
-	var baseLog deltaLog
-	for _, workers := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
-		e := NewEngine()
-		// A second run on the same engine must also agree.
-		for run := 0; run < 2; run++ {
-			var log deltaLog
-			got := summarize(runEngine(t, e, g, f, WithParallelism(workers), log.record()))
-			if baseLog == nil {
-				base, baseLog = got, log
-				continue
-			}
-			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("workers=%d diverged: %+v vs %+v", workers, base, got)
-			}
-			if len(log) != got.Rounds {
-				t.Fatalf("workers=%d: %d deltas for %d rounds", workers, len(log), got.Rounds)
-			}
-			for i := range baseLog {
-				if !reflect.DeepEqual(baseLog[i], log[i]) {
-					t.Fatalf("workers=%d: delta of round %d diverged:\nwant %+v\ngot  %+v",
-						workers, i+1, baseLog[i], log[i])
-				}
-			}
+	run := func(e *Engine) (resultSummary, deltaLog) {
+		var log deltaLog
+		got := summarize(runEngine(t, e, g, f, log.record()))
+		if len(log) != got.Rounds {
+			t.Fatalf("%d deltas for %d rounds", len(log), got.Rounds)
 		}
-		e.Close()
+		return got, log
+	}
+	e := NewEngine()
+	defer e.Close()
+	base, baseLog := run(e)
+	other := NewEngine()
+	defer other.Close()
+	runEngine(t, other, graph.Line(40), newFloodFactory(39))
+	for _, c := range []struct {
+		name string
+		e    *Engine
+	}{{"same engine again", e}, {"engine reused after another run", other}} {
+		got, log := run(c.e)
+		if !reflect.DeepEqual(base, got) {
+			t.Fatalf("%s diverged: %+v vs %+v", c.name, base, got)
+		}
+		if !reflect.DeepEqual(baseLog, log) {
+			t.Fatalf("%s: deltas diverged:\nwant %+v\ngot  %+v", c.name, baseLog, log)
+		}
+	}
+}
+
+// TestDefaultParallelismIsSequential pins WithParallelism as a no-op
+// kept for compatibility: a run without the option and runs with any
+// p yield byte-identical deltas, all stepped by the one goroutine.
+func TestDefaultParallelismIsSequential(t *testing.T) {
+	t.Parallel()
+	var base deltaLog
+	if _, err := Run(graph.Ring(1024), newFloodFactory(3), base.record()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{0, 1, 4, 64} {
+		var log deltaLog
+		if _, err := Run(graph.Ring(1024), newFloodFactory(3), WithParallelism(p), log.record()); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if !reflect.DeepEqual(base, log) {
+			t.Fatalf("p=%d: deltas diverged from the default run", p)
+		}
+	}
+}
+
+// TestEngineSummaryWorkersAndBusy checks the RunSummary the observer
+// receives whatever WithParallelism asks for: a measured run reports
+// its rounds, duration and messages, and the one-goroutine efficiency
+// of 1; an unmeasured summary reports 0.
+func TestEngineSummaryWorkersAndBusy(t *testing.T) {
+	t.Parallel()
+	for _, p := range []int{0, 1, 4, 64} {
+		var got RunSummary
+		res, err := Run(graph.Ring(1024), newFloodFactory(3), WithParallelism(p),
+			WithRunObserver(func(s RunSummary) { got = s }))
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if got.Rounds != res.Rounds || got.TotalMessages != res.TotalMessages || got.Duration <= 0 {
+			t.Fatalf("p=%d: summary %+v does not match result (rounds %d, messages %d)",
+				p, got, res.Rounds, res.TotalMessages)
+		}
+		if eff := got.ParallelEfficiency(); eff != 1 {
+			t.Fatalf("p=%d: ParallelEfficiency() = %v, want 1", p, eff)
+		}
+	}
+	if eff := (RunSummary{}).ParallelEfficiency(); eff != 0 {
+		t.Fatalf("unmeasured ParallelEfficiency() = %v, want 0", eff)
 	}
 }
 
@@ -211,14 +255,14 @@ func TestEngineReuseAllocs(t *testing.T) {
 
 	e := NewEngine()
 	defer e.Close()
-	if err := e.Reset(g, f, WithParallelism(1)); err != nil {
+	if err := e.Reset(g, f); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	reused := testing.AllocsPerRun(10, func() {
-		if err := e.Reset(g, f, WithParallelism(1)); err != nil {
+		if err := e.Reset(g, f); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Run(); err != nil {
@@ -226,7 +270,7 @@ func TestEngineReuseAllocs(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(10, func() {
-		if _, err := Run(g, f, WithParallelism(1)); err != nil {
+		if _, err := Run(g, f); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -234,4 +278,91 @@ func TestEngineReuseAllocs(t *testing.T) {
 		t.Errorf("engine reuse allocs = %.0f/run, fresh run = %.0f/run; want ≥2× fewer", reused, fresh)
 	}
 	t.Logf("allocs/run: reused engine %.0f, fresh sim.Run %.0f (%.1f×)", reused, fresh, fresh/reused)
+}
+
+// recycleFlood is floodMachine plus the Recycler extension, counting
+// how many times it was restored in place.
+type recycleFlood struct {
+	floodMachine
+	recycles int
+}
+
+func (m *recycleFlood) Recycle(id graph.ID, _ Env) {
+	m.best = id
+	m.recycles++
+}
+
+// TestEngineMachineRecycling checks the in-place machine reuse path:
+// with a matching key the engine restores the previous run's machines
+// (same pointers, correct results); a changed or absent key rebuilds.
+func TestEngineMachineRecycling(t *testing.T) {
+	t.Parallel()
+	const rounds = 9
+	f := func(id graph.ID, _ Env) Machine {
+		return &recycleFlood{floodMachine: floodMachine{best: id, rounds: rounds}}
+	}
+	g := graph.Line(10)
+	e := NewEngine()
+	defer e.Close()
+
+	first := runEngine(t, e, g, f, WithMachineRecycling("flood"))
+	firstMachines := make(map[graph.ID]Machine)
+	for nd := range first.Nodes {
+		firstMachines[nd.ID] = nd.Machine
+	}
+	want := summarize(first)
+
+	second := runEngine(t, e, g, f, WithMachineRecycling("flood"))
+	if !reflect.DeepEqual(want, summarize(second)) {
+		t.Fatalf("recycled run diverged:\nfirst  %+v\nsecond %+v", want, summarize(second))
+	}
+	for nd := range second.Nodes {
+		id, m := nd.ID, nd.Machine
+		if m != firstMachines[id] {
+			t.Fatalf("node %d: machine rebuilt despite matching recycle key", id)
+		}
+		if n := m.(*recycleFlood).recycles; n != 1 {
+			t.Fatalf("node %d: recycles = %d, want 1", id, n)
+		}
+	}
+
+	// A different key must rebuild.
+	third := runEngine(t, e, g, f, WithMachineRecycling("flood-v2"))
+	for nd := range third.Nodes {
+		id, m := nd.ID, nd.Machine
+		if m == firstMachines[id] {
+			t.Fatalf("node %d: machine recycled across a key change", id)
+		}
+	}
+	// No key must rebuild too (and must not poison the next keyed run).
+	fourth := runEngine(t, e, g, f)
+	for nd := range fourth.Nodes {
+		id, m := nd.ID, nd.Machine
+		if m.(*recycleFlood).recycles != 0 {
+			t.Fatalf("node %d: unkeyed run reused a machine", id)
+		}
+	}
+	if !reflect.DeepEqual(want, summarize(fourth)) {
+		t.Fatalf("unkeyed run diverged from first")
+	}
+}
+
+// TestEngineRecyclingAcrossSizes grows and shrinks the run under one
+// recycle key: shrunk runs recycle a prefix, grown runs recycle the
+// previous machines and build the rest, and every run stays correct.
+func TestEngineRecyclingAcrossSizes(t *testing.T) {
+	t.Parallel()
+	f := func(id graph.ID, _ Env) Machine {
+		return &recycleFlood{floodMachine: floodMachine{best: id, rounds: 31}}
+	}
+	e := NewEngine()
+	defer e.Close()
+	for _, n := range []int{16, 8, 32, 32} {
+		res := runEngine(t, e, graph.Line(n), f, WithMachineRecycling("flood"),
+			WithMaxRounds(31))
+		leader, ok := res.Leader()
+		if !ok || leader != graph.ID(n-1) {
+			t.Fatalf("n=%d: leader = %d, ok=%v; want %d", n, leader, ok, n-1)
+		}
+	}
 }

@@ -31,8 +31,8 @@ func (m phasedIntents) Receive(ctx *Context, _ []Message) {
 
 // TestIntentPhases pins which callback's intents reach the model: an
 // intent issued in Send or Receive commits with that round, one issued
-// in Init is dropped — sequentially and on the pool, where the
-// Send-phase intents come from both workers' slot ranges.
+// in Init is dropped. Send-phase intents from low and high slots land
+// in the round's batch with the Receive-phase ones.
 func TestIntentPhases(t *testing.T) {
 	t.Parallel()
 	m := phasedIntents{
@@ -44,37 +44,32 @@ func TestIntentPhases(t *testing.T) {
 		{Round: 1, Activate: []int32{1, 3, 2, 4, 4, 6, 5, 7}},
 		{Round: 2},
 	}
-	for _, workers := range []int{1, 2} {
-		var log deltaLog
-		res, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m },
-			WithParallelism(workers), log.record())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(log, want) {
-			t.Errorf("workers=%d: deltas = %+v, want %+v", workers, log, want)
-		}
-		if res.History.Active(0, 2) || !res.History.Active(5, 7) {
-			t.Errorf("workers=%d: Init intent applied or Send intent lost", workers)
-		}
+	var log deltaLog
+	res, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m }, log.record())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("deltas = %+v, want %+v", log, want)
+	}
+	if res.History.Active(0, 2) || !res.History.Active(5, 7) {
+		t.Error("Init intent applied or Send intent lost")
 	}
 }
 
 // TestViolationOrderAcrossPhases: when a Send-phase and a Receive-phase
-// intent both break the model in one round, every worker count reports
-// the one a sequential scan meets first — the Send-phase intent, here
-// issued from the last worker's range.
+// intent both break the model in one round, the run reports the
+// Send-phase one — the batch holds every Send intent before any
+// Receive intent, even one issued from the highest slot.
 func TestViolationOrderAcrossPhases(t *testing.T) {
 	t.Parallel()
 	m := phasedIntents{
 		inSend: map[graph.ID]graph.ID{7: 3},
 		inRecv: map[graph.ID]graph.ID{0: 4},
 	}
-	for _, workers := range []int{1, 2} {
-		_, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m }, WithParallelism(workers))
-		v, ok := err.(*temporal.Violation)
-		if !ok || v.Edge != graph.NewEdge(3, 7) {
-			t.Errorf("workers=%d: err = %v, want the violation of {3,7}", workers, err)
-		}
+	_, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m })
+	v, ok := err.(*temporal.Violation)
+	if !ok || v.Edge != graph.NewEdge(3, 7) {
+		t.Errorf("err = %v, want the violation of {3,7}", err)
 	}
 }

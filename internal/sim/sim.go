@@ -6,11 +6,11 @@
 // temporal.History (which enforces the distance-2 rule and tracks the
 // edge-complexity measures), and detects termination.
 //
-// Node steps may run on a persistent pinned worker pool (each worker
-// owns a fixed slot range), but all intents are merged in ascending
-// node order, so executions are deterministic regardless of
-// parallelism. The reusable execution core lives in Engine
-// (engine.go); Run is its single-use wrapper.
+// One goroutine steps a run: nodes in ascending ID order, their intents
+// collected in that order and committed together by History.Apply, so
+// an execution is a deterministic function of its inputs. The reusable
+// execution core lives in Engine (engine.go); Run is its single-use
+// wrapper.
 package sim
 
 import (
@@ -53,8 +53,8 @@ type Message struct {
 }
 
 // Machine is a node program. Implementations must confine themselves to
-// their own state plus the Context: machines for different nodes are
-// stepped concurrently.
+// their own state plus the Context: a machine reading another node's
+// state would see it mid-round, which the model does not allow.
 type Machine interface {
 	// Init runs once before round 1; the context exposes the node's
 	// initial neighborhood.
@@ -152,8 +152,8 @@ func (e *EnvEdits) Reset() {
 // boundary after the algorithm's intents committed and before the
 // next Send phase. Implementations must be deterministic functions of
 // their own seeded state and the History they are shown — the engine
-// calls Perturb from the round driver goroutine only, in round order,
-// so executions stay byte-identical across worker counts.
+// calls Perturb once per round, in round order, so executions stay
+// byte-identical from run to run.
 // internal/dynamics provides the seeded schedule implementations.
 type Environment interface {
 	// Begin binds the environment to a run of n nodes; the engine
@@ -168,7 +168,6 @@ type Environment interface {
 
 type config struct {
 	maxRounds    int
-	parallelism  int
 	checkConnect bool
 	hooks        []func(RoundEvent)
 	startHooks   []func(StartEvent)
@@ -185,10 +184,11 @@ type Option func(*config)
 // WithMaxRounds caps the execution length (default 64·n + 64 rounds).
 func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
 
-// WithParallelism sets the worker-pool size for node stepping. The
-// default (and any p ≤ 1) is sequential execution; p > 1 engages the
-// pool when n ≥ 2p. Traces are byte-identical at any p.
-func WithParallelism(p int) Option { return func(c *config) { c.parallelism = p } }
+// WithParallelism has no effect: one goroutine steps every run, and
+// parallelism comes from one engine per core (expt.Runner,
+// expt.ExecuteSweep). It exists only until the benchmark harness stops
+// naming it (ROADMAP item 6(a)).
+func WithParallelism(int) Option { return func(*config) {} }
 
 // WithConnectivityCheck asserts after every round that the active graph
 // is connected, aborting with ErrDisconnected otherwise. The paper's
@@ -257,30 +257,16 @@ type RunSummary struct {
 	Duration time.Duration
 	// TotalMessages counts every delivered message across the run.
 	TotalMessages int
-	// Workers is the resolved intra-round worker count for this run
-	// (1 when the run executed sequentially).
-	Workers int
-	// BusyTime is the cumulative wall-clock time workers spent
-	// executing node steps and intent validation; for sequential runs
-	// it equals Duration. BusyTime / (Workers × Duration) is the run's
-	// parallel efficiency: 1.0 means no worker ever idled.
-	BusyTime time.Duration
 }
 
-// ParallelEfficiency returns BusyTime/(Workers×Duration) clamped to
-// [0, 1], or 0 when the run was too short to measure.
+// ParallelEfficiency is 1 for a measured run (Duration > 0) and 0
+// otherwise: the run's one goroutine never idles. Like WithParallelism
+// it exists only until the benchmark harness stops reading it.
 func (s RunSummary) ParallelEfficiency() float64 {
-	if s.Workers <= 0 || s.Duration <= 0 {
+	if s.Duration <= 0 {
 		return 0
 	}
-	eff := float64(s.BusyTime) / (float64(s.Workers) * float64(s.Duration))
-	if eff > 1 {
-		eff = 1
-	}
-	if eff < 0 {
-		eff = 0
-	}
-	return eff
+	return 1
 }
 
 // WithRunObserver registers fn to be called exactly once when the run
@@ -381,7 +367,7 @@ func (r *Result) Leader() (graph.ID, bool) {
 // initial graph gs until every node halts or the round limit is hit.
 // It is a thin wrapper over a single-use Engine; callers executing
 // many runs should hold an Engine and Reset it between runs to reuse
-// its buffers and worker pool.
+// its buffers.
 //
 // On a runtime failure (model violation, round limit, connectivity
 // check) Run returns the partial Result alongside the error so callers

@@ -106,15 +106,6 @@ type History struct {
 	scratchAct      []graph.Edge // validated new activations, sorted+deduped
 	scratchDeact    []graph.Edge // validated deactivations, sorted+deduped
 
-	// shards hold per-batch validation state for ApplyBatches; shard k
-	// is written only by the goroutine validating batch k, so the
-	// validation pass is data-race free by construction. validateFn is
-	// the method value handed to the parallel runner, bound once so the
-	// hot loop creates no closures.
-	shards     []applyShard
-	heads      []int // k-way merge cursors, one per shard
-	validateFn func(k int)
-
 	// lastActs/lastDeacts alias the committed edge lists of the most
 	// recently applied round (scratch storage, overwritten by the next
 	// Apply). They back AppendLastDelta, the allocation-free per-round
@@ -143,23 +134,11 @@ type RoundDelta struct {
 	EnvDeactivate []int32
 }
 
-// IntentBatch is one caller's (typically one engine worker's) edge
-// intents for a single round. Batches are ordered: concatenating them
-// in slice order must reproduce the caller order a sequential Apply
-// would have seen, which is what keeps violation reporting identical
-// across worker counts.
+// IntentBatch is one round's edge intents in caller order: the buffer
+// the engine's contexts append into and hand to Apply.
 type IntentBatch struct {
 	Activate   []graph.Edge
 	Deactivate []graph.Edge
-}
-
-// applyShard is the validation workspace of one IntentBatch.
-type applyShard struct {
-	batch     IntentBatch
-	rawAct    []graph.Edge // canonical activation requests, sorted
-	act       []graph.Edge // surviving activations, sorted
-	rawDeact  []graph.Edge // canonical deactivation requests, sorted
-	violation *Violation   // first violation in batch order, if any
 }
 
 // NewHistory starts an execution from the initial graph Gs = D(1).
@@ -266,8 +245,8 @@ func (h *History) NeighborsInto(u graph.ID, dst []graph.ID) []graph.ID {
 
 // EachNeighborOf calls fn for every active neighbor of u in ascending
 // order, stopping early if fn returns false. It performs no allocation
-// and, like the other query methods, reads the snapshot E(i), so it is
-// safe to call from concurrently stepped machines.
+// and, like the other query methods, reads the snapshot E(i): a round's
+// intents never show until Apply commits them.
 func (h *History) EachNeighborOf(u graph.ID, fn func(v graph.ID) bool) {
 	h.current.EachNeighbor(u, fn)
 }
@@ -351,61 +330,13 @@ func (h *History) ActivatedSubgraph() *graph.Graph {
 // ordered their intents. All scratch state is reused across rounds;
 // Apply performs no steady-state allocation.
 func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
-	h.ensureShards(1)
-	h.shards[0].batch = IntentBatch{Activate: activate, Deactivate: deactivate}
-	return h.applyShards(1, nil)
-}
-
-// ApplyBatches is Apply for intents that arrive pre-sharded, typically
-// one batch per engine worker. It is observationally identical to
-// calling Apply on the concatenation of the batches in slice order:
-// the same RoundStats, the same committed edges in the same canonical
-// order (so deltas stay byte-identical across worker counts), and the
-// same first violation.
-//
-// When parallel is non-nil it is invoked as parallel(k, fn) and must
-// call fn(0) … fn(k-1), each exactly once, on any goroutines it likes,
-// returning only when all calls have finished. Validation of each
-// batch is read-only against the frozen pre-round snapshot E(i) and
-// touches only that batch's shard, so the fn calls are data-race free.
-// The merge and commit that follow run on the calling goroutine.
-func (h *History) ApplyBatches(batches []IntentBatch, parallel func(n int, fn func(k int))) (RoundStats, error) {
-	k := len(batches)
-	if k == 0 {
-		return h.applyShards(0, nil)
-	}
-	h.ensureShards(k)
-	for i := range batches {
-		h.shards[i].batch = batches[i]
-	}
-	return h.applyShards(k, parallel)
-}
-
-// ensureShards sizes the shard table, retaining each shard's buffers.
-func (h *History) ensureShards(k int) {
-	for len(h.shards) < k {
-		h.shards = append(h.shards, applyShard{})
-	}
-	if h.validateFn == nil {
-		h.validateFn = h.validateShard
-	}
-}
-
-// validateShard validates shard k's batch against the frozen snapshot
-// E(i): canonicalizing requests, dropping model no-ops, recording the
-// batch's first violation, and shard-locally sorting the results for
-// the merge pass. It writes nothing outside its shard and only reads
-// h.current, so distinct shards validate concurrently.
-func (h *History) validateShard(k int) {
-	sh := &h.shards[k]
-	rawAct := sh.rawAct[:0]
-	acts := sh.act[:0]
-	sh.violation = nil
-	for _, e := range sh.batch.Activate {
+	// Validate against the frozen snapshot E(i): canonicalize requests,
+	// drop model no-ops and stop at the first violation in caller order.
+	rawAct := h.scratchRawAct[:0]
+	acts := h.scratchAct[:0]
+	for _, e := range activate {
 		if e.A == e.B {
-			sh.violation = &Violation{Round: h.round, Edge: e, Op: "activate", Why: "self-loop"}
-			acts = acts[:0]
-			break
+			return RoundStats{}, &Violation{Round: h.round, Edge: e, Op: "activate", Why: "self-loop"}
 		}
 		ce := graph.NewEdge(e.A, e.B)
 		rawAct = append(rawAct, ce)
@@ -416,60 +347,22 @@ func (h *History) validateShard(k int) {
 			if h.lenient {
 				continue // void: the underlay moved beneath the node
 			}
-			sh.violation = &Violation{
+			return RoundStats{}, &Violation{
 				Round: h.round, Edge: e, Op: "activate",
 				Why: "no common active neighbor (distance-2 rule)",
 			}
-			acts = acts[:0]
-			break
 		}
 		acts = append(acts, ce)
 	}
-	rawDeact := sh.rawDeact[:0]
-	for _, e := range sh.batch.Deactivate {
+	rawDeact := h.scratchRawDeact[:0]
+	for _, e := range deactivate {
 		rawDeact = append(rawDeact, graph.NewEdge(e.A, e.B))
 	}
+	h.scratchRawAct, h.scratchRawDeact, h.scratchAct = rawAct, rawDeact, acts
 	sortEdges(rawAct)
 	sortEdges(rawDeact)
 	sortEdges(acts)
-	sh.rawAct, sh.act, sh.rawDeact = rawAct, acts, rawDeact
-}
-
-// applyShards validates the first k shards (in parallel when a runner
-// is supplied), merges the shard results into canonical order, and
-// commits the round.
-func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (RoundStats, error) {
-	if parallel != nil && k > 1 {
-		parallel(k, h.validateFn)
-	} else {
-		for i := 0; i < k; i++ {
-			h.validateShard(i)
-		}
-	}
-	// Batches are in caller order, so the first violation of the
-	// lowest-index violating shard is exactly the violation a
-	// sequential validation of the concatenated intents would report.
-	for i := 0; i < k; i++ {
-		if v := h.shards[i].violation; v != nil {
-			return RoundStats{}, v
-		}
-	}
-
-	var rawAct, rawDeact, acts []graph.Edge
-	if k == 1 {
-		// Single batch: the shard buffers are already sorted wholes.
-		sh := &h.shards[0]
-		rawAct, rawDeact = sh.rawAct, sh.rawDeact
-		acts = dedupeEdges(sh.act)
-		sh.act = acts
-	} else {
-		rawAct = h.mergeShards(h.scratchRawAct, k, func(sh *applyShard) []graph.Edge { return sh.rawAct }, false)
-		h.scratchRawAct = rawAct
-		rawDeact = h.mergeShards(h.scratchRawDeact, k, func(sh *applyShard) []graph.Edge { return sh.rawDeact }, false)
-		h.scratchRawDeact = rawDeact
-		acts = h.mergeShards(h.scratchAct, k, func(sh *applyShard) []graph.Edge { return sh.act }, true)
-		h.scratchAct = acts
-	}
+	acts = dedupeEdges(acts)
 
 	// "In case u and v disagree on their decision about edge uv, then
 	// their actions have no effect on uv": an edge that is requested
@@ -539,9 +432,7 @@ func (h *History) applyShards(k int, parallel func(n int, fn func(k int))) (Roun
 	h.perRound = append(h.perRound, stats)
 	h.round++
 
-	// Hand the (possibly regrown) backing array back for the next
-	// round; the raw/act buffers live in the shards (k == 1) or were
-	// already handed back by mergeShards (k > 1).
+	// Hand the (possibly regrown) backing array back for the next round.
 	h.scratchDeact = deacts
 	h.lastActs, h.lastDeacts = acts, deacts
 	return stats, nil
@@ -582,7 +473,7 @@ func (h *History) AppendLastDelta(d *RoundDelta) {
 // snapshot (the per-round log entry is patched the same way).
 //
 // Callers attaching an environment invoke ApplyEnvironment once per
-// round, after Apply/ApplyBatches, with possibly empty lists: the
+// round, after Apply, with possibly empty lists: the
 // last-delta export (AppendLastDelta) stays round-aligned that way.
 func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStats, error) {
 	if len(h.perRound) == 0 {
@@ -689,44 +580,6 @@ func (h *History) appendSlotPairs(dst []int32, edges []graph.Edge) []int32 {
 		dst = append(dst, h.rank[e.A], h.rank[e.B])
 	}
 	return dst
-}
-
-// mergeShards k-way merges one sorted edge list per shard (selected by
-// sel) into dst[:0], optionally dropping duplicates, and returns it.
-// Shard lists are individually sorted by validateShard, so the merge
-// yields the same ascending canonical order a global sort of the
-// concatenated input would — without re-sorting on the round driver.
-func (h *History) mergeShards(dst []graph.Edge, k int, sel func(*applyShard) []graph.Edge, dedupe bool) []graph.Edge {
-	dst = dst[:0]
-	if cap(h.heads) < k {
-		h.heads = make([]int, k)
-	}
-	heads := h.heads[:k]
-	for i := range heads {
-		heads[i] = 0
-	}
-	for {
-		best := -1
-		var bestEdge graph.Edge
-		for i := 0; i < k; i++ {
-			list := sel(&h.shards[i])
-			if heads[i] >= len(list) {
-				continue
-			}
-			e := list[heads[i]]
-			if best < 0 || cmpEdge(e, bestEdge) < 0 {
-				best, bestEdge = i, e
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		heads[best]++
-		if dedupe && len(dst) > 0 && dst[len(dst)-1] == bestEdge {
-			continue
-		}
-		dst = append(dst, bestEdge)
-	}
 }
 
 // bumpActivatedDeg adjusts u's degree in D(i) \ D(1). u is always an
