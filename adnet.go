@@ -93,15 +93,16 @@ type Result struct {
 	// LeaderElected reports whether exactly one leader emerged.
 	LeaderElected bool
 
-	res *sim.Result
+	res      *sim.Result
+	perRound []temporal.RoundStats
 }
 
 // FinalGraph returns a copy of the final active network.
 func (r *Result) FinalGraph() *Graph { return r.res.History.CurrentClone() }
 
 // PerRound returns the per-round accounting (activations,
-// deactivations, live edges).
-func (r *Result) PerRound() []temporal.RoundStats { return r.res.History.PerRound() }
+// deactivations, live edges), one entry per round's RoundDelta.Stats.
+func (r *Result) PerRound() []temporal.RoundStats { return r.perRound }
 
 // VerifyDepthTree checks the Depth-d Tree post-condition (§2.2) on the
 // final network.
@@ -136,7 +137,9 @@ func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(gs, factory, append(defaults, opts...)...)
+	var perRound []temporal.RoundStats
+	opts = append(append(defaults, opts...), sim.WithDeltaHook(func(d temporal.RoundDelta) { perRound = append(perRound, d.Stats) }))
+	res, err := sim.Run(gs, factory, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -148,6 +151,7 @@ func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 		Leader:        leader,
 		LeaderElected: ok,
 		res:           res,
+		perRound:      perRound,
 	}, nil
 }
 

@@ -184,6 +184,8 @@ type CentralizedResult struct {
 	Metrics temporal.Metrics
 	Root    graph.ID
 	Depth   int
+	// MaxRoundActivations is max_i |Eac(i)|, from what Apply returned.
+	MaxRoundActivations int
 }
 
 // CutInHalfLine is the Appendix D strategy on a spanning line
@@ -223,7 +225,7 @@ func EulerTourStrategy(gs *graph.Graph) (*CentralizedResult, error) {
 // from root.
 func cutInHalf(gs *graph.Graph, seq []graph.ID, root graph.ID) (*CentralizedResult, error) {
 	h := temporal.NewHistory(gs)
-	m := len(seq)
+	m, maxActs := len(seq), 0
 	for step := 1; step < m; step *= 2 {
 		var acts []graph.Edge
 		for j := 0; j+step < m; j += step {
@@ -235,9 +237,11 @@ func cutInHalf(gs *graph.Graph, seq []graph.ID, root graph.ID) (*CentralizedResu
 		if len(acts) == 0 {
 			continue
 		}
-		if _, err := h.Apply(acts, nil); err != nil {
+		st, err := h.Apply(acts, nil)
+		if err != nil {
 			return nil, fmt.Errorf("baseline: cut-in-half round: %w", err)
 		}
+		maxActs = max(maxActs, st.Activated)
 	}
 	// One final round: keep only a BFS tree from the root (edge
 	// deactivations are free of activation cost).
@@ -258,5 +262,5 @@ func cutInHalf(gs *graph.Graph, seq []graph.ID, root graph.ID) (*CentralizedResu
 		}
 	}
 	depth := graph.TreeDepth(parent)
-	return &CentralizedResult{History: h, Metrics: h.Metrics(), Root: root, Depth: depth}, nil
+	return &CentralizedResult{History: h, Metrics: h.Metrics(), Root: root, Depth: depth, MaxRoundActivations: maxActs}, nil
 }

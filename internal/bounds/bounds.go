@@ -11,6 +11,8 @@
 package bounds
 
 import (
+	"errors"
+
 	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/temporal"
@@ -80,45 +82,7 @@ func (k *KnowledgeTracker) Holders(u graph.ID) []graph.ID {
 // snapshot: the minimum distance from any node that knows UID u to
 // node v. It returns -1 if no holder can reach v.
 func Potential(h *temporal.History, k *KnowledgeTracker, u, v graph.ID) int {
-	return potentialOn(h.CurrentView(), k, u, v)
-}
-
-// PotentialSeries runs the machine on gs while recording PO_{u,v}
-// after every round; it returns the series (index 0 = initial
-// potential) together with the run result. Each round the engine
-// calls the round hook (the message flow advances the tracker) and
-// then the delta hook (the round's committed edits, replayed onto a
-// private copy of D(i) in field order), which closes the round's entry.
-func PotentialSeries(gs *graph.Graph, factory sim.Factory, u, v graph.ID,
-	opts ...sim.Option) ([]int, *sim.Result, error) {
-	ids := gs.Nodes() // ascending, so index = the delta's slot
-	tracker := NewKnowledgeTracker(ids)
-	cur := gs.Clone()
-	series := []int{potentialOn(cur, tracker, u, v)}
-	opts = append(opts,
-		sim.WithRoundHook(tracker.Hook()),
-		sim.WithDeltaHook(func(d temporal.RoundDelta) {
-			for f, pairs := range [][]int32{d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate} {
-				for i := 0; i+1 < len(pairs); i += 2 {
-					if a, b := ids[pairs[i]], ids[pairs[i+1]]; f%2 == 0 {
-						cur.MustAddEdge(a, b)
-					} else {
-						cur.RemoveEdge(a, b)
-					}
-				}
-			}
-			series = append(series, potentialOn(cur, tracker, u, v))
-		}))
-	res, err := sim.Run(gs, factory, opts...)
-	if err != nil {
-		return nil, res, err
-	}
-	return series, res, nil
-}
-
-// potentialOn computes PO_{u,v} over an explicit snapshot.
-func potentialOn(cur *graph.Graph, k *KnowledgeTracker, u, v graph.ID) int {
-	dist := cur.BFS(v)
+	dist := h.CurrentView().BFS(v)
 	best := -1
 	for _, w := range k.Holders(u) {
 		if d, ok := dist[w]; ok && (best < 0 || d < best) {
@@ -126,6 +90,33 @@ func potentialOn(cur *graph.Graph, k *KnowledgeTracker, u, v graph.ID) int {
 		}
 	}
 	return best
+}
+
+// PotentialSeries runs the machine on gs while recording PO_{u,v}
+// after every round; it returns the series (index 0 = initial
+// potential) together with the run result. Each round the engine
+// calls the round hook (the message flow advances the tracker) and
+// then the delta hook, which replays the round onto a History of its
+// own (History.ApplyDelta) and closes the round's entry.
+func PotentialSeries(gs *graph.Graph, factory sim.Factory, u, v graph.ID,
+	opts ...sim.Option) ([]int, *sim.Result, error) {
+	tracker := NewKnowledgeTracker(gs.Nodes())
+	replay := temporal.NewHistory(gs)
+	series := []int{Potential(replay, tracker, u, v)}
+	var replayErr error
+	opts = append(opts,
+		sim.WithRoundHook(tracker.Hook()),
+		sim.WithDeltaHook(func(d temporal.RoundDelta) {
+			if _, err := replay.ApplyDelta(d); err != nil && replayErr == nil {
+				replayErr = err
+			}
+			series = append(series, Potential(replay, tracker, u, v))
+		}))
+	res, err := sim.Run(gs, factory, opts...)
+	if err = errors.Join(err, replayErr); err != nil {
+		return nil, res, err
+	}
+	return series, res, nil
 }
 
 // MinPotentialDropFactor examines a potential series and returns the

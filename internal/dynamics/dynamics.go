@@ -10,8 +10,9 @@
 //
 // Everything here is deterministic: a schedule is a pure function of
 // its spec, its seed and the History it is shown, and the engine calls
-// it from the round driver only, so runs with an environment stay
-// byte-identical across worker counts like every other run.
+// it from the round driver only, once per round in round order, so
+// runs with an environment are byte-identical from run to run like
+// every other run.
 package dynamics
 
 import (

@@ -205,17 +205,11 @@ func E7CentralizedLine(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		maxPerRound := 0
-		for _, rs := range res.History.PerRound() {
-			if rs.Activated > maxPerRound {
-				maxPerRound = rs.Activated
-			}
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(res.Metrics.Rounds),
 			fmt.Sprint(res.Metrics.TotalActivations),
 			f2(float64(res.Metrics.TotalActivations) / float64(n)),
-			fmt.Sprint(maxPerRound),
+			fmt.Sprint(res.MaxRoundActivations),
 		})
 	}
 	return t, nil

@@ -16,8 +16,8 @@ import (
 )
 
 // Runner is an engine-backed executor: it holds one sim.Engine and
-// reuses its buffers (contexts, inboxes, history scratch, worker
-// pool) across Execute calls. One Runner serves one goroutine; for
+// reuses its buffers (contexts, inboxes, history scratch) across
+// Execute calls. One Runner serves one goroutine; for
 // parallel grids use ExecuteSweep, which runs a shard-per-worker
 // fleet of Runners.
 type Runner struct {
@@ -34,8 +34,7 @@ type Runner struct {
 	bfs graph.BFSScratch
 }
 
-// NewRunner returns a fresh Runner. Close it to release the engine's
-// worker pool.
+// NewRunner returns a fresh Runner. Close it when done with it.
 func NewRunner() *Runner {
 	return &Runner{eng: sim.NewEngine(), wg: graph.New(), wscratch: graph.New()}
 }
@@ -73,7 +72,7 @@ func (r *Runner) Execute(req Request) (Outcome, error) {
 // Cell is the canonical description of one deterministic run — the
 // body of POST /v1/runs and one point of a sweep grid. Two cells with
 // equal Key() produce identical Outcomes: every workload generator is
-// seeded and the engine is deterministic regardless of parallelism,
+// seeded and the engine is deterministic (one goroutine steps a run),
 // which is what makes result caching sound.
 type Cell struct {
 	Algorithm string `json:"algorithm"`

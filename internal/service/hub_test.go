@@ -130,8 +130,8 @@ func TestEndpointByteIdentity(t *testing.T) {
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	req := fastSpec(3).Request()
-	req.SimOpts = append(req.SimOpts, sim.WithRoundHook(func(ev sim.RoundEvent) {
-		if err := enc.Encode(ev.Stats); err != nil {
+	req.SimOpts = append(req.SimOpts, sim.WithDeltaHook(func(d temporal.RoundDelta) {
+		if err := enc.Encode(d.Stats); err != nil {
 			t.Error(err)
 		}
 	}))

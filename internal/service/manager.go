@@ -481,7 +481,6 @@ func (m *Manager) execute(j *Job) {
 	defer cancel()
 
 	opts := []sim.Option{
-		sim.WithRoundHook(func(ev sim.RoundEvent) { j.rounds.publish(ev.Stats) }),
 		sim.WithStartHook(func(ev sim.StartEvent) { j.publishHeader(ev.N, ev.Edges) }),
 		sim.WithDeltaHook(j.publishDelta),
 		sim.WithCancel(ctx.Done()),

@@ -2,9 +2,9 @@
 // (internal/sim + internal/expt) into an always-on backend: a bounded
 // job manager executes canonical RunSpecs, an LRU cache serves
 // repeated specs without re-simulation (runs are deterministic by
-// seed), and per-round statistics are published to stream subscribers
-// via sim.WithRoundHook. The HTTP surface over this lives in api.go
-// and is served by cmd/adnet-server.
+// seed), and each round's record — its statistics and its edits — is
+// published to stream subscribers via sim.WithDeltaHook. The HTTP
+// surface over this lives in api.go and is served by cmd/adnet-server.
 package service
 
 import (

@@ -142,10 +142,12 @@ func (rp *replay) publishHeader(n int, edges []int32) {
 	rp.topo.publish(packedTopologyFrame{N: n, P: base64.StdEncoding.EncodeToString(packPairs(nil, edges))})
 }
 
-// publishDelta emits one round's delta, packed straight from the
-// History's scratch. Rounds with no reconfiguration still emit a frame:
+// publishDelta emits one round's record: its statistics to the rounds
+// log and its edits, packed straight from the History's scratch, to
+// the topology log. Rounds with no reconfiguration still emit a frame:
 // the stream is the round clock, and an empty delta is two bytes.
 func (rp *replay) publishDelta(d temporal.RoundDelta) {
+	rp.rounds.publish(d.Stats)
 	buf := packPairs(packPairs(nil, d.Activate), d.Deactivate)
 	if len(d.EnvActivate) > 0 || len(d.EnvDeactivate) > 0 {
 		buf = packPairs(packPairs(buf, d.EnvActivate), d.EnvDeactivate)

@@ -195,6 +195,29 @@ func replayTopology(t *testing.T, frames []TopologyFrame, wantN int) edgeSet {
 	return es
 }
 
+// replayMetrics rebuilds D(1) from the header alone — slot s is node
+// ID s — and replays every delta through temporal.History.ApplyDelta:
+// the cost measures recomputed from the wire, by the accounting the
+// run used.
+func replayMetrics(t *testing.T, frames []TopologyFrame) temporal.Metrics {
+	t.Helper()
+	header, gs := frames[0], graph.New()
+	for u := 0; u < header.N; u++ {
+		gs.AddNode(graph.ID(u))
+	}
+	for i := 0; i+1 < len(header.Edges); i += 2 {
+		gs.MustAddEdge(graph.ID(header.Edges[i]), graph.ID(header.Edges[i+1]))
+	}
+	h := temporal.NewHistory(gs)
+	for _, f := range frames[1:] {
+		if _, err := h.ApplyDelta(temporal.RoundDelta{Round: f.Round, Activate: f.Activate, Deactivate: f.Deactivate,
+			EnvActivate: f.EnvActivate, EnvDeactivate: f.EnvDeactivate}); err != nil {
+			t.Fatalf("replaying round %d: %v", f.Round, err)
+		}
+	}
+	return h.Metrics()
+}
+
 // referenceHooks publishes a run's topology to ts and, next to it,
 // writes what the json format is pinned to: jsonFrame of a
 // TopologyFrame filled straight from the hook values — the lines the
@@ -221,18 +244,22 @@ func referenceHooks(ts *replay, ref *bytes.Buffer) []sim.Option {
 
 // checkTopology is the shared tail of the two reconstruction tests: the
 // json rendering equals the reference byte for byte, and both formats
-// replay to exactly the edge set want.
-func checkTopology(t *testing.T, ts *replay, ref []byte, n int, want [][2]int32) {
+// replay to exactly the edge set want (edgeSet, the independent
+// reference) and, through ApplyDelta, to exactly the run's metrics.
+func checkTopology(t *testing.T, ts *replay, ref []byte, res *sim.Result, want [][2]int32) {
 	t.Helper()
 	if got := renderTopology(ts.topo); !bytes.Equal(got, ref) {
 		t.Fatalf("json rendering of the packed log differs from jsonFrame(TopologyFrame) of the hook values:\ngot  %q\nwant %q", got, ref)
 	}
-	for name, got := range map[string][][2]int32{
-		"json":   replayTopology(t, decodeTopology(t, ts.topo), n).sorted(),
-		"packed": replayTopology(t, unpackedTopology(t, ts.topo), n).sorted(),
+	for name, frames := range map[string][]TopologyFrame{
+		"json":   decodeTopology(t, ts.topo),
+		"packed": unpackedTopology(t, ts.topo),
 	} {
-		if !slices.Equal(got, want) {
+		if got := replayTopology(t, frames, res.History.NumNodes()).sorted(); !slices.Equal(got, want) {
 			t.Fatalf("%s replay: %d edges %v, want %d %v", name, len(got), got, len(want), want)
+		}
+		if got := replayMetrics(t, frames); got != res.Metrics {
+			t.Fatalf("%s replay metrics = %+v, want the run's %+v", name, got, res.Metrics)
 		}
 	}
 }
@@ -241,7 +268,8 @@ func checkTopology(t *testing.T, ts *replay, ref []byte, n int, want [][2]int32)
 // delta wire format: for every distributed algorithm, a subscriber
 // replaying the stream's header + per-round deltas — in both the json
 // and packed formats — must reconstruct exactly the final D(i) the
-// engine's History holds.
+// engine's History holds, and replaying it through ApplyDelta must
+// recompute exactly the run's cost measures.
 func TestTopologyDeltaReconstruction(t *testing.T) {
 	t.Parallel()
 	const n = 48
@@ -281,7 +309,7 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				if got := len(frames) - 1; got != res.Rounds {
 					t.Errorf("stream carries %d delta frames, want one per round (%d)", got, res.Rounds)
 				}
-				checkTopology(t, ts, ref.Bytes(), n, finalSlotPairs(res.History.CurrentView()))
+				checkTopology(t, ts, ref.Bytes(), res, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}
@@ -291,7 +319,8 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 // to perturbed runs: with a dynamics environment attached, the frames
 // carry the environment's edits as a distinct tagged delta source, and
 // replaying all four lists (algorithm + environment) — in both wire
-// formats — must still reconstruct exactly the final graph. The
+// formats — must still reconstruct exactly the final graph and, through
+// ApplyDelta, the run's metrics. The
 // paper's constructions may honestly fail under perturbation
 // (round-limit or contained panic); the stream up to the abort must
 // replay exactly regardless.
@@ -343,7 +372,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Errorf("%s stream carries no environment edits", spec.Class)
 				}
 
-				checkTopology(t, ts, ref.Bytes(), n, finalSlotPairs(res.History.CurrentView()))
+				checkTopology(t, ts, ref.Bytes(), res, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}

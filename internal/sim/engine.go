@@ -27,7 +27,7 @@ import (
 // Ownership: the *Result returned by Run is a view of the engine (its
 // History, its slot arrays); it survives Close and is valid until the
 // next Reset, so callers that keep results across runs must extract
-// what they need (clones, Metrics, PerRound, statuses) before
+// what they need (clones, Metrics, statuses) before
 // resetting. Engines are not safe for concurrent use; run one engine
 // per goroutine (see expt.ExecuteSweep for the fleet pattern).
 //
@@ -302,19 +302,17 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		// --- Activate / Deactivate ---
-		stats, err := hist.Apply(batch.Activate, batch.Deactivate)
-		if err != nil {
+		if _, err := hist.Apply(batch.Activate, batch.Deactivate); err != nil {
 			return e.finish(round, totalMsgs, maxMsgs), err
 		}
 		if cfg.env != nil {
 			// Environment boundary: perturbation runs on the round
 			// driver after the algorithm's intents committed. Perturb runs
-			// every round (with possibly empty output) to keep the
-			// History's environment bookkeeping round-aligned.
+			// every round, in round order, with possibly empty output, as
+			// the Environment contract promises.
 			e.envEdits.Reset()
 			cfg.env.Perturb(round, hist, &e.envEdits)
-			stats, err = hist.ApplyEnvironment(e.envEdits.Activate, e.envEdits.Deactivate)
-			if err != nil {
+			if _, err := hist.ApplyEnvironment(e.envEdits.Activate, e.envEdits.Deactivate); err != nil {
 				return e.finish(round, totalMsgs, maxMsgs), err
 			}
 			if err := e.applyFaults(round); err != nil {
@@ -326,7 +324,7 @@ func (e *Engine) Run() (*Result, error) {
 				fmt.Errorf("%w after round %d", ErrDisconnected, round)
 		}
 		for _, hook := range cfg.hooks {
-			hook(RoundEvent{Round: round, Messages: e.delivered, Stats: stats})
+			hook(RoundEvent{Round: round, Messages: e.delivered})
 		}
 		if len(cfg.deltaHooks) > 0 {
 			hist.AppendLastDelta(&e.delta)

@@ -102,14 +102,14 @@ var ErrDisconnected = errors.New("sim: active graph disconnected")
 // via WithCancel.
 var ErrCanceled = errors.New("sim: execution canceled")
 
-// RoundEvent is passed to round hooks after each completed round.
+// RoundEvent is passed to round hooks after each completed round. A
+// round's edits and statistics are its temporal.RoundDelta (WithDeltaHook).
 type RoundEvent struct {
 	Round int
 	// Messages holds all messages delivered this round, sender-sorted
 	// per recipient. The slice's backing array is reused by the engine
 	// on the next round: hooks that retain messages must copy them.
 	Messages []Message
-	Stats    temporal.RoundStats
 }
 
 // StartEvent is passed to start hooks after the Init phase, before
@@ -197,8 +197,9 @@ func WithParallelism(int) Option { return func(*config) {} }
 func WithConnectivityCheck() Option { return func(c *config) { c.checkConnect = true } }
 
 // WithRoundHook registers a callback invoked after every round with the
-// delivered messages and round statistics (used by the lower-bound
-// instrumentation in internal/bounds).
+// delivered messages, for message observers such as the lower-bound
+// instrumentation in internal/bounds. Registering one makes the engine
+// copy every delivered message each round.
 func WithRoundHook(fn func(RoundEvent)) Option {
 	return func(c *config) { c.hooks = append(c.hooks, fn) }
 }
@@ -212,11 +213,11 @@ func WithStartHook(fn func(StartEvent)) Option {
 }
 
 // WithDeltaHook registers a callback invoked after every round with
-// that round's committed activations/deactivations as slot pairs
-// (temporal.RoundDelta). The delta's slices are History scratch reused
-// on the next round: hooks that retain them must copy. The conversion
-// runs only when at least one delta hook is registered, so the plain
-// round loop stays untouched.
+// that round's record (temporal.RoundDelta): the committed edits as
+// slot pairs and the round's statistics. The delta's slices are History
+// scratch reused on the next round: hooks that retain them must copy.
+// The conversion runs only when at least one delta hook is registered,
+// so the plain round loop stays untouched.
 func WithDeltaHook(fn func(temporal.RoundDelta)) Option {
 	return func(c *config) { c.deltaHooks = append(c.deltaHooks, fn) }
 }
@@ -273,8 +274,9 @@ func (s RunSummary) ParallelEfficiency() float64 {
 // finishes, with the run's round count, wall-clock duration and
 // message total. This is the engine's metrics hook: folding the
 // digest in after the loop keeps the per-round hot path free of
-// instrumentation (and of allocations — the bench -compare gate
-// enforces it). fn runs on the engine's goroutine; keep it cheap.
+// instrumentation (and of allocations — the *SteadyStateZeroAllocs
+// tests in internal/expt pin it). fn runs on the engine's goroutine;
+// keep it cheap.
 func WithRunObserver(fn func(RunSummary)) Option {
 	return func(c *config) { c.observer = fn }
 }

@@ -83,7 +83,9 @@ type History struct {
 	activatedAlive map[graph.Edge]struct{} // E(i) \ E(1)
 	activatedDeg   []int                   // slot-indexed degree in D(i) \ D(1)
 
-	perRound []RoundStats
+	// last is the latest round's stats (patched by ApplyEnvironment, read
+	// by AppendLastDelta): the one per-round record the History keeps.
+	last RoundStats
 
 	// Environment (adversary) edit state: a second delta source beside
 	// the algorithm's intents, applied at round boundaries through
@@ -112,6 +114,7 @@ type History struct {
 	// diff export the live topology stream is built on.
 	lastActs   []graph.Edge
 	lastDeacts []graph.Edge
+	replay     [4][]graph.Edge // ApplyDelta's lists, mapped to edges
 }
 
 // RoundDelta is the compact reconfiguration record of one round: the
@@ -124,14 +127,16 @@ type History struct {
 //
 // EnvActivate/EnvDeactivate carry the environment's edits of the same
 // boundary, tagged apart from the algorithm's intents; they are empty
-// whenever no environment is attached. Replay applies the four lists
-// in field order.
+// whenever no environment is attached. Stats is the round's accounting
+// after both. A run's deltas are the run: History.ApplyDelta replays
+// them, re-checking the model rules and recomputing every measure.
 type RoundDelta struct {
 	Round         int
 	Activate      []int32
 	Deactivate    []int32
 	EnvActivate   []int32
 	EnvDeactivate []int32
+	Stats         RoundStats
 }
 
 // IntentBatch is one round's edge intents in caller order: the buffer
@@ -151,7 +156,7 @@ func NewHistory(gs *graph.Graph) *History {
 
 // Reset rewinds the History to round 1 of a fresh execution starting
 // from gs, reusing every internal buffer (graph snapshots, scratch
-// slices, the per-round log) so that engine reuse across runs performs
+// slices) so that engine reuse across runs performs
 // no steady-state allocation.
 func (h *History) Reset(gs *graph.Graph) {
 	if h.initial == nil {
@@ -178,12 +183,10 @@ func (h *History) Reset(gs *graph.Graph) {
 	}
 	h.activatedDeg = slices.Grow(h.activatedDeg[:0], len(h.ids))[:len(h.ids)]
 	clear(h.activatedDeg)
-	h.perRound = h.perRound[:0]
-	h.lastActs = nil
-	h.lastDeacts = nil
+	h.last = RoundStats{}
+	h.lastActs, h.lastDeacts = nil, nil
+	h.lastEnvActs, h.lastEnvDeacts = nil, nil
 	h.lenient = false
-	h.lastEnvActs = nil
-	h.lastEnvDeacts = nil
 }
 
 // SetLenientActivation relaxes the distance-2 rule for algorithm
@@ -266,14 +269,8 @@ func (h *History) PotentialNeighbors(u graph.ID) []graph.ID {
 		})
 		return true
 	})
-	sortIDs(out)
-	dedup := out[:0]
-	for i, w := range out {
-		if i == 0 || out[i-1] != w {
-			dedup = append(dedup, w)
-		}
-	}
-	return dedup
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // CurrentClone returns a copy of the current snapshot D(i).
@@ -359,10 +356,10 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 		rawDeact = append(rawDeact, graph.NewEdge(e.A, e.B))
 	}
 	h.scratchRawAct, h.scratchRawDeact, h.scratchAct = rawAct, rawDeact, acts
-	sortEdges(rawAct)
-	sortEdges(rawDeact)
-	sortEdges(acts)
-	acts = dedupeEdges(acts)
+	slices.SortFunc(rawAct, cmpEdge)
+	slices.SortFunc(rawDeact, cmpEdge)
+	slices.SortFunc(acts, cmpEdge)
+	acts = slices.Compact(acts)
 
 	// "In case u and v disagree on their decision about edge uv, then
 	// their actions have no effect on uv": an edge that is requested
@@ -422,25 +419,25 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	if len(acts)+len(deacts) > 0 {
 		h.m.LastActivityRound = h.round
 	}
-	stats := RoundStats{
+	h.last = RoundStats{
 		Round:          h.round,
 		Activated:      len(acts),
 		Deactivated:    len(deacts),
 		ActiveEdges:    h.current.NumEdges(),
 		ActivatedAlive: len(h.activatedAlive),
 	}
-	h.perRound = append(h.perRound, stats)
 	h.round++
 
 	// Hand the (possibly regrown) backing array back for the next round.
 	h.scratchDeact = deacts
 	h.lastActs, h.lastDeacts = acts, deacts
-	return stats, nil
+	h.lastEnvActs, h.lastEnvDeacts = h.lastEnvActs[:0], h.lastEnvDeacts[:0]
+	return h.last, nil
 }
 
 // AppendLastDelta fills d with the most recently applied round's
-// committed activations and deactivations as slot pairs, reusing d's
-// slice capacity. The source lists are the History's scratch buffers,
+// committed edits as slot pairs and its statistics, reusing d's slice
+// capacity. The source lists are the History's scratch buffers,
 // overwritten by the next Apply — callers stream or copy d before
 // applying another round. Before any round has been applied d is the
 // empty delta for round 0.
@@ -450,6 +447,39 @@ func (h *History) AppendLastDelta(d *RoundDelta) {
 	d.Deactivate = h.appendSlotPairs(d.Deactivate[:0], h.lastDeacts)
 	d.EnvActivate = h.appendSlotPairs(d.EnvActivate[:0], h.lastEnvActs)
 	d.EnvDeactivate = h.appendSlotPairs(d.EnvDeactivate[:0], h.lastEnvDeacts)
+	d.Stats = h.last
+}
+
+// ApplyDelta replays a recorded round: its slot pairs, mapped through
+// the node table, are committed with Apply, then with ApplyEnvironment
+// if it carries environment edits. Replaying a run's deltas in order
+// from NewHistory(gs) re-checks the model rules and recomputes every
+// cost measure with the run's own accounting. A malformed delta (round
+// out of order, odd-length list, a pair that is not two ascending
+// slots, an illegal activation) is an error and commits nothing.
+func (h *History) ApplyDelta(d RoundDelta) (RoundStats, error) {
+	if d.Round != h.round {
+		return RoundStats{}, fmt.Errorf("temporal: delta for round %d, want round %d", d.Round, h.round)
+	}
+	for i, pairs := range [...][]int32{d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate} {
+		if len(pairs)%2 != 0 {
+			return RoundStats{}, fmt.Errorf("temporal: round %d: slot-pair list of odd length %d", d.Round, len(pairs))
+		}
+		edges := h.replay[i][:0]
+		for j := 0; j < len(pairs); j += 2 {
+			a, b := pairs[j], pairs[j+1]
+			if a < 0 || a >= b || int(b) >= len(h.ids) {
+				return RoundStats{}, fmt.Errorf("temporal: round %d: (%d,%d) is not a pair of ascending slots in 0..%d", d.Round, a, b, len(h.ids)-1)
+			}
+			edges = append(edges, graph.Edge{A: h.ids[a], B: h.ids[b]})
+		}
+		h.replay[i] = edges
+	}
+	st, err := h.Apply(h.replay[0], h.replay[1])
+	if err != nil || len(d.EnvActivate)+len(d.EnvDeactivate) == 0 {
+		return st, err
+	}
+	return h.ApplyEnvironment(h.replay[2], h.replay[3])
 }
 
 // ApplyEnvironment commits environment (adversary) edits at the
@@ -470,13 +500,13 @@ func (h *History) AppendLastDelta(d *RoundDelta) {
 // set — "algorithm-activated and still active" stays an invariant of
 // that measure. The returned RoundStats are the completed round's,
 // with ActiveEdges/ActivatedAlive updated to the post-environment
-// snapshot (the per-round log entry is patched the same way).
+// snapshot (what AppendLastDelta exports is patched the same way).
 //
-// Callers attaching an environment invoke ApplyEnvironment once per
-// round, after Apply, with possibly empty lists: the
-// last-delta export (AppendLastDelta) stays round-aligned that way.
+// Callers attaching an environment invoke ApplyEnvironment at most once
+// per round, after Apply; Apply empties the previous round's
+// environment lists, so the last-delta export stays round-aligned.
 func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStats, error) {
-	if len(h.perRound) == 0 {
+	if h.round == 1 {
 		return RoundStats{}, fmt.Errorf("temporal: ApplyEnvironment before any applied round")
 	}
 	round := h.round - 1
@@ -494,8 +524,8 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 		}
 		acts = append(acts, ce)
 	}
-	sortEdges(acts)
-	acts = dedupeEdges(acts)
+	slices.SortFunc(acts, cmpEdge)
+	acts = slices.Compact(acts)
 	deacts := h.lastEnvDeacts[:0]
 	for _, e := range deactivate {
 		if e.A == e.B {
@@ -507,8 +537,8 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 		}
 		deacts = append(deacts, ce)
 	}
-	sortEdges(deacts)
-	deacts = dedupeEdges(deacts)
+	slices.SortFunc(deacts, cmpEdge)
+	deacts = slices.Compact(deacts)
 	// Both lists were filtered against the same pre-edit snapshot, so
 	// no edge survives in both: the commits below cannot conflict.
 	for _, e := range acts {
@@ -528,10 +558,9 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 		h.m.MaxActiveEdges = m
 	}
 	h.lastEnvActs, h.lastEnvDeacts = acts, deacts
-	st := &h.perRound[len(h.perRound)-1]
-	st.ActiveEdges = h.current.NumEdges()
-	st.ActivatedAlive = len(h.activatedAlive)
-	return *st, nil
+	h.last.ActiveEdges = h.current.NumEdges()
+	h.last.ActivatedAlive = len(h.activatedAlive)
+	return h.last, nil
 }
 
 // AppendActivatedAlive appends the activated-alive edge set
@@ -543,7 +572,7 @@ func (h *History) AppendActivatedAlive(dst []graph.Edge) []graph.Edge {
 	for e := range h.activatedAlive {
 		dst = append(dst, e)
 	}
-	sortEdges(dst)
+	slices.SortFunc(dst, cmpEdge)
 	return dst
 }
 
@@ -594,30 +623,13 @@ func (h *History) bumpActivatedDeg(u graph.ID, delta int) {
 	}
 }
 
-// cmpEdge orders canonical edges lexicographically.
+// cmpEdge orders canonical edges lexicographically; slices.SortFunc with
+// it sorts in place without allocating, unlike sort.Slice.
 func cmpEdge(a, b graph.Edge) int {
 	if c := cmp.Compare(a.A, b.A); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.B, b.B)
-}
-
-// sortEdges sorts in place without allocating (unlike sort.Slice,
-// whose reflect-based swapper costs an allocation per call — which at
-// three calls per round was a measurable slice of the hot loop).
-func sortEdges(es []graph.Edge) {
-	slices.SortFunc(es, cmpEdge)
-}
-
-// dedupeEdges removes adjacent duplicates from a sorted slice, in place.
-func dedupeEdges(es []graph.Edge) []graph.Edge {
-	out := es[:0]
-	for i, e := range es {
-		if i == 0 || es[i-1] != e {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // containsEdge reports whether the sorted slice es contains e.
@@ -633,15 +645,4 @@ func (h *History) Metrics() Metrics {
 	m.FinalActiveEdges = h.current.NumEdges()
 	m.FinalActivatedAlive = len(h.activatedAlive)
 	return m
-}
-
-// PerRound returns the per-round statistics (copy).
-func (h *History) PerRound() []RoundStats {
-	out := make([]RoundStats, len(h.perRound))
-	copy(out, h.perRound)
-	return out
-}
-
-func sortIDs(ids []graph.ID) {
-	slices.Sort(ids)
 }

@@ -195,20 +195,24 @@ func TestPotentialNeighbors(t *testing.T) {
 	}
 }
 
+// TestPerRoundStats: a round's statistics travel in its RoundDelta,
+// equal to what Apply returned.
 func TestPerRoundStats(t *testing.T) {
 	t.Parallel()
 	h := NewHistory(graph.Line(4))
-	if _, err := h.Apply([]graph.Edge{edge(0, 2)}, nil); err != nil {
-		t.Fatal(err)
+	var pr []RoundStats
+	for _, acts := range [][]graph.Edge{{edge(0, 2)}, nil} {
+		st, err := h.Apply(acts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d RoundDelta
+		if h.AppendLastDelta(&d); d.Stats != st {
+			t.Fatalf("delta stats %+v, Apply returned %+v", d.Stats, st)
+		}
+		pr = append(pr, d.Stats)
 	}
-	if _, err := h.Apply(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	pr := h.PerRound()
-	if len(pr) != 2 {
-		t.Fatalf("per-round records = %d, want 2", len(pr))
-	}
-	if pr[0].Activated != 1 || pr[1].Activated != 0 {
+	if pr[0].Round != 1 || pr[1].Round != 2 || pr[0].Activated != 1 || pr[1].Activated != 0 {
 		t.Fatalf("per-round stats wrong: %+v", pr)
 	}
 	if pr[1].ActiveEdges != 4 { // 3 original + 1 chord

@@ -8,14 +8,20 @@ import (
 	"adnet/internal/graph"
 )
 
-// lastDelta returns the round h applied last as a fresh RoundDelta:
-// the per-round record, all four lists copied out of the History's
-// scratch (an empty list comes back nil, so deltas compare with
-// reflect.DeepEqual).
-func lastDelta(h *History) RoundDelta {
+// roundEdits is a RoundDelta without its Stats: the round and its four
+// slot-pair lists. Tests take a round's stats from what Apply returned.
+type roundEdits struct {
+	Round                                            int
+	Activate, Deactivate, EnvActivate, EnvDeactivate []int32
+}
+
+// lastDelta returns the edits of the round h applied last, all four
+// lists copied out of the History's scratch (an empty list comes back
+// nil, so edits compare with reflect.DeepEqual).
+func lastDelta(h *History) roundEdits {
 	var d RoundDelta
 	h.AppendLastDelta(&d)
-	return d
+	return roundEdits{d.Round, d.Activate, d.Deactivate, d.EnvActivate, d.EnvDeactivate}
 }
 
 // pairsSorted reports whether the flat slot pairs are canonical edges
@@ -107,7 +113,7 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	if st.Activated != 2 {
 		t.Fatalf("round 1 activated = %d, want 2", st.Activated)
 	}
-	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 1, Activate: []int32{0, 2, 1, 3}}) {
+	if d := lastDelta(h); !reflect.DeepEqual(d, roundEdits{Round: 1, Activate: []int32{0, 2, 1, 3}}) {
 		t.Fatalf("round 1 delta = %+v", d)
 	}
 	// Round 2: no intents at all — nothing from round 1 may bleed in.
@@ -118,7 +124,7 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	if st.Activated != 0 || st.Deactivated != 0 {
 		t.Fatalf("round 2 stats = %+v, want no activity", st)
 	}
-	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 2}) {
+	if d := lastDelta(h); !reflect.DeepEqual(d, roundEdits{Round: 2}) {
 		t.Fatalf("round 2 delta = %+v, want empty", d)
 	}
 	// Round 3: disagreement — {0,2} requested both ways stays active.
@@ -129,7 +135,7 @@ func TestApplyScratchReuseIsolation(t *testing.T) {
 	if st.Activated != 0 || st.Deactivated != 0 {
 		t.Fatalf("disagreement round stats = %+v, want no activity", st)
 	}
-	if d := lastDelta(h); !reflect.DeepEqual(d, RoundDelta{Round: 3}) {
+	if d := lastDelta(h); !reflect.DeepEqual(d, roundEdits{Round: 3}) {
 		t.Fatalf("disagreement round delta = %+v, want empty", d)
 	}
 	if !h.Active(0, 2) {
