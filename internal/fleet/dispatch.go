@@ -22,13 +22,6 @@ import (
 // worker out of rotation.
 var errWorkerBusy = errors.New("fleet: worker sweep gate busy")
 
-// errSweepIncomplete marks a dispatch whose worker-side sweep ended
-// without completing (done:false — a worker sweep time limit or a
-// third-party cancellation). The worker proved itself alive by
-// streaming the full canceled shape, so like errWorkerBusy this
-// requeues the shard without costing the worker its health.
-var errSweepIncomplete = errors.New("fleet: worker sweep ended incomplete")
-
 // errDispatchRejected marks a shard POST the worker deterministically
 // refused (4xx — e.g. the worker's sweep cell/size limits are tighter
 // than the coordinator's). Retrying elsewhere would fail identically,
@@ -36,32 +29,33 @@ var errSweepIncomplete = errors.New("fleet: worker sweep ended incomplete")
 // worker's health.
 var errDispatchRejected = errors.New("fleet: worker rejected the shard spec")
 
-// shardProgress is the coordinator's per-shard bookkeeping. It is
-// owned by whichever dispatcher currently runs the shard — ownership
-// is handed over through the shard queue, never shared — so no lock
-// is needed.
+// shardProgress is the coordinator's per-shard bookkeeping. Until the
+// shard completes it is owned by whichever dispatcher currently runs
+// the shard — ownership is handed over through the shard queue, never
+// shared — so no lock is needed; once complete it is only read.
 type shardProgress struct {
-	// attempts counts failed dispatches; at cfg.ShardAttempts the
-	// sweep fails.
+	// attempts counts failed dispatches; at shardAttempts the sweep
+	// fails.
 	attempts int
 	// executed (simulations the worker actually ran) and cells are
-	// recorded by the dispatch that completed the shard (cells in
-	// shard-local order — what GridHooks.Persist journals).
+	// recorded by the dispatch that completed the shard — or, for a
+	// journaled shard, filled in before dispatch starts. cells are in
+	// shard-local order, with shard-local indexes: what
+	// GridHooks.Persist journals.
 	executed int
 	cells    []expt.WireCell
 }
 
 // runShard executes one shard on one worker: submit the sub-grid
-// sweep, tail its cell stream, and — only once the worker's summary
-// confirms the sweep completed (done=true, so a worker-side timeout
-// or third-party cancellation never masquerades as a result) —
-// deliver every cell with its global index, in shard order. Delivering
-// after completion rather than live means a failed dispatch delivers
-// nothing: a re-dispatched shard merges exactly once, with no
-// cross-attempt cursor to reconcile. A dispatch that fails for any
-// reason cancels its worker-side sweep best-effort so an abandoned
-// shard does not keep burning worker time.
-func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress, deliver func(expt.WireCell)) (err error) {
+// sweep and read its cell stream once, to the end. Only a stream that
+// carries every cell and a summary confirming the sweep completed
+// (done=true, so a worker-side timeout or third-party cancellation
+// never masquerades as a result) completes the shard; a broken or
+// short stream is a failed dispatch like any other, and the shard is
+// re-dispatched whole. A dispatch that fails for any reason cancels
+// its worker-side sweep best-effort so an abandoned shard does not
+// keep burning worker time.
+func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress) (err error) {
 	id, err := c.postSweep(ctx, w, sh.Spec)
 	if err != nil {
 		return err
@@ -72,81 +66,47 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 		}
 	}()
 
-	n := sh.NumCells()
-	collected := make([]expt.WireCell, n)
-	have := make([]bool, n)
-	var sum *expt.WireSummary
-	// cursor carries across resume attempts: each pass asks the worker
-	// to replay only the frames this dispatch has not consumed yet.
-	cursor := 0
-	for resumes := 0; ; resumes++ {
-		if resumes > 0 {
-			c.metrics.streamResumes.Inc()
-		}
-		err := c.tailCells(ctx, w, id, collected, have, &sum, &cursor)
-		if err == nil && sum != nil {
-			break
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if resumes >= c.cfg.StreamResumes {
-			if err == nil {
-				err = errors.New("stream closed before the summary line")
-			}
-			return fmt.Errorf("fleet: shard %d stream on %s gave up after %d resumes: %w",
-				sh.Index, w.url, resumes, err)
-		}
-		select {
-		case <-time.After(c.cfg.RetryBackoff):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	if !sum.Done {
+	cells, sum, err := c.readCells(ctx, w, id)
+	switch {
+	case err != nil:
+		return fmt.Errorf("fleet: shard %d stream on %s broke: %w", sh.Index, w.url, err)
+	case sum == nil:
+		return fmt.Errorf("fleet: shard %d stream on %s closed before the summary line", sh.Index, w.url)
+	case !sum.Done:
 		// The worker streamed the one-line-per-cell shape of a failed
 		// or canceled sweep (time limit, external DELETE): not a
-		// result — re-dispatch.
-		return fmt.Errorf("%w: shard %d on %s (%d/%d errors)",
-			errSweepIncomplete, sh.Index, w.url, sum.Errors, sum.Cells)
-	}
-	for i, ok := range have {
-		if !ok {
-			return fmt.Errorf("fleet: shard %d: worker %s never streamed cell %d", sh.Index, w.url, i)
-		}
+		// result.
+		return fmt.Errorf("fleet: shard %d on %s ended incomplete (%d/%d errors)",
+			sh.Index, w.url, sum.Errors, sum.Cells)
+	case len(cells) != sh.NumCells():
+		return fmt.Errorf("fleet: shard %d: worker %s streamed %d of %d cells",
+			sh.Index, w.url, len(cells), sh.NumCells())
 	}
 	sp.executed = sum.Executed
-	sp.cells = collected
-	for i, cell := range collected {
-		cell.Index = sh.Offset + i
-		deliver(cell)
-	}
+	sp.cells = cells
 	return nil
 }
 
-// tailCells streams one pass of GET /v1/sweeps/{id}/cells into
-// collected, resuming from *cursor (the ?cursor=N replay offset: how
-// many cell frames previous passes already consumed) and advancing it
-// per cell. Returns nil when the stream ended cleanly (the caller
-// checks whether the summary arrived).
-func (c *Coordinator) tailCells(ctx context.Context, w *worker, id string,
-	collected []expt.WireCell, have []bool, sum **expt.WireSummary, cursor *int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/sweeps/%s/cells?cursor=%d", w.url, id, *cursor), nil)
+// readCells reads GET /v1/sweeps/{id}/cells to its end: the cells in
+// shard-local canonical order, and the trailing summary (nil when the
+// stream ended without one).
+func (c *Coordinator) readCells(ctx context.Context, w *worker, id string) ([]expt.WireCell, *expt.WireSummary, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/sweeps/"+id+"/cells", nil)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	obs.SetRequestIDHeader(req)
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer drainClose(resp)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cells stream returned %d", resp.StatusCode)
+		return nil, nil, fmt.Errorf("cells stream returned %d", resp.StatusCode)
 	}
 
-	passSeen := *cursor
+	var cells []expt.WireCell
+	var sum *expt.WireSummary
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -155,33 +115,28 @@ func (c *Coordinator) tailCells(ctx context.Context, w *worker, id string,
 			continue
 		}
 		var probe struct {
-			Done  *bool `json:"done"`
-			Index *int  `json:"index"`
+			Done *bool `json:"done"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
-			return fmt.Errorf("bad NDJSON line: %w", err)
+			return nil, nil, fmt.Errorf("bad NDJSON line: %w", err)
 		}
 		if probe.Done != nil {
-			s := &expt.WireSummary{}
-			if err := json.Unmarshal(line, s); err != nil {
-				return fmt.Errorf("bad summary line: %w", err)
+			sum = &expt.WireSummary{}
+			if err := json.Unmarshal(line, sum); err != nil {
+				return nil, nil, fmt.Errorf("bad summary line: %w", err)
 			}
-			*sum = s
 			continue
 		}
 		var cell expt.WireCell
 		if err := json.Unmarshal(line, &cell); err != nil {
-			return fmt.Errorf("bad cell line: %w", err)
+			return nil, nil, fmt.Errorf("bad cell line: %w", err)
 		}
-		if cell.Index != passSeen || cell.Index >= len(collected) {
-			return fmt.Errorf("non-canonical cell stream: index %d at position %d", cell.Index, passSeen)
+		if cell.Index != len(cells) {
+			return nil, nil, fmt.Errorf("non-canonical cell stream: index %d at position %d", cell.Index, len(cells))
 		}
-		collected[cell.Index] = cell
-		have[cell.Index] = true
-		passSeen++
-		*cursor = passSeen
+		cells = append(cells, cell)
 	}
-	return sc.Err()
+	return cells, sum, sc.Err()
 }
 
 // postSweep submits the shard's sub-grid and returns the worker-side
@@ -199,7 +154,7 @@ func (c *Coordinator) postSweep(ctx context.Context, w *worker, spec expt.SweepS
 	}
 	req.Header.Set("Content-Type", "application/json")
 	obs.SetRequestIDHeader(req)
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -257,7 +212,7 @@ func (c *Coordinator) cancelSweep(ctx context.Context, w *worker, id string) {
 		return
 	}
 	obs.SetRequestIDHeader(req)
-	if resp, err := c.cfg.Client.Do(req); err == nil {
+	if resp, err := http.DefaultClient.Do(req); err == nil {
 		drainClose(resp)
 	}
 }

@@ -4,22 +4,23 @@
 // worker servers (health-checked over their /healthz endpoints),
 // partitions a sweep grid into deterministic, group-aligned shards
 // (plan.go), dispatches each shard to a worker over the ordinary
-// /v1/sweeps HTTP API and tails its NDJSON cell stream — broken
-// streams are resumed with ?cursor=N, replaying only the frames this
-// dispatch has not consumed yet (dispatch.go) — and re-emits one
-// merged cell stream in canonical grid order, whose fold
-// (expt.AggregateWire) is byte-identical to the aggregate of a
-// single-process run of the same grid (run.go).
+// /v1/sweeps HTTP API and reads its NDJSON cell stream once
+// (dispatch.go), and re-emits the shards whole, in canonical grid
+// order, as one merged cell stream whose fold (expt.AggregateWire) is
+// byte-identical to the aggregate of a single-process run of the same
+// grid (run.go).
 //
-// Failure semantics: a shard delivers its cells to the merger only
-// after the worker's trailing summary confirms a completed sweep, so
-// a worker that dies, times out, or has its sweep canceled mid-shard
-// contributes nothing — it is marked unhealthy and the shard is
-// re-dispatched to another healthy worker, merging exactly once. A
-// worker that merely rejects the dispatch with its sweep gate (503)
-// keeps its health; the shard retries with backoff. The sweep fails
-// only when a shard exhausts its dispatch attempts or no healthy
-// worker remains.
+// Failure semantics: a shard reaches the merger only after the
+// worker's trailing summary confirms a completed sweep, so a dispatch
+// that breaks, comes up short, times out or is canceled mid-shard
+// contributes nothing: the shard is re-queued and uses up one of its
+// dispatch attempts, and the worker's /healthz decides whether it
+// stays in rotation — a live worker re-runs the shard from its result
+// cache, a dead one is marked unhealthy and its shard counts as
+// re-dispatched. A worker that merely rejects the dispatch with its
+// sweep gate (503) keeps its health and costs no attempt; the shard
+// retries with backoff. The sweep fails only when a shard exhausts its
+// dispatch attempts or no healthy worker remains.
 package fleet
 
 import (
@@ -48,26 +49,24 @@ var (
 	ErrInvalidWorkerURL = errors.New("fleet: worker URL must be absolute http(s)")
 )
 
-// Config sizes the coordinator. Zero values pick the documented
-// defaults.
+// Dispatch tuning. Every worker request goes through
+// http.DefaultClient, which has no overall timeout — a shard's cell
+// stream legally stays open for minutes — so non-streaming calls are
+// bounded by per-request contexts instead.
+const (
+	// healthTimeout bounds one /healthz probe.
+	healthTimeout = 3 * time.Second
+	// shardAttempts is how many dispatches one shard may consume —
+	// across different workers — before the whole sweep fails.
+	shardAttempts = 3
+	// retryBackoff paces the re-dispatch of a shard a busy worker's
+	// sweep gate bounced.
+	retryBackoff = 200 * time.Millisecond
+)
+
+// Config wires the coordinator to its process. Zero values pick the
+// documented defaults.
 type Config struct {
-	// Client issues every worker request. The default client has no
-	// overall timeout — a shard's cell stream legally stays open for
-	// minutes — so non-streaming calls are bounded by per-request
-	// contexts instead.
-	Client *http.Client
-	// HealthTimeout bounds one /healthz probe (default 3s).
-	HealthTimeout time.Duration
-	// ShardAttempts is how many dispatches one shard may consume —
-	// across different workers — before the whole sweep fails
-	// (default 3).
-	ShardAttempts int
-	// StreamResumes is how many times a broken cell stream is resumed
-	// on the same worker sweep before the shard counts as failed on
-	// that worker and is re-dispatched elsewhere (default 2).
-	StreamResumes int
-	// RetryBackoff separates stream resume attempts (default 200ms).
-	RetryBackoff time.Duration
 	// Metrics receives the coordinator's instruments (shard dispatch
 	// counters, worker health transitions, per-worker shard latency).
 	// Nil gets a private registry, so an unwired coordinator still
@@ -78,26 +77,11 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Client == nil {
-		c.Client = &http.Client{}
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 3 * time.Second
-	}
-	if c.ShardAttempts <= 0 {
-		c.ShardAttempts = 3
-	}
-	if c.StreamResumes <= 0 {
-		c.StreamResumes = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 200 * time.Millisecond
 	}
 	return c
 }
@@ -116,7 +100,7 @@ type Coordinator struct {
 // New returns a coordinator with an empty registry.
 func New(cfg Config) *Coordinator {
 	c := &Coordinator{cfg: cfg.withDefaults()}
-	c.metrics = newFleetMetrics(c.cfg.Metrics, c.cfg.Logger, c)
+	c.metrics = newFleetMetrics(c.cfg.Metrics, c)
 	return c
 }
 
@@ -227,7 +211,7 @@ func (c *Coordinator) Register(ctx context.Context, rawURL string) (WorkerStatus
 }
 
 // Workers re-probes every registered worker — concurrently, so a
-// registry full of unreachable workers costs one HealthTimeout, not
+// registry full of unreachable workers costs one healthTimeout, not
 // one per worker — and returns their statuses, sorted by worker ID
 // (registration order).
 func (c *Coordinator) Workers(ctx context.Context) []WorkerStatus {
@@ -275,14 +259,14 @@ func (c *Coordinator) snapshot() []*worker {
 
 // probe hits the worker's /healthz once, records the result, and
 // reports health. The probe detaches from the caller's cancellation
-// (keeping only its own HealthTimeout): recorded health must reflect
+// (keeping only its own healthTimeout): recorded health must reflect
 // the worker, never the patience of whichever client happened to
 // trigger the probe — a scraper disconnecting from GET
 // /v1/fleet/workers must not poison the registry. A target whose
 // healthz identifies it as a coordinator is rejected: fleets do not
 // nest, and dispatching a shard to another coordinator would recurse.
 func (c *Coordinator) probe(ctx context.Context, w *worker) bool {
-	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), c.cfg.HealthTimeout)
+	pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, w.url+"/healthz", nil)
 	if err != nil {
@@ -290,7 +274,7 @@ func (c *Coordinator) probe(ctx context.Context, w *worker) bool {
 		return false
 	}
 	obs.SetRequestIDHeader(req)
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		w.setHealth(false, err.Error())
 		return false

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
@@ -47,15 +46,6 @@ func startWorker(t *testing.T) string {
 		mgr.Close()
 	})
 	return srv.URL
-}
-
-func testConfig() fleet.Config {
-	return fleet.Config{
-		HealthTimeout: 2 * time.Second,
-		ShardAttempts: 3,
-		StreamResumes: 1,
-		RetryBackoff:  time.Millisecond,
-	}
 }
 
 func register(t *testing.T, c *fleet.Coordinator, url string) {
@@ -119,7 +109,7 @@ func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []expt.WireCell) {
 // gating, duplicate handling and status reporting.
 func TestRegisterAndHealth(t *testing.T) {
 	t.Parallel()
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	if _, err := c.Register(context.Background(), "not-a-url"); err == nil {
 		t.Fatal("relative URL accepted")
 	}
@@ -185,7 +175,7 @@ func (f noAggregateFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // grid.
 func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	for range 2 {
 		mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
 		srv := httptest.NewServer(noAggregateFront{t: t, real: service.NewHandler(mgr)})
@@ -277,10 +267,10 @@ func (cw *cuttingWriter) Flush() {
 
 // TestRunGridRedispatchesShardWhenWorkerDies kills one worker after it
 // streamed a single cell: the coordinator must mark it unhealthy,
-// re-dispatch the shard to the surviving worker, skip the
-// already-merged cell on the replayed stream, and still complete the
-// full grid with a byte-identical aggregate — and its metrics must
-// record the churn (unhealthy-worker gauge, re-dispatch counter).
+// re-dispatch the whole shard to the surviving worker, and still
+// complete the full grid with a byte-identical aggregate — and its
+// metrics must record the churn (unhealthy-worker gauge, re-dispatch
+// counter).
 func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	t.Parallel()
 	mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
@@ -292,9 +282,7 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	})
 
 	reg := obs.NewRegistry()
-	cfg := testConfig()
-	cfg.Metrics = reg
-	c := fleet.New(cfg)
+	c := fleet.New(fleet.Config{Metrics: reg})
 	register(t, c, flaky.URL)
 	register(t, c, startWorker(t))
 
@@ -349,6 +337,100 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	}
 	if v, _ := m.Value("adnet_fleet_shard_duration_seconds_count", map[string]string{"worker": "worker-002"}); v < 1 {
 		t.Errorf("surviving worker's shard-latency observations = %v, want >= 1", v)
+	}
+}
+
+// cutOnceFront fronts a real worker and cuts its first cell stream
+// after one line — the connection aborts mid-body — while the worker
+// itself stays up and answers everything else, later streams included.
+// It models a network fault between a live worker and the coordinator.
+type cutOnceFront struct {
+	real http.Handler
+
+	mu  sync.Mutex
+	cut bool
+}
+
+func (f *cutOnceFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	f.mu.Lock()
+	cut := !f.cut && r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/cells")
+	f.cut = f.cut || cut
+	f.mu.Unlock()
+	if !cut {
+		f.real.ServeHTTP(w, r)
+		return
+	}
+	f.real.ServeHTTP(&oneLineWriter{ResponseWriter: w}, r)
+	panic(http.ErrAbortHandler)
+}
+
+// oneLineWriter forwards one write, then fails every later one.
+type oneLineWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (o *oneLineWriter) Write(p []byte) (int, error) {
+	if o.wrote {
+		return 0, errors.New("connection cut")
+	}
+	o.wrote = true
+	n, err := o.ResponseWriter.Write(p)
+	if f, ok := o.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+	return n, err
+}
+
+// TestRunGridRedispatchesBrokenStreamToLiveWorker: a stream that breaks
+// while its worker stays alive costs the shard one dispatch attempt and
+// nothing else — the worker passes its health probe, stays in rotation
+// and re-runs the shard, no shard counts as re-dispatched, and the
+// grid's fold is byte-identical to a single-process run.
+func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
+	t.Parallel()
+	mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+	front := &cutOnceFront{real: service.NewHandler(mgr)}
+	srv := httptest.NewServer(front)
+	t.Cleanup(func() {
+		srv.Close()
+		mgr.Close()
+	})
+
+	reg := obs.NewRegistry()
+	c := fleet.New(fleet.Config{Metrics: reg})
+	register(t, c, srv.URL)
+
+	var merged []expt.WireCell
+	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+		merged = append(merged, cell)
+	}, fleet.GridHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front.mu.Lock()
+	cut := front.cut
+	front.mu.Unlock()
+	if !cut {
+		t.Fatal("no cell stream was cut")
+	}
+	checkMergedCells(t, testSpec, merged)
+	if !sum.Done || sum.Redispatches != 0 {
+		t.Fatalf("summary = %+v, want done with 0 re-dispatches", sum)
+	}
+	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
+		t.Fatalf("aggregate after a broken stream diverged:\n%s\nvs\n%s", out, want)
+	}
+	if ws := c.Workers(context.Background()); len(ws) != 1 || !ws[0].Healthy {
+		t.Fatalf("live worker lost its health: %+v", ws)
+	}
+	m := scrapeRegistry(t, reg)
+	if v, _ := m.Value("adnet_fleet_worker_health_transitions_total",
+		map[string]string{"to": "unhealthy"}); v != 0 {
+		t.Errorf("unhealthy transitions = %v, want 0", v)
+	}
+	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v != float64(sum.Shards+1) {
+		t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the broken one)", v, sum.Shards+1)
 	}
 }
 
@@ -455,7 +537,7 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 		mgr.Close()
 	})
 
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	register(t, c, srv.URL)
 
 	var merged []expt.WireCell
@@ -490,7 +572,7 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 		mgr.Close()
 	})
 
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	register(t, c, busy.URL)
 
 	var merged []expt.WireCell
@@ -517,7 +599,7 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 // sweep fails fast but still emits one skip-marked line per cell.
 func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 	t.Parallel()
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	var merged []expt.WireCell
 	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
 		merged = append(merged, cell)
@@ -544,7 +626,7 @@ func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 // cancellation, and still emit the full per-cell wire shape.
 func TestRunGridCancelMidSweep(t *testing.T) {
 	t.Parallel()
-	c := fleet.New(testConfig())
+	c := fleet.New(fleet.Config{})
 	register(t, c, startWorker(t))
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,25 +1,18 @@
 package fleet
 
-import (
-	"log/slog"
-
-	"adnet/internal/obs"
-)
+import "adnet/internal/obs"
 
 // fleetMetrics holds the coordinator's instruments. Every Coordinator
 // owns its own set, registered on Config.Metrics — no package-global
 // state, so parallel coordinators (tests) never share counters.
 type fleetMetrics struct {
-	log *slog.Logger
-
 	// Dispatch outcomes. Dispatched counts every attempt posted to a
 	// worker; redispatched counts shards handed to another worker after
-	// theirs broke mid-shard; busy retries and stream resumes are the
-	// two recoveries that do not change worker health.
+	// theirs died mid-shard; busy retries are the recovery that costs
+	// neither an attempt nor worker health.
 	shardsDispatched   *obs.Counter
 	shardsRedispatched *obs.Counter
 	busyRetries        *obs.Counter
-	streamResumes      *obs.Counter
 
 	// healthTransitions counts state *changes* only — a worker probed
 	// healthy a hundred times in a row moves the counter once.
@@ -32,7 +25,7 @@ type fleetMetrics struct {
 
 // newFleetMetrics registers the coordinator's instruments, including
 // scrape-time gauges over the registry counts.
-func newFleetMetrics(reg *obs.Registry, logger *slog.Logger, c *Coordinator) *fleetMetrics {
+func newFleetMetrics(reg *obs.Registry, c *Coordinator) *fleetMetrics {
 	reg.GaugeFunc("adnet_fleet_workers",
 		"Workers in the registry.",
 		func() float64 { w, _ := c.Counts(); return float64(w) })
@@ -40,15 +33,12 @@ func newFleetMetrics(reg *obs.Registry, logger *slog.Logger, c *Coordinator) *fl
 		"Registered workers healthy as of their last probe.",
 		func() float64 { _, h := c.Counts(); return float64(h) })
 	return &fleetMetrics{
-		log: logger,
 		shardsDispatched: reg.Counter("adnet_fleet_shards_dispatched_total",
 			"Shard dispatch attempts posted to workers (re-dispatches and retries included)."),
 		shardsRedispatched: reg.Counter("adnet_fleet_shards_redispatched_total",
 			"Shards re-queued for another worker after theirs broke mid-shard."),
 		busyRetries: reg.Counter("adnet_fleet_busy_retries_total",
 			"Dispatches bounced by a worker's sweep gate (503) and requeued without penalty."),
-		streamResumes: reg.Counter("adnet_fleet_stream_resumes_total",
-			"Broken shard cell streams resumed from their ?cursor=N offset."),
 		healthTransitions: reg.CounterVec("adnet_fleet_worker_health_transitions_total",
 			"Worker health state changes, by the state entered.",
 			"to"),
@@ -63,9 +53,6 @@ func newFleetMetrics(reg *obs.Registry, logger *slog.Logger, c *Coordinator) *fl
 // worker.setHealth with the worker lock held, so the counter moves in
 // the same order the registry state does.
 func (fm *fleetMetrics) noteHealthTransition(healthy bool) {
-	if fm == nil {
-		return
-	}
 	if healthy {
 		fm.healthTransitions.With("healthy").Inc()
 	} else {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +43,10 @@ type ShardResult struct {
 
 // GridHooks wires RunGrid to a durability layer. Completed is asked
 // once per planned shard (by canonical shard key) before dispatch; a
-// hit delivers the recorded cells (marked FromCache) instead of
-// running the shard. Persist receives every shard this run
-// completes, after its cells were delivered — it may be called
-// concurrently from dispatcher goroutines. Either hook may be nil.
+// hit merges the recorded cells (marked FromCache) instead of running
+// the shard. Persist receives every shard this run completes, after
+// the shard was handed to the merger — it may be called concurrently
+// from dispatcher goroutines. Either hook may be nil.
 type GridHooks struct {
 	Completed func(shardKey string) (ShardResult, bool)
 	Persist   func(ShardResult)
@@ -60,7 +61,7 @@ type GridHooks struct {
 //
 // On failure (cancellation, or a shard out of dispatch attempts with
 // no healthy worker left) RunGrid still emits one line per cell: the
-// cells that merged before the failure, then error-marked skip cells
+// cells of every shard that completed, then error-marked skip cells
 // for the rest — the same wire contract a single-process sweep keeps
 // under cancellation — and returns the failure.
 //
@@ -76,7 +77,12 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	cells := spec.Cells()
 	sum := Summary{WireSummary: expt.WireSummary{Cells: len(cells)}, Shards: len(shards)}
 
-	replayed := make(map[int]ShardResult)
+	// A journaled shard is complete before dispatch starts: its recorded
+	// cells are its progress, marked FromCache (journal-recovered error
+	// cells keep their flags), and its executed count stays 0 — that
+	// work ran in a previous process life, not this one.
+	progress := make([]shardProgress, len(shards))
+	journaled := 0
 	if hooks.Completed != nil {
 		for i := range shards {
 			res, ok := hooks.Completed(shards[i].Key)
@@ -90,17 +96,24 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 					slog.Int("shard", i), slog.Int("cells", len(res.Cells)))
 				continue
 			}
-			replayed[i] = res
-			sum.Replayed += len(res.Cells)
+			replayed := slices.Clone(res.Cells)
+			for j := range replayed {
+				if replayed[j].Error == "" {
+					replayed[j].FromCache = true
+				}
+			}
+			progress[i].cells = replayed
+			journaled++
+			sum.Replayed += len(replayed)
 		}
 	}
 
 	workers := c.healthyWorkers(ctx)
 	c.cfg.Logger.InfoContext(ctx, "fleet sweep dispatching",
 		slog.Int("cells", len(cells)), slog.Int("shards", len(shards)),
-		slog.Int("replayed_shards", len(replayed)),
+		slog.Int("replayed_shards", journaled),
 		slog.Int("workers", len(workers)))
-	progress, runErr := c.dispatchAll(ctx, shards, workers, &sum, cells, emit, replayed, hooks.Persist)
+	runErr := c.dispatchAll(ctx, shards, cells, progress, workers, &sum, emit, hooks.Persist)
 	// Shards that completed before a failure still did their work:
 	// keep their Executed counts in the summary, like the incremental
 	// single-process summary would.
@@ -111,17 +124,16 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	return sum, runErr
 }
 
-// dispatchAll runs the shard queue to completion and merges
-// deliveries. It owns the merge/emit loop; dispatcher goroutines own
-// shard execution. Shards in replayed never touch the queue: their
-// recorded cells are injected into the delivery stream by a local
-// replayer goroutine, and their executed count stays 0 — that work ran
-// in a previous process life, not this one.
-func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers []*worker,
-	sum *Summary, cells []expt.Cell, emit func(expt.WireCell),
-	replayed map[int]ShardResult, persist func(ShardResult)) ([]shardProgress, error) {
-	progress := make([]shardProgress, len(shards))
-
+// dispatchAll runs the shard queue to completion and merges whole
+// shards. Dispatcher goroutines own shard execution: the one that
+// completes shard idx leaves its cells in progress[idx], sends idx on
+// ready, and then persists the shard. The calling goroutine owns the
+// merge: it emits ready shards in canonical order, rewriting each
+// cell's shard-local index to its global one. Shards whose progress
+// already holds cells (journaled) never enter the queue.
+func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []expt.Cell,
+	progress []shardProgress, workers []*worker, sum *Summary,
+	emit func(expt.WireCell), persist func(ShardResult)) error {
 	emitCount := func(cell expt.WireCell) {
 		if cell.Error != "" {
 			sum.Errors++
@@ -133,60 +145,74 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 		}
 	}
 
-	fail := func(next int, buffered map[int]expt.WireCell, cause error) ([]shardProgress, error) {
-		// Keep the wire contract: one line per cell. Merged and
-		// buffered cells stand; the gaps become skip cells.
-		skipped := fmt.Errorf("fleet: cell skipped: %w", cause)
-		for ; next < len(cells); next++ {
-			cell, ok := buffered[next]
-			if !ok {
-				cell = expt.CellResult{Index: next, Cell: cells[next], Err: skipped}.Wire()
-			}
+	// complete[i] is the merger's own record that shard i completed;
+	// next is the first shard not emitted yet.
+	complete := make([]bool, len(shards))
+	next := 0
+	emitShard := func(i int) {
+		for j, cell := range progress[i].cells {
+			cell.Index = shards[i].Offset + j
 			emitCount(cell)
 		}
-		return progress, cause
 	}
-
-	// A fully replayed grid needs no workers; anything left to dispatch
-	// does.
-	if len(workers) == 0 && len(replayed) < len(shards) {
-		return fail(0, nil, ErrNoWorkers)
+	flush := func() {
+		for ; next < len(shards) && complete[next]; next++ {
+			emitShard(next)
+		}
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	fail := func(cause error) error {
+		// Keep the wire contract: one line per cell. Complete shards
+		// stand; the rest become skip cells.
+		skipped := fmt.Errorf("fleet: cell skipped: %w", cause)
+		for ; next < len(shards); next++ {
+			if complete[next] {
+				emitShard(next)
+				continue
+			}
+			for i := shards[next].Offset; i < shards[next].Offset+shards[next].NumCells(); i++ {
+				emitCount(expt.CellResult{Index: i, Cell: cells[i], Err: skipped}.Wire())
+			}
+		}
+		return cause
+	}
 
 	// queue holds shard indices; capacity len(shards) means a requeue
 	// never blocks (a shard is in at most one place: queued, running,
-	// or done). The queue is closed exactly once, by the dispatcher
-	// that finishes the last shard — a requeue implies an unfinished
+	// or done). The queue is closed exactly once, when pending reaches
+	// zero — up front for a fully journaled grid, else by the dispatcher
+	// that finishes the last shard; a requeue implies an unfinished
 	// shard, so no send can race the close. Fatal shutdown goes
 	// through runCtx cancellation instead of a close: idle dispatchers
 	// wake on Done, and a closed-channel send is impossible.
 	queue := make(chan int, len(shards))
+	var pending atomic.Int32
 	for i := range shards {
-		if _, ok := replayed[i]; !ok {
+		complete[i] = progress[i].cells != nil
+		if !complete[i] {
 			queue <- i
+			pending.Add(1)
 		}
 	}
-	var closeOnce sync.Once
-	closeQueue := func() { closeOnce.Do(func() { close(queue) }) }
+	// A fully journaled grid needs no workers; anything left to
+	// dispatch does.
+	if len(workers) == 0 && pending.Load() > 0 {
+		return fail(ErrNoWorkers)
+	}
+	if pending.Load() == 0 {
+		close(queue)
+	}
+	// ready carries completed shard indices to the merger; each shard
+	// completes once, so a send never blocks.
+	ready := make(chan int, len(shards))
 
-	deliveries := make(chan expt.WireCell, 64)
-
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
-		done         atomic.Int32
 		fatalMu      sync.Mutex
 		fatalErr     error
 		redispatches atomic.Int32
 		wg           sync.WaitGroup
 	)
-	// Replayed shards are born done; with nothing left to dispatch the
-	// queue closes now so idle dispatchers drain out immediately.
-	done.Store(int32(len(replayed)))
-	if int(done.Load()) == len(shards) {
-		closeQueue()
-	}
 	setFatal := func(err error) {
 		fatalMu.Lock()
 		if fatalErr == nil {
@@ -214,23 +240,19 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 				sp := &progress[idx]
 				c.metrics.shardsDispatched.Inc()
 				dispatchStart := time.Now()
-				err := c.runShard(runCtx, w, shards[idx], sp, func(cell expt.WireCell) {
-					select {
-					case deliveries <- cell:
-					case <-runCtx.Done():
-					}
-				})
+				err := c.runShard(runCtx, w, shards[idx], sp)
 				if err == nil {
 					c.metrics.shardSeconds.With(w.id).Observe(time.Since(dispatchStart).Seconds())
 					w.noteShardDone()
+					ready <- idx
 					if persist != nil {
 						persist(ShardResult{
 							Key: shards[idx].Key, Index: idx, Offset: shards[idx].Offset,
 							Cells: sp.cells,
 						})
 					}
-					if int(done.Add(1)) == len(shards) {
-						closeQueue()
+					if pending.Add(-1) == 0 {
+						close(queue)
 					}
 					continue
 				}
@@ -245,7 +267,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 					// bounds how long this loop may pace.
 					c.metrics.busyRetries.Inc()
 					select {
-					case <-time.After(c.cfg.RetryBackoff):
+					case <-time.After(retryBackoff):
 					case <-runCtx.Done():
 						return
 					}
@@ -261,80 +283,43 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 					return
 				}
 				sp.attempts++
-				if sp.attempts >= c.cfg.ShardAttempts {
+				if sp.attempts >= shardAttempts {
 					setFatal(fmt.Errorf("fleet: shard %d (%s) failed after %d dispatch attempts: %w",
 						idx, shards[idx].Key, sp.attempts, err))
 					return
 				}
-				if errors.Is(err, errSweepIncomplete) {
-					// The worker proved itself alive by streaming the
-					// full canceled shape — a worker-side sweep time
-					// limit or third-party cancellation — so it keeps
-					// its health and this dispatcher stays in rotation;
-					// each cycle cost real worker time, so it does
-					// consume a dispatch attempt.
-					queue <- idx
+				// Any other failure — a broken or short stream, an
+				// incomplete worker sweep, a failed POST — re-queues the
+				// shard, and the worker's own /healthz decides what it
+				// cost the worker. A live worker keeps dispatching: a
+				// re-dispatch re-hits its result cache. A dead one is
+				// out of rotation (the probe marked it unhealthy) and
+				// its shard counts as re-dispatched. If this was the
+				// last live dispatcher, the requeued index sits in the
+				// buffered queue and RunGrid reports ErrNoWorkers once
+				// every dispatcher has drained out.
+				queue <- idx
+				if c.probe(runCtx, w) {
 					continue
 				}
-				// The worker broke mid-shard: take it out of rotation
-				// and hand the shard to whoever is still alive. If this
-				// was the last live dispatcher, the requeued index sits
-				// in the buffered queue and RunGrid reports ErrNoWorkers
-				// once every dispatcher has drained out.
-				w.setHealth(false, err.Error())
 				c.metrics.shardsRedispatched.Inc()
-				c.cfg.Logger.WarnContext(runCtx, "fleet worker broke mid-shard; re-dispatching",
+				c.cfg.Logger.WarnContext(runCtx, "fleet worker died mid-shard; re-dispatching",
 					slog.String("worker", w.id), slog.Int("shard", idx),
 					slog.String("error", err.Error()))
 				redispatches.Add(1)
-				queue <- idx
 				return
 			}
 		}(w)
 	}
-	if len(replayed) > 0 {
-		// The replayer is a local "dispatcher" for journaled shards: it
-		// injects their recorded cells — global indexes, marked
-		// FromCache (journal-recovered error cells keep their flags) —
-		// into the same delivery stream live shards feed.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx, res := range replayed {
-				for i, cell := range res.Cells {
-					cell.Index = shards[idx].Offset + i
-					if cell.Error == "" {
-						cell.FromCache = true
-					}
-					select {
-					case deliveries <- cell:
-					case <-runCtx.Done():
-						return
-					}
-				}
-			}
-		}()
-	}
 	go func() {
 		wg.Wait()
-		close(deliveries)
+		close(ready)
 	}()
 
-	// Merge: deliveries arrive shard-ordered per shard but interleaved
-	// across shards; re-emit in global canonical order.
-	next := 0
-	buffered := make(map[int]expt.WireCell)
-	for d := range deliveries {
-		buffered[d.Index] = d
-		for {
-			cell, ok := buffered[next]
-			if !ok {
-				break
-			}
-			delete(buffered, next)
-			emitCount(cell)
-			next++
-		}
+	flush()
+	for idx := range ready {
+		complete[idx] = true
+		flush()
 	}
 	sum.Redispatches = int(redispatches.Load())
 
@@ -343,11 +328,11 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, workers [
 	fatalMu.Unlock()
 	switch {
 	case ctx.Err() != nil:
-		return fail(next, buffered, fmt.Errorf("fleet: sweep: %w", sim.ErrCanceled))
+		return fail(fmt.Errorf("fleet: sweep: %w", sim.ErrCanceled))
 	case cause != nil:
-		return fail(next, buffered, cause)
-	case int(done.Load()) != len(shards):
-		return fail(next, buffered, ErrNoWorkers)
+		return fail(cause)
+	case pending.Load() != 0:
+		return fail(ErrNoWorkers)
 	}
-	return progress, nil
+	return nil
 }

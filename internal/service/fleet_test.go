@@ -24,7 +24,7 @@ import (
 // workerCount real worker servers (each a full manager + handler).
 func newCoordinator(t *testing.T, workerCount int) (*httptest.Server, *Manager) {
 	t.Helper()
-	coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+	coord := fleet.New(fleet.Config{})
 	for i := 0; i < workerCount; i++ {
 		worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
 		if _, err := coord.Register(t.Context(), worker.URL); err != nil {
@@ -145,7 +145,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		workerURLs = append(workerURLs, w.URL)
 	}
 	newCoordMgr := func() *Manager {
-		coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+		coord := fleet.New(fleet.Config{})
 		for _, u := range workerURLs {
 			if _, err := coord.Register(t.Context(), u); err != nil {
 				t.Fatal(err)
@@ -277,7 +277,7 @@ func TestCoordinatorResumesShardRecords(t *testing.T) {
 				journal.Record{Kind: recHeader, Data: header}, journal.Record{Kind: recShard, Data: []byte(record)})
 
 			worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
-			coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+			coord := fleet.New(fleet.Config{})
 			if _, err := coord.Register(t.Context(), worker.URL); err != nil {
 				t.Fatal(err)
 			}
@@ -330,7 +330,7 @@ func TestRecoverCachesShardCellsUnderGridKeys(t *testing.T) {
 	}
 
 	worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
-	coord := fleet.New(fleet.Config{RetryBackoff: time.Millisecond})
+	coord := fleet.New(fleet.Config{})
 	if _, err := coord.Register(t.Context(), worker.URL); err != nil {
 		t.Fatal(err)
 	}
