@@ -41,6 +41,13 @@ type (
 		Mode   Mode
 		Target graph.ID
 	}
+	// gtsForeign is one foreign announcement a member heard at step 0,
+	// and the original neighbor it came over. makeReport's tie-break
+	// on via makes the order they are held in irrelevant.
+	gtsForeign struct {
+		via graph.ID
+		ann Announce
+	}
 )
 
 const gtsPhaseLen = 8
@@ -66,7 +73,7 @@ type GraphToStar struct {
 	followers []graph.ID
 
 	// Phase scratch, reset at every phase start.
-	foreign     map[graph.ID]Announce // orig neighbor -> its announcement
+	foreign     []gtsForeign // this phase's foreign announcements
 	reports     []gtsReport
 	queriers    []graph.ID // pulling committees that queried us
 	linkers     []graph.ID // leaders that linked to us this phase
@@ -114,11 +121,10 @@ var _ sim.Machine = (*GraphToStar)(nil)
 func NewGraphToStarFactory() sim.Factory {
 	return func(id graph.ID, _ sim.Env) sim.Machine {
 		return &GraphToStar{
-			selfID:  id,
-			role:    RoleLeader,
-			leader:  id,
-			mode:    ModeSelection,
-			foreign: make(map[graph.ID]Announce),
+			selfID: id,
+			role:   RoleLeader,
+			leader: id,
+			mode:   ModeSelection,
 		}
 	}
 }
@@ -126,18 +132,17 @@ func NewGraphToStarFactory() sim.Factory {
 var _ sim.Recycler = (*GraphToStar)(nil)
 
 // Recycle implements sim.Recycler: it restores the machine to its
-// factory-fresh state for (id, env) while keeping the follower slice,
-// report buffer and foreign map capacity, making repeated runs through
-// a recycling engine allocation-free.
+// factory-fresh state for (id, env) while keeping the capacity of its
+// follower, foreign, report, querier and linker slices, making repeated
+// runs through a recycling engine allocation-free.
 func (m *GraphToStar) Recycle(id graph.ID, _ sim.Env) {
-	clear(m.foreign)
 	*m = GraphToStar{
 		selfID:    id,
 		role:      RoleLeader,
 		leader:    id,
 		mode:      ModeSelection,
 		followers: m.followers[:0],
-		foreign:   m.foreign,
+		foreign:   m.foreign[:0],
 		reports:   m.reports[:0],
 		queriers:  m.queriers[:0],
 		linkers:   m.linkers[:0],
@@ -228,7 +233,7 @@ func (m *GraphToStar) Receive(ctx *sim.Context, inbox []sim.Message) {
 		m.resetPhase()
 		for _, msg := range inbox {
 			if ann, ok := msg.Payload.(*Announce); ok && ann.Leader != m.leader {
-				m.foreign[msg.From] = *ann
+				m.foreign = append(m.foreign, gtsForeign{via: msg.From, ann: *ann})
 			}
 		}
 	case 1:
@@ -327,15 +332,15 @@ func (m *GraphToStar) Receive(ctx *sim.Context, inbox []sim.Message) {
 // makeReport summarizes this phase's foreign announcements.
 func (m *GraphToStar) makeReport() gtsReport {
 	rep := gtsReport{AnyForeign: len(m.foreign) > 0}
-	for via, ann := range m.foreign {
-		if !ann.Mode.selectable() {
+	for _, f := range m.foreign {
+		if !f.ann.Mode.selectable() {
 			continue
 		}
-		if !rep.HasBest || ann.Leader > rep.BestLeader ||
-			(ann.Leader == rep.BestLeader && via < rep.Via) {
+		if !rep.HasBest || f.ann.Leader > rep.BestLeader ||
+			(f.ann.Leader == rep.BestLeader && f.via < rep.Via) {
 			rep.HasBest = true
-			rep.BestLeader = ann.Leader
-			rep.Via = via
+			rep.BestLeader = f.ann.Leader
+			rep.Via = f.via
 		}
 	}
 	return rep
@@ -490,7 +495,7 @@ func (m *GraphToStar) decideNextMode() {
 
 func (m *GraphToStar) resetPhase() {
 	m.execMerge = m.mode == ModeMerging
-	clear(m.foreign)
+	m.foreign = m.foreign[:0]
 	m.reports = m.reports[:0]
 	m.selecting = false
 	m.selTarget = 0

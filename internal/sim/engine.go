@@ -224,10 +224,14 @@ func (e *Engine) Run() (*Result, error) {
 	inboxes := e.inboxes[:n]
 	batch := &e.batch
 
-	// Init phase.
+	// Init phase. failed notes, as the steps run, that some slot
+	// recorded an error, so the O(n) ctxErr scan runs only on the way
+	// out; an Init error surfaces after round 1's Send.
+	failed := false
 	for i := range machines {
 		ctxs[i].round = 0
 		machines[i].Init(&ctxs[i])
+		failed = failed || ctxs[i].err != nil
 	}
 	if len(cfg.startHooks) > 0 {
 		e.initSlots = hist.AppendInitialEdges(e.initSlots)
@@ -252,9 +256,10 @@ func (e *Engine) Run() (*Result, error) {
 		e.curRound = round
 		for i := range ctxs {
 			e.send(i)
+			failed = failed || ctxs[i].err != nil
 		}
-		if err := e.ctxErr(); err != nil {
-			return e.finish(round, totalMsgs, maxMsgs), err
+		if failed {
+			return e.finish(round, totalMsgs, maxMsgs), e.ctxErr()
 		}
 		// --- Deliver: destination slots were resolved at Send time;
 		// whether the edge is active is asked of the History by ID. ---
@@ -296,9 +301,10 @@ func (e *Engine) Run() (*Result, error) {
 		// any the Send phase issued ---
 		for i := range ctxs {
 			e.receive(i)
+			failed = failed || ctxs[i].err != nil
 		}
-		if err := e.ctxErr(); err != nil {
-			return e.finish(round, totalMsgs, maxMsgs), err
+		if failed {
+			return e.finish(round, totalMsgs, maxMsgs), e.ctxErr()
 		}
 
 		// --- Activate / Deactivate ---
@@ -411,7 +417,7 @@ func (e *Engine) protect(ctx *Context, i int, step func()) {
 	step()
 }
 
-// ctxErr returns the first per-context error recorded this phase.
+// ctxErr returns the lowest slot's error recorded this phase.
 func (e *Engine) ctxErr() error {
 	for i := range e.ctxs[:e.n] {
 		if err := e.ctxs[i].err; err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"adnet/internal/graph"
@@ -213,6 +214,59 @@ func TestSelfLoopIntentFails(t *testing.T) {
 	_, err := Run(graph.Line(3), func(graph.ID, Env) Machine { return selfLooper{} })
 	if err == nil {
 		t.Fatalf("self-loop intent accepted")
+	}
+}
+
+// phaseFailer broadcasts every round and, in one phase of one round,
+// makes the listed nodes request a self-loop, which fails them.
+type phaseFailer struct {
+	phase string // "init", "send" or "receive"
+	round int
+	nodes []graph.ID
+}
+
+func (m phaseFailer) fail(ctx *Context, phase string) {
+	if phase == m.phase && ctx.Round() == m.round && slices.Contains(m.nodes, ctx.ID()) {
+		ctx.Activate(ctx.ID())
+	}
+}
+
+func (m phaseFailer) Init(ctx *Context) { m.fail(ctx, "init") }
+func (m phaseFailer) Send(ctx *Context) {
+	ctx.Broadcast(ctx.ID())
+	m.fail(ctx, "send")
+}
+func (m phaseFailer) Receive(ctx *Context, _ []Message) { m.fail(ctx, "receive") }
+
+// TestLowestSlotErrorWins: when two slots fail in the same phase, Run
+// returns the lower slot's error, with the partial Result of the round
+// it stopped in — the messages of a failed Send phase are never
+// delivered, those of a failed Receive phase are. An Init failure
+// surfaces after round 1's Send.
+func TestLowestSlotErrorWins(t *testing.T) {
+	t.Parallel()
+	const perRound = 14 // Line(8): every node broadcasts to its neighbors
+	for _, tc := range []struct {
+		phase                          string
+		round, wantRounds, wantMsgs    int
+		wantMaxMsgs, wantAppliedRounds int
+	}{
+		{"init", 0, 1, 0, 0, 0},
+		{"send", 3, 3, 2 * perRound, perRound, 2},
+		{"receive", 3, 3, 3 * perRound, perRound, 2},
+	} {
+		m := phaseFailer{phase: tc.phase, round: tc.round, nodes: []graph.ID{5, 2, 6}}
+		res, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m })
+		if err == nil || err.Error() != "sim: node 2 activated a self-loop" {
+			t.Errorf("%s: err = %v, want node 2's self-loop", tc.phase, err)
+			continue
+		}
+		if res.Rounds != tc.wantRounds || res.TotalMessages != tc.wantMsgs ||
+			res.MaxMessagesPerRound != tc.wantMaxMsgs || res.Metrics.Rounds != tc.wantAppliedRounds {
+			t.Errorf("%s: rounds %d, messages %d (max %d), applied rounds %d; want %d, %d (%d), %d", tc.phase,
+				res.Rounds, res.TotalMessages, res.MaxMessagesPerRound, res.Metrics.Rounds,
+				tc.wantRounds, tc.wantMsgs, tc.wantMaxMsgs, tc.wantAppliedRounds)
+		}
 	}
 }
 

@@ -110,6 +110,26 @@ func TestApplyEnvironmentCutRemovesActivatedAlive(t *testing.T) {
 	if err != nil || st.ActivatedAlive != 1 {
 		t.Fatalf("original-edge cut: %v %+v", err, st)
 	}
+	// An edge the environment added never enters the measure, and the
+	// algorithm deactivating it does not move the measure either.
+	st, err = h.ApplyEnvironment([]graph.Edge{edge(0, 3)}, nil)
+	if err != nil || st.ActivatedAlive != 1 {
+		t.Fatalf("env activation of {0,3}: %v %+v", err, st)
+	}
+	st, err = h.Apply(nil, []graph.Edge{edge(0, 3)})
+	if err != nil || st.Deactivated != 1 || st.ActivatedAlive != 1 {
+		t.Fatalf("algorithm deactivation of env-added {0,3}: %v %+v", err, st)
+	}
+	if got := h.ActivatedDegreeAtSlot(0); got != 0 {
+		t.Fatalf("ActivatedDegreeAtSlot(0) = %d, want 0 after the env edge went", got)
+	}
+	alive = h.AppendActivatedAlive(alive)
+	if len(alive) != 1 || alive[0] != edge(1, 3) {
+		t.Fatalf("AppendActivatedAlive = %v, want [{1 3}]", alive)
+	}
+	if m := h.Metrics(); m.FinalActivatedAlive != 1 || m.MaxActivatedEdges != 2 {
+		t.Fatalf("metrics: %+v", m)
+	}
 }
 
 func TestAppendLastDeltaEnvLists(t *testing.T) {

@@ -78,10 +78,17 @@ type History struct {
 	round   int        // index of the next round to apply, starting at 1
 
 	// m accumulates the running cost measures; Metrics() completes it
-	// with the three fields derived from round and the snapshots.
-	m              Metrics
-	activatedAlive map[graph.Edge]struct{} // E(i) \ E(1)
-	activatedDeg   []int                   // slot-indexed degree in D(i) \ D(1)
+	// with the two fields derived from round and the current snapshot.
+	// m.FinalActivatedAlive is the running activated-alive count: the
+	// measure is a count, not a set. E(i) \ E(1) is the
+	// algorithm-activated edges alive ⊎ envAlive, the non-original edges
+	// the environment activated that are still alive (sorted, and empty
+	// on the strict path), so an edge of E(i) \ E(1) was activated by
+	// the algorithm exactly when envAlive does not hold it, and the set
+	// itself is a walk of current (eachActivated).
+	m            Metrics
+	envAlive     []graph.Edge
+	activatedDeg []int // slot-indexed degree in D(i) \ D(1)
 
 	// last is the latest round's stats (patched by ApplyEnvironment, read
 	// by AppendLastDelta): the one per-round record the History keeps.
@@ -176,11 +183,7 @@ func (h *History) Reset(gs *graph.Graph) {
 	}
 	h.round = 1
 	h.m = Metrics{MaxActiveEdges: gs.NumEdges()}
-	if h.activatedAlive == nil {
-		h.activatedAlive = make(map[graph.Edge]struct{})
-	} else {
-		clear(h.activatedAlive)
-	}
+	h.envAlive = h.envAlive[:0]
 	h.activatedDeg = slices.Grow(h.activatedDeg[:0], len(h.ids))[:len(h.ids)]
 	clear(h.activatedDeg)
 	h.last = RoundStats{}
@@ -295,12 +298,10 @@ func (h *History) InitialClone() *graph.Graph { return h.initial.Clone() }
 // that the execution activated (on the full node set).
 func (h *History) ActivatedSubgraph() *graph.Graph {
 	g := graph.New()
-	for _, u := range h.current.Nodes() {
+	for _, u := range h.ids {
 		g.AddNode(u)
 	}
-	for e := range h.activatedAlive {
-		g.MustAddEdge(e.A, e.B)
-	}
+	h.eachActivated(func(e graph.Edge) { g.MustAddEdge(e.A, e.B) })
 	return g
 }
 
@@ -394,7 +395,7 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 		h.current.MustAddEdge(e.A, e.B)
 		h.m.TotalActivations++
 		if !h.initial.HasEdge(e.A, e.B) {
-			h.activatedAlive[e] = struct{}{}
+			h.m.FinalActivatedAlive++
 			h.bumpActivatedDeg(e.A, +1)
 			h.bumpActivatedDeg(e.B, +1)
 		}
@@ -402,15 +403,11 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	for _, e := range deacts {
 		h.current.RemoveEdge(e.A, e.B)
 		h.m.TotalDeactivations++
-		if _, ok := h.activatedAlive[e]; ok {
-			delete(h.activatedAlive, e)
-			h.bumpActivatedDeg(e.A, -1)
-			h.bumpActivatedDeg(e.B, -1)
-		}
+		h.dropActivated(e)
 	}
 
-	if n := len(h.activatedAlive); n > h.m.MaxActivatedEdges {
-		h.m.MaxActivatedEdges = n
+	if h.m.FinalActivatedAlive > h.m.MaxActivatedEdges {
+		h.m.MaxActivatedEdges = h.m.FinalActivatedAlive
 	}
 	if m := h.current.NumEdges(); m > h.m.MaxActiveEdges {
 		h.m.MaxActiveEdges = m
@@ -424,7 +421,7 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 		Activated:      len(acts),
 		Deactivated:    len(deacts),
 		ActiveEdges:    h.current.NumEdges(),
-		ActivatedAlive: len(h.activatedAlive),
+		ActivatedAlive: h.m.FinalActivatedAlive,
 	}
 	h.round++
 
@@ -496,11 +493,13 @@ func (h *History) ApplyDelta(d RoundDelta) (RoundStats, error) {
 //
 // Environment edits never enter the paper's cost measures (the Env*
 // counters in Metrics account them separately), except that cutting an
-// edge the algorithm had activated removes it from the activated-alive
-// set — "algorithm-activated and still active" stays an invariant of
-// that measure. The returned RoundStats are the completed round's,
-// with ActiveEdges/ActivatedAlive updated to the post-environment
-// snapshot (what AppendLastDelta exports is patched the same way).
+// edge the algorithm had activated decrements the activated-alive
+// count — "algorithm-activated and still active" stays an invariant of
+// that measure. A non-original edge the environment adds is kept in
+// envAlive and never enters the measure. The returned RoundStats are
+// the completed round's, with ActiveEdges/ActivatedAlive updated to the
+// post-environment snapshot (what AppendLastDelta exports is patched
+// the same way).
 //
 // Callers attaching an environment invoke ApplyEnvironment at most once
 // per round, after Apply; Apply empties the previous round's
@@ -544,23 +543,40 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 	for _, e := range acts {
 		h.current.MustAddEdge(e.A, e.B)
 		h.m.EnvActivations++
+		if !h.initial.HasEdge(e.A, e.B) {
+			i, _ := slices.BinarySearchFunc(h.envAlive, e, cmpEdge)
+			h.envAlive = slices.Insert(h.envAlive, i, e)
+		}
 	}
 	for _, e := range deacts {
 		h.current.RemoveEdge(e.A, e.B)
 		h.m.EnvDeactivations++
-		if _, ok := h.activatedAlive[e]; ok {
-			delete(h.activatedAlive, e)
-			h.bumpActivatedDeg(e.A, -1)
-			h.bumpActivatedDeg(e.B, -1)
-		}
+		h.dropActivated(e)
 	}
 	if m := h.current.NumEdges(); m > h.m.MaxActiveEdges {
 		h.m.MaxActiveEdges = m
 	}
 	h.lastEnvActs, h.lastEnvDeacts = acts, deacts
 	h.last.ActiveEdges = h.current.NumEdges()
-	h.last.ActivatedAlive = len(h.activatedAlive)
+	h.last.ActivatedAlive = h.m.FinalActivatedAlive
 	return h.last, nil
+}
+
+// dropActivated accounts the removal of edge e from E(i), by the
+// algorithm or the environment: an original edge leaves the measures
+// alone, an environment-activated one leaves envAlive, and any other
+// was algorithm-activated.
+func (h *History) dropActivated(e graph.Edge) {
+	if h.initial.HasEdge(e.A, e.B) {
+		return
+	}
+	if i, ok := slices.BinarySearchFunc(h.envAlive, e, cmpEdge); ok {
+		h.envAlive = slices.Delete(h.envAlive, i, i+1)
+		return
+	}
+	h.m.FinalActivatedAlive--
+	h.bumpActivatedDeg(e.A, -1)
+	h.bumpActivatedDeg(e.B, -1)
 }
 
 // AppendActivatedAlive appends the activated-alive edge set
@@ -569,11 +585,34 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 // and cut the algorithm's own construction reproducibly.
 func (h *History) AppendActivatedAlive(dst []graph.Edge) []graph.Edge {
 	dst = dst[:0]
-	for e := range h.activatedAlive {
-		dst = append(dst, e)
-	}
-	slices.SortFunc(dst, cmpEdge)
+	h.eachActivated(func(e graph.Edge) { dst = append(dst, e) })
 	return dst
+}
+
+// eachActivated calls fn for every algorithm-activated edge alive, in
+// ascending canonical order: a walk of current's edges {u,v}, u < v,
+// from the nodes with activated degree, skipping original edges and
+// (merged in step, both being in canonical order) envAlive.
+func (h *History) eachActivated(fn func(e graph.Edge)) {
+	env := h.envAlive
+	for slot, u := range h.ids {
+		if h.activatedDeg[slot] == 0 {
+			continue
+		}
+		h.current.EachNeighbor(u, func(v graph.ID) bool {
+			if v < u {
+				return true
+			}
+			e := graph.Edge{A: u, B: v}
+			for len(env) > 0 && cmpEdge(env[0], e) < 0 {
+				env = env[1:]
+			}
+			if (len(env) == 0 || env[0] != e) && !h.initial.HasEdge(u, v) {
+				fn(e)
+			}
+			return true
+		})
+	}
 }
 
 // ActivatedDegreeAtSlot returns the node's degree in D(i) \ D(1) — how
@@ -643,6 +682,5 @@ func (h *History) Metrics() Metrics {
 	m := h.m
 	m.Rounds = h.round - 1
 	m.FinalActiveEdges = h.current.NumEdges()
-	m.FinalActivatedAlive = len(h.activatedAlive)
 	return m
 }
