@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -18,8 +19,7 @@ import (
 // Runner is an engine-backed executor: it holds one sim.Engine and
 // reuses its buffers (contexts, inboxes, history scratch) across
 // Execute calls. One Runner serves one goroutine; for
-// parallel grids use ExecuteSweep, which runs a shard-per-worker
-// fleet of Runners.
+// parallel grids use ExecuteSweep, which runs a fleet of Runners.
 type Runner struct {
 	eng *sim.Engine
 	// Workload arena: generators build into these two graphs (the
@@ -345,14 +345,15 @@ type WireSummary struct {
 type SweepOptions struct {
 	// Workers sizes the engine fleet (default GOMAXPROCS, capped at
 	// the number of cells). Each worker owns one Runner, so per-run
-	// buffers are reused across that worker's shard of the grid.
+	// buffers are reused across that worker's share of the grid.
 	Workers int
 	// SimOpts are appended to every cell's run (after algorithm
 	// defaults and the cell's own MaxRounds).
 	SimOpts []sim.Option
 	// CellTimeLimit, when positive, is the wall-clock budget per
-	// cell; runs over budget are aborted between rounds and recorded
-	// as that cell's error.
+	// cell: each run gets a child of Context that expires after it, is
+	// aborted between rounds when it does, and records the budget as
+	// that cell's error.
 	CellTimeLimit time.Duration
 	// Done, when set, is the resume done-set: it is consulted before
 	// Lookup, and a hit marks the cell Replayed (journal-recovered) as
@@ -367,16 +368,17 @@ type SweepOptions struct {
 	// Emit, when set, receives every CellResult in canonical cell
 	// order, from the calling goroutine, as soon as ordering allows.
 	Emit func(CellResult)
-	// Cancel aborts the sweep: cells not yet started fail fast with
-	// sim.ErrCanceled, in-flight runs are aborted between rounds.
-	Cancel <-chan struct{}
+	// Context, when set, aborts the sweep once done: cells not yet
+	// started fail fast with sim.ErrCanceled, in-flight runs are
+	// aborted between rounds. Nil means the sweep is never canceled.
+	Context context.Context
 }
 
-// ExecuteSweep runs the whole grid on a shard-per-worker fleet of
-// engine-backed Runners and returns the results in canonical cell
-// order. Individual cell failures are recorded in CellResult.Err and
-// do not abort the sweep; the returned error is non-nil only for an
-// invalid spec or a canceled sweep.
+// ExecuteSweep runs the whole grid on a fleet of engine-backed
+// Runners, one goroutine each, which claim cells in canonical order,
+// and returns the results in that order. Individual cell failures are
+// recorded in CellResult.Err and do not abort the sweep; the returned
+// error is non-nil only for an invalid spec or a canceled sweep.
 func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -391,20 +393,12 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 	if workers > len(cells) {
 		workers = len(cells)
 	}
-
-	canceled := func() bool {
-		if opts.Cancel == nil {
-			return false
-		}
-		select {
-		case <-opts.Cancel:
-			return true
-		default:
-			return false
-		}
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
 	}
 
-	feed := make(chan int)
+	var claimed atomic.Int64
 	done := make(chan int, len(cells))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -413,46 +407,41 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 			defer wg.Done()
 			r := NewRunner()
 			defer r.Close()
-			for i := range feed {
-				results[i] = runCell(r, i, cells[i], opts, canceled)
+			for i := int(claimed.Add(1) - 1); i < len(cells); i = int(claimed.Add(1) - 1) {
+				results[i] = runCell(ctx, r, i, cells[i], opts)
 				done <- i
 			}
 		}()
 	}
-	go func() {
-		for i := range cells {
-			feed <- i
-		}
-		close(feed)
-	}()
 
 	// Drain completions, emitting in canonical order.
-	pending := make(map[int]bool, workers)
+	finished := make([]bool, len(cells))
 	next := 0
 	for range cells {
-		i := <-done
-		pending[i] = true
-		for pending[next] {
+		finished[<-done] = true
+		for ; next < len(cells) && finished[next]; next++ {
 			if opts.Emit != nil {
 				opts.Emit(results[next])
 			}
-			delete(pending, next)
-			next++
 		}
 	}
 	wg.Wait()
 
-	if canceled() {
+	if ctx.Err() != nil {
 		return results, fmt.Errorf("expt: sweep: %w", sim.ErrCanceled)
 	}
 	return results, nil
 }
 
-// runCell executes (or serves from Lookup) one cell on the worker's
-// Runner.
-func runCell(r *Runner, idx int, cell Cell, opts SweepOptions, canceled func() bool) CellResult {
+// errCellTimeLimit is the cause a cell's context carries when its own
+// CellTimeLimit, rather than the sweep's context, ended the run.
+var errCellTimeLimit = errors.New("expt: cell time limit")
+
+// runCell executes (or serves from Done or Lookup) one cell on the
+// worker's Runner, under ctx and the cell's own time limit.
+func runCell(ctx context.Context, r *Runner, idx int, cell Cell, opts SweepOptions) CellResult {
 	res := CellResult{Index: idx, Cell: cell}
-	if canceled() {
+	if ctx.Err() != nil {
 		res.Err = fmt.Errorf("expt: cell skipped: %w", sim.ErrCanceled)
 		return res
 	}
@@ -470,11 +459,12 @@ func runCell(r *Runner, idx int, cell Cell, opts SweepOptions, canceled func() b
 	}
 	req := cell.Request()
 	req.SimOpts = append(req.SimOpts, opts.SimOpts...)
-	var timedOut *atomic.Bool
-	if opts.Cancel != nil || opts.CellTimeLimit > 0 {
-		done, to, stop := mergeCancel(opts.Cancel, opts.CellTimeLimit)
-		defer stop()
-		timedOut = to
+	if opts.CellTimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, opts.CellTimeLimit, errCellTimeLimit)
+		defer cancel()
+	}
+	if done := ctx.Done(); done != nil {
 		req.SimOpts = append(req.SimOpts, sim.WithCancel(done))
 	}
 	res.Ran = true
@@ -482,7 +472,7 @@ func runCell(r *Runner, idx int, cell Cell, opts SweepOptions, canceled func() b
 	out, err := r.Execute(req)
 	res.Duration = time.Since(start)
 	if err != nil {
-		if timedOut != nil && timedOut.Load() {
+		if errors.Is(context.Cause(ctx), errCellTimeLimit) {
 			err = fmt.Errorf("expt: cell time limit %s exceeded: %w", opts.CellTimeLimit, err)
 		}
 		res.Err = err
@@ -493,35 +483,4 @@ func runCell(r *Runner, idx int, cell Cell, opts SweepOptions, canceled func() b
 		opts.Store(res)
 	}
 	return res
-}
-
-// mergeCancel fans a sweep-level cancel channel and an optional
-// per-cell wall-clock budget into one done channel for sim.WithCancel.
-// stop releases the helper goroutine; timedOut reports (after the run
-// returns) whether the budget, rather than the cancel, fired.
-func mergeCancel(cancel <-chan struct{}, limit time.Duration) (done <-chan struct{}, timedOut *atomic.Bool, stop func()) {
-	d := make(chan struct{})
-	finished := make(chan struct{})
-	timedOut = new(atomic.Bool)
-	var timeout <-chan time.Time
-	var timer *time.Timer
-	if limit > 0 {
-		timer = time.NewTimer(limit)
-		timeout = timer.C
-	}
-	go func() {
-		if timer != nil {
-			defer timer.Stop()
-		}
-		select {
-		case <-timeout:
-			timedOut.Store(true)
-			close(d)
-		case <-cancel: // nil channel blocks forever: fine
-			close(d)
-		case <-finished:
-		}
-	}()
-	var once sync.Once
-	return d, timedOut, func() { once.Do(func() { close(finished) }) }
 }

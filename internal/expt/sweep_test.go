@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -226,9 +228,9 @@ func TestExecuteSweepCancel(t *testing.T) {
 		Sizes:      []int{8, 16, 32, 64},
 		Seeds:      []int64{1, 2, 3, 4},
 	}
-	cancel := make(chan struct{})
-	close(cancel) // canceled before the sweep starts
-	results, err := ExecuteSweep(spec, SweepOptions{Workers: 2, Cancel: cancel})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // canceled before the sweep starts
+	results, err := ExecuteSweep(spec, SweepOptions{Workers: 2, Context: ctx})
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -236,6 +238,87 @@ func TestExecuteSweepCancel(t *testing.T) {
 		if cr.Err == nil {
 			t.Fatalf("cell %d ran after cancellation", i)
 		}
+	}
+}
+
+// TestSweepStartsNoGoroutineBesidesItsRunners pins what a one-worker
+// sweep keeps alive while a cell runs under both a sweep context and a
+// cell time limit: its runner, and nothing else. Not parallel: it
+// counts goroutines.
+func TestSweepStartsNoGoroutineBesidesItsRunners(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spec := SweepSpec{
+		Algorithms: []string{AlgoFlood},
+		Workloads:  []string{"line"},
+		Sizes:      []int{16},
+		Seeds:      []int64{1, 2, 3},
+	}
+	before := runtime.NumGoroutine()
+	inside := -1
+	_, err := ExecuteSweep(spec, SweepOptions{
+		Workers:       1,
+		Context:       ctx,
+		CellTimeLimit: time.Minute,
+		SimOpts: []sim.Option{sim.WithStartHook(func(sim.StartEvent) {
+			if inside < 0 {
+				inside = runtime.NumGoroutine()
+			}
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inside - before; got != 1 {
+		t.Fatalf("goroutines alive inside a cell = %d beyond the %d before the sweep, want 1 (the runner)", got, before)
+	}
+}
+
+// TestSweepCellErrorNamesItsOwnCause pins which of the two deadlines
+// a cell's error names: the cell's own time limit when it fired first,
+// even if the sweep is canceled right after, and never the time limit
+// when the sweep's context interrupted the cell within its budget.
+func TestSweepCellErrorNamesItsOwnCause(t *testing.T) {
+	t.Parallel()
+	spec := SweepSpec{
+		Algorithms: []string{AlgoFlood},
+		Workloads:  []string{"line"},
+		Sizes:      []int{64},
+		Seeds:      []int64{1},
+	}
+	run := func(limit time.Duration, hook func(cancel context.CancelFunc)) error {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		results, err := ExecuteSweep(spec, SweepOptions{
+			Workers:       1,
+			Context:       ctx,
+			CellTimeLimit: limit,
+			SimOpts:       []sim.Option{sim.WithStartHook(func(sim.StartEvent) { hook(cancel) })},
+		})
+		if !errors.Is(err, sim.ErrCanceled) {
+			t.Fatalf("sweep err = %v, want ErrCanceled", err)
+		}
+		if !errors.Is(results[0].Err, sim.ErrCanceled) {
+			t.Fatalf("cell err = %v, want ErrCanceled", results[0].Err)
+		}
+		return results[0].Err
+	}
+
+	// The cell's budget runs out before round 1; the sweep is canceled
+	// after that, before the engine next looks.
+	const limit = time.Millisecond
+	err := run(limit, func(cancel context.CancelFunc) {
+		time.Sleep(50 * limit)
+		cancel()
+	})
+	if want := "cell time limit " + limit.String() + " exceeded"; !strings.Contains(err.Error(), want) {
+		t.Errorf("cell over its own limit: err = %v, want it to contain %q", err, want)
+	}
+
+	// The sweep is canceled well within the cell's budget.
+	err = run(time.Minute, func(cancel context.CancelFunc) { cancel() })
+	if strings.Contains(err.Error(), "time limit") {
+		t.Errorf("cell interrupted by the sweep: err = %v, must not mention a time limit", err)
 	}
 }
 

@@ -52,6 +52,27 @@ func newRequestID() string {
 	return hex.EncodeToString(buf[:])
 }
 
+// maxRequestIDLen bounds an inbound request ID.
+const maxRequestIDLen = 64
+
+// validRequestID reports whether an inbound request ID may be reused:
+// 1 to maxRequestIDLen characters of [A-Za-z0-9._-]. Anything else is
+// replaced, so a client cannot put arbitrary bytes into log lines,
+// response headers and worker-bound requests.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > maxRequestIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // HTTPMetrics instruments mux routes: per-route/per-status request
 // counters, per-route latency histograms, request-ID assignment, and
 // one structured access-log line per request.
@@ -82,7 +103,7 @@ func NewHTTPMetrics(reg *Registry, logger *slog.Logger) *HTTPMetrics {
 // are the mux pattern strings — a finite set fixed at registration,
 // never a raw URL path, keeping label cardinality bounded.
 //
-// The wrapper also owns the request ID: it reuses an inbound
+// The wrapper also owns the request ID: it reuses a valid inbound
 // X-Adnet-Request-Id (worker side of fleet propagation) or assigns a
 // fresh one, stores it in the request context, and echoes it on the
 // response so clients can quote it back.
@@ -91,7 +112,7 @@ func (h *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 	latency := latencyObserver(h.latency, route)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := req.Header.Get(RequestIDHeader)
-		if id == "" {
+		if !validRequestID(id) {
 			id = newRequestID()
 		}
 		req = req.WithContext(ContextWithRequestID(req.Context(), id))

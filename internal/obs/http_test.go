@@ -52,6 +52,38 @@ func TestWrapReusesInboundRequestID(t *testing.T) {
 	}
 }
 
+func TestWrapReplacesInvalidInboundRequestID(t *testing.T) {
+	reg := NewRegistry()
+	var seenID string
+	h := NewHTTPMetrics(reg, nil).Wrap("POST /v1/sweeps",
+		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			seenID = RequestIDFromContext(r.Context())
+		}))
+	for _, inbound := range []string{
+		strings.Repeat("a", maxRequestIDLen+1),
+		"two words",
+		`quote"d`,
+	} {
+		req := httptest.NewRequest("POST", "/v1/sweeps", nil)
+		req.Header.Set(RequestIDHeader, inbound)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		got := rec.Header().Get(RequestIDHeader)
+		if got == inbound || len(got) != 16 || seenID != got {
+			t.Errorf("inbound %q: echoed %q, context %q; want one fresh 16-hex ID", inbound, got, seenID)
+		}
+	}
+	// The longest accepted ID, with every allowed punctuation mark.
+	inbound := strings.Repeat("Az09", maxRequestIDLen/4-1) + "a._-"
+	req := httptest.NewRequest("POST", "/v1/sweeps", nil)
+	req.Header.Set(RequestIDHeader, inbound)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if got := rec.Header().Get(RequestIDHeader); got != inbound {
+		t.Errorf("valid %d-character ID not reused: got %q", len(inbound), got)
+	}
+}
+
 func TestWrapDefaultsTo200(t *testing.T) {
 	reg := NewRegistry()
 	hm := NewHTTPMetrics(reg, nil)

@@ -28,15 +28,18 @@ func (s JobState) terminal() bool {
 }
 
 // lifecycle is what a run Job and a SweepJob share: the state machine
-// with its timestamps and terminal error, and the cancel channel a
-// DELETE (or Close) closes exactly once. Both job kinds embed it.
+// with its timestamps and terminal error, and the job's context, which
+// a DELETE (or Close) cancels. Both job kinds embed it.
 type lifecycle struct {
-	cancel chan struct{}
+	// ctx is canceled by requestCancel only. Its parent is never
+	// canceled, so a job that ends without a DELETE leaves nothing
+	// registered for cancel to release.
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu         sync.Mutex
-	cancelOnce sync.Once
-	state      JobState
-	times      jobTimes
+	mu    sync.Mutex
+	state JobState
+	times jobTimes
 }
 
 // jobTimes is the tail every job status snapshot shares. The pointed-to
@@ -48,9 +51,11 @@ type jobTimes struct {
 	FinishedAt *time.Time `json:"finished_at,omitempty"`
 }
 
-// queued starts a lifecycle in StateQueued, enqueued now.
-func queued() lifecycle {
-	return lifecycle{cancel: make(chan struct{}), state: StateQueued, times: jobTimes{EnqueuedAt: time.Now()}}
+// queued starts a lifecycle in StateQueued, enqueued now, whose
+// context is a cancelable child of ctx.
+func queued(ctx context.Context) lifecycle {
+	ctx, cancel := context.WithCancel(ctx)
+	return lifecycle{ctx: ctx, cancel: cancel, state: StateQueued, times: jobTimes{EnqueuedAt: time.Now()}}
 }
 
 // setState records a non-terminal transition; terminal ones carry an
@@ -89,37 +94,17 @@ func (l *lifecycle) requestCancel() error {
 	if l.State().terminal() {
 		return ErrNotRunning
 	}
-	l.cancelOnce.Do(func() { close(l.cancel) })
+	l.cancel()
 	return nil
 }
 
-// canceled reports whether the cancel channel has been closed.
-func (l *lifecycle) canceled() bool {
-	select {
-	case <-l.cancel:
-		return true
-	default:
-		return false
-	}
-}
+// canceled reports whether the job's context has been canceled.
+func (l *lifecycle) canceled() bool { return l.ctx.Err() != nil }
 
-// runContext derives the execution context of the job: base bounded by
-// limit, and canceled as soon as the job's cancel channel closes.
-func (l *lifecycle) runContext(base context.Context, limit time.Duration) (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithTimeout(base, limit)
-	go func() {
-		select {
-		case <-l.cancel:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-	return ctx, cancel
-}
-
-// outcomeOf classifies how an execution under runContext ended: done,
-// canceled by request, over its time limit (kind names the job in the
-// message), or failed on its own.
+// outcomeOf classifies how an execution under the job's context,
+// bounded by its time limit, ended: done, canceled by request, over
+// its time limit (kind names the job in the message), or failed on its
+// own.
 func (l *lifecycle) outcomeOf(err error, kind string, limit time.Duration) (JobState, error) {
 	switch {
 	case err == nil:

@@ -445,7 +445,7 @@ func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 		Spec:      spec,
 		FromCache: cached != nil,
 		replay:    rp,
-		lifecycle: queued(),
+		lifecycle: queued(context.Background()),
 	}
 }
 
@@ -477,7 +477,7 @@ func (m *Manager) execute(j *Job) {
 	}
 	j.setState(StateRunning)
 
-	ctx, cancel := j.runContext(context.Background(), m.cfg.RunTimeLimit)
+	ctx, cancel := context.WithTimeout(j.ctx, m.cfg.RunTimeLimit)
 	defer cancel()
 
 	opts := []sim.Option{

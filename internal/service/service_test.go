@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -318,6 +319,36 @@ func TestManagerTimeLimitFailsRun(t *testing.T) {
 	// Failures are not cached: the same spec runs again.
 	if _, cached, _ := m.Submit(slowSpec(9)); cached {
 		t.Error("failed run must not be served from cache")
+	}
+}
+
+// TestRunJobStartsNoGoroutine pins that a running run job adds no
+// goroutine beyond the pool worker that steps it: the job's context
+// carries a DELETE and the time limit to the engine by itself. Not
+// parallel: it counts goroutines.
+func TestRunJobStartsNoGoroutine(t *testing.T) {
+	m := NewManager(Config{Workers: 1, RunTimeLimit: time.Minute})
+	defer m.Close()
+
+	before := runtime.NumGoroutine()
+	job, _, err := m.Submit(slowSpec(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first round frame is published from inside the engine's run.
+	if _, ok := job.rounds.WaitFrames(context.Background(), 0); !ok {
+		t.Fatal("run ended before publishing a round")
+	}
+	during := runtime.NumGoroutine()
+	if st := job.State(); st != StateRunning {
+		t.Fatalf("job %s before the probe could read it", st)
+	}
+	if err := m.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StateCanceled)
+	if got := during - before; got != 0 {
+		t.Fatalf("a running run job added %d goroutines beyond its pool worker, want 0", got)
 	}
 }
 

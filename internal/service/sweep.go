@@ -38,11 +38,6 @@ type SweepJob struct {
 	// cells is the frame log behind /cells, in canonical cell order —
 	// the only form the job keeps of its finished cells.
 	cells *frameLog
-	// reqID is the request ID of the submitting HTTP request; the
-	// background execution re-attaches it to its context so sweep
-	// lifecycle logs — and coordinator→worker dispatches — stay
-	// correlatable with the submission.
-	reqID string
 
 	// Durability (nil/false without a DataDir): journal is the job's
 	// write-ahead log; doneCells/doneShards are the replayed done-sets
@@ -134,10 +129,10 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 // job: the call returns as soon as the job exists, the grid runs on
 // its own engine fleet in the background. Concurrent sweeps are
 // bounded by cfg.MaxConcurrentSweeps; beyond that SubmitSweep fails
-// fast with ErrSweepBusy. ctx is the submission's context: its
-// request ID (when present) is carried into the background execution
-// for log correlation and coordinator→worker propagation; ctx's
-// cancellation does NOT cancel the sweep.
+// fast with ErrSweepBusy. ctx is the submission's context: the job's
+// context takes its request ID (when present), for log correlation and
+// coordinator→worker propagation, but not its cancellation — ending
+// the request does NOT cancel the sweep.
 func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, error) {
 	if err := validateSweep(spec, m.cfg.MaxN, m.cfg.MaxSweepCells); err != nil {
 		return nil, fmt.Errorf("service: invalid sweep: %w", err)
@@ -158,8 +153,7 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
 		Spec:      spec,
 		cells:     newFrameLog(m.metrics.cellsObs),
-		reqID:     obs.RequestIDFromContext(ctx),
-		lifecycle: queued(),
+		lifecycle: queued(obs.ContextWithRequestID(context.Background(), obs.RequestIDFromContext(ctx))),
 	}
 	m.sweeps.add(j.ID, j)
 	m.sweepWG.Add(1)
@@ -210,14 +204,10 @@ func (m *Manager) executeSweep(j *SweepJob) {
 		j.cells.close()
 		m.sweeps.retire(j.ID)
 	}()
-	// The submission's request ID rides along on the background
-	// context: lifecycle logs and coordinator→worker dispatches all
-	// carry it.
-	base := obs.ContextWithRequestID(context.Background(), j.reqID)
 	defer func() {
 		st := j.State()
 		m.metrics.sweepJobs.With(string(st)).Inc()
-		m.logger.InfoContext(base, "sweep finished",
+		m.logger.InfoContext(j.ctx, "sweep finished",
 			slog.String("sweep_id", j.ID),
 			slog.String("state", string(st)))
 	}()
@@ -237,7 +227,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 	}
 	j.setState(StateRunning)
 
-	ctx, cancel := j.runContext(base, m.cfg.SweepTimeLimit)
+	ctx, cancel := context.WithTimeout(j.ctx, m.cfg.SweepTimeLimit)
 	defer cancel()
 
 	run := m.runGrid
@@ -276,7 +266,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 	_, err := expt.ExecuteSweep(spec, expt.SweepOptions{
 		Workers:       m.cfg.SweepWorkers,
 		SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
-		Cancel:        ctx.Done(),
+		Context:       ctx,
 		CellTimeLimit: m.cfg.RunTimeLimit,
 		Done: func(c expt.Cell) (expt.Outcome, bool) {
 			out, ok := j.doneCells[c.Key()]
