@@ -65,19 +65,21 @@ import (
 )
 
 func main() {
+	// Flag defaults are the library's: a zero Config filled in.
+	def := service.Config{}.WithDefaults()
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 128, "job queue depth")
-	cache := flag.Int("cache", 512, "result cache capacity (entries)")
-	maxN := flag.Int("max-n", service.DefaultMaxN, "largest accepted network size")
-	timeLimit := flag.Duration("time-limit", 2*time.Minute, "wall-clock budget per run")
-	retain := flag.Int("retain", 1024, "finished jobs kept queryable")
+	queue := flag.Int("queue", def.QueueDepth, "job queue depth")
+	cache := flag.Int("cache", def.CacheSize, "result cache capacity (entries)")
+	maxN := flag.Int("max-n", def.MaxN, "largest accepted network size")
+	timeLimit := flag.Duration("time-limit", def.RunTimeLimit, "wall-clock budget per run")
+	retain := flag.Int("retain", def.RetainJobs, "finished jobs kept queryable")
 	sweepWorkers := flag.Int("sweep-workers", 0, "engine fleet size per sweep (0 = GOMAXPROCS)")
-	sweepCells := flag.Int("sweep-cells", 1024, "largest accepted sweep grid (cells)")
-	sweeps := flag.Int("sweeps", 2, "concurrent sweeps before 503")
-	sweepTimeLimit := flag.Duration("sweep-time-limit", 10*time.Minute, "wall-clock budget per sweep job")
-	retainSweeps := flag.Int("retain-sweeps", 64, "finished sweep jobs kept queryable")
-	streamWriteTimeout := flag.Duration("stream-write-timeout", 30*time.Second, "per-batch write deadline on streaming endpoints; stalled subscribers are dropped (negative = none)")
+	sweepCells := flag.Int("sweep-cells", def.MaxSweepCells, "largest accepted sweep grid (cells)")
+	sweeps := flag.Int("sweeps", def.MaxConcurrentSweeps, "concurrent sweeps before 503")
+	sweepTimeLimit := flag.Duration("sweep-time-limit", def.SweepTimeLimit, "wall-clock budget per sweep job")
+	retainSweeps := flag.Int("retain-sweeps", def.RetainSweeps, "finished sweep jobs kept queryable")
+	streamWriteTimeout := flag.Duration("stream-write-timeout", def.StreamWriteTimeout, "per-batch write deadline on streaming endpoints; stalled subscribers are dropped (negative = none)")
 	dataDir := flag.String("data-dir", "", "directory for the write-ahead sweep journal; on restart, intact journals resume interrupted sweeps re-executing only the missing cells (empty = no durability)")
 	coordinator := flag.Bool("coordinator", false, "coordinator mode: shard sweep grids across registered worker servers instead of the local engine fleet")
 	fleetWorkers := flag.String("fleet-workers", "", "coordinator mode: comma-separated worker base URLs registered at startup (more can join via POST /v1/fleet/workers)")

@@ -250,9 +250,8 @@ type CellResult struct {
 	Index     int  // position in SweepSpec.Cells order
 	Cell      Cell //
 	Outcome   Outcome
-	FromCache bool  // answered by Lookup or Done without running
+	FromCache bool  // answered by Lookup without running
 	Ran       bool  // a simulation actually executed
-	Replayed  bool  // answered by Done (a journal replay, not a live run)
 	Err       error // run failure or cancellation for this cell
 	// Duration is the wall-clock cost of executing the cell (zero for
 	// cache hits and skipped cells). It feeds the service's
@@ -355,18 +354,13 @@ type SweepOptions struct {
 	// aborted between rounds when it does, and records the budget as
 	// that cell's error.
 	CellTimeLimit time.Duration
-	// Done, when set, is the resume done-set: it is consulted before
-	// Lookup, and a hit marks the cell Replayed (journal-recovered) as
-	// well as FromCache.
-	Done func(Cell) (Outcome, bool)
 	// Lookup, when set, is consulted before running a cell; a hit
-	// skips the simulation. Store, when set, receives every
-	// successful fresh result. Both may be called concurrently from
-	// worker goroutines.
+	// skips the simulation and marks the cell FromCache. It is the
+	// only hook called from worker goroutines, concurrently.
 	Lookup func(Cell) (Outcome, bool)
-	Store  func(CellResult)
 	// Emit, when set, receives every CellResult in canonical cell
 	// order, from the calling goroutine, as soon as ordering allows.
+	// Whatever outlives the sweep (a cache, a journal) is written here.
 	Emit func(CellResult)
 	// Context, when set, aborts the sweep once done: cells not yet
 	// started fail fast with sim.ErrCanceled, in-flight runs are
@@ -437,19 +431,13 @@ func ExecuteSweep(spec SweepSpec, opts SweepOptions) ([]CellResult, error) {
 // CellTimeLimit, rather than the sweep's context, ended the run.
 var errCellTimeLimit = errors.New("expt: cell time limit")
 
-// runCell executes (or serves from Done or Lookup) one cell on the
+// runCell executes (or serves from Lookup) one cell on the
 // worker's Runner, under ctx and the cell's own time limit.
 func runCell(ctx context.Context, r *Runner, idx int, cell Cell, opts SweepOptions) CellResult {
 	res := CellResult{Index: idx, Cell: cell}
 	if ctx.Err() != nil {
 		res.Err = fmt.Errorf("expt: cell skipped: %w", sim.ErrCanceled)
 		return res
-	}
-	if opts.Done != nil {
-		if out, ok := opts.Done(cell); ok {
-			res.Outcome, res.FromCache, res.Replayed = out, true, true
-			return res
-		}
 	}
 	if opts.Lookup != nil {
 		if out, ok := opts.Lookup(cell); ok {
@@ -479,8 +467,5 @@ func runCell(ctx context.Context, r *Runner, idx int, cell Cell, opts SweepOptio
 		return res
 	}
 	res.Outcome = out
-	if opts.Store != nil {
-		opts.Store(res)
-	}
 	return res
 }

@@ -142,7 +142,10 @@ func TestExecuteSweepLookupAndStore(t *testing.T) {
 			out, ok := cache[c]
 			return out, ok
 		},
-		Store: func(cr CellResult) {
+		Emit: func(cr CellResult) {
+			if !cr.Ran || cr.Err != nil {
+				return
+			}
 			mu.Lock()
 			defer mu.Unlock()
 			cache[cr.Cell] = cr.Outcome

@@ -8,14 +8,17 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/obs"
 	"adnet/internal/service"
+	"adnet/internal/sim"
 )
 
 // scrapeRegistry renders and strictly re-parses a registry, the same
@@ -654,5 +657,85 @@ func TestRunGridCancelMidSweep(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("no cells skip-marked after cancel")
+	}
+}
+
+// countingFront fronts a real worker and counts the requests it serves.
+type countingFront struct {
+	real http.Handler
+	n    atomic.Int64
+}
+
+func (f *countingFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	f.n.Add(1)
+	f.real.ServeHTTP(w, r)
+}
+
+// TestRunGridCancelBeforeStartProbesNoWorker: a grid whose context is
+// done before dispatch contacts no worker — no /healthz probe, no
+// shard — and ends canceled rather than short of workers. A journaled
+// shard still merges as recorded; every other cell is one skip line.
+func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
+	t.Parallel()
+	mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+	front := &countingFront{real: service.NewHandler(mgr)}
+	srv := httptest.NewServer(front)
+	t.Cleanup(func() {
+		srv.Close()
+		mgr.Close()
+	})
+	c := fleet.New(fleet.Config{})
+	register(t, c, srv.URL)
+
+	// A first, uncanceled run records the shards a journal would hold.
+	var journaled []fleet.ShardResult
+	var mu sync.Mutex
+	if _, err := c.RunGrid(context.Background(), testSpec, nil, fleet.GridHooks{
+		Persist: func(sr fleet.ShardResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			journaled = append(journaled, sr)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	first := slices.IndexFunc(journaled, func(sr fleet.ShardResult) bool { return sr.Index == 0 })
+	if first < 0 || len(journaled) < 2 {
+		t.Fatalf("the test needs shard 0 journaled and another shard left: %d shards", len(journaled))
+	}
+	recorded := journaled[first]
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := front.n.Load()
+	var merged []expt.WireCell
+	sum, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
+		merged = append(merged, cell)
+	}, fleet.GridHooks{Completed: func(key string) (fleet.ShardResult, bool) {
+		return recorded, key == recorded.Key
+	}})
+	if !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+	if n := front.n.Load() - before; n != 0 {
+		t.Fatalf("canceled grid made %d requests to its worker, want 0", n)
+	}
+	if sum.Done {
+		t.Fatal("canceled sweep's summary says done")
+	}
+	checkMergedCells(t, testSpec, merged)
+	for i, cell := range merged {
+		if i < len(recorded.Cells) {
+			if cell.Error != "" || !cell.FromCache || cell.Outcome == nil {
+				t.Fatalf("journaled cell %d not merged as recorded: %+v", i, cell)
+			}
+			continue
+		}
+		if !strings.HasPrefix(cell.Error, "fleet: cell skipped: ") {
+			t.Fatalf("cell %d not skip-marked: %+v", i, cell)
+		}
+	}
+	if want := testSpec.NumCells() - len(recorded.Cells); sum.Errors != want {
+		t.Fatalf("summary errors = %d, want %d", sum.Errors, want)
 	}
 }

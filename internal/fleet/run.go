@@ -108,7 +108,11 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 		}
 	}
 
-	workers := c.healthyWorkers(ctx)
+	// A canceled grid probes no worker: it ends canceled, not short of one.
+	var workers []*worker
+	if ctx.Err() == nil {
+		workers = c.healthyWorkers(ctx)
+	}
 	c.cfg.Logger.InfoContext(ctx, "fleet sweep dispatching",
 		slog.Int("cells", len(cells)), slog.Int("shards", len(shards)),
 		slog.Int("replayed_shards", journaled),
@@ -193,11 +197,8 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 			pending.Add(1)
 		}
 	}
-	// A fully journaled grid needs no workers; anything left to
-	// dispatch does.
-	if len(workers) == 0 && pending.Load() > 0 {
-		return fail(ErrNoWorkers)
-	}
+	// A fully journaled grid needs no workers; with none, anything left
+	// to dispatch stays pending and fails below.
 	if pending.Load() == 0 {
 		close(queue)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -290,12 +291,19 @@ func NewHandler(m *Manager) http.Handler {
 const maxBodyBytes = 1 << 20
 
 // decodeBody reads the request's JSON body into v, rejecting unknown
-// fields and bodies over maxBodyBytes; it answers invalid_request
-// itself when the body is bad.
+// fields, anything but whitespace after the one JSON value, and bodies
+// over maxBodyBytes; it answers invalid_request itself when the body is
+// bad.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("request body holds data after its JSON value")
+		}
+	}
+	if err != nil {
 		writeAPIError(w, r, codeInvalidRequest, err)
 		return false
 	}

@@ -301,3 +301,43 @@ func TestStreamCursorResumesAndTrailer(t *testing.T) {
 		t.Fatalf("last line is not the summary: %q", lines[len(lines)-1])
 	}
 }
+
+// TestTrailingBodyDataRejected pins that a POST body is one JSON value:
+// a second value or stray text after it is 400 invalid_request on every
+// route that decodes a body, and creates nothing; trailing whitespace is
+// not data.
+func TestTrailingBodyDataRejected(t *testing.T) {
+	t.Parallel()
+	coordSrv, coordMgr := newCoordinator(t, 0)
+	worker, _ := newTestServer(t, Config{Workers: 1})
+	routes := []struct{ path, body string }{
+		{"/v1/runs", `{"algorithm":"flood","workload":"line","n":8,"seed":1}`},
+		{"/v1/sweeps", `{"algorithms":["flood"],"workloads":["line"],"sizes":[8],"seeds":[1]}`},
+		{"/v1/fleet/workers", `{"url":"` + worker.URL + `"}`},
+	}
+	for _, rt := range routes {
+		for _, tail := range []string{`{}`, ` trailing`, "\n{}\n"} {
+			req, _ := http.NewRequest(http.MethodPost, coordSrv.URL+rt.path, strings.NewReader(rt.body+tail))
+			status, eb := getEnvelope(t, req)
+			if status != http.StatusBadRequest || eb.Code != "invalid_request" {
+				t.Errorf("POST %s with trailing %q = %d %q, want 400 invalid_request", rt.path, tail, status, eb.Code)
+			}
+		}
+	}
+	if n := len(coordMgr.Jobs()) + len(coordMgr.Sweeps()); n != 0 {
+		t.Errorf("bodies with trailing data created %d jobs", n)
+	}
+	if workers, _ := coordMgr.Fleet().Counts(); workers != 0 {
+		t.Errorf("a body with trailing data registered %d workers", workers)
+	}
+	for _, rt := range routes {
+		resp, err := http.Post(coordSrv.URL+rt.path, "application/json", strings.NewReader(rt.body+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Errorf("POST %s with a trailing newline = %d, want success", rt.path, resp.StatusCode)
+		}
+	}
+}

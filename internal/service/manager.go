@@ -31,10 +31,10 @@ type Config struct {
 	// GOMAXPROCS). Each runs the engine sequentially, so the pool —
 	// not per-run parallelism — is the service's unit of concurrency.
 	Workers int
-	// QueueDepth bounds jobs waiting for a worker (default 64);
+	// QueueDepth bounds jobs waiting for a worker (default 128);
 	// submissions beyond it fail fast with ErrQueueFull.
 	QueueDepth int
-	// CacheSize is the LRU capacity in entries (default 256; 0 uses
+	// CacheSize is the LRU capacity in entries (default 512; 0 uses
 	// the default, negative disables caching).
 	CacheSize int
 	// MaxN caps RunSpec.N (default DefaultMaxN).
@@ -101,15 +101,17 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults gives each unset field its documented default. It is
+// the one place the defaults are written; adnet-server's flags read it.
+func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
+		c.QueueDepth = 128
 	}
 	if c.CacheSize == 0 {
-		c.CacheSize = 256
+		c.CacheSize = 512
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = DefaultMaxN
@@ -224,7 +226,7 @@ type Manager struct {
 
 // NewManager starts cfg.Workers workers; callers must Close it.
 func NewManager(cfg Config) *Manager {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	m := &Manager{
 		cfg:          cfg,
 		cache:        newResultCache(cfg.CacheSize),

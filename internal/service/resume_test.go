@@ -187,6 +187,97 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	}
 }
 
+// TestResumedSweepJournalsEachRunKeyOnce pins where a sweep's cells
+// become durable: Emit journals a successful cell unless the journal's
+// done-set answered it, and caches the cells that ran. After an
+// interruption and a resume the journal names every run key of the
+// grid exactly once, and a second identical sweep executes nothing.
+func TestResumedSweepJournalsEachRunKeyOnce(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	spec := slowSweepSpec(1, 2, 3, 4)
+	total := spec.NumCells()
+	cellRecords := func() map[string]int {
+		t.Helper()
+		path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+		recs, _, err := journal.ReadAll(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := make(map[string]int)
+		for _, r := range recs {
+			if r.Kind != recCell {
+				continue
+			}
+			var c cellRecord
+			if err := json.Unmarshal(r.Data, &c); err != nil {
+				t.Fatal(err)
+			}
+			keys[c.RunKey]++
+		}
+		return keys
+	}
+	finish := func(j *SweepJob) SweepStatus {
+		t.Helper()
+		waitFor(t, func() bool { return j.State().terminal() }, "sweep never finished")
+		st := j.Status()
+		if st.State != StateDone || st.Summary == nil {
+			t.Fatalf("sweep ended %s: %+v", st.State, st)
+		}
+		return st
+	}
+
+	m1 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
+	j1, err := m1.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return j1.Status().CellsDone > 0 }, "first cell never finished")
+	m1.Close()
+	done := journaledCells(t, dir, spec)
+	if done == 0 || done >= total {
+		t.Fatalf("journal holds %d of %d cells; the test needs a mid-grid interruption", done, total)
+	}
+
+	m2 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
+	defer m2.Close()
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
+	resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
+	if st := finish(resumed); st.Summary.Replayed != done || st.Summary.Executed != total-done {
+		t.Fatalf("resumed summary = %+v, want %d replayed and %d executed", st.Summary, done, total-done)
+	}
+
+	again, err := m2.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := finish(again); st.Summary.Executed != 0 || st.Summary.CacheHits != total {
+		t.Fatalf("repeated sweep summary = %+v, want 0 executed and %d cache hits", st.Summary, total)
+	}
+	// The same cells under another grid key have no journal to replay:
+	// the result cache answers every one of them.
+	reordered, err := m2.SubmitSweep(context.Background(), slowSweepSpec(4, 3, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := finish(reordered); st.Summary.Executed != 0 || st.Summary.CacheHits != total || st.Summary.Replayed != 0 {
+		t.Fatalf("reordered sweep summary = %+v, want %d cache hits and nothing executed or replayed", st.Summary, total)
+	}
+
+	keys := cellRecords()
+	for _, c := range spec.Cells() {
+		if n := keys[c.Key()]; n != 1 {
+			t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
+		}
+	}
+	if len(keys) != total {
+		t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
+	}
+}
+
 // TestRunAfterRecoveredSweepExecutes is the recovery twin of the
 // post-sweep block in TestSweepJobPerCellCacheHits: Recover rebuilds a
 // finished sweep's journaled cells into the result cache as outcomes

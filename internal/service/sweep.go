@@ -212,20 +212,11 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			slog.String("state", string(st)))
 	}()
 
-	if j.canceled() {
-		// Keep the wire contract uniform even when no cell ran: a
-		// pre-start-canceled sweep streams the same shape a mid-grid
-		// cancellation produces for its unreached cells — one
-		// error-marked line per cell, then a summary counting them.
-		skipped := fmt.Errorf("expt: cell skipped: %w", sim.ErrCanceled)
-		cells := j.Spec.Cells()
-		for i, c := range cells {
-			j.cells.publish(expt.CellResult{Index: i, Cell: c, Err: skipped}.Wire())
-		}
-		j.finish(StateCanceled, SweepSummary{Cells: len(cells), Errors: len(cells)}, context.Canceled)
-		return
+	// A sweep canceled before it starts still runs its executor, which
+	// skips every cell, as a mid-grid cancel skips the rest.
+	if !j.canceled() {
+		j.setState(StateRunning)
 	}
-	j.setState(StateRunning)
 
 	ctx, cancel := context.WithTimeout(j.ctx, m.cfg.SweepTimeLimit)
 	defer cancel()
@@ -240,17 +231,15 @@ func (m *Manager) executeSweep(j *SweepJob) {
 }
 
 // runGrid executes the job's grid on an engine fleet of
-// cfg.SweepWorkers runners, consulting the job's journal done-set
-// first (replayed cells re-execute nothing), then the manager's
-// result cache per cell (the keys are canonical, so a cell repeats a
-// run submitted via POST /v1/runs, and an earlier sweep's cell), and
-// storing fresh results as outcome-only entries — a cell has no
-// streams, so a later run of the same key executes rather than replay
-// from it. Every successfully finished, non-replayed cell is appended
-// to the job's journal, so a crash re-executes only the missing run
-// keys. Cells are published to the job's stream in canonical grid order
-// from the calling goroutine. Cancellation via ctx aborts between
-// rounds/cells.
+// cfg.SweepWorkers runners. Lookup answers a cell from the job's
+// journal done-set first (replayed cells re-execute nothing), then from
+// the result cache (keys are canonical, so a cell repeats a POST
+// /v1/runs run or an earlier sweep's cell), then by waiting for an
+// identical run job in flight. Emit, on this goroutine in canonical
+// order, caches fresh results as outcome-only entries (a cell has no
+// streams, so a later run of its key executes), journals every
+// successful cell that is not a replay, so a crash re-executes only the
+// missing run keys, and publishes the cell. ctx aborts between rounds.
 func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	spec := j.Spec
 	sum := SweepSummary{Cells: spec.NumCells()}
@@ -268,15 +257,12 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 		SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
 		Context:       ctx,
 		CellTimeLimit: m.cfg.RunTimeLimit,
-		Done: func(c expt.Cell) (expt.Outcome, bool) {
-			out, ok := j.doneCells[c.Key()]
-			if ok {
-				m.metrics.journalReplayedCells.Inc()
-			}
-			return out, ok
-		},
 		Lookup: func(c expt.Cell) (expt.Outcome, bool) {
 			key := c.Key()
+			if out, ok := j.doneCells[key]; ok {
+				m.metrics.journalReplayedCells.Inc()
+				return out, true
+			}
 			if e, ok := m.cache.Get(key, false); ok {
 				return e.Outcome, true
 			}
@@ -284,16 +270,13 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			// /v1/runs job (same dedup Submit does via inWork): wait
 			// for it instead of simulating the same deterministic run
 			// twice. Its completion populates the cache.
-			if j := m.liveJob(key); j != nil {
-				j.rounds.WaitFrames(ctx, math.MaxInt)
+			if run := m.liveJob(key); run != nil {
+				run.rounds.WaitFrames(ctx, math.MaxInt)
 				if e, ok := m.cache.Get(key, false); ok {
 					return e.Outcome, true
 				}
 			}
 			return expt.Outcome{}, false
-		},
-		Store: func(cr expt.CellResult) {
-			m.cache.Add(cr.Cell.Key(), cacheEntry{Outcome: cr.Outcome})
 		},
 		Emit: func(cr expt.CellResult) {
 			if cr.Ran {
@@ -301,25 +284,31 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 				sum.Executed++
 				busy += cr.Duration
 			}
+			m.metrics.observeCell(cr.Ran, cr.FromCache, cr.Err != nil, cr.Duration.Seconds())
+			cell := cr.Wire()
+			if cr.Err != nil {
+				// Error cells stay out of the cache and the journal, so
+				// a resumed sweep retries them.
+				sum.Errors++
+				j.cells.publish(cell)
+				return
+			}
+			if cr.Cell.Dynamics != nil {
+				m.metrics.observeDynamics(cr.Outcome)
+			}
+			key := cr.Cell.Key()
+			if cr.Ran {
+				m.cache.Add(key, cacheEntry{Outcome: cr.Outcome})
+			}
 			if cr.FromCache {
 				sum.CacheHits++
 			}
-			if cr.Replayed {
+			// A replayed cell is already on disk; every other
+			// successful cell goes to the journal.
+			if _, replayed := j.doneCells[key]; replayed && cr.FromCache {
 				sum.Replayed++
-			}
-			m.metrics.observeCell(cr.Ran, cr.FromCache, cr.Err != nil, cr.Duration.Seconds())
-			if cr.Cell.Dynamics != nil && cr.Err == nil {
-				m.metrics.observeDynamics(cr.Outcome)
-			}
-			if cr.Err != nil {
-				sum.Errors++
-			}
-			cell := cr.Wire()
-			// Journal every successful cell that is not itself a replay
-			// (replays are already on disk). Error cells stay out so a
-			// resumed sweep retries them.
-			if j.journal != nil && cr.Err == nil && !cr.Replayed {
-				j.journal.append(recCell, cellRecord{RunKey: cr.Cell.Key(), Cell: cell})
+			} else if j.journal != nil {
+				j.journal.append(recCell, cellRecord{RunKey: key, Cell: cell})
 			}
 			j.cells.publish(cell)
 		},

@@ -16,6 +16,7 @@ import (
 
 	"adnet/internal/dynamics"
 	"adnet/internal/expt"
+	"adnet/internal/sim"
 )
 
 // postSweepJob submits a sweep spec and returns the parsed job status.
@@ -568,6 +569,54 @@ func TestSweepCancelPropagatesIntoCellsPromptly(t *testing.T) {
 	}
 	// Re-cancel is a conflict.
 	cancelSweep(t, srv, job.ID, http.StatusConflict)
+}
+
+// TestSweepCancelBeforeStartStreamsSkipLines cancels a sweep right
+// after submitting it. Whether the cancel lands before the executor
+// starts or just after, the sweep streams the executor's own contract:
+// one skip line per cell, a summary counting them, state canceled and
+// the same error text a mid-grid cancel gives. Under heavy load the
+// one runner may already have begun cell 0; that cell then carries the
+// engine's interruption instead of a skip.
+func TestSweepCancelBeforeStartStreamsSkipLines(t *testing.T) {
+	t.Parallel()
+	srv, m := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+	spec := slowSweepSpec(1, 2, 3, 4)
+	j, err := m.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CancelSweep(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	st := awaitSweepState(t, srv, j.ID, StateCanceled)
+	if !strings.HasPrefix(st.Error, "canceled by request:") {
+		t.Fatalf("error = %q, want the canceled-by-request text", st.Error)
+	}
+	cells, summary := readCells(t, srv, j.ID)
+	if len(cells) != spec.NumCells() {
+		t.Fatalf("stream has %d cell lines, grid has %d", len(cells), spec.NumCells())
+	}
+	errs := 0
+	for i, c := range cells {
+		if c.Index != i {
+			t.Fatalf("line %d carries index %d", i, c.Index)
+		}
+		if c.Error == "" {
+			continue
+		}
+		errs++
+		interrupted := i == 0 && strings.Contains(c.Error, sim.ErrCanceled.Error())
+		if !strings.Contains(c.Error, "cell skipped") && !interrupted {
+			t.Fatalf("cell %d error %q is not a skip", i, c.Error)
+		}
+	}
+	if st.Summary == nil || summary == nil || *summary != *st.Summary {
+		t.Fatalf("streamed summary %+v, status summary %+v", summary, st.Summary)
+	}
+	if summary.Done || summary.Cells != spec.NumCells() || summary.Errors != errs {
+		t.Fatalf("summary = %+v, want %d cells and %d errors", summary, spec.NumCells(), errs)
+	}
 }
 
 // TestSweepSubscriberDisconnectDoesNotCancelJob pins the other half
