@@ -146,6 +146,35 @@ func TestEulerTourStrategyOnGeneralGraphs(t *testing.T) {
 	}
 }
 
+// TestEulerTourStrategyOnSparseIDs runs the strategy on a connected
+// line whose IDs have gaps: the spanning tree must cover the nodes
+// there are, not the ID range.
+func TestEulerTourStrategyOnSparseIDs(t *testing.T) {
+	t.Parallel()
+	g := graph.New()
+	for _, id := range []graph.ID{1, 3, 7, 9} {
+		g.AddNode(id)
+	}
+	g.MustAddEdge(1, 3)
+	g.MustAddEdge(3, 7)
+	g.MustAddEdge(7, 9)
+	n := g.NumNodes()
+	if _, ok := g.SpanningTree(9); !ok {
+		t.Fatal("SpanningTree(9) failed on a connected graph")
+	}
+	tour, ok := g.EulerTour(9)
+	if !ok || len(tour) != 2*(n-1)+1 {
+		t.Fatalf("EulerTour(9) = %v, %v; want a tour of length %d", tour, ok, 2*(n-1)+1)
+	}
+	res, err := EulerTourStrategy(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, res.Depth); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: the Euler strategy always yields a depth-O(log n) tree
 // rooted at u_max with Θ(n) activations, on arbitrary connected graphs.
 func TestEulerStrategyProperty(t *testing.T) {

@@ -64,8 +64,7 @@ func (m Mode) String() string {
 // selectable reports whether a committee announcing this mode may be
 // chosen as a selection target. The paper excludes pulling committees;
 // we additionally exclude merging (dying) committees, which is
-// strictly safer and leaves the growth argument intact (DESIGN.md
-// §3.1).
+// strictly safer and leaves the growth argument intact.
 func (m Mode) selectable() bool { return m == ModeSelection || m == ModeWaiting }
 
 // Announce is the phase-start broadcast over original edges: the

@@ -8,7 +8,7 @@ import (
 )
 
 // GraphToStar message payloads. Each is exchanged at a fixed step of
-// the 8-round phase schedule (DESIGN.md §3.1).
+// the StarPhaseLength-round phase schedule (see phaseStep).
 type (
 	// gtsReport is a member's phase report to its leader: the best
 	// selectable foreign committee seen over original edges, and
@@ -49,8 +49,6 @@ type (
 		ann Announce
 	}
 )
-
-const gtsPhaseLen = 8
 
 // GraphToStar is the §3 algorithm: committees are stars; selection
 // links star centers; pairs merge in one phase and trees of committees
@@ -156,10 +154,7 @@ func (m *GraphToStar) Leader() graph.ID { return m.leader }
 // Role returns the node's current role.
 func (m *GraphToStar) Role() Role { return m.role }
 
-// CommitteeMode returns the node's view of its committee's mode.
-func (m *GraphToStar) CommitteeMode() Mode { return m.mode }
-
-func phaseStep(round int) int { return (round - 1) % gtsPhaseLen }
+func phaseStep(round int) int { return (round - 1) % StarPhaseLength }
 
 // Init implements sim.Machine.
 func (m *GraphToStar) Init(*sim.Context) {}

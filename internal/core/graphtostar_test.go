@@ -107,8 +107,8 @@ func TestGraphToStarComplexityBounds(t *testing.T) {
 		logn := bits.Len(uint(n))
 		// Theorem 3.8: O(log n) time. Our phase is 8 rounds and the
 		// phase count is O(log n); allow a generous constant.
-		if maxRounds := gtsPhaseLen * (4*logn + 8); res.Rounds > maxRounds {
-			t.Errorf("n=%d: %d rounds > %d (phase len %d)", n, res.Rounds, maxRounds, gtsPhaseLen)
+		if maxRounds := StarPhaseLength * (4*logn + 8); res.Rounds > maxRounds {
+			t.Errorf("n=%d: %d rounds > %d (phase len %d)", n, res.Rounds, maxRounds, StarPhaseLength)
 		}
 		// At most 2n activated edges alive in any round.
 		if met.MaxActivatedEdges > 2*n {
@@ -127,7 +127,7 @@ func TestGraphToStarPhaseCountLogarithmic(t *testing.T) {
 	var prevPhases int
 	for _, n := range []int{32, 64, 128, 256, 512} {
 		res := runGTS(t, graph.Line(n))
-		phases := (res.Rounds + gtsPhaseLen - 1) / gtsPhaseLen
+		phases := (res.Rounds + StarPhaseLength - 1) / StarPhaseLength
 		if prevPhases > 0 && phases > prevPhases+6 {
 			t.Errorf("n=%d: phase count %d jumped from %d — not logarithmic growth",
 				n, phases, prevPhases)

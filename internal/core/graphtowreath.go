@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"adnet/internal/graph"
@@ -73,30 +72,36 @@ type (
 	wInfo struct{ Leader graph.ID }
 )
 
-// wreathSched fixes the per-phase window offsets, identical at every
-// node (computed from n, which §5 grants to all nodes; for §4 it is a
-// scheduling simplification documented in DESIGN.md § "The wreath
-// schedule reads n (a deviation from §4)").
-type wreathSched struct {
-	d       int // tree-communication window length
-	rebuild int // rebuild window length
+// wreathWindow names one window of a wreath phase; the windows run in
+// this order.
+type wreathWindow uint8
 
-	oAnnounce int
-	oUp       int
-	oDown     int
-	oAttach   int
-	oTail     int
-	oChain    int
-	oSplice0  int
-	oSplice1  int
-	oSplice2  int
-	oFlagUp   int
-	oEngDown  int
-	oCut      int
-	oRebuild  int
-	oClose    int
-	oInfo     int
-	length    int
+const (
+	winAnnounce wreathWindow = iota
+	winUp
+	winDown
+	winAttach
+	winTail
+	winChain
+	winSplice // three steps: splice target, bridges (spliceRound1), commit (spliceRound2)
+	winFlagUp
+	winEngDown
+	winCut
+	winRebuild
+	winClose
+	winInfo
+	numWindows
+)
+
+// wreathSched fixes the per-phase windows, identical at every node
+// (computed from n, which §5 grants to all nodes; for §4 it is a
+// scheduling simplification documented in DESIGN.md § "The wreath
+// schedule reads n (a deviation from §4)"). newWreathSched is the one
+// place a window's width is written.
+type wreathSched struct {
+	// end[w] is the first phase step after window w, so end[winInfo]
+	// is the phase length.
+	end [numWindows]int
 }
 
 func newWreathSched(n, branching int) wreathSched {
@@ -105,37 +110,75 @@ func newWreathSched(n, branching int) wreathSched {
 	// merges can stack a constant number of extra levels per phase, so
 	// budget double that plus slack.
 	d := 2*bits.Len(uint(n)) + 6
-	rb := subroutine.EmbeddedWindow(n, branching)
-	s := wreathSched{d: d, rebuild: rb}
-	at := 0
-	next := func(width int) int {
-		o := at
-		at += width
-		return o
+	width := [numWindows]int{
+		winAnnounce: 1,
+		winUp:       d,
+		winDown:     d,
+		winAttach:   1,
+		winTail:     1,
+		winChain:    1,
+		winSplice:   3,
+		winFlagUp:   d,
+		winEngDown:  d,
+		winCut:      1,
+		winRebuild:  subroutine.EmbeddedWindow(n, branching),
+		winClose:    d + 2,
+		winInfo:     d + 1,
 	}
-	s.oAnnounce = next(1)
-	s.oUp = next(d)
-	s.oDown = next(d)
-	s.oAttach = next(1)
-	s.oTail = next(1)
-	s.oChain = next(1)
-	s.oSplice0 = next(1)
-	s.oSplice1 = next(1)
-	s.oSplice2 = next(1)
-	s.oFlagUp = next(d)
-	s.oEngDown = next(d)
-	s.oCut = next(1)
-	s.oRebuild = next(rb)
-	s.oClose = next(d + 2)
-	s.oInfo = next(d + 1)
-	s.length = at
+	var s wreathSched
+	at := 0
+	for w, wd := range width {
+		at += wd
+		s.end[w] = at
+	}
 	return s
+}
+
+// at returns the window engine round falls in and the round's index
+// inside it, comparing the phase step against the window ends in phase
+// order. The compares are written out because a loop over the ends
+// costs about a third more per lookup, and Send and Receive each look
+// up every round.
+func (s *wreathSched) at(round int) (wreathWindow, int) {
+	e := &s.end
+	step := (round - 1) % e[winInfo]
+	switch {
+	case step < e[winAnnounce]:
+		return winAnnounce, step
+	case step < e[winUp]:
+		return winUp, step - e[winAnnounce]
+	case step < e[winDown]:
+		return winDown, step - e[winUp]
+	case step < e[winAttach]:
+		return winAttach, step - e[winDown]
+	case step < e[winTail]:
+		return winTail, step - e[winAttach]
+	case step < e[winChain]:
+		return winChain, step - e[winTail]
+	case step < e[winSplice]:
+		return winSplice, step - e[winChain]
+	case step < e[winFlagUp]:
+		return winFlagUp, step - e[winSplice]
+	case step < e[winEngDown]:
+		return winEngDown, step - e[winFlagUp]
+	case step < e[winCut]:
+		return winCut, step - e[winEngDown]
+	case step < e[winRebuild]:
+		return winRebuild, step - e[winCut]
+	case step < e[winClose]:
+		return winClose, step - e[winRebuild]
+	}
+	return winInfo, step - e[winClose]
 }
 
 // WreathPhaseLength returns the fixed phase length (rounds) of
 // GraphToWreath / GraphToThinWreath for n nodes and the given gadget
 // branching factor.
-func WreathPhaseLength(n, branching int) int { return newWreathSched(n, branching).length }
+func WreathPhaseLength(n, branching int) int { return newWreathSched(n, branching).end[winInfo] }
+
+// StarPhaseLength is the fixed phase length (rounds) of GraphToStar,
+// whatever n.
+const StarPhaseLength = 8
 
 // WreathBranching returns the gadget arity used for n nodes: 2 for the
 // wreath, ⌈log2 n⌉ (at least 2) for the thin wreath.
@@ -339,20 +382,6 @@ func (m *GraphToWreath) Recycle(id graph.ID, env sim.Env) {
 	}
 }
 
-// Leader returns the node's current committee leader.
-func (m *GraphToWreath) Leader() graph.ID { return m.leader }
-
-// RingNeighbors returns the node's ring pointers (selfID on a side
-// with no neighbor).
-func (m *GraphToWreath) RingNeighbors() (cw, ccw graph.ID) { return m.cw, m.ccw }
-
-// TreeParent returns the node's tree parent (itself at the root).
-func (m *GraphToWreath) TreeParent() graph.ID { return m.parent }
-
-func (m *GraphToWreath) step(round int) int { return (round - 1) % m.sched.length }
-
-func (m *GraphToWreath) in(step, o, width int) bool { return step >= o && step < o+width }
-
 // Init implements sim.Machine.
 func (m *GraphToWreath) Init(ctx *sim.Context) {
 	m.orig = ctx.OrigNeighbors()
@@ -363,20 +392,19 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 	if m.halted {
 		return
 	}
-	st := m.step(ctx.Round())
-	sc := &m.sched
-	switch {
-	case st == sc.oAnnounce:
+	w, i := m.sched.at(ctx.Round())
+	switch w {
+	case winAnnounce:
 		m.annOut = Announce{Leader: m.leader, Mode: ModeSelection}
 		for _, v := range m.orig {
 			ctx.Send(v, &m.annOut)
 		}
-	case m.in(st, sc.oUp, sc.d):
+	case winUp:
 		if m.parent != m.selfID {
 			m.upOut = m.up
 			ctx.Send(m.parent, &m.upOut)
 		}
-	case m.in(st, sc.oDown, sc.d):
+	case winDown:
 		if m.isLeader() && !m.decided {
 			m.decide()
 		}
@@ -386,29 +414,29 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 				ctx.Send(c, &m.decOut)
 			}
 		}
-	case st == sc.oAttach:
+	case winAttach:
 		if m.decided && m.decision.Selected && m.decision.BorderX == m.selfID {
 			m.attachOut = wAttach{CommitteeUID: m.leader}
 			ctx.Send(m.decision.ContactY, &m.attachOut)
 		}
-	case st == sc.oTail:
+	case winTail:
 		if m.decided && m.decision.Selected && m.decision.BorderX == m.selfID {
 			m.tailOut = wTailRev{Tail: m.earTail(), Hosting: len(m.rawReqs) > 0}
 			ctx.Send(m.decision.ContactY, &m.tailOut)
 		}
-	case st == sc.oChain:
+	case winChain:
 		m.sendChainAssignments(ctx)
-	case st == sc.oSplice0:
-		if m.chainOK && !m.tailNone && m.ccw != m.selfID {
+	case winSplice:
+		if i == 0 && m.chainOK && !m.tailNone && m.ccw != m.selfID {
 			m.spliceOut = wSplice{Target: m.tailTarget}
 			ctx.Send(m.ccw, &m.spliceOut)
 		}
-	case m.in(st, sc.oFlagUp, sc.d):
+	case winFlagUp:
 		if m.parent != m.selfID {
 			m.flagOut = m.flagUp
 			ctx.Send(m.parent, &m.flagOut)
 		}
-	case m.in(st, sc.oEngDown, sc.d):
+	case winEngDown:
 		if m.isLeader() && !m.engagedMark {
 			selectedOK := m.decision.Selected && !m.flagUp.Rejected
 			m.engaged = selectedOK || m.flagUp.Attached
@@ -418,21 +446,18 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 		if m.engagedMark {
 			m.engOut = wEngaged{Engaged: m.engaged}
 			for _, c := range m.children {
-				if wreathDebugHook != nil {
-					wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("engsend->%d %v", c, m.engaged))
-				}
 				ctx.Send(c, &m.engOut)
 			}
 		}
-	case st == sc.oCut:
+	case winCut:
 		if m.engaged && m.isLeader() && m.amRoot && m.ccw != m.selfID {
 			ctx.Send(m.ccw, wCut{})
 		}
-	case m.in(st, sc.oRebuild, sc.rebuild):
+	case winRebuild:
 		if m.rebuilding {
 			m.inner.Send(ctx)
 		}
-	case m.in(st, sc.oClose, sc.d+2):
+	case winClose:
 		if m.engaged {
 			m.parentOut = wParent{Parent: m.parent, IsRoot: m.parent == m.selfID}
 			ctx.Broadcast(&m.parentOut)
@@ -441,7 +466,7 @@ func (m *GraphToWreath) Send(ctx *sim.Context) {
 				m.closeSent = true
 			}
 		}
-	case m.in(st, sc.oInfo, sc.d+1):
+	case winInfo:
 		if m.infoSeen {
 			m.infoOut = wInfo{Leader: m.infoLeader}
 			for _, c := range m.children {
@@ -456,20 +481,19 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 	if m.halted {
 		return
 	}
-	st := m.step(ctx.Round())
-	sc := &m.sched
-	switch {
-	case st == sc.oAnnounce:
+	w, i := m.sched.at(ctx.Round())
+	switch w {
+	case winAnnounce:
 		m.checkInvariants(ctx)
 		m.wreathPhase = m.fresh()
 		m.seedAggregate(inbox)
-	case m.in(st, sc.oUp, sc.d):
+	case winUp:
 		for _, msg := range inbox {
 			if rep, ok := msg.Payload.(*wReport); ok {
 				m.mergeReport(rep)
 			}
 		}
-	case m.in(st, sc.oDown, sc.d):
+	case winDown:
 		if m.terminating {
 			m.terminate(ctx)
 			return
@@ -483,15 +507,15 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 				}
 			}
 		}
-	case st == sc.oAttach:
+	case winAttach:
 		for _, msg := range inbox {
 			if req, ok := msg.Payload.(*wAttach); ok {
 				m.rawReqs = append(m.rawReqs, wAttachEnv{From: msg.From, UID: req.CommitteeUID})
 			}
 		}
-	case st == sc.oTail:
+	case winTail:
 		m.finalizeAdmissions(inbox)
-	case st == sc.oChain:
+	case winChain:
 		for _, msg := range inbox {
 			switch pl := msg.Payload.(type) {
 			case *wChain:
@@ -506,51 +530,53 @@ func (m *GraphToWreath) Receive(ctx *sim.Context, inbox []sim.Message) {
 			}
 		}
 		m.flagUp = wFlagUp{Attached: m.attachedFlag, Rejected: m.rejected}
-	case st == sc.oSplice0:
-		for _, msg := range inbox {
-			if sp, ok := msg.Payload.(*wSplice); ok {
-				m.spliceT = sp.Target
-				m.spliceSet = true
+	case winSplice:
+		switch i {
+		case 0:
+			for _, msg := range inbox {
+				if sp, ok := msg.Payload.(*wSplice); ok {
+					m.spliceT = sp.Target
+					m.spliceSet = true
+				}
 			}
+		case 1:
+			m.spliceRound1(ctx)
+		case 2:
+			m.spliceRound2(ctx)
 		}
-	case st == sc.oSplice1:
-		m.spliceRound1(ctx)
-	case st == sc.oSplice2:
-		m.spliceRound2(ctx)
-	case m.in(st, sc.oFlagUp, sc.d):
+	case winFlagUp:
 		for _, msg := range inbox {
 			if f, ok := msg.Payload.(*wFlagUp); ok {
 				m.flagUp.Attached = m.flagUp.Attached || f.Attached
 				m.flagUp.Rejected = m.flagUp.Rejected || f.Rejected
 			}
 		}
-	case m.in(st, sc.oEngDown, sc.d):
+	case winEngDown:
 		for _, msg := range inbox {
 			if e, ok := msg.Payload.(*wEngaged); ok && msg.From == m.parent {
-				if wreathDebugHook != nil {
-					wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("engrecv<-%d %v", msg.From, e.Engaged))
-				}
 				m.engaged = e.Engaged
 				m.engagedMark = true
 			}
 		}
-	case st == sc.oCut:
+	case winCut:
 		for _, msg := range inbox {
 			if _, ok := msg.Payload.(wCut); ok {
 				m.noLineChild = true
 			}
 		}
 		m.prepareRebuild(ctx)
-	case m.in(st, sc.oRebuild, sc.rebuild):
+	case winRebuild:
 		if m.rebuilding {
 			m.inner.Receive(ctx, inbox)
-			if st == sc.oRebuild+sc.rebuild-1 {
+			// The window is the embedded node's budget, so its
+			// budget runs out on the window's last step.
+			if m.inner.Done(ctx.Round()) {
 				m.adoptRebuiltTree(ctx)
 			}
 		}
-	case m.in(st, sc.oClose, sc.d+2):
+	case winClose:
 		m.closeRing(ctx, inbox)
-	case m.in(st, sc.oInfo, sc.d+1):
+	case winInfo:
 		for _, msg := range inbox {
 			if info, ok := msg.Payload.(*wInfo); ok && msg.From == m.parent {
 				m.infoLeader = info.Leader

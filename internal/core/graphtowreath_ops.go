@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"adnet/internal/graph"
@@ -109,7 +108,7 @@ func (m *GraphToWreath) earTail() graph.ID {
 // finalizeAdmissions runs at the tail-revision step: raw attach
 // requests plus their revisions become the final admitted chain.
 //
-// Rules (DESIGN.md §3.2):
+// Rules:
 //   - tail-conflict: if our committee selected through border x and we
 //     are x's ring-ccw neighbor, our cw-side cut edge is the border's
 //     ccw-side cut edge; hosting here would double-book it. Reject.
@@ -236,15 +235,9 @@ func (m *GraphToWreath) sendChainAssignments(ctx *sim.Context) {
 		default:
 			ch.TailTarget = m.oldCW
 		}
-		if wreathDebugHook != nil {
-			wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("chain->%d ccw=%d tail=%d none=%v", a.From, ch.NewCCW, ch.TailTarget, ch.TailNone))
-		}
 		ctx.Send(a.From, ch)
 	}
 	if m.oldCW != m.selfID {
-		if wreathDebugHook != nil {
-			wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("expect->%d ccw=%d", m.oldCW, m.attachers[last].Tail))
-		}
 		m.expectOut = wExpect{NewCCW: m.attachers[last].Tail}
 		ctx.Send(m.oldCW, &m.expectOut)
 	}
@@ -281,9 +274,6 @@ func (m *GraphToWreath) spliceRound2(ctx *sim.Context) {
 	if m.spliceSet && m.spliceT != m.selfID {
 		if !ctx.HasNeighbor(m.spliceT) {
 			ctx.Activate(m.spliceT)
-		}
-		if wreathDebugHook != nil {
-			wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("tailconnect cw:=%d", m.spliceT))
 		}
 		m.cw = m.spliceT
 	}
@@ -379,9 +369,6 @@ func (m *GraphToWreath) adoptRebuiltTree(ctx *sim.Context) {
 	} else {
 		m.parent = parent
 	}
-	if wreathDebugHook != nil {
-		wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("adopt parent=%d root=%v children=%v", parent, isRoot, m.children))
-	}
 	m.rebuilding = false
 	// Closure bootstrap: a node whose cw side is open is the tail of a
 	// path merge and must re-close the ring by climbing the new tree.
@@ -425,9 +412,6 @@ func (m *GraphToWreath) closeRing(ctx *sim.Context, inbox []sim.Message) {
 		// ring. It already exists (it is the current hop edge); the
 		// notification goes out in the next Send slot of the window.
 		m.cw = m.anchor
-		if wreathDebugHook != nil {
-			wreathDebugHook(ctx.Round(), m.selfID, fmt.Sprintf("ringclose->%d", m.anchor))
-		}
 		m.closeDone = true
 		return
 	}

@@ -15,8 +15,7 @@ import (
 func TestWreathStructuralInvariants(t *testing.T) {
 	var violations []string
 	wreathDebugHook = func(round int, id graph.ID, desc string) {
-		// The hook also receives verbose trace lines; only pointer
-		// violations are single words.
+		// The hook names the dangling pointer.
 		switch desc {
 		case "cw", "ccw", "parent", "child":
 			violations = append(violations, fmt.Sprintf("round %d node %d: %s", round, id, desc))

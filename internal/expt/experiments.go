@@ -12,44 +12,44 @@ import (
 	"adnet/internal/subroutine"
 )
 
+// experiments is the experiment index E1–E13, in order.
+var experiments = []struct {
+	id  string
+	run func(sizes []int) (*Table, error)
+}{
+	{"E1", E1TreeToStar},
+	{"E2", E2LineToCBT},
+	{"E3", E3GraphToStar},
+	{"E4", E4GraphToWreath},
+	{"E5", E5GraphToThinWreath},
+	{"E6", E6TimeLowerBound},
+	{"E7", E7CentralizedLine},
+	{"E8", E8CentralizedEuler},
+	{"E9", E9DistributedActivations},
+	{"E10", E10Clique},
+	{"E11", E11Flooding},
+	{"E12", E12Compose},
+	{"E13", E13Phases},
+}
+
 // ExperimentIDs lists the implemented experiment identifiers in order.
 func ExperimentIDs() []string {
-	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // Run executes the experiment with the given ID at the given sizes
 // (nil = defaults) and returns its table.
 func Run(id string, sizes []int) (*Table, error) {
-	switch id {
-	case "E1":
-		return E1TreeToStar(sizes)
-	case "E2":
-		return E2LineToCBT(sizes)
-	case "E3":
-		return E3GraphToStar(sizes)
-	case "E4":
-		return E4GraphToWreath(sizes)
-	case "E5":
-		return E5GraphToThinWreath(sizes)
-	case "E6":
-		return E6TimeLowerBound(sizes)
-	case "E7":
-		return E7CentralizedLine(sizes)
-	case "E8":
-		return E8CentralizedEuler(sizes)
-	case "E9":
-		return E9DistributedActivations(sizes)
-	case "E10":
-		return E10Clique(sizes)
-	case "E11":
-		return E11Flooding(sizes)
-	case "E12":
-		return E12Compose(sizes)
-	case "E13":
-		return E13Phases(sizes)
-	default:
-		return nil, fmt.Errorf("expt: unknown experiment %q", id)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(sizes)
+		}
 	}
+	return nil, fmt.Errorf("expt: unknown experiment %q", id)
 }
 
 func defSizes(sizes []int, def []int) []int {
@@ -363,7 +363,7 @@ func E13Phases(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		phases := int(math.Ceil(float64(out.Rounds) / 8.0))
+		phases := int(math.Ceil(float64(out.Rounds) / core.StarPhaseLength))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(out.Rounds), fmt.Sprint(phases),
 			f2(float64(phases) / float64(logn(n))),

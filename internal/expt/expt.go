@@ -1,7 +1,6 @@
 // Package expt is the experiment harness: it regenerates every
-// table/figure-level claim of the paper (the experiment index E1–E13
-// in DESIGN.md) as measured series, ready for EXPERIMENTS.md and the
-// benchmark suite.
+// table/figure-level claim of the paper (DESIGN.md § "Experiment index
+// (E1–E13)") as measured series, the tables cmd/adnet-bench prints.
 package expt
 
 import (

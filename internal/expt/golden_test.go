@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -295,6 +296,65 @@ var wreathTraceGoldens = map[string]string{
 	"line-to-tree/polylog=false/staggered=true":  "0d1e5d95b70420bf21e1f4a72a1c9abf0545232c09f3b06fbc8091ca4bf3335e",
 	"line-to-tree/polylog=true/staggered=false":  "fd3cf5555db8ea2c7c837f7d94987878cf9a052693a03fd33fc544d4d27b7592",
 	"line-to-tree/polylog=true/staggered=true":   "d551766801a44f8c16b05915af9ce3e633b3ae198c48092be4224e2b83e95cd2",
+}
+
+// TestLineToTreeTraceGoldens pins single standalone NewLineToTreeFactory
+// runs, one literal each: lines of n ∈ {33, 256} at b ∈ {2, ⌈log2 n⌉},
+// every node awake at round 0 or on a staggered Wake map. Each run must
+// also take exactly the budget its wake skew gives.
+func TestLineToTreeTraceGoldens(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{33, 256} {
+		for _, b := range []int{2, bits.Len(uint(n - 1))} {
+			for _, staggered := range []bool{false, true} {
+				key := fmt.Sprintf("line-to-tree/n=%d/b=%d/staggered=%v", n, b, staggered)
+				t.Run(key, func(t *testing.T) {
+					t.Parallel()
+					parents := make(map[graph.ID]graph.ID, n)
+					var wake map[graph.ID]int
+					if staggered {
+						wake = make(map[graph.ID]int, n)
+					}
+					skew := 0
+					for i := range n {
+						parents[graph.ID(i)] = graph.ID(min(i+1, n-1))
+						if staggered {
+							wake[graph.ID(i)] = i * 7 % 13
+							skew = max(skew, i*7%13)
+						}
+					}
+					factory, err := subroutine.NewLineToTreeFactory(subroutine.LineToTreeOptions{
+						Branching: b, Parents: parents, Wake: wake,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng := sim.NewEngine()
+					defer eng.Close()
+					d, res := traceDigest(eng, graph.Line(n), factory)
+					if want := lineToTreeTraceGoldens[key]; d != want {
+						t.Errorf("trace changed:\n\t%q: %q,\nwant %q", key, d, want)
+					}
+					if want := subroutine.LineToTreeBudget(n, b, skew); res == nil || res.Rounds != want {
+						t.Errorf("rounds = %v, want the budget %d", res, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// lineToTreeTraceGoldens were generated at commit d745812, before the
+// standalone LineToTree and the embedded one shared a constructor.
+var lineToTreeTraceGoldens = map[string]string{
+	"line-to-tree/n=33/b=2/staggered=false":  "e51e74c18ae7e78ed82faac10a2fb0197059816ea922f5403c9e2d70f948bbdb",
+	"line-to-tree/n=33/b=2/staggered=true":   "ea46b4090569555caed56403479ff3cdd2ae349ee2f654c721187250f54f64d0",
+	"line-to-tree/n=33/b=6/staggered=false":  "6ff28534bef98e869936049318ed8f2ad14992fad98cb0b18a10276c9bb9e690",
+	"line-to-tree/n=33/b=6/staggered=true":   "af77a3341ce8e65eb3b13a71db0dcc4038fb29f2bed18fd12b11a7944e8ca710",
+	"line-to-tree/n=256/b=2/staggered=false": "17c102526b41857072f92a07a980b836f2860d6d3e9858635bc22ef735d493cc",
+	"line-to-tree/n=256/b=2/staggered=true":  "75b593be027258cc9361ddb9c4609d3aad164486a68fc7c4ce1443d3d9d6d8c7",
+	"line-to-tree/n=256/b=8/staggered=false": "431958fcbb848a9a4c3c0062191fee525f2843ce81eca886f2b66be409c7814d",
+	"line-to-tree/n=256/b=8/staggered=true":  "be7eca4ec812fc134aea379b608e33b6452f44d182c61d2ce216bd0ca1499550",
 }
 
 // sparseRelabel returns g with every node u renamed 3u+7: IDs with

@@ -186,7 +186,7 @@ func (g *Graph) SpanningTree(root ID) (map[ID]ID, bool) {
 		}
 		frontier = next
 	}
-	if len(parent) != len(g.adj) {
+	if len(parent) != g.nodes {
 		return nil, false
 	}
 	return parent, true

@@ -252,9 +252,6 @@ func NewManager(cfg Config) *Manager {
 // GET /metrics serves.
 func (m *Manager) Registry() *obs.Registry { return m.cfg.Metrics }
 
-// Logger exposes the manager's structured logger.
-func (m *Manager) Logger() *slog.Logger { return m.logger }
-
 // Close stops accepting submissions, cancels live sweep jobs, and
 // waits for in-flight work. Queued run jobs still run (to drop them,
 // Cancel first); sweeps are canceled rather than drained because a

@@ -172,9 +172,6 @@ func (c *Context) Status() Status { return c.status }
 // Halt are still applied.
 func (c *Context) Halt() { c.halted = true }
 
-// Halted reports whether the node has halted.
-func (c *Context) Halted() bool { return c.halted }
-
 func (c *Context) fail(err error) {
 	if c.err == nil {
 		c.err = err

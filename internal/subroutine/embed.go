@@ -1,10 +1,6 @@
 package subroutine
 
-import (
-	"math/bits"
-
-	"adnet/internal/graph"
-)
+import "adnet/internal/graph"
 
 // EmbeddedConfig builds a single LineToTree node for embedding inside
 // a larger protocol — GraphToWreath and GraphToThinWreath run the
@@ -32,23 +28,9 @@ type EmbeddedConfig struct {
 }
 
 // EmbeddedWindow returns the number of rounds an embedded rebuild
-// window needs for the given size bound and branching: the binary
-// build plus the compression stage.
-func EmbeddedWindow(sizeBound, branching int) int {
-	stage1 := 4*(bits.Len(uint(sizeBound))+3) + 8
-	return stage1 + 2*adoptK(branching) + 4
-}
-
-// adoptK is the number of adopt-grandchildren compression rounds for
-// branching b: the largest k whose root child count 2^(2^k+1)-2 still
-// respects b.
-func adoptK(b int) int {
-	k := 0
-	for rootCC := 6; b >= rootCC; rootCC = (rootCC+2)*(rootCC+2)/2 - 2 {
-		k++
-	}
-	return k
-}
+// window needs for the given size bound and branching: the budget of a
+// run whose nodes all wake when the window opens.
+func EmbeddedWindow(sizeBound, branching int) int { return LineToTreeBudget(sizeBound, branching, 0) }
 
 // NewEmbedded constructs a LineToTree node outside the factory path.
 // The caller is responsible for invoking Send and Receive during
@@ -65,37 +47,7 @@ func NewEmbedded(cfg EmbeddedConfig) *LineToTree {
 // builds, keeping the capacity of its buffers: a host that rebuilds
 // every phase holds one LineToTree by value and resets it per window
 // instead of allocating a new one.
-func (m *LineToTree) ResetEmbedded(cfg EmbeddedConfig) {
-	base := cfg.StartRound - 1
-	stage1 := 4*(bits.Len(uint(cfg.SizeBound))+3) + 8
-	k := adoptK(cfg.Branching)
-	*m = LineToTree{
-		b:         cfg.Branching,
-		wake:      base,
-		budget:    base + stage1 + 2*k + 4,
-		stage1End: base + stage1,
-		adoptK:    k,
-		selfID:    cfg.Self,
-		isRoot:    cfg.IsRoot,
-		parent:    cfg.Parent,
-		embedded:  true,
-		keep:      cfg.KeepEdge,
-		children:  m.children[:0],
-		childEA:   m.childEA[:0],
-		inflight:  m.inflight[:0],
-		out:       treeMsg{Children: m.out.Children[:0]},
-
-		parentCC:    -1,
-		oldParentCC: -1,
-	}
-	if cfg.IsRoot {
-		m.parent = cfg.Self
-	}
-	if cfg.HasChild {
-		m.children = append(m.children, cfg.Child)
-		m.childEA = append(m.childEA, 0)
-	}
-}
+func (m *LineToTree) ResetEmbedded(cfg EmbeddedConfig) { m.reset(cfg, 0, 0, true) }
 
 // FinalParent returns the node's current tree parent and whether it is
 // the root. Meaningful once the rebuild window has ended.

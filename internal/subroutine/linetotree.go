@@ -73,7 +73,6 @@ type treeMsg struct {
 // variant, whose final edge set must equal the synchronous one
 // (Lemma B.4) — enforced by property tests.
 type LineToTree struct {
-	b         int
 	wake      int
 	budget    int
 	stage1End int // last round of the binary build; compression follows
@@ -122,8 +121,6 @@ type LineToTreeOptions struct {
 	// Wake optionally delays nodes (asynchronous variant). Nil or
 	// missing entries mean round 0.
 	Wake map[graph.ID]int
-	// Budget overrides the computed round budget (0 = automatic).
-	Budget int
 }
 
 // NewLineToTreeFactory validates the options and returns the factory.
@@ -143,58 +140,97 @@ func NewLineToTreeFactory(opts LineToTreeOptions) (sim.Factory, error) {
 	if roots != 1 {
 		return nil, fmt.Errorf("subroutine: parent map has %d roots, want 1", roots)
 	}
-	m := len(opts.Parents)
-	maxWake := 0
+	skew := 0
 	for _, w := range opts.Wake {
-		if w > maxWake {
-			maxWake = w
-		}
-	}
-	// Stage 1 (binary build): ~2 rounds per hop level with
-	// ⌈log2 m⌉+O(1) levels, doubled for ladder interleaving, plus wake
-	// skew and slack. Stage 2 (compression, b > 2 only): k rounds of
-	// grandchild adoption, each halving the depth and squaring the
-	// branching — k is the largest value whose root child count
-	// 2^(2^k + 1) − 2 still respects b. This is the log log n lever of
-	// §5: depth drops from log m to ~log m / log b.
-	stage1End := 4*(bits.Len(uint(m))+3) + maxWake + 8
-	k := adoptK(opts.Branching)
-	budget := opts.Budget
-	if budget == 0 {
-		budget = stage1End + 2*k + 4
+		skew = max(skew, w)
 	}
 	// Initial children: invert the parent map, giving each node its
 	// unique line child (the neighbor away from the root).
-	childOf := make(map[graph.ID]graph.ID, m)
+	childOf := make(map[graph.ID]graph.ID, len(opts.Parents))
 	for u, p := range opts.Parents {
 		if u != p {
 			childOf[p] = u
 		}
 	}
 	return func(id graph.ID, _ sim.Env) sim.Machine {
-		lt := &LineToTree{
-			b:         opts.Branching,
-			wake:      opts.Wake[id],
-			budget:    budget,
-			stage1End: stage1End,
-			adoptK:    k,
-			isRoot:    opts.Parents[id] == id,
-			parent:    opts.Parents[id],
-
-			parentCC:    -1,
-			oldParentCC: -1,
+		cfg := EmbeddedConfig{
+			Self:       id,
+			Branching:  opts.Branching,
+			Parent:     opts.Parents[id],
+			IsRoot:     opts.Parents[id] == id,
+			StartRound: 1,
+			SizeBound:  len(opts.Parents),
 		}
-		if c, ok := childOf[id]; ok {
-			lt.children = append(lt.children, c)
-			lt.childEA = append(lt.childEA, 0)
-		}
+		cfg.Child, cfg.HasChild = childOf[id]
+		lt := new(LineToTree)
+		lt.reset(cfg, opts.Wake[id], skew, false)
 		return lt
 	}, nil
 }
 
+// LineToTreeBudget returns the rounds a LineToTree run over at most
+// sizeBound nodes takes at branching b when its nodes' wakes spread
+// over skew rounds: stage 1 and stage 2 below, plus slack.
+func LineToTreeBudget(sizeBound, branching, skew int) int {
+	return stage1Rounds(sizeBound, skew) + 2*adoptK(branching) + 4
+}
+
+// stage1Rounds is the length of the binary build over m = sizeBound
+// nodes: ~2 rounds per hop level with ⌈log2 m⌉+O(1) levels, doubled for
+// ladder interleaving, plus wake skew and slack. Stage 2 (compression,
+// b > 2 only) follows: adoptK(b) rounds of grandchild adoption, each
+// halving the depth and squaring the branching. This is the log log n
+// lever of §5: depth drops from log m to ~log m / log b.
+func stage1Rounds(sizeBound, skew int) int {
+	return 4*(bits.Len(uint(sizeBound))+3) + skew + 8
+}
+
+// adoptK is the number of adopt-grandchildren compression rounds for
+// branching b: the largest k whose root child count 2^(2^k+1)-2 still
+// respects b.
+func adoptK(b int) int {
+	k := 0
+	for rootCC := 6; b >= rootCC; rootCC = (rootCC+2)*(rootCC+2)/2 - 2 {
+		k++
+	}
+	return k
+}
+
+// reset re-initialises m in place as node cfg.Self of a run whose
+// round 0 is cfg.StartRound-1, keeping the capacity of its buffers.
+// The node wakes wake rounds after round 0, the run's wakes spread over
+// skew rounds, and an embedded node never halts its host.
+func (m *LineToTree) reset(cfg EmbeddedConfig, wake, skew int, embedded bool) {
+	base := cfg.StartRound - 1
+	*m = LineToTree{
+		wake:      base + wake,
+		budget:    base + LineToTreeBudget(cfg.SizeBound, cfg.Branching, skew),
+		stage1End: base + stage1Rounds(cfg.SizeBound, skew),
+		adoptK:    adoptK(cfg.Branching),
+		selfID:    cfg.Self,
+		isRoot:    cfg.IsRoot,
+		parent:    cfg.Parent,
+		embedded:  embedded,
+		keep:      cfg.KeepEdge,
+		children:  m.children[:0],
+		childEA:   m.childEA[:0],
+		inflight:  m.inflight[:0],
+		out:       treeMsg{Children: m.out.Children[:0]},
+
+		parentCC:    -1,
+		oldParentCC: -1,
+	}
+	if cfg.IsRoot {
+		m.parent = cfg.Self
+	}
+	if cfg.HasChild {
+		m.children = append(m.children, cfg.Child)
+		m.childEA = append(m.childEA, 0)
+	}
+}
+
 // Init implements sim.Machine.
 func (m *LineToTree) Init(ctx *sim.Context) {
-	m.selfID = ctx.ID()
 	if m.isRoot {
 		ctx.SetStatus(sim.StatusLeader)
 	} else {
