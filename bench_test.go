@@ -377,6 +377,33 @@ func benchRound(b *testing.B, sizes []int, factory func(n int) sim.Factory) {
 	}
 }
 
+// BenchmarkGraphToStarLine65536 is the round loop at scale as a go
+// test row: graph-to-star on a 2^16-node line through a warm
+// expt.Runner (the recycling engine every sweep cell uses), reported
+// per node-round like ./benchmark's star-large workload.
+func BenchmarkGraphToStarLine65536(b *testing.B) {
+	const n = 1 << 16
+	r := expt.NewRunner()
+	defer r.Close()
+	req := expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: n, Seed: 1}
+	if _, err := r.Execute(req); err != nil { // warm the engine and the arena
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	rounds := 0
+	for i := 0; i < b.N; i++ {
+		out, err := r.Execute(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !out.LeaderOK {
+			b.Fatal("maximum ID not elected")
+		}
+		rounds += out.Rounds
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(rounds)), "ns/node-round")
+}
+
 // BenchmarkEngineReuse measures the PR 3 headline: many runs through
 // one reused Engine versus back-to-back sim.Run. Same workload, same
 // semantics; the engine variant reuses contexts, inboxes, history

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"adnet/internal/graph"
@@ -156,11 +157,91 @@ func (m *GraphToStar) Role() Role { return m.role }
 
 func phaseStep(round int) int { return (round - 1) % StarPhaseLength }
 
+// needMask is the phase's calls this state needs made on an empty
+// inbox: bit 2·step for Send, bit 2·step+1 for Receive (DESIGN.md §
+// Call skipping has the table). A clear bit is a call that would do
+// nothing; a message wakes any Receive anyway.
+func (m *GraphToStar) needMask() uint32 {
+	need := uint32(1<<1 | 1<<2) // step 0 Receive (resetPhase, terminate); step 1 Send (the report)
+	if m.mode != ModeTermination {
+		need |= 1 << 0 // step 0 Send: the announce
+	}
+	if m.mode == ModeMerging {
+		need |= 1<<5 | 1<<6 // step 2 Receive: move to the winner; step 3 Send: join it
+	}
+	if len(m.queriers) > 0 {
+		need |= 1 << 6 // step 3 Send: the query replies
+	}
+	if len(m.linkers) > 0 {
+		need |= 1 << 10 // step 5 Send: the link replies
+	}
+	if m.role != RoleLeader {
+		if m.mode == ModeMerging {
+			need |= 1 << 7 // step 3 Receive: take the winner as leader
+		}
+		return need
+	}
+	need |= 1<<5 | 1<<14 // step 2 Receive: decideSelection; step 7 Send: decideNextMode
+	if m.mode == ModePulling {
+		need |= 1 << 4 // step 2 Send: the query
+		if m.hopped {
+			need |= 1 << 11 // step 5 Receive: drop the previous target
+		}
+		if m.replyRootSeen || m.replyFollowSeen {
+			need |= 1 << 9 // step 4 Receive: pullHop
+		}
+	}
+	if m.selecting {
+		need |= 1 << 8 // step 4 Send: the leader link
+		if m.hop1 != m.selTarget {
+			need |= 1 << 7 // step 3 Receive: the second hop
+			if m.hop1Temp {
+				need |= 1 << 9 // step 4 Receive: drop the first hop
+			}
+		}
+	}
+	return need
+}
+
+// nextCall returns the position (2·round + phase, phase 0 Send and 1
+// Receive) of the first call after pos that this state needs on an
+// empty inbox. The mask is doubled so the search wraps into the next
+// phase; bit 1 is always set, so it ends within it.
+func (m *GraphToStar) nextCall(pos int) int {
+	bit := 2*phaseStep(pos/2) + pos%2
+	if bit < 2 {
+		return pos + 1 // bits 1 and 2 are always set
+	}
+	need := m.needMask()
+	need |= need << (2 * StarPhaseLength)
+	return pos + 1 + bits.TrailingZeros32(need>>(bit+1))
+}
+
+// skipIdle declares, after the call at pos, the calls this machine
+// does not need (sim.Context.SkipUntil).
+func (m *GraphToStar) skipIdle(ctx *sim.Context, pos int) {
+	if next := m.nextCall(pos); next > pos+1 {
+		ctx.SkipUntil(next/2, next%2 == 1)
+	}
+}
+
 // Init implements sim.Machine.
 func (m *GraphToStar) Init(*sim.Context) {}
 
-// Send implements sim.Machine.
+// Send implements sim.Machine. Like Receive, it then tells the engine
+// which of the next calls it does not need (skipIdle).
 func (m *GraphToStar) Send(ctx *sim.Context) {
+	m.send(ctx)
+	m.skipIdle(ctx, 2*ctx.Round())
+}
+
+// Receive implements sim.Machine.
+func (m *GraphToStar) Receive(ctx *sim.Context, inbox []sim.Message) {
+	m.receive(ctx, inbox)
+	m.skipIdle(ctx, 2*ctx.Round()+1)
+}
+
+func (m *GraphToStar) send(ctx *sim.Context) {
 	switch phaseStep(ctx.Round()) {
 	case 0: // ANNOUNCE over original edges
 		if m.mode == ModeTermination {
@@ -217,8 +298,7 @@ func (m *GraphToStar) Send(ctx *sim.Context) {
 	}
 }
 
-// Receive implements sim.Machine.
-func (m *GraphToStar) Receive(ctx *sim.Context, inbox []sim.Message) {
+func (m *GraphToStar) receive(ctx *sim.Context, inbox []sim.Message) {
 	switch phaseStep(ctx.Round()) {
 	case 0:
 		if m.mode == ModeTermination {

@@ -13,59 +13,33 @@ import (
 // E(i) frozen at the start of the round: no intent of this round shows
 // before History.Apply commits the round.
 //
-// Contexts are owned and recycled by the Engine, one per slot, and
-// outgoing messages record their destination slot at Send time so
-// delivery is pure slice indexing. Edge intents are not held here:
-// batch is the engine's one intent batch, the very slices History.Apply
-// reads, so an intent is written once.
+// Contexts are owned and recycled by the Engine, one per slot. Send
+// resolves the destination's slot and appends straight to its inbox,
+// and Activate/Deactivate append to the engine's one intent batch (the
+// very slices History.Apply reads), so neither a message nor an intent
+// is held here.
 type Context struct {
-	id    graph.ID
-	hist  *temporal.History
-	env   Env
-	batch *temporal.IntentBatch
+	id   graph.ID
+	hist *temporal.History
+	env  Env
+	eng  *Engine
 
 	round  int
-	outbox []outMsg
+	slot   int32
 	halted bool
 	status Status
 	err    error
 }
 
-// outMsg is an outbox entry: the message plus its destination slot,
-// resolved once at Send time (-1 when the destination is not a node;
-// delivery reports it as a non-neighbor send).
-type outMsg struct {
-	m    Message
-	slot int32
-}
-
-// reset rebinds the context to a node for a new run, recycling
-// its buffers. Stale outbox entries — the full capacity, not just the
-// last round's length — are zeroed so payloads from the previous run
-// cannot leak through reused backing arrays. The batch binding is the
-// engine's (Reset sets it) and survives a reboot.
+// reset rebinds the context to a node for a new run. The slot and
+// engine bindings are the engine's (Reset sets them) and survive a
+// reboot.
 func (c *Context) reset(id graph.ID, hist *temporal.History, env Env) {
 	c.id, c.hist, c.env = id, hist, env
 	c.round = 0
-	c.scrub()
 	c.halted = false
 	c.status = StatusNone
 	c.err = nil
-}
-
-// scrub empties the outbox and drops every payload reference it held,
-// keeping the backing array for reuse.
-func (c *Context) scrub() {
-	outbox := c.outbox[:cap(c.outbox)]
-	for i := range outbox {
-		outbox[i] = outMsg{}
-	}
-	c.outbox = c.outbox[:0]
-}
-
-func (c *Context) beginRound(r int) {
-	c.round = r
-	c.outbox = c.outbox[:0]
 }
 
 // ID returns this node's UID.
@@ -116,21 +90,43 @@ func (c *Context) OrigNeighbors() []graph.ID {
 	return c.hist.InitialNeighborsView(c.id)
 }
 
-// Send queues a message to neighbor v for delivery this round. The
-// destination is resolved to its dense slot here, once, so the
-// engine's delivery loop is pure slice indexing.
+// Send delivers a message to neighbor v: the destination is resolved
+// to its slot and the message appended to that slot's inbox, which v
+// reads in this round's Receive. Only the Send phase delivers; a Send
+// from Init or Receive is dropped. A send to a node that is not a
+// neighbor in E(i) fails the run once the Send phase is over (under an
+// environment the message is lost instead), and a crashed destination
+// drops the message.
 func (c *Context) Send(to graph.ID, payload any) {
-	slot, ok := c.hist.SlotOf(to)
-	if !ok {
-		slot = -1
+	e := c.eng
+	if !e.sending {
+		return
 	}
-	c.outbox = append(c.outbox, outMsg{
-		m:    Message{From: c.id, To: to, Payload: payload},
-		slot: int32(slot),
-	})
+	slot, ok := c.hist.SlotOf(to)
+	if !ok || !c.hist.Active(c.id, to) {
+		if e.cfg.env == nil && e.sendErr == nil {
+			e.sendErr = fmt.Errorf("sim: round %d: node %d sent to non-neighbor %d", c.round, c.id, to)
+		}
+		return
+	}
+	if e.downCount > 0 && e.crashed[slot] {
+		return
+	}
+	e.inboxes[slot] = append(e.inboxes[slot], Message{From: c.id, To: to, Payload: payload})
+	e.roundMsgs++
 }
 
-// Broadcast queues the payload to every current neighbor. It iterates
+// SkipUntil promises the engine that this node's calls before the
+// given round's Send (receive false) or Receive (receive true) would
+// do nothing as long as its inbox is empty: the engine then skips its
+// Send calls before that point, and its Receive calls too unless a
+// message arrives. Every call the engine makes clears the promise, so
+// a machine that never calls SkipUntil is stepped at every call.
+func (c *Context) SkipUntil(round int, receive bool) {
+	c.eng.wake[c.slot] = position(round, receive)
+}
+
+// Broadcast sends the payload to every current neighbor. It iterates
 // the sorted adjacency directly and does not allocate a neighbor slice.
 func (c *Context) Broadcast(payload any) {
 	c.hist.EachNeighborOf(c.id, func(v graph.ID) bool {
@@ -148,7 +144,7 @@ func (c *Context) Activate(v graph.ID) {
 		c.fail(fmt.Errorf("sim: node %d activated a self-loop", c.id))
 		return
 	}
-	c.batch.Activate = append(c.batch.Activate, graph.NewEdge(c.id, v))
+	c.eng.batch.Activate = append(c.eng.batch.Activate, graph.NewEdge(c.id, v))
 }
 
 // Deactivate requests deactivation of edge {self, v} this round.
@@ -157,7 +153,7 @@ func (c *Context) Deactivate(v graph.ID) {
 		c.fail(fmt.Errorf("sim: node %d deactivated a self-loop", c.id))
 		return
 	}
-	c.batch.Deactivate = append(c.batch.Deactivate, graph.NewEdge(c.id, v))
+	c.eng.batch.Deactivate = append(c.eng.batch.Deactivate, graph.NewEdge(c.id, v))
 }
 
 // SetStatus records the node's leader-election outcome.

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"adnet/internal/graph"
@@ -33,13 +34,14 @@ import (
 //
 // Internally the engine's own state is slot-addressed: node slots are
 // ascending-ID ranks 0..n-1 (the History holds the run's one ID↔slot
-// table), contexts and machines live in slot-indexed slices, outbox
-// entries resolve their destination to a slot at Send time, and
-// delivery is slice indexing — no ID→index hash map exists. One
-// goroutine steps a run: slots in ascending order, every context
-// appending its edge intents straight into the engine's one batch, so
-// the batch is in exactly the order History.Apply validates. Parallelism
-// lives above the engine — one engine per core (expt.Runner).
+// table), contexts and machines live in slot-indexed slices, and
+// Context.Send resolves its destination to a slot and appends to that
+// slot's inbox — no ID→index hash map exists. One goroutine steps a
+// run: slots in ascending order, every context appending its messages
+// straight into the inboxes (so each inbox is sender-sorted) and its
+// edge intents straight into the engine's one batch (in exactly the
+// order History.Apply validates). Parallelism lives above the engine —
+// one engine per core (expt.Runner).
 type Engine struct {
 	cfg config
 
@@ -54,6 +56,20 @@ type Engine struct {
 	batch temporal.IntentBatch
 
 	curRound int // the round being stepped, for protect's error
+
+	// Send-phase state, read and written by Context.Send: sending is
+	// true only while the Send loop runs (a Send from Init or Receive is
+	// dropped), roundMsgs counts the round's delivered messages and
+	// sendErr holds its first non-neighbor send.
+	sending   bool
+	roundMsgs int
+	sendErr   error
+
+	// wake is each slot's next needed call as a position 2·round+phase
+	// (phase 0 Send, 1 Receive), declared by Context.SkipUntil; 0 means
+	// none. Dense so that the Send and Receive loops skip a slot without
+	// touching its context or machine.
+	wake []int32
 
 	bfs graph.BFSScratch // connectivity checks without per-call allocation
 	res Result           // what Run returns a pointer to; see Ownership above
@@ -148,7 +164,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	for i := 0; i < n; i++ {
 		id := e.hist.IDAtSlot(i)
 		e.ctxs[i].reset(id, e.hist, env)
-		e.ctxs[i].batch = &e.batch
+		e.ctxs[i].slot, e.ctxs[i].eng = int32(i), e
 		if recycle && i < prevN {
 			e.machines[i].(Recycler).Recycle(id, env)
 			continue
@@ -159,13 +175,9 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 		}
 		e.machines[i] = m
 	}
-	// When the run shrank, scrub the tails beyond n too: slots past
-	// the new size would otherwise pin the previous run's machines
-	// and payloads through the slices' backing arrays.
-	ctxTail := e.ctxs[n:cap(e.ctxs)]
-	for i := range ctxTail {
-		ctxTail[i].scrub()
-	}
+	// When the run shrank, scrub the machine tail beyond n too: slots
+	// past the new size would otherwise pin the previous run's machines
+	// through the slice's backing array.
 	machineTail := e.machines[n:cap(e.machines)]
 	for i := range machineTail {
 		machineTail[i] = nil
@@ -181,6 +193,8 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	}
 	clearMessages(e.delivered[:cap(e.delivered)])
 	e.delivered = e.delivered[:0]
+	e.wake = grow(e.wake, n)
+	clear(e.wake)
 
 	e.factory = factory
 	e.downCount = 0
@@ -240,6 +254,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 
+	wake := e.wake[:n]
 	totalMsgs, maxMsgs := 0, 0
 	for round := 1; round <= cfg.maxRounds; round++ {
 		if cfg.done != nil {
@@ -250,46 +265,35 @@ func (e *Engine) Run() (*Result, error) {
 			default:
 			}
 		}
-		// --- Send ---
-		// Emptied first: that drops what an Init (run's or reboot's) issued.
+		// --- Send, which delivers: every inbox is empty here and
+		// Context.Send appends to the destination's. Senders step in
+		// ascending slot (= ascending ID) order and each keeps its
+		// queueing order, so every inbox is sender-sorted. ---
+		// The batch is emptied first: that drops what an Init (run's or
+		// reboot's) issued.
 		batch.Activate, batch.Deactivate = batch.Activate[:0], batch.Deactivate[:0]
 		e.curRound = round
+		e.roundMsgs, e.sendErr = 0, nil
+		e.sending = true
+		sendPos, recvPos := position(round, false), position(round, true)
 		for i := range ctxs {
+			if wake[i] > sendPos {
+				continue // a declared no-op
+			}
 			e.send(i)
 			failed = failed || ctxs[i].err != nil
 		}
+		e.sending = false
 		if failed {
 			return e.finish(round, totalMsgs, maxMsgs), e.ctxErr()
 		}
-		// --- Deliver: destination slots were resolved at Send time;
-		// whether the edge is active is asked of the History by ID. ---
-		for i := range inboxes {
-			inboxes[i] = inboxes[i][:0]
+		if e.sendErr != nil {
+			return e.finish(round, totalMsgs, maxMsgs), e.sendErr
 		}
-		roundMsgs := 0
-		for i := range ctxs {
-			for _, om := range ctxs[i].outbox {
-				if om.slot < 0 || !hist.Active(om.m.From, om.m.To) {
-					if cfg.env != nil {
-						continue // the environment cut the edge: message lost
-					}
-					return e.finish(round, totalMsgs, maxMsgs),
-						fmt.Errorf("sim: round %d: node %d sent to non-neighbor %d", round, om.m.From, om.m.To)
-				}
-				if e.downCount > 0 && e.crashed[om.slot] {
-					continue // crashed destination drops its inbox
-				}
-				inboxes[om.slot] = append(inboxes[om.slot], om.m)
-				roundMsgs++
-			}
+		totalMsgs += e.roundMsgs
+		if e.roundMsgs > maxMsgs {
+			maxMsgs = e.roundMsgs
 		}
-		totalMsgs += roundMsgs
-		if roundMsgs > maxMsgs {
-			maxMsgs = roundMsgs
-		}
-		// Inboxes are already sender-sorted: senders are processed in
-		// ascending slot (= ascending ID) order and each sender's
-		// messages keep their queueing order.
 		if len(cfg.hooks) > 0 {
 			e.delivered = e.delivered[:0]
 			for i := range inboxes {
@@ -298,10 +302,15 @@ func (e *Engine) Run() (*Result, error) {
 		}
 
 		// --- Receive + intents, appended to the round's batch after
-		// any the Send phase issued ---
+		// any the Send phase issued. A slot with mail is always called;
+		// each inbox is emptied once its Receive has run. ---
 		for i := range ctxs {
+			if wake[i] > recvPos && len(inboxes[i]) == 0 {
+				continue // a declared no-op
+			}
 			e.receive(i)
 			failed = failed || ctxs[i].err != nil
+			inboxes[i] = inboxes[i][:0]
 		}
 		if failed {
 			return e.finish(round, totalMsgs, maxMsgs), e.ctxErr()
@@ -375,6 +384,7 @@ func (e *Engine) applyFaults(round int) error {
 			ctx := &e.ctxs[i]
 			env := Env{N: n}
 			ctx.reset(ctx.id, e.hist, env)
+			e.wake[i] = 0 // the old machine's promise does not bind the new one
 			m := e.factory(ctx.id, env)
 			if m == nil {
 				return fmt.Errorf("sim: round %d: factory returned nil machine rebooting node %d", round, ctx.id)
@@ -393,10 +403,6 @@ func (e *Engine) applyFaults(round int) error {
 		}
 		e.crashed[i] = true
 		e.downCount++
-		// Drop the inbox the slot had accumulated: a crashed node loses
-		// in-flight state, so nothing delivered before the crash
-		// survives to its restart round.
-		e.inboxes[i] = e.inboxes[i][:0]
 	}
 	return nil
 }
@@ -427,10 +433,12 @@ func (e *Engine) ctxErr() error {
 	return nil
 }
 
-// send runs slot i's Send phase.
+// send runs slot i's Send phase. Like receive, it clears the slot's
+// SkipUntil promise before the machine may declare a new one.
 func (e *Engine) send(i int) {
 	ctx := &e.ctxs[i]
-	ctx.beginRound(e.curRound)
+	ctx.round = e.curRound
+	e.wake[i] = 0
 	if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
 		return
 	}
@@ -441,9 +449,12 @@ func (e *Engine) send(i int) {
 	e.machines[i].Send(ctx)
 }
 
-// receive runs slot i's Receive phase on its delivered inbox.
+// receive runs slot i's Receive phase on its inbox. The round is set
+// here too: a Receive may run with its Send skipped.
 func (e *Engine) receive(i int) {
 	ctx := &e.ctxs[i]
+	ctx.round = e.curRound
+	e.wake[i] = 0
 	if ctx.halted || (e.downCount > 0 && e.crashed[i]) {
 		return
 	}
@@ -473,6 +484,16 @@ func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 		eng:                 e,
 	}
 	return &e.res
+}
+
+// position is the wake position of round's Send (or Receive),
+// 2·round+phase, saturated at MaxInt32: past it no call is skipped.
+func position(round int, receive bool) int32 {
+	pos := 2 * round
+	if receive {
+		pos++
+	}
+	return int32(min(pos, math.MaxInt32))
 }
 
 // grow resizes s to length n, reusing capacity (and, for slice

@@ -213,9 +213,9 @@ func TestEngineSummaryWorkersAndBusy(t *testing.T) {
 }
 
 // TestEngineResetScrubsShrunkState is a white-box check of the
-// no-leak invariant: after shrinking to a smaller run, no machine,
-// inbox message or outbox payload from the larger previous run stays
-// reachable through reused backing arrays.
+// no-leak invariant: after shrinking to a smaller run, no machine or
+// inbox message from the larger previous run stays reachable through
+// reused backing arrays.
 func TestEngineResetScrubsShrunkState(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()
@@ -226,13 +226,6 @@ func TestEngineResetScrubsShrunkState(t *testing.T) {
 	for _, m := range e.machines[4:cap(e.machines)] {
 		if m != nil {
 			t.Fatal("machine beyond the current size survived Reset")
-		}
-	}
-	for _, c := range e.ctxs[4:cap(e.ctxs)] {
-		for _, om := range c.outbox[:cap(c.outbox)] {
-			if om.m.Payload != nil {
-				t.Fatal("outbox payload beyond the current size survived Reset")
-			}
 		}
 	}
 	for _, ib := range e.inboxes[4:cap(e.inboxes)] {

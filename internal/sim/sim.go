@@ -55,16 +55,22 @@ type Message struct {
 // Machine is a node program. Implementations must confine themselves to
 // their own state plus the Context: a machine reading another node's
 // state would see it mid-round, which the model does not allow.
+//
+// The engine calls Send and Receive once per round each, unless the
+// machine has promised through ctx.SkipUntil that a call would do
+// nothing; a Receive with a non-empty inbox is always made.
 type Machine interface {
 	// Init runs once before round 1; the context exposes the node's
-	// initial neighborhood.
+	// initial neighborhood. Messages sent here are dropped.
 	Init(ctx *Context)
-	// Send runs at the start of each round; the machine queues
-	// messages to current neighbors via ctx.Send / ctx.Broadcast.
+	// Send runs at the start of each round; the machine sends to
+	// current neighbors via ctx.Send / ctx.Broadcast, which deliver
+	// into the receivers' inboxes for this round's Receive.
 	Send(ctx *Context)
-	// Receive runs after delivery with this round's inbox sorted by
-	// sender. Edge intents (ctx.Activate/ctx.Deactivate), status
-	// changes and local state updates belong here.
+	// Receive runs after every node's Send, with this round's inbox
+	// sorted by sender. Edge intents (ctx.Activate/ctx.Deactivate),
+	// status changes and local state updates belong here; messages
+	// sent here are dropped.
 	Receive(ctx *Context, inbox []Message)
 }
 

@@ -238,32 +238,66 @@ func (m phaseFailer) Send(ctx *Context) {
 }
 func (m phaseFailer) Receive(ctx *Context, _ []Message) { m.fail(ctx, "receive") }
 
+// nonNeighborSender broadcasts every round and, in round 3, has node 2
+// send to two non-neighbours and node 4 to one; with fail set, node 5
+// also fails its context in that Send phase.
+type nonNeighborSender struct{ fail bool }
+
+func (nonNeighborSender) Init(*Context) {}
+func (m nonNeighborSender) Send(ctx *Context) {
+	ctx.Broadcast(ctx.ID())
+	if ctx.Round() != 3 {
+		return
+	}
+	switch ctx.ID() {
+	case 2:
+		ctx.Send(7, "far")
+		ctx.Send(6, "far")
+	case 4:
+		ctx.Send(0, "far")
+	case 5:
+		if m.fail {
+			ctx.Activate(5)
+		}
+	}
+}
+func (nonNeighborSender) Receive(*Context, []Message) {}
+
 // TestLowestSlotErrorWins: when two slots fail in the same phase, Run
 // returns the lower slot's error, with the partial Result of the round
 // it stopped in — the messages of a failed Send phase are never
-// delivered, those of a failed Receive phase are. An Init failure
-// surfaces after round 1's Send.
+// counted, those of a failed Receive phase are. An Init failure
+// surfaces after round 1's Send. A send to a non-neighbour is reported
+// only after the whole Send phase, and only if no context failed in it;
+// the first offending message in (slot, queue) order is the one named.
 func TestLowestSlotErrorWins(t *testing.T) {
 	t.Parallel()
 	const perRound = 14 // Line(8): every node broadcasts to its neighbors
+	const selfLoop2 = "sim: node 2 activated a self-loop"
 	for _, tc := range []struct {
-		phase                          string
-		round, wantRounds, wantMsgs    int
+		name                           string
+		m                              Machine
+		wantErr                        string
+		wantRounds, wantMsgs           int
 		wantMaxMsgs, wantAppliedRounds int
 	}{
-		{"init", 0, 1, 0, 0, 0},
-		{"send", 3, 3, 2 * perRound, perRound, 2},
-		{"receive", 3, 3, 3 * perRound, perRound, 2},
+		{"init", phaseFailer{phase: "init", round: 0, nodes: []graph.ID{5, 2, 6}}, selfLoop2, 1, 0, 0, 0},
+		{"send", phaseFailer{phase: "send", round: 3, nodes: []graph.ID{5, 2, 6}}, selfLoop2, 3, 2 * perRound, perRound, 2},
+		{"receive", phaseFailer{phase: "receive", round: 3, nodes: []graph.ID{5, 2, 6}}, selfLoop2, 3, 3 * perRound, perRound, 2},
+		{"non_neighbor/context_error_wins", nonNeighborSender{fail: true},
+			"sim: node 5 activated a self-loop", 3, 2 * perRound, perRound, 2},
+		{"non_neighbor/first_in_send_order", nonNeighborSender{},
+			"sim: round 3: node 2 sent to non-neighbor 7", 3, 2 * perRound, perRound, 2},
 	} {
-		m := phaseFailer{phase: tc.phase, round: tc.round, nodes: []graph.ID{5, 2, 6}}
+		m := tc.m
 		res, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m })
-		if err == nil || err.Error() != "sim: node 2 activated a self-loop" {
-			t.Errorf("%s: err = %v, want node 2's self-loop", tc.phase, err)
+		if err == nil || err.Error() != tc.wantErr {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
 			continue
 		}
 		if res.Rounds != tc.wantRounds || res.TotalMessages != tc.wantMsgs ||
 			res.MaxMessagesPerRound != tc.wantMaxMsgs || res.Metrics.Rounds != tc.wantAppliedRounds {
-			t.Errorf("%s: rounds %d, messages %d (max %d), applied rounds %d; want %d, %d (%d), %d", tc.phase,
+			t.Errorf("%s: rounds %d, messages %d (max %d), applied rounds %d; want %d, %d (%d), %d", tc.name,
 				res.Rounds, res.TotalMessages, res.MaxMessagesPerRound, res.Metrics.Rounds,
 				tc.wantRounds, tc.wantMsgs, tc.wantMaxMsgs, tc.wantAppliedRounds)
 		}
