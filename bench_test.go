@@ -377,31 +377,60 @@ func benchRound(b *testing.B, sizes []int, factory func(n int) sim.Factory) {
 	}
 }
 
-// BenchmarkGraphToStarLine65536 is the round loop at scale as a go
-// test row: graph-to-star on a 2^16-node line through a warm
-// expt.Runner (the recycling engine every sweep cell uses), reported
-// per node-round like ./benchmark's star-large workload.
-func BenchmarkGraphToStarLine65536(b *testing.B) {
-	const n = 1 << 16
+// benchRunnerCells runs reqs in order on one warm expt.Runner (the
+// recycling engine every sweep cell uses) per iteration and reports the
+// time per node-round over all of them, like ./benchmark's library
+// workloads. Every run must elect the maximum ID.
+func benchRunnerCells(b *testing.B, reqs ...expt.Request) {
+	b.Helper()
 	r := expt.NewRunner()
 	defer r.Close()
-	req := expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: n, Seed: 1}
-	if _, err := r.Execute(req); err != nil { // warm the engine and the arena
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	rounds := 0
-	for i := 0; i < b.N; i++ {
-		out, err := r.Execute(req)
-		if err != nil {
+	for _, req := range reqs { // warm the engine and the arena
+		if _, err := r.Execute(req); err != nil {
 			b.Fatal(err)
 		}
-		if !out.LeaderOK {
-			b.Fatal("maximum ID not elected")
-		}
-		rounds += out.Rounds
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(n)*float64(rounds)), "ns/node-round")
+	b.ResetTimer()
+	nodeRounds := 0
+	for i := 0; i < b.N; i++ {
+		for _, req := range reqs {
+			out, err := r.Execute(req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !out.LeaderOK {
+				b.Fatalf("%s/%s/n=%d: maximum ID not elected", req.Algorithm, req.Workload, req.N)
+			}
+			nodeRounds += out.N * out.Rounds
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodeRounds), "ns/node-round")
+}
+
+// BenchmarkGraphToStarLine65536 is the round loop at scale as a go
+// test row: graph-to-star on a 2^16-node line, ./benchmark's star-large
+// cell.
+func BenchmarkGraphToStarLine65536(b *testing.B) {
+	benchRunnerCells(b, expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: 1 << 16, Seed: 1})
+}
+
+// BenchmarkFloodLine512 is ./benchmark's flood-line cell: every node
+// broadcasts its whole known set every round, zero edge edits.
+func BenchmarkFloodLine512(b *testing.B) {
+	benchRunnerCells(b, expt.Request{Algorithm: expt.AlgoFlood, Workload: "line", N: 512, Seed: 1})
+}
+
+// BenchmarkWreathGridCells is one seed of ./benchmark's wreath-grid at
+// n = 256: wreath and thinwreath on line, ring and random-tree, the
+// §4/§5 machines that broadcast their state every round.
+func BenchmarkWreathGridCells(b *testing.B) {
+	var reqs []expt.Request
+	for _, algo := range []string{expt.AlgoWreath, expt.AlgoThinWreath} {
+		for _, family := range []string{"line", "ring", "random-tree"} {
+			reqs = append(reqs, expt.Request{Algorithm: algo, Workload: family, N: 256, Seed: 1})
+		}
+	}
+	benchRunnerCells(b, reqs...)
 }
 
 // BenchmarkEngineReuse measures the PR 3 headline: many runs through

@@ -109,6 +109,15 @@ func (c *Context) Send(to graph.ID, payload any) {
 		}
 		return
 	}
+	c.deliver(slot, to, payload)
+}
+
+// deliver is the one delivery step behind Send and Broadcast: it
+// appends the message to the inbox of slot, node to's slot, and counts
+// it, unless that slot is crashed. The caller has checked that the
+// Send phase is on and that to is a neighbor in E(i).
+func (c *Context) deliver(slot int, to graph.ID, payload any) {
+	e := c.eng
 	if e.downCount > 0 && e.crashed[slot] {
 		return
 	}
@@ -126,11 +135,17 @@ func (c *Context) SkipUntil(round int, receive bool) {
 	c.eng.wake[c.slot] = position(round, receive)
 }
 
-// Broadcast sends the payload to every current neighbor. It iterates
-// the sorted adjacency directly and does not allocate a neighbor slice.
+// Broadcast sends the payload to every current neighbor under Send's
+// rules. It walks the node's own row of E(i), every entry of which is
+// a neighbor, and hands each to Send's delivery step without Send's
+// check; it allocates nothing.
 func (c *Context) Broadcast(payload any) {
+	if !c.eng.sending {
+		return
+	}
 	c.hist.EachNeighborOf(c.id, func(v graph.ID) bool {
-		c.Send(v, payload)
+		slot, _ := c.hist.SlotOf(v)
+		c.deliver(slot, v, payload)
 		return true
 	})
 }

@@ -64,8 +64,10 @@ type Machine interface {
 	// initial neighborhood. Messages sent here are dropped.
 	Init(ctx *Context)
 	// Send runs at the start of each round; the machine sends to
-	// current neighbors via ctx.Send / ctx.Broadcast, which deliver
-	// into the receivers' inboxes for this round's Receive.
+	// current neighbors via ctx.Send, which checks the destination
+	// against E(i), or ctx.Broadcast, which walks the node's own row
+	// of E(i). Both deliver into the receivers' inboxes for this
+	// round's Receive.
 	Send(ctx *Context)
 	// Receive runs after every node's Send, with this round's inbox
 	// sorted by sender. Edge intents (ctx.Activate/ctx.Deactivate),
