@@ -9,6 +9,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,10 +18,11 @@ import (
 )
 
 // journalTally reads the single sweep journal under dataDir off disk
-// (the files a crashed process left behind) and totals its finished
-// cells: kind-2 records are locally executed cells, kind-3 records are
-// coordinator-mode shards carrying their cells inline.
-func journalTally(t *testing.T, dataDir string) (cells int, shards int, finished bool) {
+// (the files a crashed process left behind): the run keys of its
+// kind-2 records — one per finished cell, written by a single server
+// and a coordinator alike — and whether a kind-4 terminal record
+// closes it.
+func journalTally(t *testing.T, dataDir string) (keys []string, finished bool) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dataDir, "sweeps", "*.wal"))
 	if err != nil {
@@ -35,21 +38,37 @@ func journalTally(t *testing.T, dataDir string) (cells int, shards int, finished
 	for _, r := range recs {
 		switch r.Kind {
 		case 2:
-			cells++
-		case 3:
-			var shard struct {
-				Cells []json.RawMessage `json:"cells"`
+			var cell struct {
+				RunKey string `json:"run_key"`
 			}
-			if err := json.Unmarshal(r.Data, &shard); err != nil {
-				t.Fatalf("bad shard record: %v", err)
+			if err := json.Unmarshal(r.Data, &cell); err != nil {
+				t.Fatalf("bad cell record: %v", err)
 			}
-			shards++
-			cells += len(shard.Cells)
+			keys = append(keys, cell.RunKey)
 		case 4:
 			finished = true
 		}
 	}
-	return cells, shards, finished
+	return keys, finished
+}
+
+// wholeGroupCells counts the run keys whose (algorithm, workload, n)
+// group — the key without its seed — appears seeds times: the cells a
+// coordinator merges on resume without a dispatch.
+func wholeGroupCells(keys []string, seeds int) int {
+	groups := make(map[string]int)
+	for _, key := range keys {
+		parts := strings.Split(key, "|")
+		parts = slices.DeleteFunc(parts, func(p string) bool { return strings.HasPrefix(p, "seed=") })
+		groups[strings.Join(parts, "|")]++
+	}
+	whole := 0
+	for _, n := range groups {
+		if n == seeds {
+			whole += n
+		}
+	}
+	return whole
 }
 
 // awaitResumedSweep polls a freshly restarted server until Recover's
@@ -110,7 +129,8 @@ func TestCrashResumeEndToEnd(t *testing.T) {
 	}
 	srv1.kill9(t)
 
-	journaled, _, finished := journalTally(t, dataDir)
+	keys, finished := journalTally(t, dataDir)
+	journaled := len(keys)
 	if finished {
 		t.Fatal("sweep finished before the kill; the test needs a mid-grid crash")
 	}
@@ -172,17 +192,18 @@ func TestCrashResumeEndToEnd(t *testing.T) {
 
 	// The finished resume closed its journal with a terminal record: a
 	// third process life has nothing to redo.
-	if _, _, finished := journalTally(t, dataDir); !finished {
+	if _, finished := journalTally(t, dataDir); !finished {
 		t.Fatal("finished resumed sweep left no terminal record")
 	}
 }
 
 // TestCoordinatorTakeoverEndToEnd is the fleet half of the durability
-// story: a journaling coordinator is SIGKILLed after persisting at
-// least one shard; a brand-new coordinator process over the same data
-// dir (and the same still-running workers) resumes the grid, merges
-// the journaled shards without re-dispatching them, and serves an
-// aggregate byte-identical to the same sweep on a single worker.
+// story: a journaling coordinator is SIGKILLed after journaling the
+// cells of at least one whole (algorithm, workload, n) group; a
+// brand-new coordinator process over the same data dir (and the same
+// still-running workers) resumes the grid, merges the journaled groups
+// without dispatching them, and serves an aggregate byte-identical to
+// the same sweep on a single worker.
 func TestCoordinatorTakeoverEndToEnd(t *testing.T) {
 	bin := buildServer(t)
 	dataDir := t.TempDir()
@@ -191,32 +212,34 @@ func TestCoordinatorTakeoverEndToEnd(t *testing.T) {
 	fleetWorkers := w1.base + "," + w2.base
 
 	// Two (algorithm, workload, n) rows → two shards: the small row
-	// persists while the large one is still running.
+	// merges and is journaled while the large one is still running.
 	const sweepBody = `{"algorithms":["graph-to-star"],"workloads":["line"],"sizes":[1024,4096],"seeds":[1,2,3,4]}`
 
 	coord1 := launchServer(t, bin, "-coordinator", "-fleet-workers", fleetWorkers, "-data-dir", dataDir)
 	if _, code := postSweep(t, coord1.base, sweepBody); code != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweeps to coordinator = %d", code)
 	}
-	// Wait for the first durable shard, visible on the coordinator's
-	// own journal metrics, then kill -9.
+	// Wait until the coordinator's own journal metrics show a group's
+	// worth of cell records, then kill -9.
+	const seeds = 4
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		m := scrapeMetrics(t, coord1.base)
-		if v, _ := m.Value("adnet_journal_records_total", map[string]string{"kind": "shard"}); v >= 1 {
+		if v, _ := m.Value("adnet_journal_records_total", map[string]string{"kind": "cell"}); v >= seeds {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no shard was ever journaled")
+			t.Fatal("no group was ever journaled")
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	coord1.kill9(t)
 
-	journaled, shards, finished := journalTally(t, dataDir)
-	if finished || shards == 0 || journaled >= 8 {
-		t.Fatalf("journal holds %d shards / %d cells (finished=%v); need a mid-grid crash",
-			shards, journaled, finished)
+	keys, finished := journalTally(t, dataDir)
+	journaled := wholeGroupCells(keys, seeds)
+	if finished || journaled == 0 || journaled >= 8 {
+		t.Fatalf("journal holds %d cells, %d of them in whole groups (finished=%v); need a mid-grid crash",
+			len(keys), journaled, finished)
 	}
 
 	coord2 := launchServer(t, bin, "-coordinator", "-fleet-workers", fleetWorkers, "-data-dir", dataDir)
@@ -232,12 +255,12 @@ func TestCoordinatorTakeoverEndToEnd(t *testing.T) {
 		t.Fatalf("takeover summary = %+v", summary)
 	}
 	if summary.Replayed != journaled {
-		t.Errorf("summary.replayed = %d, want the journal's %d shard cells", summary.Replayed, journaled)
+		t.Errorf("summary.replayed = %d, want the journal's %d cells of whole groups", summary.Replayed, journaled)
 	}
 
 	m := scrapeMetrics(t, coord2.base)
-	if v, _ := m.Value("adnet_journal_replayed_shards_total", nil); int(v) != shards {
-		t.Errorf("replayed-shard counter = %v, want %d", v, shards)
+	if v, _ := m.Value("adnet_journal_replayed_cells_total", nil); int(v) != journaled {
+		t.Errorf("replayed-cell counter = %v, want %d", v, journaled)
 	}
 	if v, _ := m.Value("adnet_engine_runs_total", nil); v != 0 {
 		t.Errorf("takeover coordinator ran %v local simulations, want 0", v)

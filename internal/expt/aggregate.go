@@ -85,11 +85,7 @@ func Aggregate(results []CellResult) []AggregateGroup {
 	for start := 0; start < len(results); {
 		c := results[start].Cell
 		end := start
-		for end < len(results) {
-			n := results[end].Cell
-			if n.Algorithm != c.Algorithm || n.Workload != c.Workload || n.N != c.N {
-				break
-			}
+		for end < len(results) && results[end].Cell.SameGroup(c) {
 			end++
 		}
 		groups = append(groups, aggregateGroup(results[start:end]))

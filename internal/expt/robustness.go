@@ -148,11 +148,7 @@ func foldRobustness(results []CellResult, dynKey string) []RobustnessRow {
 	for start := 0; start < len(results); {
 		c := results[start].Cell
 		end := start
-		for end < len(results) {
-			n := results[end].Cell
-			if n.Algorithm != c.Algorithm || n.Workload != c.Workload || n.N != c.N {
-				break
-			}
+		for end < len(results) && results[end].Cell.SameGroup(c) {
 			end++
 		}
 		row := RobustnessRow{Algorithm: c.Algorithm, Workload: c.Workload, N: c.N, Dynamics: dynKey}

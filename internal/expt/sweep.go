@@ -121,6 +121,13 @@ func (c Cell) Grid() SweepSpec {
 	}
 }
 
+// SameGroup reports whether o is in c's aggregation group: the same
+// (algorithm, workload, n), whatever the seed. A grid's canonical order
+// keeps each group contiguous, seeds varying fastest.
+func (c Cell) SameGroup(o Cell) bool {
+	return c.Algorithm == o.Algorithm && c.Workload == o.Workload && c.N == o.N
+}
+
 // Validate checks the cell against the registered algorithm and
 // workload names and the model's minimum size.
 func (c Cell) Validate() error { return c.Grid().Validate() }

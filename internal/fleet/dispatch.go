@@ -39,9 +39,9 @@ type shardProgress struct {
 	attempts int
 	// executed (simulations the worker actually ran) and cells are
 	// recorded by the dispatch that completed the shard — or, for a
-	// journaled shard, filled in before dispatch starts. cells are in
-	// shard-local order, with shard-local indexes: what
-	// GridHooks.Persist journals.
+	// shard the lookup answered, filled in before dispatch starts. cells
+	// are in shard-local order, with shard-local indexes: the merge
+	// rewrites them to global ones.
 	executed int
 	cells    []expt.WireCell
 }

@@ -190,9 +190,9 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	}
 
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +290,9 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	register(t, c, startWorker(t))
 
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +405,9 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 	register(t, c, srv.URL)
 
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,9 +544,9 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 	register(t, c, srv.URL)
 
 	var merged []expt.WireCell
-	_, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,9 +579,9 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	register(t, c, busy.URL)
 
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,9 +604,9 @@ func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 	t.Parallel()
 	c := fleet.New(fleet.Config{})
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{})
+	})
 	if !errors.Is(err, fleet.ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -635,10 +635,10 @@ func TestRunGridCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(ctx, testSpec, nil, func(cell expt.WireCell) {
 		merged = append(merged, cell)
 		cancel()
-	}, fleet.GridHooks{})
+	})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
@@ -673,8 +673,10 @@ func (f *countingFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // TestRunGridCancelBeforeStartProbesNoWorker: a grid whose context is
 // done before dispatch contacts no worker — no /healthz probe, no
-// shard — and ends canceled rather than short of workers. A journaled
-// shard still merges as recorded; every other cell is one skip line.
+// shard — and ends canceled rather than short of workers. A shard the
+// lookup answers in full still merges from its answers; a shard it
+// answers in part is not merged, and every cell of it is one skip line
+// like the rest.
 func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	t.Parallel()
 	mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
@@ -687,33 +689,30 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	c := fleet.New(fleet.Config{})
 	register(t, c, srv.URL)
 
-	// A first, uncanceled run records the shards a journal would hold.
-	var journaled []fleet.ShardResult
-	var mu sync.Mutex
-	if _, err := c.RunGrid(context.Background(), testSpec, nil, fleet.GridHooks{
-		Persist: func(sr fleet.ShardResult) {
-			mu.Lock()
-			defer mu.Unlock()
-			journaled = append(journaled, sr)
-		},
+	// A first, uncanceled run yields the outcomes the lookup answers
+	// with: all of shard 0, and the first cell of shard 1.
+	var first []expt.WireCell
+	if _, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+		first = append(first, cell)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	first := slices.IndexFunc(journaled, func(sr fleet.ShardResult) bool { return sr.Index == 0 })
-	if first < 0 || len(journaled) < 2 {
-		t.Fatalf("the test needs shard 0 journaled and another shard left: %d shards", len(journaled))
+	answered := fleet.PlanShards(testSpec)[0].NumCells()
+	grid := testSpec.Cells()
+	lookup := func(cell expt.Cell) (expt.Outcome, bool) {
+		if i := slices.Index(grid, cell); i >= 0 && i <= answered {
+			return *first[i].Outcome, true
+		}
+		return expt.Outcome{}, false
 	}
-	recorded := journaled[first]
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := front.n.Load()
 	var merged []expt.WireCell
-	sum, err := c.RunGrid(ctx, testSpec, func(cell expt.WireCell) {
+	sum, err := c.RunGrid(ctx, testSpec, lookup, func(cell expt.WireCell) {
 		merged = append(merged, cell)
-	}, fleet.GridHooks{Completed: func(key string) (fleet.ShardResult, bool) {
-		return recorded, key == recorded.Key
-	}})
+	})
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want sim.ErrCanceled", err)
 	}
@@ -725,9 +724,9 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
-		if i < len(recorded.Cells) {
-			if cell.Error != "" || !cell.FromCache || cell.Outcome == nil {
-				t.Fatalf("journaled cell %d not merged as recorded: %+v", i, cell)
+		if i < answered {
+			if cell.Error != "" || !cell.FromCache || cell.Outcome == nil || *cell.Outcome != *first[i].Outcome {
+				t.Fatalf("answered cell %d not merged from the lookup: %+v", i, cell)
 			}
 			continue
 		}
@@ -735,7 +734,10 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 			t.Fatalf("cell %d not skip-marked: %+v", i, cell)
 		}
 	}
-	if want := testSpec.NumCells() - len(recorded.Cells); sum.Errors != want {
+	if sum.Replayed != answered {
+		t.Fatalf("summary replayed = %d, want %d", sum.Replayed, answered)
+	}
+	if want := testSpec.NumCells() - answered; sum.Errors != want {
 		t.Fatalf("summary errors = %d, want %d", sum.Errors, want)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // aggregation group. The coordinator's aggregate is the fold of the
 // merged cell stream, so it would be exact under any contiguous
 // partition; one shard per group is the unit of dispatch, re-dispatch
-// and journaling. Parallelism therefore comes from the grid's group
+// and merge. Parallelism therefore comes from the grid's group
 // dimensions — which the paper's tables make wide — not from splitting
 // seed lists.
 type Shard struct {
@@ -44,12 +44,8 @@ func PlanShards(spec expt.SweepSpec) []Shard {
 		c := cells[start]
 		end := start
 		seeds := make([]int64, 0, 8)
-		for end < len(cells) {
-			n := cells[end]
-			if n.Algorithm != c.Algorithm || n.Workload != c.Workload || n.N != c.N {
-				break
-			}
-			seeds = append(seeds, n.Seed)
+		for end < len(cells) && cells[end].SameGroup(c) {
+			seeds = append(seeds, cells[end].Seed)
 			end++
 		}
 		sub := c.Grid() // the row's first cell, widened to every seed

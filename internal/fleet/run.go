@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,37 +18,12 @@ import (
 // Errors are counted over the merged cell stream (synthesized
 // skip-cells included); Executed sums the completing workers' own
 // summaries, so it keeps the worker-side "a simulation actually ran"
-// semantics. Replayed counts cells served from journaled shards
-// (GridHooks.Completed) without re-dispatching. Done is set when the
-// whole grid merged.
+// semantics. Replayed counts cells merged from the caller's lookup
+// without dispatching. Done is set when the whole grid merged.
 type Summary struct {
 	expt.WireSummary
 	Shards       int
 	Redispatches int
-}
-
-// ShardResult is one completed shard's durable payload, and the shard
-// record of a coordinator's sweep journal: the cells in shard-local
-// canonical order — all the merge needs to replay the shard without
-// ever re-dispatching it. (Records written before the aggregate became
-// the fold of the merged cells also carry a "groups" member; decoding
-// ignores it.)
-type ShardResult struct {
-	Key    string          `json:"key"`
-	Index  int             `json:"index"`
-	Offset int             `json:"offset"`
-	Cells  []expt.WireCell `json:"cells"`
-}
-
-// GridHooks wires RunGrid to a durability layer. Completed is asked
-// once per planned shard (by canonical shard key) before dispatch; a
-// hit merges the recorded cells (marked FromCache) instead of running
-// the shard. Persist receives every shard this run completes, after
-// the shard was handed to the merger — it may be called concurrently
-// from dispatcher goroutines. Either hook may be nil.
-type GridHooks struct {
-	Completed func(shardKey string) (ShardResult, bool)
-	Persist   func(ShardResult)
 }
 
 // RunGrid executes the grid across the registry's healthy workers and
@@ -65,11 +39,13 @@ type GridHooks struct {
 // for the rest — the same wire contract a single-process sweep keeps
 // under cancellation — and returns the failure.
 //
-// hooks connects the grid to a shard journal: shards hooks.Completed
-// recognizes are merged from their recorded cells without dispatching
-// (a grid whose shards all replay needs no workers at all), and every
-// freshly completed shard is handed to hooks.Persist.
-func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit func(expt.WireCell), hooks GridHooks) (Summary, error) {
+// lookup, when set, is asked for every cell of a shard before
+// dispatch. A shard it answers in full merges from those outcomes,
+// marked FromCache and counted in Summary.Replayed, and is never
+// dispatched (a grid answered in full needs no workers at all); a
+// shard it answers only in part is dispatched whole.
+func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
+	lookup func(expt.Cell) (expt.Outcome, bool), emit func(expt.WireCell)) (Summary, error) {
 	if err := spec.Validate(); err != nil {
 		return Summary{}, err
 	}
@@ -77,34 +53,18 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	cells := spec.Cells()
 	sum := Summary{WireSummary: expt.WireSummary{Cells: len(cells)}, Shards: len(shards)}
 
-	// A journaled shard is complete before dispatch starts: its recorded
-	// cells are its progress, marked FromCache (journal-recovered error
-	// cells keep their flags), and its executed count stays 0 — that
-	// work ran in a previous process life, not this one.
+	// An answered shard is complete before dispatch starts: the lookup's
+	// outcomes are its progress, and its executed count stays 0 — that
+	// work ran somewhere else, not on a worker of this grid.
 	progress := make([]shardProgress, len(shards))
-	journaled := 0
-	if hooks.Completed != nil {
-		for i := range shards {
-			res, ok := hooks.Completed(shards[i].Key)
-			if !ok {
-				continue
+	answered := 0
+	if lookup != nil {
+		for i, sh := range shards {
+			progress[i].cells = answer(lookup, cells[sh.Offset:sh.Offset+sh.NumCells()])
+			if progress[i].cells != nil {
+				answered++
+				sum.Replayed += sh.NumCells()
 			}
-			if len(res.Cells) != shards[i].NumCells() {
-				// A record that does not cover the shard is unusable;
-				// dispatch the shard normally.
-				c.cfg.Logger.WarnContext(ctx, "journaled shard incomplete; re-dispatching",
-					slog.Int("shard", i), slog.Int("cells", len(res.Cells)))
-				continue
-			}
-			replayed := slices.Clone(res.Cells)
-			for j := range replayed {
-				if replayed[j].Error == "" {
-					replayed[j].FromCache = true
-				}
-			}
-			progress[i].cells = replayed
-			journaled++
-			sum.Replayed += len(replayed)
 		}
 	}
 
@@ -115,9 +75,9 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	}
 	c.cfg.Logger.InfoContext(ctx, "fleet sweep dispatching",
 		slog.Int("cells", len(cells)), slog.Int("shards", len(shards)),
-		slog.Int("replayed_shards", journaled),
+		slog.Int("answered_shards", answered),
 		slog.Int("workers", len(workers)))
-	runErr := c.dispatchAll(ctx, shards, cells, progress, workers, &sum, emit, hooks.Persist)
+	runErr := c.dispatchAll(ctx, shards, cells, progress, workers, &sum, emit)
 	// Shards that completed before a failure still did their work:
 	// keep their Executed counts in the summary, like the incremental
 	// single-process summary would.
@@ -128,16 +88,29 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec, emit fun
 	return sum, runErr
 }
 
+// answer returns a shard's cells, with shard-local indexes and marked
+// FromCache, when lookup answers every one of them, and nil otherwise.
+func answer(lookup func(expt.Cell) (expt.Outcome, bool), cells []expt.Cell) []expt.WireCell {
+	wire := make([]expt.WireCell, len(cells))
+	for i, cell := range cells {
+		out, ok := lookup(cell)
+		if !ok {
+			return nil
+		}
+		wire[i] = expt.CellResult{Index: i, Cell: cell, Outcome: out, FromCache: true}.Wire()
+	}
+	return wire
+}
+
 // dispatchAll runs the shard queue to completion and merges whole
 // shards. Dispatcher goroutines own shard execution: the one that
-// completes shard idx leaves its cells in progress[idx], sends idx on
-// ready, and then persists the shard. The calling goroutine owns the
-// merge: it emits ready shards in canonical order, rewriting each
-// cell's shard-local index to its global one. Shards whose progress
-// already holds cells (journaled) never enter the queue.
+// completes shard idx leaves its cells in progress[idx] and sends idx
+// on ready. The calling goroutine owns the merge: it emits ready
+// shards in canonical order, rewriting each cell's shard-local index
+// to its global one. Shards whose progress already holds cells
+// (answered by the lookup) never enter the queue.
 func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []expt.Cell,
-	progress []shardProgress, workers []*worker, sum *Summary,
-	emit func(expt.WireCell), persist func(ShardResult)) error {
+	progress []shardProgress, workers []*worker, sum *Summary, emit func(expt.WireCell)) error {
 	emitCount := func(cell expt.WireCell) {
 		if cell.Error != "" {
 			sum.Errors++
@@ -183,7 +156,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 	// queue holds shard indices; capacity len(shards) means a requeue
 	// never blocks (a shard is in at most one place: queued, running,
 	// or done). The queue is closed exactly once, when pending reaches
-	// zero — up front for a fully journaled grid, else by the dispatcher
+	// zero — up front for a fully answered grid, else by the dispatcher
 	// that finishes the last shard; a requeue implies an unfinished
 	// shard, so no send can race the close. Fatal shutdown goes
 	// through runCtx cancellation instead of a close: idle dispatchers
@@ -197,7 +170,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 			pending.Add(1)
 		}
 	}
-	// A fully journaled grid needs no workers; with none, anything left
+	// A fully answered grid needs no workers; with none, anything left
 	// to dispatch stays pending and fails below.
 	if pending.Load() == 0 {
 		close(queue)
@@ -246,12 +219,6 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 					c.metrics.shardSeconds.With(w.id).Observe(time.Since(dispatchStart).Seconds())
 					w.noteShardDone()
 					ready <- idx
-					if persist != nil {
-						persist(ShardResult{
-							Key: shards[idx].Key, Index: idx, Offset: shards[idx].Offset,
-							Cells: sp.cells,
-						})
-					}
 					if pending.Add(-1) == 0 {
 						close(queue)
 					}

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,18 +101,18 @@ func TestCoordinatorSweepMatchesSingleProcessByteForByte(t *testing.T) {
 
 // TestCoordinatorJournalTakeover is the in-process coordinator
 // failover test: a journaling coordinator dies mid-grid with at least
-// one shard persisted; a brand-new coordinator (fresh registry, same
-// workers, same data dir) recovers, replays the persisted shards
-// without re-dispatching them, completes only the missing ones, and
-// folds an aggregate byte-identical to an uninterrupted run.
+// one whole (algorithm, workload, n) group journaled as cell records;
+// a brand-new coordinator (fresh registry, same workers, same data
+// dir) recovers, merges the journaled groups without dispatching them,
+// completes only the missing ones, and folds an aggregate
+// byte-identical to an uninterrupted run.
 func TestCoordinatorJournalTakeover(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	// Two rows → two shards. The workers let the first cell stream
-	// through and hold every later one until released, so exactly one
-	// shard completes and is journaled before the "crash" however the
-	// dispatchers are scheduled: the interruption lands between shards
-	// by construction.
+	// Two rows → two shards. The workers hold the n=64 shard's POST
+	// until released, so the n=32 shard completes, merges and is
+	// journaled before the "crash" however the dispatchers are
+	// scheduled: the interruption lands between groups by construction.
 	spec := SweepSpec{
 		Algorithms: []string{"graph-to-star"},
 		Workloads:  []string{"line"},
@@ -122,18 +122,21 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 	total := spec.NumCells()
 	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
 
-	var streams atomic.Int32
 	release := make(chan struct{})
 	var workerURLs []string
 	for i := 0; i < 2; i++ {
 		wm := NewManager(Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
 		real := NewHandler(wm)
 		w := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/cells") && streams.Add(1) > 1 {
-				select {
-				case <-release:
-				case <-r.Context().Done():
-					return
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/sweeps" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				if bytes.Contains(body, []byte(`"sizes":[64]`)) {
+					select {
+					case <-release:
+					case <-r.Context().Done():
+						return
+					}
 				}
 			}
 			real.ServeHTTP(rw, r)
@@ -153,20 +156,29 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		}
 		return NewManager(Config{Workers: 1, Fleet: coord, DataDir: dir})
 	}
-	journaledShards := func() (int, int) {
+	// groupCells counts the journaled cells of whole groups: only those
+	// merge on resume without a dispatch.
+	groupCells := func() int {
 		recs, _, err := journal.ReadAll(path)
 		if err != nil {
-			return 0, 0
+			return 0
 		}
 		st, err := parseJournal(path, recs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := 0
-		for _, sr := range st.shards {
-			cells += len(sr.Cells)
+		n := 0
+		for _, sh := range fleet.PlanShards(spec) {
+			whole := true
+			for _, c := range sh.Spec.Cells() {
+				_, ok := st.cells[c.Key()]
+				whole = whole && ok
+			}
+			if whole {
+				n += sh.NumCells()
+			}
 		}
-		return len(st.shards), cells
+		return n
 	}
 
 	m1 := newCoordMgr()
@@ -174,22 +186,18 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(120 * time.Second)
-	for {
-		if n, _ := journaledShards(); n >= 1 {
-			break
-		}
+	for groupCells() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("no shard was ever persisted")
+			t.Fatal("no group was ever journaled")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	m1.Close() // the "crash": no terminal record is written
 	close(release)
 
-	shardsDone, cellsDone := journaledShards()
-	if shardsDone == 0 || cellsDone >= total {
-		t.Fatalf("journal holds %d shards / %d cells of %d; need a mid-grid interruption",
-			shardsDone, cellsDone, total)
+	cellsDone := groupCells()
+	if cellsDone == 0 || cellsDone >= total {
+		t.Fatalf("journal holds %d cells of whole groups of %d; need a mid-grid interruption", cellsDone, total)
 	}
 
 	m2 := newCoordMgr()
@@ -224,7 +232,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		t.Fatalf("takeover status = %+v", st)
 	}
 	if st.Summary.Replayed != cellsDone {
-		t.Errorf("replayed = %d, want the %d journaled shard cells", st.Summary.Replayed, cellsDone)
+		t.Errorf("replayed = %d, want the %d journaled cells of whole groups", st.Summary.Replayed, cellsDone)
 	}
 	if st.Summary.Errors != 0 {
 		t.Errorf("takeover sweep reported %d errors", st.Summary.Errors)
@@ -249,11 +257,14 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 }
 
 // TestCoordinatorResumesShardRecords feeds a takeover coordinator a
-// journal holding one completed shard — as today's record, and as the
-// record of binaries that stored the shard's aggregate next to its
-// cells ("groups", the golden literal kept from them). Both parse,
-// resume without re-dispatching the shard, and serve for it the very
-// aggregate the older binary had stored.
+// journal an older coordinator left: a header and one shard record,
+// which coordinators wrote per completed shard before they wrote cell
+// records. Replay folds the record's successful cells into the
+// done-set. A record whose cells all succeeded merges its shard without
+// a dispatch; a record with an error cell — as the golden literal, and
+// as the record of binaries that stored the shard's aggregate next to
+// its cells — sends its shard to a worker whole. Either way the journal
+// ends up naming every run key of the grid once, the record's included.
 func TestCoordinatorResumesShardRecords(t *testing.T) {
 	t.Parallel()
 	spec := SweepSpec{ // the grid the golden shard records belong to
@@ -266,15 +277,42 @@ func TestCoordinatorResumesShardRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, record := range map[string]string{"cells": shardRecord, "cells and groups": shardRecordWithGroups} {
-		t.Run(name, func(t *testing.T) {
+	ref, err := expt.AggregateSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden record with its error cell finished: the outcome it
+	// copies is not what the worker computes for the seed, so the
+	// aggregate shows whether the record was replayed.
+	okLine2 := strings.NewReplacer(`"index":0`, `"index":1`, `"seed":1`, `"seed":2`).Replace(okLine)
+	allOK := strings.Replace(shardRecord, errLine, okLine2, 1)
+	var recorded struct {
+		Cells []SweepCell `json:"cells"`
+	}
+	if err := json.Unmarshal([]byte(allOK), &recorded); err != nil {
+		t.Fatal(err)
+	}
+	rerun, _ := json.Marshal(ref)
+	replayed, _ := json.Marshal(append(expt.AggregateWire(recorded.Cells), ref[1:]...))
+
+	for _, tc := range []struct {
+		name, record                 string
+		recorded, replayed, executed int // recorded: the record's successful cells
+		aggregate                    []byte
+	}{
+		{"successful cells", allOK, 2, 2, spec.NumCells() - 2, replayed},
+		// The golden records, each with an error cell.
+		{"cells", shardRecord, 1, 0, spec.NumCells(), rerun},
+		{"cells and groups", shardRecordWithGroups, 1, 0, spec.NumCells(), rerun},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			writeJournal(t, filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"),
-				journal.Record{Kind: recHeader, Data: header}, journal.Record{Kind: recShard, Data: []byte(record)})
+			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+			writeJournal(t, path, journal.Record{Kind: recHeader, Data: header}, journal.Record{Kind: recShard, Data: []byte(tc.record)})
 
 			worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
 			coord := fleet.New(fleet.Config{})
@@ -294,29 +332,41 @@ func TestCoordinatorResumesShardRecords(t *testing.T) {
 				return resumed != nil && resumed.State().terminal()
 			}, "the journaled sweep never resumed to a terminal state")
 
-			// The shard's two cells (one ok, one error) replay; the other
-			// three shards run on the worker.
 			st := resumed.Status()
-			if st.State != StateDone || !st.Resumed || st.Summary.Replayed != 2 ||
-				st.Summary.Executed != spec.NumCells()-2 || st.Summary.Errors != 1 {
-				t.Fatalf("resumed status = %+v, summary %+v", st, st.Summary)
+			if st.State != StateDone || !st.Resumed || st.Summary.Replayed != tc.replayed ||
+				st.Summary.Executed != tc.executed || st.Summary.Errors != 0 {
+				t.Fatalf("resumed status = %+v, summary %+v; want %d replayed, %d executed",
+					st, st.Summary, tc.replayed, tc.executed)
 			}
 			groups, err := resumed.Aggregate()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := json.Marshal(groups[:1]); string(got) != shardGroups {
-				t.Fatalf("replayed shard aggregates to\n%s\nthe record of an older binary stored\n%s", got, shardGroups)
+			if got, _ := json.Marshal(groups); !bytes.Equal(got, tc.aggregate) {
+				t.Fatalf("resumed aggregate is\n%s\nwant\n%s", got, tc.aggregate)
+			}
+			// The record's successful cells are in the done-set, so no
+			// cell record names them; every other cell has one.
+			keys := journaledRunKeys(t, path)
+			for i, c := range spec.Cells() {
+				want := 1
+				if i < tc.recorded {
+					want = 0
+				}
+				if n := keys[c.Key()]; n != want {
+					t.Errorf("cell records name run key %s %d times, want %d", c.Key(), n, want)
+				}
 			}
 		})
 	}
 }
 
-// TestRecoverCachesShardCellsUnderGridKeys: a coordinator's journal
-// stores shard cells in their wire form, which carries no dynamics
-// block. Recovery must key each one by the grid's own cell — header
-// spec, dynamics included — or the outcomes of a perturbed sweep land
-// in the result cache under the clean run key and poison it.
+// TestRecoverCachesShardCellsUnderGridKeys: a coordinator journals the
+// cells its workers streamed, whose wire form carries no dynamics
+// block. Each cell record must be keyed by the grid's own cell — the
+// spec, dynamics included — or recovery files the outcomes of a
+// perturbed sweep in the result cache under the clean run key and
+// poisons it.
 func TestRecoverCachesShardCellsUnderGridKeys(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

@@ -14,10 +14,11 @@ const (
 	okLine  = `{"index":0,"algorithm":"flood","workload":"line","n":32,"seed":1,"from_cache":false,"outcome":{"N":32,"Rounds":33,"LastActivity":0,"TotalActivations":0,"MaxActivatedEdges":0,"MaxActivatedDegree":0,"TotalMessages":62,"FinalDiameter":31,"FinalDepth":31,"LeaderOK":true}}`
 	errLine = `{"index":1,"algorithm":"flood","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}`
 
-	// shardRecord is what a coordinator journals per completed shard.
-	// shardRecordWithGroups is what it journaled while the shard's
-	// aggregate was stored next to its cells; such records are still
-	// read (TestCoordinatorResumesShardRecords), never written.
+	// shardRecord is what a coordinator journaled per completed shard
+	// before it wrote cell records, and shardRecordWithGroups what it
+	// journaled while the shard's aggregate was stored next to its
+	// cells. Neither is written any more; both are still read
+	// (TestCoordinatorResumesShardRecords).
 	shardRecord           = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2","index":0,"offset":0,"cells":[` + okLine + `,` + errLine + `]}`
 	shardGroups           = `[{"algorithm":"flood","workload":"line","n":32,"seeds":1,"errors":1,"leaders_ok":1,"rounds":{"mean":33,"min":33,"max":33,"stddev":0},"total_activations":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_edges":{"mean":0,"min":0,"max":0,"stddev":0},"max_activated_degree":{"mean":0,"min":0,"max":0,"stddev":0},"total_messages":{"mean":62,"min":62,"max":62,"stddev":0}}]`
 	shardRecordWithGroups = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2","index":0,"offset":0,"cells":[` + okLine + `,` + errLine + `],"groups":` + shardGroups + `}`
@@ -105,7 +106,6 @@ func TestKeyAndWireGoldens(t *testing.T) {
 		{"header record", marshal(sweepHeader{Key: sweepDyn.Key(), Spec: sweepDyn, Cells: sweepDyn.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2],"max_rounds":500,"dynamics":{"class":"edge-churn"}},"cells":8}`},
 		{"header record, plain", marshal(sweepHeader{Key: sweep.Key(), Spec: sweep, Cells: sweep.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2]},"cells":8}`},
 		{"cell record", marshal(cellRecord{RunKey: grid[0].Key(), Cell: okCell}), `{"run_key":"flood|line|n=32|seed=1|maxr=0","cell":` + okLine + `}`},
-		{"shard record", marshal(fleet.ShardResult{Key: shards[0].Key, Index: 0, Offset: 0, Cells: []expt.WireCell{okCell, errCell}}), shardRecord},
 		{"done record", marshal(doneRecord{State: StateDone, Summary: SweepSummary{Done: true, Cells: 8, Executed: 8}}), `{"state":"done","summary":{"done":true,"cells":8,"cache_hits":0,"executed":8,"errors":0}}`},
 	} {
 		if tc.got != tc.want {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"adnet/internal/expt"
-	"adnet/internal/fleet"
 	"adnet/internal/journal"
 	"adnet/internal/runkey"
 )
@@ -22,8 +21,8 @@ import (
 // it does not know, so old servers tolerate newer journals.
 const (
 	recHeader byte = 1 // sweepHeader: written once at submission
-	recCell   byte = 2 // cellRecord: one finished ok cell (local mode)
-	recShard  byte = 3 // fleet.ShardResult: one completed shard (coordinator mode)
+	recCell   byte = 2 // cellRecord: one finished ok cell
+	recShard  byte = 3 // legacyShardRecord: read from older coordinators' journals, never written
 	recDone   byte = 4 // doneRecord: the sweep reached a terminal state
 )
 
@@ -51,12 +50,21 @@ type sweepHeader struct {
 	Cells int       `json:"cells"`
 }
 
-// cellRecord persists one successfully finished cell of a locally
-// executed grid, keyed by its canonical run key. Error cells are never
-// journaled — a resumed sweep retries them.
+// cellRecord persists one successfully finished cell, a single
+// server's or a coordinator's alike, keyed by its canonical run key.
+// Error cells are never journaled — a resumed sweep retries them.
 type cellRecord struct {
 	RunKey string    `json:"run_key"`
 	Cell   SweepCell `json:"cell"`
+}
+
+// legacyShardRecord is what coordinators journaled per completed shard
+// before they wrote cell records. Replay folds its successful cells
+// into the done-set under the header grid's keys (a wire cell carries
+// no dynamics block), so only a shard with an error cell re-dispatches.
+type legacyShardRecord struct {
+	Offset int         `json:"offset"`
+	Cells  []SweepCell `json:"cells"`
 }
 
 // doneRecord closes a journal: the sweep reached a terminal state and
@@ -95,10 +103,11 @@ func (sj *sweepJournal) append(kind byte, v any) {
 	sj.mt.journalBytes.Add(int64(len(data)))
 }
 
-// sync flushes at milestones (shard done, sweep terminal). Per-cell
-// appends rely on the page cache — they survive a process kill without
-// an fsync; only a machine crash can lose them, and replay tolerates
-// the resulting torn tail.
+// sync flushes at milestones (header, the end of each (algorithm,
+// workload, n) group, sweep terminal). Per-cell appends rely on the
+// page cache — they survive a process kill without an fsync; only a
+// machine crash can lose them, and replay tolerates the resulting torn
+// tail.
 func (sj *sweepJournal) sync() { _ = sj.log.Sync() }
 
 func (sj *sweepJournal) close() {
@@ -109,20 +118,17 @@ func (sj *sweepJournal) close() {
 }
 
 // journalState is one journal's parsed content: the intact prefix
-// folded down to the latest header, the done-set of cells and shards,
-// and the terminal record if the sweep finished.
+// folded down to the latest header, the done-set of cells, and the
+// terminal record if the sweep finished.
 type journalState struct {
 	header *sweepHeader
-	cells  map[string]expt.Outcome      // run key → finished cell's outcome
-	shards map[string]fleet.ShardResult // shard key → completed shard
+	cells  map[string]expt.Outcome // run key → finished cell's outcome
 	done   *doneRecord
 }
 
 func parseJournal(path string, recs []journal.Record) (journalState, error) {
-	st := journalState{
-		cells:  make(map[string]expt.Outcome),
-		shards: make(map[string]fleet.ShardResult),
-	}
+	st := journalState{cells: make(map[string]expt.Outcome)}
+	var grid []expt.Cell // the header's cells, which key shard records
 	for _, r := range recs {
 		var err error
 		switch r.Kind {
@@ -130,6 +136,7 @@ func parseJournal(path string, recs []journal.Record) (journalState, error) {
 			var h sweepHeader
 			if err = json.Unmarshal(r.Data, &h); err == nil {
 				st.header = &h
+				grid = h.Spec.Cells()
 			}
 		case recCell:
 			var c cellRecord
@@ -137,9 +144,13 @@ func parseJournal(path string, recs []journal.Record) (journalState, error) {
 				st.cells[c.RunKey] = *c.Cell.Outcome
 			}
 		case recShard:
-			var s fleet.ShardResult
+			var s legacyShardRecord
 			if err = json.Unmarshal(r.Data, &s); err == nil {
-				st.shards[s.Key] = s
+				for i, c := range s.Cells {
+					if at := s.Offset + i; at < len(grid) && c.Outcome != nil && c.Error == "" {
+						st.cells[grid[at].Key()] = *c.Outcome
+					}
+				}
 			}
 		case recDone:
 			var d doneRecord
@@ -229,15 +240,13 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 			if st.header != nil {
 				j.resumed = true
 				j.doneCells = st.cells
-				j.doneShards = st.shards
 			}
 			j.mu.Unlock()
 			if st.header != nil && st.done == nil {
 				m.metrics.journalResumedSweeps.Inc()
 				m.logger.Info("sweep resuming from journal",
 					slog.String("sweep_id", j.ID),
-					slog.Int("journaled_cells", len(st.cells)),
-					slog.Int("journaled_shards", len(st.shards)))
+					slog.Int("journaled_cells", len(st.cells)))
 			}
 			return
 		}
@@ -291,30 +300,16 @@ func (m *Manager) Recover() error {
 		for key, out := range st.cells {
 			m.cache.Add(key, cacheEntry{Outcome: out})
 		}
-		cached := len(st.cells)
-		// Shard cells are keyed by the grid's own cell at their global
-		// index: the header's spec knows the dynamics block a wire line
-		// does not carry.
-		grid := st.header.Spec.Cells()
-		for _, sr := range st.shards {
-			for i, c := range sr.Cells {
-				if at := sr.Offset + i; at < len(grid) && c.Outcome != nil && c.Error == "" {
-					m.cache.Add(grid[at].Key(), cacheEntry{Outcome: *c.Outcome})
-					cached++
-				}
-			}
-		}
 		m.logger.Info("sweep journal recovered",
 			slog.String("path", p),
 			slog.Int("cells", len(st.cells)),
-			slog.Int("shards", len(st.shards)),
-			slog.Int("cached", cached),
 			slog.Bool("torn", torn),
 			slog.Bool("finished", st.done != nil))
 		if st.done == nil {
 			resume = append(resume, st.header.Spec)
 		}
 	}
+	m.sweepWG.Add(len(resume))
 	for _, spec := range resume {
 		go m.resumeSweep(spec)
 	}
@@ -323,19 +318,21 @@ func (m *Manager) Recover() error {
 
 // resumeSweep resubmits an interrupted grid, pacing retries through
 // the sweep gate: more incomplete journals than MaxConcurrentSweeps
-// simply queue up behind it.
+// simply queue up behind it. A manager that closes first ends the wait
+// quietly — its journals resume at the next startup — and Close waits
+// for every pending resume to give up.
 func (m *Manager) resumeSweep(spec SweepSpec) {
+	defer m.sweepWG.Done()
 	for {
 		j, err := m.SubmitSweep(context.Background(), spec)
 		switch {
 		case err == nil:
 			m.logger.Info("sweep resume submitted", slog.String("sweep_id", j.ID))
 			return
+		case errors.Is(err, ErrClosed):
+			return
 		case errors.Is(err, ErrSweepBusy):
 			time.Sleep(200 * time.Millisecond)
-			if m.isClosed() {
-				return
-			}
 		default:
 			m.logger.Error("sweep resume failed", slog.String("error", err.Error()))
 			return

@@ -63,16 +63,15 @@ type metrics struct {
 	streamDropped     *obs.CounterVec
 
 	// Sweep journal (durability layer). Records/bytes count appends;
-	// replayed cells/shards prove, at scrape time, that a resumed
+	// replayed cells prove, at scrape time, that a resumed
 	// sweep re-executed only its missing run keys; resumed sweeps
 	// count journals picked up with prior work in them; torn records
 	// count truncated final records tolerated during replay.
-	journalRecords        *obs.CounterVec
-	journalBytes          *obs.Counter
-	journalReplayedCells  *obs.Counter
-	journalReplayedShards *obs.Counter
-	journalResumedSweeps  *obs.Counter
-	journalTorn           *obs.Counter
+	journalRecords       *obs.CounterVec
+	journalBytes         *obs.Counter
+	journalReplayedCells *obs.Counter
+	journalResumedSweeps *obs.Counter
+	journalTorn          *obs.Counter
 
 	// Per-kind encode hooks handed to the frame logs at construction.
 	roundsObs, cellsObs, packedObs func(time.Duration)
@@ -151,14 +150,12 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 			"Subscribers dropped by the backpressure policy (write deadline exceeded or write error), by stream kind.",
 			"stream"),
 		journalRecords: reg.CounterVec("adnet_journal_records_total",
-			"Sweep journal records appended, by kind (header, cell, shard, done).",
+			"Sweep journal records appended, by kind (header, cell, done).",
 			"kind"),
 		journalBytes: reg.Counter("adnet_journal_appended_bytes_total",
 			"Payload bytes appended to sweep journals (framing excluded)."),
 		journalReplayedCells: reg.Counter("adnet_journal_replayed_cells_total",
 			"Grid cells answered from a sweep journal's done-set instead of executing."),
-		journalReplayedShards: reg.Counter("adnet_journal_replayed_shards_total",
-			"Coordinator shards served from a sweep journal instead of re-dispatching."),
 		journalResumedSweeps: reg.Counter("adnet_journal_resumed_sweeps_total",
 			"Sweep jobs that picked up prior work from an incomplete journal."),
 		journalTorn: reg.Counter("adnet_journal_torn_records_total",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"adnet/internal/expt"
+	"adnet/internal/fleet"
 	"adnet/internal/journal"
 	"adnet/internal/runkey"
 )
@@ -35,6 +37,28 @@ func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 		t.Fatalf("interrupted sweep's journal carries a terminal record: %+v", st.done)
 	}
 	return len(st.cells)
+}
+
+// journaledRunKeys reads the journal at path off disk and counts the
+// cell records naming each run key.
+func journaledRunKeys(t *testing.T, path string) map[string]int {
+	t.Helper()
+	recs, _, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]int)
+	for _, r := range recs {
+		if r.Kind != recCell {
+			continue
+		}
+		var c cellRecord
+		if err := json.Unmarshal(r.Data, &c); err != nil {
+			t.Fatal(err)
+		}
+		keys[c.RunKey]++
+	}
+	return keys
 }
 
 // writeJournal writes a fresh journal file holding recs, in order.
@@ -188,93 +212,137 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 }
 
 // TestResumedSweepJournalsEachRunKeyOnce pins where a sweep's cells
-// become durable: Emit journals a successful cell unless the journal's
-// done-set answered it, and caches the cells that ran. After an
-// interruption and a resume the journal names every run key of the
-// grid exactly once, and a second identical sweep executes nothing.
+// become durable: the one recording step journals a successful cell
+// unless its run key is in the journal's done-set. A single server is
+// interrupted mid-grid, and a single server or a coordinator takes the
+// journal over. The grid is one (algorithm, workload, n) group, so a
+// coordinator finds its one shard only partly in the done-set and
+// dispatches it whole, and journals none of its cells twice. After the
+// takeover the journal names every run key of the grid exactly once,
+// and a second identical sweep executes nothing.
 func TestResumedSweepJournalsEachRunKeyOnce(t *testing.T) {
 	t.Parallel()
+	for _, mode := range []struct {
+		name        string
+		coordinator bool
+	}{{"single", false}, {"coordinator", true}} {
+		coordinator := mode.coordinator
+		t.Run(mode.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			spec := slowSweepSpec(1, 2, 3, 4)
+			total := spec.NumCells()
+			finish := func(j *SweepJob) SweepStatus {
+				t.Helper()
+				waitFor(t, func() bool { return j.State().terminal() }, "sweep never finished")
+				st := j.Status()
+				if st.State != StateDone || st.Summary == nil {
+					t.Fatalf("sweep ended %s: %+v", st.State, st)
+				}
+				return st
+			}
+
+			m1 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
+			j1, err := m1.SubmitSweep(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return j1.Status().CellsDone > 0 }, "first cell never finished")
+			m1.Close()
+			done := journaledCells(t, dir, spec)
+			if done == 0 || done >= total {
+				t.Fatalf("journal holds %d of %d cells; the test needs a mid-grid interruption", done, total)
+			}
+
+			cfg := Config{Workers: 1, SweepWorkers: 1, DataDir: dir}
+			// A single server replays the done-set and runs the rest; a
+			// coordinator dispatches the partly journaled shard whole.
+			replayed, executed := done, total-done
+			if coordinator {
+				worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+				cfg.Fleet = fleet.New(fleet.Config{})
+				if _, err := cfg.Fleet.Register(t.Context(), worker.URL); err != nil {
+					t.Fatal(err)
+				}
+				replayed, executed = 0, total
+			}
+			m2 := NewManager(cfg)
+			defer m2.Close()
+			if err := m2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
+			resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
+			if st := finish(resumed); st.Summary.Replayed != replayed || st.Summary.Executed != executed {
+				t.Fatalf("resumed summary = %+v, want %d replayed and %d executed", st.Summary, replayed, executed)
+			}
+
+			again, err := m2.SubmitSweep(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := finish(again); st.Summary.Executed != 0 || st.Summary.CacheHits != total {
+				t.Fatalf("repeated sweep summary = %+v, want 0 executed and %d cache hits", st.Summary, total)
+			}
+			// The same cells under another grid key have no journal to
+			// replay: the result cache — a worker's, behind a
+			// coordinator — answers every one of them.
+			reordered, err := m2.SubmitSweep(context.Background(), slowSweepSpec(4, 3, 2, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := finish(reordered); st.Summary.Executed != 0 || st.Summary.CacheHits != total || st.Summary.Replayed != 0 {
+				t.Fatalf("reordered sweep summary = %+v, want %d cache hits and nothing executed or replayed", st.Summary, total)
+			}
+			if n := m2.RunsExecuted(); coordinator && n != 0 {
+				t.Fatalf("coordinator ran %d local simulations, want 0", n)
+			}
+
+			keys := journaledRunKeys(t, filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"))
+			for _, c := range spec.Cells() {
+				if n := keys[c.Key()]; n != 1 {
+					t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
+				}
+			}
+			if len(keys) != total {
+				t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
+			}
+		})
+	}
+}
+
+// TestPendingResumesEndQuietlyOnClose: Recover resubmits more
+// interrupted journals than the sweep gate admits, and the manager
+// closes at once. Every resume still pending ends without an Error log
+// — its journal resumes at the next startup — and Close returns only
+// after the last of them gave up.
+func TestPendingResumesEndQuietlyOnClose(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
-	spec := slowSweepSpec(1, 2, 3, 4)
-	total := spec.NumCells()
-	cellRecords := func() map[string]int {
-		t.Helper()
-		path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
-		recs, _, err := journal.ReadAll(path)
+	sweepDir := filepath.Join(dir, "sweeps")
+	if err := os.MkdirAll(sweepDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const gate = 1
+	for seed := int64(1); seed <= gate+3; seed++ {
+		spec := slowSweepSpec(seed)
+		header, err := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := make(map[string]int)
-		for _, r := range recs {
-			if r.Kind != recCell {
-				continue
-			}
-			var c cellRecord
-			if err := json.Unmarshal(r.Data, &c); err != nil {
-				t.Fatal(err)
-			}
-			keys[c.RunKey]++
+		writeJournal(t, filepath.Join(sweepDir, runkey.Hash(spec.Key())+".wal"), journal.Record{Kind: recHeader, Data: header})
+	}
+	var logs bytes.Buffer // the handler serializes its writes
+	m := NewManager(Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: gate, DataDir: dir,
+		Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "level=ERROR") {
+			t.Errorf("closing with resumes pending logged an error: %s", line)
 		}
-		return keys
-	}
-	finish := func(j *SweepJob) SweepStatus {
-		t.Helper()
-		waitFor(t, func() bool { return j.State().terminal() }, "sweep never finished")
-		st := j.Status()
-		if st.State != StateDone || st.Summary == nil {
-			t.Fatalf("sweep ended %s: %+v", st.State, st)
-		}
-		return st
-	}
-
-	m1 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
-	j1, err := m1.SubmitSweep(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return j1.Status().CellsDone > 0 }, "first cell never finished")
-	m1.Close()
-	done := journaledCells(t, dir, spec)
-	if done == 0 || done >= total {
-		t.Fatalf("journal holds %d of %d cells; the test needs a mid-grid interruption", done, total)
-	}
-
-	m2 := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
-	defer m2.Close()
-	if err := m2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
-	resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
-	if st := finish(resumed); st.Summary.Replayed != done || st.Summary.Executed != total-done {
-		t.Fatalf("resumed summary = %+v, want %d replayed and %d executed", st.Summary, done, total-done)
-	}
-
-	again, err := m2.SubmitSweep(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := finish(again); st.Summary.Executed != 0 || st.Summary.CacheHits != total {
-		t.Fatalf("repeated sweep summary = %+v, want 0 executed and %d cache hits", st.Summary, total)
-	}
-	// The same cells under another grid key have no journal to replay:
-	// the result cache answers every one of them.
-	reordered, err := m2.SubmitSweep(context.Background(), slowSweepSpec(4, 3, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := finish(reordered); st.Summary.Executed != 0 || st.Summary.CacheHits != total || st.Summary.Replayed != 0 {
-		t.Fatalf("reordered sweep summary = %+v, want %d cache hits and nothing executed or replayed", st.Summary, total)
-	}
-
-	keys := cellRecords()
-	for _, c := range spec.Cells() {
-		if n := keys[c.Key()]; n != 1 {
-			t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
-		}
-	}
-	if len(keys) != total {
-		t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
 	}
 }
 

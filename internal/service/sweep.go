@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"adnet/internal/expt"
-	"adnet/internal/fleet"
 	"adnet/internal/obs"
 	"adnet/internal/runkey"
 	"adnet/internal/sim"
@@ -40,13 +39,12 @@ type SweepJob struct {
 	cells *frameLog
 
 	// Durability (nil/false without a DataDir): journal is the job's
-	// write-ahead log; doneCells/doneShards are the replayed done-sets
-	// of a resumed grid (read-only once execution starts); resumed
-	// marks a job whose journal carried prior work at submission.
-	journal    *sweepJournal
-	doneCells  map[string]expt.Outcome
-	doneShards map[string]fleet.ShardResult
-	resumed    bool
+	// write-ahead log; doneCells is the replayed done-set of a resumed
+	// grid (read-only once execution starts); resumed marks a job whose
+	// journal carried prior work at submission.
+	journal   *sweepJournal
+	doneCells map[string]expt.Outcome
+	resumed   bool
 
 	lifecycle
 	summary *SweepSummary
@@ -230,6 +228,27 @@ func (m *Manager) executeSweep(j *SweepJob) {
 	j.finish(state, sum, jobErr)
 }
 
+// recordCell is the one cell-recording step of both executors, called
+// in canonical order from the goroutine that runs the grid: it
+// journals a successful cell whose run key is not in the done-set, so
+// a crash re-executes only the missing run keys, syncs the journal
+// after the last cell of each (algorithm, workload, n) group — the
+// coordinator's shard — and publishes the cell. The key is the grid's
+// own cell's, so dynamics stay in it.
+func (j *SweepJob) recordCell(grid []expt.Cell, cell SweepCell) {
+	if j.journal != nil {
+		i := cell.Index
+		key := grid[i].Key()
+		if _, done := j.doneCells[key]; cell.Error == "" && !done {
+			j.journal.append(recCell, cellRecord{RunKey: key, Cell: cell})
+		}
+		if i+1 == len(grid) || !grid[i+1].SameGroup(grid[i]) {
+			j.journal.sync()
+		}
+	}
+	j.cells.publish(cell)
+}
+
 // runGrid executes the job's grid on an engine fleet of
 // cfg.SweepWorkers runners. Lookup answers a cell from the job's
 // journal done-set first (replayed cells re-execute nothing), then from
@@ -237,14 +256,14 @@ func (m *Manager) executeSweep(j *SweepJob) {
 // /v1/runs run or an earlier sweep's cell), then by waiting for an
 // identical run job in flight. Emit, on this goroutine in canonical
 // order, caches fresh results as outcome-only entries (a cell has no
-// streams, so a later run of its key executes), journals every
-// successful cell that is not a replay, so a crash re-executes only the
-// missing run keys, and publishes the cell. ctx aborts between rounds.
+// streams, so a later run of its key executes) and hands the cell to
+// recordCell. ctx aborts between rounds.
 func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	spec := j.Spec
-	sum := SweepSummary{Cells: spec.NumCells()}
+	grid := spec.Cells()
+	sum := SweepSummary{Cells: len(grid)}
 	workers := m.cfg.SweepWorkers
-	if n := spec.NumCells(); workers > n {
+	if n := len(grid); workers > n {
 		workers = n
 	}
 	// busy accumulates executed-cell wall time (Emit runs on this
@@ -290,7 +309,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 				// Error cells stay out of the cache and the journal, so
 				// a resumed sweep retries them.
 				sum.Errors++
-				j.cells.publish(cell)
+				j.recordCell(grid, cell)
 				return
 			}
 			if cr.Cell.Dynamics != nil {
@@ -302,15 +321,11 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			}
 			if cr.FromCache {
 				sum.CacheHits++
+				if _, replayed := j.doneCells[key]; replayed {
+					sum.Replayed++
+				}
 			}
-			// A replayed cell is already on disk; every other
-			// successful cell goes to the journal.
-			if _, replayed := j.doneCells[key]; replayed && cr.FromCache {
-				sum.Replayed++
-			} else if j.journal != nil {
-				j.journal.append(recCell, cellRecord{RunKey: key, Cell: cell})
-			}
-			j.cells.publish(cell)
+			j.recordCell(grid, cell)
 		},
 	})
 	if wall := time.Since(start); wall > 0 && workers > 0 {
@@ -325,40 +340,30 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 // each worker's cell stream is tailed and merged back into canonical
 // grid order. Worker failure mid-shard re-dispatches the shard to a
 // healthy worker inside fleet.RunGrid; the job's stream still receives
-// every cell exactly once, in canonical order, from this goroutine.
-// Durability works at shard granularity: completed shards are journaled
-// via the Persist hook, and a resumed grid serves them back through
-// Completed instead of re-dispatching — a fresh coordinator on a dead
-// one's data dir picks the grid up exactly where the journal left it.
+// every cell exactly once, in canonical order, from this goroutine,
+// through the same recordCell a single server uses. A resumed grid
+// answers its lookup from the done-set only, so a shard the journal
+// holds in full merges without dispatch and a fresh coordinator on a
+// dead one's data dir picks the grid up where the journal left it.
 // Cell results are not entered into the local result cache: they
 // already live in the worker-side caches, and a coordinator exists to
 // stay out of simulation work entirely.
 func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
-	var hooks fleet.GridHooks
-	if len(j.doneShards) > 0 {
-		hooks.Completed = func(shardKey string) (fleet.ShardResult, bool) {
-			sr, ok := j.doneShards[shardKey]
-			if ok {
-				m.metrics.journalReplayedShards.Inc()
-			}
-			return sr, ok
+	var lookup func(expt.Cell) (expt.Outcome, bool)
+	if len(j.doneCells) > 0 {
+		lookup = func(c expt.Cell) (expt.Outcome, bool) {
+			out, ok := j.doneCells[c.Key()]
+			return out, ok
 		}
 	}
-	if j.journal != nil {
-		hooks.Persist = func(res fleet.ShardResult) {
-			// Called from dispatcher goroutines; journal appends are
-			// serialized by the log's own lock. A completed shard is a
-			// milestone worth an fsync.
-			j.journal.append(recShard, res)
-			j.journal.sync()
-		}
-	}
-	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, func(c SweepCell) {
+	grid := j.Spec.Cells()
+	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, lookup, func(c SweepCell) {
 		// The coordinator counts merged cells too (no durations — the
 		// workers own those), so cross-process cell totals can be
 		// checked against each other at scrape time.
 		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
-		j.cells.publish(c)
-	}, hooks)
+		j.recordCell(grid, c)
+	})
+	m.metrics.journalReplayedCells.Add(int64(fsum.Replayed))
 	return fsum.WireSummary, err
 }
