@@ -18,13 +18,11 @@ package dynamics
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 
 	"adnet/internal/sim"
-	"adnet/internal/temporal"
 )
 
 // Dynamics classes.
@@ -150,92 +148,37 @@ func (s Spec) Key() string {
 	return b.String()
 }
 
-// Schedule is one perturbation policy: the class-specific logic behind
-// an Env. Perturb appends this boundary's edits; it must be
-// deterministic given Reset's rng and the observed History.
-type Schedule interface {
-	// Class names the schedule's dynamics class.
-	Class() string
-	// Reset binds the schedule to a run of n nodes drawing randomness
-	// from rng (retained; shared with no one else).
-	Reset(n int, rng *rand.Rand)
-	// Perturb appends the boundary's edits after round `round`.
-	Perturb(round int, hist *temporal.History, edits *sim.EnvEdits)
-}
-
-// NewSchedule builds the schedule a normalized, validated spec names.
-func NewSchedule(spec Spec) (Schedule, error) {
+// New builds the environment a spec describes for a run seeded with
+// runSeed: the class's schedule, holding its seed. A zero Spec.Seed
+// derives the environment seed from runSeed and the class, so distinct
+// seeds in a sweep grid see distinct perturbation sequences without
+// extra configuration. Begin reseeds the schedule, so one environment
+// may serve run after run like the engine that holds it.
+func New(spec Spec, runSeed int64) (sim.Environment, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	spec = spec.Normalize()
-	switch spec.Class {
-	case ClassEdgeChurn:
-		return &churnSchedule{k: spec.Rate, preserve: spec.Preserve}, nil
-	case ClassTargetedCut:
-		return &targetedCutSchedule{k: spec.Rate}, nil
-	case ClassBurst:
-		return &burstSchedule{
-			churnSchedule: churnSchedule{k: spec.Rate, preserve: spec.Preserve},
-			quiet:         spec.Quiet,
-			storm:         spec.Storm,
-		}, nil
-	case ClassCrash:
-		return &crashSchedule{k: spec.Rate, down: spec.Down, reboot: spec.Mode == ModeReboot}, nil
-	}
-	return nil, fmt.Errorf("dynamics: unknown class %q (want one of %v)", spec.Class, Classes())
-}
-
-// Env adapts a Schedule to sim.Environment and keeps the fault
-// counters the experiment harness reports. One Env serves one run at a
-// time; Begin rebinds it (reseeding the rng), so an Env may be reused
-// across runs like the engine that holds it.
-type Env struct {
-	spec     Spec
-	seed     int64
-	sched    Schedule
-	rng      *rand.Rand
-	crashes  int
-	restarts int
-}
-
-// New builds the environment a spec describes for a run seeded with
-// runSeed. A zero Spec.Seed derives the environment seed from runSeed
-// and the class, so distinct seeds in a sweep grid see distinct
-// perturbation sequences without extra configuration.
-func New(spec Spec, runSeed int64) (*Env, error) {
-	spec = spec.Normalize()
-	sched, err := NewSchedule(spec)
-	if err != nil {
-		return nil, err
-	}
 	seed := spec.Seed
 	if seed == 0 {
 		seed = deriveSeed(runSeed, spec.Class)
 	}
-	return &Env{spec: spec, seed: seed, sched: sched}, nil
+	switch spec.Class {
+	case ClassEdgeChurn:
+		return &churnSchedule{k: spec.Rate, preserve: spec.Preserve, seed: seed}, nil
+	case ClassTargetedCut:
+		return &targetedCutSchedule{k: spec.Rate}, nil
+	case ClassBurst:
+		return &burstSchedule{
+			churnSchedule: churnSchedule{k: spec.Rate, preserve: spec.Preserve, seed: seed},
+			quiet:         spec.Quiet,
+			storm:         spec.Storm,
+		}, nil
+	case ClassCrash:
+		return &crashSchedule{k: spec.Rate, down: spec.Down, reboot: spec.Mode == ModeReboot, seed: seed}, nil
+	}
+	return nil, fmt.Errorf("dynamics: unknown class %q (want one of %v)", spec.Class, Classes())
 }
-
-// Spec returns the normalized spec the environment was built from.
-func (e *Env) Spec() Spec { return e.spec }
-
-// Begin implements sim.Environment: it reseeds the schedule for a run
-// of n nodes and zeroes the fault counters.
-func (e *Env) Begin(n int) {
-	e.rng = rand.New(rand.NewSource(e.seed))
-	e.crashes, e.restarts = 0, 0
-	e.sched.Reset(n, e.rng)
-}
-
-// Perturb implements sim.Environment.
-func (e *Env) Perturb(round int, hist *temporal.History, edits *sim.EnvEdits) {
-	e.sched.Perturb(round, hist, edits)
-	e.crashes += len(edits.Crash)
-	e.restarts += len(edits.Restart)
-}
-
-// Counts returns the crashes and restarts injected so far this run.
-func (e *Env) Counts() (crashes, restarts int) { return e.crashes, e.restarts }
 
 // deriveSeed mixes the run seed with the class name so every (seed,
 // class) cell of a grid draws an independent perturbation sequence.

@@ -17,16 +17,15 @@ import (
 type churnSchedule struct {
 	k        int
 	preserve bool
+	seed     int64
 	n        int
 	rng      *rand.Rand
 	work     *graph.Graph // preserve: working copy tracking this round's edits
 	bfs      graph.BFSScratch
 }
 
-func (c *churnSchedule) Class() string { return ClassEdgeChurn }
-
-func (c *churnSchedule) Reset(n int, rng *rand.Rand) {
-	c.n, c.rng = n, rng
+func (c *churnSchedule) Begin(n int) {
+	c.n, c.rng = n, rand.New(rand.NewSource(c.seed))
 }
 
 func (c *churnSchedule) Perturb(round int, hist *temporal.History, edits *sim.EnvEdits) {
@@ -77,8 +76,6 @@ type burstSchedule struct {
 	quiet, storm int
 }
 
-func (b *burstSchedule) Class() string { return ClassBurst }
-
 func (b *burstSchedule) Perturb(round int, hist *temporal.History, edits *sim.EnvEdits) {
 	cycle := b.quiet + b.storm
 	if (round-1)%cycle < b.quiet {
@@ -96,9 +93,7 @@ type targetedCutSchedule struct {
 	cand []graph.Edge
 }
 
-func (t *targetedCutSchedule) Class() string { return ClassTargetedCut }
-
-func (t *targetedCutSchedule) Reset(n int, rng *rand.Rand) {}
+func (t *targetedCutSchedule) Begin(n int) {}
 
 func (t *targetedCutSchedule) Perturb(round int, hist *temporal.History, edits *sim.EnvEdits) {
 	t.cand = hist.AppendActivatedAlive(t.cand)
@@ -128,15 +123,14 @@ func (t *targetedCutSchedule) Perturb(round int, hist *temporal.History, edits *
 type crashSchedule struct {
 	k, down int
 	reboot  bool
+	seed    int64
 	n       int
 	rng     *rand.Rand
 	downAt  []int // slot → boundaries remaining down (0 = up)
 }
 
-func (c *crashSchedule) Class() string { return ClassCrash }
-
-func (c *crashSchedule) Reset(n int, rng *rand.Rand) {
-	c.n, c.rng = n, rng
+func (c *crashSchedule) Begin(n int) {
+	c.n, c.rng = n, rand.New(rand.NewSource(c.seed))
 	if cap(c.downAt) < n {
 		c.downAt = make([]int, n)
 	} else {

@@ -35,8 +35,8 @@ type Outcome struct {
 	LeaderOK           bool
 	EnvActivations     int `json:"EnvActivations,omitempty"`   // edges the environment switched on
 	EnvDeactivations   int `json:"EnvDeactivations,omitempty"` // edges the environment cut
-	Crashes            int `json:"Crashes,omitempty"`          // node outages injected
-	Restarts           int `json:"Restarts,omitempty"`         // node restarts injected
+	Crashes            int `json:"Crashes,omitempty"`          // node outages the engine applied
+	Restarts           int `json:"Restarts,omitempty"`         // node restarts the engine applied
 }
 
 // Request names one deterministic run: an algorithm, a workload
@@ -138,6 +138,8 @@ func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option)
 		LeaderOK:           tasks.VerifyLeaderElection(res, umax) == nil,
 		EnvActivations:     res.Metrics.EnvActivations,
 		EnvDeactivations:   res.Metrics.EnvDeactivations,
+		Crashes:            res.Crashes,
+		Restarts:           res.Restarts,
 	}
 	if final.HasNode(umax) {
 		out.FinalDepth = r.bfs.Eccentricity(final, umax)

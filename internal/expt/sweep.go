@@ -44,16 +44,15 @@ func (r *Runner) Close() { r.eng.Close() }
 
 // Execute builds the workload and runs the algorithm on it, reusing
 // the Runner's engine and workload arena. A dynamics block becomes the
-// run's environment (internal/dynamics) and the outcome's
-// Crashes/Restarts report the faults it injected.
+// run's environment (internal/dynamics); RunAlgorithm reports the
+// faults the engine applied as the outcome's Crashes/Restarts.
 func (r *Runner) Execute(req Request) (Outcome, error) {
-	var env *dynamics.Env
 	if req.Dynamics != nil {
 		if err := requireSimulated(req.Algorithm); err != nil {
 			return Outcome{}, err
 		}
-		var err error
-		if env, err = dynamics.New(*req.Dynamics, req.Seed); err != nil {
+		env, err := dynamics.New(*req.Dynamics, req.Seed)
+		if err != nil {
 			return Outcome{}, err
 		}
 		req.SimOpts = append(req.SimOpts, sim.WithEnvironment(env))
@@ -62,11 +61,7 @@ func (r *Runner) Execute(req Request) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	out, err := r.RunAlgorithm(req.Algorithm, g, req.SimOpts...)
-	if err == nil && env != nil {
-		out.Crashes, out.Restarts = env.Counts()
-	}
-	return out, err
+	return r.RunAlgorithm(req.Algorithm, g, req.SimOpts...)
 }
 
 // Cell is the canonical description of one deterministic run — the

@@ -134,9 +134,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add adjusts the value by n (negative n decrements).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

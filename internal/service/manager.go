@@ -76,12 +76,12 @@ type Config struct {
 	StreamWriteTimeout time.Duration
 	// DataDir, when set, makes sweeps durable: every sweep job writes
 	// a write-ahead journal under <DataDir>/sweeps — the spec at
-	// submission, then each finished cell (or, in coordinator mode,
-	// each completed shard). After a crash, Recover replays the intact
-	// journals, rebuilds finished outcomes into the result cache, and
-	// resubmits interrupted grids so only their missing run keys
-	// re-execute. Empty disables journaling (the pre-durability
-	// in-memory behavior).
+	// submission, then one cell record per finished cell (a
+	// coordinator journals each merged cell the same way). After a
+	// crash, Recover replays the intact journals, rebuilds finished
+	// outcomes into the result cache, and resubmits interrupted grids
+	// so only their missing run keys re-execute. Empty disables
+	// journaling (the pre-durability in-memory behavior).
 	DataDir string
 	// Fleet, when set, runs the manager in coordinator mode: sweep
 	// grids are sharded across the coordinator's registered worker

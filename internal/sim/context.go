@@ -54,20 +54,14 @@ func (c *Context) Round() int { return c.round }
 func (c *Context) N() int { return c.env.N }
 
 // Neighbors returns N1 at the start of the round, ascending. The slice
-// is fresh and owned by the caller; prefer EachNeighbor or
-// NeighborsInto in per-round hot paths.
+// is fresh and owned by the caller; prefer EachNeighbor in per-round
+// hot paths.
 func (c *Context) Neighbors() []graph.ID { return c.hist.NeighborsOf(c.id) }
 
 // EachNeighbor calls fn for every current neighbor in ascending order,
 // stopping early if fn returns false. It performs no allocation.
 func (c *Context) EachNeighbor(fn func(v graph.ID) bool) {
 	c.hist.EachNeighborOf(c.id, fn)
-}
-
-// NeighborsInto appends N1, ascending, to dst[:0] and returns it,
-// reusing dst's backing array when it has capacity.
-func (c *Context) NeighborsInto(dst []graph.ID) []graph.ID {
-	return c.hist.NeighborsInto(c.id, dst)
 }
 
 // HasNeighbor reports whether v is currently a neighbor.
@@ -173,9 +167,6 @@ func (c *Context) Deactivate(v graph.ID) {
 
 // SetStatus records the node's leader-election outcome.
 func (c *Context) SetStatus(s Status) { c.status = s }
-
-// Status returns the current recorded status.
-func (c *Context) Status() Status { return c.status }
 
 // Halt marks the node terminated. A halted node sends nothing,
 // receives nothing and issues no further intents; the engine stops

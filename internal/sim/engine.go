@@ -89,11 +89,14 @@ type Engine struct {
 	// Environment state (WithEnvironment): the retained factory rebuilds
 	// machines on reboot-restarts, crashed marks down slots, and
 	// downCount gates every crash check so the env-absent hot loop pays
-	// one integer compare. envEdits is the reused Perturb scratch.
+	// one integer compare. envEdits is the reused Perturb scratch;
+	// crashes and restarts count the faults applyFaults applied.
 	factory   Factory
 	crashed   []bool
 	downCount int
 	envEdits  EnvEdits
+	crashes   int
+	restarts  int
 
 	n        int
 	ready    bool // a successful Reset has not yet been consumed by Run
@@ -198,6 +201,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 
 	e.factory = factory
 	e.downCount = 0
+	e.crashes, e.restarts = 0, 0
 	if cfg.env != nil {
 		// Crash tracking and the relaxed delivery/validation semantics
 		// exist only on the environment path; without an environment the
@@ -367,10 +371,11 @@ func (e *Engine) Run() (*Result, error) {
 // by the last Perturb. Restarts are processed first so a schedule may
 // restart and re-crash a slot across consecutive boundaries without
 // ordering surprises; out-of-range slots, crashes of already-down
-// slots and restarts of up slots are ignored. A reboot-restart rebuilds
-// the machine from the run's factory and re-runs Init (the node comes
-// back blank, as after a power cycle); a sleep-restart resumes the
-// machine with its state intact.
+// slots and restarts of up slots are ignored; only the faults applied
+// are counted (Result.Crashes, Result.Restarts). A reboot-restart
+// rebuilds the machine from the run's factory and re-runs Init (the
+// node comes back blank, as after a power cycle); a sleep-restart
+// resumes the machine with its state intact.
 func (e *Engine) applyFaults(round int) error {
 	n := e.n
 	for _, s := range e.envEdits.Restart {
@@ -380,6 +385,7 @@ func (e *Engine) applyFaults(round int) error {
 		}
 		e.crashed[i] = false
 		e.downCount--
+		e.restarts++
 		if e.envEdits.Reboot {
 			ctx := &e.ctxs[i]
 			env := Env{N: n}
@@ -403,6 +409,7 @@ func (e *Engine) applyFaults(round int) error {
 		}
 		e.crashed[i] = true
 		e.downCount++
+		e.crashes++
 	}
 	return nil
 }
@@ -481,6 +488,8 @@ func (e *Engine) finish(rounds, totalMsgs, maxMsgs int) *Result {
 		Rounds:              rounds,
 		TotalMessages:       totalMsgs,
 		MaxMessagesPerRound: maxMsgs,
+		Crashes:             e.crashes,
+		Restarts:            e.restarts,
 		eng:                 e,
 	}
 	return &e.res

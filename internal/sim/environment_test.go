@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -8,12 +11,18 @@ import (
 	"adnet/internal/temporal"
 )
 
-// scriptEnv replays a fixed per-round script of environment edits.
+// scriptEnv replays a fixed per-round script of environment edits;
+// begin, when set, runs at every Begin (a seeded script reseeds there).
 type scriptEnv struct {
 	steps map[int]func(edits *EnvEdits)
+	begin func()
 }
 
-func (s *scriptEnv) Begin(n int) {}
+func (s *scriptEnv) Begin(n int) {
+	if s.begin != nil {
+		s.begin()
+	}
+}
 
 func (s *scriptEnv) Perturb(round int, hist *temporal.History, edits *EnvEdits) {
 	if f, ok := s.steps[round]; ok {
@@ -189,6 +198,141 @@ func TestEnvironmentRebootResetsState(t *testing.T) {
 	// only saw rounds 5-8 (2 messages each) and one Init.
 	if machines[2].inits != 1 || machines[2].got != 8 {
 		t.Fatalf("reboot restart: inits = %d got = %d, want 1 and 8", machines[2].inits, machines[2].got)
+	}
+}
+
+// TestEnvironmentFaultCounts holds the engine to counting exactly the
+// crashes and restarts it applies: not a crash of a down or
+// out-of-range slot, not a restart of an up one, in either restart
+// mode; a round-limit failure's partial Result carries the counts;
+// and one seeded environment reused for two runs perturbs both alike.
+func TestEnvironmentFaultCounts(t *testing.T) {
+	t.Parallel()
+	script := func(reboot bool) *scriptEnv {
+		return &scriptEnv{steps: map[int]func(*EnvEdits){
+			// Slot 1 crashes once; the repeat, 9 and -1 are ignored, and
+			// so is the restart of slot 2, which is up.
+			1: func(e *EnvEdits) {
+				e.Crash = append(e.Crash, 1, 1, 9, -1)
+				e.Restart = append(e.Restart, 2)
+			},
+			2: func(e *EnvEdits) { e.Crash = append(e.Crash, 1) }, // already down
+			3: func(e *EnvEdits) {
+				e.Restart, e.Reboot = append(e.Restart, 1, 1, 7, -2), reboot
+			},
+			4: func(e *EnvEdits) {
+				e.Restart = append(e.Restart, 0) // up
+				e.Crash = append(e.Crash, 3)
+			},
+			5: func(e *EnvEdits) { e.Restart, e.Reboot = append(e.Restart, 3), reboot },
+		}}
+	}
+	for _, reboot := range []bool{false, true} {
+		builds := 0
+		factory := func(id graph.ID, env Env) Machine {
+			builds++
+			return &chattyCounter{rounds: 8}
+		}
+		res, err := Run(graph.Ring(4), factory, WithEnvironment(script(reboot)))
+		if err != nil {
+			t.Fatalf("reboot=%t: Run: %v", reboot, err)
+		}
+		if res.Crashes != 2 || res.Restarts != 2 {
+			t.Errorf("reboot=%t: counted %d/%d crashes/restarts, want 2/2", reboot, res.Crashes, res.Restarts)
+		}
+		want := 4
+		if reboot {
+			want += 2 // only the two applied restarts rebuild a machine
+		}
+		if builds != want {
+			t.Errorf("reboot=%t: factory built %d machines, want %d", reboot, builds, want)
+		}
+
+		// Halting is due at round 8; a limit of 3 fails the run after
+		// slot 1's crash and restart.
+		res, err = Run(graph.Ring(4), factory, WithEnvironment(script(reboot)), WithMaxRounds(3))
+		if !errors.Is(err, ErrRoundLimit) || res == nil {
+			t.Fatalf("reboot=%t: want a partial result and ErrRoundLimit, got %v, %v", reboot, res, err)
+		}
+		if res.Crashes != 1 || res.Restarts != 1 {
+			t.Errorf("reboot=%t: partial result counted %d/%d, want 1/1", reboot, res.Crashes, res.Restarts)
+		}
+	}
+
+	// A seeded script of random faults (junk slots included) and edge
+	// activations, with a model of which slots are down: Begin reseeds
+	// both, so two runs of one value on one engine must match delta for
+	// delta and count for count, and the counts must match the model.
+	const n = 8
+	var (
+		rng   *rand.Rand
+		down  [n]bool
+		model [2]int // crashes, restarts
+	)
+	env := &scriptEnv{steps: map[int]func(*EnvEdits){}, begin: func() {
+		rng = rand.New(rand.NewSource(5))
+		down, model = [n]bool{}, [2]int{}
+	}}
+	for r := 1; r <= 24; r++ {
+		env.steps[r] = func(e *EnvEdits) {
+			for k := rng.Intn(3); k > 0 && r < 24; k-- {
+				e.Crash = append(e.Crash, int32(rng.Intn(n+2)-1))
+				e.Restart = append(e.Restart, int32(rng.Intn(n+2)-1))
+			}
+			if r == 24 { // everyone up again, so the run halts at 30
+				for s := range int32(n) {
+					e.Restart = append(e.Restart, s)
+				}
+			}
+			u := rng.Intn(n)
+			e.Activate = append(e.Activate, graph.NewEdge(graph.ID(u), graph.ID((u+1+rng.Intn(n-1))%n)))
+			e.Reboot = rng.Intn(2) == 0
+			// The model applies the edits as the engine does: restarts
+			// first, then crashes.
+			for _, s := range e.Restart {
+				if s >= 0 && s < n && down[s] {
+					down[s] = false
+					model[1]++
+				}
+			}
+			for _, s := range e.Crash {
+				if s >= 0 && s < n && !down[s] {
+					down[s] = true
+					model[0]++
+				}
+			}
+		}
+	}
+	eng := NewEngine()
+	defer eng.Close()
+	run := func() (string, [2]int) {
+		var deltas strings.Builder
+		factory := func(id graph.ID, _ Env) Machine { return &chattyCounter{rounds: 30} }
+		err := eng.Reset(graph.Ring(n), factory, WithEnvironment(env),
+			WithDeltaHook(func(d temporal.RoundDelta) {
+				fmt.Fprintf(&deltas, "r%d %v %v\n", d.Round, d.EnvActivate, d.EnvDeactivate)
+			}))
+		if err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		got := [2]int{res.Crashes, res.Restarts}
+		if got != model {
+			t.Errorf("counted %v crashes/restarts, model %v", got, model)
+		}
+		if got[0] == 0 || got[1] == 0 {
+			t.Errorf("script applied no fault of some kind: %v", got)
+		}
+		return deltas.String(), got
+	}
+	firstDeltas, firstCounts := run()
+	secondDeltas, secondCounts := run()
+	if firstDeltas != secondDeltas || firstCounts != secondCounts {
+		t.Fatalf("reused environment diverged: counts %v vs %v\n%s\nvs\n%s",
+			firstCounts, secondCounts, firstDeltas, secondDeltas)
 	}
 }
 

@@ -161,11 +161,15 @@ func (e *EnvEdits) Reset() {
 // next Send phase. Implementations must be deterministic functions of
 // their own seeded state and the History they are shown — the engine
 // calls Perturb once per round, in round order, so executions stay
-// byte-identical from run to run.
-// internal/dynamics provides the seeded schedule implementations.
+// byte-identical from run to run. The engine applies the edits and
+// counts the crashes and restarts it applied (Result.Crashes,
+// Result.Restarts). Each internal/dynamics class is one, built by
+// dynamics.New.
 type Environment interface {
 	// Begin binds the environment to a run of n nodes; the engine
-	// calls it from Reset, before any Perturb.
+	// calls it from Reset, before any Perturb. A seeded environment
+	// reseeds here, so one value used for several runs perturbs each
+	// the same way.
 	Begin(n int)
 	// Perturb appends this boundary's effects to edits. round is the
 	// round that just completed (1-based). hist exposes the post-round
@@ -315,6 +319,10 @@ type Result struct {
 	TotalMessages int
 	// MaxMessagesPerRound is the peak per-round message volume.
 	MaxMessagesPerRound int
+	// Crashes and Restarts count the crashes and restarts the engine
+	// applied from the environment's edits (zero without
+	// WithEnvironment); a failed run's partial Result carries them too.
+	Crashes, Restarts int
 
 	eng *Engine
 }

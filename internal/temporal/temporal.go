@@ -243,12 +243,6 @@ func (h *History) InitialNeighborsView(u graph.ID) []graph.ID {
 // DegreeOf returns |N1(u)|.
 func (h *History) DegreeOf(u graph.ID) int { return h.current.Degree(u) }
 
-// NeighborsInto appends u's active neighbors, ascending, to dst[:0]
-// and returns it (allocation free once dst has capacity).
-func (h *History) NeighborsInto(u graph.ID, dst []graph.ID) []graph.ID {
-	return h.current.NeighborsInto(u, dst)
-}
-
 // EachNeighborOf calls fn for every active neighbor of u in ascending
 // order, stopping early if fn returns false. It performs no allocation
 // and, like the other query methods, reads the snapshot E(i): a round's
