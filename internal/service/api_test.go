@@ -60,21 +60,27 @@ func getStatus(t *testing.T, srv *httptest.Server, id string) JobStatus {
 	return st
 }
 
-func awaitDone(t *testing.T, srv *httptest.Server, id string) JobStatus {
+// awaitTerminal polls a job until it is done, failed or canceled.
+func awaitTerminal(t *testing.T, srv *httptest.Server, id string) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		st := getStatus(t, srv, id)
-		switch st.State {
-		case StateDone:
+		if st := getStatus(t, srv, id); st.State.terminal() {
 			return st
-		case StateFailed, StateCanceled:
-			t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
 	return JobStatus{}
+}
+
+func awaitDone(t *testing.T, srv *httptest.Server, id string) JobStatus {
+	t.Helper()
+	st := awaitTerminal(t, srv, id)
+	if st.State != StateDone {
+		t.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
+	}
+	return st
 }
 
 func TestAPISubmitAndStatus(t *testing.T) {

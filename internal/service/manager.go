@@ -30,6 +30,9 @@ type Config struct {
 	// Workers is the number of concurrent simulations (default:
 	// GOMAXPROCS). Each runs the engine sequentially, so the pool —
 	// not per-run parallelism — is the service's unit of concurrency.
+	// Each worker owns one expt.Runner and steps every job it serves
+	// on it, so a worker keeps the buffers of the largest run it has
+	// served (at most MaxN nodes) until the manager is closed.
 	Workers int
 	// QueueDepth bounds jobs waiting for a worker (default 128);
 	// submissions beyond it fail fast with ErrQueueFull.
@@ -448,14 +451,19 @@ func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 	}
 }
 
+// worker serves queued run jobs on one Runner until the queue is
+// closed and drained, so each run reuses the engine, machines and
+// workload arena of the runs before it.
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	r := expt.NewRunner()
+	defer r.Close()
 	for j := range m.queue {
-		m.execute(j)
+		m.execute(j, r)
 	}
 }
 
-func (m *Manager) execute(j *Job) {
+func (m *Manager) execute(j *Job, r *expt.Runner) {
 	key := j.Spec.Key()
 	defer func() {
 		m.mu.Lock()
@@ -488,7 +496,7 @@ func (m *Manager) execute(j *Job) {
 	m.runsExecuted.Add(1)
 	req := j.Spec.Request()
 	req.SimOpts = append(opts, req.SimOpts...)
-	out, err := expt.Execute(req)
+	out, err := r.Execute(req)
 	if err == nil && j.Spec.Dynamics != nil {
 		m.metrics.observeDynamics(out)
 	}
