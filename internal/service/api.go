@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"adnet/internal/expt"
@@ -170,7 +171,7 @@ func NewHandler(m *Manager) http.Handler {
 	handleJobs(handle, "/v1/runs", m.runs)
 	handle("GET /v1/runs/{id}/rounds", func(w http.ResponseWriter, r *http.Request) {
 		if job, cursor, ok := streamTarget(w, r, m.runs); ok {
-			streamNDJSON(w, r, job.rounds, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
+			streamNDJSON(w, r, job.log, renderRounds, 1, cursor, m.cfg.StreamWriteTimeout, m.metrics.roundsSub)
 		}
 	})
 	handle("GET /v1/runs/{id}/topology", func(w http.ResponseWriter, r *http.Request) {
@@ -180,9 +181,9 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		switch r.URL.Query().Get("format") {
 		case "", "json":
-			streamNDJSON(w, r, job.topo, jsonTopology, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
+			streamNDJSON(w, r, job.log, renderJSON, 0, cursor, m.cfg.StreamWriteTimeout, m.metrics.topoSub)
 		case "packed":
-			streamNDJSON(w, r, job.topo, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.packedSub)
+			streamNDJSON(w, r, job.log, renderPacked, 0, cursor, m.cfg.StreamWriteTimeout, m.metrics.packedSub)
 		default:
 			writeAPIError(w, r, codeInvalidRequest,
 				errors.New("service: unknown topology format (want json or packed)"))
@@ -209,7 +210,7 @@ func NewHandler(m *Manager) http.Handler {
 		// A subscriber disconnect ends only this stream — the sweep
 		// keeps running for other subscribers. The summary line trails
 		// the cells once the sweep is terminal.
-		done := streamNDJSON(w, r, job.cells, nil, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
+		done := streamNDJSON(w, r, job.cells, nil, 0, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
 		if !done {
 			return
 		}
@@ -367,27 +368,31 @@ func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jo
 // the log closes. With render nil the wire bytes are the log's own
 // frames: each published item was marshaled exactly once, and every
 // subscriber writes the same immutable frames, so fan-out to N
-// connections costs N writes but one encode per item. A render
-// (jsonTopology) derives a second format from the same log, frame by
-// frame on this subscriber's goroutine, so a cursor names the same item
-// in both. It returns done=true when the stream was fully drained,
-// done=false when the subscriber was dropped mid-stream; callers append
-// trailing lines (e.g. a sweep summary) only when done. The frame index
-// one past the last frame written — the cursor that resumes exactly
-// after this response — is echoed in the X-Adnet-Next-Cursor trailer.
+// connections costs N writes but one encode per item. A run's log is
+// rendered instead, record by record on this subscriber's goroutine,
+// into one buffer written every renderChunk bytes and at the end of
+// each batch; its frame i is record first+i (/rounds skips the
+// header), so a cursor names the same round in every format. It
+// returns done=true when the stream was fully drained, done=false when
+// the subscriber was dropped mid-stream; callers append trailing lines
+// (e.g. a sweep summary) only when done. The frame index one past the
+// last frame written — the cursor that resumes exactly after this
+// response — is echoed in the X-Adnet-Next-Cursor trailer.
 //
-// Backpressure: each write batch (behind a render, each frame) runs
-// under writeTimeout, via http.ResponseController. A subscriber that
-// cannot drain it in time fails its write and is dropped — the
-// producer, publishing into the shared frame log, is never blocked by a
-// stalled reader, and other subscribers keep tailing unaffected.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render func([]byte) []byte, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
+// Backpressure: each write batch (behind a render, each chunk, once it
+// is rendered) runs under writeTimeout, via http.ResponseController. A
+// subscriber that cannot drain it in time fails its write and is
+// dropped — the producer, appending to the shared frame log, is never
+// blocked by a stalled reader, and other subscribers keep tailing
+// unaffected.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render renderFunc, first, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Declared before the status line so the client knows to expect
 	// it; the value lands when the handler returns.
 	w.Header().Set("Trailer", nextCursorTrailer)
+	next := first + cursor // the next record to serve
 	defer func() {
-		w.Header().Set(nextCursorTrailer, strconv.Itoa(cursor))
+		w.Header().Set(nextCursorTrailer, strconv.Itoa(next-first))
 	}()
 	w.WriteHeader(http.StatusOK)
 	// Push the status line now: the first batch may be a long Wait away
@@ -398,32 +403,72 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render fu
 	_ = rc.Flush()
 	sub.subscribers.Inc()
 	defer sub.subscribers.Dec()
+	var buf *[]byte
+	if render != nil {
+		buf = renderBufs.Get().(*[]byte)
+		defer putRenderBuf(buf)
+	}
+	var batchBytes int64
+	write := func(p []byte, arm bool) bool {
+		if arm && writeTimeout > 0 {
+			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		}
+		if _, err := w.Write(p); err != nil {
+			sub.dropped.Inc()
+			return false
+		}
+		batchBytes += int64(len(p))
+		return true
+	}
 	for {
-		batch, more := s.WaitFrames(r.Context(), cursor)
+		batch, more := s.WaitFrames(r.Context(), next)
 		if !more {
 			return r.Context().Err() == nil
 		}
-		var batchBytes int64
-		for i, frame := range batch {
-			if render != nil {
-				frame = render(frame)
+		batchBytes = 0
+		if render == nil {
+			for i, frame := range batch {
+				// Armed once per batch: nothing is rendered between writes.
+				if !write(frame, i == 0) {
+					return false
+				}
 			}
-			// Armed once per batch of stored frames but after every
-			// render: the deadline bounds writing, and a batch of large
-			// renders outlasts it while the reader keeps up.
-			if writeTimeout > 0 && (i == 0 || render != nil) {
-				_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		} else {
+			out := (*buf)[:0]
+			for i, rec := range batch {
+				out = render(out, rec, next+i == 0)
+				if len(out) >= renderChunk || i == len(batch)-1 {
+					if !write(out, true) {
+						return false
+					}
+					out = out[:0]
+				}
 			}
-			if _, err := w.Write(frame); err != nil {
-				sub.dropped.Inc()
-				return false
-			}
-			batchBytes += int64(len(frame))
+			*buf = out
 		}
-		cursor += len(batch)
+		next += len(batch)
 		sub.frames.Add(int64(len(batch)))
 		sub.bytes.Add(batchBytes)
 		_ = rc.Flush()
+	}
+}
+
+// renderChunk is how many rendered bytes a subscriber buffers before it
+// writes them: large enough that a run's stream is a few writes, small
+// enough that the pooled buffers stay cheap to keep.
+const renderChunk = 32 << 10
+
+// renderBufs pools the subscribers' render buffers.
+var renderBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2*renderChunk)
+	return &b
+}}
+
+// putRenderBuf returns buf to the pool unless a frame larger than a
+// chunk grew it.
+func putRenderBuf(buf *[]byte) {
+	if cap(*buf) <= 2*renderChunk {
+		renderBufs.Put(buf)
 	}
 }
 

@@ -286,7 +286,7 @@ func TestAPIQueueFullReturns503(t *testing.T) {
 func TestAPICancel(t *testing.T) {
 	t.Parallel()
 	srv, _ := newTestServer(t, Config{Workers: 1})
-	sub, _ := postRun(t, srv, slowSpec(31))
+	sub, _ := postRun(t, srv, longSpec(31))
 	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/runs/"+sub.Job.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

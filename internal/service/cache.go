@@ -3,28 +3,35 @@ package service
 import (
 	"container/list"
 	"sync"
+	"time"
 
 	"adnet/internal/expt"
 )
 
-// replay is the two frame logs a run job publishes to and serves: rounds
-// for /rounds, topo — packed lines — for /topology in both formats. The
-// job that executes owns them; once it is done they are complete, and
-// every cache-hit job for the same key points at the same two — the
-// frames the run encoded are the frames a replay writes.
+// replay is a run job's one frame log — record 0 the header, record i
+// round i (topology.go) — that /rounds and both /topology formats render
+// from. The job that executes owns it; once it is done it is complete,
+// and every cache-hit job for the same key points at the same one — the
+// records the run packed are the records a replay renders.
 type replay struct {
-	rounds, topo *frameLog
+	log *frameLog
+	// scratch is the producer's packing buffer; a record is copied out
+	// of it at its exact size.
+	scratch []byte
+	// headerObs and recordObs observe each packed record (the
+	// encode-once instruments on /metrics); bare replays leave them nil.
+	headerObs, recordObs func(time.Duration)
 }
 
+// close ends the log once the producer is done with it.
 func (rp *replay) close() {
-	rp.rounds.close()
-	rp.topo.close()
+	rp.scratch = nil
+	rp.log.close()
 }
 
-// FrameBytes is the encoded bytes the two logs hold.
-func (rp *replay) FrameBytes() int64 {
-	return rp.rounds.FrameBytes() + rp.topo.FrameBytes()
-}
+// FrameBytes is the bytes /rounds and /topology?format=packed serve
+// for the records the log holds.
+func (rp *replay) FrameBytes() int64 { return rp.log.FrameBytes() }
 
 // cacheEntry is the product of one successful run: its outcome and,
 // when a run job executed it, that job's own streams. An outcome-only

@@ -185,7 +185,16 @@ func streamLines(t *testing.T, url string) ([]string, string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET %s = %d", url, resp.StatusCode)
 	}
-	var lines []string
+	lines, trailer, err := readLines(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines, trailer
+}
+
+// readLines reads an NDJSON response body to EOF: its non-blank lines
+// and its next-cursor trailer.
+func readLines(resp *http.Response) (lines []string, trailer string, err error) {
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -193,10 +202,7 @@ func streamLines(t *testing.T, url string) ([]string, string) {
 			lines = append(lines, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return lines, resp.Trailer.Get(nextCursorTrailer)
+	return lines, resp.Trailer.Get(nextCursorTrailer), sc.Err()
 }
 
 // TestStreamCursorResumesAndTrailer pins the ?cursor=N replay

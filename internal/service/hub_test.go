@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,10 +21,10 @@ import (
 	"adnet/internal/temporal"
 )
 
-// bareReplay is a run's two frame logs without instruments, for tests
-// that drive the topology hooks outside a Manager.
+// bareReplay is a run's frame log without instruments, for tests that
+// drive the publish hooks outside a Manager.
 func bareReplay() *replay {
-	return &replay{rounds: newFrameLog(nil), topo: newFrameLog(nil)}
+	return &replay{log: newFrameLog(nil)}
 }
 
 // logLines drains every frame of s from cursor 0. The stream must be
@@ -146,10 +147,11 @@ func TestEndpointByteIdentity(t *testing.T) {
 	}
 }
 
-// TestEncodeOncePerItem pins the hub invariant: marshals per item stay
-// at one no matter how many subscribers drain the stream — a live
-// stream's own subscribers and those of a cache-hit job alike, since
-// the hit serves the stream of the job that executed.
+// TestEncodeOncePerItem pins the hub invariant: encodes per item stay
+// at one no matter how many subscribers drain the stream — a marshal
+// per /cells-style frame, a pack per run record for a live job's own
+// subscribers and those of a cache-hit job alike, since the hit serves
+// the log of the job that executed, rendered in every format.
 func TestEncodeOncePerItem(t *testing.T) {
 	t.Parallel()
 	const items, subs = 100, 32
@@ -160,6 +162,19 @@ func TestEncodeOncePerItem(t *testing.T) {
 		live.publish(st)
 	}
 	live.close()
+	var wg sync.WaitGroup
+	for i := 0; i < subs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			collectFrames(t, live)
+		}()
+	}
+	wg.Wait()
+	if liveEncodes != items {
+		t.Errorf("live stream: %d encodes for %d items across %d subscribers, want exactly %d",
+			liveEncodes, items, subs, items)
+	}
 
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
@@ -173,33 +188,32 @@ func TestEncodeOncePerItem(t *testing.T) {
 		t.Fatalf("resubmit = (cached=%v, err=%v), want cache hit", cached, err)
 	}
 	if hit.replay != job.replay {
-		t.Fatal("cache-hit job does not share the executing job's streams")
+		t.Fatal("cache-hit job does not share the executing job's log")
 	}
 
-	// Marshals are counted where they are instrumented: by the bare
-	// log's hook, and for the manager's logs on /metrics — one job ran,
-	// so the rounds series is that job's /rounds log.
-	type hub struct {
-		log     *frameLog
-		encodes func() int64
+	// Packs are counted on /metrics: one job ran, so the series are its
+	// log's — every round record under rounds and topology_packed, the
+	// header under topology_packed alone.
+	renders := []struct {
+		render renderFunc
+		first  int
+	}{{renderRounds, 1}, {renderPacked, 0}, {renderJSON, 0}}
+	for i := 0; i < subs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := renders[i%len(renders)]
+			if len(renderLog(hit.log, r.render, r.first)) == 0 {
+				t.Error("a subscriber rendered nothing")
+			}
+		}()
 	}
-	for name, h := range map[string]hub{
-		"live":   {live, func() int64 { return liveEncodes }},
-		"replay": {hit.rounds, m.metrics.streamEncoded.With(streamRounds).Value},
-	} {
-		s := h.log
-		var wg sync.WaitGroup
-		for i := 0; i < subs; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				collectFrames(t, s)
-			}()
-		}
-		wg.Wait()
-		if got, want := h.encodes(), int64(s.Len()); got != want || want == 0 {
-			t.Errorf("%s stream: %d encodes for %d items across %d subscribers, want exactly %d",
-				name, got, want, subs, want)
+	wg.Wait()
+	records := int64(hit.log.Len())
+	for kind, want := range map[string]int64{streamRounds: records - 1, streamTopoPacked: records} {
+		if got := m.metrics.streamEncoded.With(kind).Value(); got != want || records < 2 {
+			t.Errorf("replay: %d %s encodes for %d records across %d subscribers, want exactly %d",
+				got, kind, records, subs, want)
 		}
 	}
 }
@@ -323,10 +337,14 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				ts := bareReplay()
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, ts.topo, jsonTopology, 0, timeout, mt.topoSub)
+					streamNDJSON(w, r, ts.log, renderJSON, 0, 0, timeout, mt.topoSub)
 				}
 				publish := func(i int) {
 					d := temporal.RoundDelta{Round: i + 1, Activate: bigDelta}
+					if i == 0 {
+						ts.publishHeader(2, nil)
+						total += int64(len(jsonFrame(TopologyFrame{N: 2})))
+					}
 					total += int64(len(jsonFrame(TopologyFrame{Round: d.Round, Activate: d.Activate})))
 					ts.publishDelta(d)
 				}
@@ -337,17 +355,37 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			name: "rounds",
 			kind: streamRounds,
 			serve: func(mt *metrics, timeout time.Duration) (http.HandlerFunc, func(i int), func(), *int64) {
-				rs := newFrameLog(nil)
+				ts := bareReplay()
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, rs, nil, 0, timeout, mt.roundsSub)
+					streamNDJSON(w, r, ts.log, renderRounds, 1, 0, timeout, mt.roundsSub)
 				}
 				publish := func(i int) {
+					if i == 0 {
+						ts.publishHeader(2, nil)
+					}
 					st := temporal.RoundStats{Round: i + 1, Activated: i, ActiveEdges: 1 << 20}
 					total += int64(len(jsonFrame(st)))
-					rs.publish(st)
+					ts.publishDelta(temporal.RoundDelta{Round: i + 1, Stats: st})
 				}
-				return handler, publish, rs.close, &total
+				return handler, publish, ts.close, &total
+			},
+		},
+		{
+			name: "cells",
+			kind: streamCells,
+			serve: func(mt *metrics, timeout time.Duration) (http.HandlerFunc, func(i int), func(), *int64) {
+				cs := newFrameLog(nil)
+				var total int64
+				handler := func(w http.ResponseWriter, r *http.Request) {
+					streamNDJSON(w, r, cs, nil, 0, 0, timeout, mt.cellsSub)
+				}
+				publish := func(i int) {
+					c := SweepCell{Index: i, Algorithm: "graph-to-star", Workload: "line", N: 1 << 20, Seed: int64(i)}
+					total += int64(len(jsonFrame(c)))
+					cs.publish(c)
+				}
+				return handler, publish, cs.close, &total
 			},
 		},
 	} {
@@ -442,42 +480,63 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 
 // TestStreamFanoutRace exercises concurrent publish, subscribe, status
 // reads and close under the race detector (the CI race job runs this
-// package with -race). The log is topology-shaped and half the
-// subscribers read it through the json renderer, as /topology's default
-// format does, while the producer is live.
+// package with -race). The log is a run's: subscribers render its
+// records in all three formats, as /rounds and both /topology formats
+// do, while the producer is live.
 func TestStreamFanoutRace(t *testing.T) {
 	t.Parallel()
 	ts := bareReplay()
-	s := ts.topo
-	const items, subs = 400, 8
+	s := ts.log
+	const items, subs = 400, 9
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		ts.publishHeader(3, []int32{0, 1})
 		for i := 1; i <= items; i++ {
-			ts.publishDelta(temporal.RoundDelta{Round: i, Activate: []int32{0, int32(i)}, Deactivate: []int32{1, 2}})
+			ts.publishDelta(temporal.RoundDelta{Round: i, Activate: []int32{0, int32(i)}, Deactivate: []int32{1, 2},
+				Stats: temporal.RoundStats{Round: i, Activated: 1, Deactivated: 1, ActiveEdges: 1, ActivatedAlive: i}})
 		}
-		s.close()
+		ts.close()
 	}()
+	want := []func(i int) string{
+		func(i int) string { // /rounds
+			return fmt.Sprintf(`{"Round":%d,"Activated":1,"Deactivated":1,"ActiveEdges":1,"ActivatedAlive":%d}`+"\n", i, i)
+		},
+		func(i int) string { // /topology
+			if i == 0 {
+				return `{"round":0,"n":3,"edges":[0,1]}` + "\n"
+			}
+			return fmt.Sprintf(`{"round":%d,"activate":[0,%d],"deactivate":[1,2]}`+"\n", i, i)
+		},
+		func(i int) string { // /topology?format=packed
+			if i == 0 {
+				return string(jsonFrame(packedTopologyFrame{N: 3, P: base64.StdEncoding.EncodeToString(packPairs(nil, []int32{0, 1}))}))
+			}
+			lists := packPairs(packPairs(nil, []int32{0, int32(i)}), []int32{1, 2})
+			return string(jsonFrame(packedTopologyFrame{Round: i, P: base64.StdEncoding.EncodeToString(lists)}))
+		},
+	}
+	renders := []renderFunc{renderRounds, renderJSON, renderPacked}
 	for i := 0; i < subs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			format := i % len(renders)
 			cursor := 0
+			if format == 0 {
+				cursor = 1 // /rounds skips the header
+			}
+			var buf []byte
 			for {
 				batch, ok := s.WaitFrames(context.Background(), cursor)
 				if !ok {
 					return
 				}
-				for k, f := range batch {
-					if i%2 == 1 {
-						want := fmt.Sprintf(`{"round":%d,"activate":[0,%d],"deactivate":[1,2]}`+"\n", cursor+k+1, cursor+k+1)
-						if got := jsonTopology(f); string(got) != want {
-							t.Errorf("frame %d rendered %q, want %q", cursor+k, got, want)
-							return
-						}
-					} else if len(f) == 0 || f[len(f)-1] != '\n' {
-						t.Error("malformed frame")
+				for k, rec := range batch {
+					buf = renders[format](buf[:0], rec, cursor+k == 0)
+					if got, want := string(buf), want[format](cursor+k); got != want {
+						t.Errorf("record %d rendered %q, want %q", cursor+k, got, want)
 						return
 					}
 				}
@@ -494,8 +553,8 @@ func TestStreamFanoutRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := s.Len(); got != items {
-		t.Fatalf("published %d items, stream holds %d", items, got)
+	if got := s.Len(); got != items+1 {
+		t.Fatalf("published a header and %d rounds, log holds %d records", items, got)
 	}
 }
 

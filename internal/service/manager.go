@@ -186,7 +186,7 @@ func (j *Job) Status() JobStatus {
 		State:     j.state,
 		FromCache: j.FromCache,
 		jobTimes:  j.times,
-		Rounds:    j.rounds.Len(),
+		Rounds:    max(j.log.Len()-1, 0),
 	}
 	if j.outcome != nil {
 		o := *j.outcome
@@ -432,15 +432,12 @@ func (m *Manager) Fleet() *fleet.Coordinator { return m.cfg.Fleet }
 // dedup joins excluded) — the observable for "no re-simulation".
 func (m *Manager) RunsExecuted() int64 { return m.runsExecuted.Load() }
 
-// newJob builds a queued job over cached, a finished run's frame logs,
-// or — when cached is nil — over fresh ones for it to publish to.
+// newJob builds a queued job over cached, a finished run's frame log,
+// or — when cached is nil — over a fresh one for it to publish to.
 func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 	rp := cached
 	if rp == nil {
-		rp = &replay{
-			rounds: newFrameLog(m.metrics.roundsObs),
-			topo:   newFrameLog(m.metrics.packedObs),
-		}
+		rp = &replay{log: newFrameLog(nil), headerObs: m.metrics.headerObs, recordObs: m.metrics.recordObs}
 	}
 	return &Job{
 		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),

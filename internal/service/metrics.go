@@ -73,14 +73,18 @@ type metrics struct {
 	journalResumedSweeps *obs.Counter
 	journalTorn          *obs.Counter
 
-	// Per-kind encode hooks handed to the frame logs at construction.
-	roundsObs, cellsObs, packedObs func(time.Duration)
+	// Encode hooks handed to the logs at construction: a sweep's cells,
+	// a run's header record (topology_packed) and its round records,
+	// each counted under both rounds and topology_packed.
+	cellsObs, headerObs, recordObs func(time.Duration)
 	// Per-kind fan-out-side series, resolved once for the handlers.
 	roundsSub, cellsSub, topoSub, packedSub subscriberObs
 }
 
-// Stream kind label values: one per NDJSON endpoint format. streamTopo
-// labels subscribers only: json topology is rendered, never encoded.
+// Stream kind label values: one per NDJSON endpoint format. A run's
+// round record counts as encoded under rounds and topology_packed, its
+// header under topology_packed; streamTopo labels subscribers only:
+// json topology is rendered, never encoded.
 const (
 	streamRounds     = "rounds"
 	streamCells      = "cells"
@@ -132,10 +136,10 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 			"Mean wall-clock time per round, folded in once per run.",
 			obs.ExpBuckets(1e-7, 4, 12)),
 		streamEncoded: reg.CounterVec("adnet_stream_frames_encoded_total",
-			"Frames encoded by the broadcast hub, by stream kind — one per published item regardless of subscriber count.",
+			"Frames encoded by the broadcast hub, by stream kind — one per published item regardless of subscriber count; a run's round record counts under rounds and topology_packed.",
 			"stream"),
 		streamEncodeSecs: reg.Histogram("adnet_stream_encode_duration_seconds",
-			"Per-frame encode latency in the broadcast hub (all stream kinds).",
+			"Per-item encode latency in the broadcast hub: a sweep cell's marshal or a run record's packing.",
 			obs.ExpBuckets(1e-7, 4, 12)),
 		streamSubscribers: reg.GaugeVec("adnet_stream_subscribers",
 			"NDJSON subscribers currently attached, by stream kind.",
@@ -161,9 +165,9 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 		journalTorn: reg.Counter("adnet_journal_torn_records_total",
 			"Torn final journal records truncated and tolerated during replay."),
 	}
-	m.roundsObs = m.encodeObsFor(streamRounds)
 	m.cellsObs = m.encodeObsFor(streamCells)
-	m.packedObs = m.encodeObsFor(streamTopoPacked)
+	m.headerObs = m.encodeObsFor(streamTopoPacked)
+	m.recordObs = m.encodeObsFor(streamRounds, streamTopoPacked)
 	m.roundsSub = m.subscriberObsFor(streamRounds)
 	m.cellsSub = m.subscriberObsFor(streamCells)
 	m.topoSub = m.subscriberObsFor(streamTopo)
@@ -171,13 +175,18 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 	return m
 }
 
-// encodeObsFor resolves one kind's series once so the per-frame path
-// is a pure Add/Observe.
-func (mt *metrics) encodeObsFor(kind string) func(time.Duration) {
-	encoded := mt.streamEncoded.With(kind)
+// encodeObsFor resolves the series of the kinds an encoded item counts
+// under once, so the per-item path is a pure Add/Observe.
+func (mt *metrics) encodeObsFor(kinds ...string) func(time.Duration) {
+	encoded := make([]*obs.Counter, len(kinds))
+	for i, kind := range kinds {
+		encoded[i] = mt.streamEncoded.With(kind)
+	}
 	encodeSecs := mt.streamEncodeSecs
 	return func(d time.Duration) {
-		encoded.Inc()
+		for _, c := range encoded {
+			c.Inc()
+		}
 		encodeSecs.Observe(d.Seconds())
 	}
 }

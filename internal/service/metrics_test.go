@@ -176,7 +176,7 @@ func TestMetricsSweepGateRejections(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 1})
 
 	// One slow sweep occupies the gate; the next submission bounces.
-	st, code := postSweepJob(t, srv, slowSweepSpec(1, 2, 3, 4))
+	st, code := postSweepJob(t, srv, longSweepSpec(1, 2, 3, 4))
 	if code != http.StatusAccepted {
 		t.Fatalf("first sweep = %d", code)
 	}
@@ -245,7 +245,7 @@ func TestMetricsCoverBroadcastHub(t *testing.T) {
 	sub, _ := postRun(t, srv, fastSpec(77))
 	awaitDone(t, srv, sub.Job.ID)
 	job, _ := m.Get(sub.Job.ID)
-	rounds := float64(job.rounds.Len())
+	rounds := float64(job.Status().Rounds)
 
 	// Two subscribers per stream kind: encodes must not double.
 	var jsonBytes int64

@@ -57,7 +57,7 @@ func TestRunWorkerReuseMatchesFreshManager(t *testing.T) {
 		{reboot, StateDone},
 		{star(96), StateDone}, // shrinks: Reset scrubs the machine tail
 		{tooFewRounds, StateFailed},
-		{slowSpec(38), StateCanceled},
+		{longSpec(38), StateCanceled},
 		{star(1024), StateDone}, // grows past every earlier run
 	}
 	for _, s := range steps {

@@ -18,11 +18,19 @@ func fastSpec(seed int64) RunSpec {
 	return RunSpec{Algorithm: "graph-to-star", Workload: "line", N: 64, Seed: seed}
 }
 
-// slowSpec keeps a worker busy for a few hundred milliseconds so
-// lifecycle tests can observe intermediate states. The line workload
-// ignores the seed, but distinct seeds still make distinct cache keys.
+// slowSpec keeps a worker busy for tens of milliseconds: long enough
+// to queue behind, short enough to wait for. A test that must catch a
+// run in flight uses longSpec. The line workload ignores the seed, but
+// distinct seeds still make distinct cache keys.
 func slowSpec(seed int64) RunSpec {
 	return RunSpec{Algorithm: "graph-to-star", Workload: "line", N: 4096, Seed: seed}
+}
+
+// longSpec cannot finish before a test that catches it in flight acts
+// on it: flood on a 4096-node line runs 4,097 rounds, seconds of work,
+// and a DELETE or a time limit stops it between rounds.
+func longSpec(seed int64) RunSpec {
+	return RunSpec{Algorithm: "flood", Workload: "line", N: 4096, Seed: seed}
 }
 
 func waitState(t *testing.T, j *Job, want JobState) {
@@ -331,12 +339,12 @@ func TestRunJobStartsNoGoroutine(t *testing.T) {
 	defer m.Close()
 
 	before := runtime.NumGoroutine()
-	job, _, err := m.Submit(slowSpec(11))
+	job, _, err := m.Submit(longSpec(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first round frame is published from inside the engine's run.
-	if _, ok := job.rounds.WaitFrames(context.Background(), 0); !ok {
+	// The first round record is published from inside the engine's run.
+	if _, ok := job.log.WaitFrames(context.Background(), 1); !ok {
 		t.Fatal("run ended before publishing a round")
 	}
 	during := runtime.NumGoroutine()

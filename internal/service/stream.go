@@ -7,25 +7,26 @@ import (
 	"time"
 )
 
-// frameLog is the broadcast hub behind every NDJSON stream (/rounds,
-// /topology, /cells — one log each): an append-only log of encoded
-// frames. A producer publishes items in order, any number of
-// subscribers read with a cursor, so late subscribers replay the full
-// history before tailing live frames. close marks the end of the log;
-// replay of a closed log still works.
+// frameLog is the broadcast hub behind every NDJSON stream: an
+// append-only log of immutable frames. A producer appends in order, any
+// number of subscribers read with a cursor, so late subscribers replay
+// the full history before tailing live frames. close marks the end of
+// the log; replay of a closed log still works.
 //
-// Every published item is marshaled exactly once, synchronously inside
-// publish, into an immutable NDJSON line; that line is the only form
-// the log keeps of the item and what every subscriber writes (or, for
-// /topology's json format, renders from), so N subscribers cost N writes
-// but one marshal per item. Nothing is evicted: a log is bounded by what
-// bounds its producer — the round caps and MaxN for a run's logs,
-// MaxSweepCells for a sweep's — and lives as long as its job is retained.
+// A sweep's log holds its /cells lines: every published item is
+// marshaled exactly once, synchronously inside publish, and every
+// subscriber writes the same frames, so N subscribers cost N writes but
+// one marshal per item. A run's log holds its packed round records
+// (topology.go), the one store behind /rounds and both /topology
+// formats, which each subscriber renders on its own goroutine. Nothing
+// is evicted: a log is bounded by what bounds its producer — the round
+// caps and MaxN for a run's, MaxSweepCells for a sweep's — and lives as
+// long as its job is retained.
 type frameLog struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	frames [][]byte
-	bytes  int64
+	served int64 // the bytes the log's endpoints serve for frames
 	done   bool
 
 	// encoded, when set, observes each marshal (the encode-once
@@ -46,9 +47,9 @@ func newFrameLog(encoded func(d time.Duration)) *frameLog {
 func jsonFrame(item any) []byte {
 	b, err := json.Marshal(item)
 	if err != nil {
-		// The stream item types (RoundStats, SweepCell, TopologyFrame and
-		// its packed form) marshal unconditionally; surface the impossible
-		// case as a well-formed NDJSON error line, not corrupt framing.
+		// The stream item types (SweepCell, TopologyFrame and the error
+		// envelope) marshal unconditionally; surface the impossible case
+		// as a well-formed NDJSON error line, not corrupt framing.
 		b, _ = json.Marshal(errorResponse{Error: ErrorBody{
 			Code: codeInternal, Message: "encode: " + err.Error(),
 		}})
@@ -58,18 +59,24 @@ func jsonFrame(item any) []byte {
 
 // publish encodes item and appends its frame. The marshal completes
 // before publish returns, so item may alias memory the caller reuses
-// afterwards (the topology hooks pass the engine's scratch slices).
+// afterwards.
 func (l *frameLog) publish(item any) {
 	start := time.Now()
 	frame := jsonFrame(item)
-	l.mu.Lock()
-	l.frames = append(l.frames, frame)
-	l.bytes += int64(len(frame))
-	l.mu.Unlock()
-	l.cond.Broadcast()
+	l.add(frame, len(frame))
 	if l.encoded != nil {
 		l.encoded(time.Since(start))
 	}
+}
+
+// add appends one frame the caller no longer writes to; served is the
+// bytes the log's endpoints serve for it.
+func (l *frameLog) add(frame []byte, served int) {
+	l.mu.Lock()
+	l.frames = append(l.frames, frame)
+	l.served += int64(served)
+	l.mu.Unlock()
+	l.cond.Broadcast()
 }
 
 func (l *frameLog) close() {
@@ -86,13 +93,14 @@ func (l *frameLog) Len() int {
 	return len(l.frames)
 }
 
-// FrameBytes returns the encoded bytes the log holds — exactly the
-// bytes a subscriber draining it from cursor 0 reads — surfaced
-// through sweep status and /healthz.
+// FrameBytes returns the bytes the log's endpoints serve for what it
+// holds, surfaced through sweep status and /healthz: a sweep's /cells
+// frames as they are, a run's /rounds and /topology?format=packed
+// drains from cursor 0 — more than its records take to hold.
 func (l *frameLog) FrameBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bytes
+	return l.served
 }
 
 // WaitFrames blocks until frames beyond cursor are available and

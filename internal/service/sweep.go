@@ -290,7 +290,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			// for it instead of simulating the same deterministic run
 			// twice. Its completion populates the cache.
 			if run := m.liveJob(key); run != nil {
-				run.rounds.WaitFrames(ctx, math.MaxInt)
+				run.log.WaitFrames(ctx, math.MaxInt)
 				if e, ok := m.cache.Get(key, false); ok {
 					return e.Outcome, true
 				}

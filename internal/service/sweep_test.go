@@ -147,13 +147,25 @@ func sweepSpec() SweepSpec {
 	}
 }
 
-// slowSweepSpec keeps one sweep worker busy for seconds: each cell is
-// a slowSpec-sized run, so cancellation promptness is observable.
+// slowSweepSpec has one slowSpec-sized cell per seed: a grid one sweep
+// worker takes tens of milliseconds a cell over.
 func slowSweepSpec(seeds ...int64) SweepSpec {
 	return SweepSpec{
 		Algorithms: []string{"graph-to-star"},
 		Workloads:  []string{"line"},
 		Sizes:      []int{4096},
+		Seeds:      seeds,
+	}
+}
+
+// longSweepSpec has one longSpec-sized cell per seed: a sweep that
+// cannot finish before a test that catches it in flight acts on it.
+func longSweepSpec(seeds ...int64) SweepSpec {
+	spec := longSpec(0)
+	return SweepSpec{
+		Algorithms: []string{spec.Algorithm},
+		Workloads:  []string{spec.Workload},
+		Sizes:      []int{spec.N},
 		Seeds:      seeds,
 	}
 }
@@ -414,13 +426,12 @@ func TestSweepCoalescesWithInFlightRun(t *testing.T) {
 
 func TestSweepCellsHonorRunTimeLimit(t *testing.T) {
 	t.Parallel()
-	// A 10ms per-run budget against a run that takes hundreds of
-	// milliseconds (the slowSpec workload): the cell is aborted
-	// between rounds and reported as that cell's error, and the sweep
-	// still completes with a summary — no indefinite engine-fleet
-	// occupancy.
+	// A 10ms per-run budget against a run that takes seconds (the
+	// longSpec workload): the cell is aborted between rounds and
+	// reported as that cell's error, and the sweep still completes with
+	// a summary — no indefinite engine-fleet occupancy.
 	srv, _ := newTestServer(t, Config{Workers: 1, RunTimeLimit: 10 * time.Millisecond})
-	job, code := postSweepJob(t, srv, slowSweepSpec(1))
+	job, code := postSweepJob(t, srv, longSweepSpec(1))
 	if code != http.StatusAccepted {
 		t.Fatalf("code = %d", code)
 	}
@@ -469,7 +480,7 @@ func TestSweepBusyFailsFastWith503(t *testing.T) {
 	t.Parallel()
 	srv, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 1})
 
-	job, code := postSweepJob(t, srv, slowSweepSpec(1, 2, 3, 4))
+	job, code := postSweepJob(t, srv, longSweepSpec(1, 2, 3, 4))
 	if code != http.StatusAccepted {
 		t.Fatalf("first sweep = %d", code)
 	}
@@ -833,7 +844,7 @@ func TestManagerCloseCancelsRunningSweeps(t *testing.T) {
 	t.Parallel()
 	m := NewManager(Config{Workers: 1, SweepWorkers: 1})
 
-	j, err := m.SubmitSweep(context.Background(), slowSweepSpec(1, 2, 3, 4, 5, 6, 7, 8))
+	j, err := m.SubmitSweep(context.Background(), longSweepSpec(1, 2, 3, 4, 5, 6, 7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

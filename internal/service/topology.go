@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"strconv"
+	"time"
 
 	"adnet/internal/temporal"
 )
@@ -12,8 +15,8 @@ import (
 // TopologyFrame is one NDJSON line of GET /v1/runs/{id}/topology in
 // its default json format: the compact per-round reconfiguration delta
 // a subscriber replays to reconstruct D(i) without the server ever
-// materializing full adjacency per subscriber. A run's topology is held
-// once, packed; jsonTopology renders this from a line of that log.
+// materializing full adjacency per subscriber. A run is held once, as
+// its records; renderJSON decodes this from one of them.
 //
 // The first frame is the header (Round 0): the node count and the
 // initial active edge set E(1). Every following frame carries round
@@ -39,19 +42,19 @@ type TopologyFrame struct {
 	EnvDeactivate []int32 `json:"env_deactivate,omitempty"`
 }
 
-// packedTopologyFrame is a line of a run's topology log, served as it
-// is by format=packed: the slot pairs delta-varint packed (packPairs)
-// and base64'd into one string field, 3-6x smaller than the json
-// rendering on dense rounds. The header packs its initial edge list; a
-// delta packs activations then deactivations and — only when a dynamics
+// roundFields is the number of varint fields leading a round record.
+// A run's log holds one record per frame of /topology. Record 0 is the
+// header: uvarint(n), then packPairs(E(1)). Record i is round i: the
+// round and its five RoundStats fields as uvarints, then the round's
+// activations and deactivations packed and — only when a dynamics
 // environment edited anything this round — the environment's two lists
-// as a third and fourth. Decoders detect the extension by the remaining
-// bytes; dynamics-free streams stay byte-identical to the two-list format.
-type packedTopologyFrame struct {
-	Round int    `json:"round"`
-	N     int    `json:"n,omitempty"`
-	P     string `json:"p"`
-}
+// as a third and fourth. Everything after the varint fields is exactly
+// what the packed format base64-encodes into its "p" field, so decoders
+// detect the environment extension by the remaining bytes and
+// dynamics-free streams stay byte-identical to the two-list format.
+// /rounds renders records 1.. as RoundStats lines; /topology renders
+// every record, packed or as a TopologyFrame.
+const roundFields = 6
 
 // packPairs appends one length-prefixed, delta-varint packed edge
 // list to buf: uvarint(#pairs), then per pair uvarint(a_i - a_{i-1})
@@ -94,21 +97,95 @@ func unpackPairs(buf []byte) ([]int32, []byte, error) {
 	return pairs, buf, nil
 }
 
-// unpackTopology decodes one line of a topology log: the one packed
-// decoder in the product.
-func unpackTopology(line []byte) (f TopologyFrame, err error) {
-	var p packedTopologyFrame
-	if err := json.Unmarshal(line, &p); err != nil {
-		return f, fmt.Errorf("service: packed frame: %w", err)
+// splitRecord reads a record's leading varint fields — n for the
+// header, the round and its five statistics otherwise — and returns
+// them with the packed edge lists that follow.
+func splitRecord(rec []byte, header bool) (f [roundFields]int, lists []byte, err error) {
+	k := roundFields
+	if header {
+		k = 1
 	}
-	buf, err := base64.StdEncoding.DecodeString(p.P)
+	for i := range k {
+		v, w := binary.Uvarint(rec)
+		if w <= 0 {
+			return f, nil, errors.New("service: run record: truncated fields")
+		}
+		f[i], rec = int(int64(v)), rec[w:]
+	}
+	return f, rec, nil
+}
+
+// renderFunc appends the line an endpoint serves for one record of a
+// run's log to buf; header marks record 0. A record the publish hooks
+// cannot have written renders as a well-formed NDJSON error line, like
+// a marshal failure in jsonFrame, never as a corrupted stream.
+type renderFunc func(buf, rec []byte, header bool) []byte
+
+func appendError(buf []byte, err error) []byte {
+	return append(buf, jsonFrame(errorResponse{Error: ErrorBody{Code: codeInternal, Message: err.Error()}})...)
+}
+
+// roundsKeys are the keys of a RoundStats line, each with the
+// punctuation before it, in field order.
+var roundsKeys = [roundFields - 1]string{`{"Round":`, `,"Activated":`, `,"Deactivated":`, `,"ActiveEdges":`, `,"ActivatedAlive":`}
+
+// renderRounds is /rounds: jsonFrame(RoundStats) of a round record.
+func renderRounds(buf, rec []byte, _ bool) []byte {
+	f, _, err := splitRecord(rec, false)
 	if err != nil {
-		return f, fmt.Errorf("service: packed frame: %w", err)
+		return appendError(buf, err)
 	}
-	f.Round, f.N = p.Round, p.N
-	lists := []*[]int32{&f.Edges}
-	if p.Round > 0 {
-		lists = []*[]int32{&f.Activate, &f.Deactivate, &f.EnvActivate, &f.EnvDeactivate}
+	for i, key := range roundsKeys {
+		buf = append(buf, key...)
+		buf = strconv.AppendInt(buf, int64(f[i+1]), 10)
+	}
+	return append(buf, "}\n"...)
+}
+
+// renderPacked is /topology?format=packed: {"round":r,"n":n,"p":"…"},
+// n only when non-zero (the header's), p the base64 of the record's
+// packed lists.
+func renderPacked(buf, rec []byte, header bool) []byte {
+	f, lists, err := splitRecord(rec, header)
+	if err != nil {
+		return appendError(buf, err)
+	}
+	round, n := f[0], 0
+	if header {
+		round, n = 0, f[0]
+	}
+	buf = append(buf, `{"round":`...)
+	buf = strconv.AppendInt(buf, int64(round), 10)
+	if n != 0 {
+		buf = append(buf, `,"n":`...)
+		buf = strconv.AppendInt(buf, int64(n), 10)
+	}
+	buf = append(buf, `,"p":"`...)
+	buf = base64.StdEncoding.AppendEncode(buf, lists)
+	return append(buf, "\"}\n"...)
+}
+
+// renderJSON is /topology's default format: jsonFrame of the record's
+// TopologyFrame.
+func renderJSON(buf, rec []byte, header bool) []byte {
+	f, err := topologyFrame(rec, header)
+	if err != nil {
+		return appendError(buf, err)
+	}
+	return append(buf, jsonFrame(f)...)
+}
+
+// topologyFrame decodes a record into the TopologyFrame it renders as.
+func topologyFrame(rec []byte, header bool) (f TopologyFrame, err error) {
+	fields, buf, err := splitRecord(rec, header)
+	if err != nil {
+		return f, err
+	}
+	lists := []*[]int32{&f.Activate, &f.Deactivate, &f.EnvActivate, &f.EnvDeactivate}
+	if header {
+		f.N, lists = fields[0], []*[]int32{&f.Edges}
+	} else {
+		f.Round = fields[0]
 	}
 	for i, list := range lists {
 		if i == 2 && len(buf) == 0 {
@@ -124,33 +201,67 @@ func unpackTopology(line []byte) (f TopologyFrame, err error) {
 	return f, nil
 }
 
-// jsonTopology renders a line of a topology log in the json format,
-// byte for byte what publishing its TopologyFrame would have stored; a
-// line the publish hooks did not write is reported in place, like a
-// marshal failure in jsonFrame.
-func jsonTopology(line []byte) []byte {
-	f, err := unpackTopology(line)
-	if err != nil {
-		return jsonFrame(errorResponse{Error: ErrorBody{Code: codeInternal, Message: err.Error()}})
-	}
-	return jsonFrame(f)
+// decimalLen is len(strconv.AppendInt(nil, v, 10)).
+func decimalLen(v int) int {
+	var b [20]byte
+	return len(strconv.AppendInt(b[:0], int64(v), 10))
 }
 
-// publishHeader emits the round-0 header, packed straight from a
+// servedLen is what /rounds (round records only) and
+// /topology?format=packed serve for a record with these varint fields
+// and lists bytes of packed edge lists — the lengths of renderRounds
+// and renderPacked, computed without rendering.
+func servedLen(f [roundFields]int, lists int, header bool) int {
+	packed := len(`{"round":,"p":""}`+"\n") + base64.StdEncoding.EncodedLen(lists)
+	if header {
+		if f[0] != 0 {
+			packed += len(`,"n":`) + decimalLen(f[0])
+		}
+		return packed + 1 // round 0
+	}
+	rounds := len("}\n")
+	for i, key := range roundsKeys {
+		rounds += len(key) + decimalLen(f[i+1])
+	}
+	return rounds + packed + decimalLen(f[0])
+}
+
+// publishHeader appends record 0, packed straight from a
 // sim.StartEvent's scratch edge slice.
 func (rp *replay) publishHeader(n int, edges []int32) {
-	rp.topo.publish(packedTopologyFrame{N: n, P: base64.StdEncoding.EncodeToString(packPairs(nil, edges))})
+	start := time.Now()
+	buf := binary.AppendUvarint(rp.scratch[:0], uint64(n))
+	head := len(buf)
+	buf = packPairs(buf, edges)
+	rp.commit(start, buf, servedLen([roundFields]int{n}, len(buf)-head, true), rp.headerObs)
 }
 
-// publishDelta emits one round's record: its statistics to the rounds
-// log and its edits, packed straight from the History's scratch, to
-// the topology log. Rounds with no reconfiguration still emit a frame:
-// the stream is the round clock, and an empty delta is two bytes.
+// publishDelta appends one round's record, packed straight from the
+// History's scratch. Rounds with no reconfiguration still get one: the
+// log is the round clock, and an empty delta is two bytes of lists.
 func (rp *replay) publishDelta(d temporal.RoundDelta) {
-	rp.rounds.publish(d.Stats)
-	buf := packPairs(packPairs(nil, d.Activate), d.Deactivate)
+	start := time.Now()
+	st := d.Stats
+	f := [roundFields]int{d.Round, st.Round, st.Activated, st.Deactivated, st.ActiveEdges, st.ActivatedAlive}
+	buf := rp.scratch[:0]
+	for _, v := range f {
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	head := len(buf)
+	buf = packPairs(packPairs(buf, d.Activate), d.Deactivate)
 	if len(d.EnvActivate) > 0 || len(d.EnvDeactivate) > 0 {
 		buf = packPairs(packPairs(buf, d.EnvActivate), d.EnvDeactivate)
 	}
-	rp.topo.publish(packedTopologyFrame{Round: d.Round, P: base64.StdEncoding.EncodeToString(buf)})
+	rp.commit(start, buf, servedLen(f, len(buf)-head, false), rp.recordObs)
+}
+
+// commit appends an exact-size copy of rec, packed in the producer's
+// scratch — the one allocation a record costs — and observes the
+// packing time since start.
+func (rp *replay) commit(start time.Time, rec []byte, served int, observe func(time.Duration)) {
+	rp.scratch = rec
+	rp.log.add(bytes.Clone(rec), served)
+	if observe != nil {
+		observe(time.Since(start))
+	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -61,9 +62,40 @@ func TestPackPairsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUndecodableTopologyLine: a line the publish hooks cannot have
-// written is an error to the decoder and a well-formed NDJSON error
-// line to a json subscriber, never a corrupted stream.
+// packedTopologyFrame is a line of /topology?format=packed: the
+// record's packed edge lists, base64'd into one string field — 3-6x
+// smaller than the json format on dense rounds. renderPacked appends it
+// without a marshal; tests pin it against jsonFrame of this.
+type packedTopologyFrame struct {
+	Round int    `json:"round"`
+	N     int    `json:"n,omitempty"`
+	P     string `json:"p"`
+}
+
+// unpackTopology decodes one packed line off the wire, as a client
+// does: the frame comes back in its json form, read by topologyFrame
+// from the record the line was rendered from (round records with their
+// statistics zeroed).
+func unpackTopology(line []byte) (f TopologyFrame, err error) {
+	var p packedTopologyFrame
+	if err := json.Unmarshal(line, &p); err != nil {
+		return f, fmt.Errorf("packed frame: %w", err)
+	}
+	rec := binary.AppendUvarint(nil, uint64(p.N))
+	if p.Round > 0 {
+		rec = append(binary.AppendUvarint(nil, uint64(p.Round)), make([]byte, roundFields-1)...)
+	}
+	if rec, err = base64.StdEncoding.AppendDecode(rec, []byte(p.P)); err != nil {
+		return f, fmt.Errorf("packed frame: %w", err)
+	}
+	return topologyFrame(rec, p.Round == 0)
+}
+
+// TestUndecodableTopologyLine: a packed line or a record the publish
+// hooks cannot have written is an error to the decoder, and a record
+// renders as a well-formed NDJSON error line — to a json subscriber
+// whatever is wrong with it, to /rounds and packed ones when its varint
+// fields are cut short — never as a corrupted stream.
 func TestUndecodableTopologyLine(t *testing.T) {
 	t.Parallel()
 	two := packPairs(packPairs(nil, []int32{0, 1}), nil)
@@ -78,10 +110,43 @@ func TestUndecodableTopologyLine(t *testing.T) {
 		if f, err := unpackTopology([]byte(line)); err == nil {
 			t.Errorf("%s: decoded to %+v, want an error", name, f)
 		}
-		var env errorResponse
-		out := jsonTopology([]byte(line))
-		if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != codeInternal || out[len(out)-1] != '\n' {
-			t.Errorf("%s: rendered %q, want one internal-error line", name, out)
+	}
+
+	round := func(lists []byte) []byte { return append([]byte{1, 1, 2, 0, 3, 2}, lists...) }
+	header := func(lists []byte) []byte { return append([]byte{2}, lists...) }
+	for name, tc := range map[string]struct {
+		rec    []byte
+		header bool
+		cut    bool // the varint fields are cut short: every render fails
+	}{
+		"empty record": {rec: nil, cut: true},
+		"cut fields":   {rec: []byte{1, 1, 2, 0x80}, cut: true},
+		"empty header": {rec: nil, header: true, cut: true},
+		"one list":     {rec: round(two[:len(two)-1])},
+		"three lists":  {rec: round(append(two, 0))},
+		"header tail":  {rec: header(two), header: true},
+		"short header": {rec: header(nil), header: true},
+	} {
+		if f, err := topologyFrame(tc.rec, tc.header); err == nil {
+			t.Errorf("%s: decoded to %+v, want an error", name, f)
+		}
+		renders := map[string]renderFunc{"json": renderJSON}
+		if tc.cut {
+			renders["packed"] = renderPacked
+			if !tc.header {
+				renders["rounds"] = renderRounds
+			}
+		}
+		for format, render := range renders {
+			var env errorResponse
+			out := render([]byte("kept\n"), tc.rec, tc.header)
+			if !bytes.HasPrefix(out, []byte("kept\n")) {
+				t.Fatalf("%s: %s render dropped what the buffer held: %q", name, format, out)
+			}
+			out = out[len("kept\n"):]
+			if err := json.Unmarshal(out, &env); err != nil || env.Error.Code != codeInternal || out[len(out)-1] != '\n' {
+				t.Errorf("%s: %s rendered %q, want one internal-error line", name, format, out)
+			}
 		}
 	}
 }
@@ -136,18 +201,24 @@ func finalSlotPairs(g *graph.Graph) [][2]int32 {
 	return out
 }
 
-// renderTopology is the body GET /topology (json) serves for a closed
-// topology log: every line through jsonTopology.
-func renderTopology(s *frameLog) (body []byte) {
-	for _, line := range logLines(s) {
-		body = append(body, jsonTopology(line)...)
+// renderLog is the body an endpoint serves for a closed run log: every
+// record from first on through render.
+func renderLog(s *frameLog, render renderFunc, first int) (body []byte) {
+	for i, rec := range logLines(s) {
+		if i >= first {
+			body = render(body, rec, i == 0)
+		}
 	}
 	return body
 }
 
-// decodeTopology is what a json subscriber parses out of a closed
-// topology log, unpackedTopology what a packed one does — through
-// unpackTopology, the product's one packed decoder.
+// renderTopology is the body GET /topology (json) serves for a closed
+// run log, packedBody the body of ?format=packed.
+func renderTopology(s *frameLog) []byte { return renderLog(s, renderJSON, 0) }
+func packedBody(s *frameLog) []byte     { return renderLog(s, renderPacked, 0) }
+
+// decodeTopology is what a json subscriber parses out of a closed run
+// log, unpackedTopology what a packed one does.
 func decodeTopology(t *testing.T, s *frameLog) (frames []TopologyFrame) {
 	t.Helper()
 	dec := json.NewDecoder(bytes.NewReader(renderTopology(s)))
@@ -163,7 +234,10 @@ func decodeTopology(t *testing.T, s *frameLog) (frames []TopologyFrame) {
 
 func unpackedTopology(t *testing.T, s *frameLog) (frames []TopologyFrame) {
 	t.Helper()
-	for _, line := range logLines(s) {
+	for _, line := range bytes.SplitAfter(packedBody(s), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
 		f, err := unpackTopology(line)
 		if err != nil {
 			t.Fatalf("bad packed frame %q: %v", line, err)
@@ -218,42 +292,65 @@ func replayMetrics(t *testing.T, frames []TopologyFrame) temporal.Metrics {
 	return h.Metrics()
 }
 
-// referenceHooks publishes a run's topology to ts and, next to it,
-// writes what the json format is pinned to: jsonFrame of a
-// TopologyFrame filled straight from the hook values — the lines the
-// server stored while it still kept a json log. The rendering of the
-// packed log must equal it byte for byte.
-func referenceHooks(ts *replay, ref *bytes.Buffer) []sim.Option {
+// wireRef is what the three renders of a run's log are pinned to:
+// jsonFrame of the values the hooks were handed, written next to the
+// log as the run goes — the lines the server stored while it still kept
+// a log of JSON lines per endpoint.
+type wireRef struct{ rounds, topology, packed bytes.Buffer }
+
+// referenceHooks publishes a run to ts and writes its reference wire to
+// ref.
+func referenceHooks(ts *replay, ref *wireRef) []sim.Option {
 	return []sim.Option{
 		sim.WithStartHook(func(ev sim.StartEvent) {
 			ts.publishHeader(ev.N, ev.Edges)
-			ref.Write(jsonFrame(TopologyFrame{N: ev.N, Edges: ev.Edges}))
+			ref.topology.Write(jsonFrame(TopologyFrame{N: ev.N, Edges: ev.Edges}))
+			ref.packed.Write(jsonFrame(packedTopologyFrame{N: ev.N, P: base64.StdEncoding.EncodeToString(packPairs(nil, ev.Edges))}))
 		}),
 		sim.WithDeltaHook(func(d temporal.RoundDelta) {
 			ts.publishDelta(d)
-			ref.Write(jsonFrame(TopologyFrame{
+			ref.rounds.Write(jsonFrame(d.Stats))
+			ref.topology.Write(jsonFrame(TopologyFrame{
 				Round:         d.Round,
 				Activate:      d.Activate,
 				Deactivate:    d.Deactivate,
 				EnvActivate:   d.EnvActivate,
 				EnvDeactivate: d.EnvDeactivate,
 			}))
+			lists := packPairs(packPairs(nil, d.Activate), d.Deactivate)
+			if len(d.EnvActivate) > 0 || len(d.EnvDeactivate) > 0 {
+				lists = packPairs(packPairs(lists, d.EnvActivate), d.EnvDeactivate)
+			}
+			ref.packed.Write(jsonFrame(packedTopologyFrame{Round: d.Round, P: base64.StdEncoding.EncodeToString(lists)}))
 		}),
 	}
 }
 
-// checkTopology is the shared tail of the two reconstruction tests: the
-// json rendering equals the reference byte for byte, and both formats
-// replay to exactly the edge set want (edgeSet, the independent
-// reference) and, through ApplyDelta, to exactly the run's metrics.
-func checkTopology(t *testing.T, ts *replay, ref []byte, res *sim.Result, want [][2]int32) {
+// checkTopology is the shared tail of the two reconstruction tests:
+// every render of the log equals its reference byte for byte, the log's
+// served bytes are the /rounds and packed references' lengths, and both
+// topology formats replay to exactly the edge set want (edgeSet, the
+// independent reference) and, through ApplyDelta, to exactly the run's
+// metrics.
+func checkTopology(t *testing.T, ts *replay, ref *wireRef, res *sim.Result, want [][2]int32) {
 	t.Helper()
-	if got := renderTopology(ts.topo); !bytes.Equal(got, ref) {
-		t.Fatalf("json rendering of the packed log differs from jsonFrame(TopologyFrame) of the hook values:\ngot  %q\nwant %q", got, ref)
+	for name, c := range map[string]struct {
+		got, want []byte
+	}{
+		"json topology":   {renderTopology(ts.log), ref.topology.Bytes()},
+		"packed topology": {packedBody(ts.log), ref.packed.Bytes()},
+		"rounds":          {renderLog(ts.log, renderRounds, 1), ref.rounds.Bytes()},
+	} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Fatalf("%s rendering of the record log differs from jsonFrame of the hook values:\ngot  %q\nwant %q", name, c.got, c.want)
+		}
+	}
+	if got, want := ts.FrameBytes(), int64(ref.rounds.Len()+ref.packed.Len()); got != want {
+		t.Fatalf("log counts %d served bytes, /rounds and packed /topology serve %d", got, want)
 	}
 	for name, frames := range map[string][]TopologyFrame{
-		"json":   decodeTopology(t, ts.topo),
-		"packed": unpackedTopology(t, ts.topo),
+		"json":   decodeTopology(t, ts.log),
+		"packed": unpackedTopology(t, ts.log),
 	} {
 		if got := replayTopology(t, frames, res.History.NumNodes()).sorted(); !slices.Equal(got, want) {
 			t.Fatalf("%s replay: %d edges %v, want %d %v", name, len(got), got, len(want), want)
@@ -295,21 +392,21 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 					t.Fatal(err)
 				}
 				ts := bareReplay()
-				var ref bytes.Buffer
+				var ref wireRef
 				res, err := sim.Run(g, algo.factory, append(referenceHooks(ts, &ref), algo.opts...)...)
 				if err != nil {
 					t.Fatalf("%s run: %v", algo.name, err)
 				}
 				ts.close()
 
-				frames := decodeTopology(t, ts.topo)
+				frames := decodeTopology(t, ts.log)
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
 				if got := len(frames) - 1; got != res.Rounds {
 					t.Errorf("stream carries %d delta frames, want one per round (%d)", got, res.Rounds)
 				}
-				checkTopology(t, ts, ref.Bytes(), res, finalSlotPairs(res.History.CurrentView()))
+				checkTopology(t, ts, &ref, res, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}
@@ -350,7 +447,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Fatal(err)
 				}
 				ts := bareReplay()
-				var ref bytes.Buffer
+				var ref wireRef
 				res, runErr := sim.Run(g, factory, append(referenceHooks(ts, &ref),
 					sim.WithEnvironment(env),
 					sim.WithMaxRounds(200))...)
@@ -360,7 +457,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 				}
 				t.Logf("run err=%v", runErr)
 
-				frames := decodeTopology(t, ts.topo)
+				frames := decodeTopology(t, ts.log)
 				if len(frames) == 0 || frames[0].Round != 0 {
 					t.Fatal("stream must start with the round-0 header")
 				}
@@ -372,7 +469,7 @@ func TestTopologyDeltaReconstructionWithEnv(t *testing.T) {
 					t.Errorf("%s stream carries no environment edits", spec.Class)
 				}
 
-				checkTopology(t, ts, ref.Bytes(), res, finalSlotPairs(res.History.CurrentView()))
+				checkTopology(t, ts, &ref, res, finalSlotPairs(res.History.CurrentView()))
 			})
 		}
 	}
@@ -395,7 +492,7 @@ func TestAPITopologyEndpoint(t *testing.T) {
 	job, _ := m.Get(sub.Job.ID)
 
 	body := drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology")
-	if want := renderTopology(job.topo); len(want) == 0 || !bytes.Equal(body, want) {
+	if want := renderTopology(job.log); len(want) == 0 || !bytes.Equal(body, want) {
 		t.Errorf("topology endpoint body (%d bytes) differs from the frame-log rendering (%d bytes)", len(body), len(want))
 	}
 
@@ -408,17 +505,17 @@ func TestAPITopologyEndpoint(t *testing.T) {
 		t.Errorf("header = %+v", header)
 	}
 
-	// The packed format is the log as it is held, smaller than its
-	// rendering, and reconstructs the same final edge set.
-	packedBody := drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology?format=packed")
-	if !bytes.Equal(packedBody, collectFrames(t, job.topo)) {
-		t.Error("packed body is not the topology log's own frames")
+	// The packed format is the log's packed rendering, smaller than the
+	// json one, and reconstructs the same final edge set.
+	packed := drainBody(t, srv, "/v1/runs/"+sub.Job.ID+"/topology?format=packed")
+	if !bytes.Equal(packed, packedBody(job.log)) {
+		t.Error("packed body is not the record log's packed rendering")
 	}
-	if len(packedBody) >= len(body) {
-		t.Errorf("packed body (%d bytes) not smaller than json body (%d bytes)", len(packedBody), len(body))
+	if len(packed) >= len(body) {
+		t.Errorf("packed body (%d bytes) not smaller than json body (%d bytes)", len(packed), len(body))
 	}
-	jsonSet := replayTopology(t, decodeTopology(t, job.topo), header.N).sorted()
-	packedSet := replayTopology(t, unpackedTopology(t, job.topo), header.N).sorted()
+	jsonSet := replayTopology(t, decodeTopology(t, job.log), header.N).sorted()
+	packedSet := replayTopology(t, unpackedTopology(t, job.log), header.N).sorted()
 	if !slices.Equal(jsonSet, packedSet) {
 		t.Fatalf("json and packed reconstructions disagree:\njson   %v\npacked %v", jsonSet, packedSet)
 	}
