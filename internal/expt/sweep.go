@@ -165,9 +165,10 @@ func (s SweepSpec) Key() string {
 // alias of this type); the frozen benchmark/ still calls it.
 func (s SweepSpec) Expt() SweepSpec { return s }
 
-// normalized returns the spec with duplicate dimension values
-// removed, preserving first-occurrence order.
-func (s SweepSpec) normalized() SweepSpec {
+// Normalized returns the spec with duplicate dimension values
+// removed, preserving first-occurrence order: the grid NumCells, Cells
+// and CellAt enumerate.
+func (s SweepSpec) Normalized() SweepSpec {
 	s.Algorithms, s.Workloads = dedup(s.Algorithms), dedup(s.Workloads)
 	s.Sizes, s.Seeds = dedup(s.Sizes), dedup(s.Seeds)
 	return s
@@ -175,7 +176,7 @@ func (s SweepSpec) normalized() SweepSpec {
 
 // NumCells returns the grid size (after dimension deduplication).
 func (s SweepSpec) NumCells() int {
-	n := s.normalized()
+	n := s.Normalized()
 	return len(n.Algorithms) * len(n.Workloads) * len(n.Sizes) * len(n.Seeds)
 }
 
@@ -183,21 +184,26 @@ func (s SweepSpec) NumCells() int {
 // workload, size, seed. Sweep results and streams always follow this
 // order.
 func (s SweepSpec) Cells() []Cell {
-	s = s.normalized()
-	cells := make([]Cell, 0, s.NumCells())
-	for _, a := range s.Algorithms {
-		for _, w := range s.Workloads {
-			for _, n := range s.Sizes {
-				for _, seed := range s.Seeds {
-					cells = append(cells, Cell{
-						Algorithm: a, Workload: w, N: n, Seed: seed,
-						MaxRounds: s.MaxRounds, Dynamics: s.Dynamics,
-					})
-				}
-			}
-		}
+	s = s.Normalized()
+	cells := make([]Cell, len(s.Algorithms)*len(s.Workloads)*len(s.Sizes)*len(s.Seeds))
+	for i := range cells {
+		cells[i] = s.CellAt(i)
 	}
 	return cells
+}
+
+// CellAt returns the cell at canonical index i of a normalized spec
+// (Normalized) — Cells()[i], without enumerating the grid: seeds vary
+// fastest, then sizes, workloads and algorithms. On a spec with
+// repeated dimension values the index is not Cells's.
+func (s SweepSpec) CellAt(i int) Cell {
+	c := Cell{Seed: s.Seeds[i%len(s.Seeds)], MaxRounds: s.MaxRounds, Dynamics: s.Dynamics}
+	i /= len(s.Seeds)
+	c.N = s.Sizes[i%len(s.Sizes)]
+	i /= len(s.Sizes)
+	c.Workload = s.Workloads[i%len(s.Workloads)]
+	c.Algorithm = s.Algorithms[i/len(s.Workloads)]
+	return c
 }
 
 // dedup removes repeated values, keeping first-occurrence order.

@@ -33,6 +33,41 @@ func TestSweepSpecCellsCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestSweepSpecCellAtIsCanonicalOrder pins CellAt, which Cells is
+// built from, against the canonical nested loops — algorithm-major,
+// seeds fastest — over the normalized dimensions of a grid with
+// repeats in each.
+func TestSweepSpecCellAtIsCanonicalOrder(t *testing.T) {
+	t.Parallel()
+	spec := SweepSpec{
+		Algorithms: []string{AlgoFlood, AlgoStar, AlgoFlood},
+		Workloads:  []string{"ring", "line", "ring"},
+		Sizes:      []int{16, 8, 16, 32},
+		Seeds:      []int64{3, 1, 3, 2},
+		MaxRounds:  40,
+	}
+	norm := spec.Normalized()
+	var want []Cell
+	for _, a := range norm.Algorithms {
+		for _, w := range norm.Workloads {
+			for _, n := range norm.Sizes {
+				for _, seed := range norm.Seeds {
+					want = append(want, Cell{Algorithm: a, Workload: w, N: n, Seed: seed, MaxRounds: 40})
+				}
+			}
+		}
+	}
+	cells := spec.Cells()
+	if len(want) != 2*2*3*3 || len(cells) != len(want) || spec.NumCells() != len(want) {
+		t.Fatalf("%d cells, NumCells %d, want %d", len(cells), spec.NumCells(), len(want))
+	}
+	for i, c := range want {
+		if cells[i] != c || norm.CellAt(i) != c {
+			t.Fatalf("cell %d: Cells %+v, CellAt %+v, want %+v", i, cells[i], norm.CellAt(i), c)
+		}
+	}
+}
+
 func TestSweepSpecDedupesDimensions(t *testing.T) {
 	t.Parallel()
 	spec := SweepSpec{

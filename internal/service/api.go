@@ -210,7 +210,7 @@ func NewHandler(m *Manager) http.Handler {
 		// A subscriber disconnect ends only this stream — the sweep
 		// keeps running for other subscribers. The summary line trails
 		// the cells once the sweep is terminal.
-		done := streamNDJSON(w, r, job.cells, nil, 0, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
+		done := streamNDJSON(w, r, job.cells, job.renderCell, 0, cursor, m.cfg.StreamWriteTimeout, m.metrics.cellsSub)
 		if !done {
 			return
 		}
@@ -365,26 +365,22 @@ func streamTarget[J job[S], S any](w http.ResponseWriter, r *http.Request, t *jo
 
 // streamNDJSON replays s to the client as NDJSON — history from the
 // request's cursor (frame index, default 0), then a live tail until
-// the log closes. With render nil the wire bytes are the log's own
-// frames: each published item was marshaled exactly once, and every
-// subscriber writes the same immutable frames, so fan-out to N
-// connections costs N writes but one encode per item. A run's log is
-// rendered instead, record by record on this subscriber's goroutine,
-// into one buffer written every renderChunk bytes and at the end of
-// each batch; its frame i is record first+i (/rounds skips the
-// header), so a cursor names the same round in every format. It
-// returns done=true when the stream was fully drained, done=false when
-// the subscriber was dropped mid-stream; callers append trailing lines
-// (e.g. a sweep summary) only when done. The frame index one past the
-// last frame written — the cursor that resumes exactly after this
-// response — is echoed in the X-Adnet-Next-Cursor trailer.
+// the log closes. The log holds records, not lines: each is rendered
+// on this subscriber's goroutine into one pooled buffer, written every
+// renderChunk bytes and at the end of each batch. Frame i is record
+// first+i (a run's /rounds skips the header), so a cursor names the
+// same round in every format of a run. It returns done=true when the
+// stream was fully drained, done=false when the subscriber was dropped
+// mid-stream; callers append trailing lines (e.g. a sweep summary)
+// only when done. The frame index one past the last frame written —
+// the cursor that resumes exactly after this response — is echoed in
+// the X-Adnet-Next-Cursor trailer.
 //
-// Backpressure: each write batch (behind a render, each chunk, once it
-// is rendered) runs under writeTimeout, via http.ResponseController. A
-// subscriber that cannot drain it in time fails its write and is
-// dropped — the producer, appending to the shared frame log, is never
-// blocked by a stalled reader, and other subscribers keep tailing
-// unaffected.
+// Backpressure: each write (each chunk, once it is rendered) runs
+// under writeTimeout, via http.ResponseController. A subscriber that
+// cannot drain it in time fails its write and is dropped — the
+// producer, appending to the shared frame log, is never blocked by a
+// stalled reader, and other subscribers keep tailing unaffected.
 func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render renderFunc, first, cursor int, writeTimeout time.Duration, sub subscriberObs) (done bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Declared before the status line so the client knows to expect
@@ -403,49 +399,30 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render re
 	_ = rc.Flush()
 	sub.subscribers.Inc()
 	defer sub.subscribers.Dec()
-	var buf *[]byte
-	if render != nil {
-		buf = renderBufs.Get().(*[]byte)
-		defer putRenderBuf(buf)
-	}
-	var batchBytes int64
-	write := func(p []byte, arm bool) bool {
-		if arm && writeTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		}
-		if _, err := w.Write(p); err != nil {
-			sub.dropped.Inc()
-			return false
-		}
-		batchBytes += int64(len(p))
-		return true
-	}
+	buf := renderBufs.Get().(*[]byte)
+	defer putRenderBuf(buf)
 	for {
 		batch, more := s.WaitFrames(r.Context(), next)
 		if !more {
 			return r.Context().Err() == nil
 		}
-		batchBytes = 0
-		if render == nil {
-			for i, frame := range batch {
-				// Armed once per batch: nothing is rendered between writes.
-				if !write(frame, i == 0) {
+		var batchBytes int64
+		out := (*buf)[:0]
+		for i, rec := range batch {
+			out = render(out, rec, next+i)
+			if len(out) >= renderChunk || i == len(batch)-1 {
+				if writeTimeout > 0 {
+					_ = rc.SetWriteDeadline(time.Now().Add(writeTimeout))
+				}
+				if _, err := w.Write(out); err != nil {
+					sub.dropped.Inc()
 					return false
 				}
+				batchBytes += int64(len(out))
+				out = out[:0]
 			}
-		} else {
-			out := (*buf)[:0]
-			for i, rec := range batch {
-				out = render(out, rec, next+i == 0)
-				if len(out) >= renderChunk || i == len(batch)-1 {
-					if !write(out, true) {
-						return false
-					}
-					out = out[:0]
-				}
-			}
-			*buf = out
 		}
+		*buf = out
 		next += len(batch)
 		sub.frames.Add(int64(len(batch)))
 		sub.bytes.Add(batchBytes)
@@ -454,8 +431,8 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, s *frameLog, render re
 }
 
 // renderChunk is how many rendered bytes a subscriber buffers before it
-// writes them: large enough that a run's stream is a few writes, small
-// enough that the pooled buffers stay cheap to keep.
+// writes them: large enough that a run's or a sweep's stream is a few
+// writes, small enough that the pooled buffers stay cheap to keep.
 const renderChunk = 32 << 10
 
 // renderBufs pools the subscribers' render buffers.

@@ -10,23 +10,22 @@ import (
 )
 
 // FanoutBenchResult is one measured pass over the broadcast hub's
-// fan-out path: how many marshals the hub performed (the encode-once
-// invariant makes this equal the round count regardless of subscriber
-// count) and how many encoded bytes were delivered across all
-// subscribers.
+// fan-out path: how many records the hub packed (one per round
+// regardless of subscriber count) and how many rendered bytes were
+// delivered across all subscribers.
 type FanoutBenchResult struct {
 	Encodes     int64
 	FannedBytes int64
 }
 
-// RunFanoutBench publishes rounds RoundStats frames through one hub
-// while subscribers concurrent readers drain it to exhaustion via the
-// same WaitFrames path the HTTP handlers use. It is the measured core
-// of the benchmark's service.hub_* rows; the caller wraps it in
-// wall-clock accounting.
+// RunFanoutBench appends rounds round records to one hub while
+// subscribers concurrent readers drain it to exhaustion via the same
+// WaitFrames path the HTTP handlers use, each rendering every record
+// as its /rounds line. It is the measured core of the benchmark's
+// service.hub_* rows; the caller wraps it in wall-clock accounting.
 func RunFanoutBench(rounds, subscribers int) FanoutBenchResult {
 	var encodes int64 // written by the publishing goroutine only
-	s := newFrameLog(func(time.Duration) { encodes++ })
+	rp := &replay{log: newFrameLog(0), recordObs: func(time.Duration) { encodes++ }}
 	ctx := context.Background()
 	var fanned atomic.Int64
 	var wg sync.WaitGroup
@@ -35,30 +34,33 @@ func RunFanoutBench(rounds, subscribers int) FanoutBenchResult {
 		go func() {
 			defer wg.Done()
 			var local int64
-			cursor := 0
+			var line []byte
+			cursor := 1 // /rounds skips the header
 			for {
-				batch, ok := s.WaitFrames(ctx, cursor)
+				batch, ok := rp.log.WaitFrames(ctx, cursor)
 				if !ok {
 					break
 				}
-				for _, f := range batch {
-					local += int64(len(f))
+				for k, rec := range batch {
+					line = renderRounds(line[:0], rec, cursor+k)
+					local += int64(len(line))
 				}
 				cursor += len(batch)
 			}
 			fanned.Add(local)
 		}()
 	}
+	rp.publishHeader(1024, nil)
 	for i := range rounds {
-		s.publish(temporal.RoundStats{
+		rp.publishDelta(temporal.RoundDelta{Round: i + 1, Stats: temporal.RoundStats{
 			Round:          i + 1,
 			Activated:      i % 7,
 			Deactivated:    i % 3,
 			ActiveEdges:    1024 + i,
 			ActivatedAlive: i % 11,
-		})
+		}})
 	}
-	s.close()
+	rp.close()
 	wg.Wait()
 	return FanoutBenchResult{Encodes: encodes, FannedBytes: fanned.Load()}
 }

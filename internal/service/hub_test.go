@@ -24,7 +24,25 @@ import (
 // bareReplay is a run's frame log without instruments, for tests that
 // drive the publish hooks outside a Manager.
 func bareReplay() *replay {
-	return &replay{log: newFrameLog(nil)}
+	return &replay{log: newFrameLog(0)}
+}
+
+// bareSweep is a sweep job over spec with its cell log and nothing
+// else — no journal, no instruments — for tests that drive recordCell
+// outside a Manager.
+func bareSweep(spec SweepSpec) *SweepJob {
+	return &SweepJob{Spec: spec, grid: spec.Normalized(), cells: newFrameLog(0)}
+}
+
+// gridCells is one outcome cell for every cell of spec, in canonical
+// order, as an executor hands them to recordCell.
+func gridCells(spec SweepSpec) []SweepCell {
+	var cells []SweepCell
+	for i, c := range spec.Cells() {
+		out := expt.Outcome{N: c.N, Rounds: i + 1, TotalMessages: 3 * i, LeaderOK: i%2 == 0}
+		cells = append(cells, expt.CellResult{Index: i, Cell: c, Outcome: out, FromCache: i%3 == 0}.Wire())
+	}
+	return cells
 }
 
 // logLines drains every frame of s from cursor 0. The stream must be
@@ -56,45 +74,48 @@ func sampleRounds(n int) []temporal.RoundStats {
 	return out
 }
 
-// TestFrameLogByteIdentity pins the wire format: the encode-once frame
-// log must produce exactly the bytes the old per-connection
-// json.Encoder loop wrote — including HTML escaping and the trailing
-// newline — for both round stats and sweep cells.
+// TestFrameLogByteIdentity pins the wire format: what subscribers
+// render from the hub's records must be exactly the bytes the old
+// per-connection json.Encoder loop wrote — including HTML escaping and
+// the trailing newline — for both round stats and sweep cells.
 func TestFrameLogByteIdentity(t *testing.T) {
 	t.Parallel()
 
-	rs := newFrameLog(nil)
+	rs := bareReplay()
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
+	rs.publishHeader(2, nil)
 	for _, st := range sampleRounds(50) {
-		rs.publish(st)
+		rs.publishDelta(temporal.RoundDelta{Round: st.Round, Stats: st})
 		if err := enc.Encode(st); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rs.close()
-	if got := collectFrames(t, rs); !bytes.Equal(got, want.Bytes()) {
+	if got := renderLog(rs.log, renderRounds, 1); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("rounds frame bytes differ from json.Encoder output:\ngot  %q\nwant %q", got, want.Bytes())
 	}
 
-	cs := newFrameLog(nil)
+	cs := bareSweep(SweepSpec{Algorithms: []string{"graph-to-star", "flood", "clique"}, Workloads: []string{"line"}, Sizes: []int{64}, Seeds: []int64{1}})
 	want.Reset()
 	out := expt.Outcome{N: 64, Rounds: 12, LeaderOK: true, FinalDiameter: 2}
 	cells := []SweepCell{
 		{Index: 0, Algorithm: "graph-to-star", Workload: "line", N: 64, Seed: 1, Outcome: &out},
-		{Index: 1, Algorithm: "flood", Workload: "ring", N: 64, Seed: 2, FromCache: true, Outcome: &out},
+		{Index: 1, Algorithm: "flood", Workload: "line", N: 64, Seed: 1, FromCache: true, Outcome: &out},
 		// HTML-escaping characters must keep escaping the way
 		// json.Encoder did (<, >, & become \u escapes).
-		{Index: 2, Algorithm: "clique", Workload: "star", N: 8, Seed: 3, Error: `limit <exceeded> & "quoted"`},
+		{Index: 2, Algorithm: "clique", Workload: "line", N: 64, Seed: 1, Error: `limit <exceeded> & "quoted"`},
 	}
 	for _, c := range cells {
-		cs.publish(c)
+		if err := cs.recordCell(c); err != nil {
+			t.Fatal(err)
+		}
 		if err := enc.Encode(c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cs.close()
-	if got := collectFrames(t, cs); !bytes.Equal(got, want.Bytes()) {
+	cs.cells.close()
+	if got := renderLog(cs.cells, cs.renderCell, 0); !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("cells frame bytes differ from json.Encoder output:\ngot  %q\nwant %q", got, want.Bytes())
 	}
 }
@@ -148,26 +169,33 @@ func TestEndpointByteIdentity(t *testing.T) {
 }
 
 // TestEncodeOncePerItem pins the hub invariant: encodes per item stay
-// at one no matter how many subscribers drain the stream — a marshal
-// per /cells-style frame, a pack per run record for a live job's own
+// at one no matter how many subscribers drain the stream — a pack per
+// sweep cell, and a pack per run record for a live job's own
 // subscribers and those of a cache-hit job alike, since the hit serves
 // the log of the job that executed, rendered in every format.
 func TestEncodeOncePerItem(t *testing.T) {
 	t.Parallel()
 	const items, subs = 100, 32
 
-	var liveEncodes int64
-	live := newFrameLog(func(time.Duration) { liveEncodes++ })
-	for _, st := range sampleRounds(items) {
-		live.publish(st)
+	seeds := make([]int64, items)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
 	}
-	live.close()
+	live := bareSweep(SweepSpec{Algorithms: []string{"flood"}, Workloads: []string{"line"}, Sizes: []int{8}, Seeds: seeds})
+	var liveEncodes int64
+	live.packed = func(time.Duration) { liveEncodes++ }
+	for _, c := range gridCells(live.Spec) {
+		if err := live.recordCell(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live.cells.close()
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			collectFrames(t, live)
+			renderLog(live.cells, live.renderCell, 0)
 		}()
 	}
 	wg.Wait()
@@ -375,17 +403,26 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			name: "cells",
 			kind: streamCells,
 			serve: func(mt *metrics, timeout time.Duration) (http.HandlerFunc, func(i int), func(), *int64) {
-				cs := newFrameLog(nil)
+				// A grid long enough that the loop stops on bytes, not on
+				// its end: ~250 B a line, 2^18 cells.
+				seeds := make([]int64, 1<<18)
+				for i := range seeds {
+					seeds[i] = int64(i)
+				}
+				cs := bareSweep(SweepSpec{Algorithms: []string{"graph-to-star"}, Workloads: []string{"line"}, Sizes: []int{1 << 20}, Seeds: seeds})
 				var total int64
 				handler := func(w http.ResponseWriter, r *http.Request) {
-					streamNDJSON(w, r, cs, nil, 0, 0, timeout, mt.cellsSub)
+					streamNDJSON(w, r, cs.cells, cs.renderCell, 0, 0, timeout, mt.cellsSub)
 				}
+				out := expt.Outcome{N: 1 << 20, Rounds: 40, TotalActivations: 1 << 21, LeaderOK: true}
 				publish := func(i int) {
-					c := SweepCell{Index: i, Algorithm: "graph-to-star", Workload: "line", N: 1 << 20, Seed: int64(i)}
+					c := SweepCell{Index: i, Algorithm: "graph-to-star", Workload: "line", N: 1 << 20, Seed: int64(i), Outcome: &out}
 					total += int64(len(jsonFrame(c)))
-					cs.publish(c)
+					if err := cs.recordCell(c); err != nil {
+						t.Error(err)
+					}
 				}
-				return handler, publish, cs.close, &total
+				return handler, publish, cs.cells.close, &total
 			},
 		},
 	} {
@@ -534,7 +571,7 @@ func TestStreamFanoutRace(t *testing.T) {
 					return
 				}
 				for k, rec := range batch {
-					buf = renders[format](buf[:0], rec, cursor+k == 0)
+					buf = renders[format](buf[:0], rec, cursor+k)
 					if got, want := string(buf), want[format](cursor+k); got != want {
 						t.Errorf("record %d rendered %q, want %q", cursor+k, got, want)
 						return
@@ -558,11 +595,11 @@ func TestStreamFanoutRace(t *testing.T) {
 	}
 }
 
-// BenchmarkFanout contrasts the encode-once hub with the
-// per-connection-encoder baseline it replaced. The hub's per-subscriber
-// cost must be an order of magnitude below the baseline's at high
-// fan-out: the baseline marshals every item once per subscriber, the
-// hub once per stream.
+// BenchmarkFanout contrasts the hub with the per-connection-encoder
+// baseline it replaced: the baseline marshals every item once per
+// subscriber, the hub packs it once per stream and each subscriber
+// renders the records it reads (RunFanoutBench, the benchmark's
+// service.hub_* rows).
 func BenchmarkFanout(b *testing.B) {
 	const items = 256
 	rounds := sampleRounds(items)
@@ -589,35 +626,8 @@ func BenchmarkFanout(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hub/subs=%d", subs), func(b *testing.B) {
 			b.ReportAllocs()
-			ctx := context.Background()
 			for i := 0; i < b.N; i++ {
-				var encodes int64
-				s := newFrameLog(func(time.Duration) { encodes++ })
-				for j := range rounds {
-					s.publish(rounds[j])
-				}
-				s.close()
-				var wg sync.WaitGroup
-				for k := 0; k < subs; k++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						cursor := 0
-						var sink int
-						for {
-							batch, ok := s.WaitFrames(ctx, cursor)
-							if !ok {
-								return
-							}
-							for _, f := range batch {
-								sink += len(f)
-							}
-							cursor += len(batch)
-						}
-					}()
-				}
-				wg.Wait()
-				if got := encodes; got != items {
+				if got := RunFanoutBench(items, subs).Encodes; got != items {
 					b.Fatalf("hub performed %d encodes, want %d", got, items)
 				}
 			}

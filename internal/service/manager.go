@@ -74,8 +74,8 @@ type Config struct {
 	// streaming endpoints (default 30s; negative disables). A
 	// subscriber that cannot drain a batch within it is dropped — the
 	// backpressure policy that keeps one stalled reader from pinning
-	// connection buffers while the encode-once hub keeps every other
-	// subscriber live.
+	// connection buffers while the hub keeps every other subscriber
+	// live.
 	StreamWriteTimeout time.Duration
 	// DataDir, when set, makes sweeps durable: every sweep job writes
 	// a write-ahead journal under <DataDir>/sweeps — the spec at
@@ -376,11 +376,11 @@ type Stats struct {
 	Coordinator  bool  `json:"coordinator"`
 	FleetWorkers int   `json:"fleet_workers"`
 	FleetHealthy int   `json:"fleet_healthy"`
-	// StreamBytes is the encoded NDJSON frame bytes held by the frame
-	// logs of every tracked job and sweep and every cached run (a shared
-	// log counts once) — the server's whole streaming memory footprint,
-	// and exactly what /rounds, /topology?format=packed and /cells serve
-	// for them; a json topology drain is rendered, and larger.
+	// StreamBytes is the NDJSON bytes /rounds, /topology?format=packed
+	// and /cells serve from cursor 0 for every tracked job and sweep and
+	// every cached run (a shared log counts once) — not what the server
+	// holds for them, which is their packed records and far less; a
+	// json topology drain is larger still.
 	StreamBytes int64 `json:"stream_bytes"`
 	// UptimeSeconds and GoVersion let probes distinguish a restarted
 	// server from a live one and audit the deployed toolchain.
@@ -437,7 +437,7 @@ func (m *Manager) RunsExecuted() int64 { return m.runsExecuted.Load() }
 func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 	rp := cached
 	if rp == nil {
-		rp = &replay{log: newFrameLog(nil), headerObs: m.metrics.headerObs, recordObs: m.metrics.recordObs}
+		rp = &replay{log: newFrameLog(0), headerObs: m.metrics.headerObs, recordObs: m.metrics.recordObs}
 	}
 	return &Job{
 		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),

@@ -139,7 +139,7 @@ func newMetrics(reg *obs.Registry, logger *slog.Logger) *metrics {
 			"Frames encoded by the broadcast hub, by stream kind — one per published item regardless of subscriber count; a run's round record counts under rounds and topology_packed.",
 			"stream"),
 		streamEncodeSecs: reg.Histogram("adnet_stream_encode_duration_seconds",
-			"Per-item encode latency in the broadcast hub: a sweep cell's marshal or a run record's packing.",
+			"Per-item encode latency in the broadcast hub: the packing of a sweep cell's or a run's record.",
 			obs.ExpBuckets(1e-7, 4, 12)),
 		streamSubscribers: reg.GaugeVec("adnet_stream_subscribers",
 			"NDJSON subscribers currently attached, by stream kind.",

@@ -384,9 +384,13 @@ func TestManagerCloseRejectsSubmit(t *testing.T) {
 
 func TestRoundStreamReplayAndLiveTail(t *testing.T) {
 	t.Parallel()
-	s := newFrameLog(nil)
+	s := newFrameLog(0)
+	publish := func(round int) {
+		frame := jsonFrame(temporal.RoundStats{Round: round})
+		s.add(frame, len(frame))
+	}
 	for i := 1; i <= 3; i++ {
-		s.publish(temporal.RoundStats{Round: i})
+		publish(i)
 	}
 	ctx := context.Background()
 
@@ -407,7 +411,7 @@ func TestRoundStreamReplayAndLiveTail(t *testing.T) {
 		got <- len(b)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	s.publish(temporal.RoundStats{Round: 4})
+	publish(4)
 	select {
 	case n := <-got:
 		if n != 1 {
@@ -429,7 +433,7 @@ func TestRoundStreamReplayAndLiveTail(t *testing.T) {
 
 func TestRoundStreamWaitHonorsContext(t *testing.T) {
 	t.Parallel()
-	s := newFrameLog(nil)
+	s := newFrameLog(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
 	go func() {

@@ -1,8 +1,9 @@
 package service
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -26,17 +27,26 @@ var (
 
 // SweepJob tracks one submitted SweepSpec grid through the same
 // lifecycle as a run Job: queued → running → done/failed/canceled.
-// Finished cells are retained as the frames of the job's cell log
-// (bounded by the sweep-cell limit) so any number of late subscribers
-// can replay them; individual cell results additionally land in the
-// manager's LRU result cache under their canonical run keys.
+// Finished cells are retained as the packed records of the job's cell
+// log (bounded by the sweep-cell limit) so any number of late
+// subscribers can replay them; individual cell results additionally
+// land in the manager's LRU result cache under their canonical run
+// keys.
 type SweepJob struct {
 	ID   string
 	Spec SweepSpec
 
-	// cells is the frame log behind /cells, in canonical cell order —
-	// the only form the job keeps of its finished cells.
+	// grid is Spec normalized: record i of cells is the grid's cell i
+	// (grid.CellAt), whose parameters the record does not store.
+	grid SweepSpec
+	// cells is the log behind /cells, one record per finished cell in
+	// canonical order (cells.go) — the only form the job keeps of them.
 	cells *frameLog
+	// scratch is the producer's packing and rendering buffer, dropped
+	// when the sweep ends; packed observes each packing (the encode
+	// instruments on /metrics).
+	scratch []byte
+	packed  func(time.Duration)
 
 	// Durability (nil/false without a DataDir): journal is the job's
 	// write-ahead log; doneCells is the replayed done-set of a resumed
@@ -59,8 +69,9 @@ type SweepStatus struct {
 	// finished and streamed.
 	Cells     int `json:"cells"`
 	CellsDone int `json:"cells_done"`
-	// StreamBytes is the encoded NDJSON bytes the sweep's cell log
-	// holds: what /cells serves, summary line excluded.
+	// StreamBytes is the bytes /cells serves for the finished cells,
+	// summary line excluded — more than the sweep holds for them, one
+	// packed record a cell.
 	StreamBytes int64 `json:"stream_bytes"`
 	// Resumed marks a job whose journal carried work from a previous
 	// process life: only the missing run keys execute.
@@ -111,16 +122,18 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 	if !j.State().terminal() {
 		return nil, ErrSweepRunning
 	}
-	// A terminal sweep has published every cell it will (the log closes
+	// A terminal sweep has recorded every cell it will (the log closes
 	// right after), so one read from cursor 0 is the whole log.
-	frames, _ := j.cells.WaitFrames(context.Background(), 0)
-	cells := make([]SweepCell, len(frames))
-	for i, frame := range frames {
-		if err := json.Unmarshal(frame, &cells[i]); err != nil {
-			return nil, fmt.Errorf("service: cell frame %d: %w", i, err)
+	recs, _ := j.cells.WaitFrames(context.Background(), 0)
+	results := make([]expt.CellResult, len(recs))
+	for i, rec := range recs {
+		fromCache, out, errText, err := unpackCell(rec)
+		if err != nil {
+			return nil, fmt.Errorf("service: cell record %d: %w", i, err)
 		}
+		results[i] = expt.WireCellResult(i, j.grid.CellAt(i), fromCache, &out, errText)
 	}
-	return expt.AggregateWire(cells), nil
+	return expt.Aggregate(results), nil
 }
 
 // SubmitSweep validates spec and registers a fire-and-forget sweep
@@ -150,7 +163,9 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 	j := &SweepJob{
 		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
 		Spec:      spec,
-		cells:     newFrameLog(m.metrics.cellsObs),
+		grid:      spec.Normalized(),
+		cells:     newFrameLog(spec.NumCells()),
+		packed:    m.metrics.cellsObs,
 		lifecycle: queued(obs.ContextWithRequestID(context.Background(), obs.RequestIDFromContext(ctx))),
 	}
 	m.sweeps.add(j.ID, j)
@@ -199,6 +214,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			j.journal.sync()
 			j.journal.close()
 		}
+		j.scratch = nil
 		j.cells.close()
 		m.sweeps.retire(j.ID)
 	}()
@@ -229,24 +245,50 @@ func (m *Manager) executeSweep(j *SweepJob) {
 }
 
 // recordCell is the one cell-recording step of both executors, called
-// in canonical order from the goroutine that runs the grid: it
-// journals a successful cell whose run key is not in the done-set, so
-// a crash re-executes only the missing run keys, syncs the journal
-// after the last cell of each (algorithm, workload, n) group — the
-// coordinator's shard — and publishes the cell. The key is the grid's
-// own cell's, so dynamics stay in it.
-func (j *SweepJob) recordCell(grid []expt.Cell, cell SweepCell) {
+// in canonical order from the goroutine that runs the grid. It checks
+// that cell is the grid's cell at the next position (checkCell): a
+// cell that is not is recorded as an error cell saying so, and the
+// error returned fails the sweep. It journals a successful cell whose
+// run key is not in the done-set, so a crash re-executes only the
+// missing run keys, syncs the journal after the last cell of each
+// (algorithm, workload, n) group — the coordinator's shard — and
+// appends the cell's record. The key is the grid's own cell's, so
+// dynamics stay in it.
+func (j *SweepJob) recordCell(cell SweepCell) error {
+	g, i := j.grid, j.cells.Len()
+	if i == len(g.Algorithms)*len(g.Workloads)*len(g.Sizes)*len(g.Seeds) {
+		return fmt.Errorf("service: internal error: cell %d is past the grid's end", cell.Index)
+	}
+	want := g.CellAt(i)
+	err := checkCell(i, want, cell)
+	if err != nil {
+		cell = SweepCell{Error: err.Error()}
+	}
 	if j.journal != nil {
-		i := cell.Index
-		key := grid[i].Key()
+		key := want.Key()
 		if _, done := j.doneCells[key]; cell.Error == "" && !done {
 			j.journal.append(recCell, cellRecord{RunKey: key, Cell: cell})
 		}
-		if i+1 == len(grid) || !grid[i+1].SameGroup(grid[i]) {
+		if (i+1)%len(g.Seeds) == 0 { // seeds vary fastest
 			j.journal.sync()
 		}
 	}
-	j.cells.publish(cell)
+	j.appendCell(i, cell)
+	return err
+}
+
+// appendCell packs cell as record i of the log — one exact-size
+// allocation — observes the packing time, and counts the /cells line
+// the record renders to as served.
+func (j *SweepJob) appendCell(i int, cell SweepCell) {
+	start := time.Now()
+	j.scratch = packCell(j.scratch[:0], cell)
+	rec := bytes.Clone(j.scratch)
+	if j.packed != nil {
+		j.packed(time.Since(start))
+	}
+	j.scratch = j.renderCell(j.scratch[:0], rec, i)
+	j.cells.add(rec, len(j.scratch))
 }
 
 // runGrid executes the job's grid on an engine fleet of
@@ -257,15 +299,13 @@ func (j *SweepJob) recordCell(grid []expt.Cell, cell SweepCell) {
 // identical run job in flight. Emit, on this goroutine in canonical
 // order, caches fresh results as outcome-only entries (a cell has no
 // streams, so a later run of its key executes) and hands the cell to
-// recordCell. ctx aborts between rounds.
+// recordCell, whose first error fails the sweep. ctx aborts between
+// rounds.
 func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	spec := j.Spec
-	grid := spec.Cells()
-	sum := SweepSummary{Cells: len(grid)}
-	workers := m.cfg.SweepWorkers
-	if n := len(grid); workers > n {
-		workers = n
-	}
+	sum := SweepSummary{Cells: spec.NumCells()}
+	workers := min(m.cfg.SweepWorkers, sum.Cells)
+	var recErr error
 	// busy accumulates executed-cell wall time (Emit runs on this
 	// goroutine only); with the grid's wall-clock it yields the
 	// engine-fleet utilization fold after the sweep.
@@ -309,7 +349,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 				// Error cells stay out of the cache and the journal, so
 				// a resumed sweep retries them.
 				sum.Errors++
-				j.recordCell(grid, cell)
+				recErr = cmp.Or(recErr, j.recordCell(cell))
 				return
 			}
 			if cr.Cell.Dynamics != nil {
@@ -325,12 +365,13 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 					sum.Replayed++
 				}
 			}
-			j.recordCell(grid, cell)
+			recErr = cmp.Or(recErr, j.recordCell(cell))
 		},
 	})
 	if wall := time.Since(start); wall > 0 && workers > 0 {
 		m.metrics.gridUtilization.Observe(busy.Seconds() / (wall.Seconds() * float64(workers)))
 	}
+	err = cmp.Or(err, recErr)
 	sum.Done = err == nil
 	return sum, err
 }
@@ -347,7 +388,8 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 // dead one's data dir picks the grid up where the journal left it.
 // Cell results are not entered into the local result cache: they
 // already live in the worker-side caches, and a coordinator exists to
-// stay out of simulation work entirely.
+// stay out of simulation work entirely. A worker cell that is not the
+// grid's cell at its position fails the sweep (recordCell).
 func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	var lookup func(expt.Cell) (expt.Outcome, bool)
 	if len(j.doneCells) > 0 {
@@ -356,14 +398,17 @@ func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, 
 			return out, ok
 		}
 	}
-	grid := j.Spec.Cells()
+	var recErr error
 	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, lookup, func(c SweepCell) {
 		// The coordinator counts merged cells too (no durations — the
 		// workers own those), so cross-process cell totals can be
 		// checked against each other at scrape time.
 		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
-		j.recordCell(grid, c)
+		recErr = cmp.Or(recErr, j.recordCell(c))
 	})
 	m.metrics.journalReplayedCells.Add(int64(fsum.Replayed))
+	if err = cmp.Or(err, recErr); err != nil {
+		fsum.Done = false
+	}
 	return fsum.WireSummary, err
 }

@@ -115,11 +115,12 @@ func splitRecord(rec []byte, header bool) (f [roundFields]int, lists []byte, err
 	return f, rec, nil
 }
 
-// renderFunc appends the line an endpoint serves for one record of a
-// run's log to buf; header marks record 0. A record the publish hooks
-// cannot have written renders as a well-formed NDJSON error line, like
-// a marshal failure in jsonFrame, never as a corrupted stream.
-type renderFunc func(buf, rec []byte, header bool) []byte
+// renderFunc appends the line an endpoint serves for record i of a
+// job's log to buf; record 0 of a run's log is its header. A record the
+// producer cannot have written renders as a well-formed NDJSON error
+// line, like a marshal failure in jsonFrame, never as a corrupted
+// stream.
+type renderFunc func(buf, rec []byte, i int) []byte
 
 func appendError(buf []byte, err error) []byte {
 	return append(buf, jsonFrame(errorResponse{Error: ErrorBody{Code: codeInternal, Message: err.Error()}})...)
@@ -130,7 +131,7 @@ func appendError(buf []byte, err error) []byte {
 var roundsKeys = [roundFields - 1]string{`{"Round":`, `,"Activated":`, `,"Deactivated":`, `,"ActiveEdges":`, `,"ActivatedAlive":`}
 
 // renderRounds is /rounds: jsonFrame(RoundStats) of a round record.
-func renderRounds(buf, rec []byte, _ bool) []byte {
+func renderRounds(buf, rec []byte, _ int) []byte {
 	f, _, err := splitRecord(rec, false)
 	if err != nil {
 		return appendError(buf, err)
@@ -145,7 +146,8 @@ func renderRounds(buf, rec []byte, _ bool) []byte {
 // renderPacked is /topology?format=packed: {"round":r,"n":n,"p":"…"},
 // n only when non-zero (the header's), p the base64 of the record's
 // packed lists.
-func renderPacked(buf, rec []byte, header bool) []byte {
+func renderPacked(buf, rec []byte, i int) []byte {
+	header := i == 0
 	f, lists, err := splitRecord(rec, header)
 	if err != nil {
 		return appendError(buf, err)
@@ -167,8 +169,8 @@ func renderPacked(buf, rec []byte, header bool) []byte {
 
 // renderJSON is /topology's default format: jsonFrame of the record's
 // TopologyFrame.
-func renderJSON(buf, rec []byte, header bool) []byte {
-	f, err := topologyFrame(rec, header)
+func renderJSON(buf, rec []byte, i int) []byte {
+	f, err := topologyFrame(rec, i == 0)
 	if err != nil {
 		return appendError(buf, err)
 	}

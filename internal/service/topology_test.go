@@ -139,7 +139,11 @@ func TestUndecodableTopologyLine(t *testing.T) {
 		}
 		for format, render := range renders {
 			var env errorResponse
-			out := render([]byte("kept\n"), tc.rec, tc.header)
+			i := 1 // a round record
+			if tc.header {
+				i = 0
+			}
+			out := render([]byte("kept\n"), tc.rec, i)
 			if !bytes.HasPrefix(out, []byte("kept\n")) {
 				t.Fatalf("%s: %s render dropped what the buffer held: %q", name, format, out)
 			}
@@ -201,12 +205,12 @@ func finalSlotPairs(g *graph.Graph) [][2]int32 {
 	return out
 }
 
-// renderLog is the body an endpoint serves for a closed run log: every
+// renderLog is the body an endpoint serves for a closed log: every
 // record from first on through render.
 func renderLog(s *frameLog, render renderFunc, first int) (body []byte) {
 	for i, rec := range logLines(s) {
 		if i >= first {
-			body = render(body, rec, i == 0)
+			body = render(body, rec, i)
 		}
 	}
 	return body
