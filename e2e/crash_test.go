@@ -4,6 +4,7 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -14,14 +15,16 @@ import (
 	"testing"
 	"time"
 
+	"adnet/internal/expt"
 	"adnet/internal/journal"
 )
 
 // journalTally reads the single sweep journal under dataDir off disk
 // (the files a crashed process left behind): the run keys of its
-// kind-2 records — one per finished cell, written by a single server
-// and a coordinator alike — and whether a kind-4 terminal record
-// closes it.
+// kind-5 records — one per finished cell, written by a single server
+// and a coordinator alike, each the cell's grid index as a uvarint and
+// then its packed outcome, keyed by the kind-1 header's grid — and
+// whether a kind-4 terminal record closes it.
 func journalTally(t *testing.T, dataDir string) (keys []string, finished bool) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dataDir, "sweeps", "*.wal"))
@@ -35,16 +38,23 @@ func journalTally(t *testing.T, dataDir string) (keys []string, finished bool) {
 	if err != nil {
 		t.Fatalf("journal %s unreadable: %v", paths[0], err)
 	}
+	var grid expt.SweepSpec
 	for _, r := range recs {
 		switch r.Kind {
-		case 2:
-			var cell struct {
-				RunKey string `json:"run_key"`
+		case 1:
+			var header struct {
+				Spec expt.SweepSpec `json:"spec"`
 			}
-			if err := json.Unmarshal(r.Data, &cell); err != nil {
-				t.Fatalf("bad cell record: %v", err)
+			if err := json.Unmarshal(r.Data, &header); err != nil {
+				t.Fatalf("bad header record: %v", err)
 			}
-			keys = append(keys, cell.RunKey)
+			grid = header.Spec.Normalized()
+		case 5:
+			i, w := binary.Uvarint(r.Data)
+			if w <= 0 || grid.Seeds == nil || i >= uint64(grid.NumCells()) {
+				t.Fatalf("cell record %x names no cell of the header's grid", r.Data)
+			}
+			keys = append(keys, grid.CellAt(int(i)).Key())
 		case 4:
 			finished = true
 		}

@@ -4,6 +4,7 @@
 package expt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -37,6 +38,50 @@ type Outcome struct {
 	EnvDeactivations   int `json:"EnvDeactivations,omitempty"` // edges the environment cut
 	Crashes            int `json:"Crashes,omitempty"`          // node outages the engine applied
 	Restarts           int `json:"Restarts,omitempty"`         // node restarts the engine applied
+}
+
+// An outcome record packs an Outcome: a flags byte whose top bit is
+// LeaderOK and whose low seven bits are the holder's (a sweep's cell
+// log keeps from_cache there), then Fields as signed varints.
+const outcomeLeaderOK byte = 0x80
+
+// Fields points at the integer fields of o in record and wire order:
+// the four omitempty ones, which follow LeaderOK on the wire, last.
+func (o *Outcome) Fields() [13]*int {
+	return [13]*int{&o.N, &o.Rounds, &o.LastActivity, &o.TotalActivations, &o.MaxActivatedEdges,
+		&o.MaxActivatedDegree, &o.TotalMessages, &o.FinalDiameter, &o.FinalDepth,
+		&o.EnvActivations, &o.EnvDeactivations, &o.Crashes, &o.Restarts}
+}
+
+// AppendOutcome appends o's record, with flags (top bit clear), to buf.
+func AppendOutcome(buf []byte, flags byte, o *Outcome) []byte {
+	if o.LeaderOK {
+		flags |= outcomeLeaderOK
+	}
+	buf = append(buf, flags)
+	for _, f := range o.Fields() {
+		buf = binary.AppendVarint(buf, int64(*f))
+	}
+	return buf
+}
+
+// ReadOutcome decodes exactly one record: the holder's flags and o.
+func ReadOutcome(rec []byte) (flags byte, o Outcome, err error) {
+	if len(rec) == 0 {
+		return 0, o, fmt.Errorf("expt: outcome record: empty")
+	}
+	flags, rec, o.LeaderOK = rec[0]&^outcomeLeaderOK, rec[1:], rec[0]&outcomeLeaderOK != 0
+	for _, f := range o.Fields() {
+		x, w := binary.Varint(rec)
+		if w <= 0 {
+			return 0, Outcome{}, fmt.Errorf("expt: outcome record: truncated")
+		}
+		*f, rec = int(x), rec[w:]
+	}
+	if len(rec) != 0 {
+		return 0, Outcome{}, fmt.Errorf("expt: outcome record: %d trailing bytes", len(rec))
+	}
+	return flags, o, nil
 }
 
 // Request names one deterministic run: an algorithm, a workload

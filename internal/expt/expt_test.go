@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -141,5 +142,31 @@ func TestWorkloadsAndAlgorithmNames(t *testing.T) {
 	}
 	if _, err := RunAlgorithm("nope", nil); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+}
+
+// TestOutcomeRecordRoundTrip: a record decodes to the outcome and the
+// holder's flags it was appended with, whatever the field values, and
+// a record that is empty, cut short or followed by more bytes is an
+// error, not an outcome.
+func TestOutcomeRecordRoundTrip(t *testing.T) {
+	t.Parallel()
+	for _, o := range []Outcome{
+		{},
+		{N: 32, Rounds: 33, TotalMessages: 1566, FinalDiameter: 31, FinalDepth: 31, LeaderOK: true},
+		{N: 1 << 40, FinalDiameter: -1, FinalDepth: -1, EnvActivations: 15, Crashes: math.MaxInt64, Restarts: math.MinInt64},
+	} {
+		for _, flags := range []byte{0, 1, 0x7f} {
+			rec := AppendOutcome([]byte{0xee}, flags, &o)[1:]
+			gotFlags, got, err := ReadOutcome(rec)
+			if err != nil || gotFlags != flags || got != o {
+				t.Fatalf("record %x of (%#x, %+v) read as (%#x, %+v, %v)", rec, flags, o, gotFlags, got, err)
+			}
+			for _, bad := range [][]byte{nil, rec[:len(rec)-1], append(rec[:len(rec):len(rec)], 0)} {
+				if _, _, err := ReadOutcome(bad); err == nil {
+					t.Errorf("record %x read without an error", bad)
+				}
+			}
+		}
 	}
 }

@@ -21,6 +21,7 @@ type replay struct {
 	// headerObs and recordObs observe each packed record (the
 	// encode-once instruments on /metrics); bare replays leave them nil.
 	headerObs, recordObs func(time.Duration)
+	outcome              *expt.Outcome // the run's, set before a success is cached
 }
 
 // close ends the log once the producer is done with it.
@@ -33,62 +34,45 @@ func (rp *replay) close() {
 // for the records the log holds.
 func (rp *replay) FrameBytes() int64 { return rp.log.FrameBytes() }
 
-// cacheEntry is the product of one successful run: its outcome and,
-// when a run job executed it, that job's own streams. An outcome-only
-// entry (replay nil: written by a sweep cell or by Recover, neither of
-// which has streams) answers sweep cells and nothing else — a run
-// submission that finds one executes, which by determinism yields the
-// same outcome, and upgrades the entry.
-type cacheEntry struct {
-	Outcome expt.Outcome
-	replay  *replay
+// lru is a fixed-capacity least-recently-used map over string keys; a
+// capacity of zero or less holds nothing. The manager keeps two: run
+// replays, whose records are tens of kilobytes, and the outcome index,
+// whose packed outcomes are tens of bytes.
+type lru[V any] struct {
+	mu           sync.Mutex
+	cap          int
+	ll           *list.List // front = most recently used
+	items        map[string]*list.Element
+	hits, misses int64
 }
 
-// resultCache is a fixed-capacity LRU over cacheEntry keyed by
-// RunSpec.Key(). Only successful runs are stored — failures may be
-// transient (time limits) and are cheap to refuse to cache.
-type resultCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-	hits   int64
-	misses int64
+type lruItem[V any] struct {
+	key string
+	val V
 }
 
-type lruItem struct {
-	key   string
-	entry cacheEntry
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
-}
-
-// Get returns the cached entry and promotes it to most recently used.
-// With needReplay an outcome-only entry is a miss.
-func (c *resultCache) Get(key string, needReplay bool) (cacheEntry, bool) {
+// Get returns key's value and promotes it to most recently used.
+func (c *lru[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok || (needReplay && el.Value.(*lruItem).entry.replay == nil) {
+	if !ok {
 		c.misses++
-		return cacheEntry{}, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-// Add stores (or refreshes) an entry, evicting the least recently
-// used item when over capacity. An outcome-only entry never replaces
-// one that carries a replay: a sweep cell that raced a run of the same
-// key to the cache must not strip the run's streams from it.
-func (c *resultCache) Add(key string, e cacheEntry) {
+// Add stores (or replaces) key's value, evicting the least recently
+// used item when over capacity.
+func (c *lru[V]) Add(key string, v V) {
 	if c.cap <= 0 {
 		return
 	}
@@ -96,35 +80,30 @@ func (c *resultCache) Add(key string, e cacheEntry) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		if item := el.Value.(*lruItem); e.replay != nil || item.entry.replay == nil {
-			item.entry = e
-		}
+		el.Value.(*lruItem[V]).val = v
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, entry: e})
-	for c.ll.Len() > c.cap {
+	c.items[key] = c.ll.PushFront(&lruItem[V]{key: key, val: v})
+	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruItem).key)
+		delete(c.items, oldest.Value.(*lruItem[V]).key)
 	}
 }
 
-// replays is the set of replays the cache holds — those of finished
-// jobs the job table has let go of included; outcome-only entries have none.
-func (c *resultCache) replays() map[*replay]struct{} {
+// values lists the values held, most recently used first.
+func (c *lru[V]) values() []V {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	held := make(map[*replay]struct{}, c.ll.Len())
+	vals := make([]V, 0, c.ll.Len())
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		if rp := el.Value.(*lruItem).entry.replay; rp != nil {
-			held[rp] = struct{}{}
-		}
+		vals = append(vals, el.Value.(*lruItem[V]).val)
 	}
-	return held
+	return vals
 }
 
 // Stats reports (size, hits, misses).
-func (c *resultCache) Stats() (int, int64, int64) {
+func (c *lru[V]) Stats() (int, int64, int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len(), c.hits, c.misses

@@ -11,41 +11,21 @@ import (
 )
 
 // A sweep's log holds one record per finished cell, in canonical
-// order. The record is a flags byte (cellFromCache, cellError,
-// cellLeaderOK), then for an outcome cell the integer fields of
-// expt.Outcome as signed varints in field order — FinalDiameter and
-// FinalDepth are -1 on a disconnected final graph — and for an error
-// cell uvarint(len) and the error text. The cell's index, algorithm,
-// workload, n, seed and max_rounds are not stored: they are the grid's
-// cell at the record's position (SweepSpec.CellAt of the job's
-// normalized spec). /cells renders each record as the jsonFrame of its
-// SweepCell; Aggregate folds the records directly.
+// order: for an outcome cell its expt outcome record (AppendOutcome)
+// with cellFromCache among the holder's flags, for an error cell a
+// flags byte (cellError, cellFromCache), uvarint(len) and the error
+// text. The cell's index, algorithm, workload, n, seed and max_rounds
+// are not stored: they are the grid's cell at the record's position
+// (SweepSpec.CellAt of the job's normalized spec). /cells renders each
+// record as the jsonFrame of its SweepCell; Aggregate folds the
+// records directly.
 const (
 	cellFromCache byte = 1 << iota
 	cellError
-	cellLeaderOK
 )
 
-// outcomeInts lists the integer fields of an expt.Outcome in record
-// and wire order: the four omitempty ones, which follow LeaderOK on
-// the wire, last.
-func outcomeInts(o *expt.Outcome) [13]int {
-	return [13]int{o.N, o.Rounds, o.LastActivity, o.TotalActivations,
-		o.MaxActivatedEdges, o.MaxActivatedDegree, o.TotalMessages,
-		o.FinalDiameter, o.FinalDepth,
-		o.EnvActivations, o.EnvDeactivations, o.Crashes, o.Restarts}
-}
-
-// outcomeOf is the inverse of outcomeInts.
-func outcomeOf(v [13]int, leaderOK bool) expt.Outcome {
-	return expt.Outcome{N: v[0], Rounds: v[1], LastActivity: v[2], TotalActivations: v[3],
-		MaxActivatedEdges: v[4], MaxActivatedDegree: v[5], TotalMessages: v[6],
-		FinalDiameter: v[7], FinalDepth: v[8], LeaderOK: leaderOK,
-		EnvActivations: v[9], EnvDeactivations: v[10], Crashes: v[11], Restarts: v[12]}
-}
-
 // outcomeKeys are the keys of an Outcome's wire object, each with the
-// punctuation before it, in outcomeInts order; the last four are
+// punctuation before it, in Outcome.Fields order; the last four are
 // omitted when zero and LeaderOK sits between the two groups.
 var outcomeKeys = [13]string{`{"N":`, `,"Rounds":`, `,"LastActivity":`, `,"TotalActivations":`,
 	`,"MaxActivatedEdges":`, `,"MaxActivatedDegree":`, `,"TotalMessages":`,
@@ -59,48 +39,26 @@ func packCell(buf []byte, cell SweepCell) []byte {
 	if cell.FromCache {
 		flags |= cellFromCache
 	}
-	if cell.Error != "" {
-		buf = append(buf, flags|cellError)
-		buf = binary.AppendUvarint(buf, uint64(len(cell.Error)))
-		return append(buf, cell.Error...)
+	if cell.Error == "" {
+		return expt.AppendOutcome(buf, flags, cell.Outcome)
 	}
-	if cell.Outcome.LeaderOK {
-		flags |= cellLeaderOK
-	}
-	buf = append(buf, flags)
-	for _, v := range outcomeInts(cell.Outcome) {
-		buf = binary.AppendVarint(buf, int64(v))
-	}
-	return buf
+	buf = append(buf, flags|cellError)
+	buf = binary.AppendUvarint(buf, uint64(len(cell.Error)))
+	return append(buf, cell.Error...)
 }
 
 // unpackCell decodes a record: its from_cache flag and either its
 // outcome or its error text (non-empty exactly for an error cell).
 func unpackCell(rec []byte) (fromCache bool, out expt.Outcome, errText string, err error) {
-	if len(rec) == 0 {
-		return false, out, "", errors.New("service: cell record: empty")
+	if len(rec) == 0 || rec[0]&cellError == 0 {
+		flags, out, err := expt.ReadOutcome(rec)
+		return flags&cellFromCache != 0, out, "", err
 	}
-	flags, rec := rec[0], rec[1:]
-	fromCache = flags&cellFromCache != 0
-	if flags&cellError != 0 {
-		n, w := binary.Uvarint(rec)
-		if w <= 0 || n == 0 || uint64(len(rec)-w) != n {
-			return false, out, "", errors.New("service: cell record: bad error text")
-		}
-		return fromCache, out, string(rec[w:]), nil
+	n, w := binary.Uvarint(rec[1:])
+	if w <= 0 || n == 0 || uint64(len(rec)-1-w) != n {
+		return false, out, "", errors.New("service: cell record: bad error text")
 	}
-	var v [13]int
-	for k := range v {
-		x, w := binary.Varint(rec)
-		if w <= 0 {
-			return false, out, "", errors.New("service: cell record: truncated outcome")
-		}
-		v[k], rec = int(x), rec[w:]
-	}
-	if len(rec) != 0 {
-		return false, out, "", fmt.Errorf("service: cell record: %d trailing bytes", len(rec))
-	}
-	return fromCache, outcomeOf(v, flags&cellLeaderOK != 0), "", nil
+	return rec[0]&cellFromCache != 0, out, string(rec[1+w:]), nil
 }
 
 // checkCell reports whether cell is the grid's cell at index i and
@@ -152,14 +110,14 @@ func (j *SweepJob) renderCell(buf, rec []byte, i int) []byte {
 		return append(buf, "}\n"...)
 	}
 	buf = append(buf, `,"outcome":`...)
-	for k, v := range outcomeInts(&out) {
+	for k, f := range out.Fields() {
 		if k == 9 {
 			buf = append(buf, `,"LeaderOK":`...)
 			buf = strconv.AppendBool(buf, out.LeaderOK)
 		}
-		if k < 9 || v != 0 {
+		if k < 9 || *f != 0 {
 			buf = append(buf, outcomeKeys[k]...)
-			buf = strconv.AppendInt(buf, int64(v), 10)
+			buf = strconv.AppendInt(buf, int64(*f), 10)
 		}
 	}
 	return append(buf, "}}\n"...)

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"adnet/internal/expt"
 )
 
 // randomInt is an Outcome or grid field: zero, a one-byte varint, a
@@ -34,6 +36,15 @@ func randomInt(rng *rand.Rand) int {
 		return math.MaxInt64 - rng.IntN(3)
 	}
 	return math.MinInt64 + rng.IntN(3)
+}
+
+// outcomeOf is the Outcome whose Fields are v.
+func outcomeOf(v [13]int, leaderOK bool) expt.Outcome {
+	o := expt.Outcome{LeaderOK: leaderOK}
+	for k, f := range o.Fields() {
+		*f = v[k]
+	}
+	return o
 }
 
 // randomText strings together pieces encoding/json escapes — <, >, &,
@@ -298,6 +309,42 @@ func TestSweepCellsCursorsAndTrailer(t *testing.T) {
 	check("coordinator", coord, sub.ID, spec.NumCells())
 }
 
+// TestResubmittedDefaultSweepHitsEveryCell: on a default-config
+// manager a resubmitted sweep-single grid — MaxSweepCells cells — is
+// answered from the outcome index in full. A cache that scans out its
+// own keys before the grid comes round again answers none of them.
+func TestResubmittedDefaultSweepHitsEveryCell(t *testing.T) {
+	t.Parallel()
+	m := NewManager(Config{})
+	defer m.Close()
+	spec := sweepSingleGrid()
+	run := func() SweepSummary {
+		t.Helper()
+		j, err := m.SubmitSweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.State().terminal() { // 1,024 cells: slow under -race
+			time.Sleep(time.Millisecond)
+		}
+		if st := j.Status(); st.State != StateDone || st.Summary == nil {
+			t.Fatalf("sweep ended %s", st.State)
+		}
+		return *j.Status().Summary
+	}
+	first := run()
+	executed := m.RunsExecuted()
+	if first.Executed != spec.NumCells() || executed != int64(spec.NumCells()) {
+		t.Fatalf("first sweep executed %d cells (RunsExecuted %d), want %d", first.Executed, executed, spec.NumCells())
+	}
+	if again := run(); again.CacheHits != spec.NumCells() || again.Executed != 0 {
+		t.Fatalf("resubmitted sweep: %d cache hits and %d executed, want %d and 0", again.CacheHits, again.Executed, spec.NumCells())
+	}
+	if got := m.RunsExecuted(); got != executed {
+		t.Fatalf("RunsExecuted moved from %d to %d on a resubmitted grid", executed, got)
+	}
+}
+
 // TestRetainedSweepHeap measures what a finished sweep-single grid
 // keeps on the heap: a Manager retaining 64 of them, runtime.MemStats
 // after GC, divided by 64. The 64 are one grid resubmitted, so every
@@ -308,7 +355,7 @@ func TestRetainedSweepHeap(t *testing.T) {
 		t.Skip("runs 65 sweeps of 1,024 cells")
 	}
 	const sweeps = 64
-	m := NewManager(Config{Workers: 1, SweepWorkers: 2, RetainSweeps: sweeps + 1, CacheSize: 2048})
+	m := NewManager(Config{Workers: 1, SweepWorkers: 2, RetainSweeps: sweeps + 1})
 	defer m.Close()
 	spec := sweepSingleGrid()
 	run := func() {

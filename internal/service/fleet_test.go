@@ -163,7 +163,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		if err != nil {
 			return 0
 		}
-		st, err := parseJournal(path, recs)
+		st, err := parseJournal(path, recs, func(string, []byte) {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		for _, sh := range fleet.PlanShards(spec) {
 			whole := true
 			for _, c := range sh.Spec.Cells() {
-				_, ok := st.cells[c.Key()]
+				_, ok := st.keys[c.Key()]
 				whole = whole && ok
 			}
 			if whole {

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"adnet/internal/dynamics"
@@ -13,6 +15,11 @@ import (
 const (
 	okLine  = `{"index":0,"algorithm":"flood","workload":"line","n":32,"seed":1,"from_cache":false,"outcome":{"N":32,"Rounds":33,"LastActivity":0,"TotalActivations":0,"MaxActivatedEdges":0,"MaxActivatedDegree":0,"TotalMessages":62,"FinalDiameter":31,"FinalDepth":31,"LeaderOK":true}}`
 	errLine = `{"index":1,"algorithm":"flood","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}`
+
+	// cellRecordJSON is what a server journaled per finished ok cell
+	// before the packed cell record. It is no longer written, and still
+	// read (TestOldJournalsResume).
+	cellRecordJSON = `{"run_key":"flood|line|n=32|seed=1|maxr=0","cell":` + okLine + `}`
 
 	// shardRecord is what a coordinator journaled per completed shard
 	// before it wrote cell records, and shardRecordWithGroups what it
@@ -105,7 +112,10 @@ func TestKeyAndWireGoldens(t *testing.T) {
 		// Journal record payloads.
 		{"header record", marshal(sweepHeader{Key: sweepDyn.Key(), Spec: sweepDyn, Cells: sweepDyn.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2],"max_rounds":500,"dynamics":{"class":"edge-churn"}},"cells":8}`},
 		{"header record, plain", marshal(sweepHeader{Key: sweep.Key(), Spec: sweep, Cells: sweep.NumCells()}), `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2]},"cells":8}`},
-		{"cell record", marshal(cellRecord{RunKey: grid[0].Key(), Cell: okCell}), `{"run_key":"flood|line|n=32|seed=1|maxr=0","cell":` + okLine + `}`},
+		// The packed cell record: uvarint(grid index), then the outcome
+		// record — LeaderOK in the flags byte, then the 13 integer fields
+		// as zigzag varints.
+		{"cell record", fmt.Sprintf("%x", expt.AppendOutcome(binary.AppendUvarint(nil, 0), 0, okCell.Outcome)), "00804042000000007c3e3e00000000"},
 		{"done record", marshal(doneRecord{State: StateDone, Summary: SweepSummary{Done: true, Cells: 8, Executed: 8}}), `{"state":"done","summary":{"done":true,"cells":8,"cache_hits":0,"executed":8,"errors":0}}`},
 	} {
 		if tc.got != tc.want {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,14 +17,21 @@ import (
 	"adnet/internal/runkey"
 )
 
-// Sweep journal record kinds. The payloads are JSON; the kind byte
-// routes them without parsing. New kinds append — replay skips kinds
-// it does not know, so old servers tolerate newer journals.
+// Sweep journal record kinds. Header and done payloads are JSON, a
+// cell's is packed; the kind byte routes them without parsing. New
+// kinds append — replay skips kinds it does not know, so old servers
+// tolerate newer journals.
 const (
-	recHeader byte = 1 // sweepHeader: written once at submission
-	recCell   byte = 2 // cellRecord: one finished ok cell
-	recShard  byte = 3 // legacyShardRecord: read from older coordinators' journals, never written
-	recDone   byte = 4 // doneRecord: the sweep reached a terminal state
+	recHeader   byte = 1 // sweepHeader: written once at submission
+	recCellJSON byte = 2 // cellRecord: read from older journals, never written
+	recShard    byte = 3 // legacyShardRecord: read from older coordinators' journals, never written
+	recDone     byte = 4 // doneRecord: the sweep reached a terminal state
+	// recCell is one finished ok cell, a single server's or a
+	// coordinator's alike: uvarint(grid index), then the cell's
+	// outcome record (expt.AppendOutcome, no flags). Its run key is
+	// the header grid's cell at the index. Error cells are never
+	// journaled — a resumed sweep retries them.
+	recCell byte = 5
 )
 
 // recKindLabel maps a record kind to its metric label.
@@ -33,6 +41,8 @@ func recKindLabel(kind byte) string {
 		return "header"
 	case recCell:
 		return "cell"
+	case recCellJSON:
+		return "json cell"
 	case recShard:
 		return "shard"
 	case recDone:
@@ -50,9 +60,8 @@ type sweepHeader struct {
 	Cells int       `json:"cells"`
 }
 
-// cellRecord persists one successfully finished cell, a single
-// server's or a coordinator's alike, keyed by its canonical run key.
-// Error cells are never journaled — a resumed sweep retries them.
+// cellRecord is what servers journaled per finished ok cell before
+// recCell, keyed by its canonical run key. It is still read.
 type cellRecord struct {
 	RunKey string    `json:"run_key"`
 	Cell   SweepCell `json:"cell"`
@@ -87,12 +96,8 @@ type sweepJournal struct {
 	release func()
 }
 
-func (sj *sweepJournal) append(kind byte, v any) {
-	data, err := json.Marshal(v)
-	if err == nil {
-		err = sj.log.Append(kind, data)
-	}
-	if err != nil {
+func (sj *sweepJournal) append(kind byte, data []byte) {
+	if err := sj.log.Append(kind, data); err != nil {
 		sj.logger.Error("sweep journal append failed",
 			slog.String("path", sj.log.Path()),
 			slog.String("kind", recKindLabel(kind)),
@@ -118,17 +123,31 @@ func (sj *sweepJournal) close() {
 }
 
 // journalState is one journal's parsed content: the intact prefix
-// folded down to the latest header, the done-set of cells, and the
-// terminal record if the sweep finished.
+// folded down to the latest header, the run keys of its finished
+// cells, and the terminal record if the sweep finished.
 type journalState struct {
 	header *sweepHeader
-	cells  map[string]expt.Outcome // run key → finished cell's outcome
+	keys   map[string]struct{}
 	done   *doneRecord
 }
 
-func parseJournal(path string, recs []journal.Record) (journalState, error) {
-	st := journalState{cells: make(map[string]expt.Outcome)}
-	var grid []expt.Cell // the header's cells, which key shard records
+// parseJournal folds recs, the records of the journal at path, handing
+// file each finished cell's run key and outcome record. A cell whose
+// grid index the latest header's grid does not have is refused like an
+// undecodable record.
+func parseJournal(path string, recs []journal.Record, file func(key string, rec []byte)) (journalState, error) {
+	st := journalState{keys: make(map[string]struct{})}
+	var grid SweepSpec // the header's, normalized, which keys cell and shard records
+	cells := 0
+	addAt := func(at int, rec []byte) error {
+		if at < 0 || at >= cells {
+			return fmt.Errorf("cell %d is outside the header's %d-cell grid", at, cells)
+		}
+		key := grid.CellAt(at).Key()
+		st.keys[key] = struct{}{}
+		file(key, rec)
+		return nil
+	}
 	for _, r := range recs {
 		var err error
 		switch r.Kind {
@@ -136,19 +155,29 @@ func parseJournal(path string, recs []journal.Record) (journalState, error) {
 			var h sweepHeader
 			if err = json.Unmarshal(r.Data, &h); err == nil {
 				st.header = &h
-				grid = h.Spec.Cells()
+				grid, cells = h.Spec.Normalized(), h.Spec.NumCells()
 			}
 		case recCell:
+			at, w := binary.Uvarint(r.Data)
+			if w <= 0 {
+				err = errors.New("bad cell index")
+			} else if _, _, err = expt.ReadOutcome(r.Data[w:]); err == nil {
+				err = addAt(int(at), r.Data[w:])
+			}
+		case recCellJSON:
 			var c cellRecord
 			if err = json.Unmarshal(r.Data, &c); err == nil && c.Cell.Outcome != nil && c.Cell.Error == "" {
-				st.cells[c.RunKey] = *c.Cell.Outcome
+				st.keys[c.RunKey] = struct{}{}
+				file(c.RunKey, expt.AppendOutcome(nil, 0, c.Cell.Outcome))
 			}
 		case recShard:
 			var s legacyShardRecord
 			if err = json.Unmarshal(r.Data, &s); err == nil {
 				for i, c := range s.Cells {
-					if at := s.Offset + i; at < len(grid) && c.Outcome != nil && c.Error == "" {
-						st.cells[grid[at].Key()] = *c.Outcome
+					if c.Outcome != nil && c.Error == "" {
+						if err = addAt(s.Offset+i, expt.AppendOutcome(nil, 0, c.Outcome)); err != nil {
+							break
+						}
 					}
 				}
 			}
@@ -176,10 +205,11 @@ func (m *Manager) journalDir() string {
 }
 
 // openSweepJournal attaches j to its on-disk journal: replay whatever
-// a previous life of the same grid left behind into the job's
-// done-sets, then write the header if the file is fresh. All failure
-// paths degrade to an unjournaled sweep (logged) — submission must not
-// fail because the disk does. Strictness about corrupt files lives in
+// a previous life of the same grid left behind — run keys into the
+// job's done-set, outcomes into the outcome index — then write the
+// header if the file is fresh. All failure paths degrade to an
+// unjournaled sweep (logged) — submission must not fail because the
+// disk does. Strictness about corrupt files lives in
 // Recover, where it can stop a startup.
 func (m *Manager) openSweepJournal(j *SweepJob) {
 	key := j.Spec.Key()
@@ -222,7 +252,7 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 	})
 	if err == nil {
 		var st journalState
-		st, err = parseJournal(path, recs)
+		st, err = parseJournal(path, recs, m.outcomes.Add)
 		if err == nil && st.header != nil && st.header.Key != key {
 			err = fmt.Errorf("journal: %s belongs to a different grid (%s)", path, st.header.Key)
 		}
@@ -232,21 +262,22 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 			}
 			sj := &sweepJournal{log: lg, mt: m.metrics, logger: m.logger, release: release}
 			if st.header == nil {
-				sj.append(recHeader, sweepHeader{Key: key, Spec: j.Spec, Cells: j.Spec.NumCells()})
+				header, _ := json.Marshal(sweepHeader{Key: key, Spec: j.Spec, Cells: j.Spec.NumCells()})
+				sj.append(recHeader, header)
 				sj.sync()
 			}
 			j.mu.Lock()
 			j.journal = sj
 			if st.header != nil {
 				j.resumed = true
-				j.doneCells = st.cells
+				j.doneKeys = st.keys
 			}
 			j.mu.Unlock()
 			if st.header != nil && st.done == nil {
 				m.metrics.journalResumedSweeps.Inc()
 				m.logger.Info("sweep resuming from journal",
 					slog.String("sweep_id", j.ID),
-					slog.Int("journaled_cells", len(st.cells)))
+					slog.Int("journaled_cells", len(st.keys)))
 			}
 			return
 		}
@@ -257,9 +288,9 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 		slog.String("sweep_id", j.ID), slog.String("error", err.Error()))
 }
 
-// Recover scans every sweep journal under DataDir: finished cells are
-// rebuilt into the result cache as outcome-only entries (journals do
-// not persist round streams, so they answer later sweep cells, not run
+// Recover scans every sweep journal under DataDir: finished cells'
+// outcomes are filed in the outcome index (journals do not persist
+// round streams, so they answer later sweep cells, not run
 // submissions), and every journal without a terminal record is
 // resubmitted as a fresh sweep job whose done-set makes it re-execute
 // only the missing run keys. A corrupt journal (mid-file
@@ -290,19 +321,16 @@ func (m *Manager) Recover() error {
 		if torn {
 			m.metrics.journalTorn.Inc()
 		}
-		st, err := parseJournal(p, recs)
+		st, err := parseJournal(p, recs, m.outcomes.Add)
 		if err != nil {
 			return fmt.Errorf("service: recover: %w", err)
 		}
 		if st.header == nil {
 			continue // empty file (e.g. torn before the header landed)
 		}
-		for key, out := range st.cells {
-			m.cache.Add(key, cacheEntry{Outcome: out})
-		}
 		m.logger.Info("sweep journal recovered",
 			slog.String("path", p),
-			slog.Int("cells", len(st.cells)),
+			slog.Int("cells", len(st.keys)),
 			slog.Bool("torn", torn),
 			slog.Bool("finished", st.done != nil))
 		if st.done == nil {

@@ -37,8 +37,11 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker (default 128);
 	// submissions beyond it fail fast with ErrQueueFull.
 	QueueDepth int
-	// CacheSize is the LRU capacity in entries (default 512; 0 uses
-	// the default, negative disables caching).
+	// CacheSize bounds the run replays that answer repeated POST
+	// /v1/runs (default 512; 0 uses the default, negative disables
+	// caching, outcome index included). Sweep cells are answered by the
+	// outcome index, which holds max(CacheSize, MaxConcurrentSweeps ×
+	// MaxSweepCells) packed outcomes; Stats.CacheSize is its size.
 	CacheSize int
 	// MaxN caps RunSpec.N (default DefaultMaxN).
 	MaxN int
@@ -82,7 +85,7 @@ type Config struct {
 	// submission, then one cell record per finished cell (a
 	// coordinator journals each merged cell the same way). After a
 	// crash, Recover replays the intact journals, rebuilds finished
-	// outcomes into the result cache, and resubmits interrupted grids
+	// outcomes into the outcome index, and resubmits interrupted grids
 	// so only their missing run keys re-execute. Empty disables
 	// journaling (the pre-durability in-memory behavior).
 	DataDir string
@@ -162,7 +165,6 @@ type Job struct {
 
 	*replay
 	lifecycle
-	outcome *expt.Outcome
 }
 
 // JobStatus is the JSON-facing snapshot of a Job.
@@ -196,10 +198,14 @@ func (j *Job) Status() JobStatus {
 }
 
 // Manager owns the worker pool, the job table, the sweep-job table,
-// the in-flight dedup index, the result cache, and the sweep gate.
+// the in-flight dedup index, the two caches, and the sweep gate.
 type Manager struct {
-	cfg       Config
-	cache     *resultCache
+	cfg Config
+	// replays holds succeeded runs' replays; outcomes the packed
+	// outcome (expt.AppendOutcome) of every succeeded run, executed
+	// cell and replayed journal cell. Failures may be transient.
+	replays   *lru[*replay]
+	outcomes  *lru[[]byte]
 	queue     chan *Job
 	wg        sync.WaitGroup
 	sweepWG   sync.WaitGroup
@@ -230,9 +236,16 @@ type Manager struct {
 // NewManager starts cfg.Workers workers; callers must Close it.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.WithDefaults()
+	// Room for every cell of every sweep the gate admits at once, so a
+	// resubmitted grid finds each of its cells again.
+	indexSize := max(cfg.CacheSize, cfg.MaxConcurrentSweeps*cfg.MaxSweepCells)
+	if cfg.CacheSize < 0 {
+		indexSize = 0
+	}
 	m := &Manager{
 		cfg:          cfg,
-		cache:        newResultCache(cfg.CacheSize),
+		replays:      newLRU[*replay](cfg.CacheSize),
+		outcomes:     newLRU[[]byte](indexSize),
 		queue:        make(chan *Job, cfg.QueueDepth),
 		runs:         newJobTable[*Job, JobStatus](cfg.RetainJobs),
 		sweeps:       newJobTable[*SweepJob, SweepStatus](cfg.RetainSweeps),
@@ -249,6 +262,16 @@ func NewManager(cfg Config) *Manager {
 		go m.worker()
 	}
 	return m
+}
+
+// outcome answers key from the outcome index.
+func (m *Manager) outcome(key string) (expt.Outcome, bool) {
+	rec, ok := m.outcomes.Get(key)
+	if !ok {
+		return expt.Outcome{}, false
+	}
+	_, out, err := expt.ReadOutcome(rec)
+	return out, err == nil
 }
 
 // Registry exposes the manager's metrics registry — the one
@@ -295,9 +318,8 @@ func (m *Manager) Submit(spec RunSpec) (job *Job, cached bool, err error) {
 		return nil, false, fmt.Errorf("service: invalid spec: %w", err)
 	}
 	key := spec.Key()
-	if entry, ok := m.cache.Get(key, true); ok {
-		j := m.newJob(spec, entry.replay)
-		j.outcome = &entry.Outcome
+	if rp, ok := m.replays.Get(key); ok {
+		j := m.newJob(spec, rp)
 		j.finishLocked(StateDone, nil) // not shared yet: no lock needed
 		m.runs.add(j.ID, j)
 		m.runs.retire(j.ID)
@@ -390,10 +412,13 @@ type Stats struct {
 
 // Stats reports live counters.
 func (m *Manager) Stats() Stats {
-	size, hits, misses := m.cache.Stats()
+	size, hits, misses := m.cacheStats()
 	runs, sweeps := m.runs.all(), m.sweeps.all()
 	var streamBytes int64
-	held := m.cache.replays()
+	held := make(map[*replay]struct{})
+	for _, rp := range m.replays.values() {
+		held[rp] = struct{}{}
+	}
 	for _, j := range runs {
 		held[j.replay] = struct{}{}
 	}
@@ -422,6 +447,14 @@ func (m *Manager) Stats() Stats {
 		st.FleetWorkers, st.FleetHealthy = m.cfg.Fleet.Counts()
 	}
 	return st
+}
+
+// cacheStats reports the outcome index's size and the hits and misses
+// of both caches.
+func (m *Manager) cacheStats() (size int, hits, misses int64) {
+	_, rh, rm := m.replays.Stats()
+	size, hits, misses = m.outcomes.Stats()
+	return size, hits + rh, misses + rm
 }
 
 // Fleet returns the coordinator when the manager runs in coordinator
@@ -500,12 +533,13 @@ func (m *Manager) execute(j *Job, r *expt.Runner) {
 
 	state, jobErr := j.outcomeOf(err, "run", m.cfg.RunTimeLimit)
 	if state == StateDone {
-		// The outcome and the cache entry land before the terminal
-		// state does: whoever observes done finds both.
+		// The outcome and the cache entries land before the terminal
+		// state does: whoever observes done finds them.
 		j.mu.Lock()
 		j.outcome = &out
 		j.mu.Unlock()
-		m.cache.Add(key, cacheEntry{Outcome: out, replay: j.replay})
+		m.outcomes.Add(key, expt.AppendOutcome(nil, 0, &out))
+		m.replays.Add(key, j.replay)
 	}
 	j.mu.Lock()
 	j.finishLocked(state, jobErr)

@@ -232,14 +232,14 @@ func (m *Manager) registerManagerGauges(reg *obs.Registry) {
 		"Simulations actually executed by this server (cache hits and dedup joins excluded).",
 		func() float64 { return float64(m.runsExecuted.Load()) })
 	reg.CounterFunc("adnet_cache_hits_total",
-		"Result-cache hits.",
-		func() float64 { _, hits, _ := m.cache.Stats(); return float64(hits) })
+		"Cache hits: run submissions answered by a cached replay, sweep cells by the outcome index.",
+		func() float64 { _, hits, _ := m.cacheStats(); return float64(hits) })
 	reg.CounterFunc("adnet_cache_misses_total",
-		"Result-cache misses.",
-		func() float64 { _, _, misses := m.cache.Stats(); return float64(misses) })
+		"Cache misses, of both caches.",
+		func() float64 { _, _, misses := m.cacheStats(); return float64(misses) })
 	reg.GaugeFunc("adnet_cache_entries",
-		"Result-cache entries resident.",
-		func() float64 { size, _, _ := m.cache.Stats(); return float64(size) })
+		"Outcomes resident in the outcome index (run replays are bounded by -cache apart from it).",
+		func() float64 { size, _, _ := m.cacheStats(); return float64(size) })
 }
 
 // observeRun is the sim.WithRunObserver hook shared by run jobs and

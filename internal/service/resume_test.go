@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +29,7 @@ func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	if err != nil {
 		t.Fatalf("read journal %s: %v", path, err)
 	}
-	st, err := parseJournal(path, recs)
+	st, err := parseJournal(path, recs, func(string, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +39,7 @@ func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	if st.done != nil {
 		t.Fatalf("interrupted sweep's journal carries a terminal record: %+v", st.done)
 	}
-	return len(st.cells)
+	return len(st.keys)
 }
 
 // journaledRunKeys reads the journal at path off disk and counts the
@@ -47,16 +50,12 @@ func journaledRunKeys(t *testing.T, path string) map[string]int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs = slices.DeleteFunc(recs, func(r journal.Record) bool {
+		return r.Kind != recHeader && r.Kind != recCell && r.Kind != recCellJSON
+	})
 	keys := make(map[string]int)
-	for _, r := range recs {
-		if r.Kind != recCell {
-			continue
-		}
-		var c cellRecord
-		if err := json.Unmarshal(r.Data, &c); err != nil {
-			t.Fatal(err)
-		}
-		keys[c.RunKey]++
+	if _, err := parseJournal(path, recs, func(key string, _ []byte) { keys[key]++ }); err != nil {
+		t.Fatal(err)
 	}
 	return keys
 }
@@ -193,7 +192,7 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stj, err := parseJournal(path, recs)
+	stj, err := parseJournal(path, recs, func(string, []byte) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +391,7 @@ func TestRecoverRefusesCorruptJournal(t *testing.T) {
 	spec := sweepSpec()
 	path := filepath.Join(sweepDir, runkey.Hash(spec.Key())+".wal")
 	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
-	payload, _ := json.Marshal(cellRecord{RunKey: "k"})
+	payload := expt.AppendOutcome(binary.AppendUvarint(nil, 0), 0, &expt.Outcome{N: 24})
 	writeJournal(t, path, journal.Record{Kind: recHeader, Data: header},
 		journal.Record{Kind: recCell, Data: payload}, journal.Record{Kind: recCell, Data: payload})
 
@@ -416,5 +415,245 @@ func TestRecoverRefusesCorruptJournal(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "corrupt at offset") || !strings.Contains(err.Error(), path) {
 		t.Fatalf("error %q does not name the corruption offset and file", err)
+	}
+}
+
+// TestOldJournalsResume: journals written before the packed cell
+// record still resume. The golden JSON cell record decodes to its run
+// key and outcome, and a hand-written journal — a header, JSON cell
+// records and a legacy shard record with an error cell — resumes on a
+// single server: its three ok cells replay, the other five execute and
+// are journaled as packed records, and the aggregate is byte-identical
+// to an uninterrupted run's.
+func TestOldJournalsResume(t *testing.T) {
+	t.Parallel()
+	var golden SweepCell
+	if err := json.Unmarshal([]byte(okLine), &golden); err != nil {
+		t.Fatal(err)
+	}
+	filed := make(map[string]expt.Outcome)
+	file := func(key string, rec []byte) {
+		_, out, err := expt.ReadOutcome(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filed[key] = out
+	}
+	if _, err := parseJournal("golden.wal", []journal.Record{{Kind: recCellJSON, Data: []byte(cellRecordJSON)}}, file); err != nil {
+		t.Fatal(err)
+	}
+	if out, ok := filed["flood|line|n=32|seed=1|maxr=0"]; len(filed) != 1 || !ok || out != *golden.Outcome {
+		t.Fatalf("golden cell record filed %+v, want the ok cell line's outcome under its run key", filed)
+	}
+
+	spec := SweepSpec{
+		Algorithms: []string{"flood", "graph-to-star"},
+		Workloads:  []string{"line"},
+		Sizes:      []int{32, 64},
+		Seeds:      []int64{1, 2},
+	}
+	const (
+		header = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0","spec":{"algorithms":["flood","graph-to-star"],"workloads":["line"],"sizes":[32,64],"seeds":[1,2]},"cells":8}`
+		cell2  = `{"run_key":"flood|line|n=64|seed=1|maxr=0","cell":{"index":2,"algorithm":"flood","workload":"line","n":64,"seed":1,"from_cache":false,"outcome":{"N":64,"Rounds":65,"LastActivity":0,"TotalActivations":0,"MaxActivatedEdges":0,"MaxActivatedDegree":0,"TotalMessages":6206,"FinalDiameter":63,"FinalDepth":63,"LeaderOK":true}}}`
+		cell7  = `{"run_key":"graph-to-star|line|n=64|seed=2|maxr=0","cell":{"index":7,"algorithm":"graph-to-star","workload":"line","n":64,"seed":2,"from_cache":false,"outcome":{"N":64,"Rounds":81,"LastActivity":81,"TotalActivations":315,"MaxActivatedEdges":123,"MaxActivatedDegree":62,"TotalMessages":2520,"FinalDiameter":2,"FinalDepth":1,"LeaderOK":true}}}`
+		shard2 = `{"key":"sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=2|off=4|cells=2","index":2,"offset":4,"cells":[` +
+			`{"index":4,"algorithm":"graph-to-star","workload":"line","n":32,"seed":1,"from_cache":false,"outcome":{"N":32,"Rounds":73,"LastActivity":73,"TotalActivations":124,"MaxActivatedEdges":59,"MaxActivatedDegree":30,"TotalMessages":1116,"FinalDiameter":2,"FinalDepth":1,"LeaderOK":true}},` +
+			`{"index":5,"algorithm":"graph-to-star","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}]}`
+	)
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	writeJournal(t, path, journal.Record{Kind: recHeader, Data: []byte(header)},
+		journal.Record{Kind: recCellJSON, Data: []byte(cell2)}, journal.Record{Kind: recShard, Data: []byte(shard2)},
+		journal.Record{Kind: recCellJSON, Data: []byte(cell7)})
+
+	m := NewManager(Config{Workers: 1, SweepWorkers: 1, DataDir: dir})
+	defer m.Close()
+	if err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(m.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
+	resumed, _ := m.GetSweep(m.Sweeps()[0].ID)
+	waitFor(t, func() bool { return resumed.State().terminal() }, "the resumed sweep never finished")
+	if st := resumed.Status(); st.State != StateDone || !st.Resumed || st.Summary.Replayed != 3 || st.Summary.Executed != 5 ||
+		st.Summary.Errors != 0 || m.RunsExecuted() != 5 {
+		t.Fatalf("resumed status = %+v, summary %+v, %d runs; want 3 replayed and 5 executed", st, st.Summary, m.RunsExecuted())
+	}
+	groups, err := resumed.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := expt.AggregateSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(groups)
+	if want, _ := json.Marshal(ref); !bytes.Equal(got, want) {
+		t.Fatalf("resumed aggregate is\n%s\nwant the uninterrupted\n%s", got, want)
+	}
+	// The JSON records still name cells 2 and 7, the shard record names
+	// no cell; the resume journaled every other cell once.
+	keys := journaledRunKeys(t, path)
+	for i, c := range spec.Cells() {
+		if want := map[bool]int{true: 0, false: 1}[i == 4]; keys[c.Key()] != want {
+			t.Errorf("cell records name run key %s %d times, want %d", c.Key(), keys[c.Key()], want)
+		}
+	}
+}
+
+// TestRecoverRefusesBadCellIndices: a journal cell whose grid index
+// the header's grid does not have — or that comes before any header —
+// fails Recover with the file and the record's offset, like any other
+// undecodable record.
+func TestRecoverRefusesBadCellIndices(t *testing.T) {
+	t.Parallel()
+	spec := sweepSpec()
+	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
+	out := expt.Outcome{N: 16, Rounds: 17, LeaderOK: true}
+	packed := func(i uint64) []byte { return expt.AppendOutcome(binary.AppendUvarint(nil, i), 0, &out) }
+	second := int64(8 + 1 + len(header)) // the header record's framing, kind byte and payload
+	for _, tc := range []struct {
+		name   string
+		recs   []journal.Record
+		offset int64
+	}{
+		{"legacy shard before the grid's start", []journal.Record{{Kind: recHeader, Data: header},
+			{Kind: recShard, Data: []byte(`{"offset":-1,"cells":[` + okLine + `]}`)}}, second},
+		{"packed cell before any header", []journal.Record{{Kind: recCell, Data: packed(0)},
+			{Kind: recHeader, Data: header}}, 0},
+		{"packed cell past the grid's end", []journal.Record{{Kind: recHeader, Data: header},
+			{Kind: recCell, Data: packed(uint64(spec.NumCells()))}}, second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+			writeJournal(t, path, tc.recs...)
+			m := NewManager(Config{Workers: 1, DataDir: dir})
+			defer m.Close()
+			err := m.Recover()
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprintf("at offset %d:", tc.offset)) {
+				t.Fatalf("Recover = %v, want a refusal naming %s and offset %d", err, path, tc.offset)
+			}
+		})
+	}
+}
+
+// TestEvictedOutcomesStillJournalOnce: a resumed sweep's journaled
+// outcomes live in the outcome index, which may have evicted them by
+// the time their cells are looked up. Such a cell executes again but is
+// not journaled again: each run key stays named once, and the sweep
+// folds to the uninterrupted aggregate.
+func TestEvictedOutcomesStillJournalOnce(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	spec := sweepSpec()
+	total := spec.NumCells()
+	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+
+	// A finished sweep's journal without its terminal record: every cell
+	// journaled, the grid not done.
+	m1 := NewManager(Config{Workers: 1, SweepWorkers: 2, DataDir: dir})
+	j1, err := m1.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return j1.State().terminal() }, "first sweep never finished")
+	m1.Close()
+	recs, _, err := journal.ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, path, slices.DeleteFunc(recs, func(r journal.Record) bool { return r.Kind == recDone })...)
+
+	// An index of one outcome and no cap on the grid: filing the
+	// journal's outcomes keeps only the last, which the first executed
+	// cell evicts in turn.
+	m2 := NewManager(Config{Workers: 1, SweepWorkers: 1, CacheSize: 1, MaxSweepCells: -1, DataDir: dir})
+	defer m2.Close()
+	if err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
+	resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
+	waitFor(t, func() bool { return resumed.State().terminal() }, "the resumed sweep never finished")
+	st := resumed.Status()
+	if st.State != StateDone || !st.Resumed || st.Summary.Errors != 0 || st.Summary.Replayed > 1 ||
+		st.Summary.Executed+st.Summary.Replayed != total || m2.RunsExecuted() != int64(st.Summary.Executed) {
+		t.Fatalf("resumed status = %+v, summary %+v; want at most the last journaled cell replayed and the rest executed", st, st.Summary)
+	}
+	groups, err := resumed.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := expt.AggregateSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(groups)
+	if want, _ := json.Marshal(ref); !bytes.Equal(got, want) {
+		t.Fatalf("resumed aggregate is\n%s\nwant the uninterrupted\n%s", got, want)
+	}
+	keys := journaledRunKeys(t, path)
+	for _, c := range spec.Cells() {
+		if n := keys[c.Key()]; n != 1 {
+			t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
+		}
+	}
+	if len(keys) != total {
+		t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
+	}
+}
+
+// TestJournalBytesPerCell pins what a journaled sweep-single grid
+// appends per cell — a packed cell record, its grid index and outcome
+// — against the JSON cell record that replaced it, which named the run
+// key and repeated the whole /cells line.
+func TestJournalBytesPerCell(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	spec := sweepSingleGrid()
+	m := NewManager(Config{Workers: 1, SweepWorkers: 2, DataDir: dir})
+	j, err := m.SubmitSweep(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !j.State().terminal() { // 1,024 cells: slow under -race
+		time.Sleep(time.Millisecond)
+	}
+	m.Close()
+	recs, _, err := journal.ReadAll(filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := spec.Normalized()
+	var cells, packed, asJSON int
+	for _, r := range recs {
+		if r.Kind != recCell {
+			continue
+		}
+		i, w := binary.Uvarint(r.Data)
+		_, out, err := expt.ReadOutcome(r.Data[w:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := grid.CellAt(int(i))
+		old, _ := json.Marshal(cellRecord{RunKey: c.Key(), Cell: expt.CellResult{Index: int(i), Cell: c, Outcome: out}.Wire()})
+		cells, packed, asJSON = cells+1, packed+len(r.Data), asJSON+len(old)
+	}
+	t.Logf("%d cells: %d B packed (%.1f B a cell), %d B as JSON cell records (%.1f B a cell)",
+		cells, packed, float64(packed)/float64(cells), asJSON, float64(asJSON)/float64(cells))
+	const wantPacked = 22528
+	if cells != spec.NumCells() || packed != wantPacked || 5*packed > asJSON {
+		t.Errorf("journaled %d cells in %d B, want %d cells in %d B, at most a fifth of the %d B JSON records take",
+			cells, packed, spec.NumCells(), wantPacked, asJSON)
 	}
 }

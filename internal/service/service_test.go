@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
-	"adnet/internal/expt"
 	"adnet/internal/temporal"
 )
 
@@ -90,40 +90,36 @@ func TestSpecKeyDistinguishesFields(t *testing.T) {
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	t.Parallel()
-	c := newResultCache(2)
-	entry := func(n int) cacheEntry {
-		return cacheEntry{Outcome: expt.Outcome{Rounds: n}}
-	}
-	c.Add("a", entry(1))
-	c.Add("b", entry(2))
-	if _, ok := c.Get("a", false); !ok { // promotes a
+	c := newLRU[int](2)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	if _, ok := c.Get("a"); !ok { // promotes a
 		t.Fatal("a missing")
 	}
-	c.Add("c", entry(3)) // evicts b, the least recently used
-	if _, ok := c.Get("b", false); ok {
+	c.Add("c", 3) // evicts b, the least recently used
+	if _, ok := c.Get("b"); ok {
 		t.Error("b should have been evicted")
 	}
-	if got, ok := c.Get("a", false); !ok || got.Outcome.Rounds != 1 {
+	if got, ok := c.Get("a"); !ok || got != 1 {
 		t.Error("a should have survived eviction")
 	}
-	if got, ok := c.Get("c", false); !ok || got.Outcome.Rounds != 3 {
+	if got, ok := c.Get("c"); !ok || got != 3 {
 		t.Error("c should be cached")
 	}
 	if size, hits, misses := c.Stats(); size != 2 || hits != 3 || misses != 1 {
 		t.Errorf("stats = (%d,%d,%d), want (2,3,1)", size, hits, misses)
 	}
-
-	// An outcome-only entry answers whoever needs no replay and is a
-	// miss for whoever does; a run's entry upgrades it, and a later
-	// outcome-only Add never downgrades it back.
-	if _, ok := c.Get("a", true); ok {
-		t.Error("outcome-only entry served as a replay")
+	// Add replaces a resident value and promotes it.
+	c.Add("c", 4)
+	c.Add("a", 5)
+	if got := c.values(); !slices.Equal(got, []int{5, 4}) {
+		t.Errorf("values = %v, want [5 4], most recent first", got)
 	}
-	rp := &replay{}
-	c.Add("a", cacheEntry{Outcome: expt.Outcome{Rounds: 1}, replay: rp})
-	c.Add("a", entry(1))
-	if got, ok := c.Get("a", true); !ok || got.replay != rp {
-		t.Error("an outcome-only Add stripped the replay from a run's entry")
+	// A capacity of zero or less holds nothing.
+	off := newLRU[int](-1)
+	off.Add("a", 1)
+	if _, ok := off.Get("a"); ok {
+		t.Error("a disabled cache stored a value")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -29,9 +31,8 @@ var (
 // lifecycle as a run Job: queued → running → done/failed/canceled.
 // Finished cells are retained as the packed records of the job's cell
 // log (bounded by the sweep-cell limit) so any number of late
-// subscribers can replay them; individual cell results additionally
-// land in the manager's LRU result cache under their canonical run
-// keys.
+// subscribers can replay them; executed cells' outcomes additionally
+// land in the manager's outcome index under their canonical run keys.
 type SweepJob struct {
 	ID   string
 	Spec SweepSpec
@@ -49,12 +50,13 @@ type SweepJob struct {
 	packed  func(time.Duration)
 
 	// Durability (nil/false without a DataDir): journal is the job's
-	// write-ahead log; doneCells is the replayed done-set of a resumed
-	// grid (read-only once execution starts); resumed marks a job whose
-	// journal carried prior work at submission.
-	journal   *sweepJournal
-	doneCells map[string]expt.Outcome
-	resumed   bool
+	// write-ahead log; doneKeys is the run keys it already holds, which
+	// recordCell does not journal again (read-only once execution
+	// starts); resumed marks a job whose journal carried prior work at
+	// submission.
+	journal  *sweepJournal
+	doneKeys map[string]struct{}
+	resumed  bool
 
 	lifecycle
 	summary *SweepSummary
@@ -209,7 +211,8 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			// a shutdown-canceled sweep must look like a crash so the
 			// next startup resumes it.
 			if st := j.Status(); st.Summary != nil && !m.isClosed() {
-				j.journal.append(recDone, doneRecord{State: st.State, Summary: *st.Summary})
+				done, _ := json.Marshal(doneRecord{State: st.State, Summary: *st.Summary})
+				j.journal.append(recDone, done)
 			}
 			j.journal.sync()
 			j.journal.close()
@@ -265,9 +268,9 @@ func (j *SweepJob) recordCell(cell SweepCell) error {
 		cell = SweepCell{Error: err.Error()}
 	}
 	if j.journal != nil {
-		key := want.Key()
-		if _, done := j.doneCells[key]; cell.Error == "" && !done {
-			j.journal.append(recCell, cellRecord{RunKey: key, Cell: cell})
+		if _, done := j.doneKeys[want.Key()]; cell.Error == "" && !done {
+			j.scratch = expt.AppendOutcome(binary.AppendUvarint(j.scratch[:0], uint64(i)), 0, cell.Outcome)
+			j.journal.append(recCell, j.scratch)
 		}
 		if (i+1)%len(g.Seeds) == 0 { // seeds vary fastest
 			j.journal.sync()
@@ -292,12 +295,11 @@ func (j *SweepJob) appendCell(i int, cell SweepCell) {
 }
 
 // runGrid executes the job's grid on an engine fleet of
-// cfg.SweepWorkers runners. Lookup answers a cell from the job's
-// journal done-set first (replayed cells re-execute nothing), then from
-// the result cache (keys are canonical, so a cell repeats a POST
-// /v1/runs run or an earlier sweep's cell), then by waiting for an
+// cfg.SweepWorkers runners. Lookup answers a cell from the outcome
+// index (keys are canonical, so a cell repeats a journaled cell, a POST
+// /v1/runs run or an earlier sweep's cell), else by waiting for an
 // identical run job in flight. Emit, on this goroutine in canonical
-// order, caches fresh results as outcome-only entries (a cell has no
+// order, files executed cells' outcomes in the index (a cell has no
 // streams, so a later run of its key executes) and hands the cell to
 // recordCell, whose first error fails the sweep. ctx aborts between
 // rounds.
@@ -318,22 +320,16 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 		CellTimeLimit: m.cfg.RunTimeLimit,
 		Lookup: func(c expt.Cell) (expt.Outcome, bool) {
 			key := c.Key()
-			if out, ok := j.doneCells[key]; ok {
-				m.metrics.journalReplayedCells.Inc()
+			if out, ok := m.outcome(key); ok {
 				return out, true
-			}
-			if e, ok := m.cache.Get(key, false); ok {
-				return e.Outcome, true
 			}
 			// Coalesce with an identical spec already in flight as a
 			// /v1/runs job (same dedup Submit does via inWork): wait
 			// for it instead of simulating the same deterministic run
-			// twice. Its completion populates the cache.
+			// twice. Its completion files its outcome.
 			if run := m.liveJob(key); run != nil {
 				run.log.WaitFrames(ctx, math.MaxInt)
-				if e, ok := m.cache.Get(key, false); ok {
-					return e.Outcome, true
-				}
+				return m.outcome(key)
 			}
 			return expt.Outcome{}, false
 		},
@@ -357,12 +353,13 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			}
 			key := cr.Cell.Key()
 			if cr.Ran {
-				m.cache.Add(key, cacheEntry{Outcome: cr.Outcome})
+				m.outcomes.Add(key, expt.AppendOutcome(nil, 0, &cr.Outcome))
 			}
 			if cr.FromCache {
 				sum.CacheHits++
-				if _, replayed := j.doneCells[key]; replayed {
+				if _, replayed := j.doneKeys[key]; replayed {
 					sum.Replayed++
+					m.metrics.journalReplayedCells.Inc()
 				}
 			}
 			recErr = cmp.Or(recErr, j.recordCell(cell))
@@ -383,19 +380,22 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 // healthy worker inside fleet.RunGrid; the job's stream still receives
 // every cell exactly once, in canonical order, from this goroutine,
 // through the same recordCell a single server uses. A resumed grid
-// answers its lookup from the done-set only, so a shard the journal
-// holds in full merges without dispatch and a fresh coordinator on a
-// dead one's data dir picks the grid up where the journal left it.
-// Cell results are not entered into the local result cache: they
-// already live in the worker-side caches, and a coordinator exists to
-// stay out of simulation work entirely. A worker cell that is not the
+// answers its lookup for done-set keys only, from the outcome index,
+// so a shard the journal holds in full merges without dispatch and a
+// fresh coordinator on a dead one's data dir picks the grid up where
+// the journal left it. Merged cells are not filed in the local index:
+// they already live in the worker-side caches, and a coordinator exists
+// to stay out of simulation work entirely. A worker cell that is not the
 // grid's cell at its position fails the sweep (recordCell).
 func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	var lookup func(expt.Cell) (expt.Outcome, bool)
-	if len(j.doneCells) > 0 {
+	if len(j.doneKeys) > 0 {
 		lookup = func(c expt.Cell) (expt.Outcome, bool) {
-			out, ok := j.doneCells[c.Key()]
-			return out, ok
+			key := c.Key()
+			if _, ok := j.doneKeys[key]; !ok {
+				return expt.Outcome{}, false
+			}
+			return m.outcome(key)
 		}
 	}
 	var recErr error
