@@ -70,7 +70,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", def.QueueDepth, "job queue depth")
-	cache := flag.Int("cache", def.CacheSize, "run replays cached for repeated runs (entries; sweep outcomes are indexed apart, max(cache, sweeps x sweep-cells); <0 disables both)")
+	cache := flag.Int("cache", def.CacheSize, "run replays cached for repeated runs (entries; sweep outcomes are indexed apart, max(cache, sweeps x sweep-cells); <0 disables both; a resumed sweep replays its journal either way)")
 	maxN := flag.Int("max-n", def.MaxN, "largest accepted network size")
 	timeLimit := flag.Duration("time-limit", def.RunTimeLimit, "wall-clock budget per run")
 	retain := flag.Int("retain", def.RetainJobs, "finished jobs kept queryable")

@@ -82,14 +82,8 @@ type AggregateGroup struct {
 // grid, regardless of sweep worker count.
 func Aggregate(results []CellResult) []AggregateGroup {
 	var groups []AggregateGroup
-	for start := 0; start < len(results); {
-		c := results[start].Cell
-		end := start
-		for end < len(results) && results[end].Cell.SameGroup(c) {
-			end++
-		}
-		groups = append(groups, aggregateGroup(results[start:end]))
-		start = end
+	for _, g := range Groups(results, resultCell) {
+		groups = append(groups, aggregateGroup(g))
 	}
 	return groups
 }

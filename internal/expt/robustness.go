@@ -145,15 +145,11 @@ func RobustnessMatrix(spec RobustnessSpec) ([]RobustnessRow, error) {
 // workload, n) — seeds vary fastest — into robustness rows.
 func foldRobustness(results []CellResult, dynKey string) []RobustnessRow {
 	var rows []RobustnessRow
-	for start := 0; start < len(results); {
-		c := results[start].Cell
-		end := start
-		for end < len(results) && results[end].Cell.SameGroup(c) {
-			end++
-		}
+	for _, g := range Groups(results, resultCell) {
+		c := g[0].Cell
 		row := RobustnessRow{Algorithm: c.Algorithm, Workload: c.Workload, N: c.N, Dynamics: dynKey}
 		var sumRounds, sumActs int
-		for _, cr := range results[start:end] {
+		for _, cr := range g {
 			row.Runs++
 			row.EnvEdits += cr.Outcome.EnvActivations + cr.Outcome.EnvDeactivations
 			row.Crashes += cr.Outcome.Crashes
@@ -171,7 +167,6 @@ func foldRobustness(results []CellResult, dynKey string) []RobustnessRow {
 			row.MeanActivations = float64(sumActs) / float64(row.Successes)
 		}
 		rows = append(rows, row)
-		start = end
 	}
 	return rows
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"slices"
 	"sync"
@@ -116,11 +117,25 @@ func (c Cell) Grid() SweepSpec {
 	}
 }
 
-// SameGroup reports whether o is in c's aggregation group: the same
-// (algorithm, workload, n), whatever the seed. A grid's canonical order
-// keeps each group contiguous, seeds varying fastest.
-func (c Cell) SameGroup(o Cell) bool {
-	return c.Algorithm == o.Algorithm && c.Workload == o.Workload && c.N == o.N
+// Groups splits xs, which are in a grid's canonical order, into its
+// aggregation groups: the contiguous runs of one (algorithm, workload,
+// n), seeds varying fastest. It yields each group with the index of its
+// first element; cell reads an element's cell.
+func Groups[T any](xs []T, cell func(T) Cell) iter.Seq2[int, []T] {
+	return func(yield func(int, []T) bool) {
+		for start := 0; start < len(xs); {
+			c, end := cell(xs[start]), start+1
+			for ; end < len(xs); end++ {
+				if o := cell(xs[end]); o.Algorithm != c.Algorithm || o.Workload != c.Workload || o.N != c.N {
+					break
+				}
+			}
+			if !yield(start, xs[start:end]) {
+				return
+			}
+			start = end
+		}
+	}
 }
 
 // Validate checks the cell against the registered algorithm and
@@ -268,6 +283,9 @@ type CellResult struct {
 	Duration time.Duration
 }
 
+// resultCell is the cell a result measured: what Groups reads.
+func resultCell(cr CellResult) Cell { return cr.Cell }
+
 // WireCell is the flat wire form of a CellResult: one NDJSON line of
 // a sweep's cell stream, the cell payload of a journal record, and
 // what a fleet coordinator reads back from its workers. The dynamics
@@ -362,10 +380,11 @@ type SweepOptions struct {
 	// aborted between rounds when it does, and records the budget as
 	// that cell's error.
 	CellTimeLimit time.Duration
-	// Lookup, when set, is consulted before running a cell; a hit
-	// skips the simulation and marks the cell FromCache. It is the
-	// only hook called from worker goroutines, concurrently.
-	Lookup func(Cell) (Outcome, bool)
+	// Lookup, when set, is consulted before running a cell, with its
+	// canonical index; a hit skips the simulation and marks the cell
+	// FromCache. It is the only hook called from worker goroutines,
+	// concurrently.
+	Lookup func(i int, c Cell) (Outcome, bool)
 	// Emit, when set, receives every CellResult in canonical cell
 	// order, from the calling goroutine, as soon as ordering allows.
 	// Whatever outlives the sweep (a cache, a journal) is written here.
@@ -448,7 +467,7 @@ func runCell(ctx context.Context, r *Runner, idx int, cell Cell, opts SweepOptio
 		return res
 	}
 	if opts.Lookup != nil {
-		if out, ok := opts.Lookup(cell); ok {
+		if out, ok := opts.Lookup(idx, cell); ok {
 			res.Outcome, res.FromCache = out, true
 			return res
 		}

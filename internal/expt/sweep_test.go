@@ -171,7 +171,7 @@ func TestExecuteSweepLookupAndStore(t *testing.T) {
 	cache := map[Cell]Outcome{}
 	opts := SweepOptions{
 		Workers: 2,
-		Lookup: func(c Cell) (Outcome, bool) {
+		Lookup: func(_ int, c Cell) (Outcome, bool) {
 			mu.Lock()
 			defer mu.Unlock()
 			out, ok := cache[c]

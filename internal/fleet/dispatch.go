@@ -87,6 +87,15 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 	return nil
 }
 
+// streamLine is one line of a worker's /cells stream: a cell, or the
+// trailing summary. The two share no JSON key; Done, which shadows the
+// summary's own, is set on the summary line only.
+type streamLine struct {
+	expt.WireCell
+	expt.WireSummary
+	Done *bool `json:"done"`
+}
+
 // readCells reads GET /v1/sweeps/{id}/cells to its end: the cells in
 // shard-local canonical order, and the trailing summary (nil when the
 // stream ended without one).
@@ -114,27 +123,19 @@ func (c *Coordinator) readCells(ctx context.Context, w *worker, id string) ([]ex
 		if len(line) == 0 {
 			continue
 		}
-		var probe struct {
-			Done *bool `json:"done"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
+		var l streamLine
+		if err := json.Unmarshal(line, &l); err != nil {
 			return nil, nil, fmt.Errorf("bad NDJSON line: %w", err)
 		}
-		if probe.Done != nil {
-			sum = &expt.WireSummary{}
-			if err := json.Unmarshal(line, sum); err != nil {
-				return nil, nil, fmt.Errorf("bad summary line: %w", err)
-			}
+		if l.Done != nil {
+			l.WireSummary.Done = *l.Done
+			sum = &l.WireSummary
 			continue
 		}
-		var cell expt.WireCell
-		if err := json.Unmarshal(line, &cell); err != nil {
-			return nil, nil, fmt.Errorf("bad cell line: %w", err)
+		if l.Index != len(cells) {
+			return nil, nil, fmt.Errorf("non-canonical cell stream: index %d at position %d", l.Index, len(cells))
 		}
-		if cell.Index != len(cells) {
-			return nil, nil, fmt.Errorf("non-canonical cell stream: index %d at position %d", cell.Index, len(cells))
-		}
-		cells = append(cells, cell)
+		cells = append(cells, l.WireCell)
 	}
 	return cells, sum, sc.Err()
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -437,6 +436,87 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 	}
 }
 
+// garblingFront fronts a real worker and passes its first cell stream
+// through garble before the coordinator reads it. Everything else, and
+// every later stream, goes to the real worker untouched.
+type garblingFront struct {
+	real   http.Handler
+	garble func(lines [][]byte) [][]byte
+
+	mu      sync.Mutex
+	garbled bool
+}
+
+func (g *garblingFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	g.mu.Lock()
+	first := !g.garbled && r.Method == http.MethodGet && strings.HasSuffix(r.URL.Path, "/cells")
+	g.garbled = g.garbled || first
+	g.mu.Unlock()
+	if !first {
+		g.real.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	g.real.ServeHTTP(rec, r)
+	lines := bytes.SplitAfter(rec.Body.Bytes(), []byte("\n"))
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Write(bytes.Join(g.garble(lines), nil))
+}
+
+// TestRunGridRedispatchesGarbledStream: a worker line that is not JSON,
+// or a cell line out of canonical order, fails that dispatch — the
+// coordinator merges none of the stream — and the shard is dispatched
+// again; the live worker keeps its health and the grid folds to the
+// single-process aggregate.
+func TestRunGridRedispatchesGarbledStream(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name   string
+		garble func(lines [][]byte) [][]byte
+	}{
+		{"malformed line", func(lines [][]byte) [][]byte {
+			lines[1] = []byte(`{"index":1,"algorithm":` + "\n")
+			return lines
+		}},
+		{"index out of order", func(lines [][]byte) [][]byte {
+			lines[0], lines[1] = lines[1], lines[0]
+			return lines
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
+			front := &garblingFront{real: service.NewHandler(mgr), garble: tc.garble}
+			srv := httptest.NewServer(front)
+			t.Cleanup(func() {
+				srv.Close()
+				mgr.Close()
+			})
+			reg := obs.NewRegistry()
+			c := fleet.New(fleet.Config{Metrics: reg})
+			register(t, c, srv.URL)
+
+			var merged []expt.WireCell
+			sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+				merged = append(merged, cell)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMergedCells(t, testSpec, merged)
+			if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
+				t.Fatalf("aggregate after a garbled stream diverged:\n%s\nvs\n%s", out, want)
+			}
+			if ws := c.Workers(context.Background()); !sum.Done || sum.Redispatches != 0 || len(ws) != 1 || !ws[0].Healthy {
+				t.Fatalf("summary = %+v, workers %+v; want done, 0 re-dispatches and a healthy worker", sum, ws)
+			}
+			if v, _ := scrapeRegistry(t, reg).Value("adnet_fleet_shards_dispatched_total", nil); v != float64(sum.Shards+1) {
+				t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the garbled one)", v, sum.Shards+1)
+			}
+		})
+	}
+}
+
 // busyFront fronts a real worker and rejects the first `rejects`
 // sweep submissions with the service's fail-fast 503, as a worker
 // saturated by its own client sweeps would.
@@ -698,9 +778,8 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	answered := fleet.PlanShards(testSpec)[0].NumCells()
-	grid := testSpec.Cells()
-	lookup := func(cell expt.Cell) (expt.Outcome, bool) {
-		if i := slices.Index(grid, cell); i >= 0 && i <= answered {
+	lookup := func(i int, _ expt.Cell) (expt.Outcome, bool) {
+		if i <= answered {
 			return *first[i].Outcome, true
 		}
 		return expt.Outcome{}, false

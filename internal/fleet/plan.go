@@ -37,26 +37,20 @@ func (s Shard) NumCells() int { return s.Spec.NumCells() }
 // every coordinator (and every retry) produces the same shards with
 // the same keys.
 func PlanShards(spec expt.SweepSpec) []Shard {
-	cells := spec.Cells()
 	sweepKey := spec.Key()
 	var shards []Shard
-	for start := 0; start < len(cells); {
-		c := cells[start]
-		end := start
-		seeds := make([]int64, 0, 8)
-		for end < len(cells) && cells[end].SameGroup(c) {
-			seeds = append(seeds, cells[end].Seed)
-			end++
+	for start, row := range expt.Groups(spec.Cells(), func(c expt.Cell) expt.Cell { return c }) {
+		sub := row[0].Grid() // the row's first cell, widened to every seed
+		sub.Seeds = make([]int64, len(row))
+		for i, c := range row {
+			sub.Seeds[i] = c.Seed
 		}
-		sub := c.Grid() // the row's first cell, widened to every seed
-		sub.Seeds = seeds
 		shards = append(shards, Shard{
 			Index:  len(shards),
-			Key:    runkey.ShardKey(sweepKey, len(shards), start, end-start),
+			Key:    runkey.ShardKey(sweepKey, len(shards), start, len(row)),
 			Offset: start,
 			Spec:   sub,
 		})
-		start = end
 	}
 	return shards
 }

@@ -39,13 +39,14 @@ type Summary struct {
 // for the rest — the same wire contract a single-process sweep keeps
 // under cancellation — and returns the failure.
 //
-// lookup, when set, is asked for every cell of a shard before
-// dispatch. A shard it answers in full merges from those outcomes,
-// marked FromCache and counted in Summary.Replayed, and is never
-// dispatched (a grid answered in full needs no workers at all); a
-// shard it answers only in part is dispatched whole.
+// lookup, when set, is asked for every cell of a shard, with the
+// cell's canonical index, before dispatch. A shard it answers in full
+// merges from those outcomes, marked FromCache and counted in
+// Summary.Replayed, and is never dispatched (a grid answered in full
+// needs no workers at all); a shard it answers only in part is
+// dispatched whole.
 func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
-	lookup func(expt.Cell) (expt.Outcome, bool), emit func(expt.WireCell)) (Summary, error) {
+	lookup func(int, expt.Cell) (expt.Outcome, bool), emit func(expt.WireCell)) (Summary, error) {
 	if err := spec.Validate(); err != nil {
 		return Summary{}, err
 	}
@@ -60,7 +61,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
 	answered := 0
 	if lookup != nil {
 		for i, sh := range shards {
-			progress[i].cells = answer(lookup, cells[sh.Offset:sh.Offset+sh.NumCells()])
+			progress[i].cells = answer(lookup, sh.Offset, cells[sh.Offset:sh.Offset+sh.NumCells()])
 			if progress[i].cells != nil {
 				answered++
 				sum.Replayed += sh.NumCells()
@@ -88,14 +89,18 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
 	return sum, runErr
 }
 
-// answer returns a shard's cells, with shard-local indexes and marked
-// FromCache, when lookup answers every one of them, and nil otherwise.
-func answer(lookup func(expt.Cell) (expt.Outcome, bool), cells []expt.Cell) []expt.WireCell {
-	wire := make([]expt.WireCell, len(cells))
+// answer returns the cells of the shard at offset, with shard-local
+// indexes and marked FromCache, when lookup answers every one of them,
+// and nil otherwise.
+func answer(lookup func(int, expt.Cell) (expt.Outcome, bool), offset int, cells []expt.Cell) []expt.WireCell {
+	var wire []expt.WireCell
 	for i, cell := range cells {
-		out, ok := lookup(cell)
+		out, ok := lookup(offset+i, cell)
 		if !ok {
 			return nil
+		}
+		if wire == nil {
+			wire = make([]expt.WireCell, len(cells))
 		}
 		wire[i] = expt.CellResult{Index: i, Cell: cell, Outcome: out, FromCache: true}.Wire()
 	}

@@ -62,10 +62,10 @@ func unpackCell(rec []byte) (fromCache bool, out expt.Outcome, errText string, e
 }
 
 // checkCell reports whether cell is the grid's cell at index i and
-// carries exactly one of an outcome and an error: what an executor
-// must hand recordCell for position i. A coordinator's cells come from
-// worker streams, so this is where a worker that answered for another
-// cell is caught.
+// carries exactly one of an outcome and an error: what a worker must
+// have streamed for position i. A coordinator's cells come from worker
+// streams, so this is where a worker that answered for another cell is
+// caught (mergeCell).
 func checkCell(i int, grid expt.Cell, cell SweepCell) error {
 	if cell.Index != i || cell.Algorithm != grid.Algorithm || cell.Workload != grid.Workload ||
 		cell.N != grid.N || cell.Seed != grid.Seed || cell.MaxRounds != grid.MaxRounds {

@@ -102,7 +102,7 @@ func TestCellRecordRendersMatchJSONFrame(t *testing.T) {
 				out := outcomeOf(v, rng.IntN(2) == 0)
 				cell.Outcome = &out
 			}
-			if err := j.recordCell(cell); err != nil {
+			if err := j.mergeCell(cell); err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}
 			line := jsonFrame(cell)
@@ -128,7 +128,7 @@ func TestCellRecordRendersMatchJSONFrame(t *testing.T) {
 	}
 }
 
-// TestRecordCellRejectsForeignCells pins recordCell's check: a cell
+// TestRecordCellRejectsForeignCells pins mergeCell's check: a cell
 // that is not the grid's cell at its position, or that carries neither
 // or both of an outcome and an error, is an internal error. It is
 // recorded as an error cell that says so — never rendered with the
@@ -149,7 +149,7 @@ func TestRecordCellRejectsForeignCells(t *testing.T) {
 		func() SweepCell { c := good[5]; c.Outcome, c.Error = &out, "boom"; return c }(),
 	}
 	for i, c := range foreign {
-		err := j.recordCell(c)
+		err := j.mergeCell(c)
 		if err == nil || !strings.Contains(err.Error(), "internal error") {
 			t.Fatalf("foreign cell %d: recordCell = %v, want an internal error", i, err)
 		}
@@ -162,7 +162,7 @@ func TestRecordCellRejectsForeignCells(t *testing.T) {
 			t.Fatalf("foreign cell %d recorded as %+v, want an internal-error cell at %d", i, line, i)
 		}
 	}
-	if err := j.recordCell(good[0]); err == nil || j.cells.Len() != len(good) {
+	if err := j.mergeCell(good[0]); err == nil || j.cells.Len() != len(good) {
 		t.Fatalf("a cell past the grid's end: recordCell = %v with %d records, want an error and none added", err, j.cells.Len())
 	}
 }

@@ -28,14 +28,14 @@ func bareReplay() *replay {
 }
 
 // bareSweep is a sweep job over spec with its cell log and nothing
-// else — no journal, no instruments — for tests that drive recordCell
+// else — no journal, no instruments — for tests that drive mergeCell
 // outside a Manager.
 func bareSweep(spec SweepSpec) *SweepJob {
-	return &SweepJob{Spec: spec, grid: spec.Normalized(), cells: newFrameLog(0)}
+	return &SweepJob{Spec: spec, grid: spec.Normalized(), cells: newFrameLog(0), packed: func(time.Duration) {}}
 }
 
 // gridCells is one outcome cell for every cell of spec, in canonical
-// order, as an executor hands them to recordCell.
+// order, as a worker streams them to mergeCell.
 func gridCells(spec SweepSpec) []SweepCell {
 	var cells []SweepCell
 	for i, c := range spec.Cells() {
@@ -107,7 +107,7 @@ func TestFrameLogByteIdentity(t *testing.T) {
 		{Index: 2, Algorithm: "clique", Workload: "line", N: 64, Seed: 1, Error: `limit <exceeded> & "quoted"`},
 	}
 	for _, c := range cells {
-		if err := cs.recordCell(c); err != nil {
+		if err := cs.mergeCell(c); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Encode(c); err != nil {
@@ -185,7 +185,7 @@ func TestEncodeOncePerItem(t *testing.T) {
 	var liveEncodes int64
 	live.packed = func(time.Duration) { liveEncodes++ }
 	for _, c := range gridCells(live.Spec) {
-		if err := live.recordCell(c); err != nil {
+		if err := live.mergeCell(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +418,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				publish := func(i int) {
 					c := SweepCell{Index: i, Algorithm: "graph-to-star", Workload: "line", N: 1 << 20, Seed: int64(i), Outcome: &out}
 					total += int64(len(jsonFrame(c)))
-					if err := cs.recordCell(c); err != nil {
+					if err := cs.mergeCell(c); err != nil {
 						t.Error(err)
 					}
 				}

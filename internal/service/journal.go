@@ -68,9 +68,9 @@ type cellRecord struct {
 }
 
 // legacyShardRecord is what coordinators journaled per completed shard
-// before they wrote cell records. Replay folds its successful cells
-// into the done-set under the header grid's keys (a wire cell carries
-// no dynamics block), so only a shard with an error cell re-dispatches.
+// before they wrote cell records. Replay takes its successful cells at
+// their grid positions (a wire cell carries no dynamics block), so
+// only a shard with an error cell re-dispatches.
 type legacyShardRecord struct {
 	Offset int         `json:"offset"`
 	Cells  []SweepCell `json:"cells"`
@@ -123,29 +123,32 @@ func (sj *sweepJournal) close() {
 }
 
 // journalState is one journal's parsed content: the intact prefix
-// folded down to the latest header, the run keys of its finished
-// cells, and the terminal record if the sweep finished.
+// folded down to the latest header, the outcome record of each cell
+// of its grid (nil for a cell it holds none for; journaled counts the
+// others), and the terminal record if the sweep finished.
 type journalState struct {
-	header *sweepHeader
-	keys   map[string]struct{}
-	done   *doneRecord
+	header    *sweepHeader
+	cells     [][]byte
+	journaled int
+	done      *doneRecord
 }
 
 // parseJournal folds recs, the records of the journal at path, handing
-// file each finished cell's run key and outcome record. A cell whose
-// grid index the latest header's grid does not have is refused like an
-// undecodable record.
+// file each finished cell's run key and outcome record. A cell the
+// latest header's grid has no index for is refused like an undecodable
+// record; a JSON cell record not in that grid is only filed.
 func parseJournal(path string, recs []journal.Record, file func(key string, rec []byte)) (journalState, error) {
-	st := journalState{keys: make(map[string]struct{})}
+	var st journalState
 	var grid SweepSpec // the header's, normalized, which keys cell and shard records
-	cells := 0
 	addAt := func(at int, rec []byte) error {
-		if at < 0 || at >= cells {
-			return fmt.Errorf("cell %d is outside the header's %d-cell grid", at, cells)
+		if at < 0 || at >= len(st.cells) {
+			return fmt.Errorf("cell %d is outside the header's %d-cell grid", at, len(st.cells))
 		}
-		key := grid.CellAt(at).Key()
-		st.keys[key] = struct{}{}
-		file(key, rec)
+		if st.cells[at] == nil {
+			st.journaled++
+		}
+		st.cells[at] = rec
+		file(grid.CellAt(at).Key(), rec)
 		return nil
 	}
 	for _, r := range recs {
@@ -154,8 +157,8 @@ func parseJournal(path string, recs []journal.Record, file func(key string, rec 
 		case recHeader:
 			var h sweepHeader
 			if err = json.Unmarshal(r.Data, &h); err == nil {
-				st.header = &h
-				grid, cells = h.Spec.Normalized(), h.Spec.NumCells()
+				st.header, grid = &h, h.Spec.Normalized()
+				st.cells, st.journaled = make([][]byte, h.Spec.NumCells()), 0
 			}
 		case recCell:
 			at, w := binary.Uvarint(r.Data)
@@ -167,8 +170,12 @@ func parseJournal(path string, recs []journal.Record, file func(key string, rec 
 		case recCellJSON:
 			var c cellRecord
 			if err = json.Unmarshal(r.Data, &c); err == nil && c.Cell.Outcome != nil && c.Cell.Error == "" {
-				st.keys[c.RunKey] = struct{}{}
-				file(c.RunKey, expt.AppendOutcome(nil, 0, c.Cell.Outcome))
+				rec, at := expt.AppendOutcome(nil, 0, c.Cell.Outcome), c.Cell.Index
+				if at >= 0 && at < len(st.cells) && grid.CellAt(at).Key() == c.RunKey {
+					err = addAt(at, rec)
+				} else {
+					file(c.RunKey, rec)
+				}
 			}
 		case recShard:
 			var s legacyShardRecord
@@ -205,12 +212,12 @@ func (m *Manager) journalDir() string {
 }
 
 // openSweepJournal attaches j to its on-disk journal: replay whatever
-// a previous life of the same grid left behind — run keys into the
-// job's done-set, outcomes into the outcome index — then write the
-// header if the file is fresh. All failure paths degrade to an
-// unjournaled sweep (logged) — submission must not fail because the
-// disk does. Strictness about corrupt files lives in
-// Recover, where it can stop a startup.
+// a previous life of the same grid left behind — cell records into the
+// job's done-set and the outcome index — then write the header if the
+// file is fresh. All failure paths degrade to an unjournaled sweep
+// (logged) — submission must not fail because the disk does.
+// Strictness about corrupt files lives in Recover, where it can stop a
+// startup.
 func (m *Manager) openSweepJournal(j *SweepJob) {
 	key := j.Spec.Key()
 	dir := m.journalDir()
@@ -269,15 +276,14 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 			j.mu.Lock()
 			j.journal = sj
 			if st.header != nil {
-				j.resumed = true
-				j.doneKeys = st.keys
+				j.resumed, j.done = true, st.cells
 			}
 			j.mu.Unlock()
 			if st.header != nil && st.done == nil {
 				m.metrics.journalResumedSweeps.Inc()
 				m.logger.Info("sweep resuming from journal",
 					slog.String("sweep_id", j.ID),
-					slog.Int("journaled_cells", len(st.keys)))
+					slog.Int("journaled_cells", st.journaled))
 			}
 			return
 		}
@@ -292,13 +298,13 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 // outcomes are filed in the outcome index (journals do not persist
 // round streams, so they answer later sweep cells, not run
 // submissions), and every journal without a terminal record is
-// resubmitted as a fresh sweep job whose done-set makes it re-execute
-// only the missing run keys. A corrupt journal (mid-file
-// checksum failure, unparseable record) fails recovery — and with it
-// startup — naming the file and offset: silently skipping interior
-// records would serve a state that never existed. Call Recover once,
-// after the manager (and in coordinator mode the worker registry) is
-// up but before serving traffic; it is a no-op without a DataDir.
+// resubmitted as a fresh sweep job, whose done-set it reads again. A
+// corrupt journal (mid-file checksum failure, unparseable record)
+// fails recovery — and with it startup — naming the file and offset:
+// silently skipping interior records would serve a state that never
+// existed. Call Recover once, after the manager (and in coordinator
+// mode the worker registry) is up but before serving traffic; it is a
+// no-op without a DataDir.
 func (m *Manager) Recover() error {
 	if m.cfg.DataDir == "" {
 		return nil
@@ -330,7 +336,7 @@ func (m *Manager) Recover() error {
 		}
 		m.logger.Info("sweep journal recovered",
 			slog.String("path", p),
-			slog.Int("cells", len(st.keys)),
+			slog.Int("cells", st.journaled),
 			slog.Bool("torn", torn),
 			slog.Bool("finished", st.done != nil))
 		if st.done == nil {

@@ -37,11 +37,11 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker (default 128);
 	// submissions beyond it fail fast with ErrQueueFull.
 	QueueDepth int
-	// CacheSize bounds the run replays that answer repeated POST
-	// /v1/runs (default 512; 0 uses the default, negative disables
-	// caching, outcome index included). Sweep cells are answered by the
-	// outcome index, which holds max(CacheSize, MaxConcurrentSweeps ×
-	// MaxSweepCells) packed outcomes; Stats.CacheSize is its size.
+	// CacheSize bounds the run replays that answer repeated POST /v1/runs
+	// (default 512; 0 uses the default, negative disables caching, outcome
+	// index included). Sweep cells are answered by the outcome index, which
+	// holds max(CacheSize, MaxConcurrentSweeps × MaxSweepCells) packed
+	// outcomes; Stats.CacheSize is its size. A resumed sweep needs neither.
 	CacheSize int
 	// MaxN caps RunSpec.N (default DefaultMaxN).
 	MaxN int
@@ -264,9 +264,9 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// outcome answers key from the outcome index.
-func (m *Manager) outcome(key string) (expt.Outcome, bool) {
-	rec, ok := m.outcomes.Get(key)
+// readOutcome decodes rec, an outcome record, when ok: what the
+// outcome index and a sweep's done-set answer with.
+func readOutcome(rec []byte, ok bool) (expt.Outcome, bool) {
 	if !ok {
 		return expt.Outcome{}, false
 	}

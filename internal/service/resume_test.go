@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -20,8 +21,8 @@ import (
 	"adnet/internal/runkey"
 )
 
-// journaledCells parses a spec's journal off disk and returns its
-// done-set size — the cells a resumed sweep must NOT re-execute.
+// journaledCells parses a spec's journal off disk and returns the
+// cells it holds — the cells a resumed sweep must NOT re-execute.
 func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	t.Helper()
 	path := filepath.Join(dataDir, "sweeps", runkey.Hash(spec.Key())+".wal")
@@ -39,11 +40,12 @@ func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	if st.done != nil {
 		t.Fatalf("interrupted sweep's journal carries a terminal record: %+v", st.done)
 	}
-	return len(st.keys)
+	return st.journaled
 }
 
 // journaledRunKeys reads the journal at path off disk and counts the
-// cell records naming each run key.
+// cell records naming each run key. A cell record's outcome carries no
+// holder flags: a cell journaled as a cache hit does not say so.
 func journaledRunKeys(t *testing.T, path string) map[string]int {
 	t.Helper()
 	recs, _, err := journal.ReadAll(path)
@@ -54,7 +56,12 @@ func journaledRunKeys(t *testing.T, path string) map[string]int {
 		return r.Kind != recHeader && r.Kind != recCell && r.Kind != recCellJSON
 	})
 	keys := make(map[string]int)
-	if _, err := parseJournal(path, recs, func(key string, _ []byte) { keys[key]++ }); err != nil {
+	if _, err := parseJournal(path, recs, func(key string, rec []byte) {
+		keys[key]++
+		if flags, _, _ := expt.ReadOutcome(rec); flags != 0 {
+			t.Errorf("journal record of %s carries holder flags %#x", key, flags)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return keys
@@ -212,7 +219,7 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 
 // TestResumedSweepJournalsEachRunKeyOnce pins where a sweep's cells
 // become durable: the one recording step journals a successful cell
-// unless its run key is in the journal's done-set. A single server is
+// unless the journal's done-set holds its grid position. A single server is
 // interrupted mid-grid, and a single server or a coordinator takes the
 // journal over. The grid is one (algorithm, workload, n) group, so a
 // coordinator finds its one shard only partly in the done-set and
@@ -544,72 +551,101 @@ func TestRecoverRefusesBadCellIndices(t *testing.T) {
 	}
 }
 
-// TestEvictedOutcomesStillJournalOnce: a resumed sweep's journaled
-// outcomes live in the outcome index, which may have evicted them by
-// the time their cells are looked up. Such a cell executes again but is
-// not journaled again: each run key stays named once, and the sweep
-// folds to the uninterrupted aggregate.
-func TestEvictedOutcomesStillJournalOnce(t *testing.T) {
+// TestResumeReplaysEveryJournaledCell: a resumed sweep answers its
+// journaled cells from the records its journal holds, by grid position,
+// whatever the outcome index holds — an index of one outcome, which the
+// journal's outcomes overflow, no index at all (CacheSize < 0), and no
+// index on a coordinator. Nothing executes and no shard is dispatched,
+// every cell counts as replayed, each run key stays journaled once, and
+// the sweep folds to the uninterrupted aggregate.
+func TestResumeReplaysEveryJournaledCell(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	spec := sweepSpec()
-	total := spec.NumCells()
-	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	for _, tc := range []struct {
+		name        string
+		cacheSize   int
+		coordinator bool
+	}{{"one-entry index", 1, false}, {"no index", -1, false}, {"no index on a coordinator", -1, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			spec := sweepSpec()
+			total := spec.NumCells()
+			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
 
-	// A finished sweep's journal without its terminal record: every cell
-	// journaled, the grid not done.
-	m1 := NewManager(Config{Workers: 1, SweepWorkers: 2, DataDir: dir})
-	j1, err := m1.SubmitSweep(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return j1.State().terminal() }, "first sweep never finished")
-	m1.Close()
-	recs, _, err := journal.ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	writeJournal(t, path, slices.DeleteFunc(recs, func(r journal.Record) bool { return r.Kind == recDone })...)
+			// A finished sweep's journal without its terminal record:
+			// every cell journaled, the grid not done. The same cells in
+			// another order ran first, so each is journaled as a cache hit.
+			m1 := NewManager(Config{Workers: 1, SweepWorkers: 2, DataDir: dir})
+			reordered := spec
+			reordered.Seeds = slices.Clone(spec.Seeds)
+			slices.Reverse(reordered.Seeds)
+			for _, s := range []SweepSpec{reordered, spec} {
+				j1, err := m1.SubmitSweep(context.Background(), s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, func() bool { return j1.State().terminal() }, "first sweeps never finished")
+			}
+			m1.Close()
+			recs, _, err := journal.ReadAll(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			writeJournal(t, path, slices.DeleteFunc(recs, func(r journal.Record) bool { return r.Kind == recDone })...)
 
-	// An index of one outcome and no cap on the grid: filing the
-	// journal's outcomes keeps only the last, which the first executed
-	// cell evicts in turn.
-	m2 := NewManager(Config{Workers: 1, SweepWorkers: 1, CacheSize: 1, MaxSweepCells: -1, DataDir: dir})
-	defer m2.Close()
-	if err := m2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
-	resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
-	waitFor(t, func() bool { return resumed.State().terminal() }, "the resumed sweep never finished")
-	st := resumed.Status()
-	if st.State != StateDone || !st.Resumed || st.Summary.Errors != 0 || st.Summary.Replayed > 1 ||
-		st.Summary.Executed+st.Summary.Replayed != total || m2.RunsExecuted() != int64(st.Summary.Executed) {
-		t.Fatalf("resumed status = %+v, summary %+v; want at most the last journaled cell replayed and the rest executed", st, st.Summary)
-	}
-	groups, err := resumed.Aggregate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := expt.AggregateSweep(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(groups)
-	if want, _ := json.Marshal(ref); !bytes.Equal(got, want) {
-		t.Fatalf("resumed aggregate is\n%s\nwant the uninterrupted\n%s", got, want)
-	}
-	keys := journaledRunKeys(t, path)
-	for _, c := range spec.Cells() {
-		if n := keys[c.Key()]; n != 1 {
-			t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
-		}
-	}
-	if len(keys) != total {
-		t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
+			// No cap on the grid, so the index is CacheSize entries.
+			cfg := Config{Workers: 1, SweepWorkers: 1, CacheSize: tc.cacheSize, MaxSweepCells: -1, DataDir: dir}
+			var worker *Manager
+			if tc.coordinator {
+				var srv *httptest.Server
+				srv, worker = newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+				cfg.Fleet = fleet.New(fleet.Config{})
+				if _, err := cfg.Fleet.Register(t.Context(), srv.URL); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m2 := NewManager(cfg)
+			defer m2.Close()
+			if err := m2.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return len(m2.Sweeps()) == 1 }, "Recover never resubmitted the sweep")
+			resumed, _ := m2.GetSweep(m2.Sweeps()[0].ID)
+			waitFor(t, func() bool { return resumed.State().terminal() }, "the resumed sweep never finished")
+			st := resumed.Status()
+			if st.State != StateDone || !st.Resumed || st.Summary.Errors != 0 || st.Summary.Executed != 0 ||
+				st.Summary.Replayed != total || st.Summary.CacheHits != total || m2.RunsExecuted() != 0 {
+				t.Fatalf("resumed status = %+v, summary %+v, %d runs; want all %d cells replayed and none executed",
+					st, st.Summary, m2.RunsExecuted(), total)
+			}
+			if worker != nil && (len(worker.Sweeps()) != 0 || worker.RunsExecuted() != 0) {
+				t.Fatalf("the coordinator dispatched %d shards, want none", len(worker.Sweeps()))
+			}
+			groups, err := resumed.Aggregate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := expt.AggregateSweep(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := json.Marshal(groups)
+			if want, _ := json.Marshal(ref); !bytes.Equal(got, want) {
+				t.Fatalf("resumed aggregate is\n%s\nwant the uninterrupted\n%s", got, want)
+			}
+			keys := journaledRunKeys(t, path)
+			for _, c := range spec.Cells() {
+				if n := keys[c.Key()]; n != 1 {
+					t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
+				}
+			}
+			if len(keys) != total {
+				t.Errorf("journal names %d run keys, grid has %d", len(keys), total)
+			}
+		})
 	}
 }
 

@@ -49,14 +49,13 @@ type SweepJob struct {
 	scratch []byte
 	packed  func(time.Duration)
 
-	// Durability (nil/false without a DataDir): journal is the job's
-	// write-ahead log; doneKeys is the run keys it already holds, which
-	// recordCell does not journal again (read-only once execution
-	// starts); resumed marks a job whose journal carried prior work at
-	// submission.
-	journal  *sweepJournal
-	doneKeys map[string]struct{}
-	resumed  bool
+	// Durability: journal is the job's write-ahead log (nil without a
+	// DataDir); done[i] is the outcome record it held for cell i at
+	// submission, nil if none — its done-set, read-only while the grid
+	// runs; resumed marks a job whose journal carried prior work.
+	journal *sweepJournal
+	done    [][]byte
+	resumed bool
 
 	lifecycle
 	summary *SweepSummary
@@ -76,7 +75,7 @@ type SweepStatus struct {
 	// packed record a cell.
 	StreamBytes int64 `json:"stream_bytes"`
 	// Resumed marks a job whose journal carried work from a previous
-	// process life: only the missing run keys execute.
+	// process life: only the cells it misses execute.
 	Resumed bool          `json:"resumed,omitempty"`
 	Summary *SweepSummary `json:"summary,omitempty"`
 	jobTimes
@@ -167,6 +166,7 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 		Spec:      spec,
 		grid:      spec.Normalized(),
 		cells:     newFrameLog(spec.NumCells()),
+		done:      make([][]byte, spec.NumCells()),
 		packed:    m.metrics.cellsObs,
 		lifecycle: queued(obs.ContextWithRequestID(context.Background(), obs.RequestIDFromContext(ctx))),
 	}
@@ -217,7 +217,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 			j.journal.sync()
 			j.journal.close()
 		}
-		j.scratch = nil
+		j.scratch, j.done = nil, nil
 		j.cells.close()
 		m.sweeps.retire(j.ID)
 	}()
@@ -247,62 +247,64 @@ func (m *Manager) executeSweep(j *SweepJob) {
 	j.finish(state, sum, jobErr)
 }
 
-// recordCell is the one cell-recording step of both executors, called
-// in canonical order from the goroutine that runs the grid. It checks
-// that cell is the grid's cell at the next position (checkCell): a
-// cell that is not is recorded as an error cell saying so, and the
-// error returned fails the sweep. It journals a successful cell whose
-// run key is not in the done-set, so a crash re-executes only the
-// missing run keys, syncs the journal after the last cell of each
-// (algorithm, workload, n) group — the coordinator's shard — and
-// appends the cell's record. The key is the grid's own cell's, so
-// dynamics stay in it.
-func (j *SweepJob) recordCell(cell SweepCell) error {
+// replay answers cell i from the job's done-set: the first lookup of
+// both executors.
+func (j *SweepJob) replay(i int, _ expt.Cell) (expt.Outcome, bool) {
+	return readOutcome(j.done[i], j.done[i] != nil)
+}
+
+// recordCell is both executors' one recording step, called in canonical
+// order from the goroutine that runs the grid with rec, cell i's packed
+// record (cells.go). It journals an ok cell the done-set lacks as
+// uvarint(i) and rec with the holder's flags cleared, syncs the journal
+// after each (algorithm, workload, n) group — a coordinator's shard —
+// and appends rec to the log. A cell out of position is an error.
+func (j *SweepJob) recordCell(i int, rec []byte) error {
+	if n := j.cells.Len(); i != n {
+		return fmt.Errorf("service: internal error: cell %d recorded at position %d", i, n)
+	}
+	if j.journal != nil {
+		if rec[0]&cellError == 0 && j.done[i] == nil {
+			j.scratch = append(binary.AppendUvarint(j.scratch[:0], uint64(i)), rec...)
+			j.scratch[len(j.scratch)-len(rec)] &^= cellFromCache
+			j.journal.append(recCell, j.scratch)
+		}
+		if (i+1)%len(j.grid.Seeds) == 0 { // seeds vary fastest
+			j.journal.sync()
+		}
+	}
+	j.scratch = j.renderCell(j.scratch[:0], rec, i)
+	j.cells.add(rec, len(j.scratch))
+	return nil
+}
+
+// mergeCell records a worker-streamed cell at the log's next position.
+// Worker streams are outside input: a cell that is not the grid's cell
+// there (checkCell) becomes an error cell saying so and fails the sweep.
+func (j *SweepJob) mergeCell(cell SweepCell) error {
 	g, i := j.grid, j.cells.Len()
 	if i == len(g.Algorithms)*len(g.Workloads)*len(g.Sizes)*len(g.Seeds) {
 		return fmt.Errorf("service: internal error: cell %d is past the grid's end", cell.Index)
 	}
-	want := g.CellAt(i)
-	err := checkCell(i, want, cell)
+	err := checkCell(i, g.CellAt(i), cell)
 	if err != nil {
 		cell = SweepCell{Error: err.Error()}
 	}
-	if j.journal != nil {
-		if _, done := j.doneKeys[want.Key()]; cell.Error == "" && !done {
-			j.scratch = expt.AppendOutcome(binary.AppendUvarint(j.scratch[:0], uint64(i)), 0, cell.Outcome)
-			j.journal.append(recCell, j.scratch)
-		}
-		if (i+1)%len(g.Seeds) == 0 { // seeds vary fastest
-			j.journal.sync()
-		}
-	}
-	j.appendCell(i, cell)
-	return err
-}
-
-// appendCell packs cell as record i of the log — one exact-size
-// allocation — observes the packing time, and counts the /cells line
-// the record renders to as served.
-func (j *SweepJob) appendCell(i int, cell SweepCell) {
 	start := time.Now()
 	j.scratch = packCell(j.scratch[:0], cell)
 	rec := bytes.Clone(j.scratch)
-	if j.packed != nil {
-		j.packed(time.Since(start))
-	}
-	j.scratch = j.renderCell(j.scratch[:0], rec, i)
-	j.cells.add(rec, len(j.scratch))
+	j.packed(time.Since(start))
+	return cmp.Or(err, j.recordCell(i, rec))
 }
 
 // runGrid executes the job's grid on an engine fleet of
-// cfg.SweepWorkers runners. Lookup answers a cell from the outcome
-// index (keys are canonical, so a cell repeats a journaled cell, a POST
-// /v1/runs run or an earlier sweep's cell), else by waiting for an
-// identical run job in flight. Emit, on this goroutine in canonical
-// order, files executed cells' outcomes in the index (a cell has no
-// streams, so a later run of its key executes) and hands the cell to
-// recordCell, whose first error fails the sweep. ctx aborts between
-// rounds.
+// cfg.SweepWorkers runners. Lookup answers a cell from the job's
+// done-set, else from the outcome index (keys are canonical, so a cell
+// repeats a POST /v1/runs run or another sweep's cell), else by waiting
+// for an identical run job in flight. Emit, on this goroutine in
+// canonical order, packs each cell once — an executed cell's record is
+// its outcome's index entry too — and hands it to recordCell, whose
+// first error fails the sweep. ctx aborts between rounds.
 func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
 	spec := j.Spec
 	sum := SweepSummary{Cells: spec.NumCells()}
@@ -318,9 +320,12 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 		SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
 		Context:       ctx,
 		CellTimeLimit: m.cfg.RunTimeLimit,
-		Lookup: func(c expt.Cell) (expt.Outcome, bool) {
+		Lookup: func(i int, c expt.Cell) (expt.Outcome, bool) {
+			if out, ok := j.replay(i, c); ok {
+				return out, true
+			}
 			key := c.Key()
-			if out, ok := m.outcome(key); ok {
+			if out, ok := readOutcome(m.outcomes.Get(key)); ok {
 				return out, true
 			}
 			// Coalesce with an identical spec already in flight as a
@@ -329,7 +334,7 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 			// twice. Its completion files its outcome.
 			if run := m.liveJob(key); run != nil {
 				run.log.WaitFrames(ctx, math.MaxInt)
-				return m.outcome(key)
+				return readOutcome(m.outcomes.Get(key))
 			}
 			return expt.Outcome{}, false
 		},
@@ -340,29 +345,33 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 				busy += cr.Duration
 			}
 			m.metrics.observeCell(cr.Ran, cr.FromCache, cr.Err != nil, cr.Duration.Seconds())
-			cell := cr.Wire()
+			start := time.Now()
 			if cr.Err != nil {
-				// Error cells stay out of the cache and the journal, so
+				// Error cells stay out of the index and the journal, so
 				// a resumed sweep retries them.
 				sum.Errors++
-				recErr = cmp.Or(recErr, j.recordCell(cell))
-				return
-			}
-			if cr.Cell.Dynamics != nil {
-				m.metrics.observeDynamics(cr.Outcome)
-			}
-			key := cr.Cell.Key()
-			if cr.Ran {
-				m.outcomes.Add(key, expt.AppendOutcome(nil, 0, &cr.Outcome))
-			}
-			if cr.FromCache {
-				sum.CacheHits++
-				if _, replayed := j.doneKeys[key]; replayed {
-					sum.Replayed++
-					m.metrics.journalReplayedCells.Inc()
+				j.scratch = packCell(j.scratch[:0], SweepCell{Error: cr.Err.Error()})
+			} else {
+				var flags byte
+				if cr.FromCache {
+					flags = cellFromCache
+					sum.CacheHits++
+					if j.done[cr.Index] != nil {
+						sum.Replayed++
+						m.metrics.journalReplayedCells.Inc()
+					}
 				}
+				if cr.Cell.Dynamics != nil {
+					m.metrics.observeDynamics(cr.Outcome)
+				}
+				j.scratch = expt.AppendOutcome(j.scratch[:0], flags, &cr.Outcome)
 			}
-			recErr = cmp.Or(recErr, j.recordCell(cell))
+			rec := bytes.Clone(j.scratch) // exact size: the log's, and the index's
+			j.packed(time.Since(start))
+			if cr.Ran && cr.Err == nil {
+				m.outcomes.Add(cr.Cell.Key(), rec)
+			}
+			recErr = cmp.Or(recErr, j.recordCell(cr.Index, rec))
 		},
 	})
 	if wall := time.Since(start); wall > 0 && workers > 0 {
@@ -373,38 +382,23 @@ func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error
 	return sum, err
 }
 
-// runGridFleet is runGrid's coordinator-mode counterpart: the grid is
-// sharded across the fleet's registered workers (fleet.RunGrid) and
-// each worker's cell stream is tailed and merged back into canonical
-// grid order. Worker failure mid-shard re-dispatches the shard to a
-// healthy worker inside fleet.RunGrid; the job's stream still receives
-// every cell exactly once, in canonical order, from this goroutine,
-// through the same recordCell a single server uses. A resumed grid
-// answers its lookup for done-set keys only, from the outcome index,
-// so a shard the journal holds in full merges without dispatch and a
-// fresh coordinator on a dead one's data dir picks the grid up where
-// the journal left it. Merged cells are not filed in the local index:
-// they already live in the worker-side caches, and a coordinator exists
-// to stay out of simulation work entirely. A worker cell that is not the
-// grid's cell at its position fails the sweep (recordCell).
+// runGridFleet is runGrid's coordinator-mode counterpart: fleet.RunGrid
+// shards the grid across the registered workers, re-dispatches a shard
+// whose worker fails, and merges the workers' cell streams back into
+// canonical order, so each cell reaches mergeCell exactly once, from
+// this goroutine. The fleet's lookup is the job's done-set: a shard the
+// journal holds in full merges without dispatch, and a fresh coordinator
+// on a dead one's data dir picks the grid up where the journal left it.
+// Merged cells are not filed in the local index: they already live in
+// the worker-side caches, and a coordinator stays out of simulation.
 func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
-	var lookup func(expt.Cell) (expt.Outcome, bool)
-	if len(j.doneKeys) > 0 {
-		lookup = func(c expt.Cell) (expt.Outcome, bool) {
-			key := c.Key()
-			if _, ok := j.doneKeys[key]; !ok {
-				return expt.Outcome{}, false
-			}
-			return m.outcome(key)
-		}
-	}
 	var recErr error
-	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, lookup, func(c SweepCell) {
+	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, j.replay, func(c SweepCell) {
 		// The coordinator counts merged cells too (no durations — the
 		// workers own those), so cross-process cell totals can be
 		// checked against each other at scrape time.
 		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
-		recErr = cmp.Or(recErr, j.recordCell(c))
+		recErr = cmp.Or(recErr, j.mergeCell(c))
 	})
 	m.metrics.journalReplayedCells.Add(int64(fsum.Replayed))
 	if err = cmp.Or(err, recErr); err != nil {
