@@ -303,30 +303,10 @@ type WireCell struct {
 	Error     string   `json:"error,omitempty"`
 }
 
-// Wire renders the result in its wire form: an error cell carries the
-// error text and no outcome, any other cell its outcome.
-func (cr CellResult) Wire() WireCell {
-	w := WireCell{
-		Index:     cr.Index,
-		Algorithm: cr.Cell.Algorithm,
-		Workload:  cr.Cell.Workload,
-		N:         cr.Cell.N,
-		Seed:      cr.Cell.Seed,
-		MaxRounds: cr.Cell.MaxRounds,
-		FromCache: cr.FromCache,
-	}
-	if cr.Err != nil {
-		w.Error = cr.Err.Error()
-	} else {
-		out := cr.Outcome
-		w.Outcome = &out
-	}
-	return w
-}
-
-// WireCellResult reconstructs the CellResult a wire cell denotes, the
-// inverse of Wire. It takes the line's fields rather than a WireCell so
-// clients that decode lines into their own struct can call it.
+// WireCellResult reconstructs the CellResult a wire cell denotes: an
+// error cell carries the error text and no outcome, any other cell its
+// outcome. It takes the line's fields rather than a WireCell so clients
+// that decode lines into their own struct can call it.
 func WireCellResult(index int, cell Cell, fromCache bool, outcome *Outcome, errText string) CellResult {
 	cr := CellResult{Index: index, Cell: cell, FromCache: fromCache}
 	if errText != "" {
@@ -335,22 +315,6 @@ func WireCellResult(index int, cell Cell, fromCache bool, outcome *Outcome, errT
 		cr.Outcome = *outcome
 	}
 	return cr
-}
-
-// AggregateWire folds streamed wire cells, in canonical order, exactly
-// like Aggregate folds the results they were rendered from. It is the
-// one fold behind the service's aggregate endpoint, on a worker and on
-// a coordinator alike: a coordinator's merged stream carries the cells
-// its workers streamed, so its aggregate is byte-identical to theirs.
-func AggregateWire(cells []WireCell) []AggregateGroup {
-	results := make([]CellResult, len(cells))
-	for i, c := range cells {
-		results[i] = WireCellResult(c.Index, Cell{
-			Algorithm: c.Algorithm, Workload: c.Workload,
-			N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds,
-		}, c.FromCache, c.Outcome, c.Error)
-	}
-	return Aggregate(results)
 }
 
 // WireSummary trails a sweep's cell stream with sweep-level totals.

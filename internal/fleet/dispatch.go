@@ -40,22 +40,22 @@ type shardProgress struct {
 	// executed (simulations the worker actually ran) and cells are
 	// recorded by the dispatch that completed the shard — or, for a
 	// shard the lookup answered, filled in before dispatch starts. cells
-	// are in shard-local order, with shard-local indexes: the merge
-	// rewrites them to global ones.
+	// are in canonical order, with global indexes.
 	executed int
-	cells    []expt.WireCell
+	cells    []expt.CellResult
 }
 
-// runShard executes one shard on one worker: submit the sub-grid
-// sweep and read its cell stream once, to the end. Only a stream that
-// carries every cell and a summary confirming the sweep completed
+// runShard executes one shard, whose grid cells are cells, on one
+// worker: submit the sub-grid sweep and read its cell stream once, to
+// the end. Only a stream that carries every cell and a summary
+// confirming the sweep completed
 // (done=true, so a worker-side timeout or third-party cancellation
 // never masquerades as a result) completes the shard; a broken or
 // short stream is a failed dispatch like any other, and the shard is
 // re-dispatched whole. A dispatch that fails for any reason cancels
 // its worker-side sweep best-effort so an abandoned shard does not
 // keep burning worker time.
-func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *shardProgress) (err error) {
+func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, cells []expt.Cell, sp *shardProgress) (err error) {
 	id, err := c.postSweep(ctx, w, sh.Spec)
 	if err != nil {
 		return err
@@ -66,7 +66,7 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 		}
 	}()
 
-	cells, sum, err := c.readCells(ctx, w, id)
+	results, sum, err := c.readCells(ctx, w, id, sh.Offset, cells)
 	switch {
 	case err != nil:
 		return fmt.Errorf("fleet: shard %d stream on %s broke: %w", sh.Index, w.url, err)
@@ -78,12 +78,12 @@ func (c *Coordinator) runShard(ctx context.Context, w *worker, sh Shard, sp *sha
 		// result.
 		return fmt.Errorf("fleet: shard %d on %s ended incomplete (%d/%d errors)",
 			sh.Index, w.url, sum.Errors, sum.Cells)
-	case len(cells) != sh.NumCells():
+	case len(results) != len(cells):
 		return fmt.Errorf("fleet: shard %d: worker %s streamed %d of %d cells",
-			sh.Index, w.url, len(cells), sh.NumCells())
+			sh.Index, w.url, len(results), len(cells))
 	}
 	sp.executed = sum.Executed
-	sp.cells = cells
+	sp.cells = results
 	return nil
 }
 
@@ -96,10 +96,14 @@ type streamLine struct {
 	Done *bool `json:"done"`
 }
 
-// readCells reads GET /v1/sweeps/{id}/cells to its end: the cells in
-// shard-local canonical order, and the trailing summary (nil when the
-// stream ended without one).
-func (c *Coordinator) readCells(ctx context.Context, w *worker, id string) ([]expt.WireCell, *expt.WireSummary, error) {
+// readCells reads GET /v1/sweeps/{id}/cells to its end: the results of
+// the shard whose grid cells, from global index offset on, are grid,
+// and the trailing summary (nil when the stream ended without one).
+// Worker streams are outside input, so each cell line must be the
+// grid's cell at its position — index, algorithm, workload, n, seed
+// and max_rounds — and carry exactly one of an outcome and an error;
+// any other line fails the read, and with it the dispatch.
+func (c *Coordinator) readCells(ctx context.Context, w *worker, id string, offset int, grid []expt.Cell) ([]expt.CellResult, *expt.WireSummary, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/sweeps/"+id+"/cells", nil)
 	if err != nil {
 		return nil, nil, err
@@ -114,7 +118,7 @@ func (c *Coordinator) readCells(ctx context.Context, w *worker, id string) ([]ex
 		return nil, nil, fmt.Errorf("cells stream returned %d", resp.StatusCode)
 	}
 
-	var cells []expt.WireCell
+	results := make([]expt.CellResult, 0, len(grid))
 	var sum *expt.WireSummary
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -132,12 +136,19 @@ func (c *Coordinator) readCells(ctx context.Context, w *worker, id string) ([]ex
 			sum = &l.WireSummary
 			continue
 		}
-		if l.Index != len(cells) {
-			return nil, nil, fmt.Errorf("non-canonical cell stream: index %d at position %d", l.Index, len(cells))
+		k := len(results)
+		if k == len(grid) {
+			return nil, nil, fmt.Errorf("cell line past the shard's %d cells", len(grid))
 		}
-		cells = append(cells, l.WireCell)
+		if g := grid[k]; l.Index != k || l.Algorithm != g.Algorithm || l.Workload != g.Workload ||
+			l.N != g.N || l.Seed != g.Seed || l.MaxRounds != g.MaxRounds || (l.Error == "") == (l.Outcome == nil) {
+			return nil, nil, fmt.Errorf("cell line %d is (%d, %s, %s, n=%d, seed=%d, max_rounds=%d, outcome %t, error %q), the grid's is (%s, %s, n=%d, seed=%d, max_rounds=%d)",
+				k, l.Index, l.Algorithm, l.Workload, l.N, l.Seed, l.MaxRounds, l.Outcome != nil, l.Error,
+				g.Algorithm, g.Workload, g.N, g.Seed, g.MaxRounds)
+		}
+		results = append(results, expt.WireCellResult(offset+k, grid[k], l.FromCache, l.Outcome, l.Error))
 	}
-	return cells, sum, sc.Err()
+	return results, sum, sc.Err()
 }
 
 // postSweep submits the shard's sub-grid and returns the worker-side

@@ -5,8 +5,9 @@
 // partitions a sweep grid into deterministic, group-aligned shards
 // (plan.go), dispatches each shard to a worker over the ordinary
 // /v1/sweeps HTTP API and reads its NDJSON cell stream once
-// (dispatch.go), and re-emits the shards whole, in canonical grid
-// order, as one merged cell stream whose fold (expt.AggregateWire) is
+// (dispatch.go), checking each cell line against the grid, and
+// re-emits the shards whole, in canonical grid order, as one merged
+// sequence of expt.CellResults whose fold (expt.Aggregate) is
 // byte-identical to the aggregate of a single-process run of the same
 // grid (run.go).
 //

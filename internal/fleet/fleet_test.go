@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,9 @@ func singleProcessAggregate(t *testing.T, spec expt.SweepSpec) []byte {
 
 // foldOf renders the aggregate a coordinator serves for the cells it
 // merged.
-func foldOf(t *testing.T, merged []expt.WireCell) []byte {
+func foldOf(t *testing.T, merged []expt.CellResult) []byte {
 	t.Helper()
-	out, err := json.Marshal(expt.AggregateWire(merged))
+	out, err := json.Marshal(expt.Aggregate(merged))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func foldOf(t *testing.T, merged []expt.WireCell) []byte {
 
 // checkMergedCells asserts the merged stream kept the wire contract:
 // one cell per grid position, in canonical order, with global indices.
-func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []expt.WireCell) {
+func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []expt.CellResult) {
 	t.Helper()
 	cells := spec.Cells()
 	if len(got) != len(cells) {
@@ -100,11 +101,30 @@ func checkMergedCells(t *testing.T, spec expt.SweepSpec, got []expt.WireCell) {
 	}
 	for i, g := range got {
 		want := cells[i]
-		if g.Index != i || g.Algorithm != want.Algorithm || g.Workload != want.Workload ||
-			g.N != want.N || g.Seed != want.Seed {
+		if g.Index != i || g.Cell.Algorithm != want.Algorithm || g.Cell.Workload != want.Workload ||
+			g.Cell.N != want.N || g.Cell.Seed != want.Seed {
 			t.Fatalf("merged cell %d = %+v, want grid cell %+v", i, g, want)
 		}
 	}
+}
+
+// errorCells counts the merged cells that carry an error.
+func errorCells(merged []expt.CellResult) int {
+	n := 0
+	for _, cr := range merged {
+		if cr.Err != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// errText is a merged cell's error text, empty for an outcome cell.
+func errText(cr expt.CellResult) string {
+	if cr.Err == nil {
+		return ""
+	}
+	return cr.Err.Error()
 }
 
 // TestRegisterAndHealth covers the registry: URL validation, probe
@@ -188,8 +208,8 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 		register(t, c, srv.URL)
 	}
 
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -197,13 +217,13 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
-		if cell.Error != "" || cell.Outcome == nil {
-			t.Fatalf("cell %d: error=%q outcome=%v", i, cell.Error, cell.Outcome)
+		if cell.Err != nil || cell.Outcome.N != cell.Cell.N {
+			t.Fatalf("cell %d: error=%v outcome=%+v", i, cell.Err, cell.Outcome)
 		}
 	}
 	cells := testSpec.NumCells()
-	if !sum.Done || sum.Cells != cells || sum.Executed != cells || sum.Errors != 0 || sum.Shards != 4 || sum.Redispatches != 0 {
-		t.Fatalf("summary = %+v", sum)
+	if len(merged) != cells || sum.Executed != cells || errorCells(merged) != 0 || sum.Shards != 4 || sum.Redispatches != 0 {
+		t.Fatalf("summary = %+v over %d merged cells, %d errors", sum, len(merged), errorCells(merged))
 	}
 
 	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
@@ -288,8 +308,8 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	register(t, c, flaky.URL)
 	register(t, c, startWorker(t))
 
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -297,8 +317,8 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
-		if cell.Error != "" {
-			t.Fatalf("cell %d carries error %q", i, cell.Error)
+		if cell.Err != nil {
+			t.Fatalf("cell %d carries error %q", i, cell.Err)
 		}
 	}
 	if sum.Redispatches == 0 {
@@ -403,8 +423,8 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 	c := fleet.New(fleet.Config{Metrics: reg})
 	register(t, c, srv.URL)
 
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -417,7 +437,7 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 		t.Fatal("no cell stream was cut")
 	}
 	checkMergedCells(t, testSpec, merged)
-	if !sum.Done || sum.Redispatches != 0 {
+	if sum.Redispatches != 0 {
 		t.Fatalf("summary = %+v, want done with 0 re-dispatches", sum)
 	}
 	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
@@ -463,11 +483,24 @@ func (g *garblingFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Write(bytes.Join(g.garble(lines), nil))
 }
 
+// rewriteLine returns a garble that rewrites what pattern matches in
+// the stream's second cell line to repl.
+func rewriteLine(pattern, repl string) func(lines [][]byte) [][]byte {
+	re := regexp.MustCompile(pattern)
+	return func(lines [][]byte) [][]byte {
+		lines[1] = re.ReplaceAll(lines[1], []byte(repl))
+		return lines
+	}
+}
+
 // TestRunGridRedispatchesGarbledStream: a worker line that is not JSON,
-// or a cell line out of canonical order, fails that dispatch — the
-// coordinator merges none of the stream — and the shard is dispatched
-// again; the live worker keeps its health and the grid folds to the
-// single-process aggregate.
+// a cell line out of canonical order, a line at the right index for
+// another cell of the grid, one that carries both or neither of an
+// outcome and an error, or one past the shard's cells fails that
+// dispatch — the coordinator merges
+// none of the stream — and the shard is dispatched again; the live
+// worker keeps its health and the grid folds to the single-process
+// aggregate.
 func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -481,6 +514,17 @@ func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 		{"index out of order", func(lines [][]byte) [][]byte {
 			lines[0], lines[1] = lines[1], lines[0]
 			return lines
+		}},
+		{"another seed", rewriteLine(`"seed":\d+`, `"seed":99`)},
+		{"another workload", rewriteLine(`"workload":"line"`, `"workload":"ring"`)},
+		{"another max_rounds", rewriteLine(`"from_cache"`, `"max_rounds":5,"from_cache"`)},
+		{"outcome and error", rewriteLine(`"outcome":`, `"error":"boom","outcome":`)},
+		{"neither outcome nor error", rewriteLine(`,"outcome":\{.*\}\}`, `}`)},
+		{"cell past the shard's end", func(lines [][]byte) [][]byte {
+			// A shard is one row of testSpec's three seeds: lines 0–2
+			// are its cells, line 3 its summary.
+			extra := regexp.MustCompile(`"index":\d+`).ReplaceAll(lines[2], []byte(`"index":3`))
+			return append(lines[:3:3], append([][]byte{extra}, lines[3:]...)...)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -496,8 +540,8 @@ func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 			c := fleet.New(fleet.Config{Metrics: reg})
 			register(t, c, srv.URL)
 
-			var merged []expt.WireCell
-			sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+			var merged []expt.CellResult
+			sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 				merged = append(merged, cell)
 			})
 			if err != nil {
@@ -507,7 +551,7 @@ func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 			if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
 				t.Fatalf("aggregate after a garbled stream diverged:\n%s\nvs\n%s", out, want)
 			}
-			if ws := c.Workers(context.Background()); !sum.Done || sum.Redispatches != 0 || len(ws) != 1 || !ws[0].Healthy {
+			if ws := c.Workers(context.Background()); sum.Redispatches != 0 || len(ws) != 1 || !ws[0].Healthy {
 				t.Fatalf("summary = %+v, workers %+v; want done, 0 re-dispatches and a healthy worker", sum, ws)
 			}
 			if v, _ := scrapeRegistry(t, reg).Value("adnet_fleet_shards_dispatched_total", nil); v != float64(sum.Shards+1) {
@@ -623,8 +667,8 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 	c := fleet.New(fleet.Config{})
 	register(t, c, srv.URL)
 
-	var merged []expt.WireCell
-	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -632,7 +676,7 @@ func TestRunGridRejectsIncompleteWorkerSweep(t *testing.T) {
 	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
-		if cell.Error != "" || cell.Outcome == nil {
+		if cell.Err != nil || cell.Outcome.N != cell.Cell.N {
 			t.Fatalf("cell %d from the sabotaged sweep leaked into the merge: %+v", i, cell)
 		}
 	}
@@ -658,8 +702,8 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	c := fleet.New(fleet.Config{})
 	register(t, c, busy.URL)
 
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -668,9 +712,6 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 	checkMergedCells(t, testSpec, merged)
 	if sum.Redispatches != 0 {
 		t.Fatalf("busy worker counted as %d re-dispatches", sum.Redispatches)
-	}
-	if !sum.Done {
-		t.Fatal("summary of a completed grid is not done")
 	}
 	ws := c.Workers(context.Background())
 	if len(ws) != 1 || !ws[0].Healthy {
@@ -683,24 +724,21 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 func TestRunGridNoWorkersKeepsWireContract(t *testing.T) {
 	t.Parallel()
 	c := fleet.New(fleet.Config{})
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if !errors.Is(err, fleet.ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
-	if sum.Done {
-		t.Fatal("failed sweep's summary says done")
-	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
-		if !strings.Contains(cell.Error, "skipped") {
+		if !strings.Contains(errText(cell), "skipped") {
 			t.Fatalf("cell %d not skip-marked: %+v", i, cell)
 		}
 	}
-	if sum.Errors != testSpec.NumCells() {
-		t.Fatalf("summary errors = %d, want %d", sum.Errors, testSpec.NumCells())
+	if n := errorCells(merged); n != testSpec.NumCells() {
+		t.Fatalf("summary errors = %d, want %d", n, testSpec.NumCells())
 	}
 }
 
@@ -714,24 +752,21 @@ func TestRunGridCancelMidSweep(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(ctx, testSpec, nil, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	_, err := c.RunGrid(ctx, testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 		cancel()
 	})
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if sum.Done {
-		t.Fatal("canceled sweep's summary says done")
-	}
 	checkMergedCells(t, testSpec, merged)
-	if merged[0].Error != "" || merged[0].Outcome == nil {
+	if merged[0].Err != nil || merged[0].Outcome.N != merged[0].Cell.N {
 		t.Fatalf("first cell should have merged before the cancel: %+v", merged[0])
 	}
 	skipped := 0
 	for _, cell := range merged {
-		if strings.Contains(cell.Error, "skipped") {
+		if strings.Contains(errText(cell), "skipped") {
 			skipped++
 		}
 	}
@@ -771,8 +806,8 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 
 	// A first, uncanceled run yields the outcomes the lookup answers
 	// with: all of shard 0, and the first cell of shard 1.
-	var first []expt.WireCell
-	if _, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.WireCell) {
+	var first []expt.CellResult
+	if _, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		first = append(first, cell)
 	}); err != nil {
 		t.Fatal(err)
@@ -780,7 +815,7 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	answered := fleet.PlanShards(testSpec)[0].NumCells()
 	lookup := func(i int, _ expt.Cell) (expt.Outcome, bool) {
 		if i <= answered {
-			return *first[i].Outcome, true
+			return first[i].Outcome, true
 		}
 		return expt.Outcome{}, false
 	}
@@ -788,8 +823,8 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := front.n.Load()
-	var merged []expt.WireCell
-	sum, err := c.RunGrid(ctx, testSpec, lookup, func(cell expt.WireCell) {
+	var merged []expt.CellResult
+	sum, err := c.RunGrid(ctx, testSpec, lookup, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if !errors.Is(err, sim.ErrCanceled) {
@@ -798,25 +833,22 @@ func TestRunGridCancelBeforeStartProbesNoWorker(t *testing.T) {
 	if n := front.n.Load() - before; n != 0 {
 		t.Fatalf("canceled grid made %d requests to its worker, want 0", n)
 	}
-	if sum.Done {
-		t.Fatal("canceled sweep's summary says done")
-	}
 	checkMergedCells(t, testSpec, merged)
 	for i, cell := range merged {
 		if i < answered {
-			if cell.Error != "" || !cell.FromCache || cell.Outcome == nil || *cell.Outcome != *first[i].Outcome {
+			if cell.Err != nil || !cell.FromCache || cell.Outcome != first[i].Outcome {
 				t.Fatalf("answered cell %d not merged from the lookup: %+v", i, cell)
 			}
 			continue
 		}
-		if !strings.HasPrefix(cell.Error, "fleet: cell skipped: ") {
+		if !strings.HasPrefix(errText(cell), "fleet: cell skipped: ") {
 			t.Fatalf("cell %d not skip-marked: %+v", i, cell)
 		}
 	}
 	if sum.Replayed != answered {
 		t.Fatalf("summary replayed = %d, want %d", sum.Replayed, answered)
 	}
-	if want := testSpec.NumCells() - answered; sum.Errors != want {
-		t.Fatalf("summary errors = %d, want %d", sum.Errors, want)
+	if want := testSpec.NumCells() - answered; errorCells(merged) != want {
+		t.Fatalf("summary errors = %d, want %d", errorCells(merged), want)
 	}
 }

@@ -13,31 +13,30 @@ import (
 	"adnet/internal/sim"
 )
 
-// Summary totals a distributed sweep: the wire summary the sweep's
-// cell stream trails with, plus the fleet's own counters. CacheHits and
-// Errors are counted over the merged cell stream (synthesized
-// skip-cells included); Executed sums the completing workers' own
-// summaries, so it keeps the worker-side "a simulation actually ran"
-// semantics. Replayed counts cells merged from the caller's lookup
-// without dispatching. Done is set when the whole grid merged.
+// Summary is what a distributed sweep's merged cells cannot show:
+// Executed sums the completing workers' own summaries, so it keeps the
+// worker-side "a simulation actually ran" semantics; Replayed counts
+// the cells of shards the caller's lookup answered without dispatch.
+// Cell, cache-hit and error counts are the emitted cells' own.
 type Summary struct {
-	expt.WireSummary
+	Executed     int
+	Replayed     int
 	Shards       int
 	Redispatches int
 }
 
 // RunGrid executes the grid across the registry's healthy workers and
-// emits every cell — Index rewritten to the global canonical position —
-// in canonical grid order from the calling goroutine. The emitted cells
-// are the ones the workers streamed, so folding them
-// (expt.AggregateWire) gives the aggregate a single-process run of the
-// same grid would, byte for byte.
+// emits every cell, with its global canonical Index, in canonical grid
+// order from the calling goroutine. The emitted cells are the ones the
+// workers streamed, each checked against the grid's cell at its
+// position, so folding them (expt.Aggregate) gives the aggregate a
+// single-process run of the same grid would, byte for byte.
 //
 // On failure (cancellation, or a shard out of dispatch attempts with
-// no healthy worker left) RunGrid still emits one line per cell: the
+// no healthy worker left) RunGrid still emits one result per cell: the
 // cells of every shard that completed, then error-marked skip cells
-// for the rest — the same wire contract a single-process sweep keeps
-// under cancellation — and returns the failure.
+// for the rest — the same contract a single-process sweep keeps under
+// cancellation — and returns the failure.
 //
 // lookup, when set, is asked for every cell of a shard, with the
 // cell's canonical index, before dispatch. A shard it answers in full
@@ -46,13 +45,13 @@ type Summary struct {
 // needs no workers at all); a shard it answers only in part is
 // dispatched whole.
 func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
-	lookup func(int, expt.Cell) (expt.Outcome, bool), emit func(expt.WireCell)) (Summary, error) {
+	lookup func(int, expt.Cell) (expt.Outcome, bool), emit func(expt.CellResult)) (Summary, error) {
 	if err := spec.Validate(); err != nil {
 		return Summary{}, err
 	}
 	shards := PlanShards(spec)
 	cells := spec.Cells()
-	sum := Summary{WireSummary: expt.WireSummary{Cells: len(cells)}, Shards: len(shards)}
+	sum := Summary{Shards: len(shards)}
 
 	// An answered shard is complete before dispatch starts: the lookup's
 	// outcomes are its progress, and its executed count stays 0 — that
@@ -85,56 +84,41 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
 	for i := range progress {
 		sum.Executed += progress[i].executed
 	}
-	sum.Done = runErr == nil
 	return sum, runErr
 }
 
-// answer returns the cells of the shard at offset, with shard-local
-// indexes and marked FromCache, when lookup answers every one of them,
-// and nil otherwise.
-func answer(lookup func(int, expt.Cell) (expt.Outcome, bool), offset int, cells []expt.Cell) []expt.WireCell {
-	var wire []expt.WireCell
+// answer returns the cells of the shard at offset, marked FromCache,
+// when lookup answers every one of them, and nil otherwise.
+func answer(lookup func(int, expt.Cell) (expt.Outcome, bool), offset int, cells []expt.Cell) []expt.CellResult {
+	var answered []expt.CellResult
 	for i, cell := range cells {
 		out, ok := lookup(offset+i, cell)
 		if !ok {
 			return nil
 		}
-		if wire == nil {
-			wire = make([]expt.WireCell, len(cells))
+		if answered == nil {
+			answered = make([]expt.CellResult, len(cells))
 		}
-		wire[i] = expt.CellResult{Index: i, Cell: cell, Outcome: out, FromCache: true}.Wire()
+		answered[i] = expt.CellResult{Index: offset + i, Cell: cell, Outcome: out, FromCache: true}
 	}
-	return wire
+	return answered
 }
 
 // dispatchAll runs the shard queue to completion and merges whole
 // shards. Dispatcher goroutines own shard execution: the one that
 // completes shard idx leaves its cells in progress[idx] and sends idx
 // on ready. The calling goroutine owns the merge: it emits ready
-// shards in canonical order, rewriting each cell's shard-local index
-// to its global one. Shards whose progress already holds cells
+// shards in canonical order. Shards whose progress already holds cells
 // (answered by the lookup) never enter the queue.
 func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []expt.Cell,
-	progress []shardProgress, workers []*worker, sum *Summary, emit func(expt.WireCell)) error {
-	emitCount := func(cell expt.WireCell) {
-		if cell.Error != "" {
-			sum.Errors++
-		} else if cell.FromCache {
-			sum.CacheHits++
-		}
-		if emit != nil {
-			emit(cell)
-		}
-	}
-
+	progress []shardProgress, workers []*worker, sum *Summary, emit func(expt.CellResult)) error {
 	// complete[i] is the merger's own record that shard i completed;
 	// next is the first shard not emitted yet.
 	complete := make([]bool, len(shards))
 	next := 0
 	emitShard := func(i int) {
-		for j, cell := range progress[i].cells {
-			cell.Index = shards[i].Offset + j
-			emitCount(cell)
+		for _, cr := range progress[i].cells {
+			emit(cr)
 		}
 	}
 	flush := func() {
@@ -143,7 +127,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 		}
 	}
 	fail := func(cause error) error {
-		// Keep the wire contract: one line per cell. Complete shards
+		// Keep the contract: one result per cell. Complete shards
 		// stand; the rest become skip cells.
 		skipped := fmt.Errorf("fleet: cell skipped: %w", cause)
 		for ; next < len(shards); next++ {
@@ -152,7 +136,7 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 				continue
 			}
 			for i := shards[next].Offset; i < shards[next].Offset+shards[next].NumCells(); i++ {
-				emitCount(expt.CellResult{Index: i, Cell: cells[i], Err: skipped}.Wire())
+				emit(expt.CellResult{Index: i, Cell: cells[i], Err: skipped})
 			}
 		}
 		return cause
@@ -219,7 +203,8 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 				sp := &progress[idx]
 				c.metrics.shardsDispatched.Inc()
 				dispatchStart := time.Now()
-				err := c.runShard(runCtx, w, shards[idx], sp)
+				sh := shards[idx]
+				err := c.runShard(runCtx, w, sh, cells[sh.Offset:sh.Offset+sh.NumCells()], sp)
 				if err == nil {
 					c.metrics.shardSeconds.With(w.id).Observe(time.Since(dispatchStart).Seconds())
 					w.noteShardDone()

@@ -264,22 +264,30 @@ func TestAPIErrors(t *testing.T) {
 	check("GET", "/v1/nope", "", http.StatusNotFound)
 }
 
+// TestAPIQueueFullReturns503: with the one worker busy on a long run
+// and the one-deep queue holding a second run, the third POST gets 503.
 func TestAPIQueueFullReturns503(t *testing.T) {
 	t.Parallel()
 	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	saw503 := false
-	for seed := int64(0); seed < 8 && !saw503; seed++ {
-		_, code := postRun(t, srv, slowSpec(200+seed))
-		switch code {
-		case http.StatusAccepted:
-		case http.StatusServiceUnavailable:
-			saw503 = true
-		default:
-			t.Fatalf("POST = %d", code)
-		}
+	long, code := postRun(t, srv, longSpec(200))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST long run = %d", code)
 	}
-	if !saw503 {
-		t.Fatal("never saw 503 with a saturated queue")
+	waitFor(t, func() bool { return getStatus(t, srv, long.Job.ID).State == StateRunning }, "long run never started")
+	if _, code := postRun(t, srv, slowSpec(201)); code != http.StatusAccepted {
+		t.Fatalf("POST into the empty queue = %d, want 202", code)
+	}
+	if _, code := postRun(t, srv, slowSpec(202)); code != http.StatusServiceUnavailable {
+		t.Fatalf("POST past the full queue = %d, want 503", code)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/runs/"+long.Job.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE long run = %d, want 204", resp.StatusCode)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strconv"
 
 	"adnet/internal/expt"
@@ -32,24 +31,16 @@ var outcomeKeys = [13]string{`{"N":`, `,"Rounds":`, `,"LastActivity":`, `,"Total
 	`,"FinalDiameter":`, `,"FinalDepth":`,
 	`,"EnvActivations":`, `,"EnvDeactivations":`, `,"Crashes":`, `,"Restarts":`}
 
-// packCell appends cell's record to buf. The cell must carry exactly
-// one of an outcome and an error text (checkCell).
-func packCell(buf []byte, cell SweepCell) []byte {
-	var flags byte
-	if cell.FromCache {
-		flags |= cellFromCache
-	}
-	if cell.Error == "" {
-		return expt.AppendOutcome(buf, flags, cell.Outcome)
-	}
+// packError appends the record of an error cell with text to buf.
+func packError(buf []byte, flags byte, text string) []byte {
 	buf = append(buf, flags|cellError)
-	buf = binary.AppendUvarint(buf, uint64(len(cell.Error)))
-	return append(buf, cell.Error...)
+	buf = binary.AppendUvarint(buf, uint64(len(text)))
+	return append(buf, text...)
 }
 
-// unpackCell decodes a record: its from_cache flag and either its
+// decodeCell decodes a record: its from_cache flag and either its
 // outcome or its error text (non-empty exactly for an error cell).
-func unpackCell(rec []byte) (fromCache bool, out expt.Outcome, errText string, err error) {
+func decodeCell(rec []byte) (fromCache bool, out expt.Outcome, errText string, err error) {
 	if len(rec) == 0 || rec[0]&cellError == 0 {
 		flags, out, err := expt.ReadOutcome(rec)
 		return flags&cellFromCache != 0, out, "", err
@@ -61,29 +52,11 @@ func unpackCell(rec []byte) (fromCache bool, out expt.Outcome, errText string, e
 	return rec[0]&cellFromCache != 0, out, string(rec[1+w:]), nil
 }
 
-// checkCell reports whether cell is the grid's cell at index i and
-// carries exactly one of an outcome and an error: what a worker must
-// have streamed for position i. A coordinator's cells come from worker
-// streams, so this is where a worker that answered for another cell is
-// caught (mergeCell).
-func checkCell(i int, grid expt.Cell, cell SweepCell) error {
-	if cell.Index != i || cell.Algorithm != grid.Algorithm || cell.Workload != grid.Workload ||
-		cell.N != grid.N || cell.Seed != grid.Seed || cell.MaxRounds != grid.MaxRounds {
-		return fmt.Errorf("service: internal error: cell %d is (%d, %s, %s, n=%d, seed=%d, max_rounds=%d), the grid's is (%s, %s, n=%d, seed=%d, max_rounds=%d)",
-			i, cell.Index, cell.Algorithm, cell.Workload, cell.N, cell.Seed, cell.MaxRounds,
-			grid.Algorithm, grid.Workload, grid.N, grid.Seed, grid.MaxRounds)
-	}
-	if (cell.Error == "") == (cell.Outcome == nil) {
-		return fmt.Errorf("service: internal error: cell %d needs exactly one of an outcome and an error", i)
-	}
-	return nil
-}
-
 // renderCell is /cells: jsonFrame(SweepCell) of the record at position
 // i of the job's log, with the grid's cell i filling in what the
 // record does not store.
 func (j *SweepJob) renderCell(buf, rec []byte, i int) []byte {
-	fromCache, out, errText, err := unpackCell(rec)
+	fromCache, out, errText, err := decodeCell(rec)
 	if err != nil {
 		return appendError(buf, err)
 	}

@@ -102,7 +102,7 @@ func TestCellRecordRendersMatchJSONFrame(t *testing.T) {
 				out := outcomeOf(v, rng.IntN(2) == 0)
 				cell.Outcome = &out
 			}
-			if err := j.mergeCell(cell); err != nil {
+			if err := record(j, cell); err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}
 			line := jsonFrame(cell)
@@ -112,7 +112,7 @@ func TestCellRecordRendersMatchJSONFrame(t *testing.T) {
 			if got := j.renderCell(nil, recs[0], i); !bytes.Equal(got, line) {
 				t.Fatalf("run %d cell %d rendered\n%q\nwant jsonFrame\n%q", run, i, got, line)
 			}
-			fromCache, out, errText, err := unpackCell(recs[0])
+			fromCache, out, errText, err := decodeCell(recs[0])
 			if err != nil || fromCache != cell.FromCache || errText != cell.Error ||
 				(cell.Outcome != nil && out != *cell.Outcome) {
 				t.Fatalf("run %d cell %d decoded to (%v, %+v, %q, %v), packed %+v", run, i, fromCache, out, errText, err, cell)
@@ -125,45 +125,6 @@ func TestCellRecordRendersMatchJSONFrame(t *testing.T) {
 		if got := j.cells.FrameBytes(); got != int64(len(want)) {
 			t.Fatalf("run %d: log counts %d served bytes, /cells serves %d", run, got, len(want))
 		}
-	}
-}
-
-// TestRecordCellRejectsForeignCells pins mergeCell's check: a cell
-// that is not the grid's cell at its position, or that carries neither
-// or both of an outcome and an error, is an internal error. It is
-// recorded as an error cell that says so — never rendered with the
-// grid's values as though it were the grid's cell — and the call
-// returns the error.
-func TestRecordCellRejectsForeignCells(t *testing.T) {
-	t.Parallel()
-	spec := SweepSpec{Algorithms: []string{"flood"}, Workloads: []string{"line"}, Sizes: []int{8}, Seeds: []int64{1, 2, 3, 4, 5, 6}}
-	j := bareSweep(spec)
-	good := gridCells(spec)
-	out := *good[0].Outcome
-	foreign := []SweepCell{
-		func() SweepCell { c := good[0]; c.Seed = 9; return c }(),
-		func() SweepCell { c := good[1]; c.Index = 0; return c }(),
-		func() SweepCell { c := good[2]; c.Workload = "ring"; return c }(),
-		func() SweepCell { c := good[3]; c.MaxRounds = 5; return c }(),
-		func() SweepCell { c := good[4]; c.Outcome = nil; return c }(),
-		func() SweepCell { c := good[5]; c.Outcome, c.Error = &out, "boom"; return c }(),
-	}
-	for i, c := range foreign {
-		err := j.mergeCell(c)
-		if err == nil || !strings.Contains(err.Error(), "internal error") {
-			t.Fatalf("foreign cell %d: recordCell = %v, want an internal error", i, err)
-		}
-		recs, _ := j.cells.WaitFrames(context.Background(), i)
-		var line SweepCell
-		if err := json.Unmarshal(j.renderCell(nil, recs[0], i), &line); err != nil {
-			t.Fatal(err)
-		}
-		if line.Outcome != nil || !strings.Contains(line.Error, "internal error") || line.Index != i {
-			t.Fatalf("foreign cell %d recorded as %+v, want an internal-error cell at %d", i, line, i)
-		}
-	}
-	if err := j.mergeCell(good[0]); err == nil || j.cells.Len() != len(good) {
-		t.Fatalf("a cell past the grid's end: recordCell = %v with %d records, want an error and none added", err, j.cells.Len())
 	}
 }
 

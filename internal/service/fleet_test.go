@@ -292,7 +292,11 @@ func TestCoordinatorResumesShardRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	rerun, _ := json.Marshal(ref)
-	replayed, _ := json.Marshal(append(expt.AggregateWire(recorded.Cells), ref[1:]...))
+	results := make([]expt.CellResult, len(recorded.Cells))
+	for i, c := range recorded.Cells {
+		results[i] = expt.WireCellResult(c.Index, spec.Cells()[c.Index], c.FromCache, c.Outcome, c.Error)
+	}
+	replayed, _ := json.Marshal(append(expt.Aggregate(results), ref[1:]...))
 
 	for _, tc := range []struct {
 		name, record                 string
@@ -537,5 +541,49 @@ func TestCoordinatorSweepFailsCleanlyWithoutWorkers(t *testing.T) {
 	}
 	if n := coordMgr.RunsExecuted(); n != 0 {
 		t.Fatalf("coordinator ran %d local simulations", n)
+	}
+}
+
+// TestCoordinatorCellsRanNowhereLocally: a coordinator records its
+// cells through the same emit as a local sweep, but none of them ran
+// there. Over a fresh sweep and a resubmission that replays its
+// journal, it executes no run, observes no cell duration and no grid
+// utilization, and counts as journal replays exactly the cells its
+// summaries call replayed; the fresh sweep files nothing in its outcome
+// index (reopening a journal files its cells, as on any server).
+func TestCoordinatorCellsRanNowhereLocally(t *testing.T) {
+	t.Parallel()
+	coord := fleet.New(fleet.Config{})
+	for range 2 {
+		worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})
+		if _, err := coord.Register(t.Context(), worker.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, m := newTestServer(t, Config{Workers: 1, Fleet: coord, DataDir: t.TempDir()})
+	spec := SweepSpec{Algorithms: []string{"graph-to-star", "flood"}, Workloads: []string{"line"}, Sizes: []int{8, 12}, Seeds: []int64{1, 2}}
+	var replayed []int
+	for k := range 2 {
+		job, _ := postSweepJob(t, srv, spec)
+		replayed = append(replayed, awaitSweepState(t, srv, job.ID, StateDone).Summary.Replayed)
+		if size, _, _ := m.cacheStats(); k == 0 && size != 0 {
+			t.Errorf("coordinator indexed %d outcomes of a fresh sweep, want none", size)
+		}
+	}
+	if replayed[0] != 0 || replayed[1] != spec.NumCells() {
+		t.Fatalf("replayed = %v, want 0 and then every one of %d cells", replayed, spec.NumCells())
+	}
+	mx := scrape(t, srv)
+	for name, want := range map[string]float64{
+		"adnet_sweep_cell_duration_seconds_count":  0,
+		"adnet_sweep_grid_utilization_ratio_count": 0,
+		"adnet_journal_replayed_cells_total":       float64(spec.NumCells()),
+	} {
+		if v, _ := mx.Value(name, nil); v != want {
+			t.Errorf("%s = %v, want %v", name, v, want)
+		}
+	}
+	if n := m.RunsExecuted(); n != 0 {
+		t.Errorf("coordinator ran %d runs, want none", n)
 	}
 }

@@ -71,11 +71,14 @@ func TestKeyAndWireGoldens(t *testing.T) {
 	outDyn := expt.Outcome{N: 32, Rounds: 12, TotalMessages: 700, FinalDiameter: 6, FinalDepth: 4, LeaderOK: true,
 		EnvActivations: 15, EnvDeactivations: 3, Crashes: 1, Restarts: 1}
 	grid := sweep.Cells()
-	okCell := expt.CellResult{Index: 0, Cell: grid[0], Outcome: out}.Wire()
-	hitCell := expt.CellResult{Index: 0, Cell: grid[0], Outcome: out, FromCache: true}.Wire()
+	okCell := SweepCell{Index: 0, Algorithm: grid[0].Algorithm, Workload: grid[0].Workload, N: grid[0].N, Seed: grid[0].Seed, Outcome: &out}
+	hitCell := okCell
+	hitCell.FromCache = true
 	errCell := expt.WireCell{Index: 1, Algorithm: "flood", Workload: "line", N: 32, Seed: 2,
 		Error: "expt: cell skipped: sim: run canceled"}
-	dynCell := expt.CellResult{Index: 3, Cell: sweepDyn.Cells()[1], Outcome: outDyn}.Wire()
+	dynGrid := sweepDyn.Cells()[1]
+	dynCell := SweepCell{Index: 3, Algorithm: dynGrid.Algorithm, Workload: dynGrid.Workload, N: dynGrid.N, Seed: dynGrid.Seed,
+		MaxRounds: dynGrid.MaxRounds, Outcome: &outDyn}
 
 	for _, tc := range []struct{ name, got, want string }{
 		// Keys. A sweep cell and a run with equal parameters share one —

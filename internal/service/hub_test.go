@@ -28,19 +28,31 @@ func bareReplay() *replay {
 }
 
 // bareSweep is a sweep job over spec with its cell log and nothing
-// else — no journal, no instruments — for tests that drive mergeCell
-// outside a Manager.
+// else — no journal, no instruments — for tests that record cells
+// outside a running Manager (record).
 func bareSweep(spec SweepSpec) *SweepJob {
 	return &SweepJob{Spec: spec, grid: spec.Normalized(), cells: newFrameLog(0), packed: func(time.Duration) {}}
 }
 
+// bareManager is a Manager with its instruments and an empty outcome
+// index and nothing else: what emitCell reads of it.
+var bareManager = &Manager{metrics: newMetrics(obs.NewRegistry(), nil), outcomes: newLRU[[]byte](0)}
+
+// record hands c, converted as the fleet converts a worker's line, to
+// the executors' shared emit (emitCell) on bareManager.
+func record(j *SweepJob, c SweepCell) error {
+	cell := expt.Cell{Algorithm: c.Algorithm, Workload: c.Workload, N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds}
+	return bareManager.emitCell(j, &SweepSummary{}, expt.WireCellResult(c.Index, cell, c.FromCache, c.Outcome, c.Error))
+}
+
 // gridCells is one outcome cell for every cell of spec, in canonical
-// order, as a worker streams them to mergeCell.
+// order, as a worker streams them.
 func gridCells(spec SweepSpec) []SweepCell {
 	var cells []SweepCell
 	for i, c := range spec.Cells() {
 		out := expt.Outcome{N: c.N, Rounds: i + 1, TotalMessages: 3 * i, LeaderOK: i%2 == 0}
-		cells = append(cells, expt.CellResult{Index: i, Cell: c, Outcome: out, FromCache: i%3 == 0}.Wire())
+		cells = append(cells, SweepCell{Index: i, Algorithm: c.Algorithm, Workload: c.Workload, N: c.N, Seed: c.Seed,
+			MaxRounds: c.MaxRounds, FromCache: i%3 == 0, Outcome: &out})
 	}
 	return cells
 }
@@ -107,7 +119,7 @@ func TestFrameLogByteIdentity(t *testing.T) {
 		{Index: 2, Algorithm: "clique", Workload: "line", N: 64, Seed: 1, Error: `limit <exceeded> & "quoted"`},
 	}
 	for _, c := range cells {
-		if err := cs.mergeCell(c); err != nil {
+		if err := record(cs, c); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Encode(c); err != nil {
@@ -185,7 +197,7 @@ func TestEncodeOncePerItem(t *testing.T) {
 	var liveEncodes int64
 	live.packed = func(time.Duration) { liveEncodes++ }
 	for _, c := range gridCells(live.Spec) {
-		if err := live.mergeCell(c); err != nil {
+		if err := record(live, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,7 +430,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 				publish := func(i int) {
 					c := SweepCell{Index: i, Algorithm: "graph-to-star", Workload: "line", N: 1 << 20, Seed: int64(i), Outcome: &out}
 					total += int64(len(jsonFrame(c)))
-					if err := cs.mergeCell(c); err != nil {
+					if err := record(cs, c); err != nil {
 						t.Error(err)
 					}
 				}

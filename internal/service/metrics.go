@@ -262,16 +262,16 @@ func (mt *metrics) observeDynamics(out expt.Outcome) {
 }
 
 // observeCell counts a finished cell and folds its cost in.
-func (mt *metrics) observeCell(ran, fromCache bool, errText bool, dur float64) {
+func (mt *metrics) observeCell(cr expt.CellResult) {
 	switch {
-	case errText:
+	case cr.Err != nil:
 		mt.sweepCells.With("error").Inc()
-	case fromCache:
+	case cr.FromCache:
 		mt.sweepCells.With("cached").Inc()
 	default:
 		mt.sweepCells.With("ok").Inc()
 	}
-	if ran {
-		mt.cellSeconds.Observe(dur)
+	if cr.Ran {
+		mt.cellSeconds.Observe(cr.Duration.Seconds())
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
+	"adnet/internal/dynamics"
 	"adnet/internal/obs"
 )
 
@@ -136,6 +138,46 @@ func TestMetricsCoverSweepLifecycle(t *testing.T) {
 	if v, ok := m.Value("adnet_http_request_duration_seconds_count",
 		map[string]string{"route": "GET /v1/sweeps/{id}"}); !ok || v < 1 {
 		t.Errorf("status-poll latency series = %v/%v, want >= 1", v, ok)
+	}
+}
+
+// TestDynamicsMetricsCountExecutedCellsOnly: the adnet_dynamics_*
+// series count executed runs, so a resubmitted dynamics sweep, whose
+// cells the outcome index answers, moves none of them.
+func TestDynamicsMetricsCountExecutedCellsOnly(t *testing.T) {
+	t.Parallel()
+	srv, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 2})
+	spec := SweepSpec{
+		Algorithms: []string{"flood"},
+		Workloads:  []string{"line", "ring"},
+		Sizes:      []int{16},
+		Seeds:      []int64{1, 2, 3},
+		Dynamics:   &dynamics.Spec{Class: dynamics.ClassEdgeChurn, Rate: 2},
+	}
+	series := []string{"adnet_dynamics_runs_total", "adnet_dynamics_env_activations_total",
+		"adnet_dynamics_env_deactivations_total", "adnet_dynamics_crashes_total", "adnet_dynamics_restarts_total"}
+	read := func() []float64 {
+		m := scrape(t, srv)
+		out := make([]float64, len(series))
+		for i, name := range series {
+			out[i], _ = m.Value(name, nil)
+		}
+		return out
+	}
+
+	st, _ := postSweepJob(t, srv, spec)
+	first := awaitSweepState(t, srv, st.ID, StateDone)
+	after := read()
+	if cells := spec.NumCells(); first.Summary.Executed != cells || after[0] != float64(cells) || after[1]+after[2] <= 0 {
+		t.Fatalf("first sweep executed %d cells and counted %v, want %d runs and some env edits", first.Summary.Executed, after, cells)
+	}
+	st, _ = postSweepJob(t, srv, spec)
+	again := awaitSweepState(t, srv, st.ID, StateDone)
+	if again.Summary.CacheHits != spec.NumCells() || again.Summary.Executed != 0 {
+		t.Fatalf("resubmitted sweep summary = %+v, want every cell a cache hit", *again.Summary)
+	}
+	if got := read(); !slices.Equal(got, after) {
+		t.Errorf("resubmitting moved the dynamics counters %v from %v to %v", series, after, got)
 	}
 }
 

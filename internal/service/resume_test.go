@@ -682,7 +682,8 @@ func TestJournalBytesPerCell(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := grid.CellAt(int(i))
-		old, _ := json.Marshal(cellRecord{RunKey: c.Key(), Cell: expt.CellResult{Index: int(i), Cell: c, Outcome: out}.Wire()})
+		old, _ := json.Marshal(cellRecord{RunKey: c.Key(), Cell: SweepCell{Index: int(i), Algorithm: c.Algorithm, Workload: c.Workload,
+			N: c.N, Seed: c.Seed, MaxRounds: c.MaxRounds, Outcome: &out}})
 		cells, packed, asJSON = cells+1, packed+len(r.Data), asJSON+len(old)
 	}
 	t.Logf("%d cells: %d B packed (%.1f B a cell), %d B as JSON cell records (%.1f B a cell)",

@@ -326,6 +326,19 @@ func TestManagerTimeLimitFailsRun(t *testing.T) {
 	}
 }
 
+// adnetGoroutines counts the live goroutines that adnet/ code started:
+// a goroutine of the runtime, the testing package or net/http — an
+// earlier test's connection winding down, say — does not move it.
+func adnetGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("\ncreated by adnet/"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // TestRunJobStartsNoGoroutine pins that a running run job adds no
 // goroutine beyond the pool worker that steps it: the job's context
 // carries a DELETE and the time limit to the engine by itself. Not
@@ -334,7 +347,7 @@ func TestRunJobStartsNoGoroutine(t *testing.T) {
 	m := NewManager(Config{Workers: 1, RunTimeLimit: time.Minute})
 	defer m.Close()
 
-	before := runtime.NumGoroutine()
+	before := adnetGoroutines()
 	job, _, err := m.Submit(longSpec(11))
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +356,7 @@ func TestRunJobStartsNoGoroutine(t *testing.T) {
 	if _, ok := job.log.WaitFrames(context.Background(), 1); !ok {
 		t.Fatal("run ended before publishing a round")
 	}
-	during := runtime.NumGoroutine()
+	during := adnetGoroutines()
 	if st := job.State(); st != StateRunning {
 		t.Fatalf("job %s before the probe could read it", st)
 	}

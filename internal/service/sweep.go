@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"adnet/internal/expt"
+	"adnet/internal/fleet"
 	"adnet/internal/obs"
 	"adnet/internal/runkey"
 	"adnet/internal/sim"
@@ -128,7 +130,7 @@ func (j *SweepJob) Aggregate() ([]expt.AggregateGroup, error) {
 	recs, _ := j.cells.WaitFrames(context.Background(), 0)
 	results := make([]expt.CellResult, len(recs))
 	for i, rec := range recs {
-		fromCache, out, errText, err := unpackCell(rec)
+		fromCache, out, errText, err := decodeCell(rec)
 		if err != nil {
 			return nil, fmt.Errorf("service: cell record %d: %w", i, err)
 		}
@@ -238,11 +240,7 @@ func (m *Manager) executeSweep(j *SweepJob) {
 	ctx, cancel := context.WithTimeout(j.ctx, m.cfg.SweepTimeLimit)
 	defer cancel()
 
-	run := m.runGrid
-	if m.cfg.Fleet != nil {
-		run = m.runGridFleet
-	}
-	sum, err := run(ctx, j)
+	sum, err := m.runGrid(ctx, j)
 	state, jobErr := j.outcomeOf(err, "sweep", m.cfg.SweepTimeLimit)
 	j.finish(state, sum, jobErr)
 }
@@ -253,9 +251,8 @@ func (j *SweepJob) replay(i int, _ expt.Cell) (expt.Outcome, bool) {
 	return readOutcome(j.done[i], j.done[i] != nil)
 }
 
-// recordCell is both executors' one recording step, called in canonical
-// order from the goroutine that runs the grid with rec, cell i's packed
-// record (cells.go). It journals an ok cell the done-set lacks as
+// recordCell is emitCell's last step, with rec, cell i's packed record
+// (cells.go). It journals an ok cell the done-set lacks as
 // uvarint(i) and rec with the holder's flags cleared, syncs the journal
 // after each (algorithm, workload, n) group — a coordinator's shard —
 // and appends rec to the log. A cell out of position is an error.
@@ -278,131 +275,117 @@ func (j *SweepJob) recordCell(i int, rec []byte) error {
 	return nil
 }
 
-// mergeCell records a worker-streamed cell at the log's next position.
-// Worker streams are outside input: a cell that is not the grid's cell
-// there (checkCell) becomes an error cell saying so and fails the sweep.
-func (j *SweepJob) mergeCell(cell SweepCell) error {
-	g, i := j.grid, j.cells.Len()
-	if i == len(g.Algorithms)*len(g.Workloads)*len(g.Sizes)*len(g.Seeds) {
-		return fmt.Errorf("service: internal error: cell %d is past the grid's end", cell.Index)
+// emitCell is both executors' emit: called in canonical order from
+// the goroutine that runs the grid, it counts cr into sum and on
+// /metrics, packs it once — an executed cell's record is also its
+// outcome's index entry — and records it (recordCell). Only a cell that
+// ran files its outcome and folds its dynamics totals in: a hit's were
+// counted when it ran, and a coordinator runs nothing.
+func (m *Manager) emitCell(j *SweepJob, sum *SweepSummary, cr expt.CellResult) error {
+	if cr.Ran {
+		m.runsExecuted.Add(1)
+		sum.Executed++
 	}
-	err := checkCell(i, g.CellAt(i), cell)
-	if err != nil {
-		cell = SweepCell{Error: err.Error()}
-	}
+	m.metrics.observeCell(cr)
 	start := time.Now()
-	j.scratch = packCell(j.scratch[:0], cell)
-	rec := bytes.Clone(j.scratch)
+	var flags byte
+	if cr.FromCache {
+		flags = cellFromCache
+	}
+	if cr.Err != nil {
+		// Error cells stay out of the index and the journal, so a
+		// resumed sweep retries them.
+		sum.Errors++
+		j.scratch = packError(j.scratch[:0], flags, cr.Err.Error())
+	} else {
+		if cr.FromCache {
+			sum.CacheHits++
+		}
+		if cr.Ran && cr.Cell.Dynamics != nil {
+			m.metrics.observeDynamics(cr.Outcome)
+		}
+		j.scratch = expt.AppendOutcome(j.scratch[:0], flags, &cr.Outcome)
+	}
+	rec := bytes.Clone(j.scratch) // exact size: the log's, and the index's
 	j.packed(time.Since(start))
-	return cmp.Or(err, j.recordCell(i, rec))
+	if cr.Ran && cr.Err == nil {
+		m.outcomes.Add(cr.Cell.Key(), rec)
+	}
+	return j.recordCell(cr.Index, rec)
 }
 
-// runGrid executes the job's grid on an engine fleet of
-// cfg.SweepWorkers runners. Lookup answers a cell from the job's
-// done-set, else from the outcome index (keys are canonical, so a cell
-// repeats a POST /v1/runs run or another sweep's cell), else by waiting
-// for an identical run job in flight. Emit, on this goroutine in
-// canonical order, packs each cell once — an executed cell's record is
-// its outcome's index entry too — and hands it to recordCell, whose
-// first error fails the sweep. ctx aborts between rounds.
+// runGrid executes the job's grid and hands every cell to emitCell,
+// whose first error fails the sweep. ctx aborts between rounds.
+//
+// In coordinator mode fleet.RunGrid shards the grid across the
+// registered workers, re-dispatches a shard whose worker fails, and
+// merges the workers' checked cells back into canonical order. Its
+// lookup is the job's done-set: a shard the journal holds in full
+// merges without dispatch, and a fresh coordinator on a dead one's data
+// dir picks the grid up where the journal left it. Merged cells never
+// ran here, so they file nothing in the local index: they already live
+// in the worker-side caches, and a coordinator stays out of simulation.
+//
+// Otherwise the grid runs on an engine fleet of cfg.SweepWorkers
+// runners. Lookup answers a cell from the job's done-set, else from the
+// outcome index (keys are canonical, so a cell repeats a POST /v1/runs
+// run or another sweep's cell), else by waiting for an identical run
+// job in flight.
 func (m *Manager) runGrid(ctx context.Context, j *SweepJob) (SweepSummary, error) {
-	spec := j.Spec
-	sum := SweepSummary{Cells: spec.NumCells()}
-	workers := min(m.cfg.SweepWorkers, sum.Cells)
+	sum := SweepSummary{Cells: j.Spec.NumCells()}
 	var recErr error
-	// busy accumulates executed-cell wall time (Emit runs on this
+	// busy accumulates executed-cell wall time (emit runs on this
 	// goroutine only); with the grid's wall-clock it yields the
-	// engine-fleet utilization fold after the sweep.
+	// engine-fleet utilization fold after a local sweep.
 	var busy time.Duration
-	start := time.Now()
-	_, err := expt.ExecuteSweep(spec, expt.SweepOptions{
-		Workers:       m.cfg.SweepWorkers,
-		SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
-		Context:       ctx,
-		CellTimeLimit: m.cfg.RunTimeLimit,
-		Lookup: func(i int, c expt.Cell) (expt.Outcome, bool) {
-			if out, ok := j.replay(i, c); ok {
-				return out, true
-			}
-			key := c.Key()
-			if out, ok := readOutcome(m.outcomes.Get(key)); ok {
-				return out, true
-			}
-			// Coalesce with an identical spec already in flight as a
-			// /v1/runs job (same dedup Submit does via inWork): wait
-			// for it instead of simulating the same deterministic run
-			// twice. Its completion files its outcome.
-			if run := m.liveJob(key); run != nil {
-				run.log.WaitFrames(ctx, math.MaxInt)
-				return readOutcome(m.outcomes.Get(key))
-			}
-			return expt.Outcome{}, false
-		},
-		Emit: func(cr expt.CellResult) {
-			if cr.Ran {
-				m.runsExecuted.Add(1)
-				sum.Executed++
-				busy += cr.Duration
-			}
-			m.metrics.observeCell(cr.Ran, cr.FromCache, cr.Err != nil, cr.Duration.Seconds())
-			start := time.Now()
-			if cr.Err != nil {
-				// Error cells stay out of the index and the journal, so
-				// a resumed sweep retries them.
-				sum.Errors++
-				j.scratch = packCell(j.scratch[:0], SweepCell{Error: cr.Err.Error()})
-			} else {
-				var flags byte
-				if cr.FromCache {
-					flags = cellFromCache
-					sum.CacheHits++
-					if j.done[cr.Index] != nil {
-						sum.Replayed++
-						m.metrics.journalReplayedCells.Inc()
-					}
-				}
-				if cr.Cell.Dynamics != nil {
-					m.metrics.observeDynamics(cr.Outcome)
-				}
-				j.scratch = expt.AppendOutcome(j.scratch[:0], flags, &cr.Outcome)
-			}
-			rec := bytes.Clone(j.scratch) // exact size: the log's, and the index's
-			j.packed(time.Since(start))
-			if cr.Ran && cr.Err == nil {
-				m.outcomes.Add(cr.Cell.Key(), rec)
-			}
-			recErr = cmp.Or(recErr, j.recordCell(cr.Index, rec))
-		},
-	})
-	if wall := time.Since(start); wall > 0 && workers > 0 {
-		m.metrics.gridUtilization.Observe(busy.Seconds() / (wall.Seconds() * float64(workers)))
+	emit := func(cr expt.CellResult) {
+		busy += cr.Duration
+		recErr = cmp.Or(recErr, m.emitCell(j, &sum, cr))
 	}
+	var err error
+	if m.cfg.Fleet != nil {
+		var fsum fleet.Summary
+		fsum, err = m.cfg.Fleet.RunGrid(ctx, j.Spec, j.replay, emit)
+		sum.Executed, sum.Replayed = fsum.Executed, fsum.Replayed
+	} else {
+		// replayed counts the cells answered from the done-set; Lookup
+		// runs on the engine fleet's goroutines.
+		var replayed atomic.Int64
+		workers := min(m.cfg.SweepWorkers, sum.Cells)
+		start := time.Now()
+		_, err = expt.ExecuteSweep(j.Spec, expt.SweepOptions{
+			Workers:       m.cfg.SweepWorkers,
+			SimOpts:       []sim.Option{sim.WithRunObserver(m.metrics.observeRun)},
+			Context:       ctx,
+			CellTimeLimit: m.cfg.RunTimeLimit,
+			Lookup: func(i int, c expt.Cell) (expt.Outcome, bool) {
+				if out, ok := j.replay(i, c); ok {
+					replayed.Add(1)
+					return out, true
+				}
+				key := c.Key()
+				if out, ok := readOutcome(m.outcomes.Get(key)); ok {
+					return out, true
+				}
+				// Coalesce with an identical spec already in flight as a
+				// /v1/runs job (same dedup Submit does via inWork): wait
+				// for it instead of simulating the same deterministic run
+				// twice. Its completion files its outcome.
+				if run := m.liveJob(key); run != nil {
+					run.log.WaitFrames(ctx, math.MaxInt)
+					return readOutcome(m.outcomes.Get(key))
+				}
+				return expt.Outcome{}, false
+			},
+			Emit: emit,
+		})
+		if wall := time.Since(start); wall > 0 && workers > 0 {
+			m.metrics.gridUtilization.Observe(busy.Seconds() / (wall.Seconds() * float64(workers)))
+		}
+		sum.Replayed = int(replayed.Load())
+	}
+	m.metrics.journalReplayedCells.Add(int64(sum.Replayed))
 	err = cmp.Or(err, recErr)
 	sum.Done = err == nil
 	return sum, err
-}
-
-// runGridFleet is runGrid's coordinator-mode counterpart: fleet.RunGrid
-// shards the grid across the registered workers, re-dispatches a shard
-// whose worker fails, and merges the workers' cell streams back into
-// canonical order, so each cell reaches mergeCell exactly once, from
-// this goroutine. The fleet's lookup is the job's done-set: a shard the
-// journal holds in full merges without dispatch, and a fresh coordinator
-// on a dead one's data dir picks the grid up where the journal left it.
-// Merged cells are not filed in the local index: they already live in
-// the worker-side caches, and a coordinator stays out of simulation.
-func (m *Manager) runGridFleet(ctx context.Context, j *SweepJob) (SweepSummary, error) {
-	var recErr error
-	fsum, err := m.cfg.Fleet.RunGrid(ctx, j.Spec, j.replay, func(c SweepCell) {
-		// The coordinator counts merged cells too (no durations — the
-		// workers own those), so cross-process cell totals can be
-		// checked against each other at scrape time.
-		m.metrics.observeCell(false, c.FromCache, c.Error != "", 0)
-		recErr = cmp.Or(recErr, j.mergeCell(c))
-	})
-	m.metrics.journalReplayedCells.Add(int64(fsum.Replayed))
-	if err = cmp.Or(err, recErr); err != nil {
-		fsum.Done = false
-	}
-	return fsum.WireSummary, err
 }
