@@ -126,10 +126,10 @@ func (s Spec) Validate() error {
 }
 
 // Key renders the normalized spec canonically: every field that
-// influences the perturbation sequence, and only those. It is folded
-// into run keys (runkey.WithDynamics), so caching, journaling and
-// fleet dispatch distinguish dynamics variants of a run exactly when
-// the executions can differ.
+// influences the perturbation sequence, and only those. expt.Cell.Key
+// and expt.SweepSpec.Key append it to run and sweep keys, so caching,
+// journaling and fleet dispatch distinguish dynamics variants of a run
+// exactly when the executions can differ.
 func (s Spec) Key() string {
 	s = s.Normalize()
 	var b strings.Builder

@@ -7,13 +7,14 @@ import (
 	"iter"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"adnet/internal/dynamics"
 	"adnet/internal/graph"
-	"adnet/internal/runkey"
 	"adnet/internal/sim"
 )
 
@@ -87,23 +88,25 @@ type Cell struct {
 	Dynamics *dynamics.Spec `json:"dynamics,omitempty"`
 }
 
-// Key is the run's canonical identity: the runkey rendering of every
-// field that influences the simulation outcome. A grid cell and an
+// Key is the run's canonical identity: every field that influences
+// the simulation outcome, and nothing else. A grid cell and an
 // individually submitted run are the same type, so equal parameters
-// share a result-cache entry by construction.
+// share a result-cache entry by construction. The format is stable —
+// cached results, journals, job IDs and mixed fleets depend on it.
 func (c Cell) Key() string {
-	return keyWithDynamics(runkey.Key(c.Algorithm, c.Workload, c.N, c.Seed, c.MaxRounds), c.Dynamics)
+	return withDynamics(fmt.Sprintf("%s|%s|n=%d|seed=%d|maxr=%d",
+		c.Algorithm, c.Workload, c.N, c.Seed, c.MaxRounds), c.Dynamics)
 }
 
-// keyWithDynamics extends a run or sweep key with the dynamics block's
-// canonical key. A nil block leaves the key unchanged, which is what
-// keeps every dynamics-free key byte-identical to its pre-dynamics
-// form.
-func keyWithDynamics(key string, d *dynamics.Spec) string {
+// withDynamics appends the dynamics block's canonical key to a run or
+// sweep key. A nil block leaves the key unchanged, which is what keeps
+// every dynamics-free key byte-identical to its pre-dynamics form; a
+// future identity field joins the same way, only when set.
+func withDynamics(key string, d *dynamics.Spec) string {
 	if d == nil {
 		return key
 	}
-	return runkey.WithDynamics(key, d.Key())
+	return key + "|dyn=" + d.Key()
 }
 
 // Grid returns the one-cell sweep grid that enumerates exactly this
@@ -168,11 +171,27 @@ type SweepSpec struct {
 	Dynamics   *dynamics.Spec `json:"dynamics,omitempty"`
 }
 
-// Key is the canonical runkey rendering of the grid: the dimension
-// lists as submitted plus the shared round limit and dynamics. Sweep
-// job IDs, journal file names and shard keys all derive from it.
+// Key is the grid's canonical identity: the dimension lists as
+// submitted plus the shared round limit and dynamics. Two sweeps with
+// equal keys enumerate identical cells, cell for cell. Sweep job IDs
+// and journal file names derive from it, so the format is as stable
+// as Cell.Key's.
 func (s SweepSpec) Key() string {
-	return keyWithDynamics(runkey.SweepKey(s.Algorithms, s.Workloads, s.Sizes, s.Seeds, s.MaxRounds), s.Dynamics)
+	return withDynamics(fmt.Sprintf("sweep|a=%s|w=%s|n=%s|seed=%s|maxr=%d",
+		strings.Join(s.Algorithms, ","), strings.Join(s.Workloads, ","),
+		joinInts(s.Sizes), joinInts(s.Seeds), s.MaxRounds), s.Dynamics)
+}
+
+// joinInts renders xs in decimal, comma-separated.
+func joinInts[T int | int64](xs []T) string {
+	var b []byte
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return string(b)
 }
 
 // Expt returns the spec unchanged. It is what remains of the

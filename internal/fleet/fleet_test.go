@@ -197,7 +197,8 @@ func (f noAggregateFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // grid.
 func TestRunGridMergesAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	c := fleet.New(fleet.Config{})
+	reg := obs.NewRegistry()
+	c := fleet.New(fleet.Config{Metrics: reg})
 	for range 2 {
 		mgr := service.NewManager(service.Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: 4})
 		srv := httptest.NewServer(noAggregateFront{t: t, real: service.NewHandler(mgr)})
@@ -222,8 +223,19 @@ func TestRunGridMergesAcrossWorkers(t *testing.T) {
 		}
 	}
 	cells := testSpec.NumCells()
-	if len(merged) != cells || sum.Executed != cells || errorCells(merged) != 0 || sum.Shards != 4 || sum.Redispatches != 0 {
+	if len(merged) != cells || sum.Executed != cells || errorCells(merged) != 0 {
 		t.Fatalf("summary = %+v over %d merged cells, %d errors", sum, len(merged), errorCells(merged))
+	}
+	// One dispatch per planned shard, none of them re-dispatched.
+	m := scrapeRegistry(t, reg)
+	if shards := len(fleet.PlanShards(testSpec)); shards != 4 {
+		t.Fatalf("plan has %d shards, want 4", shards)
+	}
+	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v != 4 {
+		t.Errorf("dispatch attempts = %v, want 4 (one per shard)", v)
+	}
+	if v, _ := m.Value("adnet_fleet_shards_redispatched_total", nil); v != 0 {
+		t.Errorf("re-dispatches = %v, want 0", v)
 	}
 
 	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
@@ -309,7 +321,7 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	register(t, c, startWorker(t))
 
 	var merged []expt.CellResult
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -320,9 +332,6 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 		if cell.Err != nil {
 			t.Fatalf("cell %d carries error %q", i, cell.Err)
 		}
-	}
-	if sum.Redispatches == 0 {
-		t.Fatal("worker death did not re-dispatch any shard")
 	}
 
 	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
@@ -338,8 +347,8 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 
 	// The churn is visible on the coordinator's metrics: the healthy
 	// gauge dropped to the surviving worker, the re-dispatch counter
-	// agrees with the summary, and the death was counted as exactly
-	// one transition into unhealthy.
+	// moved, and the death was counted as exactly one transition into
+	// unhealthy.
 	m := scrapeRegistry(t, reg)
 	if v, ok := m.Value("adnet_fleet_workers_healthy", nil); !ok || v != 1 {
 		t.Errorf("healthy-worker gauge = %v/%v, want 1", v, ok)
@@ -347,15 +356,17 @@ func TestRunGridRedispatchesShardWhenWorkerDies(t *testing.T) {
 	if v, ok := m.Value("adnet_fleet_workers", nil); !ok || v != 2 {
 		t.Errorf("worker gauge = %v/%v, want 2", v, ok)
 	}
-	if v, _ := m.Value("adnet_fleet_shards_redispatched_total", nil); v != float64(sum.Redispatches) {
-		t.Errorf("re-dispatch counter = %v, want %d (the summary's count)", v, sum.Redispatches)
+	redispatched, _ := m.Value("adnet_fleet_shards_redispatched_total", nil)
+	if redispatched == 0 {
+		t.Error("worker death did not re-dispatch any shard")
 	}
 	if v, _ := m.Value("adnet_fleet_worker_health_transitions_total",
 		map[string]string{"to": "unhealthy"}); v != 1 {
 		t.Errorf("unhealthy transitions = %v, want 1", v)
 	}
-	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v < float64(sum.Shards+sum.Redispatches) {
-		t.Errorf("dispatch attempts = %v, want >= %d", v, sum.Shards+sum.Redispatches)
+	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v < float64(len(fleet.PlanShards(testSpec)))+redispatched {
+		t.Errorf("dispatch attempts = %v, want >= %d shards + %v re-dispatches",
+			v, len(fleet.PlanShards(testSpec)), redispatched)
 	}
 	if v, _ := m.Value("adnet_fleet_shard_duration_seconds_count", map[string]string{"worker": "worker-002"}); v < 1 {
 		t.Errorf("surviving worker's shard-latency observations = %v, want >= 1", v)
@@ -424,7 +435,7 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 	register(t, c, srv.URL)
 
 	var merged []expt.CellResult
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
@@ -437,9 +448,6 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 		t.Fatal("no cell stream was cut")
 	}
 	checkMergedCells(t, testSpec, merged)
-	if sum.Redispatches != 0 {
-		t.Fatalf("summary = %+v, want done with 0 re-dispatches", sum)
-	}
 	if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
 		t.Fatalf("aggregate after a broken stream diverged:\n%s\nvs\n%s", out, want)
 	}
@@ -451,8 +459,12 @@ func TestRunGridRedispatchesBrokenStreamToLiveWorker(t *testing.T) {
 		map[string]string{"to": "unhealthy"}); v != 0 {
 		t.Errorf("unhealthy transitions = %v, want 0", v)
 	}
-	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v != float64(sum.Shards+1) {
-		t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the broken one)", v, sum.Shards+1)
+	if v, _ := m.Value("adnet_fleet_shards_redispatched_total", nil); v != 0 {
+		t.Errorf("re-dispatches = %v, want 0", v)
+	}
+	want := len(fleet.PlanShards(testSpec)) + 1
+	if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v != float64(want) {
+		t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the broken one)", v, want)
 	}
 }
 
@@ -541,7 +553,7 @@ func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 			register(t, c, srv.URL)
 
 			var merged []expt.CellResult
-			sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
+			_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 				merged = append(merged, cell)
 			})
 			if err != nil {
@@ -551,11 +563,16 @@ func TestRunGridRedispatchesGarbledStream(t *testing.T) {
 			if out, want := foldOf(t, merged), singleProcessAggregate(t, testSpec); !bytes.Equal(out, want) {
 				t.Fatalf("aggregate after a garbled stream diverged:\n%s\nvs\n%s", out, want)
 			}
-			if ws := c.Workers(context.Background()); sum.Redispatches != 0 || len(ws) != 1 || !ws[0].Healthy {
-				t.Fatalf("summary = %+v, workers %+v; want done, 0 re-dispatches and a healthy worker", sum, ws)
+			if ws := c.Workers(context.Background()); len(ws) != 1 || !ws[0].Healthy {
+				t.Fatalf("workers %+v; want a healthy worker", ws)
 			}
-			if v, _ := scrapeRegistry(t, reg).Value("adnet_fleet_shards_dispatched_total", nil); v != float64(sum.Shards+1) {
-				t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the garbled one)", v, sum.Shards+1)
+			m := scrapeRegistry(t, reg)
+			if v, _ := m.Value("adnet_fleet_shards_redispatched_total", nil); v != 0 {
+				t.Errorf("re-dispatches = %v, want 0", v)
+			}
+			want := len(fleet.PlanShards(testSpec)) + 1
+			if v, _ := m.Value("adnet_fleet_shards_dispatched_total", nil); v != float64(want) {
+				t.Errorf("dispatch attempts = %v, want %d (one per shard, plus the garbled one)", v, want)
 			}
 		})
 	}
@@ -699,19 +716,20 @@ func TestRunGridWaitsOutBusyWorker(t *testing.T) {
 		mgr.Close()
 	})
 
-	c := fleet.New(fleet.Config{})
+	reg := obs.NewRegistry()
+	c := fleet.New(fleet.Config{Metrics: reg})
 	register(t, c, busy.URL)
 
 	var merged []expt.CellResult
-	sum, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
+	_, err := c.RunGrid(context.Background(), testSpec, nil, func(cell expt.CellResult) {
 		merged = append(merged, cell)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMergedCells(t, testSpec, merged)
-	if sum.Redispatches != 0 {
-		t.Fatalf("busy worker counted as %d re-dispatches", sum.Redispatches)
+	if v, _ := scrapeRegistry(t, reg).Value("adnet_fleet_shards_redispatched_total", nil); v != 0 {
+		t.Fatalf("busy worker counted as %v re-dispatches", v)
 	}
 	ws := c.Workers(context.Background())
 	if len(ws) != 1 || !ws[0].Healthy {

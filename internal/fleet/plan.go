@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"adnet/internal/expt"
-	"adnet/internal/runkey"
-)
+import "adnet/internal/expt"
 
 // Shard is one dispatchable slice of a sweep grid: a whole
 // (algorithm, workload, n) row with every seed, i.e. exactly one
@@ -16,10 +13,6 @@ import (
 type Shard struct {
 	// Index is the shard's position in canonical grid order.
 	Index int
-	// Key is the shard's stable identity (runkey.ShardKey): it names
-	// the same cells no matter which worker executes it or how often
-	// it is re-dispatched.
-	Key string
 	// Offset is the global canonical index of the shard's first cell.
 	Offset int
 	// Spec is the shard's sub-grid. Its canonical cell order equals
@@ -33,11 +26,11 @@ func (s Shard) NumCells() int { return s.Spec.NumCells() }
 
 // PlanShards partitions the grid's canonical cell sequence into
 // contiguous, group-aligned shards: one per (algorithm, workload, n)
-// row, in runkey order. The plan is a pure function of the spec —
-// every coordinator (and every retry) produces the same shards with
-// the same keys.
+// row, in canonical order. The plan is a pure function of the spec —
+// every coordinator (and every retry) produces the same shards, so a
+// shard names the same cells no matter which worker executes it or how
+// often it is re-dispatched.
 func PlanShards(spec expt.SweepSpec) []Shard {
-	sweepKey := spec.Key()
 	var shards []Shard
 	for start, row := range expt.Groups(spec.Cells(), func(c expt.Cell) expt.Cell { return c }) {
 		sub := row[0].Grid() // the row's first cell, widened to every seed
@@ -47,7 +40,6 @@ func PlanShards(spec expt.SweepSpec) []Shard {
 		}
 		shards = append(shards, Shard{
 			Index:  len(shards),
-			Key:    runkey.ShardKey(sweepKey, len(shards), start, len(row)),
 			Offset: start,
 			Spec:   sub,
 		})

@@ -19,10 +19,8 @@ import (
 // the cells of shards the caller's lookup answered without dispatch.
 // Cell, cache-hit and error counts are the emitted cells' own.
 type Summary struct {
-	Executed     int
-	Replayed     int
-	Shards       int
-	Redispatches int
+	Executed int
+	Replayed int
 }
 
 // RunGrid executes the grid across the registry's healthy workers and
@@ -51,7 +49,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
 	}
 	shards := PlanShards(spec)
 	cells := spec.Cells()
-	sum := Summary{Shards: len(shards)}
+	var sum Summary
 
 	// An answered shard is complete before dispatch starts: the lookup's
 	// outcomes are its progress, and its executed count stays 0 — that
@@ -77,7 +75,7 @@ func (c *Coordinator) RunGrid(ctx context.Context, spec expt.SweepSpec,
 		slog.Int("cells", len(cells)), slog.Int("shards", len(shards)),
 		slog.Int("answered_shards", answered),
 		slog.Int("workers", len(workers)))
-	runErr := c.dispatchAll(ctx, shards, cells, progress, workers, &sum, emit)
+	runErr := c.dispatchAll(ctx, shards, cells, progress, workers, emit)
 	// Shards that completed before a failure still did their work:
 	// keep their Executed counts in the summary, like the incremental
 	// single-process summary would.
@@ -111,7 +109,7 @@ func answer(lookup func(int, expt.Cell) (expt.Outcome, bool), offset int, cells 
 // shards in canonical order. Shards whose progress already holds cells
 // (answered by the lookup) never enter the queue.
 func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []expt.Cell,
-	progress []shardProgress, workers []*worker, sum *Summary, emit func(expt.CellResult)) error {
+	progress []shardProgress, workers []*worker, emit func(expt.CellResult)) error {
 	// complete[i] is the merger's own record that shard i completed;
 	// next is the first shard not emitted yet.
 	complete := make([]bool, len(shards))
@@ -171,10 +169,9 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		fatalMu      sync.Mutex
-		fatalErr     error
-		redispatches atomic.Int32
-		wg           sync.WaitGroup
+		fatalMu  sync.Mutex
+		fatalErr error
+		wg       sync.WaitGroup
 	)
 	setFatal := func(err error) {
 		fatalMu.Lock()
@@ -237,13 +234,13 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 					// same spec (config skew between coordinator and
 					// worker limits). Fail the sweep now; the worker is
 					// fine.
-					setFatal(fmt.Errorf("fleet: shard %d (%s): %w", idx, shards[idx].Key, err))
+					setFatal(fmt.Errorf("fleet: shard %d (offset %d): %w", idx, shards[idx].Offset, err))
 					return
 				}
 				sp.attempts++
 				if sp.attempts >= shardAttempts {
-					setFatal(fmt.Errorf("fleet: shard %d (%s) failed after %d dispatch attempts: %w",
-						idx, shards[idx].Key, sp.attempts, err))
+					setFatal(fmt.Errorf("fleet: shard %d (offset %d) failed after %d dispatch attempts: %w",
+						idx, shards[idx].Offset, sp.attempts, err))
 					return
 				}
 				// Any other failure — a broken or short stream, an
@@ -264,7 +261,6 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 				c.cfg.Logger.WarnContext(runCtx, "fleet worker died mid-shard; re-dispatching",
 					slog.String("worker", w.id), slog.Int("shard", idx),
 					slog.String("error", err.Error()))
-				redispatches.Add(1)
 				return
 			}
 		}(w)
@@ -279,7 +275,6 @@ func (c *Coordinator) dispatchAll(ctx context.Context, shards []Shard, cells []e
 		complete[idx] = true
 		flush()
 	}
-	sum.Redispatches = int(redispatches.Load())
 
 	fatalMu.Lock()
 	cause := fatalErr

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +16,6 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/journal"
-	"adnet/internal/runkey"
 )
 
 // newCoordinator builds a coordinator-mode test server backed by
@@ -120,7 +118,7 @@ func TestCoordinatorJournalTakeover(t *testing.T) {
 		Seeds:      []int64{1, 2, 3, 4},
 	}
 	total := spec.NumCells()
-	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	path := sweepJournalPath(dir, spec.Key())
 
 	release := make(chan struct{})
 	var workerURLs []string
@@ -311,10 +309,10 @@ func TestCoordinatorResumesShardRecords(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+			if err := os.MkdirAll(journalDir(dir), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+			path := sweepJournalPath(dir, spec.Key())
 			writeJournal(t, path, journal.Record{Kind: recHeader, Data: header}, journal.Record{Kind: recShard, Data: []byte(tc.record)})
 
 			worker, _ := newTestServer(t, Config{Workers: 1, SweepWorkers: 1})

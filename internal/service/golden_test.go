@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"adnet/internal/dynamics"
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
-	"adnet/internal/runkey"
 )
 
 const (
@@ -34,10 +34,10 @@ const (
 // TestKeyAndWireGoldens pins, as literal strings generated at the
 // commit before the spec/key/wire types were collapsed into expt, every
 // byte sequence another process or a later process life depends on:
-// run, sweep and shard keys (cache entries, job IDs, journal file
-// names), the NDJSON lines of a cell stream, the body a coordinator
-// POSTs for a shard, and the journal record payloads. A change to any
-// of them strands caches, journals and mixed-version fleets; it must be
+// run and sweep keys (cache entries, job IDs, journal file names), the
+// NDJSON lines of a cell stream, the body a coordinator POSTs for a
+// shard, and the journal record payloads. A change to any of them
+// strands caches, journals and mixed-version fleets; it must be
 // deliberate and show up in this diff.
 func TestKeyAndWireGoldens(t *testing.T) {
 	t.Parallel()
@@ -89,14 +89,12 @@ func TestKeyAndWireGoldens(t *testing.T) {
 		{"grid cell key", grid[0].Key(), "flood|line|n=32|seed=1|maxr=0"},
 		{"run key, max_rounds and dynamics", runBoth.Key(), "flood|line|n=32|seed=1|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0"},
 		{"grid cell key, max_rounds and dynamics", sweepDyn.Cells()[0].Key(), "flood|line|n=32|seed=1|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0"},
-		{"run job ID hash", runkey.ShortHash(run.Key()), "80d22b9d"},
+		{"run job ID hash", shortHash(run.Key()), "80d22b9d"},
 		{"sweep key", sweep.Key(), "sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0"},
 		{"sweep key, max_rounds and dynamics", sweepDyn.Key(), "sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0"},
-		{"sweep job ID hash", runkey.ShortHash(sweep.Key()), "318e16a1"},
-		{"journal file name", runkey.Hash(sweep.Key()) + ".wal", "318e16a14fd75667.wal"},
-		{"journal file name, dynamics", runkey.Hash(sweepDyn.Key()) + ".wal", "84e64701f5aae6a4.wal"},
-		{"shard key", shards[0].Key, "sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=0|shard=0|off=0|cells=2"},
-		{"shard key, dynamics", shardsDyn[1].Key, "sweep|a=flood,graph-to-star|w=line|n=32,64|seed=1,2|maxr=500|dyn=edge-churn,k=1,preserve=false,seed=0|shard=1|off=2|cells=2"},
+		{"sweep job ID hash", shortHash(sweep.Key()), "318e16a1"},
+		{"journal file name", filepath.Base(sweepJournalPath("", sweep.Key())), "318e16a14fd75667.wal"},
+		{"journal file name, dynamics", filepath.Base(sweepJournalPath("", sweepDyn.Key())), "84e64701f5aae6a4.wal"},
 
 		// Request bodies.
 		{"run body", marshal(runDyn), `{"algorithm":"flood","workload":"line","n":32,"seed":1,"dynamics":{"class":"edge-churn"}}`},

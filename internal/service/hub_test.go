@@ -356,9 +356,31 @@ func TestStreamBytesCountsCacheHeldReplays(t *testing.T) {
 // unimpeded. Both the rounds-shaped stream (the log's own frames) and
 // the topology-shaped one (json rendered from packed lines on the
 // subscriber's goroutine) go through the same streamNDJSON path the
-// endpoints use.
+// endpoints use. It and its subtests run outside the parallel pool, so
+// no other test competes for the cores while a 150 ms write deadline
+// is armed.
+//
+// The healthy subscriber's socket gets a fixed receive buffer (4 MiB,
+// or the host's net.core.rmem_max if smaller) when it connects. With
+// the kernel's autotuned one, which starts small, a loopback writer
+// pushing tens of MB/s can outrun the buffer's growth; the lost
+// segments wait out a TCP retransmission timeout (at least 200 ms on
+// Linux), longer than the deadline, and the server drops a reader that
+// was keeping up.
 func TestStalledSubscriberDropped(t *testing.T) {
-	t.Parallel()
+	drainer := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.(*net.TCPConn).SetReadBuffer(4 << 20); err != nil {
+			c.Close()
+			return nil, err
+		}
+		return c, nil
+	}}
+	defer drainer.CloseIdleConnections()
+	client := &http.Client{Transport: drainer}
 	// Big frames fill the socket buffers fast; 4096 slot pairs is
 	// ~50KB of JSON per frame.
 	bigDelta := make([]int32, 8192)
@@ -439,7 +461,6 @@ func TestStalledSubscriberDropped(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
 			mt := newMetrics(obs.NewRegistry(), nil)
 			// Push enough bytes to overrun any socket buffering between
 			// server and stalled client.
@@ -471,7 +492,7 @@ func TestStalledSubscriberDropped(t *testing.T) {
 			// Healthy subscriber: drains the stream to the end.
 			healthy := make(chan int64, 1)
 			go func() {
-				resp, err := http.Get(srv.URL + "/stream")
+				resp, err := client.Get(srv.URL + "/stream")
 				if err != nil {
 					healthy <- -1
 					return

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +16,6 @@ import (
 
 	"adnet/internal/expt"
 	"adnet/internal/journal"
-	"adnet/internal/runkey"
 )
 
 // Sweep journal record kinds. Header and done payloads are JSON, a
@@ -206,9 +207,19 @@ func parseJournal(path string, recs []journal.Record, file func(key string, rec 
 	return st, nil
 }
 
-// journalDir is where sweep journals live under the data dir.
-func (m *Manager) journalDir() string {
-	return filepath.Join(m.cfg.DataDir, "sweeps")
+// journalDir is where sweep journals live under a data dir.
+func journalDir(dataDir string) string {
+	return filepath.Join(dataDir, "sweeps")
+}
+
+// sweepJournalPath names the journal of the grid with key under
+// dataDir by a 16-hex-digit digest of the key: long enough that grids
+// sharing a data dir never collide in practice, short enough for
+// directory listings to stay readable. The name is an on-disk
+// contract — a restarted server finds a grid's journal by it.
+func sweepJournalPath(dataDir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(journalDir(dataDir), hex.EncodeToString(sum[:8])+".wal")
 }
 
 // openSweepJournal attaches j to its on-disk journal: replay whatever
@@ -220,8 +231,7 @@ func (m *Manager) journalDir() string {
 // startup.
 func (m *Manager) openSweepJournal(j *SweepJob) {
 	key := j.Spec.Key()
-	dir := m.journalDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(journalDir(m.cfg.DataDir), 0o755); err != nil {
 		m.logger.Error("sweep journal dir unavailable; running unjournaled",
 			slog.String("sweep_id", j.ID), slog.String("error", err.Error()))
 		return
@@ -244,7 +254,7 @@ func (m *Manager) openSweepJournal(j *SweepJob) {
 		m.mu.Unlock()
 	}
 
-	path := filepath.Join(dir, runkey.Hash(key)+".wal")
+	path := sweepJournalPath(m.cfg.DataDir, key)
 	lg, err := journal.Open(path)
 	if err != nil {
 		release()
@@ -309,7 +319,7 @@ func (m *Manager) Recover() error {
 	if m.cfg.DataDir == "" {
 		return nil
 	}
-	dir := m.journalDir()
+	dir := journalDir(m.cfg.DataDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("service: recover: %w", err)
 	}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -13,7 +15,6 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/obs"
-	"adnet/internal/runkey"
 	"adnet/internal/sim"
 )
 
@@ -473,12 +474,19 @@ func (m *Manager) newJob(spec RunSpec, cached *replay) *Job {
 		rp = &replay{log: newFrameLog(0), headerObs: m.metrics.headerObs, recordObs: m.metrics.recordObs}
 	}
 	return &Job{
-		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
+		ID:        fmt.Sprintf("run-%06d-%s", m.seq.Add(1), shortHash(spec.Key())),
 		Spec:      spec,
 		FromCache: cached != nil,
 		replay:    rp,
 		lifecycle: queued(context.Background()),
 	}
+}
+
+// shortHash is an 8-hex-digit digest of a run or sweep key: the tail
+// of a job ID, where the full key is too long to read.
+func shortHash(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:4])
 }
 
 // worker serves queued run jobs on one Runner until the queue is

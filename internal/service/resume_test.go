@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -18,14 +17,13 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/journal"
-	"adnet/internal/runkey"
 )
 
 // journaledCells parses a spec's journal off disk and returns the
 // cells it holds — the cells a resumed sweep must NOT re-execute.
 func journaledCells(t *testing.T, dataDir string, spec SweepSpec) int {
 	t.Helper()
-	path := filepath.Join(dataDir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	path := sweepJournalPath(dataDir, spec.Key())
 	recs, _, err := journal.ReadAll(path)
 	if err != nil {
 		t.Fatalf("read journal %s: %v", path, err)
@@ -194,7 +192,7 @@ func TestSweepJournalResumeAfterInterruption(t *testing.T) {
 	// The finished resume wrote its terminal record: a third startup
 	// has nothing to resume.
 	m2.Close()
-	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	path := sweepJournalPath(dir, spec.Key())
 	recs, _, err := journal.ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +302,7 @@ func TestResumedSweepJournalsEachRunKeyOnce(t *testing.T) {
 				t.Fatalf("coordinator ran %d local simulations, want 0", n)
 			}
 
-			keys := journaledRunKeys(t, filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"))
+			keys := journaledRunKeys(t, sweepJournalPath(dir, spec.Key()))
 			for _, c := range spec.Cells() {
 				if n := keys[c.Key()]; n != 1 {
 					t.Errorf("journal names run key %s %d times, want once", c.Key(), n)
@@ -325,8 +323,7 @@ func TestResumedSweepJournalsEachRunKeyOnce(t *testing.T) {
 func TestPendingResumesEndQuietlyOnClose(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	sweepDir := filepath.Join(dir, "sweeps")
-	if err := os.MkdirAll(sweepDir, 0o755); err != nil {
+	if err := os.MkdirAll(journalDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	const gate = 1
@@ -336,7 +333,7 @@ func TestPendingResumesEndQuietlyOnClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writeJournal(t, filepath.Join(sweepDir, runkey.Hash(spec.Key())+".wal"), journal.Record{Kind: recHeader, Data: header})
+		writeJournal(t, sweepJournalPath(dir, spec.Key()), journal.Record{Kind: recHeader, Data: header})
 	}
 	var logs bytes.Buffer // the handler serializes its writes
 	m := NewManager(Config{Workers: 1, SweepWorkers: 1, MaxConcurrentSweeps: gate, DataDir: dir,
@@ -391,12 +388,11 @@ func TestRunAfterRecoveredSweepExecutes(t *testing.T) {
 func TestRecoverRefusesCorruptJournal(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	sweepDir := filepath.Join(dir, "sweeps")
-	if err := os.MkdirAll(sweepDir, 0o755); err != nil {
+	if err := os.MkdirAll(journalDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	spec := sweepSpec()
-	path := filepath.Join(sweepDir, runkey.Hash(spec.Key())+".wal")
+	path := sweepJournalPath(dir, spec.Key())
 	header, _ := json.Marshal(sweepHeader{Key: spec.Key(), Spec: spec, Cells: spec.NumCells()})
 	payload := expt.AppendOutcome(binary.AppendUvarint(nil, 0), 0, &expt.Outcome{N: 24})
 	writeJournal(t, path, journal.Record{Kind: recHeader, Data: header},
@@ -468,10 +464,10 @@ func TestOldJournalsResume(t *testing.T) {
 			`{"index":5,"algorithm":"graph-to-star","workload":"line","n":32,"seed":2,"from_cache":false,"error":"expt: cell skipped: sim: run canceled"}]}`
 	)
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+	if err := os.MkdirAll(journalDir(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+	path := sweepJournalPath(dir, spec.Key())
 	writeJournal(t, path, journal.Record{Kind: recHeader, Data: []byte(header)},
 		journal.Record{Kind: recCellJSON, Data: []byte(cell2)}, journal.Record{Kind: recShard, Data: []byte(shard2)},
 		journal.Record{Kind: recCellJSON, Data: []byte(cell7)})
@@ -536,10 +532,10 @@ func TestRecoverRefusesBadCellIndices(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			if err := os.MkdirAll(filepath.Join(dir, "sweeps"), 0o755); err != nil {
+			if err := os.MkdirAll(journalDir(dir), 0o755); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+			path := sweepJournalPath(dir, spec.Key())
 			writeJournal(t, path, tc.recs...)
 			m := NewManager(Config{Workers: 1, DataDir: dir})
 			defer m.Close()
@@ -570,7 +566,7 @@ func TestResumeReplaysEveryJournaledCell(t *testing.T) {
 			dir := t.TempDir()
 			spec := sweepSpec()
 			total := spec.NumCells()
-			path := filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal")
+			path := sweepJournalPath(dir, spec.Key())
 
 			// A finished sweep's journal without its terminal record:
 			// every cell journaled, the grid not done. The same cells in
@@ -666,7 +662,7 @@ func TestJournalBytesPerCell(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	m.Close()
-	recs, _, err := journal.ReadAll(filepath.Join(dir, "sweeps", runkey.Hash(spec.Key())+".wal"))
+	recs, _, err := journal.ReadAll(sweepJournalPath(dir, spec.Key()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"adnet/internal/dynamics"
 	"adnet/internal/temporal"
 )
 
@@ -75,6 +76,8 @@ func TestSpecKeyDistinguishesFields(t *testing.T) {
 		{Algorithm: base.Algorithm, Workload: base.Workload, N: base.N + 1, Seed: base.Seed},
 		{Algorithm: base.Algorithm, Workload: base.Workload, N: base.N, Seed: base.Seed + 1},
 		{Algorithm: base.Algorithm, Workload: base.Workload, N: base.N, Seed: base.Seed, MaxRounds: 9},
+		{Algorithm: base.Algorithm, Workload: base.Workload, N: base.N, Seed: base.Seed, Dynamics: &dynamics.Spec{Class: dynamics.ClassEdgeChurn}},
+		{Algorithm: base.Algorithm, Workload: base.Workload, N: base.N, Seed: base.Seed, Dynamics: &dynamics.Spec{Class: dynamics.ClassCrash}},
 	}
 	seen := map[string]bool{base.Key(): true}
 	for _, v := range variants {
@@ -85,6 +88,24 @@ func TestSpecKeyDistinguishesFields(t *testing.T) {
 	}
 	if base.Key() != fastSpec(1).Key() {
 		t.Error("identical specs must share a key")
+	}
+
+	// A sweep's key changes with every field that changes the cells it
+	// enumerates.
+	grid := SweepSpec{Algorithms: []string{"flood"}, Workloads: []string{"line"}, Sizes: []int{16}, Seeds: []int64{1, 2}}
+	for name, edit := range map[string]func(*SweepSpec){
+		"algorithms": func(s *SweepSpec) { s.Algorithms = []string{"flood", "graph-to-star"} },
+		"workloads":  func(s *SweepSpec) { s.Workloads = []string{"ring"} },
+		"sizes":      func(s *SweepSpec) { s.Sizes = []int{17} },
+		"seeds":      func(s *SweepSpec) { s.Seeds = []int64{1, 3} },
+		"max_rounds": func(s *SweepSpec) { s.MaxRounds = 9 },
+		"dynamics":   func(s *SweepSpec) { s.Dynamics = &dynamics.Spec{Class: dynamics.ClassEdgeChurn} },
+	} {
+		v := grid
+		edit(&v)
+		if v.Key() == grid.Key() {
+			t.Errorf("changing %s leaves the sweep key %q", name, v.Key())
+		}
 	}
 }
 

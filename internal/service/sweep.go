@@ -16,7 +16,6 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/fleet"
 	"adnet/internal/obs"
-	"adnet/internal/runkey"
 	"adnet/internal/sim"
 )
 
@@ -164,7 +163,7 @@ func (m *Manager) SubmitSweep(ctx context.Context, spec SweepSpec) (*SweepJob, e
 		return nil, ErrSweepBusy
 	}
 	j := &SweepJob{
-		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), runkey.ShortHash(spec.Key())),
+		ID:        fmt.Sprintf("sweep-%06d-%s", m.seq.Add(1), shortHash(spec.Key())),
 		Spec:      spec,
 		grid:      spec.Normalized(),
 		cells:     newFrameLog(spec.NumCells()),

@@ -246,7 +246,7 @@ func TestSweepJobPerCellCacheHits(t *testing.T) {
 	spec := sweepSpec()
 
 	// Seed the cache with ONE cell via the individual-run path: the
-	// canonical runkey makes the sweep reuse it.
+	// canonical run key (Cell.Key) makes the sweep reuse it.
 	sub, code := postRun(t, srv, RunSpec{Algorithm: "flood", Workload: "line", N: 16, Seed: 1})
 	if code != http.StatusAccepted {
 		t.Fatalf("POST /v1/runs = %d", code)
