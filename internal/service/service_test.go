@@ -67,6 +67,20 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+func TestShortHashStable(t *testing.T) {
+	t.Parallel()
+	h := shortHash("x")
+	if len(h) != 8 {
+		t.Fatalf("len = %d, want 8", len(h))
+	}
+	if shortHash("x") != h {
+		t.Fatal("hash not deterministic")
+	}
+	if shortHash("y") == h {
+		t.Fatal("distinct keys share a short hash (astronomically unlikely)")
+	}
+}
+
 func TestSpecKeyDistinguishesFields(t *testing.T) {
 	t.Parallel()
 	base := fastSpec(1)

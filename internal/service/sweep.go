@@ -205,19 +205,6 @@ func (m *Manager) CancelSweep(id string) error { return m.sweeps.cancel(id) }
 func (m *Manager) executeSweep(j *SweepJob) {
 	defer m.sweepWG.Done()
 	defer func() {
-		<-m.sweepGate
-		m.metrics.sweepsActive.Dec()
-		if j.journal != nil {
-			// Seal the journal — unless the manager is shutting down:
-			// a shutdown-canceled sweep must look like a crash so the
-			// next startup resumes it.
-			if st := j.Status(); st.Summary != nil && !m.isClosed() {
-				done, _ := json.Marshal(doneRecord{State: st.State, Summary: *st.Summary})
-				j.journal.append(recDone, done)
-			}
-			j.journal.sync()
-			j.journal.close()
-		}
 		j.scratch, j.done = nil, nil
 		j.cells.close()
 		m.sweeps.retire(j.ID)
@@ -241,6 +228,24 @@ func (m *Manager) executeSweep(j *SweepJob) {
 
 	sum, err := m.runGrid(ctx, j)
 	state, jobErr := j.outcomeOf(err, "sweep", m.cfg.SweepTimeLimit)
+	if j.journal != nil {
+		// Seal and release the journal before the terminal state is
+		// published: a client that sees the sweep finish and resubmits
+		// its grid must find the journal free to replay, not still
+		// owned by this job. A shutdown-canceled sweep gets no terminal
+		// record, so that it looks like a crash and the next startup
+		// resumes it.
+		if !m.isClosed() {
+			done, _ := json.Marshal(doneRecord{State: state, Summary: sum})
+			j.journal.append(recDone, done)
+		}
+		j.journal.sync()
+		j.journal.close()
+	}
+	// Free the sweep slot before the terminal state too, so that the
+	// same resubmission is not refused at the gate.
+	<-m.sweepGate
+	m.metrics.sweepsActive.Dec()
 	j.finish(state, sum, jobErr)
 }
 
