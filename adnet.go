@@ -17,7 +17,7 @@
 //
 // The typed sub-packages remain available for advanced use: the engine
 // (internal/sim), the temporal-graph ledger (internal/temporal) and
-// the experiment harness (internal/expt) used by cmd/adnet-bench.
+// the experiment harness (internal/expt) behind `adnet -experiments`.
 package adnet
 
 import (

@@ -26,6 +26,18 @@
 //	adnet -robustness -graph line -n 32 -seeds 1,2,3
 //	adnet -robustness -dynamics edge-churn,crash -json > ROBUSTNESS_LATEST.json
 //	adnet -robustness -gate ROBUSTNESS_LATEST.json
+//
+// With -experiments it prints the paper's evaluation instead, the
+// tables E1–E13 of DESIGN.md's experiment index (a comma list of IDs,
+// or all) at the -n sizes if -n is given and at each table's own
+// otherwise; -tradeoff N adds the §1.3 time/edge-complexity tradeoff
+// table T1 at n = N:
+//
+//	adnet -experiments all -tradeoff 512
+//	adnet -experiments E3,E9 -n 64,256
+//
+// A flag its mode does not read is an error. Host cost (wall clock,
+// allocations, RSS) is measured by `go run ./benchmark`.
 package main
 
 import (
@@ -33,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -45,7 +58,7 @@ func main() {
 		"algorithm: "+strings.Join(expt.Algorithms(), ", "))
 	workload := flag.String("graph", "line",
 		"initial network (a comma list in -aggregate/-robustness mode): "+strings.Join(expt.Workloads(), ", "))
-	nFlag := flag.String("n", "256", "number of nodes (a comma list in -aggregate/-robustness mode)")
+	nFlag := flag.String("n", "256", "number of nodes (a comma list in -aggregate/-robustness/-experiments mode)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	verify := flag.Bool("verify", false, "fail unless a unique correct leader was elected")
 	aggregate := flag.Bool("aggregate", false, "run the -algos x -graph x -n x -seeds grid and print mean/min/max/stddev statistics")
@@ -56,46 +69,70 @@ func main() {
 	dynFlag := flag.String("dynamics", strings.Join(dynamics.Classes(), ","), "robustness mode: comma-separated dynamics classes")
 	jsonOut := flag.Bool("json", false, "aggregate/robustness mode: emit JSON (the aggregate groups array; the ROBUSTNESS_LATEST.json shape)")
 	gate := flag.String("gate", "", "robustness mode: fail unless every row of the snapshot FILE still succeeds as often")
+	experiments := flag.String("experiments", "", "print the paper's tables: comma-separated IDs (E1..E13) or all, at the -n sizes if given, else each table's own")
+	tradeoff := flag.Int("tradeoff", 0, "print the time/edge-complexity tradeoff table T1 at this n")
 	flag.Parse()
 
-	if *aggregate || *robustness {
-		algos := splitList(*algosFlag)
-		if len(algos) == 0 && *aggregate {
-			algos = []string{*algo}
-		}
-		grid, err := parseGrid(algos, *workload, *nFlag, *seedsFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if *robustness {
-			err = runRobustness(grid, *dynFlag, *csvOut, *jsonOut, *gate)
-		} else {
-			err = runAggregate(grid, *verify, *csvOut, *jsonOut)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
+	mode := "single-run"
+	switch {
+	case *aggregate:
+		mode = "aggregate"
+	case *robustness:
+		mode = "robustness"
+	case *experiments != "" || *tradeoff != 0:
+		mode = "experiments"
 	}
-	if *csvOut || *jsonOut {
-		fatal(fmt.Errorf("-csv and -json require -aggregate or -robustness"))
-	}
-	n, err := strconv.Atoi(*nFlag)
-	if err != nil || strings.Contains(*workload, ",") {
-		fatal(fmt.Errorf("a single run takes one -graph and one -n (lists need -aggregate): -graph %q -n %q", *workload, *nFlag))
-	}
-
-	out, err := expt.Execute(expt.Request{
-		Algorithm: *algo,
-		Workload:  *workload,
-		N:         n,
-		Seed:      *seed,
+	sizes, err := parseSizes(*nFlag)
+	nSet := false
+	flag.Visit(func(f *flag.Flag) {
+		nSet = nSet || f.Name == "n"
+		if !slices.Contains(modeFlags[mode], f.Name) && err == nil {
+			err = fmt.Errorf("-%s does not apply in %s mode", f.Name, mode)
+		}
 	})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("algorithm           %s\n", *algo)
-	fmt.Printf("initial network     %s n=%d (seed %d)\n", *workload, n, *seed)
+
+	switch mode {
+	case "experiments":
+		if !nSet {
+			sizes = nil
+		}
+		err = runExperiments(*experiments, sizes, *tradeoff)
+	case "aggregate", "robustness":
+		algos := splitList(*algosFlag)
+		if len(algos) == 0 && mode == "aggregate" {
+			algos = []string{*algo}
+		}
+		var grid expt.SweepSpec
+		if grid, err = parseGrid(algos, *workload, sizes, *seedsFlag); err != nil {
+			break
+		}
+		if mode == "robustness" {
+			err = runRobustness(grid, *dynFlag, *csvOut, *jsonOut, *gate)
+		} else {
+			err = runAggregate(grid, *verify, *csvOut, *jsonOut)
+		}
+	default:
+		if len(sizes) != 1 || strings.Contains(*workload, ",") {
+			fatal(fmt.Errorf("a single run takes one -graph and one -n (lists need -aggregate): -graph %q -n %q", *workload, *nFlag))
+		}
+		err = runOne(expt.Request{Algorithm: *algo, Workload: *workload, N: sizes[0], Seed: *seed}, *verify)
+	}
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// runOne executes one run and prints its cost measures.
+func runOne(req expt.Request, verify bool) error {
+	out, err := expt.Execute(req)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("algorithm           %s\n", req.Algorithm)
+	fmt.Printf("initial network     %s n=%d (seed %d)\n", req.Workload, req.N, req.Seed)
 	fmt.Printf("rounds              %d\n", out.Rounds)
 	fmt.Printf("last edge activity  round %d\n", out.LastActivity)
 	fmt.Printf("total activations   %d\n", out.TotalActivations)
@@ -105,28 +142,70 @@ func main() {
 	fmt.Printf("final diameter      %d\n", out.FinalDiameter)
 	fmt.Printf("final leader depth  %d\n", out.FinalDepth)
 	fmt.Printf("leader elected      %v\n", out.LeaderOK)
-	if *verify && !out.LeaderOK {
-		fatal(fmt.Errorf("verification failed: no unique correct leader"))
+	if verify && !out.LeaderOK {
+		return fmt.Errorf("verification failed: no unique correct leader")
 	}
+	return nil
+}
+
+// modeFlags lists the flags each mode reads; main fails on any other
+// set flag instead of dropping it. -aggregate, -robustness and
+// -experiments or -tradeoff select the mode, and exclude each other.
+var modeFlags = map[string][]string{
+	"single-run":  {"n", "algo", "graph", "seed", "verify"},
+	"aggregate":   {"n", "aggregate", "algo", "algos", "graph", "seeds", "verify", "csv", "json"},
+	"robustness":  {"n", "robustness", "algos", "graph", "seeds", "dynamics", "gate", "csv", "json"},
+	"experiments": {"n", "experiments", "tradeoff"},
+}
+
+// runExperiments prints the named tables of the experiment index
+// ("all" is E1–E13) at sizes, nil keeping each table's own, and then,
+// unless tradeoff is 0, the tradeoff table T1 at n = tradeoff.
+func runExperiments(ids string, sizes []int, tradeoff int) error {
+	list := splitList(ids)
+	if ids == "all" {
+		list = expt.ExperimentIDs()
+	}
+	for _, id := range list {
+		tab, err := expt.Run(id, sizes)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		fmt.Println(tab.String())
+	}
+	if tradeoff == 0 {
+		return nil
+	}
+	tab, err := expt.TradeoffTable(tradeoff)
+	if err == nil {
+		fmt.Println(tab.String())
+	}
+	return err
+}
+
+// parseSizes reads the -n comma list.
+func parseSizes(list string) ([]int, error) {
+	var sizes []int
+	for _, s := range splitList(list) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("bad size %q", s)
+		}
+		sizes = append(sizes, n)
+	}
+	return sizes, nil
 }
 
 // parseGrid reads the -algos x -graph x -n x -seeds grid. An empty
 // algorithm list is every distributed algorithm.
-func parseGrid(algos []string, workloads, sizes, seedList string) (expt.SweepSpec, error) {
-	grid := expt.SweepSpec{Algorithms: algos, Workloads: splitList(workloads)}
+func parseGrid(algos []string, workloads string, sizes []int, seedList string) (expt.SweepSpec, error) {
+	grid := expt.SweepSpec{Algorithms: algos, Workloads: splitList(workloads), Sizes: sizes}
 	if len(algos) == 0 {
 		for _, a := range expt.Algorithms() {
 			if expt.Simulated(a) {
 				grid.Algorithms = append(grid.Algorithms, a)
 			}
 		}
-	}
-	for _, s := range splitList(sizes) {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return grid, fmt.Errorf("bad size %q", s)
-		}
-		grid.Sizes = append(grid.Sizes, n)
 	}
 	var err error
 	grid.Seeds, err = expt.ParseSeeds(seedList)

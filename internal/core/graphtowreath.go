@@ -181,7 +181,9 @@ func WreathPhaseLength(n, branching int) int { return newWreathSched(n, branchin
 const StarPhaseLength = 8
 
 // WreathBranching returns the gadget arity used for n nodes: 2 for the
-// wreath, ⌈log2 n⌉ (at least 2) for the thin wreath.
+// wreath, bits.Len(n) = ⌊log2 n⌋+1 (at least 2) for the thin wreath —
+// one more than ⌈log2 n⌉ at a power of two, kept because the thin
+// wreath's traces are pinned to it.
 func WreathBranching(n int, thin bool) int {
 	if !thin {
 		return 2

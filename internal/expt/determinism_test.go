@@ -53,7 +53,9 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := RunAlgorithm(tc.algo, g)
+			fresh := NewRunner()
+			base, err := fresh.RunAlgorithm(tc.algo, g)
+			fresh.Close()
 			if err != nil {
 				t.Fatalf("fresh: %v", err)
 			}

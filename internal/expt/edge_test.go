@@ -58,13 +58,15 @@ func TestWorkloadTinySizes(t *testing.T) {
 
 func TestRunAlgorithmRejectsBadInput(t *testing.T) {
 	t.Parallel()
-	if _, err := RunAlgorithm("no-such-algo", graph.Line(4)); err == nil {
+	r := NewRunner()
+	defer r.Close()
+	if _, err := r.RunAlgorithm("no-such-algo", graph.Line(4)); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := RunAlgorithm(AlgoStar, nil); err == nil {
+	if _, err := r.RunAlgorithm(AlgoStar, nil); err == nil {
 		t.Error("nil graph accepted")
 	}
-	if _, err := RunAlgorithm(AlgoStar, graph.New()); err == nil {
+	if _, err := r.RunAlgorithm(AlgoStar, graph.New()); err == nil {
 		t.Error("empty graph accepted")
 	}
 	if _, err := Execute(Request{Algorithm: AlgoStar, Workload: "no-such-family", N: 8}); err == nil {
@@ -77,8 +79,10 @@ func TestRunAlgorithmRejectsBadInput(t *testing.T) {
 
 func TestRunAlgorithmSingletonGraph(t *testing.T) {
 	t.Parallel()
+	r := NewRunner()
+	defer r.Close()
 	for _, name := range Algorithms() {
-		out, err := RunAlgorithm(name, graph.Line(1))
+		out, err := r.RunAlgorithm(name, graph.Line(1))
 		if err != nil {
 			t.Errorf("%s on singleton: %v", name, err)
 			continue
@@ -97,7 +101,9 @@ func TestEveryAlgorithmRunsOnSmallLine(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			out, err := RunAlgorithm(name, graph.Line(16))
+			r := NewRunner()
+			defer r.Close()
+			out, err := r.RunAlgorithm(name, graph.Line(16))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +131,9 @@ func TestExecuteMatchesManualComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunAlgorithm(req.Algorithm, g)
+	r := NewRunner()
+	defer r.Close()
+	want, err := r.RunAlgorithm(req.Algorithm, g)
 	if err != nil {
 		t.Fatal(err)
 	}

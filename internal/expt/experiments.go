@@ -52,6 +52,19 @@ func Run(id string, sizes []int) (*Table, error) {
 	return nil, fmt.Errorf("expt: unknown experiment %q", id)
 }
 
+// runRows executes algo on the workload family at each size, seeded by
+// n, and appends row(n, outcome) to t.
+func (t *Table) runRows(algo, workload string, sizes []int, row func(n int, out Outcome) []string) (*Table, error) {
+	for _, n := range sizes {
+		out, err := Execute(Request{Algorithm: algo, Workload: workload, N: n, Seed: int64(n)})
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, row(n, out))
+	}
+	return t, nil
+}
+
 func defSizes(sizes []int, def []int) []int {
 	if len(sizes) > 0 {
 		return sizes
@@ -129,20 +142,15 @@ func mainAlgoTable(id, title, claim, algo, workload string, sizes, def []int) (*
 		Columns: []string{"n", "rounds", "rounds/log n", "totalAct", "act/(n log n)",
 			"maxActEdges", "maxActDeg", "finalDepth", "leaderOK"},
 	}
-	for _, n := range defSizes(sizes, def) {
-		out, err := Execute(Request{Algorithm: algo, Workload: workload, N: n, Seed: int64(n)})
-		if err != nil {
-			return nil, err
-		}
+	return t.runRows(algo, workload, defSizes(sizes, def), func(n int, out Outcome) []string {
 		ln := float64(logn(n))
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			fmt.Sprint(n), fmt.Sprint(out.Rounds), f2(float64(out.Rounds) / ln),
 			fmt.Sprint(out.TotalActivations), f2(float64(out.TotalActivations) / (float64(n) * ln)),
 			fmt.Sprint(out.MaxActivatedEdges), fmt.Sprint(out.MaxActivatedDegree),
 			fmt.Sprint(out.FinalDepth), fmt.Sprint(out.LeaderOK),
-		})
-	}
-	return t, nil
+		}
+	})
 }
 
 // E3GraphToStar: Theorem 3.8.
@@ -223,23 +231,13 @@ func E8CentralizedEuler(sizes []int) (*Table, error) {
 		Claim:   "Thm 6.3: Θ(n) total activations, O(log n) rounds, Depth-log n tree, any graph",
 		Columns: []string{"n", "rounds", "totalAct", "act/n", "finalDepth", "log2(2n)"},
 	}
-	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
-		g, err := Workload("random", n, int64(n))
-		if err != nil {
-			return nil, err
+	return t.runRows(AlgoCentralized, "random", defSizes(sizes, []int{64, 256, 1024, 4096}), func(n int, out Outcome) []string {
+		return []string{
+			fmt.Sprint(n), fmt.Sprint(out.Rounds), fmt.Sprint(out.TotalActivations),
+			f2(float64(out.TotalActivations) / float64(n)),
+			fmt.Sprint(out.FinalDepth), fmt.Sprint(logn(2 * n)),
 		}
-		res, err := baseline.EulerTourStrategy(g)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n), fmt.Sprint(res.Metrics.Rounds),
-			fmt.Sprint(res.Metrics.TotalActivations),
-			f2(float64(res.Metrics.TotalActivations) / float64(n)),
-			fmt.Sprint(res.Depth), fmt.Sprint(logn(2 * n)),
-		})
-	}
-	return t, nil
+	})
 }
 
 // E9DistributedActivations: Theorem 6.4 — the distributed/centralized
@@ -252,19 +250,18 @@ func E9DistributedActivations(sizes []int) (*Table, error) {
 		Columns: []string{"n", "distAct", "centAct", "ratio", "distAct/(n log n)"},
 	}
 	for _, n := range defSizes(sizes, []int{64, 256, 1024}) {
-		g := graph.IncreasingRing(n)
-		out, err := RunAlgorithm(AlgoStar, g)
+		out, err := Execute(Request{Algorithm: AlgoStar, Workload: "increasing-ring", N: n, Seed: int64(n)})
 		if err != nil {
 			return nil, err
 		}
-		cent, err := baseline.EulerTourStrategy(g)
+		cent, err := Execute(Request{Algorithm: AlgoCentralized, Workload: "increasing-ring", N: n, Seed: int64(n)})
 		if err != nil {
 			return nil, err
 		}
-		ratio := float64(out.TotalActivations) / float64(cent.Metrics.TotalActivations)
+		ratio := float64(out.TotalActivations) / float64(cent.TotalActivations)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(out.TotalActivations),
-			fmt.Sprint(cent.Metrics.TotalActivations), f2(ratio),
+			fmt.Sprint(cent.TotalActivations), f2(ratio),
 			f2(float64(out.TotalActivations) / (float64(n) * float64(logn(n)))),
 		})
 	}
@@ -279,18 +276,13 @@ func E10Clique(sizes []int) (*Table, error) {
 		Claim:   "§1.2: O(log n) rounds but Θ(n²) activations/edges and degree n-1",
 		Columns: []string{"n", "rounds", "totalAct", "act/n²", "maxActDeg"},
 	}
-	for _, n := range defSizes(sizes, []int{32, 64, 128, 256}) {
-		out, err := RunAlgorithm(AlgoClique, graph.Line(n))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
+	return t.runRows(AlgoClique, "line", defSizes(sizes, []int{32, 64, 128, 256}), func(n int, out Outcome) []string {
+		return []string{
 			fmt.Sprint(n), fmt.Sprint(out.Rounds), fmt.Sprint(out.TotalActivations),
 			f2(float64(out.TotalActivations) / float64(n*n)),
 			fmt.Sprint(out.MaxActivatedDegree),
-		})
-	}
-	return t, nil
+		}
+	})
 }
 
 // E11Flooding: §1.2 — no reconfiguration means Θ(diameter) time.
@@ -301,17 +293,12 @@ func E11Flooding(sizes []int) (*Table, error) {
 		Claim:   "§1.2: 0 activations but Θ(n) rounds — linear time is the price of a static network",
 		Columns: []string{"n", "rounds", "rounds/n", "totalAct"},
 	}
-	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
-		out, err := RunAlgorithm(AlgoFlood, graph.Line(n))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
+	return t.runRows(AlgoFlood, "line", defSizes(sizes, []int{64, 256, 1024, 4096}), func(n int, out Outcome) []string {
+		return []string{
 			fmt.Sprint(n), fmt.Sprint(out.Rounds),
 			f2(float64(out.Rounds) / float64(n)), fmt.Sprint(out.TotalActivations),
-		})
-	}
-	return t, nil
+		}
+	})
 }
 
 // E12Compose: §1.3 — transform + compute: after GraphToStar the
@@ -358,18 +345,13 @@ func E13Phases(sizes []int) (*Table, error) {
 		Claim:   "Lemmas 3.6/3.7: O(log n) phases, O(1) rounds per phase",
 		Columns: []string{"n", "rounds", "phases", "phases/log n"},
 	}
-	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
-		out, err := RunAlgorithm(AlgoStar, graph.Line(n))
-		if err != nil {
-			return nil, err
-		}
+	return t.runRows(AlgoStar, "line", defSizes(sizes, []int{64, 256, 1024, 4096}), func(n int, out Outcome) []string {
 		phases := int(math.Ceil(float64(out.Rounds) / core.StarPhaseLength))
-		t.Rows = append(t.Rows, []string{
+		return []string{
 			fmt.Sprint(n), fmt.Sprint(out.Rounds), fmt.Sprint(phases),
 			f2(float64(phases) / float64(logn(n))),
-		})
-	}
-	return t, nil
+		}
+	})
 }
 
 // TradeoffTable is the paper's headline comparison (§1.3): every
@@ -382,8 +364,7 @@ func TradeoffTable(n int) (*Table, error) {
 		Columns: []string{"algorithm", "rounds", "totalAct", "maxActEdges", "maxActDeg", "finalDepth", "leaderOK"},
 	}
 	for _, algo := range Algorithms() {
-		g := graph.Line(n)
-		out, err := RunAlgorithm(algo, g)
+		out, err := Execute(Request{Algorithm: algo, Workload: "line", N: n, Seed: int64(n)})
 		if err != nil {
 			return nil, err
 		}

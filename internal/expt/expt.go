@@ -1,6 +1,6 @@
 // Package expt is the experiment harness: it regenerates every
 // table/figure-level claim of the paper (DESIGN.md § "Experiment index
-// (E1–E13)") as measured series, the tables cmd/adnet-bench prints.
+// (E1–E13)") as measured series, the tables `adnet -experiments` prints.
 package expt
 
 import (
@@ -112,20 +112,10 @@ func Execute(req Request) (Outcome, error) {
 	return r.Execute(req)
 }
 
-// RunAlgorithm executes the named algorithm on a copy of gs, with
-// extra simulation options appended after the algorithm's defaults,
-// and returns the unified outcome. It runs on a throwaway Runner; hold
-// one instead when executing many runs.
-func RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
-	r := NewRunner()
-	defer r.Close()
-	return r.RunAlgorithm(name, gs, extra...)
-}
-
 // RunAlgorithm executes the named algorithm on gs through the
 // Runner's engine, with extra simulation options appended after the
-// algorithm's defaults. It is the one execution path behind Execute,
-// RunAlgorithm and ExecuteSweep.
+// algorithm's defaults. It is the one execution path behind Execute
+// and ExecuteSweep.
 func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
 	algo, err := lookup(name)
 	if err != nil {
@@ -293,6 +283,6 @@ func (t *Table) String() string {
 }
 
 // logn is ⌈log2 n⌉ as used throughout the bounds.
-func logn(n int) int { return bits.Len(uint(n)) }
+func logn(n int) int { return bits.Len(uint(max(n-1, 0))) }
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }

@@ -89,6 +89,32 @@ func TestE9SeparationGrows(t *testing.T) {
 	}
 }
 
+// TestLognIsCeilLog2: the log columns are ⌈log₂⌉, exact at the powers
+// of two every default size is — E6's log2(n) at 64 and E8's log2(2n)
+// at 64 are 6 and 7, not one more.
+func TestLognIsCeilLog2(t *testing.T) {
+	t.Parallel()
+	for n, want := range map[int]int{1: 0, 2: 1, 3: 2, 63: 6, 64: 6, 65: 7, 4096: 12} {
+		if got := logn(n); got != want {
+			t.Errorf("logn(%d) = %d, want %d", n, got, want)
+		}
+	}
+	e6, err := E6TimeLowerBound([]int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellInt(t, e6, 0, "log2(n)"); got != 6 {
+		t.Errorf("E6 log2(n) at n=64 = %d, want 6", got)
+	}
+	e8, err := E8CentralizedEuler([]int{64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cellInt(t, e8, 0, "log2(2n)"); got != 7 {
+		t.Errorf("E8 log2(2n) at n=64 = %d, want 7", got)
+	}
+}
+
 func TestE12SpeedupGrows(t *testing.T) {
 	t.Parallel()
 	tab, err := E12Compose([]int{64, 512})
@@ -140,7 +166,9 @@ func TestWorkloadsAndAlgorithmNames(t *testing.T) {
 	if _, err := Workload("nope", 10, 1); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := RunAlgorithm("nope", nil); err == nil {
+	r := NewRunner()
+	defer r.Close()
+	if _, err := r.RunAlgorithm("nope", nil); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }

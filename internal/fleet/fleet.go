@@ -33,7 +33,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +109,7 @@ func New(cfg Config) *Coordinator {
 type worker struct {
 	id  string
 	url string
+	seq int // registration order; id renders it
 	// obs counts this worker's health transitions; set once at
 	// creation, before the worker is shared.
 	obs *fleetMetrics
@@ -190,7 +191,7 @@ func (c *Coordinator) Register(ctx context.Context, rawURL string) (WorkerStatus
 		}
 	}
 	c.seq++
-	w := &worker{id: fmt.Sprintf("worker-%03d", c.seq), url: base, obs: c.metrics}
+	w := &worker{id: fmt.Sprintf("worker-%03d", c.seq), url: base, seq: c.seq, obs: c.metrics}
 	c.mu.Unlock()
 
 	if ok := c.probe(ctx, w); !ok {
@@ -213,16 +214,15 @@ func (c *Coordinator) Register(ctx context.Context, rawURL string) (WorkerStatus
 
 // Workers re-probes every registered worker — concurrently, so a
 // registry full of unreachable workers costs one healthTimeout, not
-// one per worker — and returns their statuses, sorted by worker ID
-// (registration order).
+// one per worker — and returns their statuses in registration order.
 func (c *Coordinator) Workers(ctx context.Context) []WorkerStatus {
 	ws := c.snapshot()
 	c.probeAll(ctx, ws)
+	slices.SortFunc(ws, func(a, b *worker) int { return a.seq - b.seq })
 	out := make([]WorkerStatus, len(ws))
 	for i, w := range ws {
 		out[i] = w.status()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -125,6 +126,24 @@ func errText(cr expt.CellResult) string {
 		return ""
 	}
 	return cr.Err.Error()
+}
+
+// TestWorkersListInRegistrationOrder: Workers lists by registration,
+// not by ID string, which puts worker-1000 before worker-999.
+func TestWorkersListInRegistrationOrder(t *testing.T) {
+	t.Parallel()
+	c := fleet.New(fleet.Config{})
+	fleet.SetSeq(c, 998)
+	for range 3 {
+		register(t, c, startWorker(t))
+	}
+	var ids []string
+	for _, w := range c.Workers(context.Background()) {
+		ids = append(ids, w.ID)
+	}
+	if want := []string{"worker-999", "worker-1000", "worker-1001"}; !slices.Equal(ids, want) {
+		t.Fatalf("Workers lists %v, want %v", ids, want)
+	}
 }
 
 // TestRegisterAndHealth covers the registry: URL validation, probe
