@@ -12,8 +12,8 @@
 //
 //	g := adnet.Line(128)
 //	res, err := adnet.Run(adnet.GraphToStar, g)
-//	// res.FinalGraph() is a spanning star centered at the max UID,
-//	// res.Metrics holds the paper's cost measures.
+//	// res.FinalGraph() is a spanning star centered at the max UID
+//	// (res.Verify() checks it); res.Metrics holds the cost measures.
 //
 // The typed sub-packages remain available for advanced use: the engine
 // (internal/sim), the temporal-graph ledger (internal/temporal) and
@@ -27,7 +27,6 @@ import (
 	"adnet/internal/expt"
 	"adnet/internal/graph"
 	"adnet/internal/sim"
-	"adnet/internal/tasks"
 	"adnet/internal/temporal"
 )
 
@@ -104,11 +103,10 @@ func (r *Result) FinalGraph() *Graph { return r.res.History.CurrentClone() }
 // deactivations, live edges), one entry per round's RoundDelta.Stats.
 func (r *Result) PerRound() []temporal.RoundStats { return r.perRound }
 
-// VerifyDepthTree checks the Depth-d Tree post-condition (§2.2) on the
-// final network.
-func (r *Result) VerifyDepthTree(maxDepth int) error {
-	return tasks.VerifyDepthTree(r.FinalGraph(), r.Leader, maxDepth)
-}
+// Verify judges the run as the experiment harness does: the maximum UID
+// elected and, for GraphToStar and both wreaths, a spanning tree of the
+// depth their theorem states.
+func (r *Result) Verify() error { return expt.Verify(algorithms[r.Algorithm].registry, r.res) }
 
 // Option configures Run.
 type Option = sim.Option

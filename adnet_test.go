@@ -3,7 +3,6 @@ package adnet
 import (
 	"encoding/json"
 	"errors"
-	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -28,7 +27,7 @@ func TestRunGraphToStarPublicAPI(t *testing.T) {
 	if !res.LeaderElected || res.Leader != 99 {
 		t.Fatalf("leader = %d (%v), want 99", res.Leader, res.LeaderElected)
 	}
-	if err := res.VerifyDepthTree(1); err != nil {
+	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
 	if !res.FinalGraph().IsStarCentered(99) {
@@ -55,7 +54,7 @@ func TestRunGraphToWreathPublicAPI(t *testing.T) {
 	if !res.LeaderElected {
 		t.Fatal("no leader")
 	}
-	if err := res.VerifyDepthTree(bits.Len(80) + 1); err != nil {
+	if err := res.Verify(); err != nil {
 		t.Fatal(err)
 	}
 }

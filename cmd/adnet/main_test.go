@@ -80,6 +80,7 @@ func TestRejectedFlags(t *testing.T) {
 	}{
 		{[]string{"-experiments", "E99", "-n", "32"}, "E99"},
 		{[]string{"-gate", "/nonexistent.json", "-n", "16"}, "-gate"},
+		{[]string{"-verify", "-n", "16"}, "-verify"},
 		{[]string{"-robustness", "-verify", "-graph", "line", "-n", "16", "-seeds", "1", "-dynamics", "crash"}, "-verify"},
 		{[]string{"-dynamics", "crash", "-n", "16"}, "-dynamics"},
 		{[]string{"-aggregate", "-dynamics", "crash", "-n", "16", "-seeds", "1"}, "-dynamics"},

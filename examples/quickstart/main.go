@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("max activated edges    : %d (bound: 2n = %d)\n",
 		res.Metrics.MaxActivatedEdges, 2*g.NumNodes())
 	fmt.Printf("max activated degree   : %d\n", res.Metrics.MaxActivatedDegree)
-	if err := res.VerifyDepthTree(1); err != nil {
+	if err := res.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verified: spanning star rooted at the maximum UID")

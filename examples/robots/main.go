@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("connectivity was preserved in every intermediate shape\n")
 	fmt.Printf("peak transient links per robot (activated): %d\n",
 		res.Metrics.MaxActivatedDegree)
-	if err := res.VerifyDepthTree(9); err != nil { // ceil(log2 255)+1
+	if err := res.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verified: spanning tree of logarithmic depth")

@@ -19,6 +19,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -204,6 +205,15 @@ func CutInHalfLine(n int) (*CentralizedResult, error) {
 	}
 	return cutInHalf(line, order, graph.ID(0))
 }
+
+// CutInHalfDepth is CutInHalfLine's Depth-d Tree target: the tree
+// rooted at an end of an n-node line has depth at most bits.Len(n)+1.
+func CutInHalfDepth(n int) int { return bits.Len(uint(n)) + 1 }
+
+// EulerTourDepth is EulerTourStrategy's Depth-d Tree target (Theorem
+// 6.3): one more than CutInHalf's on the tour, a virtual line of
+// fewer than 2n positions.
+func EulerTourDepth(n int) int { return CutInHalfDepth(2*n) + 1 }
 
 // EulerTourStrategy is Theorem 6.3 / D.5: for any connected graph,
 // compute a spanning tree and its Euler tour (a virtual line of length

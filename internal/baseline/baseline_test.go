@@ -91,11 +91,11 @@ func TestCutInHalfLine(t *testing.T) {
 		if met.Rounds > bits.Len(uint(n))+2 {
 			t.Fatalf("n=%d: %d rounds", n, met.Rounds)
 		}
-		if res.Depth > bits.Len(uint(n))+1 {
+		if res.Depth > CutInHalfDepth(n) {
 			t.Fatalf("n=%d: depth %d", n, res.Depth)
 		}
 		final := res.History.CurrentClone()
-		if err := tasks.VerifyDepthTree(final, res.Root, bits.Len(uint(n))+1); err != nil {
+		if err := tasks.VerifyDepthTree(final, res.Root, CutInHalfDepth(n)); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -119,8 +119,7 @@ func TestEulerTourStrategyOnTrees(t *testing.T) {
 		if res.Metrics.Rounds > bits.Len(uint(2*n))+2 {
 			t.Fatalf("n=%d: %d rounds", n, res.Metrics.Rounds)
 		}
-		if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root,
-			bits.Len(uint(2*n))+2); err != nil {
+		if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, EulerTourDepth(n)); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -134,7 +133,7 @@ func TestEulerTourStrategyOnGeneralGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), 10); err != nil {
+	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(g.NumNodes())); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := EulerTourStrategy(graph.Grid(8, 9))
@@ -190,8 +189,7 @@ func TestEulerStrategyProperty(t *testing.T) {
 		if res.Metrics.TotalActivations > 4*n {
 			return false
 		}
-		return tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(),
-			bits.Len(uint(2*n))+2) == nil
+		return tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(n)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -115,6 +115,10 @@ type GraphToStar struct {
 
 var _ sim.Machine = (*GraphToStar)(nil)
 
+// StarDepth is GraphToStar's Depth-d Tree target (Theorem 3.8): the
+// spanning star at u_max has depth 1 at every n.
+func StarDepth(n int) int { return 1 }
+
 // NewGraphToStarFactory returns the machine factory for the §3
 // algorithm.
 func NewGraphToStarFactory() sim.Factory {

@@ -29,7 +29,7 @@ func runGTS(t *testing.T, g *graph.Graph) *sim.Result {
 	if err := tasks.VerifyLeaderElection(res, umax); err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(final, umax, 1); err != nil {
+	if err := tasks.VerifyDepthTree(final, umax, StarDepth(g.NumNodes())); err != nil {
 		t.Fatal(err)
 	}
 	return res

@@ -195,6 +195,12 @@ func WreathBranching(n int, thin bool) int {
 	return b
 }
 
+// WreathDepth is the Depth-d Tree target of both wreaths (Theorems
+// 4.2 and 5.1): the tree rooted at u_max has depth at most
+// bits.Len(n)+1 = ⌊log2 n⌋+2. The binary gadget stays within
+// ⌈log2 n⌉+1, the thin gadget below that.
+func WreathDepth(n int) int { return bits.Len(uint(n)) + 1 }
+
 // WreathMaxRounds is a generous engine round limit for the wreath
 // algorithms: O(log n) phases of the fixed phase length.
 func WreathMaxRounds(n, branching int) int {

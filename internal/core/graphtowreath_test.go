@@ -33,10 +33,8 @@ func runWreath(t *testing.T, g *graph.Graph, thin bool, extra ...sim.Option) *si
 		t.Fatalf("n=%d: %v", n, err)
 	}
 	// Depth-log n Tree: spanning tree rooted at u_max of logarithmic
-	// depth. The binary gadget gives ⌈log2 n⌉+1; the thin gadget only
-	// less.
-	maxDepth := bits.Len(uint(n)) + 1
-	if err := tasks.VerifyDepthTree(final, umax, maxDepth); err != nil {
+	// depth.
+	if err := tasks.VerifyDepthTree(final, umax, WreathDepth(n)); err != nil {
 		t.Fatalf("n=%d: %v (m=%d)", n, err, final.NumEdges())
 	}
 	return res
@@ -193,7 +191,7 @@ func TestWreathProperty(t *testing.T) {
 		if err := tasks.VerifyLeaderElection(res, umax); err != nil {
 			return false
 		}
-		return tasks.VerifyDepthTree(res.History.CurrentClone(), umax, bits.Len(uint(n))+1) == nil
+		return tasks.VerifyDepthTree(res.History.CurrentClone(), umax, WreathDepth(n)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 )
 
 // Stat summarizes one cost measure over the seeds of an aggregation
@@ -130,24 +129,6 @@ func AggregateSweep(spec SweepSpec) ([]AggregateGroup, error) {
 		return nil, err
 	}
 	return Aggregate(results), nil
-}
-
-// ParseSeeds parses a comma-separated seed list ("1,2,3"), shared by
-// the CLI -seeds flags.
-func ParseSeeds(s string) ([]int64, error) {
-	var out []int64
-	for _, v := range strings.Split(s, ",") {
-		v = strings.TrimSpace(v)
-		if v == "" {
-			continue
-		}
-		seed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("expt: bad seed %q", v)
-		}
-		out = append(out, seed)
-	}
-	return out, nil
 }
 
 // AggregateTable renders groups as an aligned text table, one row per

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"adnet/internal/baseline"
-	"adnet/internal/core"
 	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/temporal"
@@ -83,22 +82,15 @@ func TestOutcomeDeterministicAcrossParallelism(t *testing.T) {
 func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	const n = 96
-	cases := []struct {
-		name    string
-		factory sim.Factory
-		opts    []sim.Option
-	}{
-		{AlgoStar, core.NewGraphToStarFactory(), nil},
-		{AlgoWreath, core.NewGraphToWreathFactory(),
-			[]sim.Option{sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, false)))}},
-		{AlgoThinWreath, core.NewGraphToThinWreathFactory(),
-			[]sim.Option{sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, true)))}},
-		{AlgoClique, baseline.NewCliqueFactory(), nil},
-		{AlgoFlood, baseline.NewFloodFactory(), nil},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range Algorithms() {
+		if !Simulated(name) {
+			continue
+		}
+		factory, defaults, err := Simulation(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			g, err := Workload("random", n, 77)
 			if err != nil {
@@ -106,8 +98,8 @@ func TestTraceDeterministicAcrossParallelism(t *testing.T) {
 			}
 			run := func(e *sim.Engine) (*sim.Result, []temporal.RoundDelta, map[graph.ID]sim.Status) {
 				var log []temporal.RoundDelta
-				opts := append([]sim.Option{recordDeltas(&log)}, tc.opts...)
-				if err := e.Reset(g, tc.factory, opts...); err != nil {
+				opts := append([]sim.Option{recordDeltas(&log)}, defaults...)
+				if err := e.Reset(g, factory, opts...); err != nil {
 					t.Fatal(err)
 				}
 				res, err := e.Run()

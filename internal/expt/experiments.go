@@ -65,6 +65,15 @@ func (t *Table) runRows(algo, workload string, sizes []int, row func(n int, out 
 	return t, nil
 }
 
+// lineParents roots the spanning line 0…n−1 at its end n−1, u_max.
+func lineParents(n int) map[graph.ID]graph.ID {
+	parents := make(map[graph.ID]graph.ID, n)
+	for i := range n {
+		parents[graph.ID(i)] = graph.ID(min(i+1, n-1))
+	}
+	return parents
+}
+
 func defSizes(sizes []int, def []int) []int {
 	if len(sizes) > 0 {
 		return sizes
@@ -82,12 +91,7 @@ func E1TreeToStar(sizes []int) (*Table, error) {
 		Columns: []string{"n", "rounds", "ceil(log d)", "maxActiveEdges", "2n-3", "totalAct"},
 	}
 	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
-		parents := make(map[graph.ID]graph.ID, n)
-		for i := 0; i < n-1; i++ {
-			parents[graph.ID(i)] = graph.ID(i + 1)
-		}
-		parents[graph.ID(n-1)] = graph.ID(n - 1)
-		res, err := sim.Run(graph.Line(n), subroutine.NewTreeToStarFactory(parents))
+		res, err := sim.Run(graph.Line(n), subroutine.NewTreeToStarFactory(lineParents(n)))
 		if err != nil {
 			return nil, err
 		}
@@ -109,13 +113,8 @@ func E2LineToCBT(sizes []int) (*Table, error) {
 		Columns: []string{"n", "lastActivity", "maxActDegree", "maxActiveEdges", "2n-3", "finalDepth"},
 	}
 	for _, n := range defSizes(sizes, []int{64, 256, 1024, 4096}) {
-		parents := make(map[graph.ID]graph.ID, n)
-		for i := 0; i < n-1; i++ {
-			parents[graph.ID(i)] = graph.ID(i + 1)
-		}
-		parents[graph.ID(n-1)] = graph.ID(n - 1)
 		factory, err := subroutine.NewLineToTreeFactory(subroutine.LineToTreeOptions{
-			Branching: 2, Parents: parents,
+			Branching: 2, Parents: lineParents(n),
 		})
 		if err != nil {
 			return nil, err
@@ -317,8 +316,7 @@ func E12Compose(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		final := star.History.CurrentClone()
-		flood, err := sim.Run(final, baseline.NewFloodFactory())
+		flood, err := sim.Run(star.History.CurrentClone(), baseline.NewFloodFactory())
 		if err != nil {
 			return nil, err
 		}

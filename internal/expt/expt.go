@@ -16,6 +16,7 @@ import (
 	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/tasks"
+	"adnet/internal/temporal"
 )
 
 // Outcome is the unified measurement of one run, in the paper's cost
@@ -114,8 +115,8 @@ func Execute(req Request) (Outcome, error) {
 
 // RunAlgorithm executes the named algorithm on gs through the
 // Runner's engine, with extra simulation options appended after the
-// algorithm's defaults. It is the one execution path behind Execute
-// and ExecuteSweep.
+// algorithm's defaults, and judges the run (see judge). It is the one
+// execution path behind Execute and ExecuteSweep.
 func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
 	algo, err := lookup(name)
 	if err != nil {
@@ -124,60 +125,69 @@ func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option)
 	if gs == nil || gs.NumNodes() == 0 {
 		return Outcome{}, fmt.Errorf("expt: empty initial graph")
 	}
-	n := gs.NumNodes()
-	umax := gs.MaxID()
+	out := Outcome{N: gs.NumNodes()}
 	if algo.factory == nil {
 		res, err := baseline.EulerTourStrategy(gs)
 		if err != nil {
 			return Outcome{}, err
 		}
-		final := res.History.CurrentView()
-		return Outcome{
-			N:                  n,
-			Rounds:             res.Metrics.Rounds,
-			LastActivity:       res.Metrics.LastActivityRound,
-			TotalActivations:   res.Metrics.TotalActivations,
-			MaxActivatedEdges:  res.Metrics.MaxActivatedEdges,
-			MaxActivatedDegree: res.Metrics.MaxActivatedDegree,
-			FinalDiameter:      r.bfs.ApproxDiameter(final),
-			FinalDepth:         res.Depth,
-			LeaderOK:           true, // the centralized controller knows u_max
-		}, nil
+		// The controller names its root the leader of every node.
+		out.Rounds = res.Metrics.Rounds
+		return algo.judge(&r.bfs, out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Election{Leader: res.Root, Leaders: 1})
 	}
 
 	// optBuf keeps the option list off the heap: sim options are
 	// consumed inside Reset and never retained, so the backing array
 	// can live on this frame.
 	var optBuf [8]sim.Option
-	opts := append(algo.appendDefaults(optBuf[:0], n), extra...)
+	opts := append(algo.appendDefaults(optBuf[:0], out.N), extra...)
 	if err := r.eng.Reset(gs, algo.factory, opts...); err != nil {
-		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, n, err)
+		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
 	}
 	res, err := r.eng.Run()
 	if err != nil {
-		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, n, err)
+		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
 	}
-	// Post-run analysis reads the history's live snapshot (valid until
-	// the engine's next Reset) through reusable BFS scratch instead of
-	// cloning the final graph.
-	final := res.History.CurrentView()
-	out := Outcome{
-		N:                  n,
-		Rounds:             res.Rounds,
-		LastActivity:       res.Metrics.LastActivityRound,
-		TotalActivations:   res.Metrics.TotalActivations,
-		MaxActivatedEdges:  res.Metrics.MaxActivatedEdges,
-		MaxActivatedDegree: res.Metrics.MaxActivatedDegree,
-		TotalMessages:      res.TotalMessages,
-		FinalDiameter:      r.bfs.ApproxDiameter(final),
-		LeaderOK:           tasks.VerifyLeaderElection(res, umax) == nil,
-		EnvActivations:     res.Metrics.EnvActivations,
-		EnvDeactivations:   res.Metrics.EnvDeactivations,
-		Crashes:            res.Crashes,
-		Restarts:           res.Restarts,
+	out.Rounds, out.TotalMessages, out.Crashes, out.Restarts = res.Rounds, res.TotalMessages, res.Crashes, res.Restarts
+	return algo.judge(&r.bfs, out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Elected(res))
+}
+
+// Verify applies RunAlgorithm's verdict to a finished simulation of
+// the named algorithm, such as adnet.Run hands back.
+func Verify(name string, res *sim.Result) error {
+	algo, err := lookup(name)
+	if err == nil {
+		final := res.History.CurrentView()
+		out := Outcome{N: final.NumNodes(), Crashes: res.Crashes, Restarts: res.Restarts}
+		_, err = algo.judge(new(graph.BFSScratch), out, res.Metrics, final, final.MaxID(), tasks.Elected(res))
 	}
+	return err
+}
+
+// judge is every run's tail: it fills out from the run's metrics and
+// its final graph, measured in place through bfs, and applies the
+// verdict (DESIGN.md, "The verdict"): u_max elected, then, given a
+// depth target, a spanning tree within it. A failure is an error on an
+// untouched run; once the environment acted, LeaderOK is the leader
+// half and the tree half is skipped.
+func (a *algorithm) judge(bfs *graph.BFSScratch, out Outcome, met temporal.Metrics, final *graph.Graph, umax graph.ID, elect tasks.Election) (Outcome, error) {
+	out.LastActivity, out.TotalActivations = met.LastActivityRound, met.TotalActivations
+	out.MaxActivatedEdges, out.MaxActivatedDegree = met.MaxActivatedEdges, met.MaxActivatedDegree
+	out.EnvActivations, out.EnvDeactivations = met.EnvActivations, met.EnvDeactivations
+	out.FinalDiameter = bfs.ApproxDiameter(final)
 	if final.HasNode(umax) {
-		out.FinalDepth = r.bfs.Eccentricity(final, umax)
+		out.FinalDepth = bfs.Eccentricity(final, umax)
+	}
+	err := tasks.VerifyElection(elect, umax)
+	out.LeaderOK = err == nil
+	if out.EnvActivations|out.EnvDeactivations|out.Crashes|out.Restarts != 0 {
+		return out, nil
+	}
+	if err == nil && a.depth != nil {
+		err = tasks.VerifyTree(out.N, final.NumEdges(), out.FinalDepth, a.depth(out.N))
+	}
+	if err != nil {
+		return Outcome{}, fmt.Errorf("expt: %s on n=%d: unverified: %w", a.name, out.N, err)
 	}
 	return out, nil
 }

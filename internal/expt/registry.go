@@ -36,15 +36,18 @@ type algorithm struct {
 	// repeated runs on one engine restore them in place. Built once
 	// here so a recycled run's steady state allocates nothing.
 	recycle sim.Option
+	// depth is the verdict's Depth-d Tree target (§2.2), stated next to
+	// the machines; nil where the output is no tree (G_s, K_n).
+	depth func(n int) int
 }
 
 var registry = []algorithm{
-	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar)},
-	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath)},
-	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath)},
+	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar), depth: core.StarDepth},
+	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath), depth: core.WreathDepth},
+	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath), depth: core.WreathDepth},
 	{name: AlgoClique, factory: baseline.NewCliqueFactory(), recycle: sim.WithMachineRecycling(AlgoClique)},
 	{name: AlgoFlood, factory: baseline.NewFloodFactory(), recycle: sim.WithMachineRecycling(AlgoFlood)},
-	{name: AlgoCentralized},
+	{name: AlgoCentralized, depth: baseline.EulerTourDepth},
 }
 
 func wreathMaxRounds(thin bool) func(n int) int {

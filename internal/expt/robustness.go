@@ -62,10 +62,10 @@ func (s RobustnessSpec) sweep(dyn *dynamics.Spec) SweepSpec {
 
 // RobustnessRow is one (algorithm, workload, n, dynamics) summary over
 // the grid's seeds. A run succeeds when it completes within its round
-// limit and elects the correct leader; under dynamics both can
-// honestly fail, and the row reports how often. ActivationOverhead is
-// the mean activation cost relative to the same cell's undisturbed
-// baseline (1.0 = no overhead; 0 when either side has no successes).
+// limit and passes its verdict (the leader alone, once the environment
+// acted); under dynamics both can fail, and the row says how often.
+// ActivationOverhead is the mean activation cost relative to the same
+// cell's undisturbed baseline (1.0 = none; 0 if a side has no success).
 type RobustnessRow struct {
 	Algorithm          string  `json:"algorithm"`
 	Workload           string  `json:"workload"`

@@ -374,22 +374,16 @@ func checkTopology(t *testing.T, ts *replay, ref *wireRef, res *sim.Result, want
 func TestTopologyDeltaReconstruction(t *testing.T) {
 	t.Parallel()
 	const n = 48
-	algos := []struct {
-		name    string
-		factory sim.Factory
-		opts    []sim.Option
-	}{
-		{name: expt.AlgoStar, factory: core.NewGraphToStarFactory()},
-		{name: expt.AlgoWreath, factory: core.NewGraphToWreathFactory(),
-			opts: []sim.Option{sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, false)))}},
-		{name: expt.AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(),
-			opts: []sim.Option{sim.WithMaxRounds(core.WreathMaxRounds(n, core.WreathBranching(n, true)))}},
-		{name: expt.AlgoClique, factory: baseline.NewCliqueFactory()},
-		{name: expt.AlgoFlood, factory: baseline.NewFloodFactory()},
-	}
-	for _, algo := range algos {
+	for _, name := range expt.Algorithms() {
+		if !expt.Simulated(name) {
+			continue
+		}
+		factory, defaults, err := expt.Simulation(name, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workload := range []string{"line", "random-tree"} {
-			t.Run(fmt.Sprintf("%s/%s", algo.name, workload), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", name, workload), func(t *testing.T) {
 				t.Parallel()
 				g, err := expt.Workload(workload, n, 11)
 				if err != nil {
@@ -397,9 +391,9 @@ func TestTopologyDeltaReconstruction(t *testing.T) {
 				}
 				ts := bareReplay()
 				var ref wireRef
-				res, err := sim.Run(g, algo.factory, append(referenceHooks(ts, &ref), algo.opts...)...)
+				res, err := sim.Run(g, factory, append(referenceHooks(ts, &ref), defaults...)...)
 				if err != nil {
-					t.Fatalf("%s run: %v", algo.name, err)
+					t.Fatalf("%s run: %v", name, err)
 				}
 				ts.close()
 

@@ -30,54 +30,64 @@ func SameEdges(a, b *graph.Graph) bool {
 	return true
 }
 
-// VerifyLeaderElection checks the §2.2 definition: exactly one node has
-// status Leader, all others Follower, and — for the paper's comparison
-// based algorithms — the leader is u_max, the maximum UID.
-func VerifyLeaderElection(res *sim.Result, wantLeader graph.ID) error {
-	leaders, followers, undecided := 0, 0, 0
-	var got graph.ID = -1
+// Election is what a run's nodes declared (§2.2): a node that claims
+// to lead, how many claim to, and how many never decided.
+type Election struct {
+	Leader             graph.ID
+	Leaders, Undecided int
+}
+
+// Elected counts res's final statuses.
+func Elected(res *sim.Result) Election {
+	e := Election{Leader: -1}
 	for nd := range res.Nodes {
-		switch nd.Status {
-		case sim.StatusLeader:
-			leaders++
-			got = nd.ID
-		case sim.StatusFollower:
-			followers++
-		default:
-			undecided++
+		if nd.Status == sim.StatusLeader {
+			e.Leader, e.Leaders = nd.ID, e.Leaders+1
+		} else if nd.Status != sim.StatusFollower {
+			e.Undecided++
 		}
 	}
-	if leaders != 1 {
-		return fmt.Errorf("tasks: %d leaders, want 1", leaders)
-	}
-	if undecided != 0 {
-		return fmt.Errorf("tasks: %d nodes never decided a status", undecided)
-	}
-	if got != wantLeader {
-		return fmt.Errorf("tasks: leader is %d, want u_max = %d", got, wantLeader)
+	return e
+}
+
+// VerifyElection is the Leader Election rule (§2.2): one leader, every
+// other node a follower, and the leader u_max, the maximum UID.
+func VerifyElection(e Election, umax graph.ID) error {
+	switch {
+	case e.Leaders != 1:
+		return fmt.Errorf("tasks: %d leaders, want 1", e.Leaders)
+	case e.Undecided != 0:
+		return fmt.Errorf("tasks: %d nodes never decided a status", e.Undecided)
+	case e.Leader != umax:
+		return fmt.Errorf("tasks: leader is %d, want u_max = %d", e.Leader, umax)
 	}
 	return nil
 }
 
-// VerifyDepthTree checks the Depth-d Tree target (§2.2): the final
-// active graph is a spanning tree rooted at root with depth at most
-// maxDepth.
-func VerifyDepthTree(final *graph.Graph, root graph.ID, maxDepth int) error {
-	if !final.IsTree() {
-		return fmt.Errorf("tasks: final graph is not a tree (n=%d, m=%d, connected=%v)",
-			final.NumNodes(), final.NumEdges(), final.IsConnected())
-	}
-	if !final.HasNode(root) {
-		return fmt.Errorf("tasks: root %d missing", root)
-	}
-	depth := final.Eccentricity(root)
-	if depth < 0 {
-		return fmt.Errorf("tasks: root cannot reach all nodes")
-	}
-	if depth > maxDepth {
+// VerifyLeaderElection applies VerifyElection to res's statuses.
+func VerifyLeaderElection(res *sim.Result, wantLeader graph.ID) error {
+	return VerifyElection(Elected(res), wantLeader)
+}
+
+// VerifyTree is the Depth-d Tree rule (§2.2) on a final graph's
+// measures: n nodes, m edges and the root's eccentricity depth, -1
+// when the root is missing or some node out of its reach.
+func VerifyTree(n, m, depth, maxDepth int) error {
+	switch {
+	case m != n-1:
+		return fmt.Errorf("tasks: final graph has %d edges, a spanning tree of %d nodes has %d", m, n, n-1)
+	case depth < 0:
+		return fmt.Errorf("tasks: final graph is disconnected from the root")
+	case depth > maxDepth:
 		return fmt.Errorf("tasks: tree depth %d exceeds %d", depth, maxDepth)
 	}
 	return nil
+}
+
+// VerifyDepthTree measures final and applies VerifyTree: final is a
+// spanning tree rooted at root with depth at most maxDepth.
+func VerifyDepthTree(final *graph.Graph, root graph.ID, maxDepth int) error {
+	return VerifyTree(final.NumNodes(), final.NumEdges(), final.Eccentricity(root), maxDepth)
 }
 
 // VerifyTokenDissemination checks that every node's collected token set
