@@ -14,6 +14,7 @@ package adnet
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"testing"
 
 	"adnet/internal/baseline"
@@ -173,16 +174,15 @@ func BenchmarkCentralizedEuler(b *testing.B) {
 	for _, n := range []int{1024, 4096, 16384} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			g := RandomConnected(n, n, int64(n))
-			var act, depth int
+			var res *baseline.CentralizedResult
 			for i := 0; i < b.N; i++ {
-				res, err := baseline.EulerTourStrategy(g)
-				if err != nil {
+				var err error
+				if res, err = baseline.EulerTourStrategy(g); err != nil {
 					b.Fatal(err)
 				}
-				act, depth = res.Metrics.TotalActivations, res.Depth
 			}
-			b.ReportMetric(float64(act)/float64(n), "act/n")
-			b.ReportMetric(float64(depth), "finalDepth")
+			b.ReportMetric(float64(res.Metrics.TotalActivations)/float64(n), "act/n")
+			b.ReportMetric(float64(res.History.CurrentView().Eccentricity(res.Root)), "finalDepth")
 		})
 	}
 }
@@ -412,6 +412,25 @@ func benchRunnerCells(b *testing.B, reqs ...expt.Request) {
 // cell.
 func BenchmarkGraphToStarLine65536(b *testing.B) {
 	benchRunnerCells(b, expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: 1 << 16, Seed: 1})
+}
+
+// BenchmarkFreshRunnerStarLine4096 reports what a fresh Runner
+// allocates for its first graph-to-star/line/4096 run, per node: the
+// per-node footprint (DESIGN.md) that internal/expt's
+// TestFreshRunnerFirstRunBytes bounds.
+func BenchmarkFreshRunnerStarLine4096(b *testing.B) {
+	req := expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: 4096, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		r := expt.NewRunner()
+		if _, err := r.Execute(req); err != nil {
+			b.Fatal(err)
+		}
+		r.Close()
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*req.N), "B/node")
 }
 
 // BenchmarkFloodLine512 is ./benchmark's flood-line cell: every node

@@ -14,7 +14,7 @@
 // per-(algorithm, workload, n) statistics over those seeds are printed
 // — the table the server's aggregate endpoint serves; -csv emits one CSV
 // row per group, -json the groups array that endpoint nests under
-// "groups"; -verify fails unless every run elected u_max:
+// "groups"; -verify fails if any run failed its verdict (an error cell):
 //
 //	adnet -aggregate -algos graph-to-star,flood -graph line,ring -n 256,1024 -seeds 1,2,3,4,5
 //	adnet -aggregate -graph random -n 512 -csv
@@ -62,7 +62,7 @@ func main() {
 		"initial network (a comma list in -aggregate/-robustness mode): "+strings.Join(expt.Workloads(), ", "))
 	nFlag := flag.String("n", "256", "number of nodes (a comma list in -aggregate/-robustness/-experiments mode)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	verify := flag.Bool("verify", false, "aggregate mode: fail unless every run elected u_max without an error")
+	verify := flag.Bool("verify", false, "aggregate mode: fail if any run is an error (a failed verdict included)")
 	aggregate := flag.Bool("aggregate", false, "run the -algos x -graph x -n x -seeds grid and print mean/min/max/stddev statistics")
 	seedsFlag := flag.String("seeds", "1,2,3,4,5", "aggregate/robustness mode: comma-separated workload seeds")
 	csvOut := flag.Bool("csv", false, "aggregate/robustness mode: emit CSV instead of a table")
@@ -233,9 +233,12 @@ func runAggregate(grid expt.SweepSpec, verify, asCSV, asJSON bool) error {
 	if err != nil || !verify {
 		return err
 	}
+	// An undisturbed run that fails its verdict is an error cell, so the
+	// error counts are the whole check.
 	for _, g := range groups {
-		if g.Errors > 0 || g.LeadersOK != g.Seeds {
-			return fmt.Errorf("verification failed: %d/%d leaders, %d errors", g.LeadersOK, g.Seeds, g.Errors)
+		if g.Errors > 0 {
+			return fmt.Errorf("verification failed: %s on %s n=%d: %d of %d runs are errors",
+				g.Algorithm, g.Workload, g.N, g.Errors, g.Errors+g.Seeds)
 		}
 	}
 	return nil

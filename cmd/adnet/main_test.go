@@ -101,3 +101,19 @@ func TestRejectedFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateVerifyFailsOnAnErrorCell: -aggregate -verify exits
+// non-zero exactly when a cell is an error. graph-to-star on
+// bounded-degree/256 seed 50 fails its verdict (ROADMAP item 1 lists
+// it); seed 49 passes.
+func TestAggregateVerifyFailsOnAnErrorCell(t *testing.T) {
+	t.Parallel()
+	args := []string{"-aggregate", "-verify", "-graph", "bounded-degree", "-n", "256", "-seeds"}
+	if out, stderr, ok := adnet(t, append(args, "49")...); !ok {
+		t.Fatalf("seed 49: exit non-zero, stderr %q, stdout %q", stderr, out)
+	}
+	out, stderr, ok := adnet(t, append(args, "49,50")...)
+	if ok || !strings.Contains(stderr, "verification failed") || !strings.Contains(stderr, "1 of 2 runs are errors") {
+		t.Fatalf("seeds 49,50: exit ok=%v, stderr %q, want a verification failure naming 1 of 2 runs (stdout %q)", ok, stderr, out)
+	}
+}

@@ -184,7 +184,6 @@ type CentralizedResult struct {
 	History *temporal.History
 	Metrics temporal.Metrics
 	Root    graph.ID
-	Depth   int
 	// MaxRoundActivations is max_i |Eac(i)|, from what Apply returned.
 	MaxRoundActivations int
 }
@@ -271,6 +270,5 @@ func cutInHalf(gs *graph.Graph, seq []graph.ID, root graph.ID) (*CentralizedResu
 			return nil, fmt.Errorf("baseline: prune round: %w", err)
 		}
 	}
-	depth := graph.TreeDepth(parent)
-	return &CentralizedResult{History: h, Metrics: h.Metrics(), Root: root, Depth: depth, MaxRoundActivations: maxActs}, nil
+	return &CentralizedResult{History: h, Metrics: h.Metrics(), Root: root, MaxRoundActivations: maxActs}, nil
 }

@@ -91,10 +91,10 @@ func TestCutInHalfLine(t *testing.T) {
 		if met.Rounds > bits.Len(uint(n))+2 {
 			t.Fatalf("n=%d: %d rounds", n, met.Rounds)
 		}
-		if res.Depth > CutInHalfDepth(n) {
-			t.Fatalf("n=%d: depth %d", n, res.Depth)
-		}
 		final := res.History.CurrentClone()
+		if d := final.Eccentricity(res.Root); d > CutInHalfDepth(n) {
+			t.Fatalf("n=%d: depth %d", n, d)
+		}
 		if err := tasks.VerifyDepthTree(final, res.Root, CutInHalfDepth(n)); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -169,7 +169,7 @@ func TestEulerTourStrategyOnSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, res.Depth); err != nil {
+	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(n)); err != nil {
 		t.Fatal(err)
 	}
 }

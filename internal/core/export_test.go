@@ -14,8 +14,6 @@ func (m *GraphToStar) CopyStateTo(dst *GraphToStar) {
 	keep := *dst
 	*dst = *m
 	dst.followers = append(keep.followers[:0], m.followers...)
-	dst.foreign = append(keep.foreign[:0], m.foreign...)
-	dst.reports = append(keep.reports[:0], m.reports...)
 	dst.queriers = append(keep.queriers[:0], m.queriers...)
 	dst.linkers = append(keep.linkers[:0], m.linkers...)
 }
@@ -27,18 +25,17 @@ func SameState(a, b *GraphToStar) bool {
 	if n := reflect.TypeFor[GraphToStar]().NumField(); n != gtsFields {
 		panic(fmt.Sprintf("SameState compares %d GraphToStar fields, the struct has %d", gtsFields, n))
 	}
-	return slices.Equal(a.followers, b.followers) && slices.Equal(a.foreign, b.foreign) &&
-		slices.Equal(a.reports, b.reports) && slices.Equal(a.queriers, b.queriers) &&
-		slices.Equal(a.linkers, b.linkers) &&
+	return slices.Equal(a.followers, b.followers) && slices.Equal(a.queriers, b.queriers) &&
+		slices.Equal(a.linkers, b.linkers) && a.rep == b.rep &&
 		a.selfID == b.selfID && a.role == b.role && a.leader == b.leader && a.mode == b.mode &&
 		a.target == b.target && a.selecting == b.selecting && a.selTarget == b.selTarget &&
 		a.hop1 == b.hop1 && a.hop1Temp == b.hop1Temp && a.gotLink == b.gotLink &&
 		a.repliedRoot == b.repliedRoot && a.paired == b.paired && a.replySeen == b.replySeen &&
-		a.noForeign == b.noForeign && a.replyRootSeen == b.replyRootSeen &&
+		a.replyRootSeen == b.replyRootSeen &&
 		a.replyFollowSeen == b.replyFollowSeen && a.replyNext == b.replyNext &&
 		a.hopped == b.hopped && a.prevTarget == b.prevTarget && a.execMerge == b.execMerge &&
-		a.annOut == b.annOut && a.repOut == b.repOut && a.replyOut == b.replyOut &&
+		a.annOut == b.annOut && a.replyOut == b.replyOut &&
 		a.selOut == b.selOut && a.nextOut == b.nextOut
 }
 
-const gtsFields = 30
+const gtsFields = 27

@@ -11,13 +11,15 @@ import (
 // GraphToStar message payloads. Each is exchanged at a fixed step of
 // the StarPhaseLength-round phase schedule (see phaseStep).
 type (
-	// gtsReport is a member's phase report to its leader: the best
-	// selectable foreign committee seen over original edges, and
-	// whether any foreign committee is adjacent at all.
+	// gtsReport is a member's phase report to its leader, and the
+	// leader's fold of its members' reports: the best selectable
+	// foreign committee seen over original edges (highest UID, then
+	// lowest via; see fold), and whether any foreign committee is
+	// adjacent at all.
 	gtsReport struct {
-		HasBest    bool
 		BestLeader graph.ID // highest selectable foreign committee UID
 		Via        graph.ID // the foreign member it was seen through
+		HasBest    bool
 		AnyForeign bool
 	}
 	// gtsQuery asks a pulling target for its situation.
@@ -42,14 +44,25 @@ type (
 		Mode   Mode
 		Target graph.ID
 	}
-	// gtsForeign is one foreign announcement a member heard at step 0,
-	// and the original neighbor it came over. makeReport's tie-break
-	// on via makes the order they are held in irrelevant.
-	gtsForeign struct {
-		via graph.ID
-		ann Announce
-	}
 )
+
+// fold takes a sighting of the committee leader, seen through the
+// foreign member via, into r: the highest leader wins, and of equal
+// leaders the lowest via. The order is total, so folding sightings in
+// any order gives the same report.
+func (r *gtsReport) fold(leader, via graph.ID) {
+	if !r.HasBest || leader > r.BestLeader || (leader == r.BestLeader && via < r.Via) {
+		r.HasBest, r.BestLeader, r.Via = true, leader, via
+	}
+}
+
+// merge folds a member's report into r.
+func (r *gtsReport) merge(o *gtsReport) {
+	r.AnyForeign = r.AnyForeign || o.AnyForeign
+	if o.HasBest {
+		r.fold(o.BestLeader, o.Via)
+	}
+}
 
 // GraphToStar is the §3 algorithm: committees are stars; selection
 // links star centers; pairs merge in one phase and trees of committees
@@ -60,9 +73,7 @@ type (
 // round (Theorem 3.8).
 type GraphToStar struct {
 	selfID graph.ID
-	role   Role
 	leader graph.ID
-	mode   Mode
 	// target is the node this committee acts toward: the merge target
 	// in merging mode, the currently queried node in pulling mode.
 	target graph.ID
@@ -71,27 +82,32 @@ type GraphToStar struct {
 	// deterministic.
 	followers []graph.ID
 
-	// Phase scratch, reset at every phase start.
-	foreign     []gtsForeign // this phase's foreign announcements
-	reports     []gtsReport
-	queriers    []graph.ID // pulling committees that queried us
-	linkers     []graph.ID // leaders that linked to us this phase
+	// Phase scratch, reset at every phase start. rep is this phase's
+	// report: a member folds its step-0 announcements into it, and a
+	// leader its members' step-1 reports too (§3: one value per
+	// member, max-folded at the leader).
+	rep        gtsReport
+	queriers   []graph.ID // pulling committees that queried us
+	linkers    []graph.ID // leaders that linked to us this phase
+	selTarget  graph.ID   // leader of the selected committee
+	hop1       graph.ID   // border member used as the first hop
+	replyNext  graph.ID   // pulling: the hop the query reply named
+	prevTarget graph.ID   // pulling: the target before the hop
+	role       Role
+	mode       Mode
+
 	selecting   bool
-	selTarget   graph.ID // leader of the selected committee
-	hop1        graph.ID // border member used as the first hop
-	hop1Temp    bool     // hop1 edge was activated and must be dropped
-	gotLink     bool     // received a leader link this phase
-	repliedRoot bool     // answered a pulling query with Root
+	hop1Temp    bool // hop1 edge was activated and must be dropped
+	gotLink     bool // received a leader link this phase
+	repliedRoot bool // answered a pulling query with Root
 	paired      bool
 	replySeen   bool
-	noForeign   bool
 
-	// Pulling scratch: the query reply and the hop it induced.
+	// Pulling scratch: what the query reply said and whether it made
+	// us hop.
 	replyRootSeen   bool
 	replyFollowSeen bool
-	replyNext       graph.ID
 	hopped          bool
-	prevTarget      graph.ID
 
 	// execMerge is true during the phase that actually executes this
 	// committee's merge (mode was already Merging at phase start), as
@@ -100,16 +116,15 @@ type GraphToStar struct {
 	execMerge bool
 
 	// Outgoing payload scratch. Multi-field payloads are sent as
-	// pointers to these machine-owned values so a round's broadcasts
-	// box no interfaces and allocate nothing: the engine's Send/Receive
-	// phases are barrier-separated and receivers copy what they keep,
-	// so the pointee is stable for exactly as long as it is readable.
-	// (Round hooks that retain messages must deep-copy such payloads;
-	// see sim.RoundEvent.)
-	annOut   Announce
-	repOut   gtsReport
-	replyOut gtsReply
+	// pointers to these machine-owned values (a member's report is rep
+	// itself) so a round's broadcasts box no interfaces and allocate
+	// nothing: the engine's Send/Receive phases are barrier-separated
+	// and receivers copy what they keep, so the pointee is stable for
+	// exactly as long as it is readable. (Round hooks that retain
+	// messages must deep-copy such payloads; see sim.RoundEvent.)
 	selOut   gtsSelState
+	annOut   Announce
+	replyOut gtsReply
 	nextOut  gtsNextMode
 }
 
@@ -136,8 +151,8 @@ var _ sim.Recycler = (*GraphToStar)(nil)
 
 // Recycle implements sim.Recycler: it restores the machine to its
 // factory-fresh state for (id, env) while keeping the capacity of its
-// follower, foreign, report, querier and linker slices, making repeated
-// runs through a recycling engine allocation-free.
+// follower, querier and linker slices, making repeated runs through a
+// recycling engine allocation-free.
 func (m *GraphToStar) Recycle(id graph.ID, _ sim.Env) {
 	*m = GraphToStar{
 		selfID:    id,
@@ -145,8 +160,6 @@ func (m *GraphToStar) Recycle(id graph.ID, _ sim.Env) {
 		leader:    id,
 		mode:      ModeSelection,
 		followers: m.followers[:0],
-		foreign:   m.foreign[:0],
-		reports:   m.reports[:0],
 		queriers:  m.queriers[:0],
 		linkers:   m.linkers[:0],
 	}
@@ -255,12 +268,9 @@ func (m *GraphToStar) send(ctx *sim.Context) {
 		for _, v := range ctx.OrigNeighbors() {
 			ctx.Send(v, &m.annOut)
 		}
-	case 1: // REPORT to leader
+	case 1: // REPORT to leader; a leader's own is folded already
 		if m.role == RoleFollower {
-			m.repOut = m.makeReport()
-			ctx.Send(m.leader, &m.repOut)
-		} else {
-			m.reports = append(m.reports, m.makeReport())
+			ctx.Send(m.leader, &m.rep)
 		}
 	case 2: // pulling leaders query their target
 		if m.role == RoleLeader && m.mode == ModePulling {
@@ -312,14 +322,17 @@ func (m *GraphToStar) receive(ctx *sim.Context, inbox []sim.Message) {
 		m.resetPhase()
 		for _, msg := range inbox {
 			if ann, ok := msg.Payload.(*Announce); ok && ann.Leader != m.leader {
-				m.foreign = append(m.foreign, gtsForeign{via: msg.From, ann: *ann})
+				m.rep.AnyForeign = true
+				if ann.Mode.selectable() {
+					m.rep.fold(ann.Leader, msg.From)
+				}
 			}
 		}
 	case 1:
 		if m.role == RoleLeader {
 			for _, msg := range inbox {
 				if rep, ok := msg.Payload.(*gtsReport); ok {
-					m.reports = append(m.reports, *rep)
+					m.rep.merge(rep)
 				}
 			}
 		}
@@ -408,52 +421,21 @@ func (m *GraphToStar) receive(ctx *sim.Context, inbox []sim.Message) {
 	}
 }
 
-// makeReport summarizes this phase's foreign announcements.
-func (m *GraphToStar) makeReport() gtsReport {
-	rep := gtsReport{AnyForeign: len(m.foreign) > 0}
-	for _, f := range m.foreign {
-		if !f.ann.Mode.selectable() {
-			continue
-		}
-		if !rep.HasBest || f.ann.Leader > rep.BestLeader ||
-			(f.ann.Leader == rep.BestLeader && f.via < rep.Via) {
-			rep.HasBest = true
-			rep.BestLeader = f.ann.Leader
-			rep.Via = f.via
-		}
-	}
-	return rep
-}
-
-// decideSelection aggregates reports at step 2 for any leader: it
-// detects the no-foreign (termination) condition, and in selection
-// mode picks the greatest selectable foreign committee above our own
-// UID and starts building the leader link (first hop to the border
-// member).
+// decideSelection reads the committee's folded report at step 2 for
+// any leader: no foreign committee adjacent is the termination
+// condition (decideNextMode), and in selection mode it picks the
+// greatest selectable foreign committee above our own UID and starts
+// building the leader link (first hop to the border member).
 func (m *GraphToStar) decideSelection(ctx *sim.Context) {
-	best := gtsReport{}
-	anyForeign := false
-	for _, rep := range m.reports {
-		anyForeign = anyForeign || rep.AnyForeign
-		if rep.HasBest && (!best.HasBest || rep.BestLeader > best.BestLeader ||
-			(rep.BestLeader == best.BestLeader && rep.Via < best.Via)) {
-			best = rep
-			best.HasBest = true
-		}
-	}
-	if !anyForeign {
-		m.noForeign = true
+	if !m.rep.AnyForeign || m.mode != ModeSelection {
 		return
 	}
-	if m.mode != ModeSelection {
-		return
-	}
-	if !best.HasBest || best.BestLeader <= m.selfID {
+	if !m.rep.HasBest || m.rep.BestLeader <= m.selfID {
 		return // nothing greater around: remain in selection
 	}
 	m.selecting = true
-	m.selTarget = best.BestLeader
-	m.hop1 = best.Via
+	m.selTarget = m.rep.BestLeader
+	m.hop1 = m.rep.Via
 	if !ctx.HasNeighbor(m.hop1) {
 		// First hop: L-y via the reporting member x (star edge L-x and
 		// original edge x-y are both active).
@@ -537,7 +519,7 @@ func (m *GraphToStar) decideNextMode() {
 	switch m.mode {
 	case ModeSelection, ModeWaiting:
 		switch {
-		case m.noForeign:
+		case !m.rep.AnyForeign:
 			m.mode = ModeTermination
 		case m.selecting && m.replySeen && m.paired:
 			m.mode = ModeMerging
@@ -574,8 +556,7 @@ func (m *GraphToStar) decideNextMode() {
 
 func (m *GraphToStar) resetPhase() {
 	m.execMerge = m.mode == ModeMerging
-	m.foreign = m.foreign[:0]
-	m.reports = m.reports[:0]
+	m.rep = gtsReport{}
 	m.selecting = false
 	m.selTarget = 0
 	m.hop1 = 0
@@ -584,7 +565,6 @@ func (m *GraphToStar) resetPhase() {
 	m.repliedRoot = false
 	m.paired = false
 	m.replySeen = false
-	m.noForeign = false
 	m.queriers = m.queriers[:0]
 	m.linkers = m.linkers[:0]
 	m.replyRootSeen = false

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
@@ -198,5 +199,82 @@ func TestModeStrings(t *testing.T) {
 	}
 	if RoleLeader.String() != "leader" || RoleFollower.String() != "follower" {
 		t.Error("Role strings broken")
+	}
+}
+
+// TestReportFoldMatchesListReduce: a committee's folded report equals
+// the list-then-reduce it replaced — each member keeping its step-0
+// announcements and summarising them, the leader keeping every
+// summary and taking the best — with announcements and reports folded
+// in shuffled orders. Few distinct UIDs and vias force the ties.
+func TestReportFoldMatchesListReduce(t *testing.T) {
+	t.Parallel()
+	type sighting struct {
+		via graph.ID
+		ann Announce
+	}
+	better := func(leader, via graph.ID, best gtsReport) bool {
+		return !best.HasBest || leader > best.BestLeader || (leader == best.BestLeader && via < best.Via)
+	}
+	// summarise is the member's old report: every sighting kept, then
+	// reduced.
+	summarise := func(seen []sighting) gtsReport {
+		rep := gtsReport{AnyForeign: len(seen) > 0}
+		for _, s := range seen {
+			if s.ann.Mode.selectable() && better(s.ann.Leader, s.via, rep) {
+				rep.HasBest, rep.BestLeader, rep.Via = true, s.ann.Leader, s.via
+			}
+		}
+		return rep
+	}
+	modes := []Mode{ModeSelection, ModeWaiting, ModeMerging, ModePulling, ModeTermination}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		members := make([][]sighting, 1+rng.Intn(6))
+		for i := range members {
+			for range rng.Intn(5) {
+				members[i] = append(members[i], sighting{
+					via: graph.ID(rng.Intn(4)),
+					ann: Announce{Leader: graph.ID(rng.Intn(4)), Mode: modes[rng.Intn(len(modes))]},
+				})
+			}
+		}
+		// The old leader: one summary per member, then the best.
+		var want gtsReport
+		for _, seen := range members {
+			rep := summarise(seen)
+			want.AnyForeign = want.AnyForeign || rep.AnyForeign
+			if rep.HasBest && better(rep.BestLeader, rep.Via, want) {
+				want.HasBest, want.BestLeader, want.Via = true, rep.BestLeader, rep.Via
+			}
+		}
+		// The fold: each member folds its sightings on receipt, member 0
+		// is the leader and merges the others' reports as they arrive.
+		reps := make([]gtsReport, len(members))
+		for i, seen := range members {
+			rng.Shuffle(len(seen), func(a, b int) { seen[a], seen[b] = seen[b], seen[a] })
+			for _, s := range seen {
+				reps[i].AnyForeign = true
+				if s.ann.Mode.selectable() {
+					reps[i].fold(s.ann.Leader, s.via)
+				}
+			}
+		}
+		rng.Shuffle(len(reps)-1, func(a, b int) { reps[a+1], reps[b+1] = reps[b+1], reps[a+1] })
+		got := reps[0]
+		for i := range reps[1:] {
+			got.merge(&reps[1+i])
+		}
+		if got != want {
+			t.Fatalf("trial %d: folded %+v, list-then-reduce %+v (members %v)", trial, got, want, members)
+		}
+	}
+}
+
+// TestGraphToStarFootprint pins the machine's size: one GraphToStar is
+// allocated per node, and 256 B is its size class.
+func TestGraphToStarFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(GraphToStar{}); size > 256 {
+		t.Fatalf("unsafe.Sizeof(GraphToStar{}) = %d B, want <= 256", size)
 	}
 }

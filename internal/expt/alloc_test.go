@@ -3,6 +3,7 @@
 package expt
 
 import (
+	"runtime"
 	"testing"
 
 	"adnet/internal/sim"
@@ -94,5 +95,28 @@ func TestBaselineSteadyStateZeroAllocs(t *testing.T) {
 		if allocs := steadyStateAllocs(t, req); allocs != 0 {
 			t.Errorf("%s on %s/%d: steady-state allocs per run = %v, want 0", req.Algorithm, req.Workload, req.N, allocs)
 		}
+	}
+}
+
+// TestFreshRunnerFirstRunBytes bounds the bytes a fresh Runner
+// allocates for its first graph-to-star/line/4096 run: workload
+// generation, every engine buffer grown from nothing, one machine per
+// node and the verdict (DESIGN.md, "Per-node footprint"; the root
+// BenchmarkFreshRunnerStarLine4096 reports it per node). The limit is
+// the measured 6,012,760 B (1,468 B/node) plus 5%.
+func TestFreshRunnerFirstRunBytes(t *testing.T) {
+	const limit = 6_012_760 * 105 / 100
+	req := Request{Algorithm: AlgoStar, Workload: "line", N: 4096, Seed: 1}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := NewRunner()
+	if _, err := r.Execute(req); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	r.Close()
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("a fresh Runner's first graph-to-star/line/4096 run allocated %d B (%d B/node), want <= %d",
+			got, got/uint64(req.N), limit)
 	}
 }

@@ -133,7 +133,7 @@ func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option)
 		}
 		// The controller names its root the leader of every node.
 		out.Rounds = res.Metrics.Rounds
-		return algo.judge(&r.bfs, out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Election{Leader: res.Root, Leaders: 1})
+		return algo.judge(r.eng.BFS(), out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Election{Leader: res.Root, Leaders: 1})
 	}
 
 	// optBuf keeps the option list off the heap: sim options are
@@ -149,7 +149,7 @@ func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option)
 		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
 	}
 	out.Rounds, out.TotalMessages, out.Crashes, out.Restarts = res.Rounds, res.TotalMessages, res.Crashes, res.Restarts
-	return algo.judge(&r.bfs, out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Elected(res))
+	return algo.judge(r.eng.BFS(), out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Elected(res))
 }
 
 // Verify applies RunAlgorithm's verdict to a finished simulation of

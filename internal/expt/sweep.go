@@ -19,7 +19,8 @@ import (
 )
 
 // Runner is an engine-backed executor: it holds one sim.Engine and
-// reuses its buffers (contexts, inboxes, history scratch) across
+// reuses its buffers (contexts, inboxes, history scratch, and the BFS
+// scratch the verdict's diameter and depth walks borrow) across
 // Execute calls. One Runner serves one goroutine; for
 // parallel grids use ExecuteSweep, which runs a fleet of Runners.
 type Runner struct {
@@ -31,9 +32,6 @@ type Runner struct {
 	// engine copies the initial graph canonically at Reset and never
 	// retains the caller's graph.
 	wg, wscratch *graph.Graph
-	// bfs is the post-run analysis scratch (diameter/depth), reused so
-	// steady-state Execute calls stay allocation-free.
-	bfs graph.BFSScratch
 }
 
 // NewRunner returns a fresh Runner. Close it when done with it.

@@ -18,7 +18,7 @@ type BFSScratch struct {
 // the ID range) plus the number of reached nodes. The returned slice
 // aliases sc.dist and is valid until the next call on sc.
 func (sc *BFSScratch) bfs(g *Graph, src ID) (dist []int, reached int) {
-	n := len(g.bdeg)
+	n := len(g.state)
 	if cap(sc.dist) < n {
 		sc.dist = make([]int, n)
 	}
@@ -35,7 +35,7 @@ func (sc *BFSScratch) bfs(g *Graph, src ID) (dist []int, reached int) {
 		u := queue[head]
 		du := dist[u]
 		if g.engaged(u) {
-			for w, word := range g.bits[u] {
+			for w, word := range g.row(u).bits {
 				base := ID(w << 6)
 				for word != 0 {
 					v := base + ID(trailingZeros64(word))
@@ -61,7 +61,7 @@ func (sc *BFSScratch) bfs(g *Graph, src ID) (dist []int, reached int) {
 
 // firstNode returns the smallest node ID; g must not be empty.
 func (g *Graph) firstNode() ID {
-	return ID(slices.IndexFunc(g.bdeg, func(d int) bool { return d != absent }))
+	return ID(slices.IndexFunc(g.state, func(s int32) bool { return s != absent }))
 }
 
 // IsConnected is Graph.IsConnected using sc's buffers.

@@ -17,8 +17,8 @@ func newBitsetProneGraph() *Graph {
 }
 
 func (g *Graph) anyEngaged() bool {
-	for _, d := range g.bdeg {
-		if d >= 0 {
+	for _, s := range g.state {
+		if s >= 0 {
 			return true
 		}
 	}
@@ -112,6 +112,20 @@ func equalIDs(a, b []ID) bool {
 // the reference model.
 func checkGraphMatchesModel(t *testing.T, g *Graph, ref *mapGraph, seed int64, step int) {
 	t.Helper()
+	// The dense rows and the state table point at each other: row i
+	// is its node's, and every bitset-backed node has one row.
+	engaged := 0
+	for u, s := range g.state {
+		if s >= 0 {
+			engaged++
+			if int(s) >= len(g.dense) || g.dense[s].id != ID(u) {
+				t.Fatalf("seed %d step %d: node %d points at row %d of %d, which is not its", seed, step, u, s, len(g.dense))
+			}
+		}
+	}
+	if engaged != len(g.dense) {
+		t.Fatalf("seed %d step %d: %d bitset-backed nodes, %d dense rows", seed, step, engaged, len(g.dense))
+	}
 	if got, want := g.Nodes(), ref.nodes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d step %d: Nodes() = %v, want %v", seed, step, got, want)
 	}

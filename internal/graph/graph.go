@@ -8,11 +8,12 @@
 // algorithms in internal/core are comparison based, so a node's ID is
 // the only thing they ever compare.
 //
-// Representation (see DESIGN.md): the ID is the only address. Three
-// tables indexed by ID cover 0..MaxID — adj, bits and bdeg, whose value
+// Representation (see DESIGN.md): the ID is the only address. Two
+// tables indexed by ID cover 0..MaxID — adj, and state, whose value
 // says which of three states an ID is in: not a node (a gap in the
 // range), a node with a sorted []ID neighbor slice, or a node with an
-// ID-indexed neighbor bitset and that degree. HasNode is a bounds check
+// ID-indexed neighbor bitset, held as a row of the short dense list
+// that only bitset-backed nodes have. HasNode is a bounds check
 // and a compare, Nodes an ascending scan; nothing is hashed and nothing
 // is interned. A node starts slice-backed; once its degree crosses
 // max(bitsetMinDeg, words(maxID+1)) — the point where a bitset is both
@@ -27,7 +28,7 @@
 // and the randomized differential tests in bitset_test.go). Nodes are
 // never removed, so MaxID is the top of the tables and NumEdges is O(1).
 //
-// The contract that buys this: storage is O(MaxID), 56 bytes per ID in
+// The contract that buys this: storage is O(MaxID), 28 bytes per ID in
 // range, not O(n) — the one the ID-indexed bitsets always had. Every
 // generator here and every workload above produces IDs 0..n-1
 // (PermuteIDs places them), and because the algorithms only compare
@@ -78,11 +79,13 @@ func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.A, e.B) }
 // Graph is a simple undirected graph. The zero value is not usable;
 // call New.
 type Graph struct {
-	adj   [][]ID     // ID → neighbor IDs, sorted ascending (slice-backed nodes)
-	bits  [][]uint64 // ID → neighbor bitset indexed by ID (bitset-backed nodes)
-	bdeg  []int      // ID → degree when bitset-backed, sliceBacked or absent otherwise
-	nodes int        // node count; the three tables cover IDs 0..MaxID, gaps included
-	edges int        // undirected edge count, maintained incrementally
+	adj   [][]ID  // ID → neighbor IDs, sorted ascending (slice-backed nodes)
+	state []int32 // ID → sliceBacked, absent, or the index of its row in dense
+	// dense holds one row per bitset-backed node, in no order; past its
+	// length are retired rows, whose bitsets the next promotion reuses.
+	dense []denseRow
+	nodes int // node count; the two tables cover IDs 0..MaxID, gaps included
+	edges int // undirected edge count, maintained incrementally
 
 	// minDeg overrides bitsetMinDeg when positive. It exists for tests
 	// that need the bitset representation to engage on tiny graphs; it
@@ -91,8 +94,15 @@ type Graph struct {
 	minDeg int
 }
 
-// The two negative states of bdeg[u]; any value >= 0 is the degree of a
-// bitset-backed node.
+// denseRow is a bitset-backed node's adjacency.
+type denseRow struct {
+	bits []uint64 // neighbor bitset indexed by ID
+	deg  int
+	id   ID // the node: a demotion moves the last row into its place and re-points its node
+}
+
+// The two negative states of state[u]; any value >= 0 is the index of
+// a bitset-backed node's row in dense.
 const (
 	sliceBacked = -1 // u is a node whose neighbors are in adj[u]
 	absent      = -2 // u is not a node (a gap in the ID range)
@@ -102,7 +112,10 @@ const (
 func New() *Graph { return &Graph{} }
 
 // engaged reports whether node u is bitset-backed.
-func (g *Graph) engaged(u ID) bool { return g.bdeg[u] >= 0 }
+func (g *Graph) engaged(u ID) bool { return g.state[u] >= 0 }
+
+// row returns bitset-backed node u's row.
+func (g *Graph) row(u ID) *denseRow { return &g.dense[g.state[u]] }
 
 // AddNode inserts an isolated node. Adding an existing node is a no-op;
 // a negative ID is a programming error and panics.
@@ -113,15 +126,15 @@ func (g *Graph) AddNode(u ID) {
 	if g.HasNode(u) {
 		return
 	}
-	if old, n := len(g.bdeg), int(u)+1; n > old {
-		g.adj, g.bits, g.bdeg = extend(g.adj, n), extend(g.bits, n), extend(g.bdeg, n)
-		// IDs old..u come into range with u. Each reclaims the arrays
-		// it held before Reset, emptied, and is absent until added.
+	if old, n := len(g.state), int(u)+1; n > old {
+		g.adj, g.state = extend(g.adj, n), extend(g.state, n)
+		// IDs old..u come into range with u. Each reclaims the array it
+		// held before Reset, emptied, and is absent until added.
 		for i := old; i < n; i++ {
-			g.adj[i], g.bits[i], g.bdeg[i] = g.adj[i][:0], g.bits[i][:0], absent
+			g.adj[i], g.state[i] = g.adj[i][:0], absent
 		}
 	}
-	g.bdeg[u] = sliceBacked
+	g.state[u] = sliceBacked
 	g.nodes++
 }
 
@@ -135,22 +148,22 @@ func extend[T any](s []T, n int) []T {
 }
 
 // Reset clears g to the empty graph while retaining allocated
-// capacity: the three ID-indexed tables and every per-node adjacency
-// list (slice or bitset) keep their backing arrays, so the next build
+// capacity: the two ID-indexed tables, every per-node adjacency slice
+// and every bitset row keep their backing arrays, so the next build
 // into the same receiver allocates only on growth. Together with the
 // *Into generator variants this makes repeated workload generation
 // allocation-light in steady state. Like any mutation, Reset
 // invalidates NeighborsView results.
 func (g *Graph) Reset() {
 	g.adj = g.adj[:0]
-	g.bits = g.bits[:0]
-	g.bdeg = g.bdeg[:0]
+	g.state = g.state[:0]
+	g.dense = g.dense[:0]
 	g.nodes, g.edges = 0, 0
 }
 
 // HasNode reports whether u is a node of g: in range and not a gap.
 func (g *Graph) HasNode(u ID) bool {
-	return uint(u) < uint(len(g.bdeg)) && g.bdeg[u] != absent
+	return uint(u) < uint(len(g.state)) && g.state[u] != absent
 }
 
 // AddEdge inserts the undirected edge {u, v}, adding the endpoints if
@@ -179,11 +192,12 @@ func (g *Graph) AddEdge(u, v ID) error {
 // was not already present.
 func (g *Graph) insertNeighbor(u, v ID) bool {
 	if g.engaged(u) {
-		if bitsetHas(g.bits[u], v) {
+		r := g.row(u)
+		if bitsetHas(r.bits, v) {
 			return false
 		}
-		g.bits[u] = bitsetSet(g.bits[u], v)
-		g.bdeg[u]++
+		r.bits = bitsetSet(r.bits, v)
+		r.deg++
 		return true
 	}
 	var inserted bool
@@ -195,11 +209,12 @@ func (g *Graph) insertNeighbor(u, v ID) bool {
 // whether it was present.
 func (g *Graph) removeNeighbor(u, v ID) bool {
 	if g.engaged(u) {
-		if !bitsetHas(g.bits[u], v) {
+		r := g.row(u)
+		if !bitsetHas(r.bits, v) {
 			return false
 		}
-		bitsetUnset(g.bits[u], v)
-		g.bdeg[u]--
+		bitsetUnset(r.bits, v)
+		r.deg--
 		return true
 	}
 	var removed bool
@@ -225,12 +240,15 @@ func (g *Graph) maybePromote(u ID) {
 	}
 }
 
-// promote rebuilds node u's adjacency as a bitset. The sorted slice's
-// backing array is retained (truncated to zero length) so a later
-// demotion reuses it.
+// promote rebuilds node u's adjacency as a bitset in a new last row of
+// dense, reusing a retired row's words. The sorted slice's backing
+// array is retained (truncated to zero length) so a later demotion
+// reuses it.
 func (g *Graph) promote(u ID) {
 	w := bitsetWords(g.MaxID())
-	b := g.bits[u]
+	i := len(g.dense)
+	g.dense = extend(g.dense, i+1)
+	b := g.dense[i].bits
 	if cap(b) < w {
 		b = make([]uint64, w)
 	} else {
@@ -240,8 +258,8 @@ func (g *Graph) promote(u ID) {
 	for _, v := range g.adj[u] {
 		b[int(v>>6)] |= 1 << (uint(v) & 63)
 	}
-	g.bits[u] = b
-	g.bdeg[u] = len(g.adj[u])
+	g.dense[i] = denseRow{bits: b, deg: len(g.adj[u]), id: u}
+	g.state[u] = int32(i)
 	g.adj[u] = g.adj[u][:0]
 }
 
@@ -250,19 +268,25 @@ func (g *Graph) promote(u ID) {
 // hysteresis keeps a node oscillating around the threshold from
 // rebuilding its representation every round.
 func (g *Graph) maybeDemote(u ID) {
-	if g.engaged(u) && g.bdeg[u]*2 < g.promoteThreshold() {
+	if g.engaged(u) && g.row(u).deg*2 < g.promoteThreshold() {
 		g.demote(u)
 	}
 }
 
 // demote rebuilds node u's adjacency as a sorted slice from its
 // bitset. Bitset iteration ascends by ID, so the slice comes out
-// sorted for free; the bitset's backing array is retained for a later
-// promotion.
+// sorted for free. The last row takes u's place in dense, and u's row
+// is retired past its end, its words kept for a later promotion.
 func (g *Graph) demote(u ID) {
-	g.adj[u] = appendBitset(g.adj[u][:0], g.bits[u])
-	g.bits[u] = g.bits[u][:0]
-	g.bdeg[u] = sliceBacked
+	i := g.state[u]
+	g.adj[u] = appendBitset(g.adj[u][:0], g.dense[i].bits)
+	g.state[u] = sliceBacked
+	last := len(g.dense) - 1
+	if int(i) != last {
+		g.dense[i], g.dense[last] = g.dense[last], g.dense[i]
+		g.state[g.dense[i].id] = i
+	}
+	g.dense = g.dense[:last]
 }
 
 // MustAddEdge is AddEdge for construction code where a self-loop or a
@@ -293,10 +317,10 @@ func (g *Graph) HasEdge(u, v ID) bool {
 	}
 	// A bitset endpoint answers in O(1).
 	if g.engaged(u) {
-		return bitsetHas(g.bits[u], v)
+		return bitsetHas(g.row(u).bits, v)
 	}
 	if g.engaged(v) {
-		return bitsetHas(g.bits[v], u)
+		return bitsetHas(g.row(v).bits, u)
 	}
 	// Both slices: search the lower-degree endpoint.
 	if len(g.adj[u]) > len(g.adj[v]) {
@@ -318,8 +342,8 @@ func (g *Graph) Nodes() []ID { return g.AppendNodes(make([]ID, 0, g.nodes)) }
 // returns it, reusing dst's backing array when it has capacity.
 func (g *Graph) AppendNodes(dst []ID) []ID {
 	dst = dst[:0]
-	for u, d := range g.bdeg {
-		if d != absent {
+	for u, s := range g.state {
+		if s != absent {
 			dst = append(dst, ID(u))
 		}
 	}
@@ -342,7 +366,7 @@ func (g *Graph) NeighborsInto(u ID, dst []ID) []ID {
 		return dst
 	}
 	if g.engaged(u) {
-		return appendBitset(dst, g.bits[u])
+		return appendBitset(dst, g.row(u).bits)
 	}
 	return append(dst, g.adj[u]...)
 }
@@ -355,7 +379,7 @@ func (g *Graph) EachNeighbor(u ID, fn func(v ID) bool) {
 		return
 	}
 	if g.engaged(u) {
-		for w, word := range g.bits[u] {
+		for w, word := range g.row(u).bits {
 			base := ID(w << 6)
 			for word != 0 {
 				v := base + ID(trailingZeros64(word))
@@ -386,11 +410,11 @@ func (g *Graph) HaveCommonNeighbor(u, v ID) bool {
 	eu, ev := g.engaged(u), g.engaged(v)
 	switch {
 	case eu && ev:
-		return bitsetIntersects(g.bits[u], g.bits[v])
+		return bitsetIntersects(g.row(u).bits, g.row(v).bits)
 	case eu:
-		return sliceMeetsBitset(g.adj[v], g.bits[u])
+		return sliceMeetsBitset(g.adj[v], g.row(u).bits)
 	case ev:
-		return sliceMeetsBitset(g.adj[u], g.bits[v])
+		return sliceMeetsBitset(g.adj[u], g.row(v).bits)
 	}
 	a, b := g.adj[u], g.adj[v]
 	i, j := 0, 0
@@ -424,7 +448,7 @@ func (g *Graph) Degree(u ID) int {
 		return 0
 	}
 	if g.engaged(u) {
-		return g.bdeg[u]
+		return g.row(u).deg
 	}
 	return len(g.adj[u])
 }
@@ -433,7 +457,7 @@ func (g *Graph) Degree(u ID) int {
 // graph).
 func (g *Graph) MaxDegree() int {
 	maxDeg := 0
-	for u := range g.bdeg {
+	for u := range g.state {
 		maxDeg = max(maxDeg, g.Degree(ID(u)))
 	}
 	return maxDeg
@@ -442,7 +466,7 @@ func (g *Graph) MaxDegree() int {
 // Edges returns all edges in canonical form, sorted lexicographically.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.edges)
-	for i := range g.bdeg {
+	for i := range g.state {
 		u := ID(i)
 		g.EachNeighbor(u, func(v ID) bool {
 			if u < v {
@@ -459,8 +483,8 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:    make([][]ID, len(g.adj)),
-		bits:   make([][]uint64, len(g.bits)),
-		bdeg:   slices.Clone(g.bdeg),
+		state:  slices.Clone(g.state),
+		dense:  make([]denseRow, len(g.dense)),
 		nodes:  g.nodes,
 		edges:  g.edges,
 		minDeg: g.minDeg,
@@ -470,10 +494,8 @@ func (g *Graph) Clone() *Graph {
 			c.adj[u] = slices.Clone(nbrs)
 		}
 	}
-	for u, b := range g.bits {
-		if g.bdeg[u] >= 0 {
-			c.bits[u] = slices.Clone(b)
-		}
+	for i, r := range g.dense {
+		c.dense[i] = denseRow{bits: slices.Clone(r.bits), deg: r.deg, id: r.id}
 	}
 	return c
 }
@@ -481,7 +503,7 @@ func (g *Graph) Clone() *Graph {
 // MaxID returns the largest node ID in g, or -1 for an empty graph.
 // In the paper's terms this is u_max, the eventual unique leader.
 // Nodes are never removed, so it is the top of the ID-indexed tables.
-func (g *Graph) MaxID() ID { return ID(len(g.bdeg) - 1) }
+func (g *Graph) MaxID() ID { return ID(len(g.state) - 1) }
 
 // NeighborsView returns u's neighbors in ascending order, zero-copy
 // when u is slice-backed: callers must not modify the result, and any
@@ -509,17 +531,17 @@ func (g *Graph) NeighborsView(u ID) []ID {
 // lists, bitsets) are reused, so repeated copies into the same
 // receiver do not allocate in steady state.
 func (g *Graph) CopyCanonicalFrom(src *Graph) {
-	n := len(src.bdeg)
-	g.adj, g.bits, g.bdeg = extend(g.adj, n), extend(g.bits, n), extend(g.bdeg, n)
-	for u, d := range src.bdeg {
-		g.bits[u] = g.bits[u][:0]
-		if d >= 0 {
-			g.adj[u] = appendBitset(g.adj[u][:0], src.bits[u])
-			d = sliceBacked
+	n := len(src.state)
+	g.adj, g.state = extend(g.adj, n), extend(g.state, n)
+	g.dense = g.dense[:0]
+	for u, s := range src.state {
+		if s >= 0 {
+			g.adj[u] = appendBitset(g.adj[u][:0], src.dense[s].bits)
+			s = sliceBacked
 		} else {
 			g.adj[u] = append(g.adj[u][:0], src.adj[u]...)
 		}
-		g.bdeg[u] = d
+		g.state[u] = s
 	}
 	g.nodes, g.edges, g.minDeg = src.nodes, src.edges, src.minDeg
 }

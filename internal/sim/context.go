@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adnet/internal/graph"
-	"adnet/internal/temporal"
 )
 
 // Context is a node's window onto the network for the current round.
@@ -17,12 +16,11 @@ import (
 // resolves the destination's slot and appends straight to its inbox,
 // and Activate/Deactivate append to the engine's one intent batch (the
 // very slices History.Apply reads), so neither a message nor an intent
-// is held here.
+// is held here; nor is what every node shares (the History, n), which
+// is read through the engine.
 type Context struct {
-	id   graph.ID
-	hist *temporal.History
-	env  Env
-	eng  *Engine
+	id  graph.ID
+	eng *Engine
 
 	round  int
 	slot   int32
@@ -34,8 +32,8 @@ type Context struct {
 // reset rebinds the context to a node for a new run. The slot and
 // engine bindings are the engine's (Reset sets them) and survive a
 // reboot.
-func (c *Context) reset(id graph.ID, hist *temporal.History, env Env) {
-	c.id, c.hist, c.env = id, hist, env
+func (c *Context) reset(id graph.ID) {
+	c.id = id
 	c.round = 0
 	c.halted = false
 	c.status = StatusNone
@@ -51,29 +49,29 @@ func (c *Context) Round() int { return c.round }
 // N returns the number of nodes, a model constant granted to nodes
 // (explicitly assumed in the paper's §5; used elsewhere only for
 // engineering-level scheduling, as documented in DESIGN.md).
-func (c *Context) N() int { return c.env.N }
+func (c *Context) N() int { return c.eng.n }
 
 // Neighbors returns N1 at the start of the round, ascending. The slice
 // is fresh and owned by the caller; prefer EachNeighbor in per-round
 // hot paths.
-func (c *Context) Neighbors() []graph.ID { return c.hist.NeighborsOf(c.id) }
+func (c *Context) Neighbors() []graph.ID { return c.eng.hist.NeighborsOf(c.id) }
 
 // EachNeighbor calls fn for every current neighbor in ascending order,
 // stopping early if fn returns false. It performs no allocation.
 func (c *Context) EachNeighbor(fn func(v graph.ID) bool) {
-	c.hist.EachNeighborOf(c.id, fn)
+	c.eng.hist.EachNeighborOf(c.id, fn)
 }
 
 // HasNeighbor reports whether v is currently a neighbor.
-func (c *Context) HasNeighbor(v graph.ID) bool { return c.hist.Active(c.id, v) }
+func (c *Context) HasNeighbor(v graph.ID) bool { return c.eng.hist.Active(c.id, v) }
 
 // Degree returns |N1|.
-func (c *Context) Degree() int { return c.hist.DegreeOf(c.id) }
+func (c *Context) Degree() int { return c.eng.hist.DegreeOf(c.id) }
 
 // IsOriginal reports whether the edge to v belongs to E(1). The
 // paper's algorithms keep original edges active until termination and
 // nodes can always distinguish them.
-func (c *Context) IsOriginal(v graph.ID) bool { return c.hist.IsOriginal(c.id, v) }
+func (c *Context) IsOriginal(v graph.ID) bool { return c.eng.hist.IsOriginal(c.id, v) }
 
 // OrigNeighbors returns the node's neighbors in the initial graph Gs,
 // ascending. (Static information: a node always knows who its original
@@ -81,7 +79,7 @@ func (c *Context) IsOriginal(v graph.ID) bool { return c.hist.IsOriginal(c.id, v
 // initial neighborhood — it costs no allocation, and callers must not
 // modify it.
 func (c *Context) OrigNeighbors() []graph.ID {
-	return c.hist.InitialNeighborsView(c.id)
+	return c.eng.hist.InitialNeighborsView(c.id)
 }
 
 // Send delivers a message to neighbor v: the destination is resolved
@@ -96,8 +94,8 @@ func (c *Context) Send(to graph.ID, payload any) {
 	if !e.sending {
 		return
 	}
-	slot, ok := c.hist.SlotOf(to)
-	if !ok || !c.hist.Active(c.id, to) {
+	slot, ok := e.hist.SlotOf(to)
+	if !ok || !e.hist.Active(c.id, to) {
 		if e.cfg.env == nil && e.sendErr == nil {
 			e.sendErr = fmt.Errorf("sim: round %d: node %d sent to non-neighbor %d", c.round, c.id, to)
 		}
@@ -137,8 +135,9 @@ func (c *Context) Broadcast(payload any) {
 	if !c.eng.sending {
 		return
 	}
-	c.hist.EachNeighborOf(c.id, func(v graph.ID) bool {
-		slot, _ := c.hist.SlotOf(v)
+	h := c.eng.hist
+	h.EachNeighborOf(c.id, func(v graph.ID) bool {
+		slot, _ := h.SlotOf(v)
 		c.deliver(slot, v, payload)
 		return true
 	})

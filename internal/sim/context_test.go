@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"adnet/internal/graph"
 )
@@ -187,5 +188,14 @@ func TestResultIsViewOfEngine(t *testing.T) {
 	}
 	if m, ok := small.Machine(10); ok || m != nil {
 		t.Errorf("Machine(10) after shrinking Reset = %v, %v", m, ok)
+	}
+}
+
+// TestContextFootprint pins the per-node context's size: the engine
+// holds one per slot, and what every node shares (the History, n) is
+// read through the engine, not copied into each.
+func TestContextFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Context{}); size > 56 {
+		t.Fatalf("unsafe.Sizeof(Context{}) = %d B, want <= 56", size)
 	}
 }

@@ -113,6 +113,12 @@ func (e *Engine) Close() {
 	e.ready = false
 }
 
+// BFS returns the breadth-first-search scratch that Reset and the
+// connectivity check use. Between runs the engine does not: a caller
+// measuring a finished run's graphs borrows it, instead of holding a
+// second one, until its next Reset.
+func (e *Engine) BFS() *graph.BFSScratch { return &e.bfs }
+
 // Reset rebinds the engine to a fresh execution of the algorithm
 // produced by factory on the initial graph gs. All per-run state from
 // the previous execution is recycled; previously returned Results
@@ -166,7 +172,7 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	}
 	for i := 0; i < n; i++ {
 		id := e.hist.IDAtSlot(i)
-		e.ctxs[i].reset(id, e.hist, env)
+		e.ctxs[i].reset(id)
 		e.ctxs[i].slot, e.ctxs[i].eng = int32(i), e
 		if recycle && i < prevN {
 			e.machines[i].(Recycler).Recycle(id, env)
@@ -389,7 +395,7 @@ func (e *Engine) applyFaults(round int) error {
 		if e.envEdits.Reboot {
 			ctx := &e.ctxs[i]
 			env := Env{N: n}
-			ctx.reset(ctx.id, e.hist, env)
+			ctx.reset(ctx.id)
 			e.wake[i] = 0 // the old machine's promise does not bind the new one
 			m := e.factory(ctx.id, env)
 			if m == nil {
