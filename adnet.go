@@ -118,8 +118,15 @@ func WithMaxRounds(rounds int) Option { return sim.WithMaxRounds(rounds) }
 // disconnects (the paper's algorithms never disconnect it).
 func WithConnectivityCheck() Option { return sim.WithConnectivityCheck() }
 
+// Failure is a failed run's error (reach it with errors.As): its Kind
+// — round_limit, model_violation, non_neighbor_send, machine_panic,
+// disconnected or canceled — and the round and nodes it names.
+type Failure = sim.Failure
+
 // Run executes the algorithm on the initial network gs, which must be
-// connected. The initial graph is not modified.
+// connected. The initial graph is not modified. A run that fails
+// returns its partial Result beside a *Failure; an invalid input
+// returns no Result.
 func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 	if !algo.known() {
 		var valid []Algorithm
@@ -138,7 +145,7 @@ func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 	var perRound []temporal.RoundStats
 	opts = append(append(defaults, opts...), sim.WithDeltaHook(func(d temporal.RoundDelta) { perRound = append(perRound, d.Stats) }))
 	res, err := sim.Run(gs, factory, opts...)
-	if err != nil {
+	if res == nil {
 		return nil, err
 	}
 	leader, ok := res.Leader()
@@ -150,7 +157,7 @@ func Run(algo Algorithm, gs *Graph, opts ...Option) (*Result, error) {
 		LeaderElected: ok,
 		res:           res,
 		perRound:      perRound,
-	}, nil
+	}, err
 }
 
 // Generators, re-exported for convenience.

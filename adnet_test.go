@@ -117,6 +117,20 @@ func TestRunRejectsNilGraph(t *testing.T) {
 	}
 }
 
+// TestRunReturnsThePartialResult: a run that fails hands back what it
+// reached beside its *Failure, as sim.Run does.
+func TestRunReturnsThePartialResult(t *testing.T) {
+	t.Parallel()
+	res, err := Run(GraphToStar, Line(32), WithMaxRounds(5))
+	var f *Failure
+	if !errors.As(err, &f) || f.Kind != sim.RoundLimit || f.Round != 5 {
+		t.Fatalf("err = %v, want a round-limit failure at round 5", err)
+	}
+	if res == nil || res.Rounds != 5 || len(res.PerRound()) != 5 || res.Metrics.Rounds != 5 {
+		t.Fatalf("partial result %+v, want the 5 rounds the run reached", res)
+	}
+}
+
 // downForever is an environment that takes node 0 down after round 1
 // and never restarts it: the run can only end at its round cap, which
 // the engine's error then names.
@@ -195,7 +209,8 @@ func TestAlgorithmRegistry(t *testing.T) {
 			req := cell.Request()
 			req.SimOpts = append(req.SimOpts, sim.WithEnvironment(downForever{}))
 			_, execErr := expt.Execute(req)
-			if !errors.Is(runErr, sim.ErrRoundLimit) || !errors.Is(execErr, sim.ErrRoundLimit) {
+			var fromRunF, fromExecF *sim.Failure
+			if !errors.As(runErr, &fromRunF) || !errors.As(execErr, &fromExecF) || fromRunF.Kind != sim.RoundLimit || fromExecF.Kind != sim.RoundLimit {
 				t.Fatalf("stalled runs ended with %v / %v, want the round limit", runErr, execErr)
 			}
 			fromRun, fromExec := roundCap.FindStringSubmatch(runErr.Error()), roundCap.FindStringSubmatch(execErr.Error())

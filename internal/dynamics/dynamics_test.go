@@ -194,7 +194,7 @@ func TestChurnPreserveKeepsConnectivity(t *testing.T) {
 		sim.WithEnvironment(env),
 		sim.WithConnectivityCheck(),
 		sim.WithMaxRounds(60))
-	if errors.Is(err, sim.ErrDisconnected) {
+	if f := (*sim.Failure)(nil); errors.As(err, &f) && f.Kind == sim.Disconnected {
 		t.Fatalf("preserve=true disconnected the graph: %v", err)
 	}
 	if err != nil {

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"errors"
 	"testing"
 
 	"adnet/internal/graph"
@@ -150,8 +149,8 @@ func TestExecuteExtraSimOptionsApply(t *testing.T) {
 		Algorithm: AlgoStar, Workload: "line", N: 32, Seed: 1,
 		SimOpts: []sim.Option{sim.WithMaxRounds(1)},
 	})
-	if !errors.Is(err, sim.ErrRoundLimit) {
-		t.Fatalf("want ErrRoundLimit through Execute, got %v", err)
+	if failureKind(err) != sim.RoundLimit {
+		t.Fatalf("want a round-limit failure through Execute, got %v", err)
 	}
 
 	var rounds int

@@ -116,7 +116,10 @@ func Execute(req Request) (Outcome, error) {
 // RunAlgorithm executes the named algorithm on gs through the
 // Runner's engine, with extra simulation options appended after the
 // algorithm's defaults, and judges the run (see judge). It is the one
-// execution path behind Execute and ExecuteSweep.
+// execution path behind Execute and ExecuteSweep. A run that fails
+// returns its *sim.Failure together with its partial outcome: the
+// rounds, messages, activations, environment edits, crashes and
+// restarts it reached, with LeaderOK false and no walk of its graph.
 func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option) (Outcome, error) {
 	algo, err := lookup(name)
 	if err != nil {
@@ -145,10 +148,11 @@ func (r *Runner) RunAlgorithm(name string, gs *graph.Graph, extra ...sim.Option)
 		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
 	}
 	res, err := r.eng.Run()
-	if err != nil {
-		return Outcome{}, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
-	}
 	out.Rounds, out.TotalMessages, out.Crashes, out.Restarts = res.Rounds, res.TotalMessages, res.Crashes, res.Restarts
+	if err != nil {
+		out.measure(res.Metrics)
+		return out, fmt.Errorf("expt: %s on n=%d: %w", name, out.N, err)
+	}
 	return algo.judge(r.eng.BFS(), out, res.Metrics, res.History.CurrentView(), gs.MaxID(), tasks.Elected(res))
 }
 
@@ -164,16 +168,22 @@ func Verify(name string, res *sim.Result) error {
 	return err
 }
 
+// measure copies a run's edge measures into o.
+func (o *Outcome) measure(met temporal.Metrics) {
+	o.LastActivity, o.TotalActivations = met.LastActivityRound, met.TotalActivations
+	o.MaxActivatedEdges, o.MaxActivatedDegree = met.MaxActivatedEdges, met.MaxActivatedDegree
+	o.EnvActivations, o.EnvDeactivations = met.EnvActivations, met.EnvDeactivations
+}
+
 // judge is every run's tail: it fills out from the run's metrics and
 // its final graph, measured in place through bfs, and applies the
 // verdict (DESIGN.md, "The verdict"): u_max elected, then, given a
-// depth target, a spanning tree within it. A failure is an error on an
-// untouched run; once the environment acted, LeaderOK is the leader
-// half and the tree half is skipped.
+// depth target, a spanning tree within it. A failure is an Unverified
+// *sim.Failure on an untouched run, returned with the measured outcome
+// and LeaderOK false; once the environment acted, LeaderOK is the
+// leader half and the tree half is skipped.
 func (a *algorithm) judge(bfs *graph.BFSScratch, out Outcome, met temporal.Metrics, final *graph.Graph, umax graph.ID, elect tasks.Election) (Outcome, error) {
-	out.LastActivity, out.TotalActivations = met.LastActivityRound, met.TotalActivations
-	out.MaxActivatedEdges, out.MaxActivatedDegree = met.MaxActivatedEdges, met.MaxActivatedDegree
-	out.EnvActivations, out.EnvDeactivations = met.EnvActivations, met.EnvDeactivations
+	out.measure(met)
 	out.FinalDiameter = bfs.ApproxDiameter(final)
 	if final.HasNode(umax) {
 		out.FinalDepth = bfs.Eccentricity(final, umax)
@@ -187,7 +197,8 @@ func (a *algorithm) judge(bfs *graph.BFSScratch, out Outcome, met temporal.Metri
 		err = tasks.VerifyTree(out.N, final.NumEdges(), out.FinalDepth, a.depth(out.N))
 	}
 	if err != nil {
-		return Outcome{}, fmt.Errorf("expt: %s on n=%d: unverified: %w", a.name, out.N, err)
+		out.LeaderOK = false
+		return out, fmt.Errorf("expt: %s on n=%d: %w", a.name, out.N, &sim.Failure{Kind: sim.Unverified, Round: out.Rounds, Detail: err.Error()})
 	}
 	return out, nil
 }

@@ -169,3 +169,31 @@ func TestRobustnessSpecValidate(t *testing.T) {
 		t.Fatalf("centralized + dynamics accepted")
 	}
 }
+
+// TestRobustnessRowCountsFailedRunsDisruption: a row whose runs all
+// fail still sums the disruption they absorbed before failing — the
+// environment's edits and the engine's crashes and restarts — instead
+// of reading zero.
+func TestRobustnessRowCountsFailedRunsDisruption(t *testing.T) {
+	t.Parallel()
+	rows, err := RobustnessMatrix(RobustnessSpec{
+		Grid: SweepSpec{Algorithms: []string{AlgoStar}, Workloads: []string{"line"}, Sizes: []int{32}, Seeds: []int64{1, 2, 3}},
+		Dynamics: []dynamics.Spec{
+			{Class: dynamics.ClassEdgeChurn, Rate: 1},
+			{Class: dynamics.ClassCrash},
+		},
+	})
+	if err != nil {
+		t.Fatalf("RobustnessMatrix: %v", err)
+	}
+	churn, crash := rows[1], rows[2]
+	if churn.Successes != 0 || crash.Successes != 0 {
+		t.Fatalf("fixture drifted: %d and %d of 3 runs succeed, want none", churn.Successes, crash.Successes)
+	}
+	if churn.EnvEdits == 0 {
+		t.Errorf("edge-churn row %+v counts no environment edits", churn)
+	}
+	if crash.Crashes == 0 || crash.Restarts == 0 {
+		t.Errorf("crash row %+v counts no crashes or restarts", crash)
+	}
+}

@@ -285,7 +285,10 @@ func (s SweepSpec) Validate() error {
 	return requireSimulated(s.Algorithms...)
 }
 
-// CellResult is the measured product of one grid cell.
+// CellResult is the measured product of one grid cell. A cell whose
+// run failed keeps the run's partial Outcome beside its Err (a
+// *sim.Failure, possibly wrapped); the wire form of an error cell
+// carries the error text only.
 type CellResult struct {
 	Index     int  // position in SweepSpec.Cells order
 	Cell      Cell //
@@ -467,13 +470,10 @@ func runCell(ctx context.Context, r *Runner, idx int, cell Cell, opts SweepOptio
 	start := time.Now()
 	out, err := r.Execute(req)
 	res.Duration = time.Since(start)
-	if err != nil {
-		if errors.Is(context.Cause(ctx), errCellTimeLimit) {
-			err = fmt.Errorf("expt: cell time limit %s exceeded: %w", opts.CellTimeLimit, err)
-		}
-		res.Err = err
-		return res
-	}
 	res.Outcome = out
+	if err != nil && errors.Is(context.Cause(ctx), errCellTimeLimit) {
+		err = fmt.Errorf("expt: cell time limit %s exceeded: %w", opts.CellTimeLimit, err)
+	}
+	res.Err = err
 	return res
 }

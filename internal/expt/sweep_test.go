@@ -228,7 +228,7 @@ func TestExecuteSweepCellErrorDoesNotAbort(t *testing.T) {
 	if results[0].Err == nil {
 		t.Fatal("round-limited cell did not err")
 	}
-	if !errors.Is(results[0].Err, sim.ErrRoundLimit) {
+	if failureKind(results[0].Err) != sim.RoundLimit {
 		t.Fatalf("cell err = %v, want round limit", results[0].Err)
 	}
 }

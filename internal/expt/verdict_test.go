@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"adnet/internal/graph"
+	"adnet/internal/sim"
 	"adnet/internal/tasks"
 	"adnet/internal/temporal"
 )
@@ -64,6 +65,8 @@ func TestVerdict(t *testing.T) {
 				t.Fatalf("error %v, want one naming %q", err, tc.want)
 			case err == nil && out.LeaderOK != tc.leaderOK:
 				t.Fatalf("LeaderOK %v, want %v", out.LeaderOK, tc.leaderOK)
+			case err != nil && (failureKind(err) != sim.Unverified || out.N != umax+1 || out.LeaderOK):
+				t.Fatalf("error %v with outcome %+v, want an unverified failure beside the measured outcome, LeaderOK false", err, out)
 			}
 		})
 	}

@@ -554,8 +554,10 @@ func (m *Manager) execute(j *Job, r *expt.Runner) {
 	j.mu.Unlock()
 	m.metrics.runJobs.With(string(state)).Inc()
 	if state == StateFailed {
-		m.logger.Error("run failed",
-			slog.String("job_id", j.ID),
-			slog.String("error", err.Error()))
+		attrs := []any{slog.String("job_id", j.ID), slog.String("error", err.Error())}
+		if f := (*sim.Failure)(nil); errors.As(err, &f) {
+			attrs = append(attrs, slog.String("kind", string(f.Kind)), slog.Int("round", f.Round), slog.Int("node", int(f.Node)))
+		}
+		m.logger.Error("run failed", attrs...)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -358,6 +360,30 @@ func TestManagerTimeLimitFailsRun(t *testing.T) {
 	// Failures are not cached: the same spec runs again.
 	if _, cached, _ := m.Submit(slowSpec(9)); cached {
 		t.Error("failed run must not be served from cache")
+	}
+}
+
+// TestFailedRunLogsItsFailure: a run that fails logs its failure's
+// kind, round and node beside the error text, which its status keeps
+// unchanged.
+func TestFailedRunLogsItsFailure(t *testing.T) {
+	t.Parallel()
+	var logs bytes.Buffer // the handler serializes its writes
+	m := NewManager(Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	spec := fastSpec(1)
+	spec.MaxRounds = 5
+	job, _, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, job, StateFailed)
+	m.Close() // the worker logs after the state turns; Close waits for it
+	const text = "expt: graph-to-star on n=64: sim: round limit exceeded before termination (limit 5)"
+	if st := job.Status(); st.Error != text {
+		t.Errorf("status error %q, want %q", st.Error, text)
+	}
+	if want := `msg="run failed" job_id=` + job.ID + ` error="` + text + `" kind=round_limit round=5 node=0`; !strings.Contains(logs.String(), want) {
+		t.Errorf("log %q lacks %q", logs.String(), want)
 	}
 }
 

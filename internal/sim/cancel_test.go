@@ -13,8 +13,8 @@ import (
 func TestErrorResultKeepsMessageCounters(t *testing.T) {
 	t.Parallel()
 	res, err := Run(graph.Line(5), newFloodFactory(1000), WithMaxRounds(3))
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("want ErrRoundLimit, got %v", err)
+	if kindOf(err) != RoundLimit {
+		t.Fatalf("want a round-limit failure, got %v", err)
 	}
 	if res == nil {
 		t.Fatal("round-limit failure must return the partial result")

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"adnet/internal/graph"
-)
+import "adnet/internal/graph"
 
 // Context is a node's window onto the network for the current round.
 // One Context belongs to exactly one node and must not be retained
@@ -26,7 +22,7 @@ type Context struct {
 	slot   int32
 	halted bool
 	status Status
-	err    error
+	err    *Failure
 }
 
 // reset rebinds the context to a node for a new run. The slot and
@@ -97,7 +93,7 @@ func (c *Context) Send(to graph.ID, payload any) {
 	slot, ok := e.hist.SlotOf(to)
 	if !ok || !e.hist.Active(c.id, to) {
 		if e.cfg.env == nil && e.sendErr == nil {
-			e.sendErr = fmt.Errorf("sim: round %d: node %d sent to non-neighbor %d", c.round, c.id, to)
+			e.sendErr = &Failure{Kind: NonNeighborSend, Round: c.round, Node: c.id, Peer: to}
 		}
 		return
 	}
@@ -149,7 +145,7 @@ func (c *Context) Broadcast(payload any) {
 // is dropped (the engine empties the batches before every Send phase).
 func (c *Context) Activate(v graph.ID) {
 	if v == c.id {
-		c.fail(fmt.Errorf("sim: node %d activated a self-loop", c.id))
+		c.fail("activated a self-loop")
 		return
 	}
 	c.eng.batch.Activate = append(c.eng.batch.Activate, graph.NewEdge(c.id, v))
@@ -158,7 +154,7 @@ func (c *Context) Activate(v graph.ID) {
 // Deactivate requests deactivation of edge {self, v} this round.
 func (c *Context) Deactivate(v graph.ID) {
 	if v == c.id {
-		c.fail(fmt.Errorf("sim: node %d deactivated a self-loop", c.id))
+		c.fail("deactivated a self-loop")
 		return
 	}
 	c.eng.batch.Deactivate = append(c.eng.batch.Deactivate, graph.NewEdge(c.id, v))
@@ -173,8 +169,9 @@ func (c *Context) SetStatus(s Status) { c.status = s }
 // Halt are still applied.
 func (c *Context) Halt() { c.halted = true }
 
-func (c *Context) fail(err error) {
+// fail records the node's self-loop intent, unless it already failed.
+func (c *Context) fail(intent string) {
 	if c.err == nil {
-		c.err = err
+		c.err = &Failure{Kind: ModelViolation, Round: c.round, Node: c.id, Peer: c.id, Detail: intent}
 	}
 }

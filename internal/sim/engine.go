@@ -63,7 +63,7 @@ type Engine struct {
 	// sendErr holds its first non-neighbor send.
 	sending   bool
 	roundMsgs int
-	sendErr   error
+	sendErr   *Failure
 
 	// wake is each slot's next needed call as a position 2·round+phase
 	// (phase 0 Send, 1 Receive), declared by Context.SkipUntil; 0 means
@@ -227,14 +227,16 @@ func (e *Engine) Reset(gs *graph.Graph, factory Factory, opts ...Option) error {
 	return nil
 }
 
+// errNotReset is Run's answer when no successful Reset precedes it.
+var errNotReset = errors.New("sim: Engine.Run requires a successful Reset first")
+
 // Run executes the round loop prepared by the last Reset until every
-// node halts, the round limit is hit, or an error aborts the
-// execution. On a runtime failure (model violation, round limit,
-// connectivity check, cancellation) Run returns the partial Result
-// alongside the error.
+// node halts, the round limit is hit, or a failure aborts the
+// execution. On a runtime failure Run returns the partial Result
+// alongside a *Failure.
 func (e *Engine) Run() (*Result, error) {
 	if !e.ready {
-		return nil, errors.New("sim: Engine.Run requires a successful Reset first")
+		return nil, errNotReset
 	}
 	e.ready = false
 	cfg := &e.cfg
@@ -270,8 +272,7 @@ func (e *Engine) Run() (*Result, error) {
 		if cfg.done != nil {
 			select {
 			case <-cfg.done:
-				return e.finish(round-1, totalMsgs, maxMsgs),
-					fmt.Errorf("%w after round %d", ErrCanceled, round-1)
+				return e.finish(round-1, totalMsgs, maxMsgs), &Failure{Kind: Canceled, Round: round - 1}
 			default:
 			}
 		}
@@ -328,7 +329,7 @@ func (e *Engine) Run() (*Result, error) {
 
 		// --- Activate / Deactivate ---
 		if _, err := hist.Apply(batch.Activate, batch.Deactivate); err != nil {
-			return e.finish(round, totalMsgs, maxMsgs), err
+			return e.finish(round, totalMsgs, maxMsgs), refused(round, err)
 		}
 		if cfg.env != nil {
 			// Environment boundary: perturbation runs on the round
@@ -338,15 +339,14 @@ func (e *Engine) Run() (*Result, error) {
 			e.envEdits.Reset()
 			cfg.env.Perturb(round, hist, &e.envEdits)
 			if _, err := hist.ApplyEnvironment(e.envEdits.Activate, e.envEdits.Deactivate); err != nil {
-				return e.finish(round, totalMsgs, maxMsgs), err
+				return e.finish(round, totalMsgs, maxMsgs), refused(round, err)
 			}
-			if err := e.applyFaults(round); err != nil {
-				return e.finish(round, totalMsgs, maxMsgs), err
+			if f := e.applyFaults(round); f != nil {
+				return e.finish(round, totalMsgs, maxMsgs), f
 			}
 		}
 		if cfg.checkConnect && !hist.CurrentIsConnected(&e.bfs) {
-			return e.finish(round, totalMsgs, maxMsgs),
-				fmt.Errorf("%w after round %d", ErrDisconnected, round)
+			return e.finish(round, totalMsgs, maxMsgs), &Failure{Kind: Disconnected, Round: round}
 		}
 		for _, hook := range cfg.hooks {
 			hook(RoundEvent{Round: round, Messages: e.delivered})
@@ -369,8 +369,17 @@ func (e *Engine) Run() (*Result, error) {
 			return e.finish(round, totalMsgs, maxMsgs), nil
 		}
 	}
-	return e.finish(cfg.maxRounds, totalMsgs, maxMsgs),
-		fmt.Errorf("%w (limit %d)", ErrRoundLimit, cfg.maxRounds)
+	return e.finish(cfg.maxRounds, totalMsgs, maxMsgs), &Failure{Kind: RoundLimit, Round: cfg.maxRounds}
+}
+
+// refused is the failure of an edit the History refused in round: a
+// *temporal.Violation names its edge's endpoints.
+func refused(round int, err error) *Failure {
+	f := &Failure{Kind: ModelViolation, Round: round, Err: err}
+	if v := (*temporal.Violation)(nil); errors.As(err, &v) {
+		f.Node, f.Peer = v.Edge.A, v.Edge.B
+	}
+	return f
 }
 
 // applyFaults commits the environment's crash/restart edits collected
@@ -382,7 +391,7 @@ func (e *Engine) Run() (*Result, error) {
 // rebuilds the machine from the run's factory and re-runs Init (the
 // node comes back blank, as after a power cycle); a sleep-restart
 // resumes the machine with its state intact.
-func (e *Engine) applyFaults(round int) error {
+func (e *Engine) applyFaults(round int) *Failure {
 	n := e.n
 	for _, s := range e.envEdits.Restart {
 		i := int(s)
@@ -399,7 +408,7 @@ func (e *Engine) applyFaults(round int) error {
 			e.wake[i] = 0 // the old machine's promise does not bind the new one
 			m := e.factory(ctx.id, env)
 			if m == nil {
-				return fmt.Errorf("sim: round %d: factory returned nil machine rebooting node %d", round, ctx.id)
+				return &Failure{Kind: MachinePanic, Round: round, Node: ctx.id}
 			}
 			e.machines[i] = m
 			e.protect(ctx, i, func() { m.Init(ctx) })
@@ -421,26 +430,25 @@ func (e *Engine) applyFaults(round int) error {
 }
 
 // protect runs one machine step under a recover, converting a panic
-// into that slot's run error. Machines are written against the paper's
-// model, where only the algorithm edits edges; an adversarial
+// into that slot's MachinePanic failure. Machines are written against
+// the paper's model, where only the algorithm edits edges; an adversarial
 // environment can break their internal invariants mid-run, and that
 // must fail the run (honest robustness data) rather than kill the
 // process. Environment runs only — the strict path stays defer-free.
 func (e *Engine) protect(ctx *Context, i int, step func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			ctx.err = fmt.Errorf("sim: round %d: node %d panicked under environment perturbation: %v",
-				e.curRound, ctx.id, r)
+			ctx.err = &Failure{Kind: MachinePanic, Round: e.curRound, Node: ctx.id, Detail: fmt.Sprint(r)}
 		}
 	}()
 	step()
 }
 
-// ctxErr returns the lowest slot's error recorded this phase.
+// ctxErr returns the lowest slot's failure recorded this phase.
 func (e *Engine) ctxErr() error {
 	for i := range e.ctxs[:e.n] {
-		if err := e.ctxs[i].err; err != nil {
-			return err
+		if f := e.ctxs[i].err; f != nil {
+			return f
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -251,8 +250,8 @@ func TestEnvironmentFaultCounts(t *testing.T) {
 		// Halting is due at round 8; a limit of 3 fails the run after
 		// slot 1's crash and restart.
 		res, err = Run(graph.Ring(4), factory, WithEnvironment(script(reboot)), WithMaxRounds(3))
-		if !errors.Is(err, ErrRoundLimit) || res == nil {
-			t.Fatalf("reboot=%t: want a partial result and ErrRoundLimit, got %v, %v", reboot, res, err)
+		if kindOf(err) != RoundLimit || res == nil {
+			t.Fatalf("reboot=%t: want a partial result and a round-limit failure, got %v, %v", reboot, res, err)
 		}
 		if res.Crashes != 1 || res.Restarts != 1 {
 			t.Errorf("reboot=%t: partial result counted %d/%d, want 1/1", reboot, res.Crashes, res.Restarts)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -68,8 +69,8 @@ func TestViolationOrderAcrossPhases(t *testing.T) {
 		inRecv: map[graph.ID]graph.ID{0: 4},
 	}
 	_, err := Run(graph.Line(8), func(graph.ID, Env) Machine { return m })
-	v, ok := err.(*temporal.Violation)
-	if !ok || v.Edge != graph.NewEdge(3, 7) {
+	var v *temporal.Violation
+	if !errors.As(err, &v) || v.Edge != graph.NewEdge(3, 7) {
 		t.Errorf("err = %v, want the violation of {3,7}", err)
 	}
 }

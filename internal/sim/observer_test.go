@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"adnet/internal/graph"
@@ -38,8 +37,8 @@ func TestRunObserverFiresOnFailure(t *testing.T) {
 	_, err := Run(graph.Line(4), newFloodFactory(1<<30),
 		WithMaxRounds(5),
 		WithRunObserver(func(s RunSummary) { got = append(got, s) }))
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	if kindOf(err) != RoundLimit {
+		t.Fatalf("err = %v, want a round-limit failure", err)
 	}
 	if len(got) != 1 || got[0].Rounds != 5 {
 		t.Fatalf("observer = %+v, want one summary with Rounds=5", got)

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"errors"
 	"time"
 
 	"adnet/internal/graph"
@@ -98,17 +97,6 @@ type Recycler interface {
 type Env struct {
 	N int
 }
-
-// ErrRoundLimit is returned when the round limit is hit before every
-// node halted.
-var ErrRoundLimit = errors.New("sim: round limit exceeded before termination")
-
-// ErrDisconnected is returned by the optional connectivity check.
-var ErrDisconnected = errors.New("sim: active graph disconnected")
-
-// ErrCanceled is returned when an execution is aborted between rounds
-// via WithCancel.
-var ErrCanceled = errors.New("sim: execution canceled")
 
 // RoundEvent is passed to round hooks after each completed round. A
 // round's edits and statistics are its temporal.RoundDelta (WithDeltaHook).
@@ -203,7 +191,7 @@ func WithMaxRounds(r int) Option { return func(c *config) { c.maxRounds = r } }
 func WithParallelism(int) Option { return func(*config) {} }
 
 // WithConnectivityCheck asserts after every round that the active graph
-// is connected, aborting with ErrDisconnected otherwise. The paper's
+// is connected, failing the run as Disconnected otherwise. The paper's
 // algorithms never break connectivity; this is the failure-injection
 // switch for tests.
 func WithConnectivityCheck() Option { return func(c *config) { c.checkConnect = true } }
@@ -253,7 +241,7 @@ func WithEnvironment(env Environment) Option {
 }
 
 // WithCancel aborts the execution before the next round once done is
-// closed, returning the partial Result alongside ErrCanceled. This is
+// closed, returning the partial Result alongside a Canceled failure. This is
 // how callers impose deadlines or user-initiated cancellation on a
 // running simulation (e.g. context.Context.Done from a server job).
 func WithCancel(done <-chan struct{}) Option {
@@ -387,9 +375,9 @@ func (r *Result) Leader() (graph.ID, bool) {
 // many runs should hold an Engine and Reset it between runs to reuse
 // its buffers.
 //
-// On a runtime failure (model violation, round limit, connectivity
-// check) Run returns the partial Result alongside the error so callers
-// can post-mortem the history; on setup errors the Result is nil.
+// On a runtime failure Run returns the partial Result alongside a
+// *Failure so callers can post-mortem the history; on setup errors the
+// Result is nil.
 func Run(gs *graph.Graph, factory Factory, opts ...Option) (*Result, error) {
 	e := NewEngine()
 	defer e.Close()

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -139,8 +138,8 @@ func TestCliqueFormationOnLine(t *testing.T) {
 func TestRoundLimit(t *testing.T) {
 	t.Parallel()
 	_, err := Run(graph.Line(5), newFloodFactory(1000), WithMaxRounds(3))
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
+	if kindOf(err) != RoundLimit {
+		t.Fatalf("err = %v, want a round-limit failure", err)
 	}
 }
 
@@ -320,8 +319,8 @@ func TestConnectivityCheck(t *testing.T) {
 	t.Parallel()
 	_, err := Run(graph.Line(4), func(graph.ID, Env) Machine { return disconnector{} },
 		WithConnectivityCheck())
-	if !errors.Is(err, ErrDisconnected) {
-		t.Fatalf("err = %v, want ErrDisconnected", err)
+	if kindOf(err) != Disconnected {
+		t.Fatalf("err = %v, want a disconnected failure", err)
 	}
 	// Without the check the same program completes.
 	if _, err := Run(graph.Line(4), func(graph.ID, Env) Machine { return disconnector{} }); err != nil {

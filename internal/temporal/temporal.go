@@ -111,9 +111,8 @@ type History struct {
 	// engine's round driver), never concurrently with itself; the
 	// read-only query methods remain safe to call concurrently.
 	scratchRawAct   []graph.Edge // every canonical activation request, sorted
-	scratchRawDeact []graph.Edge // every canonical deactivation request, sorted
+	scratchRawDeact []graph.Edge // every canonical deactivation request, sorted, then filtered in place
 	scratchAct      []graph.Edge // validated new activations, sorted+deduped
-	scratchDeact    []graph.Edge // validated deactivations, sorted+deduped
 
 	// lastActs/lastDeacts alias the committed edge lists of the most
 	// recently applied round (scratch storage, overwritten by the next
@@ -370,11 +369,17 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	}
 	acts = kept
 
-	deacts := h.scratchDeact[:0]
+	// The validated deactivations replace the raw requests in place,
+	// now that the disagreement pass has read them: the write index
+	// never passes the read index, and prev keeps the raw edge that the
+	// duplicate check needs.
+	deacts := rawDeact[:0]
+	var prev graph.Edge
 	for i, e := range rawDeact {
-		if i > 0 && rawDeact[i-1] == e {
+		if i > 0 && prev == e {
 			continue // duplicate request
 		}
+		prev = e
 		if containsEdge(rawAct, e) {
 			continue // disagreement: no effect
 		}
@@ -419,8 +424,6 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	}
 	h.round++
 
-	// Hand the (possibly regrown) backing array back for the next round.
-	h.scratchDeact = deacts
 	h.lastActs, h.lastDeacts = acts, deacts
 	h.lastEnvActs, h.lastEnvDeacts = h.lastEnvActs[:0], h.lastEnvDeacts[:0]
 	return h.last, nil
