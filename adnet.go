@@ -120,7 +120,8 @@ func WithConnectivityCheck() Option { return sim.WithConnectivityCheck() }
 
 // Failure is a failed run's error (reach it with errors.As): its Kind
 // — round_limit, model_violation, non_neighbor_send, machine_panic,
-// disconnected or canceled — and the round and nodes it names.
+// environment_refused, disconnected or canceled — and the round and
+// nodes it names.
 type Failure = sim.Failure
 
 // Run executes the algorithm on the initial network gs, which must be

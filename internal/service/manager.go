@@ -555,9 +555,24 @@ func (m *Manager) execute(j *Job, r *expt.Runner) {
 	m.metrics.runJobs.With(string(state)).Inc()
 	if state == StateFailed {
 		attrs := []any{slog.String("job_id", j.ID), slog.String("error", err.Error())}
-		if f := (*sim.Failure)(nil); errors.As(err, &f) {
-			attrs = append(attrs, slog.String("kind", string(f.Kind)), slog.Int("round", f.Round), slog.Int("node", int(f.Node)))
-		}
-		m.logger.Error("run failed", attrs...)
+		m.logger.Error("run failed", append(attrs, failureAttrs(err)...)...)
 	}
+}
+
+// failureAttrs are the log attributes of err's *sim.Failure, if it
+// carries one: its kind and round, and the nodes only of a kind that
+// names them (node 0 is a real node, so a zero is not logged as one).
+func failureAttrs(err error) []any {
+	f := (*sim.Failure)(nil)
+	if !errors.As(err, &f) {
+		return nil
+	}
+	attrs := []any{slog.String("kind", string(f.Kind)), slog.Int("round", f.Round)}
+	switch f.Kind {
+	case sim.NonNeighborSend, sim.ModelViolation:
+		attrs = append(attrs, slog.Int("node", int(f.Node)), slog.Int("peer", int(f.Peer)))
+	case sim.MachinePanic:
+		attrs = append(attrs, slog.Int("node", int(f.Node)))
+	}
+	return attrs
 }

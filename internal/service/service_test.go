@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"adnet/internal/dynamics"
+	"adnet/internal/sim"
 	"adnet/internal/temporal"
 )
 
@@ -364,8 +365,8 @@ func TestManagerTimeLimitFailsRun(t *testing.T) {
 }
 
 // TestFailedRunLogsItsFailure: a run that fails logs its failure's
-// kind, round and node beside the error text, which its status keeps
-// unchanged.
+// kind and round beside the error text, which its status keeps
+// unchanged; a round limit names no node, so none is logged.
 func TestFailedRunLogsItsFailure(t *testing.T) {
 	t.Parallel()
 	var logs bytes.Buffer // the handler serializes its writes
@@ -382,8 +383,31 @@ func TestFailedRunLogsItsFailure(t *testing.T) {
 	if st := job.Status(); st.Error != text {
 		t.Errorf("status error %q, want %q", st.Error, text)
 	}
-	if want := `msg="run failed" job_id=` + job.ID + ` error="` + text + `" kind=round_limit round=5 node=0`; !strings.Contains(logs.String(), want) {
+	if want := `msg="run failed" job_id=` + job.ID + ` error="` + text + `" kind=round_limit round=5` + "\n"; !strings.Contains(logs.String(), want) {
 		t.Errorf("log %q lacks %q", logs.String(), want)
+	}
+}
+
+// TestFailureAttrs: the run-failed log names a failure's nodes only for
+// the kinds that involve them.
+func TestFailureAttrs(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{errors.New("expt: unknown workload"), "[]"},
+		{&sim.Failure{Kind: sim.RoundLimit, Round: 5}, "[kind=round_limit round=5]"},
+		{&sim.Failure{Kind: sim.Disconnected, Round: 861}, "[kind=disconnected round=861]"},
+		{&sim.Failure{Kind: sim.EnvironmentRefused, Round: 2, Err: errors.New("refused")}, "[kind=environment_refused round=2]"},
+		{fmt.Errorf("expt: wreath: %w", &sim.Failure{Kind: sim.NonNeighborSend, Round: 599, Node: 33, Peer: 116}),
+			"[kind=non_neighbor_send round=599 node=33 peer=116]"},
+		{&sim.Failure{Kind: sim.ModelViolation, Round: 45, Node: 548, Peer: 1021}, "[kind=model_violation round=45 node=548 peer=1021]"},
+		{&sim.Failure{Kind: sim.MachinePanic, Round: 210, Node: 0, Detail: "boom"}, "[kind=machine_panic round=210 node=0]"},
+	} {
+		if got := fmt.Sprint(failureAttrs(tc.err)); got != tc.want {
+			t.Errorf("failureAttrs(%v) = %s, want %s", tc.err, got, tc.want)
+		}
 	}
 }
 

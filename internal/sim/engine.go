@@ -339,7 +339,7 @@ func (e *Engine) Run() (*Result, error) {
 			e.envEdits.Reset()
 			cfg.env.Perturb(round, hist, &e.envEdits)
 			if _, err := hist.ApplyEnvironment(e.envEdits.Activate, e.envEdits.Deactivate); err != nil {
-				return e.finish(round, totalMsgs, maxMsgs), refused(round, err)
+				return e.finish(round, totalMsgs, maxMsgs), &Failure{Kind: EnvironmentRefused, Round: round, Err: err}
 			}
 			if f := e.applyFaults(round); f != nil {
 				return e.finish(round, totalMsgs, maxMsgs), f
@@ -372,8 +372,8 @@ func (e *Engine) Run() (*Result, error) {
 	return e.finish(cfg.maxRounds, totalMsgs, maxMsgs), &Failure{Kind: RoundLimit, Round: cfg.maxRounds}
 }
 
-// refused is the failure of an edit the History refused in round: a
-// *temporal.Violation names its edge's endpoints.
+// refused is the failure of an algorithm's edit the History refused in
+// round: a *temporal.Violation names its edge's endpoints.
 func refused(round int, err error) *Failure {
 	f := &Failure{Kind: ModelViolation, Round: round, Err: err}
 	if v := (*temporal.Violation)(nil); errors.As(err, &v) {
@@ -408,7 +408,7 @@ func (e *Engine) applyFaults(round int) *Failure {
 			e.wake[i] = 0 // the old machine's promise does not bind the new one
 			m := e.factory(ctx.id, env)
 			if m == nil {
-				return &Failure{Kind: MachinePanic, Round: round, Node: ctx.id}
+				return &Failure{Kind: MachinePanic, Round: round, Node: ctx.id, Err: errNilMachine}
 			}
 			e.machines[i] = m
 			e.protect(ctx, i, func() { m.Init(ctx) })

@@ -63,11 +63,15 @@ func TestFailureKinds(t *testing.T) {
 		{"self-loop intent", graph.Line(8), machine(phaseFailer{phase: "receive", round: 3, nodes: []graph.ID{5, 2, 6}}), nil,
 			Failure{Kind: ModelViolation, Round: 3, Node: 2, Peer: 2, Detail: "activated a self-loop"}, "sim: node 2 activated a self-loop", false, false},
 		{"environment self-loop", graph.Ring(3), newFloodFactory(1000), []Option{WithEnvironment(envSelfLoop)},
-			Failure{Kind: ModelViolation, Round: 1}, "temporal: round 1: environment activation of self-loop {1,1}", false, false},
+			Failure{Kind: EnvironmentRefused, Round: 1}, "temporal: round 1: environment activation of self-loop {1,1}", false, false},
 		{"machine panic", graph.Ring(3), func(graph.ID, Env) Machine { return &panicMachine{trigger: 3, rounds: 6} },
 			[]Option{WithEnvironment(&scriptEnv{})},
 			Failure{Kind: MachinePanic, Round: 3, Node: 1, Detail: "invariant broken"},
 			"sim: round 3: node 1 panicked under environment perturbation: invariant broken", false, false},
+		{"machine panic with an empty value", graph.Ring(3), func(graph.ID, Env) Machine { return &blankPanicMachine{panicMachine{trigger: 3, rounds: 6}} },
+			[]Option{WithEnvironment(&scriptEnv{})},
+			Failure{Kind: MachinePanic, Round: 3, Node: 1},
+			"sim: round 3: node 1 panicked under environment perturbation: ", false, false},
 		{"nil machine on reboot", graph.Ring(3), rebootsToNil, []Option{WithEnvironment(crashThenReboot)},
 			Failure{Kind: MachinePanic, Round: 2, Node: 1}, "sim: round 2: factory returned nil machine rebooting node 1", false, false},
 	} {
@@ -92,5 +96,14 @@ func TestFailureKinds(t *testing.T) {
 		if res == nil || res.Rounds != f.Round {
 			t.Errorf("%s: partial result %v, want one of %d rounds", tc.name, res, f.Round)
 		}
+	}
+}
+
+// blankPanicMachine is a panicMachine whose panic value renders empty.
+type blankPanicMachine struct{ panicMachine }
+
+func (m *blankPanicMachine) Send(ctx *Context) {
+	if ctx.ID() == 1 && ctx.Round() == m.trigger {
+		panic("")
 	}
 }
