@@ -11,9 +11,9 @@ import "adnet/internal/graph"
 // Contexts are owned and recycled by the Engine, one per slot. Send
 // resolves the destination's slot and appends straight to its inbox,
 // and Activate/Deactivate append to the engine's one intent batch (the
-// very slices History.Apply reads), so neither a message nor an intent
-// is held here; nor is what every node shares (the History, n), which
-// is read through the engine.
+// very slices History.Apply commits in place), so neither a message
+// nor an intent is held here; nor is what every node shares (the
+// History, n), which is read through the engine.
 type Context struct {
 	id  graph.ID
 	eng *Engine

@@ -52,7 +52,8 @@ type Engine struct {
 	delivered []Message
 
 	// batch is the round's intent buffer: every context appends into it
-	// (Context.batch) and History.Apply reads it.
+	// (Context.batch) and History.Apply commits it in place, leaving the
+	// round's delta in its prefixes until the next Send phase empties it.
 	batch temporal.IntentBatch
 
 	curRound int // the round being stepped, for protect's error

@@ -119,7 +119,8 @@ type StartEvent struct {
 
 // EnvEdits is one round boundary's batch of environment effects,
 // filled by Environment.Perturb. Edge lists need not be canonical or
-// deduplicated (temporal.History.ApplyEnvironment normalizes them);
+// deduplicated (temporal.History.ApplyEnvironment normalizes them in
+// place, and its delta export reads them until the next Perturb);
 // Crash/Restart name node slots. Restarts are processed before
 // crashes, and Reboot selects the restart semantics for this boundary:
 // true rebuilds each restarted machine from the factory and re-runs

@@ -46,3 +46,33 @@ func TestAppendActivatedAliveZeroAllocs(t *testing.T) {
 		t.Fatalf("AppendActivatedAlive into a warm dst: %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestApplyFirstRoundZeroAllocs pins that Apply commits in its
+// arguments: a fresh History's first round of deactivations and no-op
+// activations, given in both orientations, allocates nothing, where a
+// History-owned copy of the requests would grow on first use.
+func TestApplyFirstRoundZeroAllocs(t *testing.T) {
+	const runs = 10
+	g := graph.Line(64)
+	hs := make([]*History, runs+1) // AllocsPerRun adds one warm-up call
+	acts := make([][]graph.Edge, runs+1)
+	deacts := make([][]graph.Edge, runs+1)
+	for i := range hs {
+		hs[i] = NewHistory(g)
+		for v := graph.ID(1); v < 64; v += 2 {
+			acts[i] = append(acts[i], graph.Edge{A: v, B: v - 1})
+			deacts[i] = append(deacts[i], graph.Edge{A: v + 1, B: v})
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		st, err := hs[i].Apply(acts[i], deacts[i])
+		if err != nil || st.Activated != 0 || st.Deactivated != 31 {
+			t.Fatalf("first Apply: stats %+v, err %v; want 31 deactivations", st, err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh History's first Apply: %v allocs/op, want 0", allocs)
+	}
+}

@@ -1,9 +1,12 @@
 package temporal
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"adnet/internal/graph"
@@ -79,4 +82,98 @@ func randomRoundIntents(rng *rand.Rand, h *History) (act, deact []graph.Edge) {
 		}
 	}
 	return act, deact
+}
+
+// TestApplyCommitsInPlace: Apply canonicalizes, sorts and filters its
+// arguments where they lie, and on success their prefixes are the
+// round's committed delta — the lists AppendLastDelta exports.
+func TestApplyCommitsInPlace(t *testing.T) {
+	t.Parallel()
+	h := NewHistory(graph.Line(6)) // 0-1-2-3-4-5
+	act := []graph.Edge{{A: 4, B: 2}, {A: 1, B: 0}, {A: 2, B: 0}, {A: 0, B: 2}, {A: 5, B: 3}}
+	deact := []graph.Edge{{A: 5, B: 4}, {A: 3, B: 5}, {A: 2, B: 1}, {A: 4, B: 5}}
+	st, err := h.Apply(act, deact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// {0,1} is a no-op, {3,5} a disagreement, {0,2} a duplicate.
+	wantAct := []graph.Edge{edge(0, 2), edge(2, 4)}
+	wantDeact := []graph.Edge{edge(1, 2), edge(4, 5)}
+	if st.Activated != len(wantAct) || st.Deactivated != len(wantDeact) {
+		t.Fatalf("stats %+v, want %d activated and %d deactivated", st, len(wantAct), len(wantDeact))
+	}
+	if got := act[:st.Activated]; !slices.Equal(got, wantAct) {
+		t.Errorf("activate prefix = %v, want %v", got, wantAct)
+	}
+	if got := deact[:st.Deactivated]; !slices.Equal(got, wantDeact) {
+		t.Errorf("deactivate prefix = %v, want %v", got, wantDeact)
+	}
+	want := roundEdits{1, []int32{0, 2, 2, 4}, []int32{1, 2, 4, 5}, nil, nil}
+	if got := lastDelta(h); !reflect.DeepEqual(got, want) {
+		t.Errorf("last delta = %+v, want %+v", got, want)
+	}
+}
+
+// TestApplyNoOpActivationCancelsDeactivation: a request to activate an
+// edge that is already active commits nothing, but it still disagrees
+// with the other endpoint's deactivation, so the edge stays active.
+func TestApplyNoOpActivationCancelsDeactivation(t *testing.T) {
+	t.Parallel()
+	for _, lenient := range []bool{false, true} {
+		h := NewHistory(graph.Line(3)) // 0-1-2
+		h.SetLenientActivation(lenient)
+		st, err := h.Apply([]graph.Edge{edge(0, 1)}, []graph.Edge{{A: 1, B: 0}, edge(1, 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !h.Active(0, 1) || h.Active(1, 2) || st.Activated != 0 || st.Deactivated != 1 {
+			t.Errorf("lenient=%v: {0,1} active %v, {1,2} active %v, stats %+v; want {0,1} kept and only {1,2} cut",
+				lenient, h.Active(0, 1), h.Active(1, 2), st)
+		}
+	}
+}
+
+// TestApplyLenientVoidActivationCancelsDeactivation: under lenient
+// activation an activation without a common neighbour is void, not a
+// violation, and it still counts as the raw request that cancels a
+// deactivation of its edge; the rest of the round commits.
+func TestApplyLenientVoidActivationCancelsDeactivation(t *testing.T) {
+	t.Parallel()
+	h := NewHistory(graph.Line(5)) // 0-1-2-3-4
+	h.SetLenientActivation(true)
+	st, err := h.Apply(
+		[]graph.Edge{{A: 3, B: 0}, edge(2, 4)},
+		[]graph.Edge{edge(0, 3), edge(0, 1)},
+	)
+	if err != nil {
+		t.Fatalf("void activation under lenient rule: %v", err)
+	}
+	want := roundEdits{1, []int32{2, 4}, []int32{0, 1}, nil, nil}
+	if got := lastDelta(h); !reflect.DeepEqual(got, want) || st.Activated != 1 || st.Deactivated != 1 {
+		t.Errorf("delta %+v stats %+v, want %+v", got, st, want)
+	}
+	if h.Active(0, 3) {
+		t.Error("void activation of {0,3} committed")
+	}
+}
+
+// TestApplyLateViolationKeepsCallerOrientation: the first violation in
+// caller order is reported as the caller wrote the edge, although the
+// entries before it were already canonicalized, and the round commits
+// nothing.
+func TestApplyLateViolationKeepsCallerOrientation(t *testing.T) {
+	t.Parallel()
+	h := NewHistory(graph.Line(6)) // 0-1-2-3-4-5
+	act := []graph.Edge{{A: 2, B: 0}, {A: 1, B: 0}, {A: 5, B: 1}, {A: 5, B: 0}}
+	_, err := h.Apply(act, []graph.Edge{edge(1, 2)})
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("distance-4 activation accepted, err = %v", err)
+	}
+	if want := (graph.Edge{A: 5, B: 1}); v.Edge != want || v.Op != "activate" || v.Round != 1 {
+		t.Errorf("violation %+v, want activate of %v in round 1", v, want)
+	}
+	if h.Round() != 1 || h.Active(0, 2) || !h.Active(1, 2) || h.Metrics() != (Metrics{MaxActiveEdges: 5, FinalActiveEdges: 5}) {
+		t.Errorf("a refused round committed: round %d, metrics %+v", h.Round(), h.Metrics())
+	}
 }

@@ -102,25 +102,22 @@ type History struct {
 	// violation): under an adversarial underlay the precondition a node
 	// observed can vanish before its intent commits, and that is the
 	// environment's doing, not the algorithm's.
-	lenient       bool
+	lenient bool
+
+	// lastActs/lastDeacts and lastEnvActs/lastEnvDeacts alias the
+	// committed edge lists of the most recently applied round: prefixes
+	// of the caller's own Apply and ApplyEnvironment arguments, which
+	// both commit in place, so the History holds no per-round edit list.
+	// They back AppendLastDelta, the allocation-free per-round diff
+	// export the live topology stream is built on. Apply is called from
+	// one goroutine (the engine's round driver), never concurrently with
+	// itself; the read-only query methods stay safe to call concurrently.
+	lastActs      []graph.Edge
+	lastDeacts    []graph.Edge
 	lastEnvActs   []graph.Edge
 	lastEnvDeacts []graph.Edge
 
-	// Scratch buffers reused across Apply calls so the round loop does
-	// not allocate. Apply is called from exactly one goroutine (the
-	// engine's round driver), never concurrently with itself; the
-	// read-only query methods remain safe to call concurrently.
-	scratchRawAct   []graph.Edge // every canonical activation request, sorted
-	scratchRawDeact []graph.Edge // every canonical deactivation request, sorted, then filtered in place
-	scratchAct      []graph.Edge // validated new activations, sorted+deduped
-
-	// lastActs/lastDeacts alias the committed edge lists of the most
-	// recently applied round (scratch storage, overwritten by the next
-	// Apply). They back AppendLastDelta, the allocation-free per-round
-	// diff export the live topology stream is built on.
-	lastActs   []graph.Edge
-	lastDeacts []graph.Edge
-	replay     [4][]graph.Edge // ApplyDelta's lists, mapped to edges
+	replay [4][]graph.Edge // ApplyDelta's lists, mapped to edges
 }
 
 // RoundDelta is the compact reconfiguration record of one round: the
@@ -146,7 +143,10 @@ type RoundDelta struct {
 }
 
 // IntentBatch is one round's edge intents in caller order: the buffer
-// the engine's contexts append into and hand to Apply.
+// the engine's contexts append into and hand to Apply, which
+// canonicalizes, sorts and filters both lists in place. After Apply
+// their prefixes are the round's committed delta, so the batch must not
+// be refilled before the delta is read.
 type IntentBatch struct {
 	Activate   []graph.Edge
 	Deactivate []graph.Edge
@@ -161,8 +161,8 @@ func NewHistory(gs *graph.Graph) *History {
 }
 
 // Reset rewinds the History to round 1 of a fresh execution starting
-// from gs, reusing every internal buffer (graph snapshots, scratch
-// slices) so that engine reuse across runs performs
+// from gs, reusing every internal buffer (graph snapshots, node table,
+// degree counters) so that engine reuse across runs performs
 // no steady-state allocation.
 func (h *History) Reset(gs *graph.Graph) {
 	if h.initial == nil {
@@ -315,78 +315,71 @@ func (h *History) ActivatedSubgraph() *graph.Graph {
 // Apply returns the per-round statistics for the completed round.
 //
 // Intents are validated in caller order (so the first violating edge in
-// the activate slice is the one reported), then applied in ascending
-// canonical edge order: the application — and therefore the round's
-// delta (AppendLastDelta) — is deterministic regardless of how callers
-// ordered their intents. All scratch state is reused across rounds;
-// Apply performs no steady-state allocation.
+// the activate slice is the one reported, as the caller wrote it), then
+// applied in ascending canonical edge order: the application — and
+// therefore the round's delta (AppendLastDelta) — is deterministic
+// regardless of how callers ordered their intents. Apply works on its
+// arguments in place: each intent is canonicalized where it lies, both
+// lists are sorted, and on success their prefixes hold the round's
+// committed activations and deactivations, which AppendLastDelta reads
+// until the next Apply. Apply performs no allocation.
 func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
-	// Validate against the frozen snapshot E(i): canonicalize requests,
-	// drop model no-ops and stop at the first violation in caller order.
-	rawAct := h.scratchRawAct[:0]
-	acts := h.scratchAct[:0]
-	for _, e := range activate {
+	// Validate against the frozen snapshot E(i) and canonicalize. A no-op
+	// or (lenient) void activation stays in the list: under the
+	// raw-request rule below it still cancels a deactivation of its edge.
+	// The common-neighbour test comes first, so a legal activation asks
+	// HasEdge once, in the merge.
+	for i, e := range activate {
 		if e.A == e.B {
 			return RoundStats{}, &Violation{Round: h.round, Edge: e, Op: "activate", Why: "self-loop"}
 		}
 		ce := graph.NewEdge(e.A, e.B)
-		rawAct = append(rawAct, ce)
-		if h.current.HasEdge(ce.A, ce.B) {
-			continue // no-op per the model
-		}
-		if !h.current.HaveCommonNeighbor(ce.A, ce.B) {
-			if h.lenient {
-				continue // void: the underlay moved beneath the node
-			}
+		if !h.lenient && !h.current.HaveCommonNeighbor(ce.A, ce.B) && !h.current.HasEdge(ce.A, ce.B) {
 			return RoundStats{}, &Violation{
 				Round: h.round, Edge: e, Op: "activate",
 				Why: "no common active neighbor (distance-2 rule)",
 			}
 		}
-		acts = append(acts, ce)
+		activate[i] = ce
 	}
-	rawDeact := h.scratchRawDeact[:0]
-	for _, e := range deactivate {
-		rawDeact = append(rawDeact, graph.NewEdge(e.A, e.B))
+	for i, e := range deactivate {
+		deactivate[i] = graph.NewEdge(e.A, e.B)
 	}
-	h.scratchRawAct, h.scratchRawDeact, h.scratchAct = rawAct, rawDeact, acts
-	slices.SortFunc(rawAct, cmpEdge)
-	slices.SortFunc(rawDeact, cmpEdge)
-	slices.SortFunc(acts, cmpEdge)
-	acts = slices.Compact(acts)
+	slices.SortFunc(activate, cmpEdge)
+	slices.SortFunc(deactivate, cmpEdge)
 
-	// "In case u and v disagree on their decision about edge uv, then
-	// their actions have no effect on uv": an edge that is requested
-	// both activated and deactivated in the same round (necessarily by
-	// different endpoints, and one request is necessarily invalid) is
-	// left untouched. The disagreement check uses the raw requests,
-	// before no-op filtering.
-	kept := acts[:0]
-	for _, e := range acts {
-		if !containsEdge(rawDeact, e) {
-			kept = append(kept, e)
+	// One merge of the two sorted request lists, one step per distinct
+	// edge. "In case u and v disagree on their decision about edge uv,
+	// then their actions have no effect on uv": an edge requested both
+	// activated and deactivated (necessarily by different endpoints, and
+	// one request is necessarily invalid) is left untouched, judged on
+	// the raw requests before no-op filtering. The committed edits are
+	// written over the requests: each write index trails its read index.
+	acts, deacts := activate[:0], deactivate[:0]
+	for i, j := 0, 0; i < len(activate) || j < len(deactivate); {
+		var e graph.Edge
+		if j == len(deactivate) || i < len(activate) && cmpEdge(activate[i], deactivate[j]) <= 0 {
+			e = activate[i]
+		} else {
+			e = deactivate[j]
 		}
-	}
-	acts = kept
-
-	// The validated deactivations replace the raw requests in place,
-	// now that the disagreement pass has read them: the write index
-	// never passes the read index, and prev keeps the raw edge that the
-	// duplicate check needs.
-	deacts := rawDeact[:0]
-	var prev graph.Edge
-	for i, e := range rawDeact {
-		if i > 0 && prev == e {
-			continue // duplicate request
+		i0, j0 := i, j
+		for i < len(activate) && activate[i] == e {
+			i++
 		}
-		prev = e
-		if containsEdge(rawAct, e) {
-			continue // disagreement: no effect
+		for j < len(deactivate) && deactivate[j] == e {
+			j++
 		}
-		if !h.current.HasEdge(e.A, e.B) {
-			continue // no-op per the model
+		switch {
+		case i > i0 && j > j0:
+			// disagreement: no effect
+		case i > i0:
+			if !h.current.HasEdge(e.A, e.B) && (!h.lenient || h.current.HaveCommonNeighbor(e.A, e.B)) {
+				acts = append(acts, e) // else a no-op, or void
+			}
+		case h.current.HasEdge(e.A, e.B):
+			deacts = append(deacts, e) // else a no-op
 		}
-		deacts = append(deacts, e)
 	}
 
 	// Apply, in ascending canonical edge order.
@@ -425,15 +418,15 @@ func (h *History) Apply(activate, deactivate []graph.Edge) (RoundStats, error) {
 	h.round++
 
 	h.lastActs, h.lastDeacts = acts, deacts
-	h.lastEnvActs, h.lastEnvDeacts = h.lastEnvActs[:0], h.lastEnvDeacts[:0]
+	h.lastEnvActs, h.lastEnvDeacts = nil, nil
 	return h.last, nil
 }
 
 // AppendLastDelta fills d with the most recently applied round's
 // committed edits as slot pairs and its statistics, reusing d's slice
-// capacity. The source lists are the History's scratch buffers,
-// overwritten by the next Apply — callers stream or copy d before
-// applying another round. Before any round has been applied d is the
+// capacity. The source lists are prefixes of the slices last passed to
+// Apply and ApplyEnvironment, so they are read before those slices are
+// refilled — callers stream or copy d before applying another round. Before any round has been applied d is the
 // empty delta for round 0.
 func (h *History) AppendLastDelta(d *RoundDelta) {
 	d.Round = h.round - 1
@@ -482,10 +475,10 @@ func (h *History) ApplyDelta(d RoundDelta) (RoundStats, error) {
 // validation — the environment is the underlay, not a node, and is not
 // bound by the model's local rules. Requests are canonicalized,
 // deduplicated and filtered against the current snapshot (activating
-// an active edge or deactivating an inactive one is a no-op), so the
-// committed lists are in ascending canonical order like the
-// algorithm's — which keeps the environment-tagged delta lists
-// deterministic. Self-loops and unknown endpoints are errors: the
+// an active edge or deactivating an inactive one is a no-op), in place
+// as Apply does, so the committed lists are prefixes of the arguments
+// in ascending canonical order like the algorithm's — which keeps the
+// environment-tagged delta lists deterministic. Self-loops and unknown endpoints are errors: the
 // environment edits the underlay, it cannot grow the node set.
 //
 // Environment edits never enter the paper's cost measures (the Env*
@@ -506,7 +499,7 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 		return RoundStats{}, fmt.Errorf("temporal: ApplyEnvironment before any applied round")
 	}
 	round := h.round - 1
-	acts := h.lastEnvActs[:0]
+	acts := activate[:0]
 	for _, e := range activate {
 		if e.A == e.B {
 			return RoundStats{}, fmt.Errorf("temporal: round %d: environment activation of self-loop %v", round, e)
@@ -522,7 +515,7 @@ func (h *History) ApplyEnvironment(activate, deactivate []graph.Edge) (RoundStat
 	}
 	slices.SortFunc(acts, cmpEdge)
 	acts = slices.Compact(acts)
-	deacts := h.lastEnvDeacts[:0]
+	deacts := deactivate[:0]
 	for _, e := range deactivate {
 		if e.A == e.B {
 			return RoundStats{}, fmt.Errorf("temporal: round %d: environment deactivation of self-loop %v", round, e)
@@ -666,12 +659,6 @@ func cmpEdge(a, b graph.Edge) int {
 		return c
 	}
 	return cmp.Compare(a.B, b.B)
-}
-
-// containsEdge reports whether the sorted slice es contains e.
-func containsEdge(es []graph.Edge, e graph.Edge) bool {
-	_, ok := slices.BinarySearchFunc(es, e, cmpEdge)
-	return ok
 }
 
 // Metrics returns the aggregated cost measures so far.
