@@ -179,7 +179,7 @@ func phaseStep(round int) int { return (round - 1) % StarPhaseLength }
 // Call skipping has the table). A clear bit is a call that would do
 // nothing; a message wakes any Receive anyway.
 func (m *GraphToStar) needMask() uint32 {
-	need := uint32(1<<1 | 1<<2) // step 0 Receive (resetPhase, terminate); step 1 Send (the report)
+	need := uint32(1 << 1) // step 0 Receive: resetPhase, terminate
 	if m.mode != ModeTermination {
 		need |= 1 << 0 // step 0 Send: the announce
 	}
@@ -193,6 +193,7 @@ func (m *GraphToStar) needMask() uint32 {
 		need |= 1 << 10 // step 5 Send: the link replies
 	}
 	if m.role != RoleLeader {
+		need |= 1 << 2 // step 1 Send: the report; a leader's own is folded already
 		if m.mode == ModeMerging {
 			need |= 1 << 7 // step 3 Receive: take the winner as leader
 		}
@@ -226,8 +227,8 @@ func (m *GraphToStar) needMask() uint32 {
 // phase; bit 1 is always set, so it ends within it.
 func (m *GraphToStar) nextCall(pos int) int {
 	bit := 2*phaseStep(pos/2) + pos%2
-	if bit < 2 {
-		return pos + 1 // bits 1 and 2 are always set
+	if bit == 0 {
+		return pos + 1 // bit 1 is always set
 	}
 	need := m.needMask()
 	need |= need << (2 * StarPhaseLength)

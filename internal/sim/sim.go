@@ -252,7 +252,8 @@ func WithCancel(done <-chan struct{}) Option {
 // RunSummary is the once-per-run digest handed to a run observer when
 // an execution finishes (successfully or not).
 type RunSummary struct {
-	// Rounds is the number of completed rounds.
+	// Rounds is Result.Rounds: the completed rounds, and on a run that
+	// failed in a round, that round too.
 	Rounds int
 	// Duration is the wall-clock time of the round loop (Run entry to
 	// finish), excluding Reset.
@@ -301,7 +302,12 @@ func WithMachineRecycling(key string) Option {
 type Result struct {
 	History *temporal.History
 	Metrics temporal.Metrics
-	Rounds  int
+	// Rounds counts the completed rounds and, on a run that failed in a
+	// round, that round (the Failure's Round) even if its edits never
+	// committed. Metrics.Rounds counts committed rounds only, so a run
+	// that failed in round r's Send, Receive or Apply reads r here and
+	// r-1 there; a canceled run or one at its round limit reads alike.
+	Rounds int
 	// TotalMessages counts every delivered point-to-point message; the
 	// paper does not bound communication (unlike the overlay-network
 	// models of §1.4), but the measure makes the comparison concrete.

@@ -48,7 +48,7 @@ type RoundStats struct {
 // The Env* counters account environment (adversary) edits separately:
 // they never enter the algorithm's cost measures above.
 type Metrics struct {
-	Rounds              int // number of completed rounds
+	Rounds              int // rounds whose edits Apply committed: a run that fails in round r before that commit reads r-1, sim.Result.Rounds r
 	LastActivityRound   int // last round with any edge activation/deactivation
 	TotalActivations    int // Σ|Eac(i)|
 	TotalDeactivations  int // Σ|Edac(i)|
