@@ -7,37 +7,46 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"adnet/internal/expt"
 )
 
-// Sizes of one BenchmarkServedTraffic iteration.
+// Sizes of one BenchmarkServedTraffic iteration, taken from the
+// repository benchmark's serve-runs and sweep-single workloads
+// (benchmark/http.go, benchmark/catalog.go).
 const (
-	trafficClients   = 2   // concurrent run clients
-	trafficRuns      = 48  // runs per client, every trafficResubmit-th a resubmission
-	trafficResubmit  = 4   // as the benchmark's serve-runs workload
-	trafficRecent    = 12  // a resubmission picks one of the client's last 12 fresh specs
-	trafficStarN     = 512 // graph-to-star/line, as serve-runs
-	trafficWreathN   = 256
-	trafficSweepSeed = 8 // seeds per sweep: 2 workloads × 8 sizes × 8 = 128 cells
+	trafficClients    = 2   // concurrent run clients: serve-runs' nproc on two cores
+	trafficRuns       = 200 // runs per client, every trafficResubmit-th a resubmission
+	trafficResubmit   = 4   // serve-runs' resubmitEvery
+	trafficWindow     = 48  // serve-runs' resubmitWindow: the last 48 fresh specs
+	trafficStarN      = 512 // serve-runs' graph-to-star/line size
+	trafficSweepSeeds = 64  // sweep-single's grid: 2 workloads × 8 sizes × 64 seeds = 1,024 cells
 )
 
 // BenchmarkServedTraffic is the traffic adnet-server's profile-guided
 // build is tuned to: its CPU profile is cmd/adnet-server/default.pgo
-// (README § Performance). One iteration, against
-// NewHandler(NewManager(cfg)) on httptest with the sweep journal on:
-//   - two concurrent clients POST /v1/runs of graph-to-star/line/512
-//     on fresh seeds, draining /rounds and /topology?format=packed to
-//     EOF; every 4th run of a client resubmits one of its earlier
-//     specs, which the result cache answers;
-//   - beside them, one graph-to-wreath and one graph-to-thinwreath run
-//     on line/256, drained the same way;
-//   - one graph-to-star sweep over {line, ring} × {24 … 256} × 8 fresh
-//     seeds, draining /cells and /aggregate.
+// (README § Performance). It replays the two workloads of the
+// repository benchmark that measure one server, one after the other,
+// against NewHandler(NewManager(cfg)) on httptest with the sweep
+// journal on. One iteration is
+//   - serve-runs: two concurrent clients POST /v1/runs of
+//     graph-to-star/line/512 on fresh seeds, draining /rounds and
+//     /topology?format=packed to EOF; every 4th run of a client
+//     resubmits one of its last 48 fresh specs, which the result cache
+//     answers;
+//   - then sweep-single: one 1,024-cell graph-to-star sweep over
+//     {line, ring} × {24 … 256} × 64 fresh seeds, draining /cells and
+//     /aggregate.
+//
+// The benchmark gives each workload the same wall time, so the run
+// count is sized to make the two halves take about as long on two
+// cores; serve_s/op and sweep_s/op report each half's wall time.
 //
 // It fails on a wrong output, so a profile is never taken from a
 // broken run: a run that is not done, does not elect its leader or
@@ -56,16 +65,13 @@ func BenchmarkServedTraffic(b *testing.B) {
 	}()
 	clients := make([]*trafficClient, trafficClients)
 	for c := range clients {
-		clients[c] = &trafficClient{base: srv.URL, next: 1<<40 + int64(c)<<32}
+		clients[c] = &trafficClient{base: srv.URL, rng: rand.New(rand.NewPCG(uint64(c), 0)), next: 1<<40 + int64(c)<<32}
 	}
+	var serve, sweep time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweep := trafficSweep(int64(i))
-		id, err := submitSweep(srv.URL, sweep)
-		if err != nil {
-			b.Fatal(err)
-		}
-		errs := make([]error, len(clients)+1)
+		t0 := time.Now()
+		errs := make([]error, len(clients))
 		var wg sync.WaitGroup
 		for c, cl := range clients {
 			wg.Add(1)
@@ -76,27 +82,26 @@ func BenchmarkServedTraffic(b *testing.B) {
 				}
 			}()
 		}
-		wreaths := &trafficClient{base: srv.URL}
-		for _, algo := range []string{expt.AlgoWreath, expt.AlgoThinWreath} {
-			if err := wreaths.serve(RunSpec{Algorithm: algo, Workload: "line", N: trafficWreathN, Seed: 1<<48 + int64(i)}, false); err != nil {
-				errs[len(clients)] = err
-				break
-			}
-		}
-		sweepErr := checkSweep(srv.URL, id, sweep)
 		wg.Wait()
-		if err := errors.Join(append(errs, sweepErr)...); err != nil {
+		if err := errors.Join(errs...); err != nil {
 			b.Fatal(err)
 		}
+		t1 := time.Now()
+		if err := runSweep(srv.URL, trafficSweep(int64(i))); err != nil {
+			b.Fatal(err)
+		}
+		serve, sweep = serve+t1.Sub(t0), sweep+time.Since(t1)
 	}
+	b.ReportMetric(serve.Seconds()/float64(b.N), "serve_s/op")
+	b.ReportMetric(sweep.Seconds()/float64(b.N), "sweep_s/op")
 }
 
 // trafficSweep is iteration i's sweep grid, on seeds no other
 // iteration uses.
 func trafficSweep(i int64) SweepSpec {
-	seeds := make([]int64, trafficSweepSeed)
+	seeds := make([]int64, trafficSweepSeeds)
 	for k := range seeds {
-		seeds[k] = 1<<32 + i*trafficSweepSeed + int64(k)
+		seeds[k] = 1<<32 + i*trafficSweepSeeds + int64(k)
 	}
 	return SweepSpec{
 		Algorithms: []string{expt.AlgoStar},
@@ -109,16 +114,18 @@ func trafficSweep(i int64) SweepSpec {
 // trafficClient is one closed-loop client of BenchmarkServedTraffic.
 type trafficClient struct {
 	base string
+	rng  *rand.Rand
 	next int64   // next unused seed
 	ran  []int64 // seeds of the fresh runs so far
 }
 
 // op runs the client's k-th operation: every trafficResubmit-th
-// resubmits a recent fresh spec, the others run a fresh seed.
+// resubmits one of its last trafficWindow fresh specs, the others run
+// a fresh seed.
 func (c *trafficClient) op(k int) error {
 	if k%trafficResubmit == trafficResubmit-1 {
-		recent := c.ran[max(0, len(c.ran)-trafficRecent):]
-		return c.serve(starSpec(recent[k%len(recent)]), true)
+		recent := c.ran[max(0, len(c.ran)-trafficWindow):]
+		return c.serve(starSpec(recent[c.rng.IntN(len(recent))]), true)
 	}
 	seed := c.next
 	c.next++
@@ -166,18 +173,15 @@ func (c *trafficClient) serve(spec RunSpec, wantCached bool) error {
 	return nil
 }
 
-func submitSweep(base string, spec SweepSpec) (string, error) {
+// runSweep submits spec, drains its /cells and checks its /aggregate
+// against expt.AggregateSweep of the same grid.
+func runSweep(base string, spec SweepSpec) error {
 	body, _ := json.Marshal(spec)
 	var sub sweepSubmitResponse
 	if err := fetchJSON(http.MethodPost, base+"/v1/sweeps", body, &sub); err != nil {
-		return "", err
+		return err
 	}
-	return sub.Sweep.ID, nil
-}
-
-// checkSweep drains sweep id's /cells and checks its /aggregate
-// against expt.AggregateSweep of the same grid.
-func checkSweep(base, id string, spec SweepSpec) error {
+	id := sub.Sweep.ID
 	lines, err := countLines(base + "/v1/sweeps/" + id + "/cells")
 	if err != nil {
 		return err
