@@ -1,7 +1,7 @@
 package adnet
 
 // The benchmark harness regenerates every table/figure-level claim of
-// the paper (experiment index E1–E13 in DESIGN.md). Each benchmark
+// the paper (DESIGN.md § "Experiment index"). Each benchmark
 // reports the paper's cost measures via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
@@ -126,7 +126,7 @@ func BenchmarkGraphToThinWreath(b *testing.B) {
 		}
 		return g
 	}
-	// n <= ~450: the thin variant's validated envelope (DESIGN.md §3.3).
+	// Sizes stop at 384: DESIGN.md § "Known deviations and failures".
 	benchAlgo(b, GraphToThinWreath, gen, []int{128, 256, 384})
 }
 
@@ -416,7 +416,7 @@ func BenchmarkGraphToStarLine65536(b *testing.B) {
 
 // BenchmarkFreshRunnerStarLine4096 reports what a fresh Runner
 // allocates for its first graph-to-star/line/4096 run, per node: the
-// per-node footprint (DESIGN.md) that internal/expt's
+// per-node footprint (DESIGN.md § "Per-node footprint") that internal/expt's
 // TestFreshRunnerFirstRunBytes bounds.
 func BenchmarkFreshRunnerStarLine4096(b *testing.B) {
 	req := expt.Request{Algorithm: expt.AlgoStar, Workload: "line", N: 4096, Seed: 1}
@@ -517,8 +517,9 @@ func BenchmarkRoundLoopChurn(b *testing.B) {
 }
 
 // BenchmarkWreathAdmissionAblation sweeps the ThinWreath matchmaker's
-// admission cap (DESIGN.md §3.3): tighter admission bounds per-phase
-// merge fan-in, trading rounds for smaller splice groups.
+// admission cap (DESIGN.md § "Known deviations and failures"): tighter
+// admission bounds per-phase merge fan-in, trading rounds for smaller
+// splice groups.
 func BenchmarkWreathAdmissionAblation(b *testing.B) {
 	n := 128
 	g, err := RandomBoundedDegree(n, 4, n/2, 1)

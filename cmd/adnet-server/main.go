@@ -34,12 +34,12 @@
 // the same directory replays the intact journal prefix, re-marks the
 // interrupted sweeps as resumable and re-executes only the missing
 // cells — the final aggregate is byte-identical to an uninterrupted
-// run. See the durability section of DESIGN.md.
+// run. See DESIGN.md § "Journal (internal/journal)".
 //
 // With -coordinator the server runs no local sweeps: it shards each
 // sweep grid across the worker servers registered with -fleet-workers
 // (or POST /v1/fleet/workers) and merges their cell streams, which it
-// aggregates itself — see the fleet topology section of DESIGN.md:
+// aggregates itself — see DESIGN.md § "Fleet (internal/fleet)":
 //
 //	adnet-server -addr :8080 -coordinator \
 //	    -fleet-workers http://worker1:8081,http://worker2:8082

@@ -7,7 +7,7 @@
 //	adnet -algo graph-to-wreath -graph bounded-degree -n 256 -seed 7
 //	adnet -algo centralized-euler -graph random -n 4096
 //
-// A run that fails its verdict (DESIGN.md, "The verdict") exits 1.
+// A run that fails its verdict (DESIGN.md § "The verdict") exits 1.
 //
 // With -aggregate the runs repeat across -seeds over the -algos (default
 // -algo) × -graph × -n grid, each a comma list, and the
@@ -30,7 +30,7 @@
 //	adnet -robustness -gate ROBUSTNESS_LATEST.json
 //
 // With -experiments it prints the paper's evaluation instead, the
-// tables E1–E13 of DESIGN.md's experiment index (a comma list of IDs,
+// tables E1–E13 of DESIGN.md § "Experiment index" (a comma list of IDs,
 // or all) at the -n sizes if -n is given and at each table's own
 // otherwise; -tradeoff N adds the §1.3 time/edge-complexity tradeoff
 // table T1 at n = N:

@@ -135,7 +135,8 @@ func TestWreathOnIncreasingRingBootstrap(t *testing.T) {
 	t.Parallel()
 	// The adversarial singleton-chain case: every node's max neighbor
 	// is its successor. The path-composition rule must merge the whole
-	// chain in few phases rather than serializing (DESIGN.md §3.2).
+	// chain in few phases rather than serializing, see
+	// DESIGN.md § "GraphToWreath and GraphToThinWreath (§4, §5)".
 	for _, n := range []int{16, 48, 96} {
 		g := graph.IncreasingRing(n)
 		res, err := sim.Run(g, NewGraphToWreathFactory(),

@@ -175,8 +175,8 @@ func (m *GraphToStar) Role() Role { return m.role }
 func phaseStep(round int) int { return (round - 1) % StarPhaseLength }
 
 // needMask is the phase's calls this state needs made on an empty
-// inbox: bit 2·step for Send, bit 2·step+1 for Receive (DESIGN.md §
-// Call skipping has the table). A clear bit is a call that would do
+// inbox: bit 2·step for Send, bit 2·step+1 for Receive (the table is in
+// DESIGN.md § "GraphToStar (§3)"). A clear bit is a call that would do
 // nothing; a message wakes any Receive anyway.
 func (m *GraphToStar) needMask() uint32 {
 	need := uint32(1 << 1) // step 0 Receive: resetPhase, terminate

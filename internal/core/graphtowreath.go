@@ -11,8 +11,8 @@ import (
 // GraphToWreath message payloads (§4, Appendix B). The phase is a fixed
 // global schedule of windows (see wreathSched); each payload belongs to
 // one window. Every payload with a field travels as a pointer to the
-// sender's scratch (the *Out fields of GraphToWreath) under the
-// payload-scratch contract of DESIGN.md; the empty ones box for free.
+// sender's scratch (the *Out fields of GraphToWreath) under
+// DESIGN.md § "Payload-scratch contract"; the empty ones box for free.
 type (
 	// wReport is the convergecast aggregate flowing up the committee
 	// tree: the best foreign committee seen plus the border pair that
@@ -95,9 +95,8 @@ const (
 
 // wreathSched fixes the per-phase windows, identical at every node
 // (computed from n, which §5 grants to all nodes; for §4 it is a
-// scheduling simplification documented in DESIGN.md § "The wreath
-// schedule reads n (a deviation from §4)"). newWreathSched is the one
-// place a window's width is written.
+// scheduling simplification, DESIGN.md § "Known deviations and failures").
+// newWreathSched is the one place a window's width is written.
 type wreathSched struct {
 	// end[w] is the first phase step after window w, so end[winInfo]
 	// is the phase length.
@@ -330,7 +329,7 @@ func NewGraphToWreathFactory() sim.Factory {
 
 // NewGraphToThinWreathFactory returns the §5 machine factory
 // (⌈log n⌉-ary gadget, per-contact admission cap — the matchmaker of
-// Appendix C reduced to bounded admission, see DESIGN.md §3.3).
+// Appendix C reduced to bounded admission: DESIGN.md § "Known deviations and failures").
 func NewGraphToThinWreathFactory() sim.Factory {
 	return NewWreathFactoryOpts(WreathOptions{Thin: true, AdmitCap: 2})
 }

@@ -101,7 +101,7 @@ func TestBaselineSteadyStateZeroAllocs(t *testing.T) {
 // TestFreshRunnerFirstRunBytes bounds the bytes a fresh Runner
 // allocates for its first graph-to-star/line/4096 run: workload
 // generation, every engine buffer grown from nothing, one machine per
-// node and the verdict (DESIGN.md, "Per-node footprint"; the root
+// node and the verdict (DESIGN.md § "Per-node footprint"; the root
 // BenchmarkFreshRunnerStarLine4096 reports it per node). The limit is
 // the measured 4,696,856 B (1,146 B/node) plus 5%.
 func TestFreshRunnerFirstRunBytes(t *testing.T) {

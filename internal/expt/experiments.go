@@ -168,9 +168,8 @@ func E4GraphToWreath(sizes []int) (*Table, error) {
 
 // E5GraphToThinWreath: Theorem 5.1.
 func E5GraphToThinWreath(sizes []int) (*Table, error) {
-	// Validated envelope: n ≤ ~450. A rare splice-composition corner
-	// (one seed in five at n=512) fragments the merged ring in the
-	// thin variant; see DESIGN.md §3.3 (known limitation).
+	// The default sizes stop at 384; why is in
+	// DESIGN.md § "Known deviations and failures".
 	return mainAlgoTable("E5", "GraphToThinWreath on bounded-degree graphs",
 		"Thm 5.1: polylog degree, diameter O(log n / log log n), time ≤ GraphToWreath",
 		AlgoThinWreath, "bounded-degree", sizes, []int{64, 128, 256, 384})

@@ -1,6 +1,6 @@
 // Package expt is the experiment harness: it regenerates every
-// table/figure-level claim of the paper (DESIGN.md § "Experiment index
-// (E1–E13)") as measured series, the tables `adnet -experiments` prints.
+// table/figure-level claim of the paper (DESIGN.md § "Experiment index")
+// as measured series, the tables `adnet -experiments` prints.
 package expt
 
 import (
@@ -177,7 +177,7 @@ func (o *Outcome) measure(met temporal.Metrics) {
 
 // judge is every run's tail: it fills out from the run's metrics and
 // its final graph, measured in place through bfs, and applies the
-// verdict (DESIGN.md, "The verdict"): u_max elected, then, given a
+// verdict (DESIGN.md § "The verdict"): u_max elected, then, given a
 // depth target, a spanning tree within it. A failure is an Unverified
 // *sim.Failure on an untouched run, returned with the measured outcome
 // and LeaderOK false; once the environment acted, LeaderOK is the

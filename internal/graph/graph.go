@@ -8,7 +8,8 @@
 // algorithms in internal/core are comparison based, so a node's ID is
 // the only thing they ever compare.
 //
-// Representation (see DESIGN.md): the ID is the only address. Two
+// Representation (DESIGN.md § "Graph (internal/graph)"): the ID is
+// the only address. Two
 // tables indexed by ID cover 0..MaxID — adj, and state, whose value
 // says which of three states an ID is in: not a node (a gap in the
 // range), a node with a sorted []ID neighbor slice, or a node with an

@@ -75,7 +75,7 @@ func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()
 // LatencyBuckets is the shared bucket ladder for request, cell and
 // shard durations, in seconds: 1ms to 60s, roughly 2.5× per step.
 // One ladder for every latency family keeps cross-metric comparisons
-// (and the DESIGN.md catalog) simple.
+// (and the catalog in DESIGN.md § "Observability (internal/obs)") simple.
 func LatencyBuckets() []float64 {
 	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 }

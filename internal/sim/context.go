@@ -44,7 +44,7 @@ func (c *Context) Round() int { return c.round }
 
 // N returns the number of nodes, a model constant granted to nodes
 // (explicitly assumed in the paper's §5; used elsewhere only for
-// engineering-level scheduling, as documented in DESIGN.md).
+// engineering-level scheduling: DESIGN.md § "Known deviations and failures").
 func (c *Context) N() int { return c.eng.n }
 
 // Neighbors returns N1 at the start of the round, ascending. The slice

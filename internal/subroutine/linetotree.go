@@ -16,7 +16,7 @@ import (
 // grandparent without being adjacent to it.
 //
 // It travels as a pointer to the sender's scratch (LineToTree.out),
-// under the payload-scratch contract of DESIGN.md: written in Send
+// under DESIGN.md § "Payload-scratch contract": written in Send
 // only, so a receiver may read it — Children included — for the whole
 // of its Receive and must copy what it needs afterwards.
 type treeMsg struct {
