@@ -11,9 +11,12 @@ import (
 	"strings"
 	"testing"
 
+	"adnet/internal/baseline"
+	"adnet/internal/core"
 	"adnet/internal/expt"
 	"adnet/internal/service"
 	"adnet/internal/sim"
+	"adnet/internal/tasks"
 	"adnet/internal/temporal"
 )
 
@@ -33,8 +36,8 @@ func TestRunGraphToStarPublicAPI(t *testing.T) {
 	if !res.FinalGraph().IsStarCentered(99) {
 		t.Fatal("final graph is not a spanning star")
 	}
-	if res.Metrics.MaxActivatedEdges > 200 {
-		t.Fatalf("activated edges %d > 2n", res.Metrics.MaxActivatedEdges)
+	if err := core.StarBound(100).Check(tasks.Cost(res.Metrics)); err != nil {
+		t.Fatal(err)
 	}
 	if len(res.PerRound()) != res.Rounds {
 		t.Fatalf("per-round records %d != rounds %d", len(res.PerRound()), res.Rounds)
@@ -83,8 +86,8 @@ func TestBaselinesPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flood.Metrics.TotalActivations != 0 {
-		t.Fatal("flooding activated edges")
+	if err := baseline.FloodBound(20).Check(tasks.Cost(flood.Metrics)); err != nil {
+		t.Fatal(err)
 	}
 	if flood.Rounds <= res.Rounds {
 		t.Fatal("flooding should be slower than clique formation on a line")

@@ -23,6 +23,7 @@ import (
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/tasks"
 	"adnet/internal/temporal"
 )
 
@@ -57,6 +58,14 @@ func NewCliqueFactory() sim.Factory {
 		m.Recycle(id, env)
 		return m
 	}
+}
+
+// CliqueBound is what §1.2 promises clique formation on n nodes: about
+// log₂ n doubling rounds, the election round and slack, and no edge of
+// K_n activated twice.
+func CliqueBound(n int) tasks.Bound {
+	kn := n * (n - 1) / 2
+	return tasks.Bound{Rounds: bits.Len(uint(n)) + 3, Activations: kn, ActivatedEdges: kn, ActivatedDegree: n - 1}
 }
 
 // Recycle implements sim.Recycler: the node knows itself and nothing
@@ -140,6 +149,10 @@ func NewFloodFactory() sim.Factory {
 	}
 }
 
+// FloodBound is what §1.2 promises flooding on n nodes: no activation,
+// and every token across a diameter below n, then two quiet rounds.
+func FloodBound(n int) tasks.Bound { return tasks.Bound{Rounds: n + 1} }
+
 // Recycle implements sim.Recycler; see CliqueMachine.Recycle.
 func (m *FloodMachine) Recycle(id graph.ID, _ sim.Env) {
 	m.known.Reset()
@@ -205,14 +218,22 @@ func CutInHalfLine(n int) (*CentralizedResult, error) {
 	return cutInHalf(line, order, graph.ID(0))
 }
 
-// CutInHalfDepth is CutInHalfLine's Depth-d Tree target: the tree
-// rooted at an end of an n-node line has depth at most bits.Len(n)+1.
-func CutInHalfDepth(n int) int { return bits.Len(uint(n)) + 1 }
+// CutInHalfBound is what Appendix D promises CutInHalfLine on n nodes:
+// about log₂ n doubling rounds and a prune, Θ(n) activations (Σ n/2^i),
+// and a tree rooted at an end of the line of depth at most bits.Len(n)+1.
+func CutInHalfBound(n int) tasks.Bound {
+	l := bits.Len(uint(n))
+	return tasks.Bound{Rounds: l + 2, Activations: 2 * n, ActivatedEdges: 2 * n, ActivatedDegree: n - 1, Depth: l + 1}
+}
 
-// EulerTourDepth is EulerTourStrategy's Depth-d Tree target (Theorem
-// 6.3): one more than CutInHalf's on the tour, a virtual line of
-// fewer than 2n positions.
-func EulerTourDepth(n int) int { return CutInHalfDepth(2*n) + 1 }
+// EulerTourBound is what Theorem 6.3 promises EulerTourStrategy on n
+// nodes: CutInHalf's on the tour, a virtual line of fewer than 2n
+// positions, and one more level of depth.
+func EulerTourBound(n int) tasks.Bound {
+	b := CutInHalfBound(2 * n)
+	b.Depth++
+	return b
+}
 
 // EulerTourStrategy is Theorem 6.3 / D.5: for any connected graph,
 // compute a spanning tree and its Euler tour (a virtual line of length

@@ -3,7 +3,6 @@ package baseline_test
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -33,8 +32,8 @@ func TestCliqueFormsCompleteGraph(t *testing.T) {
 		}
 		// O(log n) rounds, Θ(n²) activations: the paper's impractical
 		// corner of the tradeoff.
-		if res.Rounds > bits.Len(uint(n))+3 {
-			t.Fatalf("n=%d: %d rounds", n, res.Rounds)
+		if err := CliqueBound(n).Check(tasks.Cost(res.Metrics)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
 		if res.Metrics.TotalActivations != n*(n-1)/2-(n-1) {
 			t.Fatalf("n=%d: activations %d", n, res.Metrics.TotalActivations)
@@ -49,8 +48,8 @@ func TestFloodLinearTimeZeroActivations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.TotalActivations != 0 {
-		t.Fatalf("flooding activated %d edges", res.Metrics.TotalActivations)
+	if err := FloodBound(n).Check(tasks.Cost(res.Metrics)); err != nil {
+		t.Fatal(err)
 	}
 	// Θ(diameter) rounds: the node at the far end needs n-1 rounds.
 	if res.Rounds < n-1 {
@@ -82,20 +81,13 @@ func TestCutInHalfLine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		met := res.Metrics
-		// Θ(n) total activations (Lemma D.3 optimum: ≈ n).
-		if met.TotalActivations > 2*n {
-			t.Fatalf("n=%d: %d activations > 2n", n, met.TotalActivations)
+		// Θ(n) total activations (Lemma D.3 optimum: ≈ n), ⌈log n⌉ + 1
+		// rounds, a Depth-log n tree.
+		bound := CutInHalfBound(n)
+		if err := bound.Check(tasks.Cost(res.Metrics)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		// ⌈log n⌉ + 1 rounds.
-		if met.Rounds > bits.Len(uint(n))+2 {
-			t.Fatalf("n=%d: %d rounds", n, met.Rounds)
-		}
-		final := res.History.CurrentClone()
-		if d := final.Eccentricity(res.Root); d > CutInHalfDepth(n) {
-			t.Fatalf("n=%d: depth %d", n, d)
-		}
-		if err := tasks.VerifyDepthTree(final, res.Root, CutInHalfDepth(n)); err != nil {
+		if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, bound.Depth); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -113,13 +105,11 @@ func TestEulerTourStrategyOnTrees(t *testing.T) {
 		}
 		// Theorem 6.3: Θ(n) activations (tour length ≤ 2n-1), O(log n)
 		// rounds, Depth-log n tree.
-		if res.Metrics.TotalActivations > 4*n {
-			t.Fatalf("n=%d: %d activations", n, res.Metrics.TotalActivations)
+		bound := EulerTourBound(n)
+		if err := bound.Check(tasks.Cost(res.Metrics)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		if res.Metrics.Rounds > bits.Len(uint(2*n))+2 {
-			t.Fatalf("n=%d: %d rounds", n, res.Metrics.Rounds)
-		}
-		if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, EulerTourDepth(n)); err != nil {
+		if err := tasks.VerifyDepthTree(res.History.CurrentClone(), res.Root, bound.Depth); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -133,15 +123,15 @@ func TestEulerTourStrategyOnGeneralGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(g.NumNodes())); err != nil {
+	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourBound(g.NumNodes()).Depth); err != nil {
 		t.Fatal(err)
 	}
 	res2, err := EulerTourStrategy(graph.Grid(8, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Metrics.TotalActivations > 4*72 {
-		t.Fatalf("grid activations %d", res2.Metrics.TotalActivations)
+	if err := EulerTourBound(72).Check(tasks.Cost(res2.Metrics)); err != nil {
+		t.Fatalf("grid: %v", err)
 	}
 }
 
@@ -169,13 +159,13 @@ func TestEulerTourStrategyOnSparseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(n)); err != nil {
+	if err := tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourBound(n).Depth); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Property: the Euler strategy always yields a depth-O(log n) tree
-// rooted at u_max with Θ(n) activations, on arbitrary connected graphs.
+// rooted at u_max within EulerTourBound, on arbitrary connected graphs.
 func TestEulerStrategyProperty(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64, rawN uint8, extra uint8) bool {
@@ -186,10 +176,9 @@ func TestEulerStrategyProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Metrics.TotalActivations > 4*n {
-			return false
-		}
-		return tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), EulerTourDepth(n)) == nil
+		bound := EulerTourBound(n)
+		return bound.Check(tasks.Cost(res.Metrics)) == nil &&
+			tasks.VerifyDepthTree(res.History.CurrentClone(), g.MaxID(), bound.Depth) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/tasks"
 )
 
 // GraphToStar message payloads. Each is exchanged at a fixed step of
@@ -130,9 +131,21 @@ type GraphToStar struct {
 
 var _ sim.Machine = (*GraphToStar)(nil)
 
-// StarDepth is GraphToStar's Depth-d Tree target (Theorem 3.8): the
-// spanning star at u_max has depth 1 at every n.
-func StarDepth(n int) int { return 1 }
+// StarBound is what Theorem 3.8 promises GraphToStar on n nodes, with
+// the constants this implementation meets: O(log n) phases of
+// StarPhaseLength rounds, at most 4·n·⌈log₂ n⌉ activations and 2n
+// activated edges alive, and the spanning star at u_max, a tree of
+// depth 1.
+func StarBound(n int) tasks.Bound {
+	l := bits.Len(uint(n))
+	return tasks.Bound{
+		Rounds:          StarPhaseLength * (4*l + 8),
+		Activations:     4 * n * bits.Len(uint(n-1)),
+		ActivatedEdges:  2 * n,
+		ActivatedDegree: n - 1,
+		Depth:           1,
+	}
+}
 
 // NewGraphToStarFactory returns the machine factory for the §3
 // algorithm.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,7 +13,7 @@ import (
 
 // runGTS executes GraphToStar on g with the connectivity invariant
 // enforced and the standard post-conditions checked: spanning star at
-// u_max, unique elected leader.
+// u_max, unique elected leader, and every measure within StarBound.
 func runGTS(t *testing.T, g *graph.Graph) *sim.Result {
 	t.Helper()
 	res, err := sim.Run(g, NewGraphToStarFactory(), sim.WithConnectivityCheck())
@@ -30,8 +29,12 @@ func runGTS(t *testing.T, g *graph.Graph) *sim.Result {
 	if err := tasks.VerifyLeaderElection(res, umax); err != nil {
 		t.Fatal(err)
 	}
-	if err := tasks.VerifyDepthTree(final, umax, StarDepth(g.NumNodes())); err != nil {
+	bound := StarBound(g.NumNodes())
+	if err := tasks.VerifyDepthTree(final, umax, bound.Depth); err != nil {
 		t.Fatal(err)
+	}
+	if err := bound.Check(tasks.Cost(res.Metrics)); err != nil {
+		t.Fatalf("n=%d: %v", g.NumNodes(), err)
 	}
 	return res
 }
@@ -100,25 +103,13 @@ func TestGraphToStarRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestGraphToStarComplexityBounds: Theorem 3.8 on the spanning line,
+// the longest diameter, up to n = 1,024; runGTS holds each run to
+// StarBound.
 func TestGraphToStarComplexityBounds(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{64, 256, 1024} {
-		res := runGTS(t, graph.Line(n))
-		met := res.Metrics
-		logn := bits.Len(uint(n))
-		// Theorem 3.8: O(log n) time. Our phase is 8 rounds and the
-		// phase count is O(log n); allow a generous constant.
-		if maxRounds := StarPhaseLength * (4*logn + 8); res.Rounds > maxRounds {
-			t.Errorf("n=%d: %d rounds > %d (phase len %d)", n, res.Rounds, maxRounds, StarPhaseLength)
-		}
-		// At most 2n activated edges alive in any round.
-		if met.MaxActivatedEdges > 2*n {
-			t.Errorf("n=%d: %d activated edges alive > 2n", n, met.MaxActivatedEdges)
-		}
-		// O(n log n) total activations.
-		if bound := 4 * n * logn; met.TotalActivations > bound {
-			t.Errorf("n=%d: %d total activations > %d", n, met.TotalActivations, bound)
-		}
+		runGTS(t, graph.Line(n))
 	}
 }
 
@@ -162,7 +153,7 @@ func TestGraphToStarCommitteeInvariants(t *testing.T) {
 
 // Property: on arbitrary random connected graphs with permuted UIDs,
 // GraphToStar terminates with the spanning star, the correct leader,
-// and never exceeds the 2n activated-edge budget.
+// and every measure within StarBound.
 func TestGraphToStarProperty(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64, rawN uint8, rawExtra uint8) bool {
@@ -180,7 +171,7 @@ func TestGraphToStarProperty(t *testing.T) {
 		if err := tasks.VerifyLeaderElection(res, umax); err != nil {
 			return false
 		}
-		return res.Metrics.MaxActivatedEdges <= 2*n
+		return StarBound(n).Check(tasks.Cost(res.Metrics)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/subroutine"
+	"adnet/internal/tasks"
 )
 
 // GraphToWreath message payloads (§4, Appendix B). The phase is a fixed
@@ -194,16 +195,28 @@ func WreathBranching(n int, thin bool) int {
 	return b
 }
 
-// WreathDepth is the Depth-d Tree target of both wreaths (Theorems
-// 4.2 and 5.1): the tree rooted at u_max has depth at most
-// bits.Len(n)+1 = ⌊log2 n⌋+2. The binary gadget stays within
-// ⌈log2 n⌉+1, the thin gadget below that.
-func WreathDepth(n int) int { return bits.Len(uint(n)) + 1 }
+// WreathBound is what Theorems 4.2 and 5.1 promise a wreath on n nodes
+// with gadget branching b, with the constants this implementation
+// meets: O(log n) phases of WreathPhaseLength rounds, O(n log² n)
+// activations, O(n) activated edges alive, activated degree b+10 (ring,
+// tree, climb and splice bridges, and slack), and a tree rooted at u_max
+// of depth at most bits.Len(n)+1 = ⌊log₂ n⌋+2. The binary gadget stays
+// within ⌈log₂ n⌉+1, the thin gadget below that.
+func WreathBound(n, b int) tasks.Bound {
+	l := bits.Len(uint(n))
+	return tasks.Bound{
+		Rounds:          WreathPhaseLength(n, b) * (3*l + 8),
+		Activations:     4 * n * l * l,
+		ActivatedEdges:  4 * n,
+		ActivatedDegree: b + 10,
+		Depth:           l + 1,
+	}
+}
 
-// WreathMaxRounds is a generous engine round limit for the wreath
-// algorithms: O(log n) phases of the fixed phase length.
+// WreathMaxRounds is the wreaths' engine round limit: twice the rounds
+// WreathBound allows.
 func WreathMaxRounds(n, branching int) int {
-	return WreathPhaseLength(n, branching) * (6*bits.Len(uint(n)) + 16)
+	return 2 * WreathBound(n, branching).Rounds
 }
 
 // GraphToWreath is the §4 algorithm (and, via NewGraphToThinWreath-

@@ -13,7 +13,7 @@ import (
 
 // runWreath executes GraphToWreath (or the thin variant) on g with the
 // connectivity invariant enforced and checks the Depth-log n Tree
-// post-conditions.
+// post-conditions and every measure against WreathBound.
 func runWreath(t *testing.T, g *graph.Graph, thin bool, extra ...sim.Option) *sim.Result {
 	t.Helper()
 	n := g.NumNodes()
@@ -21,9 +21,10 @@ func runWreath(t *testing.T, g *graph.Graph, thin bool, extra ...sim.Option) *si
 	if thin {
 		factory = NewGraphToThinWreathFactory()
 	}
+	b := WreathBranching(n, thin)
 	res, err := sim.Run(g, factory, append([]sim.Option{
 		sim.WithConnectivityCheck(),
-		sim.WithMaxRounds(WreathMaxRounds(n, WreathBranching(n, thin)))}, extra...)...)
+		sim.WithMaxRounds(WreathMaxRounds(n, b))}, extra...)...)
 	if err != nil {
 		t.Fatalf("wreath(thin=%v) on n=%d: %v", thin, n, err)
 	}
@@ -34,8 +35,12 @@ func runWreath(t *testing.T, g *graph.Graph, thin bool, extra ...sim.Option) *si
 	}
 	// Depth-log n Tree: spanning tree rooted at u_max of logarithmic
 	// depth.
-	if err := tasks.VerifyDepthTree(final, umax, WreathDepth(n)); err != nil {
+	bound := WreathBound(n, b)
+	if err := tasks.VerifyDepthTree(final, umax, bound.Depth); err != nil {
 		t.Fatalf("n=%d: %v (m=%d)", n, err, final.NumEdges())
+	}
+	if err := bound.Check(tasks.Cost(res.Metrics)); err != nil {
+		t.Fatalf("thin=%v n=%d: %v", thin, n, err)
 	}
 	return res
 }
@@ -87,12 +92,9 @@ func TestWreathBoundedDegreeGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runWreath(t, g, false)
-		// Theorem 4.2: O(1) maximum activated degree. Ring(2) +
-		// tree(3) + climb(2) + splice bridges(2) + slack.
-		if res.Metrics.MaxActivatedDegree > 12 {
-			t.Errorf("n=%d: max activated degree %d > 12", n, res.Metrics.MaxActivatedDegree)
-		}
+		// Theorem 4.2: O(1) maximum activated degree, which runWreath
+		// holds to WreathBound(n, 2): 12.
+		runWreath(t, g, false)
 	}
 }
 
@@ -115,24 +117,12 @@ func TestWreathAndThinOnRingAndTree(t *testing.T) {
 	}
 }
 
+// TestWreathComplexity: Theorem 4.2 on the spanning line, the longest
+// diameter; runWreath holds each run to WreathBound.
 func TestWreathComplexity(t *testing.T) {
 	t.Parallel()
 	for _, n := range []int{64, 256} {
-		res := runWreath(t, graph.Line(n), false)
-		met := res.Metrics
-		logn := bits.Len(uint(n))
-		// O(log^2 n) time: phases of Θ(log n) rounds, O(log n) phases.
-		if maxR := WreathPhaseLength(n, 2) * (3*logn + 8); res.Rounds > maxR {
-			t.Errorf("n=%d: %d rounds > %d", n, res.Rounds, maxR)
-		}
-		// O(n) active edges per round beyond the original graph.
-		if met.MaxActivatedEdges > 4*n {
-			t.Errorf("n=%d: %d activated edges alive > 4n", n, met.MaxActivatedEdges)
-		}
-		// O(n log^2 n) total activations.
-		if bound := 4 * n * logn * logn; met.TotalActivations > bound {
-			t.Errorf("n=%d: %d activations > %d", n, met.TotalActivations, bound)
-		}
+		runWreath(t, graph.Line(n), false)
 	}
 }
 
@@ -164,9 +154,7 @@ func TestThinWreathDiameterAndDegree(t *testing.T) {
 	if final.MaxDegree() > b+1 {
 		t.Errorf("max degree %d > b+1 = %d", final.MaxDegree(), b+1)
 	}
-	if res.Metrics.MaxActivatedDegree > b+10 {
-		t.Errorf("max activated degree %d", res.Metrics.MaxActivatedDegree)
-	}
+	// runWreath held the activated degree to WreathBound(200, b): b+10.
 }
 
 // Property: wreath on random bounded-degree graphs with permuted IDs
@@ -191,7 +179,9 @@ func TestWreathProperty(t *testing.T) {
 		if err := tasks.VerifyLeaderElection(res, umax); err != nil {
 			return false
 		}
-		return tasks.VerifyDepthTree(res.History.CurrentClone(), umax, WreathDepth(n)) == nil
+		bound := WreathBound(n, 2)
+		return tasks.VerifyDepthTree(res.History.CurrentClone(), umax, bound.Depth) == nil &&
+			bound.Check(tasks.Cost(res.Metrics)) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

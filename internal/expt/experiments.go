@@ -10,6 +10,7 @@ import (
 	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/subroutine"
+	"adnet/internal/tasks"
 )
 
 // experiments is the experiment index E1–E13, in order.
@@ -52,17 +53,34 @@ func Run(id string, sizes []int) (*Table, error) {
 	return nil, fmt.Errorf("expt: unknown experiment %q", id)
 }
 
-// runRows executes algo on the workload family at each size, seeded by
-// n, and appends row(n, outcome) to t.
+// runRows executes algo on the workload family at each size and
+// appends row(n, outcome) to t.
 func (t *Table) runRows(algo, workload string, sizes []int, row func(n int, out Outcome) []string) (*Table, error) {
 	for _, n := range sizes {
-		out, err := Execute(Request{Algorithm: algo, Workload: workload, N: n, Seed: int64(n)})
+		out, err := executeRow(algo, workload, n)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, row(n, out))
 	}
 	return t, nil
+}
+
+// executeRow executes algo on the workload family at size n, seeded by
+// n, and holds the outcome to the entry's bound: a row outside its
+// theorem fails the table.
+func executeRow(algo, workload string, n int) (Outcome, error) {
+	out, err := Execute(Request{Algorithm: algo, Workload: workload, N: n, Seed: int64(n)})
+	if err != nil {
+		return out, err
+	}
+	a, _ := lookup(algo) // Execute found it
+	got := tasks.Bound{Rounds: out.Rounds, Activations: out.TotalActivations, ActivatedEdges: out.MaxActivatedEdges,
+		ActivatedDegree: out.MaxActivatedDegree, Depth: out.FinalDepth}
+	if err := a.bound(n).Check(got); err != nil {
+		return out, fmt.Errorf("expt: %s on %s/%d: %w", algo, workload, n, err)
+	}
+	return out, nil
 }
 
 // lineParents roots the spanning line 0…n−1 at its end n−1, u_max.
@@ -211,6 +229,9 @@ func E7CentralizedLine(sizes []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := baseline.CutInHalfBound(n).Check(tasks.Cost(res.Metrics)); err != nil {
+			return nil, fmt.Errorf("expt: cut-in-half on line/%d: %w", n, err)
+		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(res.Metrics.Rounds),
 			fmt.Sprint(res.Metrics.TotalActivations),
@@ -248,11 +269,11 @@ func E9DistributedActivations(sizes []int) (*Table, error) {
 		Columns: []string{"n", "distAct", "centAct", "ratio", "distAct/(n log n)"},
 	}
 	for _, n := range defSizes(sizes, []int{64, 256, 1024}) {
-		out, err := Execute(Request{Algorithm: AlgoStar, Workload: "increasing-ring", N: n, Seed: int64(n)})
+		out, err := executeRow(AlgoStar, "increasing-ring", n)
 		if err != nil {
 			return nil, err
 		}
-		cent, err := Execute(Request{Algorithm: AlgoCentralized, Workload: "increasing-ring", N: n, Seed: int64(n)})
+		cent, err := executeRow(AlgoCentralized, "increasing-ring", n)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +382,7 @@ func TradeoffTable(n int) (*Table, error) {
 		Columns: []string{"algorithm", "rounds", "totalAct", "maxActEdges", "maxActDeg", "finalDepth", "leaderOK"},
 	}
 	for _, algo := range Algorithms() {
-		out, err := Execute(Request{Algorithm: algo, Workload: "line", N: n, Seed: int64(n)})
+		out, err := executeRow(algo, "line", n)
 		if err != nil {
 			return nil, err
 		}

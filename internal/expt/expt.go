@@ -177,8 +177,10 @@ func (o *Outcome) measure(met temporal.Metrics) {
 
 // judge is every run's tail: it fills out from the run's metrics and
 // its final graph, measured in place through bfs, and applies the
-// verdict (DESIGN.md § "The verdict"): u_max elected, then, given a
-// depth target, a spanning tree within it. A failure is an Unverified
+// verdict (DESIGN.md § "The verdict"): u_max elected, then, where the
+// entry's bound has a depth target, a spanning tree within it. The
+// bound's other measures are no part of it: a slow run is not a wrong
+// one. A failure is an Unverified
 // *sim.Failure on an untouched run, returned with the measured outcome
 // and LeaderOK false; once the environment acted, LeaderOK is the
 // leader half and the tree half is skipped.
@@ -193,8 +195,8 @@ func (a *algorithm) judge(bfs *graph.BFSScratch, out Outcome, met temporal.Metri
 	if out.EnvActivations|out.EnvDeactivations|out.Crashes|out.Restarts != 0 {
 		return out, nil
 	}
-	if err == nil && a.depth != nil {
-		err = tasks.VerifyTree(out.N, final.NumEdges(), out.FinalDepth, a.depth(out.N))
+	if depth := a.bound(out.N).Depth; err == nil && depth != 0 {
+		err = tasks.VerifyTree(out.N, final.NumEdges(), out.FinalDepth, depth)
 	}
 	if err != nil {
 		out.LeaderOK = false

@@ -6,6 +6,7 @@ import (
 	"adnet/internal/baseline"
 	"adnet/internal/core"
 	"adnet/internal/sim"
+	"adnet/internal/tasks"
 )
 
 // Algorithm names, in registry order.
@@ -36,22 +37,30 @@ type algorithm struct {
 	// repeated runs on one engine restore them in place. Built once
 	// here so a recycled run's steady state allocates nothing.
 	recycle sim.Option
-	// depth is the verdict's Depth-d Tree target (§2.2), stated next to
-	// the machines; nil where the output is no tree (G_s, K_n).
-	depth func(n int) int
+	// bound is what the entry's theorem promises an n-node run, stated
+	// next to the machines. The verdict reads its Depth, the Depth-d
+	// Tree target (§2.2), zero where the output is no tree (G_s, K_n);
+	// the experiment tables hold each row to all of it.
+	bound func(n int) tasks.Bound
 }
 
 var registry = []algorithm{
-	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar), depth: core.StarDepth},
-	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath), depth: core.WreathDepth},
-	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath), depth: core.WreathDepth},
-	{name: AlgoClique, factory: baseline.NewCliqueFactory(), recycle: sim.WithMachineRecycling(AlgoClique)},
-	{name: AlgoFlood, factory: baseline.NewFloodFactory(), recycle: sim.WithMachineRecycling(AlgoFlood)},
-	{name: AlgoCentralized, depth: baseline.EulerTourDepth},
+	{name: AlgoStar, factory: core.NewGraphToStarFactory(), recycle: sim.WithMachineRecycling(AlgoStar), bound: core.StarBound},
+	{name: AlgoWreath, factory: core.NewGraphToWreathFactory(), maxRounds: wreathMaxRounds(false), recycle: sim.WithMachineRecycling(AlgoWreath), bound: wreathBound(false)},
+	{name: AlgoThinWreath, factory: core.NewGraphToThinWreathFactory(), maxRounds: wreathMaxRounds(true), recycle: sim.WithMachineRecycling(AlgoThinWreath), bound: wreathBound(true)},
+	{name: AlgoClique, factory: baseline.NewCliqueFactory(), recycle: sim.WithMachineRecycling(AlgoClique), bound: baseline.CliqueBound},
+	{name: AlgoFlood, factory: baseline.NewFloodFactory(), recycle: sim.WithMachineRecycling(AlgoFlood), bound: baseline.FloodBound},
+	{name: AlgoCentralized, bound: baseline.EulerTourBound},
 }
 
+// wreathMaxRounds and wreathBound are the wreath's (thin: the thin
+// wreath's) round cap and bound at its factory's branching.
 func wreathMaxRounds(thin bool) func(n int) int {
 	return func(n int) int { return core.WreathMaxRounds(n, core.WreathBranching(n, thin)) }
+}
+
+func wreathBound(thin bool) func(n int) tasks.Bound {
+	return func(n int) tasks.Bound { return core.WreathBound(n, core.WreathBranching(n, thin)) }
 }
 
 // Algorithms lists every runnable algorithm name, in registry order.

@@ -12,8 +12,9 @@ import (
 
 // TestVerdict judges hand-built final graphs and elections on five
 // nodes, u_max = 4: each failure has its own message, an entry without
-// a depth target accepts any graph, and on a run the environment acted
-// on the verdict is data — LeaderOK — and the tree half is skipped.
+// a depth target accepts any graph, a run past its bound's other
+// measures is not a wrong run, and on a run the environment acted on
+// the verdict is data — LeaderOK — and the tree half is skipped.
 func TestVerdict(t *testing.T) {
 	t.Parallel()
 	const umax = 4
@@ -30,12 +31,14 @@ func TestVerdict(t *testing.T) {
 	star := [][2]graph.ID{{0, 4}, {1, 4}, {2, 4}, {3, 4}}
 	ring := [][2]graph.ID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}}
 	elected := tasks.Election{Leader: umax, Leaders: 1}
-	depth1 := func(int) int { return 1 }
+	// depth1 bounds every measure but the depth at 0, which each run
+	// below exceeds in rounds.
+	depth1 := func(int) tasks.Bound { return tasks.Bound{Depth: 1} }
 	for _, tc := range []struct {
 		name     string
 		final    *graph.Graph
 		elect    tasks.Election
-		depth    func(int) int
+		bound    func(int) tasks.Bound
 		acted    bool   // the environment crashed a node during the run
 		want     string // the error's message; "" passes
 		leaderOK bool
@@ -46,14 +49,14 @@ func TestVerdict(t *testing.T) {
 		{"depth over target", final(ring[:4]...), elected, depth1, false, "tree depth 4 exceeds 1", false},
 		{"wrong leader", final(star...), tasks.Election{Leader: 3, Leaders: 1}, depth1, false, "leader is 3, want u_max = 4", false},
 		{"undecided node", final(star...), tasks.Election{Leader: umax, Leaders: 1, Undecided: 1}, depth1, false, "1 nodes never decided", false},
-		{"no target accepts a ring", final(ring...), elected, nil, false, "", true},
+		{"no target accepts a ring", final(ring...), elected, func(int) tasks.Bound { return tasks.Bound{} }, false, "", true},
 		{"environment acted: tree skipped", final(ring...), elected, depth1, true, "", true},
 		{"environment acted: leader half is data", final(ring...), tasks.Election{Leader: 3, Leaders: 1}, depth1, true, "", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			a := &algorithm{name: "probe", depth: tc.depth}
-			in := Outcome{N: umax + 1}
+			a := &algorithm{name: "probe", bound: tc.bound}
+			in := Outcome{N: umax + 1, Rounds: 7}
 			if tc.acted {
 				in.Crashes = 1
 			}

@@ -195,7 +195,7 @@ func TestResultIsViewOfEngine(t *testing.T) {
 // holds one per slot, and what every node shares (the History, n) is
 // read through the engine, not copied into each.
 func TestContextFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(Context{}); size > 56 {
-		t.Fatalf("unsafe.Sizeof(Context{}) = %d B, want <= 56", size)
+	if size := unsafe.Sizeof(Context{}); size > 48 {
+		t.Fatalf("unsafe.Sizeof(Context{}) = %d B, want <= 48", size)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
 
 // SameEdges reports whether two graphs have identical node and edge
@@ -88,6 +89,46 @@ func VerifyTree(n, m, depth, maxDepth int) error {
 // spanning tree rooted at root with depth at most maxDepth.
 func VerifyDepthTree(final *graph.Graph, root graph.ID, maxDepth int) error {
 	return VerifyTree(final.NumNodes(), final.NumEdges(), final.Eccentricity(root), maxDepth)
+}
+
+// Bound is what a theorem promises an n-node run (§2.2): upper bounds
+// on its time and on the three edge-complexity measures, and the depth
+// of its Depth-d Tree target, zero where the output is no tree. Each
+// registry entry states its own once, next to its machines; the
+// verdict reads only Depth.
+type Bound struct {
+	Rounds, Activations, ActivatedEdges, ActivatedDegree, Depth int
+}
+
+// Cost reads a finished run's measures as a Bound to Check: its rounds
+// and its three edge-complexity measures, with no depth.
+func Cost(met temporal.Metrics) Bound {
+	return Bound{Rounds: met.Rounds, Activations: met.TotalActivations,
+		ActivatedEdges: met.MaxActivatedEdges, ActivatedDegree: met.MaxActivatedDegree}
+}
+
+// Check reports the first of got's measures that exceeds b, naming the
+// measure, its value and the bound. got's Depth is held to b's only
+// where b has a tree target.
+func (b Bound) Check(got Bound) error {
+	if b.Depth == 0 {
+		got.Depth = 0
+	}
+	for _, m := range [...]struct {
+		name     string
+		got, max int
+	}{
+		{"rounds", got.Rounds, b.Rounds},
+		{"total activations", got.Activations, b.Activations},
+		{"max activated edges", got.ActivatedEdges, b.ActivatedEdges},
+		{"max activated degree", got.ActivatedDegree, b.ActivatedDegree},
+		{"tree depth", got.Depth, b.Depth},
+	} {
+		if m.got > m.max {
+			return fmt.Errorf("tasks: %s %d exceeds the bound %d", m.name, m.got, m.max)
+		}
+	}
+	return nil
 }
 
 // VerifyTokenDissemination checks that every node's collected token set

@@ -5,6 +5,7 @@ import (
 
 	"adnet/internal/graph"
 	"adnet/internal/sim"
+	"adnet/internal/temporal"
 )
 
 // statusMachine halts immediately with a preset status.
@@ -121,5 +122,38 @@ func TestVerifyTokenDissemination(t *testing.T) {
 	full[2] = map[graph.ID]bool{1: true, 2: true}
 	if err := VerifyTokenDissemination(all, knows); err == nil {
 		t.Error("missing token accepted")
+	}
+}
+
+// TestBoundCheck: a measure at its bound passes, one over it fails
+// with an error naming the measure, the value and the bound, the first
+// in field order wins, and a zero Depth holds no depth.
+func TestBoundCheck(t *testing.T) {
+	t.Parallel()
+	b := Bound{Rounds: 10, Activations: 20, ActivatedEdges: 30, ActivatedDegree: 4, Depth: 2}
+	if err := b.Check(b); err != nil {
+		t.Errorf("a run at its bound rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		got  Bound
+		want string
+	}{
+		{Bound{Rounds: 11}, "tasks: rounds 11 exceeds the bound 10"},
+		{Bound{Activations: 21, ActivatedEdges: 31}, "tasks: total activations 21 exceeds the bound 20"},
+		{Bound{ActivatedEdges: 31}, "tasks: max activated edges 31 exceeds the bound 30"},
+		{Bound{ActivatedDegree: 5}, "tasks: max activated degree 5 exceeds the bound 4"},
+		{Bound{Depth: 3}, "tasks: tree depth 3 exceeds the bound 2"},
+	} {
+		if err := b.Check(tc.got); err == nil || err.Error() != tc.want {
+			t.Errorf("Check(%+v) = %v, want %q", tc.got, err, tc.want)
+		}
+	}
+	noTree := Bound{Rounds: 10}
+	if err := noTree.Check(Bound{Rounds: 10, Depth: 99}); err != nil {
+		t.Errorf("a bound without a depth target held the depth: %v", err)
+	}
+	met := temporal.Metrics{Rounds: 1, TotalActivations: 2, MaxActivatedEdges: 3, MaxActivatedDegree: 4, MaxActiveEdges: 99}
+	if got := Cost(met); got != (Bound{Rounds: 1, Activations: 2, ActivatedEdges: 3, ActivatedDegree: 4}) {
+		t.Errorf("Cost(%+v) = %+v", met, got)
 	}
 }
