@@ -70,8 +70,9 @@ func TestExperimentsPrintTheTables(t *testing.T) {
 	}
 }
 
-// TestRejectedFlags: an unknown experiment and every flag set outside
-// the mode that reads it exit non-zero with a message naming it.
+// TestRejectedFlags: an unknown experiment, a size past graph.MaxNodes
+// and every flag set outside the mode that reads it exit non-zero with
+// a message naming it.
 func TestRejectedFlags(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -93,6 +94,8 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-experiments", "E3", "-aggregate"}, "-experiments"},
 		{[]string{"-tradeoff", "64", "-robustness"}, "-tradeoff"},
 		{[]string{"-aggregate", "-robustness", "-n", "16", "-seeds", "1"}, "-robustness"},
+		{[]string{"-n", "2147483649"}, "graph.MaxNodes"},
+		{[]string{"-aggregate", "-n", "2147483649", "-seeds", "1"}, "graph.MaxNodes"},
 	} {
 		out, stderr, ok := adnet(t, tc.args...)
 		if ok || !strings.Contains(stderr, tc.flag) {

@@ -14,7 +14,7 @@ package core
 import "adnet/internal/graph"
 
 // Role distinguishes committee leaders from followers.
-type Role int
+type Role uint8
 
 // Roles. Every node starts as the leader of its own singleton committee.
 const (
@@ -31,7 +31,7 @@ func (r Role) String() string {
 }
 
 // Mode is the committee mode of the GraphToStar phase machine (§3).
-type Mode int
+type Mode uint8
 
 // GraphToStar committee modes, §3. Selection and Waiting committees
 // are selectable; Merging, Pulling and Termination are not.

@@ -262,10 +262,13 @@ func TestReportFoldMatchesListReduce(t *testing.T) {
 	}
 }
 
-// TestGraphToStarFootprint pins the machine's size: one GraphToStar is
-// allocated per node, and 256 B is its size class.
-func TestGraphToStarFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(GraphToStar{}); size > 256 {
-		t.Fatalf("unsafe.Sizeof(GraphToStar{}) = %d B, want <= 256", size)
+// TestMachineFootprint pins the machines' sizes: one is allocated per
+// node, and its IDs are 4-byte graph.IDs and its enums bytes.
+func TestMachineFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(GraphToStar{}); size > 160 {
+		t.Errorf("unsafe.Sizeof(GraphToStar{}) = %d B, want <= 160", size)
+	}
+	if size := unsafe.Sizeof(GraphToWreath{}); size > 792 {
+		t.Errorf("unsafe.Sizeof(GraphToWreath{}) = %d B, want <= 792", size)
 	}
 }

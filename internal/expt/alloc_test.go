@@ -103,9 +103,9 @@ func TestBaselineSteadyStateZeroAllocs(t *testing.T) {
 // generation, every engine buffer grown from nothing, one machine per
 // node and the verdict (DESIGN.md § "Per-node footprint"; the root
 // BenchmarkFreshRunnerStarLine4096 reports it per node). The limit is
-// the measured 4,696,856 B (1,146 B/node) plus 5%.
+// the measured 3,251,688 B (793 B/node) plus 5%.
 func TestFreshRunnerFirstRunBytes(t *testing.T) {
-	const limit = 4_696_856 * 105 / 100
+	const limit = 3_251_688 * 105 / 100
 	req := Request{Algorithm: AlgoStar, Workload: "line", N: 4096, Seed: 1}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -205,6 +205,18 @@ func (a *algorithm) judge(bfs *graph.BFSScratch, out Outcome, met temporal.Metri
 	return out, nil
 }
 
+// checkN reports whether every workload family can be built at size
+// n: it needs at least two nodes, and its IDs 0..n-1 must be graph.IDs.
+func checkN(n int) error {
+	if n < 2 {
+		return fmt.Errorf("expt: n must be at least 2, got %d", n)
+	}
+	if int64(n) > graph.MaxNodes {
+		return fmt.Errorf("expt: n must be at most %d (graph.MaxNodes), got %d", int64(graph.MaxNodes), n)
+	}
+	return nil
+}
+
 // Workloads lists every initial-network family name accepted by
 // Workload, aliases included.
 func Workloads() []string {
@@ -228,10 +240,10 @@ func WorkloadInto(dst, scratch *graph.Graph, name string, n int, seed int64) (*g
 	if !slices.Contains(Workloads(), name) {
 		return nil, fmt.Errorf("expt: unknown workload %q (want one of %v)", name, Workloads())
 	}
-	// Every family needs at least two nodes; validating here, before
-	// dispatch, keeps the contract uniform instead of per-generator.
-	if n < 2 {
-		return nil, fmt.Errorf("expt: workload %q needs n >= 2, got %d", name, n)
+	// Validating here, before dispatch, keeps the contract uniform
+	// instead of per-generator, also for callers that skip Validate.
+	if err := checkN(n); err != nil {
+		return nil, err
 	}
 	// The deterministic families skip the rng so their cells allocate
 	// nothing per call.

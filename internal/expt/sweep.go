@@ -253,7 +253,7 @@ func dedup[T comparable](xs []T) []T {
 }
 
 // Validate checks that every named algorithm and workload exists,
-// every size is at least 2, and the grid is non-empty.
+// every size passes checkN, and the grid is non-empty.
 func (s SweepSpec) Validate() error {
 	if s.NumCells() == 0 {
 		return errors.New("expt: empty sweep grid (every dimension needs at least one value)")
@@ -269,8 +269,8 @@ func (s SweepSpec) Validate() error {
 		}
 	}
 	for _, n := range s.Sizes {
-		if n < 2 {
-			return fmt.Errorf("expt: n must be at least 2, got %d", n)
+		if err := checkN(n); err != nil {
+			return err
 		}
 	}
 	if s.MaxRounds < 0 {

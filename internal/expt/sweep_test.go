@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adnet/internal/graph"
 	"adnet/internal/sim"
 )
 
@@ -114,6 +115,32 @@ func TestSweepSpecValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
+	}
+}
+
+// TestSizeBeyondIDRange: a network with more than graph.MaxNodes nodes
+// has IDs past graph.ID's range, so every entry point that takes a size
+// refuses it before building anything; graph.MaxNodes itself is valid.
+func TestSizeBeyondIDRange(t *testing.T) {
+	t.Parallel()
+	grid := func(n int) SweepSpec {
+		return SweepSpec{Algorithms: []string{AlgoStar}, Workloads: []string{"line"}, Sizes: []int{n}, Seeds: []int64{1}}
+	}
+	if err := grid(graph.MaxNodes).Validate(); err != nil {
+		t.Fatalf("n = graph.MaxNodes rejected: %v", err)
+	}
+	const n = graph.MaxNodes + 1
+	if err := grid(n).Validate(); err == nil || !strings.Contains(err.Error(), "graph.MaxNodes") {
+		t.Errorf("SweepSpec.Validate(n = %d) = %v, want an error naming graph.MaxNodes", n, err)
+	}
+	cell := Cell{Algorithm: AlgoStar, Workload: "line", N: n, Seed: 1}
+	if err := cell.Validate(); err == nil {
+		t.Errorf("Cell.Validate(n = %d) accepted", n)
+	}
+	r := NewRunner()
+	defer r.Close()
+	if _, err := r.Execute(cell.Request()); err == nil {
+		t.Errorf("Execute(n = %d), which skips Validate, accepted", n)
 	}
 }
 

@@ -41,12 +41,20 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
 // ID identifies a node and serves as its UID. IDs must be non-negative
 // and unique within a graph, and should be dense: storage is O(MaxID).
-type ID int
+// It is 32 bits wide: IDs fill adjacency rows, edges, intents, messages
+// and machine fields, so the width is paid per node many times over.
+type ID int32
+
+// MaxNodes is the most nodes a graph on IDs 0..n-1 can hold: every
+// non-negative ID. Sizes from outside the program are checked against
+// it where they enter (expt.SweepSpec.Validate, expt.WorkloadInto).
+const MaxNodes = math.MaxInt32 + 1
 
 // Edge is an undirected pair of node IDs, stored in canonical order
 // (A < B) so it can be used as a map key.

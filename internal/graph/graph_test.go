@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -502,7 +503,7 @@ func TestNegativeIDRejected(t *testing.T) {
 		g.AddNode(-1)
 		t.Error("AddNode(-1) returned")
 	}()
-	for _, u := range []ID{-1, -64, 8, 1 << 40} {
+	for _, u := range []ID{-1, -64, 8, math.MaxInt32} {
 		if g.HasNode(u) || g.HasEdge(u, 0) || g.HasEdge(0, u) || g.Degree(u) != 0 ||
 			len(g.Neighbors(u)) != 0 || g.HaveCommonNeighbor(u, 1) || g.RemoveEdge(0, u) {
 			t.Errorf("ID %d answers like a node", u)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"adnet/internal/dynamics"
+	"adnet/internal/graph"
 	"adnet/internal/sim"
 	"adnet/internal/temporal"
 )
@@ -67,6 +69,11 @@ func TestSpecValidate(t *testing.T) {
 		if err := validateSweep(s.Grid(), DefaultMaxN, 0); err == nil {
 			t.Errorf("spec %+v passed validation", s)
 		}
+	}
+	// A service whose limit admits any n still refuses one past the ID range.
+	past := RunSpec{Algorithm: "graph-to-star", Workload: "line", N: graph.MaxNodes + 1}
+	if err := validateSweep(past.Grid(), math.MaxInt, 0); err == nil {
+		t.Errorf("spec %+v passed validation with no service limit", past)
 	}
 }
 

@@ -15,14 +15,16 @@ import "adnet/internal/graph"
 // nor an intent is held here; nor is what every node shares (the
 // History, n), which is read through the engine.
 type Context struct {
-	id  graph.ID
-	eng *Engine
+	// Pointers and the round first, then the 4-byte and 1-byte fields,
+	// so the struct packs to 40 B (TestContextFootprint).
+	eng   *Engine
+	err   *Failure
+	round int
 
-	round  int
+	id     graph.ID
 	slot   int32
 	halted bool
 	status Status
-	err    *Failure
 }
 
 // reset rebinds the context to a node for a new run. The slot and

@@ -195,7 +195,15 @@ func TestResultIsViewOfEngine(t *testing.T) {
 // holds one per slot, and what every node shares (the History, n) is
 // read through the engine, not copied into each.
 func TestContextFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(Context{}); size > 48 {
-		t.Fatalf("unsafe.Sizeof(Context{}) = %d B, want <= 48", size)
+	if size := unsafe.Sizeof(Context{}); size > 40 {
+		t.Fatalf("unsafe.Sizeof(Context{}) = %d B, want <= 40", size)
+	}
+}
+
+// TestMessageFootprint pins a message's size: the inboxes hold one per
+// delivery, two 4-byte graph.IDs beside the payload's interface.
+func TestMessageFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size > 24 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d B, want <= 24", size)
 	}
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // Status is a node's self-declared leader-election outcome (§2.2).
-type Status int
+type Status uint8
 
 // Node statuses. StatusNone is the pre-decision default.
 const (
